@@ -15,36 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import corpus as corpus_mod
 from . import diagnostics, pipeline, recommender, rq, synthgen
-from .datamodel import (
-    CatalogError,
-    EmbeddingIOError,
-    EmbeddingSet,
-    InteractionError,
-    k_core_filter,
-    leave_last_out_split,
-    load_embeddings,
-    load_interactions,
-    load_items,
-    save_interactions,
-    save_items,
-)
+from .datamodel import EmbeddingSet, load_embeddings
 
 log = logging.getLogger("sidforge.cli")
 
-_KNOWN_ERRORS = (
-    CatalogError,
-    EmbeddingIOError,
-    InteractionError,
-    rq.RqError,
-    synthgen.SynthError,
-    diagnostics.DiagnosticsError,
-    corpus_mod.CorpusError,
-    recommender.RecommenderError,
-    ValueError,
-    OSError,
-)
+# Every typed sidforge error subclasses ValueError.
+_KNOWN_ERRORS = (ValueError, OSError)
 
 
 def _emit(obj) -> None:
@@ -65,27 +42,13 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
-def _load_split(path, kcore: int):
-    interactions = load_interactions(path)
-    if kcore >= 1:
-        interactions = k_core_filter(interactions, kcore)
-    return leave_last_out_split(interactions)
-
-
 def _cmd_synth(args) -> int:
     cfg = synthgen.load_synth_config(args.config)
     if args.seed is not None:
         cfg = synthgen.SynthConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
-    catalog, emb, labels = synthgen.generate_catalog(cfg)
-    interactions = synthgen.generate_interactions(catalog, labels, cfg)
-    if args.kcore >= 1:
-        interactions = k_core_filter(interactions, args.kcore)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = pipeline.ArtifactPaths.in_dir(out_dir)
-    pipeline.atomic_write(paths.items, lambda tmp: save_items(catalog, tmp))
-    pipeline._write_embeddings_atomic(emb, paths.embeddings)
-    pipeline.atomic_write(paths.interactions, lambda tmp: save_interactions(interactions, tmp))
+    catalog, emb, interactions = pipeline.synthesize_sources(cfg)
+    paths = pipeline.ArtifactPaths.in_dir(Path(args.out_dir))
+    interactions = pipeline.write_sources(paths, catalog, emb, interactions, args.kcore)
     _emit(
         {
             "items": len(catalog),
@@ -104,28 +67,18 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    catalog = load_items(args.items)
-    emb = load_embeddings(args.embeddings)
-    interactions = load_interactions(args.interactions)
-    unknown = [i for i in emb.item_ids if i not in catalog]
-    if unknown:
-        raise CatalogError(f"{len(unknown)} embedding ids missing from the item file")
-    raw_events = len(interactions.events)
-    if args.kcore >= 1:
-        interactions = k_core_filter(interactions, args.kcore)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = pipeline.ArtifactPaths.in_dir(out_dir)
-    pipeline.atomic_write(paths.items, lambda tmp: save_items(catalog, tmp))
-    pipeline._write_embeddings_atomic(emb, paths.embeddings)
-    pipeline.atomic_write(paths.interactions, lambda tmp: save_interactions(interactions, tmp))
+    catalog, emb, interactions = pipeline.load_sources(
+        args.items, args.embeddings, args.interactions
+    )
+    paths = pipeline.ArtifactPaths.in_dir(Path(args.out_dir))
+    kept = pipeline.write_sources(paths, catalog, emb, interactions, args.kcore)
     _emit(
         {
             "items": len(catalog),
             "embeddings": emb.count,
-            "events_in": raw_events,
-            "events_kept": len(interactions.events),
-            "users_kept": len(interactions.by_user()),
+            "events_in": len(interactions.events),
+            "events_kept": len(kept.events),
+            "users_kept": len(kept.by_user()),
             "kcore": args.kcore,
         }
     )
@@ -181,7 +134,7 @@ def _cmd_decode(args) -> int:
     result = {"sid": rq.render_sid(tokens), "tokens": list(tokens), "dim": model.dim}
     if args.out:
         out_emb = EmbeddingSet([result["sid"]], vector[None, :].astype(np.float32))
-        pipeline._write_embeddings_atomic(out_emb, Path(args.out))
+        pipeline.write_embeddings_atomic(out_emb, Path(args.out))
         result["path"] = str(args.out)
     else:
         result["vector"] = [float(v) for v in vector]
@@ -190,30 +143,16 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    model = rq.load_model(args.model)
-    assign = rq.load_assignment(args.assignment)
-    if assign.model_hash != model.model_hash():
-        raise rq.RqError("assignment was produced by a different model")
-    emb = load_embeddings(args.embeddings) if args.embeddings else None
-    labels = None
-    if args.items:
-        if args.probe_seed is None:
-            raise ValueError("--probe-seed is required when --items is given")
-        catalog = load_items(args.items)
-        labels = {rec.item_id: rec.category for rec in catalog}
-    report = diagnostics.build_report(
-        assign,
-        model,
-        emb=emb,
-        labels=labels,
+    payload = pipeline.diagnose(
+        args.model,
+        args.assignment,
+        embeddings=args.embeddings,
+        items=args.items,
         probe_seed=args.probe_seed,
-        workers=args.workers,
+        out=args.out,
     )
-    payload = diagnostics.report_to_dict(report)
-    if args.out:
-        pipeline._write_json_atomic(payload, args.out)
     if args.table:
-        print(diagnostics.render_table(report), file=sys.stderr)
+        print(diagnostics.render_table(payload), file=sys.stderr)
     _emit(payload)
     return 0
 
@@ -221,7 +160,8 @@ def _cmd_diagnose(args) -> int:
 def _cmd_recon_curve(args) -> int:
     model = rq.load_model(args.model)
     emb = load_embeddings(args.embeddings)
-    curve = diagnostics.reconstruction_curve(model, emb, h_max=args.h_max, workers=args.workers)
+    assign = rq.assign_all(model, emb, workers=args.workers)
+    curve = diagnostics.reconstruction_curve(model, emb, assign, h_max=args.h_max)
     payload = {
         "sims": {str(h): curve.sims[h] for h in sorted(curve.sims)},
         "n_items": curve.n_items,
@@ -229,46 +169,33 @@ def _cmd_recon_curve(args) -> int:
         "zero_recon_counts": {str(h): curve.zero_recon_counts[h] for h in sorted(curve.zero_recon_counts)},
     }
     if args.out:
-        pipeline._write_json_atomic(payload, args.out)
+        pipeline.write_json(payload, args.out)
     _emit(payload)
     return 0
 
 
 def _cmd_corpus(args) -> int:
-    catalog = load_items(args.items)
-    assign = rq.load_assignment(args.assignment)
-    model = rq.load_model(args.model) if args.model else None
-    if model is not None and assign.model_hash != model.model_hash():
-        raise rq.RqError("assignment was produced by a different model")
-    if args.vocab_out and model is None:
-        raise ValueError("--vocab-out needs --model")
-    split = _load_split(args.interactions, args.kcore)
-    records, stats = corpus_mod.sample_corpus(
-        split,
-        catalog,
-        assign,
+    stats = pipeline.export_corpus(
+        args.items,
+        args.assignment,
+        args.interactions,
+        args.out,
         n=args.n,
         seed=args.seed,
         max_history=args.max_history,
-        model=model,
+        model_path=args.model,
+        kcore=args.kcore,
+        chat_out=args.chat_out,
+        vocab_out=args.vocab_out,
     )
-    pipeline.atomic_write(args.out, lambda tmp: corpus_mod.write_corpus(records, tmp))
-    if args.chat_out:
-        pipeline.atomic_write(
-            args.chat_out, lambda tmp: corpus_mod.write_chat_corpus(records, tmp)
-        )
-    if args.vocab_out:
-        pipeline.atomic_write(
-            args.vocab_out, lambda tmp: corpus_mod.write_sid_vocabulary(model, tmp)
-        )
     _emit(stats)
     return 0
 
 
 def _cmd_train_baseline(args) -> int:
-    model = rq.load_model(args.model)
-    assign = rq.load_assignment(args.assignment)
-    split = _load_split(args.interactions, args.kcore)
+    model, assign, split = pipeline.load_tokens_and_split(
+        args.model, args.assignment, args.interactions, args.kcore
+    )
     ngram = recommender.train_ngram(
         split,
         assign,
@@ -291,39 +218,29 @@ def _cmd_train_baseline(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model = rq.load_model(args.model)
-    assign = rq.load_assignment(args.assignment)
-    if assign.model_hash != model.model_hash():
-        raise rq.RqError("assignment was produced by a different model")
+    model, assign, split = pipeline.load_tokens_and_split(
+        args.model, args.assignment, args.interactions, args.kcore
+    )
     ngram = recommender.load_ngram(args.ngram)
-    split = _load_split(args.interactions, args.kcore)
-    trie = rq.build_trie(assign)
-    sizes = model.effective_sizes
-    ks = _parse_ks(args.k)
-    include_validation = not args.exclude_validation
-    report = recommender.evaluate(
+    report, pop_report = pipeline.evaluate_baseline(
         ngram,
-        split,
+        model,
         assign,
-        trie,
-        sizes,
-        ks=ks,
+        split,
+        ks=_parse_ks(args.k),
         beam_size=args.beam,
-        include_validation=include_validation,
+        include_validation=not args.exclude_validation,
+        popularity=args.baseline,
         keep_ranks=args.ranks_out is not None,
         unconstrained=args.unconstrained,
     )
     payload = report.to_dict()
-    if args.baseline:
-        popular = recommender.popularity_ranking(
-            split, assign, include_validation=include_validation
-        )
-        pop_report = recommender.evaluate_static_ranking(popular, split, assign, ks=ks)
+    if pop_report is not None:
         payload["popularity"] = pop_report.to_dict()
     if args.ranks_out:
-        pipeline._write_json_atomic(dict(sorted(report.per_user_ranks.items())), args.ranks_out)
+        pipeline.write_json(dict(sorted(report.per_user_ranks.items())), args.ranks_out)
     if args.out:
-        pipeline._write_json_atomic(payload, args.out)
+        pipeline.write_json(payload, args.out)
     if args.csv:
         pipeline.atomic_write(args.csv, lambda tmp: recommender.write_metrics_csv(report, tmp))
     _emit(payload)
@@ -334,17 +251,8 @@ def _cmd_report(args) -> int:
     payload: dict = {}
     if args.diagnostics:
         with open(args.diagnostics, "r", encoding="utf-8") as fh:
-            diag = json.load(fh)
-        payload["diagnostics"] = diag
-        print(
-            "Collision {:.2f}%  Unique {:.2f}%  Util. {:.2f}%  Entropy {:.4f}".format(
-                diag["collision_rate"] * 100.0,
-                diag["unique_ratio"] * 100.0,
-                diag["utilization"] * 100.0,
-                diag["prefix_entropy"],
-            ),
-            file=sys.stderr,
-        )
+            payload["diagnostics"] = json.load(fh)
+        print(diagnostics.render_table(payload["diagnostics"]), file=sys.stderr)
     if args.metrics:
         with open(args.metrics, "r", encoding="utf-8") as fh:
             metrics = json.load(fh)
@@ -430,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", default=None, help="enables the reconstruction curve")
     p.add_argument("--items", default=None, help="enables the category probe")
     p.add_argument("--probe-seed", type=int, default=None, help="required with --items")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="also write the JSON report here")
     p.add_argument("--table", action="store_true", help="print a table to stderr")
     p.set_defaults(func=_cmd_diagnose)
@@ -489,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default=None)
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("pipeline", help="run the cached four-stage pipeline")
+    p = sub.add_parser("pipeline", help="run the cached five-stage pipeline")
     p.add_argument("--config", default=None, help="pipeline config JSON")
     p.add_argument("--output-dir", default=None)
     p.add_argument("--workers", type=int, default=None)

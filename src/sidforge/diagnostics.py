@@ -12,7 +12,7 @@ import numpy as np
 
 from . import rng
 from .datamodel import EmbeddingSet
-from .rq import RqModel, SidAssignment, decode_batch, encode_batch
+from .rq import RqModel, SidAssignment, decode_batch
 
 
 class DiagnosticsError(ValueError):
@@ -56,7 +56,10 @@ def codebook_utilization(assign: SidAssignment, model: RqModel) -> float:
     unused."""
     if len(assign.sids) == 0:
         raise DiagnosticsError("codebook_utilization needs a nonempty assignment")
-    active = active_codes_per_level(assign, model)
+    return _utilization(active_codes_per_level(assign, model), model)
+
+
+def _utilization(active: tuple[int, ...], model: RqModel) -> float:
     sizes = model.config.codebook_sizes
     return sum(a / k for a, k in zip(active, sizes)) / model.levels
 
@@ -81,7 +84,10 @@ def prefix_entropy_profile(assign: SidAssignment) -> tuple[float, ...]:
 
 def prefix_entropy(assign: SidAssignment) -> float:
     """Mean of the per-prefix-length entropies."""
-    profile = prefix_entropy_profile(assign)
+    return _mean(prefix_entropy_profile(assign))
+
+
+def _mean(profile: tuple[float, ...]) -> float:
     return sum(profile) / len(profile)
 
 
@@ -94,18 +100,23 @@ class ReconstructionCurve:
 
 
 def reconstruction_curve(
-    model: RqModel, emb: EmbeddingSet, h_max: int | None = None, workers: int = 1
+    model: RqModel, emb: EmbeddingSet, assign: SidAssignment, h_max: int | None = None
 ) -> ReconstructionCurve:
     """Mean cosine between each embedding and its depth-h reconstruction, for
-    h = 1..h_max."""
+    h = 1..h_max. Each row's tokens are its item's SID in the assignment."""
     if h_max is None:
         h_max = model.levels
     if not 1 <= h_max <= model.levels:
         raise DiagnosticsError(f"h_max {h_max} out of range [1, {model.levels}]")
     if emb.count == 0:
         raise DiagnosticsError("reconstruction_curve needs a nonempty embedding set")
+    missing = [i for i in emb.item_ids if i not in assign]
+    if missing:
+        raise DiagnosticsError(
+            f"{len(missing)} embedding ids have no SID in the assignment, e.g. {missing[0]!r}"
+        )
+    tokens = np.array([assign[i] for i in emb.item_ids], dtype=np.int64)
     points = emb.rows.astype(np.float64)
-    tokens = encode_batch(model, points, workers=workers)
     x_norms = np.sqrt(np.square(points).sum(axis=1))
     included = x_norms > 0.0
     recon = np.zeros_like(points)
@@ -216,28 +227,29 @@ def build_report(
     emb: EmbeddingSet | None = None,
     labels: dict[str, str] | None = None,
     probe_seed: int | None = None,
-    workers: int = 1,
 ) -> DiagnosticsReport:
     """Assemble the full report; the similarity curve needs embeddings and the
     probe needs labels plus a split seed."""
+    if labels is not None and probe_seed is None:
+        raise DiagnosticsError("probe_seed is required when labels are given")
     rate = collision_rate(assign)
+    profile = prefix_entropy_profile(assign)
+    active = active_codes_per_level(assign, model)
     sim = None
     if emb is not None:
-        sim = reconstruction_curve(model, emb, workers=workers).sims
+        sim = reconstruction_curve(model, emb, assign).sims
     probe = None
     if labels is not None:
-        if probe_seed is None:
-            raise DiagnosticsError("probe_seed is required when labels are given")
         probe = semantic_probe(assign, model, labels, probe_seed)
     return DiagnosticsReport(
         n_items=len(assign.sids),
         n_distinct_sids=len(assign.distinct_sids()),
         collision_rate=rate,
         unique_ratio=1.0 - rate,
-        utilization=codebook_utilization(assign, model),
-        prefix_entropy=prefix_entropy(assign),
-        prefix_entropy_profile=prefix_entropy_profile(assign),
-        active_codes_per_level=active_codes_per_level(assign, model),
+        utilization=_utilization(active, model),
+        prefix_entropy=_mean(profile),
+        prefix_entropy_profile=profile,
+        active_codes_per_level=active,
         configured_sizes=model.config.codebook_sizes,
         sim_curve=sim,
         probe_accuracy=probe,
@@ -263,14 +275,15 @@ def report_to_dict(report: DiagnosticsReport) -> dict:
     return out
 
 
-def render_table(report: DiagnosticsReport) -> str:
-    """Aligned-column table in the Collision / Unique / Util. / Entropy order."""
+def render_table(payload: dict) -> str:
+    """Aligned-column table of a report_to_dict payload, in the Collision /
+    Unique / Util. / Entropy order."""
     headers = ["Collision", "Unique", "Util.", "Entropy"]
     values = [
-        f"{report.collision_rate * 100.0:.2f}%",
-        f"{report.unique_ratio * 100.0:.2f}%",
-        f"{report.utilization * 100.0:.2f}%",
-        f"{report.prefix_entropy:.4f}",
+        f"{payload['collision_rate'] * 100.0:.2f}%",
+        f"{payload['unique_ratio'] * 100.0:.2f}%",
+        f"{payload['utilization'] * 100.0:.2f}%",
+        f"{payload['prefix_entropy']:.4f}",
     ]
     widths = [max(len(h), len(v)) for h, v in zip(headers, values)]
     head = "  ".join(h.rjust(w) for h, w in zip(headers, widths))

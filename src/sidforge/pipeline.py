@@ -1,12 +1,15 @@
-"""Config-driven four-stage pipeline with content-addressed caching.
+"""Config-driven five-stage pipeline with content-addressed caching.
 
 Stages: (1) source the catalog, embeddings, and interactions (synthesize or
 ingest), (2) fit codebooks and assign SIDs, (3) diagnostics report, (4) corpus
-export and baseline training plus evaluation. Each stage is skipped when its
+export, (5) baseline training plus evaluation. Each stage is skipped when its
 config and input hashes match the manifest and its outputs exist. If a cached
 upstream artifact was edited on disk behind the manifest's back, the consuming
 stage refuses to run rather than silently building on it; --force recomputes
-everything.
+every enabled stage. A stage that fails or refuses exits with its number.
+
+Each stage's load, check, compute and write sequence is a public function
+here; run_pipeline and the `sidforge` subcommands both call them.
 
 Cache keys are content hashes of inputs plus the stage's config subsection.
 Worker counts are excluded from the keys and never change artifact bytes.
@@ -24,6 +27,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import diagnostics, recommender, rq, synthgen
 from .datamodel import (
+    CatalogError,
     ids_path_for,
     k_core_filter,
     leave_last_out_split,
@@ -146,7 +150,8 @@ def atomic_write(path, writer) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _write_embeddings_atomic(emb, path) -> None:
+def write_embeddings_atomic(emb, path) -> None:
+    """atomic_write for an embedding file and its id sidecar."""
     tmp = Path(str(path) + ".tmp")
     try:
         write_embeddings(emb, tmp)
@@ -157,7 +162,8 @@ def _write_embeddings_atomic(emb, path) -> None:
         ids_path_for(tmp).unlink(missing_ok=True)
 
 
-def _write_json_atomic(obj, path) -> None:
+def write_json(obj, path) -> None:
+    """Indented, key-sorted JSON, written atomically."""
     atomic_write(
         path,
         lambda tmp: Path(tmp).write_text(
@@ -232,7 +238,9 @@ def _read_manifest(path: Path) -> dict:
 
 class _Runner:
     def __init__(self, old_manifest: dict, force: bool):
-        self.old_stages = {} if force else dict(old_manifest.get("stages", {}))
+        # Under force nothing hits, but the entries of stages this run skips
+        # are kept for the next run.
+        self.old_stages = dict(old_manifest.get("stages", {}))
         self.new_stages = dict(self.old_stages)
         self.ledger: dict[str, str] = {}
         self.summary: dict[str, str] = {}
@@ -284,12 +292,149 @@ class _Runner:
         self.summary[name] = "cache-hit" if hit else "ran"
 
 
-def _load_model_and_assignment(paths: ArtifactPaths):
-    model = rq.load_model(paths.model)
-    assign = rq.load_assignment(paths.assignment)
-    if assign.model_hash != model.model_hash():
-        raise ValueError("assignment was produced by a different model")
-    return model, assign
+def synthesize_sources(scfg: synthgen.SynthConfig):
+    """(catalog, embeddings, interactions) generated from a synthetic config."""
+    catalog, emb, labels = synthgen.generate_catalog(scfg)
+    return catalog, emb, synthgen.generate_interactions(catalog, labels, scfg)
+
+
+def load_sources(items, embeddings, interactions):
+    """(catalog, embeddings, interactions) read from external files. Every
+    embedding id must name a catalog item."""
+    catalog = load_items(items)
+    emb = load_embeddings(embeddings)
+    events = load_interactions(interactions)
+    unknown = [i for i in emb.item_ids if i not in catalog]
+    if unknown:
+        raise CatalogError(f"{len(unknown)} embedding ids missing from the item file")
+    return catalog, emb, events
+
+
+def write_sources(paths: ArtifactPaths, catalog, emb, interactions, kcore: int = 0):
+    """Stage 1 output: apply the k-core filter when kcore >= 1, then write the
+    catalog, embeddings and interactions. Returns the kept interactions."""
+    if kcore >= 1:
+        interactions = k_core_filter(interactions, kcore)
+    paths.items.parent.mkdir(parents=True, exist_ok=True)
+    atomic_write(paths.items, lambda tmp: save_items(catalog, tmp))
+    write_embeddings_atomic(emb, paths.embeddings)
+    atomic_write(paths.interactions, lambda tmp: save_interactions(interactions, tmp))
+    return interactions
+
+
+def tokenize(paths: ArtifactPaths, cfg: rq.RqConfig, workers: int = 1) -> None:
+    """Stage 2: fit codebooks on the embeddings, assign every item its SID,
+    and write the model and the assignment."""
+    emb = load_embeddings(paths.embeddings)
+    model = rq.fit_codebooks(emb, cfg, workers=workers)
+    assign = rq.assign_all(model, emb, workers=workers)
+    atomic_write(paths.model, lambda tmp: rq.save_model(model, tmp))
+    atomic_write(paths.assignment, lambda tmp: rq.save_assignment(assign, tmp))
+
+
+def diagnose(
+    model_path, assignment_path, embeddings=None, items=None, probe_seed=None, out=None
+) -> dict:
+    """Stage 3: the diagnostics payload (report_to_dict) of an assignment.
+    Embeddings add the reconstruction curve, items the category probe (which
+    then needs probe_seed). Written as JSON to out when given."""
+    model, assign = rq.load_model_and_assignment(model_path, assignment_path)
+    emb = load_embeddings(embeddings) if embeddings else None
+    labels = None
+    if items:
+        labels = {rec.item_id: rec.category for rec in load_items(items)}
+    report = diagnostics.build_report(assign, model, emb=emb, labels=labels, probe_seed=probe_seed)
+    payload = diagnostics.report_to_dict(report)
+    if out:
+        write_json(payload, out)
+    return payload
+
+
+def _load_split(interactions, kcore: int):
+    events = load_interactions(interactions)
+    if kcore >= 1:
+        events = k_core_filter(events, kcore)
+    return leave_last_out_split(events)
+
+
+def export_corpus(
+    items,
+    assignment_path,
+    interactions,
+    out,
+    *,
+    n: int,
+    seed: int,
+    max_history: int,
+    model_path=None,
+    kcore: int = 0,
+    chat_out=None,
+    vocab_out=None,
+) -> dict:
+    """Stage 4: sample the eight-task corpus and write it as JSONL, plus the
+    chat rendering and the SID vocabulary when asked. A model, when given,
+    must have produced the assignment; the vocabulary needs it. Returns the
+    sampling stats."""
+    if vocab_out and model_path is None:
+        raise corpus_mod.CorpusError("the SID vocabulary needs the model")
+    model = None
+    if model_path is None:
+        assign = rq.load_assignment(assignment_path)
+    else:
+        model, assign = rq.load_model_and_assignment(model_path, assignment_path)
+    catalog = load_items(items)
+    split = _load_split(interactions, kcore)
+    records, stats = corpus_mod.sample_corpus(
+        split, catalog, assign, n=n, seed=seed, max_history=max_history, model=model
+    )
+    atomic_write(out, lambda tmp: corpus_mod.write_corpus(records, tmp))
+    if chat_out:
+        atomic_write(chat_out, lambda tmp: corpus_mod.write_chat_corpus(records, tmp))
+    if vocab_out:
+        atomic_write(vocab_out, lambda tmp: corpus_mod.write_sid_vocabulary(model, tmp))
+    return stats
+
+
+def load_tokens_and_split(model_path, assignment_path, interactions, kcore: int = 0):
+    """Stage 5 input: (model, assignment, leave-last-out split), read by
+    baseline training and evaluation. The model must have produced the
+    assignment."""
+    model, assign = rq.load_model_and_assignment(model_path, assignment_path)
+    return model, assign, _load_split(interactions, kcore)
+
+
+def evaluate_baseline(
+    ngram,
+    model,
+    assign,
+    split,
+    *,
+    ks,
+    beam_size: int,
+    include_validation=True,
+    popularity=True,
+    keep_ranks=False,
+    unconstrained=False,
+):
+    """Stage 5: (n-gram report, popularity report or None) from
+    trie-constrained beam search and the static popularity ranking."""
+    report = recommender.evaluate(
+        ngram,
+        split,
+        assign,
+        rq.build_trie(assign),
+        model.effective_sizes,
+        ks=ks,
+        beam_size=beam_size,
+        include_validation=include_validation,
+        keep_ranks=keep_ranks,
+        unconstrained=unconstrained,
+    )
+    pop_report = None
+    if popularity:
+        popular = recommender.popularity_ranking(split, assign, include_validation=include_validation)
+        pop_report = recommender.evaluate_static_ranking(popular, split, assign, ks=ks)
+    return report, pop_report
 
 
 def run_pipeline(cfg: dict, force: bool = False):
@@ -302,198 +447,111 @@ def run_pipeline(cfg: dict, force: bool = False):
     workers = int(pipe.get("workers", 1))
     kcore = int(pipe.get("kcore", 0) or 0)
     mode = pipe.get("mode", "synth")
-    stages_on = cfg["stages"]
     runner = _Runner(_read_manifest(paths.manifest), force)
     summary: dict = {"output_dir": str(out_dir), "stages": runner.summary}
 
-    def source_compute():
+    def source_stage():
         if mode == "synth":
             if not cfg.get("synth"):
                 raise ValueError("pipeline.mode is 'synth' but the synth section is empty")
-            scfg = synthgen.SynthConfig.from_dict(cfg["synth"])
-            catalog, emb, labels = synthgen.generate_catalog(scfg)
-            interactions = synthgen.generate_interactions(catalog, labels, scfg)
+            sources = synthesize_sources(synthgen.SynthConfig.from_dict(cfg["synth"]))
         elif mode == "ingest":
             inputs = cfg["inputs"]
-            catalog = load_items(inputs["items"])
-            emb = load_embeddings(inputs["embeddings"])
-            interactions = load_interactions(inputs["interactions"])
-            unknown = [i for i in emb.item_ids if i not in catalog]
-            if unknown:
-                raise ValueError(f"{len(unknown)} embedding ids missing from the item file")
+            sources = load_sources(inputs["items"], inputs["embeddings"], inputs["interactions"])
         else:
             raise ValueError(f"unknown pipeline.mode {mode!r}")
-        if kcore >= 1:
-            interactions = k_core_filter(interactions, kcore)
-        atomic_write(paths.items, lambda tmp: save_items(catalog, tmp))
-        _write_embeddings_atomic(emb, paths.embeddings)
-        atomic_write(paths.interactions, lambda tmp: save_interactions(interactions, tmp))
+        write_sources(paths, *sources, kcore=kcore)
 
-    def tokenize_compute():
-        emb = load_embeddings(paths.embeddings)
-        rq_cfg = cfg["rq"]
-        model = rq.fit_codebooks(
-            emb,
-            rq.RqConfig(
-                levels=int(rq_cfg["levels"]),
-                codebook_sizes=tuple(rq_cfg["codebook_sizes"]),
-                kmeans_max_iters=int(rq_cfg["kmeans_max_iters"]),
-                kmeans_rel_tol=float(rq_cfg["kmeans_rel_tol"]),
-                seed=int(rq_cfg["seed"]),
-                normalize_inputs=bool(rq_cfg["normalize_inputs"]),
-            ),
-            workers=workers,
-        )
-        assign = rq.assign_all(model, emb, workers=workers)
-        atomic_write(paths.model, lambda tmp: rq.save_model(model, tmp))
-        atomic_write(paths.assignment, lambda tmp: rq.save_assignment(assign, tmp))
-
-    def diagnose_compute():
-        model, assign = _load_model_and_assignment(paths)
+    def diagnose_stage():
         dcfg = cfg["diagnostics"]
-        emb = load_embeddings(paths.embeddings) if dcfg.get("sim_curve", True) else None
-        labels = None
-        if dcfg.get("run_probe", True):
-            catalog = load_items(paths.items)
-            labels = {rec.item_id: rec.category for rec in catalog}
-        report = diagnostics.build_report(
-            assign,
-            model,
-            emb=emb,
-            labels=labels,
+        payload = diagnose(
+            paths.model,
+            paths.assignment,
+            embeddings=paths.embeddings if dcfg.get("sim_curve", True) else None,
+            items=paths.items if dcfg.get("run_probe", True) else None,
             probe_seed=int(dcfg.get("probe_seed", 0)),
-            workers=workers,
+            out=paths.diagnostics_json,
         )
-        _write_json_atomic(diagnostics.report_to_dict(report), paths.diagnostics_json)
         atomic_write(
             paths.diagnostics_table,
             lambda tmp: Path(tmp).write_text(
-                diagnostics.render_table(report) + "\n", encoding="utf-8"
+                diagnostics.render_table(payload) + "\n", encoding="utf-8"
             ),
         )
 
-    def corpus_compute():
-        model, assign = _load_model_and_assignment(paths)
-        catalog = load_items(paths.items)
-        split = leave_last_out_split(load_interactions(paths.interactions))
+    def corpus_stage():
         ccfg = cfg["corpus"]
-        records, _stats = corpus_mod.sample_corpus(
-            split,
-            catalog,
-            assign,
+        export_corpus(
+            paths.items,
+            paths.assignment,
+            paths.interactions,
+            paths.corpus,
             n=int(ccfg["n"]),
             seed=int(ccfg["seed"]),
             max_history=int(ccfg["max_history"]),
-            model=model,
+            model_path=paths.model,
+            vocab_out=paths.vocabulary,
         )
-        atomic_write(paths.corpus, lambda tmp: corpus_mod.write_corpus(records, tmp))
-        atomic_write(paths.vocabulary, lambda tmp: corpus_mod.write_sid_vocabulary(model, tmp))
 
-    def eval_compute():
-        model, assign = _load_model_and_assignment(paths)
-        split = leave_last_out_split(load_interactions(paths.interactions))
+    def eval_stage():
         ecfg = cfg["eval"]
-        sizes = model.effective_sizes
+        include_validation = bool(ecfg.get("include_validation", True))
+        model, assign, split = load_tokens_and_split(paths.model, paths.assignment, paths.interactions)
         ngram = recommender.train_ngram(
             split,
             assign,
-            sizes,
+            model.effective_sizes,
             order=int(ecfg["order"]),
             alpha=float(ecfg["alpha"]),
             include_validation=bool(ecfg.get("ngram_include_validation", False)),
         )
-        trie = rq.build_trie(assign)
-        ks = tuple(int(k) for k in ecfg["ks"])
-        report = recommender.evaluate(
+        report, pop_report = evaluate_baseline(
             ngram,
-            split,
+            model,
             assign,
-            trie,
-            sizes,
-            ks=ks,
+            split,
+            ks=tuple(int(k) for k in ecfg["ks"]),
             beam_size=int(ecfg["beam_size"]),
-            include_validation=bool(ecfg.get("include_validation", True)),
+            include_validation=include_validation,
         )
-        popular = recommender.popularity_ranking(
-            split, assign, include_validation=bool(ecfg.get("include_validation", True))
-        )
-        pop_report = recommender.evaluate_static_ranking(popular, split, assign, ks=ks)
+        # Saved after the evaluation: saving first raises the peak RSS.
         atomic_write(paths.ngram, lambda tmp: recommender.save_ngram(ngram, tmp))
-        _write_json_atomic(
-            {"ngram": report.to_dict(), "popularity": pop_report.to_dict()},
-            paths.metrics_json,
+        write_json(
+            {"ngram": report.to_dict(), "popularity": pop_report.to_dict()}, paths.metrics_json
         )
         atomic_write(paths.metrics_csv, lambda tmp: recommender.write_metrics_csv(report, tmp))
 
-    try:
-        if stages_on.get("source", True):
-            source_inputs = []
-            s1_cfg = {"mode": mode, "kcore": kcore, "synth": cfg.get("synth")}
-            if mode == "ingest":
-                s1_cfg["inputs"] = cfg["inputs"]
-                source_inputs = [
-                    p
-                    for p in (
-                        cfg["inputs"].get("items"),
-                        cfg["inputs"].get("embeddings"),
-                        cfg["inputs"].get("interactions"),
-                    )
-                    if p
-                ]
-            runner.run(
-                1,
-                "source",
-                config_hash(s1_cfg),
-                source_inputs,
-                [paths.items, paths.embeddings, paths.embedding_ids, paths.interactions],
-                source_compute,
-            )
-        if stages_on.get("tokenize", True):
-            runner.run(
-                2,
-                "tokenize",
-                config_hash({"rq": cfg["rq"]}),
-                [paths.embeddings, paths.embedding_ids],
-                [paths.model, paths.assignment],
-                tokenize_compute,
-            )
-        if stages_on.get("diagnose", True):
-            runner.run(
-                3,
-                "diagnose",
-                config_hash({"diagnostics": cfg["diagnostics"]}),
-                [paths.model, paths.assignment, paths.embeddings, paths.items],
-                [paths.diagnostics_json, paths.diagnostics_table],
-                diagnose_compute,
-            )
-        if stages_on.get("corpus", True):
-            runner.run(
-                4,
-                "corpus",
-                config_hash({"corpus": cfg["corpus"]}),
-                [paths.model, paths.assignment, paths.items, paths.interactions],
-                [paths.corpus, paths.vocabulary],
-                corpus_compute,
-            )
-        if stages_on.get("eval", True):
-            runner.run(
-                4,
-                "eval",
-                config_hash({"eval": cfg["eval"]}),
-                [paths.model, paths.assignment, paths.interactions],
-                [paths.ngram, paths.metrics_json, paths.metrics_csv],
-                eval_compute,
-            )
-    except StageRefusal as refusal:
-        log.error("%s", refusal)
-        summary["error"] = str(refusal)
-        return refusal.stage, summary
-    except StageFailure as failure:
-        log.error("%s", failure)
-        summary["error"] = str(failure)
-        return failure.stage, summary
-
-    _write_json_atomic(
-        {"format": MANIFEST_FORMAT, "stages": runner.new_stages}, paths.manifest
+    source_cfg = {"mode": mode, "kcore": kcore, "synth": cfg.get("synth")}
+    source_inputs = []
+    if mode == "ingest":
+        source_cfg["inputs"] = cfg["inputs"]
+        source_inputs = [
+            cfg["inputs"][k] for k in ("items", "embeddings", "interactions") if cfg["inputs"].get(k)
+        ]
+    # (exit status, name, config hashed into the cache key, inputs, outputs, compute)
+    stages = (
+        (1, "source", source_cfg, source_inputs,
+         [paths.items, paths.embeddings, paths.embedding_ids, paths.interactions], source_stage),
+        (2, "tokenize", {"rq": cfg["rq"]}, [paths.embeddings, paths.embedding_ids],
+         [paths.model, paths.assignment],
+         lambda: tokenize(paths, rq.RqConfig.from_dict(cfg["rq"]), workers)),
+        (3, "diagnose", {"diagnostics": cfg["diagnostics"]},
+         [paths.model, paths.assignment, paths.embeddings, paths.items],
+         [paths.diagnostics_json, paths.diagnostics_table], diagnose_stage),
+        (4, "corpus", {"corpus": cfg["corpus"]},
+         [paths.model, paths.assignment, paths.items, paths.interactions],
+         [paths.corpus, paths.vocabulary], corpus_stage),
+        (5, "eval", {"eval": cfg["eval"]}, [paths.model, paths.assignment, paths.interactions],
+         [paths.ngram, paths.metrics_json, paths.metrics_csv], eval_stage),
     )
+    try:
+        for number, name, stage_cfg, stage_inputs, outputs, compute in stages:
+            if cfg["stages"].get(name, True):
+                runner.run(number, name, config_hash(stage_cfg), stage_inputs, outputs, compute)
+    except (StageRefusal, StageFailure) as stop:
+        log.error("%s", stop)
+        summary["error"] = str(stop)
+        return stop.stage, summary
+
+    write_json({"format": MANIFEST_FORMAT, "stages": runner.new_stages}, paths.manifest)
     return 0, summary

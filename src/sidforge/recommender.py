@@ -156,18 +156,24 @@ def load_ngram(path) -> NGramModel:
         raise RecommenderError(f"unsupported n-gram format {payload.get('format')!r}")
     counts: dict[tuple[int, ...], Counter] = {}
     totals: dict[tuple[int, ...], int] = {}
-    for entry in payload["contexts"]:
-        ctx = tuple(int(t) for t in entry["ctx"])
-        counter = Counter({int(tok): int(c) for tok, c in entry["counts"].items()})
-        counts[ctx] = counter
-        totals[ctx] = sum(counter.values())
-    return NGramModel(
-        order=int(payload["order"]),
-        alpha=float(payload["alpha"]),
-        sizes=tuple(int(k) for k in payload["sizes"]),
-        counts=counts,
-        totals=totals,
-    )
+    try:
+        sizes = tuple(int(k) for k in payload["sizes"])
+        for entry in payload["contexts"]:
+            ctx = tuple(int(t) for t in entry["ctx"])
+            counter = Counter({int(tok): int(c) for tok, c in entry["counts"].items()})
+            counts[ctx] = counter
+            totals[ctx] = sum(counter.values())
+        order, alpha = int(payload["order"]), float(payload["alpha"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise RecommenderError(f"malformed n-gram file: {exc!r}") from exc
+    vocab_size = sum(sizes)
+    for ctx, counter in counts.items():
+        for token in counter:
+            if not 0 <= token < vocab_size:
+                raise RecommenderError(
+                    f"context {list(ctx)}: token {token} outside the vocabulary [0, {vocab_size})"
+                )
+    return NGramModel(order=order, alpha=alpha, sizes=sizes, counts=counts, totals=totals)
 
 
 def beam_search(

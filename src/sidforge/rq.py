@@ -45,6 +45,17 @@ class RqError(ValueError):
     """Raised for invalid quantizer configs, inputs, SIDs, or model files."""
 
 
+# RqConfig field -> the type its JSON value is converted to.
+_CONFIG_TYPES = {
+    "levels": int,
+    "codebook_sizes": tuple,
+    "kmeans_max_iters": int,
+    "kmeans_rel_tol": float,
+    "seed": int,
+    "normalize_inputs": bool,
+}
+
+
 @dataclass(frozen=True)
 class RqConfig:
     levels: int
@@ -68,6 +79,22 @@ class RqConfig:
             raise RqError("kmeans_max_iters must be >= 0")
         if not self.kmeans_rel_tol >= 0.0:
             raise RqError("kmeans_rel_tol must be >= 0")
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "RqConfig":
+        """Config from a JSON object (a pipeline `rq` section or a model file
+        header); unknown, missing or mistyped fields raise RqError."""
+        unknown = set(obj) - set(_CONFIG_TYPES)
+        if unknown:
+            raise RqError(f"unknown RqConfig fields: {sorted(unknown)}")
+        missing = {"levels", "codebook_sizes"} - set(obj)
+        if missing:
+            raise RqError(f"missing RqConfig fields: {sorted(missing)}")
+        try:
+            kwargs = {name: _CONFIG_TYPES[name](value) for name, value in obj.items()}
+        except (TypeError, ValueError) as exc:
+            raise RqError(f"invalid RqConfig value: {exc}") from exc
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -517,9 +544,10 @@ def load_model(path) -> RqModel:
             raise RqError(f"unreadable model header: {exc}") from exc
         if header.get("format") != MODEL_FORMAT:
             raise RqError(f"unsupported model format {header.get('format')!r}")
+        cfg = RqConfig.from_dict({name: header[name] for name in _CONFIG_TYPES if name in header})
         offset = len(header_line)
         codebooks = []
-        for level in range(1, int(header["levels"]) + 1):
+        for level in range(1, cfg.levels + 1):
             try:
                 matrix = read_matrix_block(fh, base_offset=offset)
             except EmbeddingIOError as exc:
@@ -528,30 +556,27 @@ def load_model(path) -> RqModel:
             codebooks.append(Codebook(level=level, centroids=_frozen_f32(matrix)))
         if fh.read(1):
             raise RqError("trailing bytes after the last codebook block")
-    cfg = RqConfig(
-        levels=int(header["levels"]),
-        codebook_sizes=tuple(header["codebook_sizes"]),
-        kmeans_max_iters=int(header["kmeans_max_iters"]),
-        kmeans_rel_tol=float(header["kmeans_rel_tol"]),
-        seed=int(header["seed"]),
-        normalize_inputs=bool(header["normalize_inputs"]),
-    )
-    stats = tuple(
-        LevelFitStats(
-            level=int(st["level"]),
-            configured_size=int(st["configured_size"]),
-            effective_size=int(st["effective_size"]),
-            mse_trace=tuple(float(v) for v in st["mse_trace"]),
+    try:
+        dim = int(header["dim"])
+        stats = tuple(
+            LevelFitStats(
+                level=int(st["level"]),
+                configured_size=int(st["configured_size"]),
+                effective_size=int(st["effective_size"]),
+                mse_trace=tuple(float(v) for v in st["mse_trace"]),
+            )
+            for st in header["fit_stats"]
         )
-        for st in header["fit_stats"]
-    )
+        effective_sizes, stored_hash = list(header["effective_sizes"]), header["model_hash"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise RqError(f"malformed model header: {exc!r}") from exc
     dims = {cb.centroids.shape[1] for cb in codebooks}
-    if dims != {int(header["dim"])}:
-        raise RqError(f"codebook dims {sorted(dims)} do not match header dim {header['dim']}")
-    model = RqModel(config=cfg, codebooks=tuple(codebooks), dim=int(header["dim"]), fit_stats=stats)
-    if list(model.effective_sizes) != list(header["effective_sizes"]):
+    if dims != {dim}:
+        raise RqError(f"codebook dims {sorted(dims)} do not match header dim {dim}")
+    model = RqModel(config=cfg, codebooks=tuple(codebooks), dim=dim, fit_stats=stats)
+    if list(model.effective_sizes) != effective_sizes:
         raise RqError("codebook sizes do not match the header")
-    if model.model_hash() != header["model_hash"]:
+    if model.model_hash() != stored_hash:
         raise RqError("model hash mismatch; file corrupted or edited")
     return model
 
@@ -588,13 +613,27 @@ def load_assignment(path) -> SidAssignment:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise RqError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            item_id = obj["item_id"]
-            tokens = tuple(int(t) for t in obj["tokens"])
+            try:
+                item_id, sid = obj["item_id"], obj["sid"]
+                tokens = tuple(int(t) for t in obj["tokens"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise RqError(f"line {lineno}: malformed record ({exc!r})") from exc
             if item_id in sids:
                 raise RqError(f"line {lineno}: duplicate item_id {item_id!r}")
-            if render_sid(tokens) != obj["sid"]:
+            if render_sid(tokens) != sid:
                 raise RqError(f"line {lineno}: sid text does not match tokens")
             sids[item_id] = tokens
     if len(sids) != int(meta.get("count", len(sids))):
         raise RqError("assignment count does not match the meta line")
+    if "model_hash" not in meta:
+        raise RqError("assignment meta line lacks model_hash")
     return SidAssignment(sids=sids, model_hash=str(meta["model_hash"]))
+
+
+def load_model_and_assignment(model_path, assignment_path) -> tuple[RqModel, SidAssignment]:
+    """Load a model and an assignment, and check that the model produced it."""
+    model = load_model(model_path)
+    assign = load_assignment(assignment_path)
+    if assign.model_hash != model.model_hash():
+        raise RqError("assignment was produced by a different model")
+    return model, assign

@@ -116,7 +116,7 @@ def test_criterion_03_reconstruction_similarity_rises_with_depth():
         )
         _, emb, _ = generate_catalog(scfg)
         model = fit_codebooks(emb, RqConfig(levels=8, codebook_sizes=(64,) * 8, seed=seed))
-        curve = reconstruction_curve(model, emb)
+        curve = reconstruction_curve(model, emb, assign_all(model, emb))
         sims = [curve.sims[h] for h in range(1, 9)]
         assert all(b >= a for a, b in zip(sims, sims[1:])), f"seed {seed}: {sims}"
         assert sims[7] - sims[0] >= 0.2, f"seed {seed}: gap {sims[7] - sims[0]:.3f}"

@@ -148,7 +148,7 @@ class TestReconstructionCurve:
             ]
         )
         emb = EmbeddingSet([f"i{k}" for k in range(12)], rows.astype(np.float32))
-        curve = reconstruction_curve(model, emb)
+        curve = reconstruction_curve(model, emb, assign_all(model, emb))
         assert curve.sims[2] == pytest.approx(1.0, abs=1e-6)
         assert curve.sims[1] <= curve.sims[2]
         assert curve.n_items == 12
@@ -157,7 +157,7 @@ class TestReconstructionCurve:
         model = random_model(rng, 1, [4], 3)
         rows = np.vstack([np.zeros(3), rng.normal(size=(4, 3))]).astype(np.float32)
         emb = EmbeddingSet([f"i{k}" for k in range(5)], rows)
-        curve = reconstruction_curve(model, emb)
+        curve = reconstruction_curve(model, emb, assign_all(model, emb))
         assert curve.n_zero_norm_originals == 1
         assert curve.n_items == 5
 
@@ -165,13 +165,20 @@ class TestReconstructionCurve:
         model = random_model(rng, 2, [4, 4], 3)
         emb = EmbeddingSet(["a"], np.ones((1, 3), dtype=np.float32))
         with pytest.raises(DiagnosticsError):
-            reconstruction_curve(model, emb, h_max=3)
+            reconstruction_curve(model, emb, assign_all(model, emb), h_max=3)
+
+    def test_id_missing_from_assignment_rejected(self, rng):
+        model = random_model(rng, 1, [4], 3)
+        emb = EmbeddingSet(["a", "b"], np.ones((2, 3), dtype=np.float32))
+        assign = assignment_from_sids({"a": (0,)}, model_hash=model.model_hash())
+        with pytest.raises(DiagnosticsError, match="no SID"):
+            reconstruction_curve(model, emb, assign)
 
     def test_monotone_on_fitted_like_data(self, rng):
         model = random_model(rng, 3, [8, 8, 8], 6)
         rows = np.asarray(rng.normal(size=(300, 6)), dtype=np.float32)
         emb = EmbeddingSet([f"i{k}" for k in range(300)], rows)
-        curve = reconstruction_curve(model, emb)
+        curve = reconstruction_curve(model, emb, assign_all(model, emb))
         assert len(curve.sims) == 3
 
 
@@ -235,7 +242,7 @@ class TestReport:
         assert payload["collision_rate"] + payload["unique_ratio"] == 1.0
         assert "sim_curve" in payload
         assert "probe_accuracy" in payload
-        table = render_table(report)
+        table = render_table(payload)
         assert "Collision" in table and "Entropy" in table
         assert len(table.splitlines()) == 2
 

@@ -196,6 +196,28 @@ class TestRun:
         assert status == 1
         assert "synth" in summary["error"]
 
+    def test_eval_failure_exit_code(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_cfg(out)
+        run_pipeline(cfg)
+        ArtifactPaths.in_dir(out).interactions.write_text("not an interaction log\n")
+        cfg["stages"] = {name: name == "eval" for name in cfg["stages"]}
+        status, summary = run_pipeline(cfg)
+        assert status == 5
+        assert summary["error"].startswith("stage 5 (eval)")
+
+    def test_forced_partial_run_keeps_other_cache_entries(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_cfg(out)
+        run_pipeline(cfg)
+        corpus_only = {**cfg, "stages": {name: name == "corpus" for name in cfg["stages"]}}
+        status, summary = run_pipeline(corpus_only, force=True)
+        assert status == 0
+        assert summary["stages"] == {"corpus": "ran"}
+        status, summary = run_pipeline(cfg)
+        assert status == 0
+        assert all(v == "cache-hit" for v in summary["stages"].values())
+
     def test_bad_mode_fails_stage_one(self, tmp_path):
         cfg = base_cfg(tmp_path / "out")
         cfg["pipeline"]["mode"] = "teleport"

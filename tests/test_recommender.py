@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -111,6 +112,17 @@ class TestNGram:
         assert back.sizes == model.sizes
         assert back.counts == model.counts
         assert back.totals == model.totals
+
+    def test_load_rejects_token_outside_vocabulary(self, tmp_path):
+        assign = assignment_from_sids({"a": (0,), "b": (1,)})
+        model = train_ngram(split_of({"u": ["a", "b", "a", "b"]}), assign, (2,), order=2, alpha=0.1)
+        path = tmp_path / "ng.json"
+        save_ngram(model, path)
+        payload = json.loads(path.read_text())
+        payload["contexts"][0]["counts"]["99"] = 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(RecommenderError, match="token 99"):
+            load_ngram(path)
 
     def test_untrained_parameter_validation(self):
         assign = assignment_from_sids({"a": (0,)})

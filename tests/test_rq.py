@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,16 @@ class TestFit:
             RqConfig(levels=1, codebook_sizes=(0,))
         with pytest.raises(RqError):
             RqConfig(levels=1, codebook_sizes=(4,), kmeans_rel_tol=-1.0)
+        for obj in (
+            {"levels": 1, "codebook_sizes": [4], "workers": 2},
+            {"codebook_sizes": [4]},
+            {"levels": 1, "codebook_sizes": 4},
+        ):
+            with pytest.raises(RqError):
+                RqConfig.from_dict(obj)
+        cfg = RqConfig.from_dict({"levels": 1, "codebook_sizes": [4], "kmeans_rel_tol": 0})
+        assert cfg == RqConfig(levels=1, codebook_sizes=(4,), kmeans_rel_tol=0.0)
+        assert isinstance(cfg.kmeans_rel_tol, float)  # the model header keeps JSON types
 
 
 class TestRendering:
@@ -253,10 +265,13 @@ class TestAssignment:
         path = tmp_path / "s.jsonl"
         save_assignment(assign, path)
         lines = path.read_text().splitlines()
-        rec = lines[1].replace('"sid": "<a_', '"sid": "<a_9').replace("<a_99", "<a_9")
-        path.write_text(lines[0] + "\n" + rec + "\n")
-        with pytest.raises(RqError):
-            load_assignment(path)
+        for rec in (
+            lines[1].replace('"sid": "<a_', '"sid": "<a_9').replace("<a_99", "<a_9"),
+            lines[1].replace('"item_id"', '"item"'),
+        ):
+            path.write_text(lines[0] + "\n" + rec + "\n")
+            with pytest.raises(RqError, match="line 2"):
+                load_assignment(path)
 
 
 class TestModelFile:
@@ -284,12 +299,19 @@ class TestModelFile:
         model = fit_codebooks(emb, RqConfig(levels=1, codebook_sizes=(8,), seed=4))
         path = tmp_path / "m.rq"
         save_model(model, path)
-        raw = bytearray(path.read_bytes())
+        original = path.read_bytes()
+        raw = bytearray(original)
         header_end = raw.index(b"\n") + 1
         raw[header_end + 20] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(RqError):
-            load_model(path)
+        damaged_files = [bytes(raw)]
+        for key in ("levels", "fit_stats"):
+            header = json.loads(original[:header_end])
+            del header[key]
+            damaged_files.append(json.dumps(header).encode() + b"\n" + original[header_end:])
+        for damaged in damaged_files:
+            path.write_bytes(damaged)
+            with pytest.raises(RqError):
+                load_model(path)
 
     def test_rejects_trailing_bytes(self, tmp_path, rng):
         points = np.asarray(rng.normal(size=(60, 4)), dtype=np.float32)
