@@ -28,18 +28,12 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _parse_ks(text: str) -> tuple[int, ...]:
-    ks = tuple(int(part) for part in text.split(",") if part.strip())
-    if not ks:
-        raise ValueError(f"no cutoffs in {text!r}")
-    return ks
-
-
-def _parse_sizes(text: str) -> tuple[int, ...]:
-    sizes = tuple(int(part) for part in text.split(",") if part.strip())
-    if not sizes:
-        raise ValueError(f"no codebook sizes in {text!r}")
-    return sizes
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers; `what` names the list in the error."""
+    values = tuple(int(part) for part in text.split(",") if part.strip())
+    if not values:
+        raise ValueError(f"no {what} in {text!r}")
+    return values
 
 
 def _cmd_synth(args) -> int:
@@ -89,7 +83,7 @@ def _cmd_fit(args) -> int:
     emb = load_embeddings(args.embeddings)
     cfg = rq.RqConfig(
         levels=args.levels,
-        codebook_sizes=_parse_sizes(args.sizes),
+        codebook_sizes=_parse_ints(args.sizes, "codebook sizes"),
         kmeans_max_iters=args.max_iters,
         kmeans_rel_tol=args.tol,
         seed=args.seed,
@@ -227,7 +221,7 @@ def _cmd_eval(args) -> int:
         model,
         assign,
         split,
-        ks=_parse_ks(args.k),
+        ks=_parse_ints(args.k, "cutoffs"),
         beam_size=args.beam,
         include_validation=not args.exclude_validation,
         popularity=args.baseline,

@@ -70,17 +70,9 @@ DEFAULT_CONFIG = {
 }
 
 
-class StageRefusal(RuntimeError):
-    """A cached input no longer matches its recorded hash."""
-
-    def __init__(self, stage: int, name: str, message: str):
-        super().__init__(f"stage {stage} ({name}): {message}")
-        self.stage = stage
-        self.name = name
-
-
 class StageFailure(RuntimeError):
-    """A stage could not produce its artifacts."""
+    """A stage stopped: an input is missing or no longer matches its recorded
+    hash, or the stage could not produce its artifacts."""
 
     def __init__(self, stage: int, name: str, message: str):
         super().__init__(f"stage {stage} ({name}): {message}")
@@ -254,7 +246,7 @@ class _Runner:
             if key in self.ledger:
                 actual = sha256_file(path) if exists else None
                 if actual != self.ledger[key]:
-                    raise StageRefusal(
+                    raise StageFailure(
                         number,
                         name,
                         f"cached input {path} no longer matches its recorded hash; "
@@ -278,7 +270,7 @@ class _Runner:
         else:
             try:
                 compute()
-            except (StageRefusal, StageFailure):
+            except StageFailure:
                 raise
             except Exception as exc:
                 raise StageFailure(number, name, str(exc)) from exc
@@ -548,7 +540,7 @@ def run_pipeline(cfg: dict, force: bool = False):
         for number, name, stage_cfg, stage_inputs, outputs, compute in stages:
             if cfg["stages"].get(name, True):
                 runner.run(number, name, config_hash(stage_cfg), stage_inputs, outputs, compute)
-    except (StageRefusal, StageFailure) as stop:
+    except StageFailure as stop:
         log.error("%s", stop)
         summary["error"] = str(stop)
         return stop.stage, summary

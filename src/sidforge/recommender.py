@@ -187,38 +187,35 @@ def beam_search(
 ) -> list[tuple[SidSequence, float]]:
     """Top SID hypotheses by cumulative log-probability.
 
-    Expands exactly trie.depth steps. Candidate tokens are the children of
-    each hypothesis's trie node (or the whole level vocabulary when
+    Expands exactly trie.depth steps. Candidate tokens are the trie's next
+    tokens after each hypothesis (or the whole level vocabulary when
     unconstrained). Ties break lexicographically on the token sequence. May
     return fewer than top_k results if the trie has fewer SIDs.
     """
     if top_k < 1 or beam_size < top_k:
         raise RecommenderError("need beam_size >= top_k >= 1")
-    if trie.n_sids == 0 or not trie.root.children:
+    if trie.n_sids == 0 or not trie.next_tokens(()):
         raise RecommenderError("empty trie")
     sizes = tuple(int(k) for k in sizes)
     if len(sizes) != trie.depth:
         raise RecommenderError(f"{len(sizes)} level sizes for trie depth {trie.depth}")
     offsets = level_offsets(sizes)
     ctx = tuple(int(t) for t in context)
-    # beam entry: (score, level tokens, global tokens, trie node)
-    beams = [(0.0, (), (), trie.root)]
+    # beam entry: (score, level tokens, global tokens)
+    beams = [(0.0, (), ())]
     for level in range(trie.depth):
         candidates = []
-        for score, tokens, gtokens, node in beams:
+        for score, tokens, gtokens in beams:
             logp = model.score_next(ctx + gtokens)
-            if unconstrained:
-                children = [(t, None) for t in range(sizes[level])]
-            else:
-                children = [(t, node.children[t]) for t in sorted(node.children)]
-            for token, child in children:
+            children = range(sizes[level]) if unconstrained else trie.next_tokens(tokens)
+            for token in children:
                 gid = offsets[level] + token
-                candidates.append(
-                    (score + float(logp[gid]), tokens + (token,), gtokens + (gid,), child)
-                )
+                candidates.append((score + float(logp[gid]), tokens + (token,), gtokens + (gid,)))
+        # (-score, tokens) is a total order, so the candidates' insertion order
+        # never shows in the ranking.
         candidates.sort(key=lambda c: (-c[0], c[1]))
         beams = candidates[:beam_size]
-    return [(tokens, score) for score, tokens, _, _ in beams[:top_k]]
+    return [(tokens, score) for score, tokens, _ in beams[:top_k]]
 
 
 def _ndcg_gain(rank: int) -> float:

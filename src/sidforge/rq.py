@@ -8,8 +8,11 @@ residual vectors of each level in turn.
 
 Determinism notes: centroids are held in float32 (the on-disk precision) and
 all distance work happens in float64 upcasts, so a saved and reloaded model
-encodes identically to the freshly fitted one. Assignment work is sharded over
-fixed-size row blocks, which makes results independent of the worker count.
+encodes identically to the freshly fitted one. One nearest-centroid kernel
+serves fitting, empty-cluster repair and encoding. It walks the points in row
+blocks whose float64 difference tensor holds a fixed element budget, and
+threads, when asked for, take whole blocks. Each row's result depends only on
+that row, so outputs do not depend on the block size or the worker count.
 """
 
 from __future__ import annotations
@@ -38,7 +41,10 @@ SidSequence = tuple[int, ...]
 MODEL_FORMAT = "sidforge-rq-v1"
 ASSIGNMENT_FORMAT = "sidforge-sids-v1"
 
-_ROW_BLOCK = 4096  # fixed sharding unit so outputs never depend on worker count
+# Elements in one block's float64 difference tensor (2 MiB). Blocks far below
+# glibc's 32 MiB mmap ceiling are reused from the heap instead of being mapped
+# and page-faulted afresh on every call.
+_BLOCK_ELEMENTS = 1 << 18
 
 
 class RqError(ValueError):
@@ -164,38 +170,38 @@ def _frozen_f32(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(
+    points: np.ndarray, centroids: np.ndarray, workers: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
     """Index of the nearest centroid per point and the squared distance to it.
 
     Ties go to the smallest centroid index. Distances are direct squared
     differences in float64 (no norm-expansion shortcut), so results agree
-    exactly with a per-level linear scan.
+    exactly with a per-level linear scan. With workers > 1 the row blocks are
+    spread over a thread pool; the values are the same.
     """
     cents = centroids.astype(np.float64)
     k, d = cents.shape
     n = points.shape[0]
     idx = np.empty(n, dtype=np.int64)
     sq = np.empty(n, dtype=np.float64)
-    step = max(1, (1 << 22) // max(1, k * d))
-    for start in range(0, n, step):
-        block = points[start:start + step]
-        d2 = np.square(block[:, None, :] - cents[None, :, :]).sum(axis=2)
+    step = max(1, _BLOCK_ELEMENTS // max(1, k * d))
+
+    def block(start: int) -> None:
+        diff = points[start:start + step, None, :] - cents
+        np.square(diff, out=diff)
+        d2 = diff.sum(axis=2)
         best = np.argmin(d2, axis=1)
         idx[start:start + step] = best
         sq[start:start + step] = d2[np.arange(best.shape[0]), best]
-    return idx, sq
 
-
-def _nearest_sharded(points: np.ndarray, centroids: np.ndarray, workers: int):
-    """Same values as _nearest; optionally threads over fixed row blocks."""
-    n = points.shape[0]
-    if workers <= 1 or n <= _ROW_BLOCK:
-        return _nearest(points, centroids)
-    spans = [(s, min(s + _ROW_BLOCK, n)) for s in range(0, n, _ROW_BLOCK)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda span: _nearest(points[span[0]:span[1]], centroids), spans))
-    idx = np.concatenate([p[0] for p in parts])
-    sq = np.concatenate([p[1] for p in parts])
+    starts = range(0, n, step)
+    if workers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(block, starts))
+    else:
+        for start in starts:
+            block(start)
     return idx, sq
 
 
@@ -227,14 +233,14 @@ def _assign_with_repair(points: np.ndarray, centroids: np.ndarray, workers: int)
     smallest cluster index first)."""
     cents = centroids.copy()
     k = cents.shape[0]
-    idx, sq = _nearest_sharded(points, cents, workers)
+    idx, sq = _nearest(points, cents, workers)
     for _ in range(k):
         counts = np.bincount(idx, minlength=k)
         empty = np.flatnonzero(counts == 0)
         if empty.size == 0:
             break
         cents[int(empty[0])] = points[int(np.argmax(sq))].astype(np.float32)
-        idx, sq = _nearest_sharded(points, cents, workers)
+        idx, sq = _nearest(points, cents, workers)
     return idx, sq, cents
 
 
@@ -315,7 +321,7 @@ def encode_batch(model: RqModel, rows, workers: int = 1) -> np.ndarray:
     residual = _prepare(points, model.config)
     out = np.empty((points.shape[0], model.levels), dtype=np.int64)
     for level, cb in enumerate(model.codebooks):
-        idx, _ = _nearest_sharded(residual, cb.centroids, workers)
+        idx, _ = _nearest(residual, cb.centroids, workers)
         out[:, level] = idx
         residual = residual - cb.centroids.astype(np.float64)[idx]
     return out
@@ -344,14 +350,7 @@ def decode(model: RqModel, s: SidSequence, depth: int | None = None) -> np.ndarr
     Reconstructs the embedding as quantized (after normalization, if the model
     normalizes its inputs)."""
     validate_sid(model, s)
-    if depth is None:
-        depth = model.levels
-    if not 0 <= depth <= model.levels:
-        raise RqError(f"depth {depth} out of range [0, {model.levels}]")
-    out = np.zeros(model.dim, dtype=np.float64)
-    for level in range(depth):
-        out += model.codebooks[level].centroids[s[level]].astype(np.float64)
-    return out
+    return decode_batch(model, [s], depth)[0]
 
 
 def decode_batch(model: RqModel, tokens, depth: int | None = None) -> np.ndarray:
@@ -427,83 +426,57 @@ def assign_all(model: RqModel, emb: EmbeddingSet, workers: int = 1) -> SidAssign
     return SidAssignment(sids=sids, model_hash=model.model_hash())
 
 
-class TrieNode:
-    __slots__ = ("children", "item_ids")
-
-    def __init__(self) -> None:
-        self.children: dict[int, TrieNode] = {}
-        self.item_ids: list[str] = []
-
-
 @dataclass(frozen=True)
 class SidTrie:
-    """Prefix tree over token sequences; level-H leaves carry the sorted
-    item_ids sharing that full SID."""
+    """Prefix map over token sequences: each proper prefix maps to its sorted
+    next tokens, and each full SID (in lexicographic order) to the sorted
+    item_ids sharing it."""
 
-    root: TrieNode
+    children: dict[SidSequence, tuple[int, ...]]
+    leaves: dict[SidSequence, tuple[str, ...]]
     depth: int
-    n_sids: int
     n_items: int
 
-    def node_at(self, prefix) -> TrieNode | None:
-        node = self.root
-        for token in prefix:
-            node = node.children.get(int(token))
-            if node is None:
-                return None
-        return node
+    @property
+    def n_sids(self) -> int:
+        return len(self.leaves)
+
+    def next_tokens(self, prefix) -> tuple[int, ...]:
+        """Sorted tokens that extend `prefix` towards a catalog SID; () when
+        `prefix` is a full SID or not a prefix of any."""
+        return self.children.get(tuple(prefix), ())
 
     def __contains__(self, tokens) -> bool:
-        node = self.node_at(tokens)
-        return node is not None and bool(node.item_ids)
+        return tuple(tokens) in self.leaves
 
     def items_for(self, tokens) -> tuple[str, ...]:
-        node = self.node_at(tokens)
-        if node is None or len(tuple(tokens)) != self.depth:
-            return ()
-        return tuple(node.item_ids)
+        return self.leaves.get(tuple(tokens), ())
 
     def iter_sids(self):
         """Yield (tokens, item_ids) over all distinct SIDs in lexicographic
         token order."""
-
-        def walk(node: TrieNode, prefix: tuple[int, ...]):
-            if len(prefix) == self.depth:
-                yield prefix, tuple(node.item_ids)
-                return
-            for token in sorted(node.children):
-                yield from walk(node.children[token], prefix + (token,))
-
-        yield from walk(self.root, ())
+        yield from self.leaves.items()
 
 
 def build_trie(assign: SidAssignment) -> SidTrie:
     if len(assign.sids) == 0:
         raise RqError("cannot build a trie from an empty assignment")
     depth = len(next(iter(assign.sids.values())))
-    root = TrieNode()
-    n_sids = 0
+    items: dict[SidSequence, list[str]] = {}
     for item_id, s in assign.sids.items():
         if len(s) != depth:
             raise RqError("assignment mixes SID lengths")
-        node = root
-        for token in s:
-            child = node.children.get(int(token))
-            if child is None:
-                child = TrieNode()
-                node.children[int(token)] = child
-            node = child
-        if not node.item_ids:
-            n_sids += 1
-        node.item_ids.append(item_id)
-
-    def sort_leaves(node: TrieNode) -> None:
-        node.item_ids.sort()
-        for child in node.children.values():
-            sort_leaves(child)
-
-    sort_leaves(root)
-    return SidTrie(root=root, depth=depth, n_sids=n_sids, n_items=len(assign.sids))
+        items.setdefault(tuple(int(t) for t in s), []).append(item_id)
+    children: dict[SidSequence, set[int]] = {}
+    for s in items:
+        for h in range(depth):
+            children.setdefault(s[:h], set()).add(s[h])
+    return SidTrie(
+        children={prefix: tuple(sorted(tokens)) for prefix, tokens in children.items()},
+        leaves={s: tuple(sorted(items[s])) for s in sorted(items)},
+        depth=depth,
+        n_items=len(assign.sids),
+    )
 
 
 def save_model(model: RqModel, path) -> None:

@@ -12,7 +12,7 @@ transition into the next category.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -43,6 +43,24 @@ _BASE_TIMESTAMP = 1_600_000_000
 
 class SynthError(ValueError):
     """Raised for invalid generator configurations."""
+
+
+# SynthConfig field -> the conversion applied to its JSON value.
+_FIELD_TYPES = {
+    "num_items": int,
+    "num_users": int,
+    "dim": int,
+    "num_categories": int,
+    "enrichment_level": float,
+    "intra_category_noise": float,
+    "events_per_user": lambda pair: tuple(int(v) for v in pair),
+    "seed": int,
+    "informative_fraction": float,
+    "twin_fraction": float,
+    "twin_separation": float,
+    "center_scale": float,
+    "dominant_transition": float,
+}
 
 
 @dataclass(frozen=True)
@@ -87,13 +105,20 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SynthConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
+        """Config from a JSON object; unknown, missing or mistyped fields
+        raise SynthError."""
+        unknown = set(obj) - set(_FIELD_TYPES)
         if unknown:
             raise SynthError(f"unknown SynthConfig fields: {sorted(unknown)}")
-        kwargs = dict(obj)
-        if "events_per_user" in kwargs:
-            kwargs["events_per_user"] = tuple(kwargs["events_per_user"])
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(obj)
+        if missing:
+            raise SynthError(f"missing SynthConfig fields: {sorted(missing)}")
+        kwargs = {}
+        for name, value in obj.items():
+            try:
+                kwargs[name] = _FIELD_TYPES[name](value)
+            except (TypeError, ValueError) as exc:
+                raise SynthError(f"invalid SynthConfig field {name!r}: {exc}") from exc
         return cls(**kwargs)
 
     def to_dict(self) -> dict:

@@ -272,6 +272,14 @@ def test_missing_file_errors_return_one(tmp_path, capsys):
     assert status == 1
 
 
+def test_synth_config_missing_fields_fails_cleanly(tmp_path, capsys, caplog):
+    cfg_path = tmp_path / "synth.json"
+    cfg_path.write_text(json.dumps({"num_items": 5}))
+    status, _ = run(capsys, "synth", "--config", cfg_path, "--out-dir", tmp_path / "data")
+    assert status == 1
+    assert "missing SynthConfig fields" in caplog.text
+
+
 def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["synth", "--bogus", "x"])

@@ -8,6 +8,7 @@ import pytest
 from conftest import assignment_from_sids, random_model
 from sidforge.datamodel import EmbeddingSet
 from sidforge.rq import (
+    _BLOCK_ELEMENTS,
     RqConfig,
     RqError,
     assign_all,
@@ -79,6 +80,26 @@ class TestEncodeOracle:
         a = encode_batch(model, xs, workers=1)
         b = encode_batch(model, xs, workers=4)
         assert np.array_equal(a, b)
+
+    def test_one_row_blocks_match_exhaustive_scan(self, rng):
+        # k * d exceeds the kernel's block budget, so every block is one row.
+        k, dim = 600, 512
+        assert k * dim > _BLOCK_ELEMENTS
+        model = random_model(rng, 1, [k], dim)
+        xs = rng.normal(size=(6, dim))
+        got = encode_batch(model, xs)
+        for i in range(xs.shape[0]):
+            assert (int(got[i, 0]),) == oracle_encode(model, xs[i])[0]
+
+    def test_threads_over_many_blocks_match_exhaustive_scan(self, rng):
+        model = random_model(rng, 2, [300, 200], 64)
+        xs = rng.normal(size=(200, 64))
+        # Level 1 takes 13 rows a block, so the 200 rows span 16 blocks.
+        assert xs.shape[0] > 15 * (_BLOCK_ELEMENTS // (300 * 64))
+        got = encode_batch(model, xs, workers=4)
+        assert np.array_equal(got, encode_batch(model, xs, workers=1))
+        for i in range(xs.shape[0]):
+            assert tuple(int(t) for t in got[i]) == oracle_encode(model, xs[i])[0]
 
 
 class TestResidualTelescoping:
@@ -342,6 +363,14 @@ class TestTrie:
             ((0, 2), ("y",)),
             ((3, 0), ("w",)),
         ]
+        sids = set(assign.sids.values())
+        for s in sids:
+            for h in range(trie.depth):
+                prefix = s[:h]
+                want = sorted({t[h] for t in sids if t[:h] == prefix})
+                assert trie.next_tokens(prefix) == tuple(want)
+        for not_prefix in [(1,), (0, 3), (0, 1), (0, 1, 0)]:
+            assert trie.next_tokens(not_prefix) == ()
 
     def test_mixed_depth_rejected(self):
         assign = assignment_from_sids({"x": (0, 1), "y": (0,)})

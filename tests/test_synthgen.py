@@ -37,6 +37,12 @@ class TestConfig:
         with pytest.raises(SynthError, match="unknown"):
             SynthConfig.from_dict({**small_cfg().to_dict(), "bogus": 1})
 
+    def test_missing_or_mistyped_field_rejected(self):
+        with pytest.raises(SynthError, match="missing SynthConfig fields"):
+            SynthConfig.from_dict({"num_items": 5})
+        with pytest.raises(SynthError, match="num_items"):
+            SynthConfig.from_dict({**small_cfg().to_dict(), "num_items": "x"})
+
     def test_validation(self):
         with pytest.raises(SynthError):
             small_cfg(num_items=0)
