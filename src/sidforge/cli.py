@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, pipeline, recommender, rq, synthgen
-from .datamodel import EmbeddingSet, load_embeddings
+from .datamodel import EmbeddingSet, load_embeddings, write_embeddings
 
 log = logging.getLogger("sidforge.cli")
 
@@ -90,7 +90,7 @@ def _cmd_fit(args) -> int:
         normalize_inputs=args.normalize,
     )
     model = rq.fit_codebooks(emb, cfg, workers=args.workers)
-    pipeline.atomic_write(args.out, lambda tmp: rq.save_model(model, tmp))
+    rq.save_model(model, args.out)
     _emit(
         {
             "model_hash": model.model_hash(),
@@ -109,7 +109,7 @@ def _cmd_encode(args) -> int:
     model = rq.load_model(args.model)
     emb = load_embeddings(args.embeddings)
     assign = rq.assign_all(model, emb, workers=args.workers)
-    pipeline.atomic_write(args.out, lambda tmp: rq.save_assignment(assign, tmp))
+    rq.save_assignment(assign, args.out)
     _emit(
         {
             "items": len(assign),
@@ -128,7 +128,7 @@ def _cmd_decode(args) -> int:
     result = {"sid": rq.render_sid(tokens), "tokens": list(tokens), "dim": model.dim}
     if args.out:
         out_emb = EmbeddingSet([result["sid"]], vector[None, :].astype(np.float32))
-        pipeline.write_embeddings_atomic(out_emb, Path(args.out))
+        write_embeddings(out_emb, args.out)
         result["path"] = str(args.out)
     else:
         result["vector"] = [float(v) for v in vector]
@@ -198,7 +198,7 @@ def _cmd_train_baseline(args) -> int:
         alpha=args.alpha,
         include_validation=args.include_validation,
     )
-    pipeline.atomic_write(args.out, lambda tmp: recommender.save_ngram(ngram, tmp))
+    recommender.save_ngram(ngram, args.out)
     _emit(
         {
             "order": ngram.order,
@@ -236,7 +236,7 @@ def _cmd_eval(args) -> int:
     if args.out:
         pipeline.write_json(payload, args.out)
     if args.csv:
-        pipeline.atomic_write(args.csv, lambda tmp: recommender.write_metrics_csv(report, tmp))
+        recommender.write_metrics_csv(report, args.csv)
     _emit(payload)
     return 0
 

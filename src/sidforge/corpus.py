@@ -11,7 +11,7 @@ from enum import Enum
 from importlib import resources
 
 from . import rng
-from .datamodel import ItemCatalog, SplitDataset
+from .datamodel import ItemCatalog, SplitDataset, atomic_open
 from .rq import RqModel, SidAssignment, level_letter, render_sid, validate_sid
 
 log = logging.getLogger("sidforge.corpus")
@@ -247,14 +247,14 @@ def sample_corpus(
 
 
 def write_corpus(records: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, encoding="utf-8", newline="\n") as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def write_chat_corpus(records: list[dict], path) -> None:
     """Raw chat-text export: rendered records separated by blank lines."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, encoding="utf-8", newline="\n") as fh:
         for i, record in enumerate(records):
             if i:
                 fh.write("\n\n")
@@ -271,7 +271,7 @@ def write_chat_corpus(records: list[dict], path) -> None:
 def write_sid_vocabulary(model: RqModel, path) -> None:
     """Sidecar token list (one rendered token per line) so an external trainer
     can extend its tokenizer vocabulary with the atomic SID tokens."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, encoding="utf-8", newline="\n") as fh:
         for level, size in enumerate(model.effective_sizes, start=1):
             letter = level_letter(level)
             for token in range(size):

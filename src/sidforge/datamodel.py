@@ -1,12 +1,16 @@
 """Core domain types and file ingestion: item catalogs, embedding matrices,
-interaction logs, k-core filtering, and the leave-last-out split."""
+interaction logs, k-core filtering, and the leave-last-out split. Every
+sidforge writer opens its file through atomic_open."""
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import struct
 import zlib
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -14,6 +18,32 @@ import numpy as np
 
 EMBEDDING_MAGIC = b"SIDEMB01"
 _HEADER_LEN = len(EMBEDDING_MAGIC) + 8  # magic + u32 count + u32 dim
+
+
+# Numbers the temp files of this process's writers, so no two writers of one
+# path share a temp name.
+_temp_serial = itertools.count()
+
+
+@contextmanager
+def atomic_open(path, mode="w", **open_kwargs):
+    """Open a writer for path that replaces it atomically: the bytes go to a
+    temp file beside path, renamed over it on a clean exit, so readers never
+    see a partial file. On an exception the temp file is deleted and path is
+    left as it was. The temp name (pid plus a per-process serial) belongs to
+    this writer alone, and exclusive create gives the temp file the
+    permissions a plain open would give path."""
+    if not mode.startswith("w"):
+        raise ValueError(f"atomic_open writes a whole file; got mode {mode!r}")
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_temp_serial)}.tmp")
+    try:
+        with open(tmp, "x" + mode[1:], **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class CatalogError(ValueError):
@@ -142,7 +172,7 @@ def _record_from_obj(obj: dict) -> ItemRecord:
 
 
 def save_items(catalog: ItemCatalog, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, encoding="utf-8", newline="\n") as fh:
         for rec in catalog:
             obj = {
                 "item_id": rec.item_id,
@@ -191,9 +221,6 @@ class EmbeddingSet:
     @property
     def dim(self) -> int:
         return self.rows.shape[1]
-
-    def row_for(self, item_id: str) -> np.ndarray:
-        return self.rows[self.item_ids.index(item_id)]
 
 
 def write_matrix_block(fh, matrix: np.ndarray) -> None:
@@ -251,11 +278,14 @@ def ids_path_for(path) -> Path:
 
 
 def write_embeddings(emb: EmbeddingSet, path) -> None:
-    with open(path, "wb") as fh:
+    """Write the matrix and its id sidecar. Both are complete before either
+    replaces its target; the sidecar is replaced first, then the matrix."""
+    with atomic_open(path, "wb") as fh, atomic_open(
+        ids_path_for(path), encoding="utf-8", newline="\n"
+    ) as ids_fh:
         write_matrix_block(fh, emb.rows)
-    with open(ids_path_for(path), "w", encoding="utf-8", newline="\n") as fh:
         for item_id in emb.item_ids:
-            fh.write(item_id + "\n")
+            ids_fh.write(item_id + "\n")
 
 
 def load_embeddings(path) -> EmbeddingSet:
@@ -322,7 +352,7 @@ def load_interactions(path) -> InteractionLog:
 
 
 def save_interactions(log: InteractionLog, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, encoding="utf-8", newline="\n") as fh:
         for user, item, ts in log.events:
             fh.write(f"{user}\t{item}\t{ts}\n")
 

@@ -6,7 +6,10 @@ export, (5) baseline training plus evaluation. Each stage is skipped when its
 config and input hashes match the manifest and its outputs exist. If a cached
 upstream artifact was edited on disk behind the manifest's back, the consuming
 stage refuses to run rather than silently building on it; --force recomputes
-every enabled stage. A stage that fails or refuses exits with its number.
+every enabled stage. A stage that fails or refuses exits with its number, and
+the manifest still records the stages that finished before it. Every writer
+replaces its file atomically (datamodel.atomic_open), so a stage that fails
+leaves no partial file.
 
 Each stage's load, check, compute and write sequence is a public function
 here; run_pipeline and the `sidforge` subcommands both call them.
@@ -28,6 +31,7 @@ from . import corpus as corpus_mod
 from . import diagnostics, recommender, rq, synthgen
 from .datamodel import (
     CatalogError,
+    atomic_open,
     ids_path_for,
     k_core_filter,
     leave_last_out_split,
@@ -131,37 +135,10 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def atomic_write(path, writer) -> None:
-    """Run writer against a temp path, then rename over the target, so readers
-    never observe a partial file and failures leave no debris."""
-    tmp = Path(str(path) + ".tmp")
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def write_embeddings_atomic(emb, path) -> None:
-    """atomic_write for an embedding file and its id sidecar."""
-    tmp = Path(str(path) + ".tmp")
-    try:
-        write_embeddings(emb, tmp)
-        os.replace(ids_path_for(tmp), ids_path_for(path))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-        ids_path_for(tmp).unlink(missing_ok=True)
-
-
 def write_json(obj, path) -> None:
-    """Indented, key-sorted JSON, written atomically."""
-    atomic_write(
-        path,
-        lambda tmp: Path(tmp).write_text(
-            json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        ),
-    )
+    """Indented, key-sorted JSON."""
+    with atomic_open(path, encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -308,9 +285,9 @@ def write_sources(paths: ArtifactPaths, catalog, emb, interactions, kcore: int =
     if kcore >= 1:
         interactions = k_core_filter(interactions, kcore)
     paths.items.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write(paths.items, lambda tmp: save_items(catalog, tmp))
-    write_embeddings_atomic(emb, paths.embeddings)
-    atomic_write(paths.interactions, lambda tmp: save_interactions(interactions, tmp))
+    save_items(catalog, paths.items)
+    write_embeddings(emb, paths.embeddings)
+    save_interactions(interactions, paths.interactions)
     return interactions
 
 
@@ -320,8 +297,8 @@ def tokenize(paths: ArtifactPaths, cfg: rq.RqConfig, workers: int = 1) -> None:
     emb = load_embeddings(paths.embeddings)
     model = rq.fit_codebooks(emb, cfg, workers=workers)
     assign = rq.assign_all(model, emb, workers=workers)
-    atomic_write(paths.model, lambda tmp: rq.save_model(model, tmp))
-    atomic_write(paths.assignment, lambda tmp: rq.save_assignment(assign, tmp))
+    rq.save_model(model, paths.model)
+    rq.save_assignment(assign, paths.assignment)
 
 
 def diagnose(
@@ -379,11 +356,11 @@ def export_corpus(
     records, stats = corpus_mod.sample_corpus(
         split, catalog, assign, n=n, seed=seed, max_history=max_history, model=model
     )
-    atomic_write(out, lambda tmp: corpus_mod.write_corpus(records, tmp))
+    corpus_mod.write_corpus(records, out)
     if chat_out:
-        atomic_write(chat_out, lambda tmp: corpus_mod.write_chat_corpus(records, tmp))
+        corpus_mod.write_chat_corpus(records, chat_out)
     if vocab_out:
-        atomic_write(vocab_out, lambda tmp: corpus_mod.write_sid_vocabulary(model, tmp))
+        corpus_mod.write_sid_vocabulary(model, vocab_out)
     return stats
 
 
@@ -464,12 +441,8 @@ def run_pipeline(cfg: dict, force: bool = False):
             probe_seed=int(dcfg.get("probe_seed", 0)),
             out=paths.diagnostics_json,
         )
-        atomic_write(
-            paths.diagnostics_table,
-            lambda tmp: Path(tmp).write_text(
-                diagnostics.render_table(payload) + "\n", encoding="utf-8"
-            ),
-        )
+        with atomic_open(paths.diagnostics_table, encoding="utf-8", newline="\n") as fh:
+            fh.write(diagnostics.render_table(payload) + "\n")
 
     def corpus_stage():
         ccfg = cfg["corpus"]
@@ -507,11 +480,11 @@ def run_pipeline(cfg: dict, force: bool = False):
             include_validation=include_validation,
         )
         # Saved after the evaluation: saving first raises the peak RSS.
-        atomic_write(paths.ngram, lambda tmp: recommender.save_ngram(ngram, tmp))
+        recommender.save_ngram(ngram, paths.ngram)
         write_json(
             {"ngram": report.to_dict(), "popularity": pop_report.to_dict()}, paths.metrics_json
         )
-        atomic_write(paths.metrics_csv, lambda tmp: recommender.write_metrics_csv(report, tmp))
+        recommender.write_metrics_csv(report, paths.metrics_csv)
 
     source_cfg = {"mode": mode, "kcore": kcore, "synth": cfg.get("synth")}
     source_inputs = []
@@ -536,6 +509,7 @@ def run_pipeline(cfg: dict, force: bool = False):
         (5, "eval", {"eval": cfg["eval"]}, [paths.model, paths.assignment, paths.interactions],
          [paths.ngram, paths.metrics_json, paths.metrics_csv], eval_stage),
     )
+    status = 0
     try:
         for number, name, stage_cfg, stage_inputs, outputs, compute in stages:
             if cfg["stages"].get(name, True):
@@ -543,7 +517,9 @@ def run_pipeline(cfg: dict, force: bool = False):
     except StageFailure as stop:
         log.error("%s", stop)
         summary["error"] = str(stop)
-        return stop.stage, summary
-
+        status = stop.stage
+        # The failed stage may have replaced some of its outputs; the stages
+        # that finished keep their entries.
+        runner.new_stages.pop(stop.name, None)
     write_json({"format": MANIFEST_FORMAT, "stages": runner.new_stages}, paths.manifest)
-    return 0, summary
+    return status, summary

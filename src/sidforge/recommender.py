@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import SplitDataset
+from .datamodel import SplitDataset, atomic_open
 from .rq import SidAssignment, SidSequence, SidTrie
 
 
@@ -144,14 +144,19 @@ def save_ngram(model: NGramModel, path) -> None:
         "sizes": list(model.sizes),
         "contexts": contexts,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
 
 
 def load_ngram(path) -> NGramModel:
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise RecommenderError(f"unreadable n-gram file: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise RecommenderError("n-gram file is not a JSON object")
     if payload.get("format") != "sidforge-ngram-v1":
         raise RecommenderError(f"unsupported n-gram format {payload.get('format')!r}")
     counts: dict[tuple[int, ...], Counter] = {}
@@ -166,6 +171,12 @@ def load_ngram(path) -> NGramModel:
         order, alpha = int(payload["order"]), float(payload["alpha"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise RecommenderError(f"malformed n-gram file: {exc!r}") from exc
+    if order < 1:
+        raise RecommenderError(f"n-gram order {order} is below 1")
+    if not alpha > 0.0:
+        raise RecommenderError(f"n-gram alpha {alpha} is not > 0")
+    if any(k < 1 for k in sizes):
+        raise RecommenderError(f"n-gram sizes {list(sizes)} include a size below 1")
     vocab_size = sum(sizes)
     for ctx, counter in counts.items():
         for token in counter:
@@ -368,7 +379,7 @@ def evaluate_static_ranking(
 
 
 def write_metrics_csv(report: MetricsReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["metric", "K", "value", "n_users"])
         for k in sorted(report.hr):

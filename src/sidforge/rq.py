@@ -23,7 +23,6 @@ import re
 import string
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .datamodel import (
     EMBEDDING_MAGIC,
     EmbeddingIOError,
     EmbeddingSet,
+    atomic_open,
     read_matrix_block,
     write_matrix_block,
 )
@@ -51,10 +51,14 @@ class RqError(ValueError):
     """Raised for invalid quantizer configs, inputs, SIDs, or model files."""
 
 
-# RqConfig field -> the type its JSON value is converted to.
+def _int_tuple(values) -> tuple[int, ...]:
+    return tuple(int(k) for k in values)
+
+
+# RqConfig field -> the conversion applied to its JSON value.
 _CONFIG_TYPES = {
     "levels": int,
-    "codebook_sizes": tuple,
+    "codebook_sizes": _int_tuple,
     "kmeans_max_iters": int,
     "kmeans_rel_tol": float,
     "seed": int,
@@ -72,7 +76,7 @@ class RqConfig:
     normalize_inputs: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "codebook_sizes", tuple(int(k) for k in self.codebook_sizes))
+        object.__setattr__(self, "codebook_sizes", _int_tuple(self.codebook_sizes))
         if self.levels < 1:
             raise RqError("levels must be >= 1")
         if len(self.codebook_sizes) != self.levels:
@@ -502,7 +506,7 @@ def save_model(model: RqModel, path) -> None:
             for st in model.fit_stats
         ],
     }
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
         for cb in model.codebooks:
             write_matrix_block(fh, cb.centroids)
@@ -515,6 +519,8 @@ def load_model(path) -> RqModel:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise RqError(f"unreadable model header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise RqError("model header is not a JSON object")
         if header.get("format") != MODEL_FORMAT:
             raise RqError(f"unsupported model format {header.get('format')!r}")
         cfg = RqConfig.from_dict({name: header[name] for name in _CONFIG_TYPES if name in header})
@@ -556,7 +562,7 @@ def load_model(path) -> RqModel:
 
 def save_assignment(assign: SidAssignment, path) -> None:
     """One-line JSON meta record, then one JSON line per item."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, encoding="utf-8", newline="\n") as fh:
         meta = {"format": ASSIGNMENT_FORMAT, "model_hash": assign.model_hash, "count": len(assign.sids)}
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
         for item_id, s in assign.sids.items():
@@ -577,6 +583,8 @@ def load_assignment(path) -> SidAssignment:
             meta = json.loads(first)
         except json.JSONDecodeError as exc:
             raise RqError(f"unreadable assignment meta line: {exc.msg}") from exc
+        if not isinstance(meta, dict):
+            raise RqError("assignment meta line is not a JSON object")
         if meta.get("format") != ASSIGNMENT_FORMAT:
             raise RqError(f"unsupported assignment format {meta.get('format')!r}")
         for lineno, line in enumerate(fh, start=2):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 import struct
 
 import numpy as np
@@ -14,6 +16,7 @@ from sidforge.datamodel import (
     InteractionLog,
     ItemCatalog,
     ItemRecord,
+    atomic_open,
     ids_path_for,
     k_core_filter,
     leave_last_out_split,
@@ -315,3 +318,38 @@ class TestSplit:
         )
         split = leave_last_out_split(log)
         assert list(split.users) == ["alpha", "zeta"]
+
+
+class TestAtomicOpen:
+    def test_overlapping_writers_on_one_path(self, tmp_path):
+        path = tmp_path / "a.txt"
+        old_umask = os.umask(0o027)
+        try:
+            with atomic_open(path, encoding="utf-8") as outer:
+                outer.write("outer")
+                with atomic_open(path, encoding="utf-8") as inner:
+                    inner.write("inner")
+                assert path.read_text() == "inner"
+            plain = tmp_path / "plain.txt"
+            with open(plain, "w", encoding="utf-8") as fh:
+                fh.write("plain")
+        finally:
+            os.umask(old_umask)
+        assert path.read_text() == "outer"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "plain.txt"]
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+    def test_exception_keeps_target_and_removes_temp(self, tmp_path):
+        path = tmp_path / "a.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            with atomic_open(path, "wb") as fh:
+                fh.write(b"partial")
+                raise RuntimeError("writer failed")
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
+
+    def test_read_mode_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="mode"):
+            with atomic_open(tmp_path / "a.txt", "r"):
+                pass

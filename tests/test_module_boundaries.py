@@ -1,9 +1,12 @@
-"""No sidforge module reads a private (underscore) name of a sibling module;
-what modules share is public."""
+"""Source guards over the sidforge package: no module reads a private
+(underscore) name of a sibling module, since what modules share is public;
+only datamodel.atomic_open opens a file for writing; and no module keeps an
+unused import."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import sidforge
@@ -51,3 +54,96 @@ def test_no_module_reads_a_siblings_private_names():
         for path in sorted(PACKAGE_DIR.glob("*.py"))
     }
     assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """A `.write_text`/`.write_bytes` call, or an `open`/`.open` call given a
+    write mode or a mode that is not a constant. `open` takes the mode second;
+    `Path.open` takes it first, so a method call's first two arguments are
+    checked."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+        return True
+    builtin = isinstance(func, ast.Name) and func.id == "open"
+    if not (builtin or isinstance(func, ast.Attribute) and func.attr == "open"):
+        return False
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    # A mode that is not a constant counts as a write mode, except among a
+    # method's positional arguments, where it may be the path.
+    strict = bool(modes) or builtin
+    if not modes:
+        modes = call.args[1:2] if builtin else call.args[:2]
+    for mode in modes:
+        if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+            if re.fullmatch(r"[rwaxbt+]+", mode.value) and set(mode.value) & set("wax+"):
+                return True
+        elif strict:
+            return True
+    return False
+
+
+def write_opens(source: str) -> list[str]:
+    """`function:line` of every call in one module's source that opens a file
+    for writing; calls outside any function are named `<module>`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            if isinstance(child, ast.Call) and _opens_for_writing(child):
+                found.append(f"{scope}:{child.lineno}")
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads (`from __future__` aside)."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_write_detector_sees_every_form():
+    source = (
+        "import os\n"
+        "def reader(p):\n    return open(p), open(p, 'rb'), p.open(mode='r'), gz.open('a.txt')\n"
+        "def writer(p, m):\n    open(p, 'w'); p.open('ab'); open(p, mode=m)\n"
+        "    p.write_text('x')\n"
+        "open('log', 'x')\n"
+    )
+    assert write_opens(source) == [
+        "writer:5", "writer:5", "writer:5", "writer:6", "<module>:7"
+    ]
+    assert unused_imports(source) == ["os (line 1)"]
+    assert unused_imports("from . import rq as q\nfrom .rq import a, b\nq.x(a)\n") == ["b (line 2)"]
+
+
+def test_only_atomic_open_opens_files_for_writing():
+    found = {
+        path.name: write_opens(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+    }
+    found = {name: opens for name, opens in found.items() if opens}
+    assert set(found) == {"datamodel.py"}
+    assert [site.split(":")[0] for site in found["datamodel.py"]] == ["atomic_open"]
+
+
+def test_no_unused_imports():
+    found = {
+        path.name: unused_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: names for name, names in found.items() if names} == {}

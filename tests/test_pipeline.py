@@ -205,6 +205,28 @@ class TestRun:
         status, summary = run_pipeline(cfg)
         assert status == 5
         assert summary["error"].startswith("stage 5 (eval)")
+        # the failed stage's entry is dropped, the others are kept
+        manifest = json.loads(ArtifactPaths.in_dir(out).manifest.read_text())
+        assert set(manifest["stages"]) == {"source", "tokenize", "diagnose", "corpus"}
+
+    def test_failed_stage_keeps_finished_stages_cached(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_cfg(out)
+        cfg["eval"] = {**cfg["eval"], "order": 0}
+        status, summary = run_pipeline(cfg)
+        assert status == 5
+        manifest = json.loads(ArtifactPaths.in_dir(out).manifest.read_text())
+        assert set(manifest["stages"]) == {"source", "tokenize", "diagnose", "corpus"}
+        cfg["eval"]["order"] = 3
+        status, summary = run_pipeline(cfg)
+        assert status == 0
+        assert summary["stages"] == {
+            "source": "cache-hit",
+            "tokenize": "cache-hit",
+            "diagnose": "cache-hit",
+            "corpus": "cache-hit",
+            "eval": "ran",
+        }
 
     def test_forced_partial_run_keeps_other_cache_entries(self, tmp_path):
         out = tmp_path / "out"

@@ -118,11 +118,21 @@ class TestNGram:
         model = train_ngram(split_of({"u": ["a", "b", "a", "b"]}), assign, (2,), order=2, alpha=0.1)
         path = tmp_path / "ng.json"
         save_ngram(model, path)
-        payload = json.loads(path.read_text())
-        payload["contexts"][0]["counts"]["99"] = 1
-        path.write_text(json.dumps(payload))
-        with pytest.raises(RecommenderError, match="token 99"):
-            load_ngram(path)
+        good = json.loads(path.read_text())
+        bad_token = json.loads(path.read_text())
+        bad_token["contexts"][0]["counts"]["99"] = 1
+        for text, match in (
+            (json.dumps(bad_token), "token 99"),
+            ("[]", "not a JSON object"),
+            ("{", "unreadable"),
+            (json.dumps({**good, "order": 0}), "order"),
+            (json.dumps({**good, "alpha": 0.0}), "alpha"),
+            (json.dumps({**good, "alpha": -1.0}), "alpha"),
+            (json.dumps({**good, "sizes": [0]}), "sizes"),
+        ):
+            path.write_text(text)
+            with pytest.raises(RecommenderError, match=match):
+                load_ngram(path)
 
     def test_untrained_parameter_validation(self):
         assign = assignment_from_sids({"a": (0,)})

@@ -214,6 +214,7 @@ class TestFit:
             {"levels": 1, "codebook_sizes": [4], "workers": 2},
             {"codebook_sizes": [4]},
             {"levels": 1, "codebook_sizes": 4},
+            {"levels": 1, "codebook_sizes": ["x"]},
         ):
             with pytest.raises(RqError):
                 RqConfig.from_dict(obj)
@@ -286,12 +287,14 @@ class TestAssignment:
         path = tmp_path / "s.jsonl"
         save_assignment(assign, path)
         lines = path.read_text().splitlines()
-        for rec in (
-            lines[1].replace('"sid": "<a_', '"sid": "<a_9').replace("<a_99", "<a_9"),
-            lines[1].replace('"item_id"', '"item"'),
+        bad_sid = lines[1].replace('"sid": "<a_', '"sid": "<a_9').replace("<a_99", "<a_9")
+        for meta, rec, match in (
+            (lines[0], bad_sid, "line 2"),
+            (lines[0], lines[1].replace('"item_id"', '"item"'), "line 2"),
+            ("[]", lines[1], "meta line"),
         ):
-            path.write_text(lines[0] + "\n" + rec + "\n")
-            with pytest.raises(RqError, match="line 2"):
+            path.write_text(meta + "\n" + rec + "\n")
+            with pytest.raises(RqError, match=match):
                 load_assignment(path)
 
 
@@ -329,6 +332,7 @@ class TestModelFile:
             header = json.loads(original[:header_end])
             del header[key]
             damaged_files.append(json.dumps(header).encode() + b"\n" + original[header_end:])
+        damaged_files.append(b"[]\n" + original[header_end:])
         for damaged in damaged_files:
             path.write_bytes(damaged)
             with pytest.raises(RqError):
