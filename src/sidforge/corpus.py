@@ -37,18 +37,18 @@ class CorpusError(ValueError):
 
 
 class TaskId(Enum):
-    """The eight generation tasks: SID/text translation (T1, T2), sequential
-    prediction across the two spaces (T3-T6), and visual-description grounding
-    (T7, T8)."""
+    """The eight tasks over the SID-title-visual triangle. Each value is
+    (source, input view, output view): the source is one catalog item or one
+    user's history, and a view is the item's SID or the catalog field of that name."""
 
-    T1 = "title_to_sid"
-    T2 = "sid_to_title"
-    T3 = "sid_history_to_sid"
-    T4 = "title_history_to_sid"
-    T5 = "sid_history_to_title"
-    T6 = "title_history_to_title"
-    T7 = "visual_to_sid"
-    T8 = "visual_to_title"
+    T1 = ("item", "title", "sid")
+    T2 = ("item", "sid", "title")
+    T3 = ("history", "sid", "sid")
+    T4 = ("history", "title", "sid")
+    T5 = ("history", "sid", "title")
+    T6 = ("history", "title", "title")
+    T7 = ("item", "visual_description", "sid")
+    T8 = ("item", "visual_description", "title")
 
 
 _USER_TEMPLATES = {
@@ -61,8 +61,6 @@ _USER_TEMPLATES = {
     TaskId.T7: "Visual Description: {visual_description}\nGenerate the SID sequence:",
     TaskId.T8: "Visual Description: {visual_description}\nGenerate the product title:",
 }
-
-_HISTORY_TASKS = (TaskId.T3, TaskId.T4, TaskId.T5, TaskId.T6)
 
 
 def system_instruction(task: TaskId) -> str:
@@ -78,7 +76,7 @@ class TrainingExample:
     system_instruction: str
     user_input: str
     target_output: str
-    provenance: str  # item_id for T1/T2/T7/T8, user_id for T3-T6
+    provenance: str  # item_id for item tasks, user_id for history tasks
 
 
 @dataclass(frozen=True)
@@ -96,67 +94,49 @@ def make_examples(
 ) -> tuple[list[TrainingExample], int]:
     """Examples for one task plus the count of skipped sources.
 
-    Item tasks iterate the catalog (T7/T8 skip items without a visual
-    description). History tasks iterate users: the input is the most recent
-    max_history train items, oldest first, and the target is the validation
-    item, so test targets never enter a training corpus.
+    Item tasks iterate the catalog (a visual input skips items without a
+    visual description). History tasks iterate users: the input is the most
+    recent max_history train items, oldest first, and the target is the
+    validation item, so test targets never enter a training corpus.
     """
     if max_history < 1:
         raise CorpusError("max_history must be >= 1")
+    source, input_view, output_view = task.value
     system = system_instruction(task)
     template = _USER_TEMPLATES[task]
     examples: list[TrainingExample] = []
     skipped = 0
 
-    if task in _HISTORY_TASKS:
+    def show(view: str, item_id: str) -> str:
+        if view == "sid":
+            return render_sid(assign[item_id])
+        return getattr(catalog.get(item_id), view)
+
+    if source == "history":
         for user_id in sorted(split.users):
             user = split.users[user_id]
-            history = [
-                i for i in user.train[-max_history:] if i in catalog and i in assign
-            ]
+            history = [i for i in user.train[-max_history:] if i in catalog and i in assign]
             target = user.validation
             if not history or target not in catalog or target not in assign:
                 skipped += 1
                 continue
-            if task in (TaskId.T3, TaskId.T5):
-                rendered_history = HISTORY_SEPARATOR.join(
-                    render_sid(assign[i]) for i in history
-                )
-                user_input = template.format(sid_history=rendered_history)
-            else:
-                rendered_history = HISTORY_SEPARATOR.join(
-                    catalog.get(i).title for i in history
-                )
-                user_input = template.format(title_history=rendered_history)
-            if task in (TaskId.T3, TaskId.T4):
-                target_output = render_sid(assign[target])
-            else:
-                target_output = catalog.get(target).title
+            shown = HISTORY_SEPARATOR.join(show(input_view, i) for i in history)
+            user_input = template.format_map({f"{input_view}_history": shown})
             examples.append(
-                TrainingExample(task, system, user_input, target_output, user_id)
+                TrainingExample(task, system, user_input, show(output_view, target), user_id)
             )
         return examples, skipped
 
     for record in catalog:
-        if record.item_id not in assign:
+        # An empty title is still shown; an empty visual description is not.
+        if record.item_id not in assign or (
+            input_view == "visual_description" and not record.visual_description
+        ):
             skipped += 1
             continue
-        sid_text = render_sid(assign[record.item_id])
-        if task is TaskId.T1:
-            user_input = template.format(title=record.title)
-            target_output = sid_text
-        elif task is TaskId.T2:
-            user_input = template.format(sid=sid_text)
-            target_output = record.title
-        else:
-            if not record.visual_description:
-                skipped += 1
-                continue
-            user_input = template.format(visual_description=record.visual_description)
-            target_output = sid_text if task is TaskId.T7 else record.title
-        examples.append(
-            TrainingExample(task, system, user_input, target_output, record.item_id)
-        )
+        user_input = template.format_map({input_view: show(input_view, record.item_id)})
+        target_output = show(output_view, record.item_id)
+        examples.append(TrainingExample(task, system, user_input, target_output, record.item_id))
     return examples, skipped
 
 

@@ -58,6 +58,26 @@ class InteractionError(ValueError):
     """Raised when an interaction file cannot be parsed."""
 
 
+def read_lines(path, error: type[ValueError]):
+    """Yield (line number, line) over a UTF-8 text file. A byte sequence that
+    is not UTF-8 raises `error` citing its line and byte offset."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError:
+            # Located on the error path only: decoding the whole file again
+            # gives the absolute offset the text reader's chunk does not.
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise error(
+                    f"line {line}: invalid UTF-8 at byte offset {exc.start} ({exc.reason})"
+                ) from None
+            raise
+
+
 @dataclass(frozen=True)
 class ItemRecord:
     item_id: str
@@ -129,21 +149,20 @@ def load_items(path) -> ItemCatalog:
     optional visual_description / interests; unknown keys are ignored.
     """
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CatalogError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise CatalogError(f"line {lineno}: expected a JSON object")
-            try:
-                rec = _record_from_obj(obj)
-            except (KeyError, TypeError, CatalogError) as exc:
-                raise CatalogError(f"line {lineno}: {exc}") from exc
-            records.append(rec)
+    for lineno, line in read_lines(path, CatalogError):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CatalogError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise CatalogError(f"line {lineno}: expected a JSON object")
+        try:
+            rec = _record_from_obj(obj)
+        except (KeyError, TypeError, CatalogError) as exc:
+            raise CatalogError(f"line {lineno}: {exc}") from exc
+        records.append(rec)
     return ItemCatalog.from_records(records)
 
 
@@ -234,40 +253,44 @@ def write_matrix_block(fh, matrix: np.ndarray) -> None:
     fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
 
-def read_matrix_block(fh, base_offset: int = 0) -> np.ndarray:
-    """Read one block written by write_matrix_block; errors cite absolute offsets."""
+def read_matrix_block(fh) -> np.ndarray:
+    """Read one block written by write_matrix_block, starting at fh's current
+    position. Errors cite absolute byte offsets in the file. A header that
+    claims more payload than the file holds is refused before any read."""
+    base = fh.tell()
     magic = fh.read(len(EMBEDDING_MAGIC))
     if magic != EMBEDDING_MAGIC:
         raise EmbeddingIOError(
-            f"bad magic {magic!r} at byte offset {base_offset} (expected {EMBEDDING_MAGIC!r})"
+            f"bad magic {magic!r} at byte offset {base} (expected {EMBEDDING_MAGIC!r})"
         )
     head = fh.read(8)
     if len(head) != 8:
-        raise EmbeddingIOError(f"truncated header at byte offset {base_offset + len(EMBEDDING_MAGIC)}")
+        raise EmbeddingIOError(f"truncated header at byte offset {base + len(EMBEDDING_MAGIC)}")
     count, dim = struct.unpack("<II", head)
     need = count * dim * 4
-    payload = fh.read(need)
-    if len(payload) != need:
+    start = base + _HEADER_LEN
+    left = fh.seek(0, os.SEEK_END) - start
+    if need > left:
         raise EmbeddingIOError(
-            f"truncated payload at byte offset {base_offset + _HEADER_LEN + len(payload)}: "
-            f"expected {need} bytes, got {len(payload)}"
+            f"truncated payload at byte offset {start}: header claims {count} x {dim} "
+            f"floats ({need} bytes), {left} bytes remain"
         )
+    fh.seek(start)
+    payload = fh.read(need)
     crc_raw = fh.read(4)
     if len(crc_raw) != 4:
-        raise EmbeddingIOError(
-            f"truncated checksum at byte offset {base_offset + _HEADER_LEN + need}"
-        )
+        raise EmbeddingIOError(f"truncated checksum at byte offset {start + need}")
     (crc,) = struct.unpack("<I", crc_raw)
     if crc != (zlib.crc32(payload) & 0xFFFFFFFF):
         raise EmbeddingIOError(
-            f"checksum mismatch for payload at byte offset {base_offset + _HEADER_LEN}"
+            f"checksum mismatch for payload at byte offset {start}"
         )
     matrix = np.frombuffer(payload, dtype="<f4").reshape(count, dim).copy()
     finite = np.isfinite(matrix.ravel())
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])
         raise EmbeddingIOError(
-            f"non-finite float at byte offset {base_offset + _HEADER_LEN + bad * 4}"
+            f"non-finite float at byte offset {start + bad * 4}"
         )
     return matrix
 
@@ -296,8 +319,8 @@ def load_embeddings(path) -> EmbeddingSet:
     idp = ids_path_for(path)
     if not idp.exists():
         raise EmbeddingIOError(f"missing sibling id file {idp}")
-    with open(idp, "r", encoding="utf-8") as fh:
-        ids = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+    lines = read_lines(idp, EmbeddingIOError)
+    ids = [line.rstrip("\n") for _, line in lines if line.rstrip("\n")]
     if len(ids) != matrix.shape[0]:
         raise EmbeddingIOError(
             f"id file lists {len(ids)} ids for {matrix.shape[0]} rows"
@@ -335,19 +358,18 @@ class InteractionLog:
 def load_interactions(path) -> InteractionLog:
     """Read tab-separated interactions: user_id, item_id, timestamp (no header)."""
     events: list[Event] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise InteractionError(f"line {lineno}: expected 3 tab-separated columns")
-            try:
-                ts = int(cols[2])
-            except ValueError:
-                raise InteractionError(f"line {lineno}: timestamp {cols[2]!r} is not an integer") from None
-            events.append((cols[0], cols[1], ts))
+    for lineno, line in read_lines(path, InteractionError):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        cols = line.split("\t")
+        if len(cols) != 3:
+            raise InteractionError(f"line {lineno}: expected 3 tab-separated columns")
+        try:
+            ts = int(cols[2])
+        except ValueError:
+            raise InteractionError(f"line {lineno}: timestamp {cols[2]!r} is not an integer") from None
+        events.append((cols[0], cols[1], ts))
     return InteractionLog(events=tuple(events))
 
 

@@ -28,10 +28,10 @@ import numpy as np
 
 from . import rng
 from .datamodel import (
-    EMBEDDING_MAGIC,
     EmbeddingIOError,
     EmbeddingSet,
     atomic_open,
+    read_lines,
     read_matrix_block,
     write_matrix_block,
 )
@@ -524,14 +524,12 @@ def load_model(path) -> RqModel:
         if header.get("format") != MODEL_FORMAT:
             raise RqError(f"unsupported model format {header.get('format')!r}")
         cfg = RqConfig.from_dict({name: header[name] for name in _CONFIG_TYPES if name in header})
-        offset = len(header_line)
         codebooks = []
         for level in range(1, cfg.levels + 1):
             try:
-                matrix = read_matrix_block(fh, base_offset=offset)
+                matrix = read_matrix_block(fh)
             except EmbeddingIOError as exc:
                 raise RqError(f"level {level} centroid block: {exc}") from exc
-            offset += len(EMBEDDING_MAGIC) + 8 + matrix.nbytes + 4
             codebooks.append(Codebook(level=level, centroids=_frozen_f32(matrix)))
         if fh.read(1):
             raise RqError("trailing bytes after the last codebook block")
@@ -577,34 +575,39 @@ def save_assignment(assign: SidAssignment, path) -> None:
 
 def load_assignment(path) -> SidAssignment:
     sids: dict[str, SidSequence] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
+    lines = read_lines(path, RqError)
+    _, first = next(lines, (1, ""))
+    try:
+        meta = json.loads(first)
+    except json.JSONDecodeError as exc:
+        raise RqError(f"unreadable assignment meta line: {exc.msg}") from exc
+    if not isinstance(meta, dict):
+        raise RqError("assignment meta line is not a JSON object")
+    if meta.get("format") != ASSIGNMENT_FORMAT:
+        raise RqError(f"unsupported assignment format {meta.get('format')!r}")
+    for lineno, line in lines:
+        if not line.strip():
+            continue
         try:
-            meta = json.loads(first)
+            obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise RqError(f"unreadable assignment meta line: {exc.msg}") from exc
-        if not isinstance(meta, dict):
-            raise RqError("assignment meta line is not a JSON object")
-        if meta.get("format") != ASSIGNMENT_FORMAT:
-            raise RqError(f"unsupported assignment format {meta.get('format')!r}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RqError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            try:
-                item_id, sid = obj["item_id"], obj["sid"]
-                tokens = tuple(int(t) for t in obj["tokens"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise RqError(f"line {lineno}: malformed record ({exc!r})") from exc
-            if item_id in sids:
-                raise RqError(f"line {lineno}: duplicate item_id {item_id!r}")
-            if render_sid(tokens) != sid:
-                raise RqError(f"line {lineno}: sid text does not match tokens")
-            sids[item_id] = tokens
-    if len(sids) != int(meta.get("count", len(sids))):
+            raise RqError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        try:
+            item_id, sid = obj["item_id"], obj["sid"]
+            tokens = tuple(int(t) for t in obj["tokens"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RqError(f"line {lineno}: malformed record ({exc!r})") from exc
+        if not isinstance(item_id, str):
+            raise RqError(f"line {lineno}: item_id {item_id!r} is not a string")
+        if item_id in sids:
+            raise RqError(f"line {lineno}: duplicate item_id {item_id!r}")
+        if render_sid(tokens) != sid:
+            raise RqError(f"line {lineno}: sid text does not match tokens")
+        sids[item_id] = tokens
+    count = meta.get("count", len(sids))
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise RqError(f"assignment count {count!r} is not an integer")
+    if len(sids) != count:
         raise RqError("assignment count does not match the meta line")
     if "model_hash" not in meta:
         raise RqError("assignment meta line lacks model_hash")
@@ -612,9 +615,20 @@ def load_assignment(path) -> SidAssignment:
 
 
 def load_model_and_assignment(model_path, assignment_path) -> tuple[RqModel, SidAssignment]:
-    """Load a model and an assignment, and check that the model produced it."""
+    """Load a model and an assignment, and check that the model produced it:
+    the model hashes match and every token indexes its level's codebook."""
     model = load_model(model_path)
     assign = load_assignment(assignment_path)
     if assign.model_hash != model.model_hash():
         raise RqError("assignment was produced by a different model")
+    sids = assign.sids.values()
+    if sids and set(map(len, sids)) != {model.levels}:
+        raise RqError(f"assignment SIDs do not all have {model.levels} tokens")
+    for level, (column, size) in enumerate(zip(zip(*sids), model.effective_sizes), start=1):
+        if min(column) < 0 or max(column) >= size:
+            item_id = next(i for i, s in assign.sids.items() if not 0 <= s[level - 1] < size)
+            raise RqError(
+                f"item {item_id!r}: token {assign[item_id][level - 1]} out of range "
+                f"[0, {size}) at level {level}"
+            )
     return model, assign

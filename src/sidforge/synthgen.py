@@ -107,6 +107,8 @@ class SynthConfig:
     def from_dict(cls, obj: dict) -> "SynthConfig":
         """Config from a JSON object; unknown, missing or mistyped fields
         raise SynthError."""
+        if not isinstance(obj, dict):
+            raise SynthError(f"a SynthConfig must be a JSON object, not {type(obj).__name__}")
         unknown = set(obj) - set(_FIELD_TYPES)
         if unknown:
             raise SynthError(f"unknown SynthConfig fields: {sorted(unknown)}")
@@ -129,7 +131,11 @@ class SynthConfig:
 
 def load_synth_config(path) -> SynthConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return SynthConfig.from_dict(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise SynthError(f"unreadable synth config {path}: {exc}") from exc
+    return SynthConfig.from_dict(obj)
 
 
 def category_name(index: int) -> str:

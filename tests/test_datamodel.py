@@ -26,6 +26,7 @@ from sidforge.datamodel import (
     save_interactions,
     save_items,
     write_embeddings,
+    write_matrix_block,
 )
 
 
@@ -177,6 +178,12 @@ class TestEmbeddingFile:
         with pytest.raises(EmbeddingIOError, match="offset 0"):
             load_embeddings(path)
 
+    def test_oversized_header_refused_before_reading(self, tmp_path):
+        path = tmp_path / "e.emb"
+        path.write_bytes(b"SIDEMB01" + struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF) + b"\x00" * 8)
+        with pytest.raises(EmbeddingIOError, match="offset 16: header claims"):
+            load_embeddings(path)
+
     def test_truncated_payload(self, tmp_path):
         emb = EmbeddingSet(["a", "b"], np.ones((2, 3)))
         path = tmp_path / "e.emb"
@@ -248,6 +255,34 @@ class TestInteractions:
         path.write_text("u1\ta\tnoon\n")
         with pytest.raises(InteractionError, match="line 1"):
             load_interactions(path)
+
+
+def load_embeddings_beside(ids_path):
+    """Load the two-row embedding file written beside an id sidecar."""
+    emb_path = ids_path.with_name(ids_path.name.removesuffix(".ids"))
+    with atomic_open(emb_path, "wb") as fh:
+        write_matrix_block(fh, np.ones((2, 3)))
+    return load_embeddings(emb_path)
+
+
+@pytest.mark.parametrize(
+    "name, good, load, error",
+    [
+        (
+            "items.jsonl",
+            json.dumps({"item_id": "x", "title": "t", "description": "d", "category": "c"}),
+            load_items,
+            CatalogError,
+        ),
+        ("log.tsv", "u1\ta\t1", load_interactions, InteractionError),
+        ("e.emb.ids", "a", load_embeddings_beside, EmbeddingIOError),
+    ],
+)
+def test_undecodable_byte_cites_line(tmp_path, name, good, load, error):
+    path = tmp_path / name
+    path.write_bytes(good.encode() + b"\n\xff" + good.encode() + b"\n")
+    with pytest.raises(error, match="line 2: invalid UTF-8"):
+        load(path)
 
 
 class TestKCore:

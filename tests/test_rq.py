@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from sidforge.rq import (
     level_letter,
     load_assignment,
     load_model,
+    load_model_and_assignment,
     parse_sid,
     render_sid,
     save_assignment,
@@ -288,14 +290,35 @@ class TestAssignment:
         save_assignment(assign, path)
         lines = path.read_text().splitlines()
         bad_sid = lines[1].replace('"sid": "<a_', '"sid": "<a_9').replace("<a_99", "<a_9")
-        for meta, rec, match in (
+        meta = json.loads(lines[0])
+        for meta_line, rec, match in (
             (lines[0], bad_sid, "line 2"),
             (lines[0], lines[1].replace('"item_id"', '"item"'), "line 2"),
             ("[]", lines[1], "meta line"),
+            (lines[0], lines[1].replace('"a"', "5"), "line 2: item_id 5"),
+            (json.dumps({**meta, "count": "x"}), lines[1], "count 'x'"),
+            (json.dumps({**meta, "count": True}), lines[1], "count True"),
+            (json.dumps({**meta, "count": 1.0}), lines[1], "count 1.0"),
+            (lines[0], "\udcff" + lines[1], "line 2: invalid UTF-8"),
         ):
-            path.write_text(meta + "\n" + rec + "\n")
+            path.write_text(meta_line + "\n" + rec + "\n", errors="surrogateescape")
             with pytest.raises(RqError, match=match):
                 load_assignment(path)
+        # Every token must index its level's codebook in the model that
+        # produced the assignment: token 5 of a 4-entry level is refused.
+        model_path = tmp_path / "m.rq"
+        save_model(model, model_path)
+        for tokens, match in (
+            ([5], "item 'a': token 5 out of range"),
+            ([-1], "item 'a': token -1 out of range"),
+            ([1, 2], "do not all have 1 tokens"),
+        ):
+            rec = {"item_id": "a", "sid": render_sid(tokens), "tokens": tokens}
+            path.write_text(lines[0] + "\n" + json.dumps(rec) + "\n")
+            with pytest.raises(RqError, match=match):
+                load_model_and_assignment(model_path, path)
+        path.write_text("\n".join(lines[:2]) + "\n")
+        assert load_model_and_assignment(model_path, path)[1].sids == assign.sids
 
 
 class TestModelFile:
@@ -337,6 +360,12 @@ class TestModelFile:
             path.write_bytes(damaged)
             with pytest.raises(RqError):
                 load_model(path)
+        # A block header claiming 0xFFFFFFFF x 0xFFFFFFFF floats is refused
+        # before any read, citing the absolute offset of its payload.
+        claim = struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)
+        path.write_bytes(original[: header_end + 8] + claim + original[header_end + 16 :])
+        with pytest.raises(RqError, match=f"byte offset {header_end + 16}: header claims"):
+            load_model(path)
 
     def test_rejects_trailing_bytes(self, tmp_path, rng):
         points = np.asarray(rng.normal(size=(60, 4)), dtype=np.float32)

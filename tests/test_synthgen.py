@@ -10,6 +10,7 @@ from sidforge.synthgen import (
     default_transition,
     generate_catalog,
     generate_interactions,
+    load_synth_config,
 )
 
 
@@ -42,6 +43,13 @@ class TestConfig:
             SynthConfig.from_dict({"num_items": 5})
         with pytest.raises(SynthError, match="num_items"):
             SynthConfig.from_dict({**small_cfg().to_dict(), "num_items": "x"})
+
+    def test_config_file_must_hold_an_object(self, tmp_path):
+        path = tmp_path / "synth.json"
+        for text, match in (("5", "JSON object, not int"), ("[]", "not list"), ("{", "unreadable")):
+            path.write_text(text)
+            with pytest.raises(SynthError, match=match):
+                load_synth_config(path)
 
     def test_validation(self):
         with pytest.raises(SynthError):
