@@ -8,6 +8,7 @@ that draw random numbers require an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -39,7 +40,7 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 def _cmd_synth(args) -> int:
     cfg = synthgen.load_synth_config(args.config)
     if args.seed is not None:
-        cfg = synthgen.SynthConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     catalog, emb, interactions = pipeline.synthesize_sources(cfg)
     paths = pipeline.ArtifactPaths.in_dir(Path(args.out_dir))
     interactions = pipeline.write_sources(paths, catalog, emb, interactions, args.kcore)
@@ -304,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--levels", type=int, required=True)
     p.add_argument("--sizes", required=True, help="comma-separated codebook sizes")
-    p.add_argument("--max-iters", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--max-iters", type=int, default=rq.RqConfig.kmeans_max_iters)
+    p.add_argument("--tol", type=float, default=rq.RqConfig.kmeans_rel_tol)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--normalize", action="store_true", help="unit-normalize inputs first")
     p.add_argument("--workers", type=int, default=1)
@@ -352,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kcore", type=int, default=0)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-history", type=int, default=20)
+    p.add_argument("--max-history", type=int, default=pipeline.CorpusSection.max_history)
     p.add_argument("--out", required=True, help="JSONL corpus to write")
     p.add_argument("--chat-out", default=None, help="rendered chat-text file")
     p.add_argument("--vocab-out", default=None, help="SID token vocabulary file")
@@ -362,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--assignment", required=True)
     p.add_argument("--interactions", required=True)
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--order", type=int, default=pipeline.EvalSection.order)
+    p.add_argument("--alpha", type=float, default=pipeline.EvalSection.alpha)
     p.add_argument("--include-validation", action="store_true")
     p.add_argument("--kcore", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -374,8 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assignment", required=True)
     p.add_argument("--interactions", required=True)
     p.add_argument("--ngram", required=True)
-    p.add_argument("--beam", type=int, default=20)
-    p.add_argument("--k", default="5,10", help="comma-separated cutoffs")
+    p.add_argument("--beam", type=int, default=pipeline.EvalSection.beam_size)
+    p.add_argument("--k", default=",".join(map(str, pipeline.EvalSection.ks)),
+                   help="comma-separated cutoffs")
     p.add_argument("--exclude-validation", action="store_true")
     p.add_argument("--unconstrained", action="store_true")
     p.add_argument("--baseline", action="store_true", help="also score the popularity ranking")

@@ -1,17 +1,20 @@
 """Core domain types and file ingestion: item catalogs, embedding matrices,
 interaction logs, k-core filtering, and the leave-last-out split. Every
-sidforge writer opens its file through atomic_open."""
+sidforge writer opens its file through atomic_open; every config is read by
+from_json."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
 import struct
+import typing
 import zlib
 from collections import Counter, defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +47,66 @@ def atomic_open(path, mode="w", **open_kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def is_json_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# A dataclass's field annotations as types, evaluated once per class.
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def _json_as(kind, value):
+    """value as the annotated type kind; TypeError if its JSON type differs."""
+    if kind is float:
+        if is_json_int(value) or isinstance(value, float):
+            return float(value)
+    elif kind is int:
+        if is_json_int(value):
+            return value
+    elif type(kind) is type:  # bool, str and None take only themselves
+        if isinstance(value, kind):
+            return value
+    elif typing.get_origin(kind) is tuple:
+        # tuple[int, ...] takes any length, tuple[int, int] exactly two.
+        args = typing.get_args(kind)
+        if isinstance(value, (list, tuple)) and (args[-1] is ... or len(value) == len(args)):
+            return tuple(_json_as(args[0], v) for v in value)
+    else:  # a union such as str | None
+        for arg in typing.get_args(kind):
+            try:
+                return _json_as(arg, value)
+            except TypeError:
+                pass
+    raise TypeError(kind)
+
+
+def from_json(cls, obj, error: type[ValueError], name: str | None = None):
+    """An instance of the dataclass cls from a JSON object: each key must name
+    a field, each field without a default must be present, and each value must
+    have its field's JSON type (a bool is not an int; an int is a float). Else
+    raises `error`, naming `name` (by default the class name) and the field."""
+    name = name or cls.__name__
+    if not isinstance(obj, dict):
+        raise error(f"{name} must be a JSON object, not {type(obj).__name__}")
+    hints = _field_types(cls)
+    unknown = set(obj) - set(hints)
+    if unknown:
+        raise error(f"unknown {name} fields: {sorted(unknown)}")
+    missing = {f.name for f in fields(cls) if f.default is MISSING} - set(obj)
+    if missing:
+        raise error(f"missing {name} fields: {sorted(missing)}")
+    kwargs = {}
+    for key, value in obj.items():
+        kind = hints[key]
+        try:
+            kwargs[key] = _json_as(kind, value)
+        except TypeError:
+            shown = kind.__name__ if type(kind) is type else str(kind)
+            raise error(f"{name} field {key!r} must be {shown}, not {value!r}") from None
+    return cls(**kwargs)
 
 
 class CatalogError(ValueError):

@@ -24,7 +24,7 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -32,6 +32,7 @@ from . import diagnostics, recommender, rq, synthgen
 from .datamodel import (
     CatalogError,
     atomic_open,
+    from_json,
     ids_path_for,
     k_core_filter,
     leave_last_out_split,
@@ -48,30 +49,76 @@ log = logging.getLogger("sidforge.pipeline")
 MANIFEST_FORMAT = "sidforge-manifest-v1"
 ENV_PREFIX = "SIDFORGE_"
 
-DEFAULT_CONFIG = {
-    "pipeline": {"mode": "synth", "output_dir": "sidforge_out", "workers": 1, "kcore": 0},
-    "inputs": {"items": None, "embeddings": None, "interactions": None},
-    "synth": None,
-    "rq": {
-        "levels": 3,
-        "codebook_sizes": [64, 32, 16],
-        "kmeans_max_iters": 50,
-        "kmeans_rel_tol": 1e-4,
-        "seed": 0,
-        "normalize_inputs": False,
-    },
-    "corpus": {"n": 1000, "max_history": 20, "seed": 0},
-    "eval": {
-        "ks": [5, 10],
-        "beam_size": 20,
-        "order": 3,
-        "alpha": 0.1,
-        "include_validation": True,
-        "ngram_include_validation": False,
-    },
-    "diagnostics": {"probe_seed": 0, "run_probe": True, "sim_curve": True},
-    "stages": {"source": True, "tokenize": True, "diagnose": True, "corpus": True, "eval": True},
+
+class ConfigError(ValueError):
+    """An unreadable config, or a section key unknown or of the wrong type."""
+
+
+# One record per config section; its fields hold the defaults. The `rq` and
+# `synth` sections are read by rq.RqConfig and synthgen.SynthConfig.
+@dataclass(frozen=True)
+class PipelineSection:
+    mode: str = "synth"
+    output_dir: str = "sidforge_out"
+    workers: int = 1
+    kcore: int = 0
+
+
+@dataclass(frozen=True)
+class InputsSection:
+    items: str | None = None
+    embeddings: str | None = None
+    interactions: str | None = None
+
+
+@dataclass(frozen=True)
+class CorpusSection:
+    n: int = 1000
+    max_history: int = 20
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class EvalSection:
+    ks: tuple[int, ...] = (5, 10)
+    beam_size: int = 20
+    order: int = 3
+    alpha: float = 0.1
+    include_validation: bool = True
+    ngram_include_validation: bool = False
+
+
+@dataclass(frozen=True)
+class DiagnosticsSection:
+    probe_seed: int = 0
+    run_probe: bool = True
+    sim_curve: bool = True
+
+
+@dataclass(frozen=True)
+class StagesSection:
+    source: bool = True
+    tokenize: bool = True
+    diagnose: bool = True
+    corpus: bool = True
+    eval: bool = True
+
+
+_SECTIONS = {
+    "pipeline": PipelineSection,
+    "inputs": InputsSection,
+    "corpus": CorpusSection,
+    "eval": EvalSection,
+    "diagnostics": DiagnosticsSection,
+    "stages": StagesSection,
 }
+
+# The JSON round trip turns tuples into lists, as a config file holds them.
+DEFAULT_CONFIG = json.loads(json.dumps({
+    "synth": None,
+    "rq": asdict(rq.RqConfig(levels=3, codebook_sizes=(64, 32, 16))),
+    **{name: asdict(section()) for name, section in _SECTIONS.items()},
+}))
 
 
 class StageFailure(RuntimeError):
@@ -184,32 +231,41 @@ def load_config(path=None, env=None) -> dict:
     cfg = {k: (dict(v) if isinstance(v, dict) else v) for k, v in DEFAULT_CONFIG.items()}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ConfigError(f"unreadable pipeline config {path}: {exc}") from exc
         if not isinstance(file_cfg, dict):
-            raise ValueError("pipeline config must be a JSON object")
+            raise ConfigError(f"pipeline config {path} is a {type(file_cfg).__name__}, not an object")
         cfg = _merge(cfg, file_cfg)
     return apply_env_overrides(cfg, env)
 
 
 def _read_manifest(path: Path) -> dict:
+    """The manifest's stage entries; none, with a warning, if it is malformed."""
     if not path.exists():
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        log.warning("unreadable manifest at %s; treating all stages as stale", path)
-        return {}
-    if manifest.get("format") != MANIFEST_FORMAT:
-        return {}
-    return manifest
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+        manifest = None
+    stages = manifest.get("stages") if isinstance(manifest, dict) else None
+    if isinstance(stages, dict) and manifest.get("format") == MANIFEST_FORMAT and all(
+        isinstance(entry, dict)
+        and all(isinstance(entry.get(key), dict) for key in ("input_files", "output_files"))
+        for entry in stages.values()
+    ):
+        return stages
+    log.warning("unreadable manifest at %s; treating all stages as stale", path)
+    return {}
 
 
 class _Runner:
-    def __init__(self, old_manifest: dict, force: bool):
+    def __init__(self, old_stages: dict, force: bool):
         # Under force nothing hits, but the entries of stages this run skips
         # are kept for the next run.
-        self.old_stages = dict(old_manifest.get("stages", {}))
+        self.old_stages = dict(old_stages)
         self.new_stages = dict(self.old_stages)
         self.ledger: dict[str, str] = {}
         self.summary: dict[str, str] = {}
@@ -408,76 +464,77 @@ def evaluate_baseline(
 
 def run_pipeline(cfg: dict, force: bool = False):
     """Execute the enabled stages; returns (exit_status, summary). A nonzero
-    status is the number of the stage that failed or refused."""
-    pipe = cfg["pipeline"]
-    out_dir = Path(pipe["output_dir"])
+    status is the number of the stage that failed or refused. A section with
+    an unknown key or a mistyped value raises before any stage runs."""
+    if set(cfg) != set(DEFAULT_CONFIG):
+        odd = sorted(set(cfg) ^ set(DEFAULT_CONFIG))
+        raise ConfigError(f"unknown or missing config sections: {odd}")
+    sections = {name: from_json(cls, cfg[name], ConfigError, name) for name, cls in _SECTIONS.items()}
+    pipe, inputs, enabled = sections["pipeline"], sections["inputs"], sections["stages"]
+    ccfg, ecfg, dcfg = sections["corpus"], sections["eval"], sections["diagnostics"]
+    rcfg = rq.RqConfig.from_dict(cfg["rq"])
+    scfg = None if cfg["synth"] is None else synthgen.SynthConfig.from_dict(cfg["synth"])
+
+    out_dir = Path(pipe.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = ArtifactPaths.in_dir(out_dir)
-    workers = int(pipe.get("workers", 1))
-    kcore = int(pipe.get("kcore", 0) or 0)
-    mode = pipe.get("mode", "synth")
     runner = _Runner(_read_manifest(paths.manifest), force)
     summary: dict = {"output_dir": str(out_dir), "stages": runner.summary}
 
     def source_stage():
-        if mode == "synth":
-            if not cfg.get("synth"):
+        if pipe.mode == "synth":
+            if scfg is None:
                 raise ValueError("pipeline.mode is 'synth' but the synth section is empty")
-            sources = synthesize_sources(synthgen.SynthConfig.from_dict(cfg["synth"]))
-        elif mode == "ingest":
-            inputs = cfg["inputs"]
-            sources = load_sources(inputs["items"], inputs["embeddings"], inputs["interactions"])
+            sources = synthesize_sources(scfg)
+        elif pipe.mode == "ingest":
+            sources = load_sources(inputs.items, inputs.embeddings, inputs.interactions)
         else:
-            raise ValueError(f"unknown pipeline.mode {mode!r}")
-        write_sources(paths, *sources, kcore=kcore)
+            raise ValueError(f"unknown pipeline.mode {pipe.mode!r}")
+        write_sources(paths, *sources, kcore=pipe.kcore)
 
     def diagnose_stage():
-        dcfg = cfg["diagnostics"]
         payload = diagnose(
             paths.model,
             paths.assignment,
-            embeddings=paths.embeddings if dcfg.get("sim_curve", True) else None,
-            items=paths.items if dcfg.get("run_probe", True) else None,
-            probe_seed=int(dcfg.get("probe_seed", 0)),
+            embeddings=paths.embeddings if dcfg.sim_curve else None,
+            items=paths.items if dcfg.run_probe else None,
+            probe_seed=dcfg.probe_seed,
             out=paths.diagnostics_json,
         )
         with atomic_open(paths.diagnostics_table, encoding="utf-8", newline="\n") as fh:
             fh.write(diagnostics.render_table(payload) + "\n")
 
     def corpus_stage():
-        ccfg = cfg["corpus"]
         export_corpus(
             paths.items,
             paths.assignment,
             paths.interactions,
             paths.corpus,
-            n=int(ccfg["n"]),
-            seed=int(ccfg["seed"]),
-            max_history=int(ccfg["max_history"]),
+            n=ccfg.n,
+            seed=ccfg.seed,
+            max_history=ccfg.max_history,
             model_path=paths.model,
             vocab_out=paths.vocabulary,
         )
 
     def eval_stage():
-        ecfg = cfg["eval"]
-        include_validation = bool(ecfg.get("include_validation", True))
         model, assign, split = load_tokens_and_split(paths.model, paths.assignment, paths.interactions)
         ngram = recommender.train_ngram(
             split,
             assign,
             model.effective_sizes,
-            order=int(ecfg["order"]),
-            alpha=float(ecfg["alpha"]),
-            include_validation=bool(ecfg.get("ngram_include_validation", False)),
+            order=ecfg.order,
+            alpha=ecfg.alpha,
+            include_validation=ecfg.ngram_include_validation,
         )
         report, pop_report = evaluate_baseline(
             ngram,
             model,
             assign,
             split,
-            ks=tuple(int(k) for k in ecfg["ks"]),
-            beam_size=int(ecfg["beam_size"]),
-            include_validation=include_validation,
+            ks=ecfg.ks,
+            beam_size=ecfg.beam_size,
+            include_validation=ecfg.include_validation,
         )
         # Saved after the evaluation: saving first raises the peak RSS.
         recommender.save_ngram(ngram, paths.ngram)
@@ -486,20 +543,17 @@ def run_pipeline(cfg: dict, force: bool = False):
         )
         recommender.write_metrics_csv(report, paths.metrics_csv)
 
-    source_cfg = {"mode": mode, "kcore": kcore, "synth": cfg.get("synth")}
+    source_cfg = {"mode": pipe.mode, "kcore": pipe.kcore, "synth": cfg["synth"]}
     source_inputs = []
-    if mode == "ingest":
+    if pipe.mode == "ingest":
         source_cfg["inputs"] = cfg["inputs"]
-        source_inputs = [
-            cfg["inputs"][k] for k in ("items", "embeddings", "interactions") if cfg["inputs"].get(k)
-        ]
+        source_inputs = [p for p in (inputs.items, inputs.embeddings, inputs.interactions) if p]
     # (exit status, name, config hashed into the cache key, inputs, outputs, compute)
     stages = (
         (1, "source", source_cfg, source_inputs,
          [paths.items, paths.embeddings, paths.embedding_ids, paths.interactions], source_stage),
         (2, "tokenize", {"rq": cfg["rq"]}, [paths.embeddings, paths.embedding_ids],
-         [paths.model, paths.assignment],
-         lambda: tokenize(paths, rq.RqConfig.from_dict(cfg["rq"]), workers)),
+         [paths.model, paths.assignment], lambda: tokenize(paths, rcfg, pipe.workers)),
         (3, "diagnose", {"diagnostics": cfg["diagnostics"]},
          [paths.model, paths.assignment, paths.embeddings, paths.items],
          [paths.diagnostics_json, paths.diagnostics_table], diagnose_stage),
@@ -512,7 +566,7 @@ def run_pipeline(cfg: dict, force: bool = False):
     status = 0
     try:
         for number, name, stage_cfg, stage_inputs, outputs, compute in stages:
-            if cfg["stages"].get(name, True):
+            if getattr(enabled, name):
                 runner.run(number, name, config_hash(stage_cfg), stage_inputs, outputs, compute)
     except StageFailure as stop:
         log.error("%s", stop)

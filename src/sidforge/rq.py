@@ -22,7 +22,7 @@ import json
 import re
 import string
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .datamodel import (
     EmbeddingIOError,
     EmbeddingSet,
     atomic_open,
+    from_json,
+    is_json_int,
     read_lines,
     read_matrix_block,
     write_matrix_block,
@@ -51,21 +53,6 @@ class RqError(ValueError):
     """Raised for invalid quantizer configs, inputs, SIDs, or model files."""
 
 
-def _int_tuple(values) -> tuple[int, ...]:
-    return tuple(int(k) for k in values)
-
-
-# RqConfig field -> the conversion applied to its JSON value.
-_CONFIG_TYPES = {
-    "levels": int,
-    "codebook_sizes": _int_tuple,
-    "kmeans_max_iters": int,
-    "kmeans_rel_tol": float,
-    "seed": int,
-    "normalize_inputs": bool,
-}
-
-
 @dataclass(frozen=True)
 class RqConfig:
     levels: int
@@ -76,7 +63,7 @@ class RqConfig:
     normalize_inputs: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "codebook_sizes", _int_tuple(self.codebook_sizes))
+        object.__setattr__(self, "codebook_sizes", tuple(self.codebook_sizes))
         if self.levels < 1:
             raise RqError("levels must be >= 1")
         if len(self.codebook_sizes) != self.levels:
@@ -92,19 +79,8 @@ class RqConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RqConfig":
-        """Config from a JSON object (a pipeline `rq` section or a model file
-        header); unknown, missing or mistyped fields raise RqError."""
-        unknown = set(obj) - set(_CONFIG_TYPES)
-        if unknown:
-            raise RqError(f"unknown RqConfig fields: {sorted(unknown)}")
-        missing = {"levels", "codebook_sizes"} - set(obj)
-        if missing:
-            raise RqError(f"missing RqConfig fields: {sorted(missing)}")
-        try:
-            kwargs = {name: _CONFIG_TYPES[name](value) for name, value in obj.items()}
-        except (TypeError, ValueError) as exc:
-            raise RqError(f"invalid RqConfig value: {exc}") from exc
-        return cls(**kwargs)
+        """Config from a pipeline `rq` section or a model header; raises RqError."""
+        return from_json(cls, obj, RqError)
 
 
 @dataclass(frozen=True)
@@ -523,7 +499,7 @@ def load_model(path) -> RqModel:
             raise RqError("model header is not a JSON object")
         if header.get("format") != MODEL_FORMAT:
             raise RqError(f"unsupported model format {header.get('format')!r}")
-        cfg = RqConfig.from_dict({name: header[name] for name in _CONFIG_TYPES if name in header})
+        cfg = RqConfig.from_dict({f.name: header[f.name] for f in fields(RqConfig) if f.name in header})
         codebooks = []
         for level in range(1, cfg.levels + 1):
             try:
@@ -535,15 +511,7 @@ def load_model(path) -> RqModel:
             raise RqError("trailing bytes after the last codebook block")
     try:
         dim = int(header["dim"])
-        stats = tuple(
-            LevelFitStats(
-                level=int(st["level"]),
-                configured_size=int(st["configured_size"]),
-                effective_size=int(st["effective_size"]),
-                mse_trace=tuple(float(v) for v in st["mse_trace"]),
-            )
-            for st in header["fit_stats"]
-        )
+        stats = tuple(from_json(LevelFitStats, st, RqError) for st in header["fit_stats"])
         effective_sizes, stored_hash = list(header["effective_sizes"]), header["model_hash"]
     except (KeyError, TypeError, ValueError) as exc:
         raise RqError(f"malformed model header: {exc!r}") from exc
@@ -593,19 +561,21 @@ def load_assignment(path) -> SidAssignment:
         except json.JSONDecodeError as exc:
             raise RqError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
         try:
-            item_id, sid = obj["item_id"], obj["sid"]
-            tokens = tuple(int(t) for t in obj["tokens"])
-        except (KeyError, TypeError, ValueError) as exc:
+            item_id, sid, tokens = obj["item_id"], obj["sid"], obj["tokens"]
+        except (KeyError, TypeError) as exc:
             raise RqError(f"line {lineno}: malformed record ({exc!r})") from exc
         if not isinstance(item_id, str):
             raise RqError(f"line {lineno}: item_id {item_id!r} is not a string")
+        if not isinstance(tokens, list) or not all(map(is_json_int, tokens)):
+            raise RqError(f"line {lineno}: tokens {tokens!r} are not a list of integers")
+        tokens = tuple(tokens)
         if item_id in sids:
             raise RqError(f"line {lineno}: duplicate item_id {item_id!r}")
         if render_sid(tokens) != sid:
             raise RqError(f"line {lineno}: sid text does not match tokens")
         sids[item_id] = tokens
     count = meta.get("count", len(sids))
-    if isinstance(count, bool) or not isinstance(count, int):
+    if not is_json_int(count):
         raise RqError(f"assignment count {count!r} is not an integer")
     if len(sids) != count:
         raise RqError("assignment count does not match the meta line")

@@ -12,12 +12,12 @@ transition into the next category.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import rng
-from .datamodel import EmbeddingSet, InteractionLog, ItemCatalog, ItemRecord
+from .datamodel import EmbeddingSet, InteractionLog, ItemCatalog, ItemRecord, from_json
 
 _CATEGORY_NOUNS = (
     "Soccer Gear",
@@ -45,24 +45,6 @@ class SynthError(ValueError):
     """Raised for invalid generator configurations."""
 
 
-# SynthConfig field -> the conversion applied to its JSON value.
-_FIELD_TYPES = {
-    "num_items": int,
-    "num_users": int,
-    "dim": int,
-    "num_categories": int,
-    "enrichment_level": float,
-    "intra_category_noise": float,
-    "events_per_user": lambda pair: tuple(int(v) for v in pair),
-    "seed": int,
-    "informative_fraction": float,
-    "twin_fraction": float,
-    "twin_separation": float,
-    "center_scale": float,
-    "dominant_transition": float,
-}
-
-
 @dataclass(frozen=True)
 class SynthConfig:
     num_items: int
@@ -80,7 +62,7 @@ class SynthConfig:
     dominant_transition: float = 0.8
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "events_per_user", tuple(int(v) for v in self.events_per_user))
+        object.__setattr__(self, "events_per_user", tuple(self.events_per_user))
         if self.num_items < 1 or self.num_users < 1 or self.num_categories < 1:
             raise SynthError("num_items, num_users, and num_categories must be positive")
         if self.num_categories > self.num_items:
@@ -105,23 +87,8 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SynthConfig":
-        """Config from a JSON object; unknown, missing or mistyped fields
-        raise SynthError."""
-        if not isinstance(obj, dict):
-            raise SynthError(f"a SynthConfig must be a JSON object, not {type(obj).__name__}")
-        unknown = set(obj) - set(_FIELD_TYPES)
-        if unknown:
-            raise SynthError(f"unknown SynthConfig fields: {sorted(unknown)}")
-        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(obj)
-        if missing:
-            raise SynthError(f"missing SynthConfig fields: {sorted(missing)}")
-        kwargs = {}
-        for name, value in obj.items():
-            try:
-                kwargs[name] = _FIELD_TYPES[name](value)
-            except (TypeError, ValueError) as exc:
-                raise SynthError(f"invalid SynthConfig field {name!r}: {exc}") from exc
-        return cls(**kwargs)
+        """Config from a JSON object; raises SynthError."""
+        return from_json(cls, obj, SynthError)
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -261,6 +261,17 @@ def test_pipeline_subcommand_exit_codes(tmp_path, synth_config, capsys):
     assert status == 0
 
 
+def test_pipeline_config_typo_fails_before_any_stage(tmp_path, capsys, caplog):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "pipe.json"
+    cfg_path.write_text(json.dumps({"pipeline": {"output_dir": str(out)}, "eval": {"beamsize": 5}}))
+    status = main(["pipeline", "--config", str(cfg_path)])
+    assert status == 1
+    assert "eval" in caplog.text and "beamsize" in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_missing_file_errors_return_one(tmp_path, capsys):
     status, _ = run(
         capsys,

@@ -6,6 +6,7 @@ import pytest
 
 from sidforge.pipeline import (
     ArtifactPaths,
+    ConfigError,
     DEFAULT_CONFIG,
     apply_env_overrides,
     config_hash,
@@ -81,6 +82,30 @@ class TestConfig:
     def test_env_override_fills_empty_synth_section(self):
         cfg = apply_env_overrides(load_config(env={}), {"SIDFORGE_SYNTH_SEED": "3"})
         assert cfg["synth"] == {"seed": 3}
+
+    def test_unknown_or_mistyped_keys_rejected_before_any_stage(self, tmp_path):
+        out = tmp_path / "out"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"eval": {"include_validation": "false"}}))
+        for cfg, match in (
+            (apply_env_overrides(base_cfg(out), {"SIDFORGE_EVAL_INCLUDE_VALIDATION": "False"}),
+             "eval field 'include_validation'"),
+            (apply_env_overrides(base_cfg(out), {"SIDFORGE_EVAL_BEAMSIZE": "5"}),
+             r"unknown eval fields: \['beamsize'\]"),
+            ({**load_config(path, env={}), "synth": SYNTH}, "eval field 'include_validation'"),
+            ({**base_cfg(out), "stages": {"evl": False}}, r"unknown stages fields: \['evl'\]"),
+        ):
+            with pytest.raises(ConfigError, match=match):
+                run_pipeline(cfg)
+            assert not out.exists()
+
+    def test_unreadable_config_file_named(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        for data, match in ((b"{", "unreadable"), (b'{"a": "\xff"}', "unreadable"), (b"[]", "list")):
+            path.write_bytes(data)
+            with pytest.raises(ConfigError, match=match) as info:
+                load_config(path, env={})
+            assert str(path) in str(info.value)
 
     def test_config_hash_stable_under_key_order(self):
         assert config_hash({"a": 1, "b": [2, 3]}) == config_hash({"b": [2, 3], "a": 1})
@@ -239,6 +264,30 @@ class TestRun:
         status, summary = run_pipeline(cfg)
         assert status == 0
         assert all(v == "cache-hit" for v in summary["stages"].values())
+
+    def test_malformed_manifest_treated_as_stale(self, tmp_path, caplog):
+        out = tmp_path / "out"
+        cfg = base_cfg(out)
+        run_pipeline(cfg)
+        path = ArtifactPaths.in_dir(out).manifest
+        good = json.loads(path.read_text())
+        no_outputs = json.loads(path.read_text())
+        del no_outputs["stages"]["source"]["output_files"]
+        for text in (
+            json.dumps({**good, "stages": [1]}),
+            json.dumps({**good, "stages": {"source": 5}}),
+            "[]",
+            json.dumps(no_outputs),
+            "{",
+            "\udcff",  # not UTF-8
+        ):
+            path.write_text(text, errors="surrogateescape")
+            caplog.clear()
+            status, summary = run_pipeline(cfg)
+            assert status == 0
+            assert all(v == "ran" for v in summary["stages"].values())
+            assert "treating all stages as stale" in caplog.text
+        assert json.loads(path.read_text())["stages"].keys() == good["stages"].keys()
 
     def test_bad_mode_fails_stage_one(self, tmp_path):
         cfg = base_cfg(tmp_path / "out")

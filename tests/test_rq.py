@@ -217,6 +217,9 @@ class TestFit:
             {"codebook_sizes": [4]},
             {"levels": 1, "codebook_sizes": 4},
             {"levels": 1, "codebook_sizes": ["x"]},
+            {"levels": 1, "codebook_sizes": [4], "normalize_inputs": "false"},
+            {"levels": 1.9, "codebook_sizes": [4]},
+            {"levels": 1, "codebook_sizes": [4], "seed": True},
         ):
             with pytest.raises(RqError):
                 RqConfig.from_dict(obj)
@@ -300,6 +303,11 @@ class TestAssignment:
             (json.dumps({**meta, "count": True}), lines[1], "count True"),
             (json.dumps({**meta, "count": 1.0}), lines[1], "count 1.0"),
             (lines[0], "\udcff" + lines[1], "line 2: invalid UTF-8"),
+            *(
+                (lines[0], json.dumps({"item_id": "a", "sid": "<a_1><b_0><c_0>", "tokens": tokens}),
+                 "line 2: tokens")
+                for tokens in ([True, 0, 0], [1.9, 0, 0], ["1", 0, 0])
+            ),
         ):
             path.write_text(meta_line + "\n" + rec + "\n", errors="surrogateescape")
             with pytest.raises(RqError, match=match):

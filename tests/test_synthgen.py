@@ -43,6 +43,10 @@ class TestConfig:
             SynthConfig.from_dict({"num_items": 5})
         with pytest.raises(SynthError, match="num_items"):
             SynthConfig.from_dict({**small_cfg().to_dict(), "num_items": "x"})
+        with pytest.raises(SynthError, match="events_per_user"):
+            SynthConfig.from_dict({**small_cfg().to_dict(), "events_per_user": [1, 2, 3]})
+        with pytest.raises(SynthError, match="seed"):
+            SynthConfig.from_dict({**small_cfg().to_dict(), "seed": True})
 
     def test_config_file_must_hold_an_object(self, tmp_path):
         path = tmp_path / "synth.json"
