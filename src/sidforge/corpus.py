@@ -3,6 +3,7 @@ chat-template rendering, and uniform task sampling to line-delimited JSON."""
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -107,9 +108,13 @@ def make_examples(
     examples: list[TrainingExample] = []
     skipped = 0
 
+    # History tasks show the same items to many users: render each SID once
+    # per call. Catalog fields are read directly, which is cheaper than a cache.
+    sid_text = functools.cache(lambda item_id: render_sid(assign[item_id]))
+
     def show(view: str, item_id: str) -> str:
         if view == "sid":
-            return render_sid(assign[item_id])
+            return sid_text(item_id)
         return getattr(catalog.get(item_id), view)
 
     if source == "history":

@@ -200,7 +200,8 @@ def _merge(base: dict, override: dict) -> dict:
 
 def apply_env_overrides(cfg: dict, env=None) -> dict:
     """Overlay SIDFORGE_<SECTION>_<KEY> environment variables; values are
-    parsed as JSON when possible, otherwise kept as strings."""
+    parsed as JSON when possible, otherwise kept as strings. A variable that
+    names no section, or no key, raises ConfigError."""
     if env is None:
         env = os.environ
     out = {k: (dict(v) if isinstance(v, dict) else v) for k, v in cfg.items()}
@@ -211,8 +212,7 @@ def apply_env_overrides(cfg: dict, env=None) -> dict:
         section = section.lower()
         key = key.lower()
         if section not in out or not key:
-            log.warning("ignoring unrecognized override %s", name)
-            continue
+            raise ConfigError(f"override {name} does not name a config section and a key")
         if out[section] is None:
             out[section] = {}
         if not isinstance(out[section], dict):

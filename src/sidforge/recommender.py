@@ -6,24 +6,46 @@ offset_h + t, so the same integer at different levels stays distinct. A
 sequence model scores the next global token given a flattened context; beam
 search expands level by level, restricted to trie children, so only catalog
 SIDs can be generated.
+
+Speed without changing a bit of the results:
+- Training counts each context length's (context, token) windows by sorting
+  them and measuring the runs of equal windows, per user, in numpy.
+- A score row depends only on the back-off context that the last order - 1
+  tokens resolve to, so `NGramModel.score_next` computes each such row once
+  and keeps it on the model in sparse form (its minimum plus the entries
+  that differ from it), at most one per trained context.
+- `rq.build_trie` compiles the trie into per-level CSR arrays, and
+  `beam_search` expands a whole level at once: it gathers every child's
+  score from its hypothesis's row, adds it to the hypothesis score with the
+  same float64 addition as a token-by-token walk, and ranks the candidates
+  with one lexsort on (-score, tokens).
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import re
+import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .datamodel import SplitDataset, atomic_open
+from .datamodel import SplitDataset, atomic_open, is_json_int
 from .rq import SidAssignment, SidSequence, SidTrie
 
 
 class RecommenderError(ValueError):
     """Raised for invalid model, search, or evaluation inputs."""
+
+
+# A count key in ngram.json: a token id in canonical decimal, short enough to
+# convert without the interpreter's digit limit.
+_TOKEN_KEY = re.compile(r"0|[1-9][0-9]{0,17}")
 
 
 def level_offsets(sizes) -> tuple[int, ...]:
@@ -38,29 +60,37 @@ def flatten_sid(sid: SidSequence, offsets) -> tuple[int, ...]:
     return tuple(offsets[h] + int(t) for h, t in enumerate(sid))
 
 
+def flat_sids(assign: SidAssignment, offsets) -> dict[str, tuple[int, ...]]:
+    """Each assigned item's SID as global tokens, flattened once."""
+    return {item: flatten_sid(sid, offsets) for item, sid in assign.sids.items()}
+
+
 def user_context(
     user_train,
     validation,
-    assign: SidAssignment,
-    offsets,
+    flat: dict[str, tuple[int, ...]],
     include_validation: bool,
 ) -> tuple[int, ...]:
-    """Flattened global-token context for one user, oldest item first. Items
-    without a SID are skipped."""
+    """Flattened global-token context for one user, oldest item first, from
+    the `flat_sids` mapping. Items without a SID are skipped."""
     items = list(user_train) + ([validation] if include_validation else [])
     tokens: list[int] = []
     for item in items:
-        if item in assign:
-            tokens.extend(flatten_sid(assign[item], offsets))
+        sid = flat.get(item)
+        if sid is not None:
+            tokens.extend(sid)
     return tuple(tokens)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NGramModel:
     """Back-off n-gram with additive smoothing over the global SID vocabulary.
 
     Scoring uses the longest trained context that matches a suffix of the
     query context, falling back level by level down to the unigram table.
+    Each back-off context's log-probability row is computed once and kept
+    on the model in sparse form, and the model is frozen so the rows cannot
+    go stale.
     """
 
     order: int
@@ -68,27 +98,42 @@ class NGramModel:
     sizes: tuple[int, ...]
     counts: dict[tuple[int, ...], Counter]
     totals: dict[tuple[int, ...], int]
+    # Each resolved back-off context's row as (fill, positions, values): the
+    # row's minimum, which every token without a count holds, and the entries
+    # that differ from it. Full rows would hold vocab_size floats apiece.
+    _rows: dict[tuple[int, ...], tuple[float, np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def vocab_size(self) -> int:
         return sum(self.sizes)
 
     def score_next(self, context) -> np.ndarray:
-        """Log-probability vector over the global vocabulary; sums to one
-        after exponentiation. Pure function of the context."""
-        ctx = tuple(int(t) for t in context)
-        longest = min(self.order - 1, len(ctx))
-        for length in range(longest, -1, -1):
-            suffix = ctx[len(ctx) - length:] if length else ()
-            total = self.totals.get(suffix)
-            if total is None:
-                continue
+        """Read-only log-probability vector over the global vocabulary; sums
+        to one after exponentiation. A pure function of the last order - 1
+        tokens of the context (a sequence)."""
+        ctx = tuple(context[-(self.order - 1):]) if self.order > 1 else ()
+        while ctx not in self.totals:
+            if not ctx:
+                raise RecommenderError("model has no unigram table; was it trained?")
+            ctx = ctx[1:]
+        sparse = self._rows.get(ctx)
+        if sparse is None:
             probs = np.full(self.vocab_size, self.alpha, dtype=np.float64)
-            for token, count in self.counts[suffix].items():
+            for token, count in self.counts[ctx].items():
                 probs[token] += count
-            probs /= total + self.alpha * self.vocab_size
-            return np.log(probs)
-        raise RecommenderError("model has no unigram table; was it trained?")
+            probs /= self.totals[ctx] + self.alpha * self.vocab_size
+            logp = np.log(probs)
+            fill = logp.min()
+            positions = np.flatnonzero(logp != fill)
+            sparse = self._rows[ctx] = (fill, positions, logp[positions])
+        fill, positions, values = sparse
+        row = np.empty(self.vocab_size, dtype=np.float64)
+        row.fill(fill)
+        row[positions] = values
+        row.setflags(write=False)
+        return row
 
 
 def train_ngram(
@@ -100,33 +145,65 @@ def train_ngram(
     include_validation: bool = False,
 ) -> NGramModel:
     """Accumulate context counts over every user's flattened train sequence
-    (optionally extended by the validation item). Test items never enter."""
+    (optionally extended by the validation item). Test items never enter.
+
+    For each context length, the (context, token) windows that lie inside one
+    user's sequence are sorted, and each run of equal windows is one count."""
     if order < 1:
         raise RecommenderError("order must be >= 1")
     if not alpha > 0.0:
         raise RecommenderError("alpha must be > 0")
     sizes = tuple(int(k) for k in sizes)
-    offsets = level_offsets(sizes)
+    vocab_size = sum(sizes)
+    flat = flat_sids(assign, level_offsets(sizes))
+    if not all(0 <= t < vocab_size for sid in flat.values() for t in sid):
+        raise RecommenderError(f"a SID token lies outside the level sizes {list(sizes)}")
+    streams = [
+        user_context(user.train, user.validation, flat, include_validation)
+        for user in (split.users[user_id] for user_id in sorted(split.users))
+    ]
+    lengths = np.array([len(s) for s in streams], dtype=np.int64)
+    if not lengths.any():
+        raise RecommenderError("no training tokens; empty split or assignment")
+    # The narrowest type that holds every token keeps the window copies small.
+    tokens = np.fromiter(
+        itertools.chain.from_iterable(streams),
+        dtype=np.min_scalar_type(vocab_size - 1),
+        count=int(lengths.sum()),
+    )
+    del streams  # free the per-user tuples before the window copies
+    user_start = np.zeros(tokens.size, dtype=bool)
+    user_start[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
+    # inside[s]: the window of the current length starting at s lies in one user
+    inside = np.ones(tokens.size, dtype=bool)
     counts: dict[tuple[int, ...], Counter] = {}
     totals: dict[tuple[int, ...], int] = {}
-    n_tokens = 0
-    for user_id in sorted(split.users):
-        user = split.users[user_id]
-        tokens = user_context(
-            user.train, user.validation, assign, offsets, include_validation
-        )
-        n_tokens += len(tokens)
-        for i, token in enumerate(tokens):
-            for length in range(min(order - 1, i) + 1):
-                ctx = tokens[i - length:i]
-                if ctx not in counts:
-                    counts[ctx] = Counter()
-                    totals[ctx] = 0
-                counts[ctx][token] += 1
-                totals[ctx] += 1
-    if n_tokens == 0:
-        raise RecommenderError("no training tokens; empty split or assignment")
+    for length in range(min(order, int(lengths.max()))):
+        if length:
+            inside = inside[:-1] & ~user_start[length:]
+        runs, n_runs = _distinct_rows(sliding_window_view(tokens, length + 1)[inside])
+        ctx_starts = _row_changes(runs[:, :length])
+        bounds = [*ctx_starts.tolist(), len(runs)]
+        for ctx, a, b in zip(runs[ctx_starts, :length].tolist(), bounds, bounds[1:]):
+            counter = Counter(dict(zip(runs[a:b, length].tolist(), n_runs[a:b].tolist())))
+            counts[tuple(ctx)] = counter
+            totals[tuple(ctx)] = sum(counter.values())
     return NGramModel(order=order, alpha=float(alpha), sizes=sizes, counts=counts, totals=totals)
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a matrix in lexicographic order, and how often
+    each occurs."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    starts = _row_changes(rows)
+    return rows[starts], np.diff(starts, append=len(rows))
+
+
+def _row_changes(rows: np.ndarray) -> np.ndarray:
+    """Indices of the rows of a sorted matrix that differ from the row before."""
+    changed = np.ones(len(rows), dtype=bool)
+    changed[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return np.flatnonzero(changed)
 
 
 def save_ngram(model: NGramModel, path) -> None:
@@ -153,38 +230,53 @@ def load_ngram(path) -> NGramModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
             raise RecommenderError(f"unreadable n-gram file: {exc}") from exc
     if not isinstance(payload, dict):
         raise RecommenderError("n-gram file is not a JSON object")
     if payload.get("format") != "sidforge-ngram-v1":
         raise RecommenderError(f"unsupported n-gram format {payload.get('format')!r}")
+    missing = [key for key in ("order", "alpha", "sizes", "contexts") if key not in payload]
+    if missing:
+        raise RecommenderError(f"n-gram file has no {missing} fields")
+    order, alpha, sizes = payload["order"], payload["alpha"], payload["sizes"]
+    if not is_json_int(order) or order < 1:
+        raise RecommenderError(f"n-gram order {order!r} is not an integer >= 1")
+    if (isinstance(alpha, bool) or not isinstance(alpha, (int, float))
+            or not 0.0 < alpha <= sys.float_info.max):
+        raise RecommenderError(f"n-gram alpha {alpha!r} is not a finite number > 0")
+    if not isinstance(sizes, list) or not sizes or not all(is_json_int(k) and k >= 1 for k in sizes):
+        raise RecommenderError(f"n-gram sizes {sizes!r} are not a list of integers >= 1")
+    if not isinstance(payload["contexts"], list):
+        raise RecommenderError("n-gram contexts are not a list")
+    vocab_size = sum(sizes)
     counts: dict[tuple[int, ...], Counter] = {}
     totals: dict[tuple[int, ...], int] = {}
-    try:
-        sizes = tuple(int(k) for k in payload["sizes"])
-        for entry in payload["contexts"]:
-            ctx = tuple(int(t) for t in entry["ctx"])
-            counter = Counter({int(tok): int(c) for tok, c in entry["counts"].items()})
-            counts[ctx] = counter
-            totals[ctx] = sum(counter.values())
-        order, alpha = int(payload["order"]), float(payload["alpha"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise RecommenderError(f"malformed n-gram file: {exc!r}") from exc
-    if order < 1:
-        raise RecommenderError(f"n-gram order {order} is below 1")
-    if not alpha > 0.0:
-        raise RecommenderError(f"n-gram alpha {alpha} is not > 0")
-    if any(k < 1 for k in sizes):
-        raise RecommenderError(f"n-gram sizes {list(sizes)} include a size below 1")
-    vocab_size = sum(sizes)
-    for ctx, counter in counts.items():
-        for token in counter:
-            if not 0 <= token < vocab_size:
+    for i, entry in enumerate(payload["contexts"]):
+        where = f"n-gram context #{i}"
+        if not (isinstance(entry, dict) and isinstance(entry.get("ctx"), list)
+                and isinstance(entry.get("counts"), dict)):
+            raise RecommenderError(f"{where} is not an object with a 'ctx' list and a 'counts' object")
+        ctx = entry["ctx"]
+        if len(ctx) >= order or not all(is_json_int(t) and 0 <= t < vocab_size for t in ctx):
+            raise RecommenderError(
+                f"{where}: {ctx!r} is not a list of at most {order - 1} tokens in [0, {vocab_size})"
+            )
+        if tuple(ctx) in counts:
+            raise RecommenderError(f"{where}: context {ctx} appears twice")
+        counter = Counter()
+        for key, count in entry["counts"].items():
+            if not _TOKEN_KEY.fullmatch(key) or int(key) >= vocab_size:
                 raise RecommenderError(
-                    f"context {list(ctx)}: token {token} outside the vocabulary [0, {vocab_size})"
+                    f"{where}: token {key} is not a canonical decimal integer"
+                    f" in the vocabulary [0, {vocab_size})"
                 )
-    return NGramModel(order=order, alpha=alpha, sizes=sizes, counts=counts, totals=totals)
+            if not is_json_int(count) or count < 1:
+                raise RecommenderError(f"{where}: token {key} has count {count!r}, not an integer >= 1")
+            counter[int(key)] = count
+        counts[tuple(ctx)] = counter
+        totals[tuple(ctx)] = sum(counter.values())
+    return NGramModel(order=order, alpha=float(alpha), sizes=tuple(sizes), counts=counts, totals=totals)
 
 
 def beam_search(
@@ -202,6 +294,11 @@ def beam_search(
     tokens after each hypothesis (or the whole level vocabulary when
     unconstrained). Ties break lexicographically on the token sequence. May
     return fewer than top_k results if the trie has fewer SIDs.
+
+    Each level is expanded for all hypotheses at once: one `score_next` row
+    per hypothesis, every child's score as the row entry added to the
+    hypothesis score (the same float64 sums as a token-by-token walk), and a
+    lexsort on (-score, tokens), a total order, picks the next beam.
     """
     if top_k < 1 or beam_size < top_k:
         raise RecommenderError("need beam_size >= top_k >= 1")
@@ -210,23 +307,30 @@ def beam_search(
     sizes = tuple(int(k) for k in sizes)
     if len(sizes) != trie.depth:
         raise RecommenderError(f"{len(sizes)} level sizes for trie depth {trie.depth}")
-    offsets = level_offsets(sizes)
-    ctx = tuple(int(t) for t in context)
-    # beam entry: (score, level tokens, global tokens)
-    beams = [(0.0, (), ())]
+    offsets = np.array(level_offsets(sizes), dtype=np.int64)
+    ctx = tuple(context)
+    # The beam, best first: trie node at the current depth, score, level tokens.
+    nodes = np.zeros(1, dtype=np.int64)
+    scores = np.zeros(1, dtype=np.float64)
+    tokens = np.zeros((1, 0), dtype=np.int64)
     for level in range(trie.depth):
-        candidates = []
-        for score, tokens, gtokens in beams:
-            logp = model.score_next(ctx + gtokens)
-            children = range(sizes[level]) if unconstrained else trie.next_tokens(tokens)
-            for token in children:
-                gid = offsets[level] + token
-                candidates.append((score + float(logp[gid]), tokens + (token,), gtokens + (gid,)))
-        # (-score, tokens) is a total order, so the candidates' insertion order
-        # never shows in the ranking.
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        beams = candidates[:beam_size]
-    return [(tokens, score) for score, tokens, _ in beams[:top_k]]
+        rows = np.array([model.score_next(ctx + tuple(g)) for g in (tokens + offsets[:level]).tolist()])
+        if unconstrained:
+            first, n_children = 0, np.full(nodes.size, sizes[level])
+        else:
+            indptr, children = trie.levels[level]
+            first = indptr[nodes]
+            n_children = indptr[nodes + 1] - first
+        parent = np.repeat(np.arange(nodes.size), n_children)
+        # child[j]: position of candidate j in its level's token array (the
+        # token itself when unconstrained), i.e. its node at the next depth
+        child = np.arange(parent.size) + (first - np.cumsum(n_children) + n_children)[parent]
+        child_tokens = child if unconstrained else children[child]
+        candidates = scores[parent] + rows[parent, offsets[level] + child_tokens]
+        candidate_tokens = np.concatenate((tokens[parent], child_tokens[:, None]), axis=1)
+        best = np.lexsort((*candidate_tokens.T[::-1], -candidates))[:beam_size]
+        nodes, scores, tokens = child[best], candidates[best], candidate_tokens[best]
+    return [(tuple(t), s) for t, s in zip(tokens[:top_k].tolist(), scores[:top_k].tolist())]
 
 
 def _ndcg_gain(rank: int) -> float:
@@ -308,7 +412,7 @@ def evaluate(
     if not ks or ks[0] < 1:
         raise RecommenderError("every K must be >= 1")
     top_k = min(beam_size, max(ks))
-    offsets = level_offsets(sizes)
+    flat = flat_sids(assign, level_offsets(sizes))
     ranks: dict[str, int] = {}
     excluded = 0
     shortfalls = 0
@@ -318,7 +422,7 @@ def evaluate(
             excluded += 1
             continue
         target = assign[user.test]
-        ctx = user_context(user.train, user.validation, assign, offsets, include_validation)
+        ctx = user_context(user.train, user.validation, flat, include_validation)
         ranked = beam_search(
             model, ctx, trie, beam_size, top_k, sizes, unconstrained=unconstrained
         )

@@ -22,7 +22,7 @@ import json
 import re
 import string
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -408,14 +408,22 @@ def assign_all(model: RqModel, emb: EmbeddingSet, workers: int = 1) -> SidAssign
 
 @dataclass(frozen=True)
 class SidTrie:
-    """Prefix map over token sequences: each proper prefix maps to its sorted
-    next tokens, and each full SID (in lexicographic order) to the sorted
-    item_ids sharing it."""
+    """Prefix tree over the catalog's SIDs, compiled into one CSR pair of
+    read-only arrays per level, and each full SID (in lexicographic order)
+    mapped to the sorted item_ids sharing it.
 
-    children: dict[SidSequence, tuple[int, ...]]
+    The nodes at depth h are the distinct length-h prefixes in lexicographic
+    order. `levels[h]` is `(indptr, tokens)`: node n's next tokens are
+    `tokens[indptr[n]:indptr[n + 1]]`, ascending, and the child reached
+    through position p of `tokens` is node p at depth h + 1."""
+
     leaves: dict[SidSequence, tuple[str, ...]]
-    depth: int
     n_items: int
+    levels: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False, compare=False)
+
+    @property
+    def depth(self) -> int:
+        return len(self.levels)
 
     @property
     def n_sids(self) -> int:
@@ -424,7 +432,17 @@ class SidTrie:
     def next_tokens(self, prefix) -> tuple[int, ...]:
         """Sorted tokens that extend `prefix` towards a catalog SID; () when
         `prefix` is a full SID or not a prefix of any."""
-        return self.children.get(tuple(prefix), ())
+        prefix = tuple(prefix)
+        if len(prefix) >= self.depth:
+            return ()
+        node = 0
+        for (indptr, tokens), token in zip(self.levels, prefix):
+            lo, hi = indptr[node], indptr[node + 1]
+            node = lo + int(np.searchsorted(tokens[lo:hi], token))
+            if node == hi or tokens[node] != token:
+                return ()
+        indptr, tokens = self.levels[len(prefix)]
+        return tuple(tokens[indptr[node]:indptr[node + 1]].tolist())
 
     def __contains__(self, tokens) -> bool:
         return tuple(tokens) in self.leaves
@@ -438,6 +456,12 @@ class SidTrie:
         yield from self.leaves.items()
 
 
+def _frozen_i64(values) -> np.ndarray:
+    out = np.array(values, dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
 def build_trie(assign: SidAssignment) -> SidTrie:
     if len(assign.sids) == 0:
         raise RqError("cannot build a trie from an empty assignment")
@@ -447,16 +471,19 @@ def build_trie(assign: SidAssignment) -> SidTrie:
         if len(s) != depth:
             raise RqError("assignment mixes SID lengths")
         items.setdefault(tuple(int(t) for t in s), []).append(item_id)
-    children: dict[SidSequence, set[int]] = {}
-    for s in items:
-        for h in range(depth):
-            children.setdefault(s[:h], set()).add(s[h])
-    return SidTrie(
-        children={prefix: tuple(sorted(tokens)) for prefix, tokens in children.items()},
-        leaves={s: tuple(sorted(items[s])) for s in sorted(items)},
-        depth=depth,
-        n_items=len(assign.sids),
-    )
+    leaves = {s: tuple(sorted(items[s])) for s in sorted(items)}
+    sids = np.array(list(leaves), dtype=np.int64).reshape(len(leaves), depth)
+    # starts[r]: row r of the sorted SIDs begins a new prefix of the current length.
+    starts = np.zeros(len(sids), dtype=bool)
+    starts[0] = True
+    levels = []
+    for h in range(depth):
+        parent = np.cumsum(starts) - 1
+        starts[1:] |= sids[1:, h] != sids[:-1, h]
+        n_children = np.bincount(parent[starts], minlength=int(parent[-1]) + 1)
+        levels.append((_frozen_i64(np.concatenate(([0], np.cumsum(n_children)))),
+                       _frozen_i64(sids[starts, h])))
+    return SidTrie(leaves=leaves, n_items=len(assign.sids), levels=tuple(levels))
 
 
 def save_model(model: RqModel, path) -> None:

@@ -75,9 +75,11 @@ class TestConfig:
         assert cfg["pipeline"]["output_dir"] == "/tmp/somewhere"
         assert cfg["eval"]["include_validation"] is False
 
-    def test_env_override_unknown_section_ignored(self, caplog):
-        cfg = apply_env_overrides(load_config(env={}), {"SIDFORGE_NOPE_KEY": "1"})
-        assert "nope" not in cfg
+    def test_env_override_unknown_section_rejected(self):
+        for name in ("SIDFORGE_NOPE_KEY", "SIDFORGE_EVL_INCLUDE_VALIDATION", "SIDFORGE_EVAL",
+                     "SIDFORGE_EVAL_", "SIDFORGE_"):
+            with pytest.raises(ConfigError, match=name):
+                apply_env_overrides(load_config(env={}), {name: "false"})
 
     def test_env_override_fills_empty_synth_section(self):
         cfg = apply_env_overrides(load_config(env={}), {"SIDFORGE_SYNTH_SEED": "3"})

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from sidforge.recommender import (
     beam_search,
     evaluate,
     evaluate_static_ranking,
+    flat_sids,
     flatten_sid,
     level_offsets,
     load_ngram,
@@ -46,9 +48,10 @@ class TestTokenSpace:
 
     def test_user_context_skips_unassigned(self):
         assign = assignment_from_sids({"a": (0,), "b": (1,)})
-        ctx = user_context(("a", "x", "b"), "a", assign, (0,), include_validation=True)
+        flat = flat_sids(assign, (0,))
+        ctx = user_context(("a", "x", "b"), "a", flat, include_validation=True)
         assert ctx == (0, 1, 0)
-        ctx = user_context(("a", "x", "b"), "a", assign, (0,), include_validation=False)
+        ctx = user_context(("a", "x", "b"), "a", flat, include_validation=False)
         assert ctx == (0, 1)
 
 
@@ -133,6 +136,64 @@ class TestNGram:
             path.write_text(text)
             with pytest.raises(RecommenderError, match=match):
                 load_ngram(path)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            ({"order": 3.9}, "order"),
+            ({"order": True}, "order"),
+            ({"order": "2"}, "order"),
+            ({"alpha": True}, "alpha"),
+            ({"alpha": "0.1"}, "alpha"),
+            ({"alpha": float("inf")}, "alpha"),
+            ({"alpha": float("nan")}, "alpha"),
+            ({"alpha": 10**400}, "alpha"),
+            ({"sizes": [2.0]}, "sizes"),
+            ({"sizes": [True]}, "sizes"),
+            ({"sizes": []}, "sizes"),
+            ({"sizes": 2}, "sizes"),
+            ({"contexts": {}}, "contexts"),
+            ({"contexts": [[]]}, "#0 is not an object"),
+            ({"contexts": [{"ctx": []}]}, "#0 is not an object"),
+            ({"contexts": [{"ctx": [True], "counts": {"0": 1}}]}, "#0"),
+            ({"contexts": [{"ctx": [0.0], "counts": {"0": 1}}]}, "#0"),
+            ({"contexts": [{"ctx": [-1], "counts": {"0": 1}}]}, "#0"),
+            ({"contexts": [{"ctx": [2], "counts": {"0": 1}}]}, r"#0: \[2\] is not a list of at most 1 tokens in \[0, 2\)"),
+            ({"contexts": [{"ctx": [0, 1], "counts": {"0": 1}}]}, "at most 1 tokens"),
+            ({"contexts": [{"ctx": [], "counts": {"0": 1}}, {"ctx": [], "counts": {"1": 1}}]}, "appears twice"),
+            ({"contexts": [{"ctx": [], "counts": {"01": 1}}]}, "token 01 is not a canonical"),
+            ({"contexts": [{"ctx": [], "counts": {"-1": 1}}]}, "token -1 is not a canonical"),
+            ({"contexts": [{"ctx": [], "counts": {"+1": 1}}]}, "canonical"),
+            ({"contexts": [{"ctx": [], "counts": {" 1": 1}}]}, "canonical"),
+            ({"contexts": [{"ctx": [], "counts": {"1_0": 1}}]}, "canonical"),
+            ({"contexts": [{"ctx": [], "counts": {"1.0": 1}}]}, "canonical"),
+            ({"contexts": [{"ctx": [], "counts": {"9" * 30: 1}}]}, "canonical"),
+            ({"contexts": [{"ctx": [], "counts": {"0": 0}}]}, "count 0"),
+            ({"contexts": [{"ctx": [], "counts": {"0": -2}}]}, "count -2"),
+            ({"contexts": [{"ctx": [], "counts": {"0": 1.5}}]}, "count 1.5"),
+            ({"contexts": [{"ctx": [], "counts": {"0": True}}]}, "count True"),
+            ({"contexts": [{"ctx": [], "counts": {"0": "1"}}]}, "count '1'"),
+        ],
+    )
+    def test_load_rejects_mistyped_values(self, tmp_path, edit, match):
+        assign = assignment_from_sids({"a": (0,), "b": (1,)})
+        model = train_ngram(split_of({"u": ["a", "b", "a", "b"]}), assign, (2,), order=2, alpha=0.1)
+        path = tmp_path / "ng.json"
+        save_ngram(model, path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        with pytest.raises(RecommenderError, match=match):
+            load_ngram(path)
+
+    def test_load_names_a_missing_field(self, tmp_path):
+        path = tmp_path / "ng.json"
+        path.write_text(json.dumps({"format": "sidforge-ngram-v1", "order": 2, "alpha": 0.1}))
+        with pytest.raises(RecommenderError, match="sizes"):
+            load_ngram(path)
+
+    def test_tokens_outside_the_level_sizes_rejected(self):
+        assign = assignment_from_sids({"a": (0,), "b": (3,)})
+        with pytest.raises(RecommenderError, match="level sizes"):
+            train_ngram(split_of({"u": ["a", "b", "a", "b"]}), assign, (2,), order=2, alpha=0.1)
 
     def test_untrained_parameter_validation(self):
         assign = assignment_from_sids({"a": (0,)})
@@ -232,6 +293,175 @@ class TestBeamSearch:
         )
         results = beam_search(model, (), trie, beam_size=4, top_k=4, sizes=(2, 2))
         assert [tokens for tokens, _ in results] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def reference_score_next(model, context) -> np.ndarray:
+    """NGramModel.score_next before rows were memoised, verbatim: the oracle
+    for the memoised rows."""
+    ctx = tuple(int(t) for t in context)
+    longest = min(model.order - 1, len(ctx))
+    for length in range(longest, -1, -1):
+        suffix = ctx[len(ctx) - length:] if length else ()
+        total = model.totals.get(suffix)
+        if total is None:
+            continue
+        probs = np.full(model.vocab_size, model.alpha, dtype=np.float64)
+        for token, count in model.counts[suffix].items():
+            probs[token] += count
+        probs /= total + model.alpha * model.vocab_size
+        return np.log(probs)
+    raise RecommenderError("model has no unigram table; was it trained?")
+
+
+class ReferenceModel:
+    """Scores through reference_score_next, recomputing every row."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def score_next(self, context):
+        return reference_score_next(self.model, context)
+
+
+def reference_beam_search(model, context, trie, beam_size, top_k, sizes, unconstrained=False):
+    """beam_search before it was vectorised, verbatim: one Python tuple per
+    candidate and one list sort per level."""
+    if top_k < 1 or beam_size < top_k:
+        raise RecommenderError("need beam_size >= top_k >= 1")
+    if trie.n_sids == 0 or not trie.next_tokens(()):
+        raise RecommenderError("empty trie")
+    sizes = tuple(int(k) for k in sizes)
+    if len(sizes) != trie.depth:
+        raise RecommenderError(f"{len(sizes)} level sizes for trie depth {trie.depth}")
+    offsets = level_offsets(sizes)
+    ctx = tuple(int(t) for t in context)
+    # beam entry: (score, level tokens, global tokens)
+    beams = [(0.0, (), ())]
+    for level in range(trie.depth):
+        candidates = []
+        for score, tokens, gtokens in beams:
+            logp = model.score_next(ctx + gtokens)
+            children = range(sizes[level]) if unconstrained else trie.next_tokens(tokens)
+            for token in children:
+                gid = offsets[level] + token
+                candidates.append((score + float(logp[gid]), tokens + (token,), gtokens + (gid,)))
+        # (-score, tokens) is a total order, so the candidates' insertion order
+        # never shows in the ranking.
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        beams = candidates[:beam_size]
+    return [(tokens, score) for score, tokens, _ in beams[:top_k]]
+
+
+def reference_counts(split, assign, sizes, order, include_validation):
+    """train_ngram's counting before it sorted windows: the Counter loop."""
+    offsets = level_offsets(sizes)
+    counts: dict = {}
+    totals: dict = {}
+    for user_id in sorted(split.users):
+        user = split.users[user_id]
+        items = list(user.train) + ([user.validation] if include_validation else [])
+        tokens = tuple(t for item in items if item in assign for t in flatten_sid(assign[item], offsets))
+        for i, token in enumerate(tokens):
+            for length in range(min(order - 1, i) + 1):
+                ctx = tokens[i - length:i]
+                if ctx not in counts:
+                    counts[ctx] = Counter()
+                    totals[ctx] = 0
+                counts[ctx][token] += 1
+                totals[ctx] += 1
+    return counts, totals
+
+
+def random_case(gen):
+    """Random level sizes, assignment and split. Some items have no SID, and
+    one user has none at all."""
+    sizes = tuple(int(gen.integers(1, 6)) for _ in range(int(gen.integers(1, 4))))
+    sids = {f"i{j}": tuple(int(gen.integers(k)) for k in sizes) for j in range(int(gen.integers(1, 40)))}
+    pool = list(sids) + ["x0", "x1"]
+    users = {
+        f"u{u}": [pool[int(gen.integers(len(pool)))] for _ in range(int(gen.integers(3, 12)))]
+        for u in range(int(gen.integers(1, 8)))
+    }
+    users["no_sids"] = ["x0", "x1", "x0", "x1"]
+    return sizes, assignment_from_sids(sids), split_of(users)
+
+
+class TestFastPathsMatchLoops:
+    def test_counts_equal_the_counter_loop(self):
+        for trial in range(80):
+            gen = np.random.default_rng(trial)
+            sizes, assign, split = random_case(gen)
+            order = int(gen.integers(1, 5))
+            include_validation = bool(trial % 2)
+            counts, totals = reference_counts(split, assign, sizes, order, include_validation)
+            if not totals:
+                with pytest.raises(RecommenderError):
+                    train_ngram(split, assign, sizes, order, 0.5, include_validation)
+                continue
+            model = train_ngram(split, assign, sizes, order, 0.5, include_validation)
+            assert model.counts == counts and model.totals == totals, f"trial {trial}"
+            assert all(type(c) is Counter for c in model.counts.values())
+            assert all(type(t) is int for ctx in model.counts for t in ctx)
+
+    def test_counts_exact_for_wide_vocabularies(self):
+        # global ids above 255 and above 65535 need wider window types
+        sizes = (300, 70000)
+        assign = assignment_from_sids({"a": (299, 69999), "b": (1, 65536), "c": (256, 0)})
+        split = split_of({"u": ["a", "b", "c", "a", "b", "c", "a"], "v": ["c", "c", "b", "a", "a"]})
+        for order in (1, 2, 3, 4):
+            model = train_ngram(split, assign, sizes, order, 0.5)
+            assert (model.counts, model.totals) == reference_counts(split, assign, sizes, order, False)
+
+    def test_beam_equals_the_list_beam(self):
+        for trial in range(60):
+            gen = np.random.default_rng(1000 + trial)
+            sizes, assign, split = random_case(gen)
+            trie = build_trie(assign)
+            order = int(gen.integers(1, 5))
+            vocab = sum(sizes)
+            try:
+                if trial % 4 == 0:
+                    raise RecommenderError("use the alpha-only model")
+                model = train_ngram(split, assign, sizes, order, float(gen.uniform(0.05, 2.0)))
+            except RecommenderError:
+                # every row uniform, so every score ties and tokens decide
+                model = NGramModel(order=order, alpha=1.0, sizes=sizes, counts={(): Counter()}, totals={(): 0})
+            unseen = [t for t in range(vocab) if (t,) not in model.totals]
+            contexts = [
+                (),
+                tuple(int(t) for t in gen.integers(vocab, size=max(order - 2, 0))),
+                tuple(int(t) for t in gen.integers(vocab, size=order + 3)),
+                tuple(int(t) for t in gen.integers(vocab, size=2)) + tuple(unseen[-1:]),
+            ]
+            for unconstrained in (False, True):
+                for beam_size in sorted({1, max(trie.n_sids - 1, 1), trie.n_sids + 3}):
+                    top_k = int(gen.integers(1, beam_size + 1))
+                    for ctx in contexts:
+                        want = reference_beam_search(
+                            ReferenceModel(model), ctx, trie, beam_size, top_k, sizes, unconstrained
+                        )
+                        got = beam_search(model, ctx, trie, beam_size, top_k, sizes, unconstrained)
+                        assert got == want, f"trial {trial} beam {beam_size} ctx {ctx}"
+                        assert all(type(t) is int for tokens, _ in got for t in tokens)
+
+    def test_rows_read_only_repeatable_and_bounded(self, tmp_path):
+        gen = np.random.default_rng(3)
+        assign = assignment_from_sids({f"i{j}": (j % 4, j % 3) for j in range(12)})
+        split = split_of({f"u{u}": [f"i{int(gen.integers(12))}" for _ in range(9)] for u in range(6)})
+        model = train_ngram(split, assign, (4, 3), order=3, alpha=0.2)
+        for _ in range(200):
+            ctx = tuple(int(t) for t in gen.integers(7, size=int(gen.integers(0, 6))))
+            row = model.score_next(ctx)
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 0.0
+            assert np.array_equal(row, reference_score_next(model, ctx))
+            assert np.array_equal(model.score_next(list(ctx)), row)
+        assert 0 < len(model._rows) <= len(model.counts)
+        path = tmp_path / "ng.json"
+        save_ngram(model, path)
+        assert load_ngram(path) == model
+        assert "_rows" not in repr(model)
 
 
 class TestMetrics:
