@@ -410,7 +410,7 @@ def export_corpus(
     catalog = load_items(items)
     split = _load_split(interactions, kcore)
     records, stats = corpus_mod.sample_corpus(
-        split, catalog, assign, n=n, seed=seed, max_history=max_history, model=model
+        split, catalog, assign, n=n, seed=seed, max_history=max_history
     )
     corpus_mod.write_corpus(records, out)
     if chat_out:

@@ -207,23 +207,21 @@ def _row_changes(rows: np.ndarray) -> np.ndarray:
 
 
 def save_ngram(model: NGramModel, path) -> None:
-    contexts = [
-        {
-            "ctx": list(ctx),
-            "counts": {str(tok): int(c) for tok, c in sorted(model.counts[ctx].items())},
-        }
-        for ctx in sorted(model.counts)
-    ]
-    payload = {
-        "format": "sidforge-ngram-v1",
-        "order": model.order,
-        "alpha": model.alpha,
-        "sizes": list(model.sizes),
-        "contexts": contexts,
-    }
+    """The bytes of `json.dump(payload, fh, sort_keys=True)` over the format,
+    order, alpha, sizes and one {"counts", "ctx"} record per sorted context,
+    written one context at a time through the C encoder."""
     with atomic_open(path, encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(f'{{"alpha": {json.dumps(model.alpha)}, "contexts": [')
+        for i, ctx in enumerate(sorted(model.counts)):
+            record = {
+                "counts": {str(tok): int(c) for tok, c in model.counts[ctx].items()},
+                "ctx": list(ctx),
+            }
+            fh.write((", " if i else "") + json.dumps(record, sort_keys=True))
+        fh.write(
+            f'], "format": "sidforge-ngram-v1", "order": {json.dumps(model.order)}, '
+            f'"sizes": {json.dumps(list(model.sizes))}}}\n'
+        )
 
 
 def load_ngram(path) -> NGramModel:

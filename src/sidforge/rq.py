@@ -9,10 +9,13 @@ residual vectors of each level in turn.
 Determinism notes: centroids are held in float32 (the on-disk precision) and
 all distance work happens in float64 upcasts, so a saved and reloaded model
 encodes identically to the freshly fitted one. One nearest-centroid kernel
-serves fitting, empty-cluster repair and encoding. It walks the points in row
-blocks whose float64 difference tensor holds a fixed element budget, and
-threads, when asked for, take whole blocks. Each row's result depends only on
-that row, so outputs do not depend on the block size or the worker count.
+serves fitting, empty-cluster repair and encoding. It screens every centroid
+with the norm expansion of the squared distance (one matrix product per row
+block) and re-scores only the centroids within a proven rounding margin of
+the row's best by direct squared differences, so its results are those of a
+direct scan over all centroids. Threads, when asked for, take whole blocks.
+Each row's result depends only on that row, so outputs do not depend on the
+block size or the worker count. k-means++ seeding uses the same screen.
 """
 
 from __future__ import annotations
@@ -43,10 +46,12 @@ SidSequence = tuple[int, ...]
 MODEL_FORMAT = "sidforge-rq-v1"
 ASSIGNMENT_FORMAT = "sidforge-sids-v1"
 
-# Elements in one block's float64 difference tensor (2 MiB). Blocks far below
-# glibc's 32 MiB mmap ceiling are reused from the heap instead of being mapped
-# and page-faulted afresh on every call.
-_BLOCK_ELEMENTS = 1 << 18
+# Elements in one block's float64 work matrix (rows x centroids, 512 KiB): the
+# kernel's only temporary that grows with the codebook size.
+_BLOCK_ELEMENTS = 1 << 16
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+_SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 
 
 class RqError(ValueError):
@@ -150,30 +155,80 @@ def _frozen_f32(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def _margin(norm_x, norm_c, d: int):
+    """Screening margin 8 * gamma_{d+4} * (|x| + |c|)^2 plus an underflow
+    allowance; `_nearest` derives it."""
+    n = d + 4
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    return 8.0 * gamma * np.square(norm_x + norm_c) + 16.0 * n * _SMALLEST_SUBNORMAL
+
+
 def _nearest(
     points: np.ndarray, centroids: np.ndarray, workers: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Index of the nearest centroid per point and the squared distance to it.
 
-    Ties go to the smallest centroid index. Distances are direct squared
-    differences in float64 (no norm-expansion shortcut), so results agree
-    exactly with a per-level linear scan. With workers > 1 the row blocks are
+    The result is that of a direct scan: for each point, the centroid with
+    the smallest `np.square(x - c).sum()` in float64, ties going to the
+    smallest index, and that value. With workers > 1 the row blocks are
     spread over a thread pool; the values are the same.
+
+    Per row block the kernel screens every centroid with the norm expansion
+    S = |x|^2 - 2 x.c + |c|^2 (one matrix product), keeps the centroids whose
+    S lies within a margin M(x) of the row's smallest S, and re-scores only
+    those directly. Why no direct-scan winner is dropped, with u = 2^-53 and
+    gamma_n = n u / (1 - n u), for the true squared distance D = |x - c|^2:
+
+    - |S - D| <= gamma_{d+2} (|x| + |c|)^2 in any summation order (BLAS
+      blocking and fused multiply-adds included): the d products of x.c err
+      by at most gamma_d |x||c|, since sum |x_i c_i| <= |x||c|, each norm by
+      gamma_d times itself, and two additions follow.
+    - The direct value E obeys |E - D| <= gamma_{d+2} D, and
+      D <= (|x| + |c|)^2.
+    - Let w be the direct-scan winner and j the screen's. Then
+      S_w <= D_w + e <= E_w + 2e <= E_j + 2e <= D_j + 3e <= S_j + 4e with
+      e = gamma_{d+2} (|x| + max_c |c|)^2, so any
+      M(x) >= 4 gamma_{d+2} (|x| + max_c |c|)^2 keeps w.
+
+    M(x) is 8 gamma_{d+4} (|x| + max_c |c|)^2, twice that, which leaves room
+    for the rounding of M and of the threshold themselves, plus
+    16 (d + 4) times the smallest subnormal for the absolute error of
+    products that underflow. Squares of float32 values cannot overflow
+    float64, so neither can S or M on float32 data; for larger inputs an
+    overflow makes the threshold infinite or NaN, which keeps every
+    centroid, and the row is scanned directly.
     """
+    points = np.asarray(points, dtype=np.float64)
     cents = centroids.astype(np.float64)
     k, d = cents.shape
     n = points.shape[0]
     idx = np.empty(n, dtype=np.int64)
     sq = np.empty(n, dtype=np.float64)
-    step = max(1, _BLOCK_ELEMENTS // max(1, k * d))
+    cc = np.einsum("ij,ij->i", cents, cents)
+    reach = np.sqrt(cc.max())
+    step = max(1, _BLOCK_ELEMENTS // k)
 
     def block(start: int) -> None:
-        diff = points[start:start + step, None, :] - cents
+        x = points[start:start + step]
+        xx = np.einsum("ij,ij->i", x, x)
+        work = np.matmul(x, cents.T)
+        work *= -2.0
+        work += xx[:, None]
+        work += cc
+        bound = work.min(axis=1) + _margin(np.sqrt(xx), reach, d)
+        # Negated so that a NaN bound keeps the whole row.
+        rows, cols = np.nonzero(~(work > bound[:, None]))
+        diff = x[rows]
+        diff -= cents[cols]
         np.square(diff, out=diff)
-        d2 = diff.sum(axis=2)
-        best = np.argmin(d2, axis=1)
-        idx[start:start + step] = best
-        sq[start:start + step] = d2[np.arange(best.shape[0]), best]
+        direct = diff.sum(axis=1)
+        # Candidates come row by row, columns ascending; every row has one.
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        low = np.minimum.reduceat(direct, first)
+        hits = np.flatnonzero(direct == np.repeat(low, np.diff(first, append=rows.size)))
+        hits = hits[np.diff(rows[hits], prepend=-1) != 0]
+        idx[start:start + step] = cols[hits]
+        sq[start:start + step] = direct[hits]
 
     starts = range(0, n, step)
     if workers > 1 and len(starts) > 1:
@@ -187,8 +242,15 @@ def _nearest(
 
 def _kmeanspp_init(points: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarray:
     """Greedy D^2-weighted seeding; returns float32 centroids (possibly < k rows
-    if the remaining distance mass hits zero)."""
-    n = points.shape[0]
+    if the remaining distance mass hits zero).
+
+    After each new centre c, a row's distance is recomputed directly only
+    where its screened value S minus the `_nearest` margin falls below its
+    current distance; elsewhere the direct value cannot be smaller (by the
+    bound in `_nearest`), so the update would leave it as it is."""
+    n, d = points.shape
+    xx = np.einsum("ij,ij->i", points, points)
+    norms = np.sqrt(xx)
     chosen = [int(gen.integers(n))]
     d2 = np.square(points - points[chosen[0]]).sum(axis=1)
     while len(chosen) < k:
@@ -203,7 +265,13 @@ def _kmeanspp_init(points: np.ndarray, k: int, gen: np.random.Generator) -> np.n
         if d2[j] <= 0.0:
             j = int(np.flatnonzero(d2 > 0.0)[0])
         chosen.append(j)
-        d2 = np.minimum(d2, np.square(points - points[j]).sum(axis=1))
+        screened = points @ points[j]
+        screened *= -2.0
+        screened += xx
+        screened += xx[j]
+        screened -= _margin(norms, norms[j], d)
+        rows = np.flatnonzero(~(screened >= d2))  # a NaN keeps the row
+        d2[rows] = np.minimum(d2[rows], np.square(points[rows] - points[j]).sum(axis=1))
     return points[np.array(chosen, dtype=np.int64)].astype(np.float32)
 
 

@@ -116,6 +116,39 @@ class TestNGram:
         assert back.counts == model.counts
         assert back.totals == model.totals
 
+    def test_save_bytes_match_json_dump(self, tmp_path):
+        """save_ngram writes exactly what one json.dump of the whole payload
+        (the pure-Python encoder) wrote."""
+        gen = np.random.default_rng(4)
+        items = {f"i{k}": (k % 12, k // 12) for k in range(36)}
+        assign = assignment_from_sids(items)
+        for order, alpha in ((1, 0.1), (2, 1e-300), (3, 0.1), (4, 2.5)):
+            users = {f"u{u}": [f"i{k}" for k in gen.integers(36, size=gen.integers(3, 12))]
+                     for u in range(20)}
+            model = train_ngram(split_of(users), assign, (12, 3), order=order, alpha=alpha)
+            payload = {
+                "format": "sidforge-ngram-v1",
+                "order": model.order,
+                "alpha": model.alpha,
+                "sizes": list(model.sizes),
+                "contexts": [
+                    {
+                        "ctx": list(ctx),
+                        "counts": {str(t): int(c) for t, c in sorted(model.counts[ctx].items())},
+                    }
+                    for ctx in sorted(model.counts)
+                ],
+            }
+            want = tmp_path / "want.json"
+            with open(want, "w", encoding="utf-8", newline="\n") as fh:
+                json.dump(payload, fh, sort_keys=True)
+                fh.write("\n")
+            got = tmp_path / "got.json"
+            save_ngram(model, got)
+            assert got.read_bytes() == want.read_bytes()
+            assert (order == 1) == (list(model.counts) == [()])
+            assert any({"10", "2"} <= set(row["counts"]) for row in payload["contexts"])
+
     def test_load_rejects_token_outside_vocabulary(self, tmp_path):
         assign = assignment_from_sids({"a": (0,), "b": (1,)})
         model = train_ngram(split_of({"u": ["a", "b", "a", "b"]}), assign, (2,), order=2, alpha=0.1)

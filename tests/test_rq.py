@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import json
 import struct
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from conftest import assignment_from_sids, random_model
+from sidforge import rq
 from sidforge.datamodel import EmbeddingSet
 from sidforge.rq import (
     _BLOCK_ELEMENTS,
@@ -77,16 +79,17 @@ class TestEncodeOracle:
         assert encode(model, x) == tuple(int(t) for t in encode_batch(model, x[None, :])[0])
 
     def test_worker_count_does_not_change_codes(self, rng):
-        model = random_model(rng, 2, [7, 5], 8)
+        # 70 and 50 centroids split the 9000 rows into 10 and 7 blocks.
+        model = random_model(rng, 2, [70, 50], 8)
         xs = rng.normal(size=(9000, 8))
         a = encode_batch(model, xs, workers=1)
         b = encode_batch(model, xs, workers=4)
         assert np.array_equal(a, b)
 
     def test_one_row_blocks_match_exhaustive_scan(self, rng):
-        # k * d exceeds the kernel's block budget, so every block is one row.
-        k, dim = 600, 512
-        assert k * dim > _BLOCK_ELEMENTS
+        # k exceeds the kernel's block budget, so every block is one row.
+        k, dim = _BLOCK_ELEMENTS + 1, 2
+        assert k > _BLOCK_ELEMENTS
         model = random_model(rng, 1, [k], dim)
         xs = rng.normal(size=(6, dim))
         got = encode_batch(model, xs)
@@ -94,14 +97,188 @@ class TestEncodeOracle:
             assert (int(got[i, 0]),) == oracle_encode(model, xs[i])[0]
 
     def test_threads_over_many_blocks_match_exhaustive_scan(self, rng):
-        model = random_model(rng, 2, [300, 200], 64)
-        xs = rng.normal(size=(200, 64))
-        # Level 1 takes 13 rows a block, so the 200 rows span 16 blocks.
-        assert xs.shape[0] > 15 * (_BLOCK_ELEMENTS // (300 * 64))
+        model = random_model(rng, 2, [256, 2], 64)
+        xs = rng.normal(size=(3841, 64))
+        # Level 1 takes 256 rows a block, so the 3841 rows span 16 blocks.
+        assert xs.shape[0] > 15 * (_BLOCK_ELEMENTS // 256)
         got = encode_batch(model, xs, workers=4)
         assert np.array_equal(got, encode_batch(model, xs, workers=1))
         for i in range(xs.shape[0]):
             assert tuple(int(t) for t in got[i]) == oracle_encode(model, xs[i])[0]
+
+
+_PARENT_BLOCK_ELEMENTS = 1 << 18
+
+
+def parent_nearest(points, centroids, workers=1):
+    """rq._nearest before the norm-expansion screen, verbatim: the oracle the
+    screened kernel must equal bit for bit."""
+    cents = centroids.astype(np.float64)
+    k, d = cents.shape
+    n = points.shape[0]
+    idx = np.empty(n, dtype=np.int64)
+    sq = np.empty(n, dtype=np.float64)
+    step = max(1, _PARENT_BLOCK_ELEMENTS // max(1, k * d))
+
+    def block(start: int) -> None:
+        diff = points[start:start + step, None, :] - cents
+        np.square(diff, out=diff)
+        d2 = diff.sum(axis=2)
+        best = np.argmin(d2, axis=1)
+        idx[start:start + step] = best
+        sq[start:start + step] = d2[np.arange(best.shape[0]), best]
+
+    starts = range(0, n, step)
+    if workers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(block, starts))
+    else:
+        for start in starts:
+            block(start)
+    return idx, sq
+
+
+def parent_kmeanspp_init(points, k, gen):
+    """rq._kmeanspp_init before the screen, verbatim."""
+    n = points.shape[0]
+    chosen = [int(gen.integers(n))]
+    d2 = np.square(points - points[chosen[0]]).sum(axis=1)
+    while len(chosen) < k:
+        cum = np.cumsum(d2)
+        total = float(cum[-1])
+        if total <= 0.0:
+            break
+        u = gen.random() * total
+        j = int(np.searchsorted(cum, u, side="right"))
+        if j >= n:
+            j = n - 1
+        if d2[j] <= 0.0:
+            j = int(np.flatnonzero(d2 > 0.0)[0])
+        chosen.append(j)
+        d2 = np.minimum(d2, np.square(points - points[j]).sum(axis=1))
+    return points[np.array(chosen, dtype=np.int64)].astype(np.float32)
+
+
+def assert_same_nearest(points, centroids, workers=1):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = rq._nearest(points, centroids, workers)
+        want = parent_nearest(points, centroids, workers)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def near_ties(rng, offset, unit, n, d):
+    """n points at `offset`, equidistant from every centroid
+    offset + unit * (+-1, ..., +-1), and n points moved from it by 1e-9 to
+    1e-1 steps: at a large offset, around the norm expansion's rounding
+    error."""
+    exact = np.full((n, d), offset)
+    moves = unit * 10.0 ** rng.uniform(-9, -1, size=(n, 1)) * rng.normal(size=(n, d))
+    return exact, exact + moves
+
+
+def adversarial_cases(rng):
+    """(points, float32 centroids) pairs built to put the screen's margin
+    to work: exact ties, zero distances and heavy cancellation."""
+    # Integer-grid points and centroids: many points exactly equidistant
+    # from two or more centroids, and midpoints of centroid pairs.
+    grid = rng.integers(-2, 3, size=(60, 3)).astype(np.float64)
+    cents = rng.integers(-2, 3, size=(12, 3)).astype(np.float32)
+    mid = np.array([[1, 0], [0, 1], [1, 1], [2, 1], [1, 2]], dtype=np.float64)
+    square = np.array([[0, 0], [2, 0], [0, 2], [2, 2]], dtype=np.float32)
+    cases = [(grid, cents), (mid, square)]
+    # Duplicate centroids, one repeated four times down the table.
+    dup = rng.normal(size=(10, 5)).astype(np.float32)
+    dup[[3, 6, 9]] = dup[1]
+    cases.append((rng.normal(size=(50, 5)), dup))
+    # Points equal to a centroid, and all-identical points.
+    cents = rng.normal(size=(16, 7)).astype(np.float32)
+    cases.append((cents[rng.integers(16, size=40)].astype(np.float64), cents))
+    cases.append((np.tile(rng.normal(size=(1, 7)), (30, 1)), cents))
+    # A shared large offset, where the norm expansion cancels worst. The
+    # offset and the step are float32 values, so the centroids hold them
+    # exactly.
+    for offset in (1e6, float(np.float32(1e30))):
+        unit = 2.0 ** (np.floor(np.log2(offset)) - 20)
+        cents = (offset + unit * rng.choice([-1.0, 1.0], size=(8, 16))).astype(np.float32)
+        cents[5] = cents[2]
+        for points in near_ties(rng, offset, unit, 60, 16):
+            cases.append((points, cents))
+    # Squares that overflow float64 (S is then NaN or infinite).
+    cases.append((rng.normal(size=(20, 3)) * 1e280, (rng.normal(size=(5, 3)) * 1e30).astype(np.float32)))
+    return cases
+
+
+class TestKernelOracle:
+    """The screened kernel and seeding against their pre-screen versions."""
+
+    @pytest.mark.parametrize("budget", [1, 7, 1 << 10, 1 << 16, 1 << 20])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_nearest_matches_parent_over_shapes(self, rng, monkeypatch, budget, workers):
+        monkeypatch.setattr(rq, "_BLOCK_ELEMENTS", budget)
+        shapes = [(1, 1, 1), (30, 1, 4), (30, 5, 1), (1, 9, 3)]
+        shapes += [tuple(int(v) for v in rng.integers(1, (120, 40, 70))) for _ in range(12)]
+        for n, k, d in shapes:
+            scale = 10.0 ** rng.uniform(-3, 3)
+            points = rng.normal(size=(n, d)) * scale
+            cents = (rng.normal(size=(k, d)) * scale).astype(np.float32)
+            assert_same_nearest(points, cents, workers)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_nearest_matches_parent_on_adversarial_inputs(self, rng, monkeypatch, workers):
+        monkeypatch.setattr(rq, "_BLOCK_ELEMENTS", 16)
+        for points, cents in adversarial_cases(rng):
+            assert_same_nearest(points, cents, workers)
+
+    def test_kmeanspp_matches_parent(self, rng):
+        cases = [(rng.normal(size=(n, d)), k) for n, d, k in ((1, 3, 1), (80, 1, 10), (200, 16, 40))]
+        cases += [(points, 8) for points, _ in adversarial_cases(rng)[:-1]]
+        # Exact and near duplicates, seeded until the distance mass is zero:
+        # a duplicate of a chosen centre left at a tiny positive distance
+        # would be drawn as one more centre. Also at a scale where the
+        # squares underflow.
+        for offset, unit in ((1e6, 0.5), (0.0, 1e-160)):
+            exact, moved = near_ties(rng, offset, unit, 12, 16)
+            points = np.concatenate([exact, moved, moved])[rng.permutation(36)]
+            cases.append((points, 36))
+        cases += [(rng.normal(size=(35, d)) * 1e-161, 35) for d in (2, 5, 14)]
+        for seed, (points, k) in enumerate(cases):
+            got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = rq._kmeanspp_init(points, k, got_gen)
+            want = parent_kmeanspp_init(points, k, want_gen)
+            assert got.tobytes() == want.tobytes()
+            assert got_gen.random() == want_gen.random()
+
+    def test_fit_matches_parent_kernels(self, rng, monkeypatch):
+        normal = np.asarray(rng.normal(size=(300, 6)), dtype=np.float32)
+        # Six distinct rows: level 2 sees at most six residuals for 8 codes.
+        few = np.tile(np.asarray(rng.normal(size=(6, 6)), dtype=np.float32), (20, 1))
+        for rows, sizes in ((normal, (16, 8, 4)), (few, (4, 8))):
+            emb = EmbeddingSet([f"i{k}" for k in range(rows.shape[0])], rows)
+            cfg = RqConfig(levels=len(sizes), codebook_sizes=sizes, seed=7)
+            got = fit_codebooks(emb, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(rq, "_nearest", parent_nearest)
+                patch.setattr(rq, "_kmeanspp_init", parent_kmeanspp_init)
+                want = fit_codebooks(emb, cfg)
+            assert got.model_hash() == want.model_hash()
+            assert got.fit_stats == want.fit_stats
+        assert got.effective_sizes[1] < 8
+
+    def test_empty_cluster_repair_matches_parent(self, rng, monkeypatch):
+        points = rng.normal(size=(60, 4))
+        cents = points[:5].astype(np.float32)
+        cents[[1, 3]] = 1e3  # far from every point: both start empty
+        assert set(parent_nearest(points, cents)[0].tolist()).isdisjoint({1, 3})
+        idx, sq, repaired = rq._assign_with_repair(points, cents, 1)
+        assert not np.array_equal(repaired, cents)
+        assert np.all(np.bincount(idx, minlength=5) > 0)
+        monkeypatch.setattr(rq, "_nearest", parent_nearest)
+        want = rq._assign_with_repair(points, cents, 1)
+        for a, b in zip((idx, sq, repaired), want):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestResidualTelescoping:
