@@ -153,9 +153,8 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_recon_curve(args) -> int:
-    model = rq.load_model(args.model)
+    model, assign = rq.load_model_and_assignment(args.model, args.assignment)
     emb = load_embeddings(args.embeddings)
-    assign = rq.assign_all(model, emb, workers=args.workers)
     curve = diagnostics.reconstruction_curve(model, emb, assign, h_max=args.h_max)
     payload = {
         "sims": {str(h): curve.sims[h] for h in sorted(curve.sims)},
@@ -172,14 +171,13 @@ def _cmd_recon_curve(args) -> int:
 def _cmd_corpus(args) -> int:
     stats = pipeline.export_corpus(
         args.items,
+        args.model,
         args.assignment,
         args.interactions,
         args.out,
         n=args.n,
         seed=args.seed,
         max_history=args.max_history,
-        model_path=args.model,
-        kcore=args.kcore,
         chat_out=args.chat_out,
         vocab_out=args.vocab_out,
     )
@@ -189,7 +187,7 @@ def _cmd_corpus(args) -> int:
 
 def _cmd_train_baseline(args) -> int:
     model, assign, split = pipeline.load_tokens_and_split(
-        args.model, args.assignment, args.interactions, args.kcore
+        args.model, args.assignment, args.interactions
     )
     ngram = recommender.train_ngram(
         split,
@@ -214,10 +212,10 @@ def _cmd_train_baseline(args) -> int:
 
 def _cmd_eval(args) -> int:
     model, assign, split = pipeline.load_tokens_and_split(
-        args.model, args.assignment, args.interactions, args.kcore
+        args.model, args.assignment, args.interactions
     )
     ngram = recommender.load_ngram(args.ngram)
-    report, pop_report = pipeline.evaluate_baseline(
+    report, metrics = pipeline.evaluate_baseline(
         ngram,
         model,
         assign,
@@ -225,20 +223,16 @@ def _cmd_eval(args) -> int:
         ks=_parse_ints(args.k, "cutoffs"),
         beam_size=args.beam,
         include_validation=not args.exclude_validation,
-        popularity=args.baseline,
         keep_ranks=args.ranks_out is not None,
         unconstrained=args.unconstrained,
     )
-    payload = report.to_dict()
-    if pop_report is not None:
-        payload["popularity"] = pop_report.to_dict()
     if args.ranks_out:
         pipeline.write_json(dict(sorted(report.per_user_ranks.items())), args.ranks_out)
     if args.out:
-        pipeline.write_json(payload, args.out)
+        pipeline.write_json(metrics, args.out)
     if args.csv:
         recommender.write_metrics_csv(report, args.csv)
-    _emit(payload)
+    _emit(metrics)
     return 0
 
 
@@ -339,9 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recon-curve", help="cosine similarity by reconstruction depth")
     p.add_argument("--model", required=True)
+    p.add_argument("--assignment", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--h-max", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_recon_curve)
 
@@ -349,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--items", required=True)
     p.add_argument("--assignment", required=True)
     p.add_argument("--interactions", required=True)
-    p.add_argument("--model", default=None, help="validates SIDs; needed for --vocab-out")
-    p.add_argument("--kcore", type=int, default=0)
+    p.add_argument("--model", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-history", type=int, default=pipeline.CorpusSection.max_history)
@@ -366,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=pipeline.EvalSection.order)
     p.add_argument("--alpha", type=float, default=pipeline.EvalSection.alpha)
     p.add_argument("--include-validation", action="store_true")
-    p.add_argument("--kcore", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_baseline)
 
@@ -380,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated cutoffs")
     p.add_argument("--exclude-validation", action="store_true")
     p.add_argument("--unconstrained", action="store_true")
-    p.add_argument("--baseline", action="store_true", help="also score the popularity ranking")
-    p.add_argument("--kcore", type=int, default=0)
     p.add_argument("--ranks-out", default=None, help="per-user rank dump (JSON)")
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)

@@ -13,7 +13,7 @@ from importlib import resources
 
 from . import rng
 from .datamodel import ItemCatalog, SplitDataset, atomic_open
-from .rq import RqModel, SidAssignment, level_letter, render_sid, validate_sid
+from .rq import RqModel, SidAssignment, level_letter, render_sid
 
 log = logging.getLogger("sidforge.corpus")
 
@@ -177,19 +177,12 @@ def sample_corpus(
     n: int,
     seed: int,
     max_history: int = 20,
-    model: RqModel | None = None,
 ) -> tuple[list[dict], dict]:
     """n records sampled task-uniformly (then uniformly within the task, with
     replacement). Tasks with no examples are excluded and sampling is
     renormalized over the rest, with a warning. Returns (records, stats)."""
     if n < 1:
         raise CorpusError("n must be >= 1")
-    if model is not None:
-        for item_id, s in assign.sids.items():
-            try:
-                validate_sid(model, s)
-            except Exception as exc:
-                raise CorpusError(f"item {item_id!r}: {exc}") from exc
     pools: dict[TaskId, list[TrainingExample]] = {}
     skipped: dict[str, int] = {}
     for task in TaskId:

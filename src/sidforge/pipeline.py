@@ -375,15 +375,17 @@ def diagnose(
     return payload
 
 
-def _load_split(interactions, kcore: int):
-    events = load_interactions(interactions)
-    if kcore >= 1:
-        events = k_core_filter(events, kcore)
-    return leave_last_out_split(events)
+def load_tokens_and_split(model_path, assignment_path, interactions):
+    """Stages 4 and 5 input: (model, assignment, leave-last-out split). The
+    model must have produced the assignment. The interactions are used as
+    written: the k-core filter is applied once, at stage 1."""
+    model, assign = rq.load_model_and_assignment(model_path, assignment_path)
+    return model, assign, leave_last_out_split(load_interactions(interactions))
 
 
 def export_corpus(
     items,
+    model_path,
     assignment_path,
     interactions,
     out,
@@ -391,26 +393,15 @@ def export_corpus(
     n: int,
     seed: int,
     max_history: int,
-    model_path=None,
-    kcore: int = 0,
     chat_out=None,
     vocab_out=None,
 ) -> dict:
     """Stage 4: sample the eight-task corpus and write it as JSONL, plus the
-    chat rendering and the SID vocabulary when asked. A model, when given,
-    must have produced the assignment; the vocabulary needs it. Returns the
-    sampling stats."""
-    if vocab_out and model_path is None:
-        raise corpus_mod.CorpusError("the SID vocabulary needs the model")
-    model = None
-    if model_path is None:
-        assign = rq.load_assignment(assignment_path)
-    else:
-        model, assign = rq.load_model_and_assignment(model_path, assignment_path)
-    catalog = load_items(items)
-    split = _load_split(interactions, kcore)
+    chat rendering and the SID vocabulary when asked. Returns the sampling
+    stats."""
+    model, assign, split = load_tokens_and_split(model_path, assignment_path, interactions)
     records, stats = corpus_mod.sample_corpus(
-        split, catalog, assign, n=n, seed=seed, max_history=max_history
+        split, load_items(items), assign, n=n, seed=seed, max_history=max_history
     )
     corpus_mod.write_corpus(records, out)
     if chat_out:
@@ -418,14 +409,6 @@ def export_corpus(
     if vocab_out:
         corpus_mod.write_sid_vocabulary(model, vocab_out)
     return stats
-
-
-def load_tokens_and_split(model_path, assignment_path, interactions, kcore: int = 0):
-    """Stage 5 input: (model, assignment, leave-last-out split), read by
-    baseline training and evaluation. The model must have produced the
-    assignment."""
-    model, assign = rq.load_model_and_assignment(model_path, assignment_path)
-    return model, assign, _load_split(interactions, kcore)
 
 
 def evaluate_baseline(
@@ -437,12 +420,12 @@ def evaluate_baseline(
     ks,
     beam_size: int,
     include_validation=True,
-    popularity=True,
     keep_ranks=False,
     unconstrained=False,
 ):
-    """Stage 5: (n-gram report, popularity report or None) from
-    trie-constrained beam search and the static popularity ranking."""
+    """Stage 5: (n-gram report, metrics) from trie-constrained beam search and
+    the static popularity ranking. metrics is the {"ngram", "popularity"}
+    payload that metrics.json stores."""
     report = recommender.evaluate(
         ngram,
         split,
@@ -455,11 +438,9 @@ def evaluate_baseline(
         keep_ranks=keep_ranks,
         unconstrained=unconstrained,
     )
-    pop_report = None
-    if popularity:
-        popular = recommender.popularity_ranking(split, assign, include_validation=include_validation)
-        pop_report = recommender.evaluate_static_ranking(popular, split, assign, ks=ks)
-    return report, pop_report
+    popular = recommender.popularity_ranking(split, assign, include_validation=include_validation)
+    pop_report = recommender.evaluate_static_ranking(popular, split, assign, ks=ks)
+    return report, {"ngram": report.to_dict(), "popularity": pop_report.to_dict()}
 
 
 def run_pipeline(cfg: dict, force: bool = False):
@@ -487,6 +468,9 @@ def run_pipeline(cfg: dict, force: bool = False):
                 raise ValueError("pipeline.mode is 'synth' but the synth section is empty")
             sources = synthesize_sources(scfg)
         elif pipe.mode == "ingest":
+            unset = [f"inputs.{key}" for key, path in asdict(inputs).items() if not path]
+            if unset:
+                raise ValueError(f"pipeline.mode is 'ingest' but {', '.join(unset)} is not set")
             sources = load_sources(inputs.items, inputs.embeddings, inputs.interactions)
         else:
             raise ValueError(f"unknown pipeline.mode {pipe.mode!r}")
@@ -507,13 +491,13 @@ def run_pipeline(cfg: dict, force: bool = False):
     def corpus_stage():
         export_corpus(
             paths.items,
+            paths.model,
             paths.assignment,
             paths.interactions,
             paths.corpus,
             n=ccfg.n,
             seed=ccfg.seed,
             max_history=ccfg.max_history,
-            model_path=paths.model,
             vocab_out=paths.vocabulary,
         )
 
@@ -527,7 +511,7 @@ def run_pipeline(cfg: dict, force: bool = False):
             alpha=ecfg.alpha,
             include_validation=ecfg.ngram_include_validation,
         )
-        report, pop_report = evaluate_baseline(
+        report, metrics = evaluate_baseline(
             ngram,
             model,
             assign,
@@ -538,9 +522,7 @@ def run_pipeline(cfg: dict, force: bool = False):
         )
         # Saved after the evaluation: saving first raises the peak RSS.
         recommender.save_ngram(ngram, paths.ngram)
-        write_json(
-            {"ngram": report.to_dict(), "popularity": pop_report.to_dict()}, paths.metrics_json
-        )
+        write_json(metrics, paths.metrics_json)
         recommender.write_metrics_csv(report, paths.metrics_csv)
 
     source_cfg = {"mode": pipe.mode, "kcore": pipe.kcore, "synth": cfg["synth"]}

@@ -366,6 +366,19 @@ def encode_batch(model: RqModel, rows, workers: int = 1) -> np.ndarray:
         raise RqError(f"expected shape (n, {model.dim}), got {points.shape}")
     if not np.all(np.isfinite(points)):
         raise RqError("embedding rows contain non-finite values")
+    # Every squared distance the kernel forms (and the squared norm that
+    # normalization takes) is at most (|x| + reach)^2, reach being the sum
+    # of each level's largest centroid norm. A row where that overflows
+    # would tie every centroid at inf and encode as token 0.
+    reach = sum(
+        np.sqrt(np.square(cb.centroids, dtype=np.float64).sum(axis=1).max())
+        for cb in model.codebooks
+    )
+    with np.errstate(over="ignore"):
+        bound = np.square(np.sqrt(np.square(points).sum(axis=1)) + reach)
+    overflow = np.flatnonzero(~np.isfinite(bound))
+    if overflow.size:
+        raise RqError(f"embedding row {overflow[0]} is too large: its squared distances overflow")
     residual = _prepare(points, model.config)
     out = np.empty((points.shape[0], model.levels), dtype=np.int64)
     for level, cb in enumerate(model.codebooks):

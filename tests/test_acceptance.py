@@ -315,7 +315,7 @@ def test_criterion_10_corpus_fidelity():
     split = leave_last_out_split(generate_interactions(catalog, labels, scfg))
     model = fit_codebooks(emb, RqConfig(levels=2, codebook_sizes=(24, 12), seed=0))
     assign = assign_all(model, emb)
-    records, stats = sample_corpus(split, catalog, assign, n=80_000, seed=0, model=model)
+    records, stats = sample_corpus(split, catalog, assign, n=80_000, seed=0)
     assert stats["excluded_tasks"] == []
     for task in TaskId:
         share = stats["sampled_per_task"][task.name] / 80_000

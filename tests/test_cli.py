@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from sidforge.cli import main
 from sidforge.datamodel import load_embeddings
+from sidforge.pipeline import ArtifactPaths
 
 
 @pytest.fixture
@@ -103,6 +105,7 @@ def test_full_command_chain(tmp_path, synth_config, capsys):
         capsys,
         "recon-curve",
         "--model", model_path,
+        "--assignment", sids_path,
         "--embeddings", data / "embeddings.emb",
     )
     assert status == 0
@@ -154,13 +157,12 @@ def test_full_command_chain(tmp_path, synth_config, capsys):
         "--ngram", ngram_path,
         "--beam", 20,
         "--k", "5,10",
-        "--baseline",
         "--out", metrics_path,
         "--csv", csv_path,
     )
     assert status == 0
     for key in ("HR@5", "HR@10", "NDCG@5", "NDCG@10"):
-        assert key in metrics
+        assert key in metrics["ngram"]
         assert key in metrics["popularity"]
     assert csv_path.read_text().startswith("metric,K,value,n_users\n")
 
@@ -169,7 +171,59 @@ def test_full_command_chain(tmp_path, synth_config, capsys):
     )
     assert status == 0
     assert combined["diagnostics"]["n_items"] == 100
-    assert "HR@5" in combined["metrics"]
+    assert "HR@5" in combined["metrics"]["ngram"]
+
+
+def test_step_subcommands_write_the_pipeline_bytes(tmp_path, synth_config, capsys):
+    piped, steps = tmp_path / "piped", tmp_path / "steps"
+    cfg = {
+        "pipeline": {"output_dir": str(piped)},
+        "synth": json.loads(synth_config.read_text()),
+        "rq": {"levels": 2, "codebook_sizes": [8, 4], "kmeans_max_iters": 10, "seed": 5},
+        "diagnostics": {"probe_seed": 2},
+        "corpus": {"n": 60, "seed": 1, "max_history": 5},
+        "eval": {"ks": [3, 5], "beam_size": 12, "order": 2, "alpha": 0.5},
+    }
+    cfg_path = tmp_path / "pipe.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(capsys, "pipeline", "--config", cfg_path)[0] == 0
+
+    a = ArtifactPaths.in_dir(steps)
+    commands = [
+        ("synth", "--config", synth_config, "--out-dir", steps),
+        ("fit", "--embeddings", a.embeddings, "--levels", 2, "--sizes", "8,4",
+         "--max-iters", 10, "--seed", 5, "--out", a.model),
+        ("encode", "--model", a.model, "--embeddings", a.embeddings, "--out", a.assignment),
+        ("corpus", "--items", a.items, "--model", a.model, "--assignment", a.assignment,
+         "--interactions", a.interactions, "--n", 60, "--seed", 1, "--max-history", 5,
+         "--out", a.corpus, "--vocab-out", a.vocabulary),
+        ("train-baseline", "--model", a.model, "--assignment", a.assignment,
+         "--interactions", a.interactions, "--order", 2, "--alpha", 0.5, "--out", a.ngram),
+        ("eval", "--model", a.model, "--assignment", a.assignment,
+         "--interactions", a.interactions, "--ngram", a.ngram, "--k", "3,5", "--beam", 12,
+         "--out", a.metrics_json, "--csv", a.metrics_csv),
+    ]
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 0, argv[0]
+    status = main([str(v) for v in (
+        "diagnose", "--model", a.model, "--assignment", a.assignment,
+        "--embeddings", a.embeddings, "--items", a.items, "--probe-seed", 2,
+        "--out", a.diagnostics_json, "--table")])
+    assert status == 0
+    assert (piped / "diagnostics.txt").read_text() in capsys.readouterr().err
+
+    compared = [f.name for f in dataclasses.fields(ArtifactPaths)
+                if f.name not in ("manifest", "diagnostics_table")]
+    assert len(compared) == 12
+    p = ArtifactPaths.in_dir(piped)
+    differ = [name for name in compared
+              if getattr(p, name).read_bytes() != getattr(a, name).read_bytes()]
+    assert differ == []
+
+    assert main(["report", "--metrics", str(a.metrics_json)]) == 0
+    rows = capsys.readouterr().err.splitlines()
+    assert any(row.startswith("ngram: HR@3") for row in rows)
+    assert any(row.startswith("popularity: HR@3") for row in rows)
 
 
 def test_seed_override_changes_synth(tmp_path, synth_config, capsys):

@@ -218,12 +218,6 @@ class TestSampleCorpus:
         for share in shares:
             assert abs(share - 0.125) < 0.02
 
-    def test_model_validation(self, rng):
-        catalog, assign, split = tiny_world()
-        model = random_model(rng, 2, [2, 2], 3)  # token 2 is out of range
-        with pytest.raises(CorpusError):
-            sample_corpus(split, catalog, assign, n=5, seed=0, model=model)
-
     def test_all_pools_empty_rejected(self):
         catalog = ItemCatalog.from_records(
             [ItemRecord("z", "Z", "d", "c", visual_description=None)]

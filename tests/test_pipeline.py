@@ -360,6 +360,14 @@ class TestRun:
         status, summary = run_pipeline(cfg)
         assert status == 1
         assert "missing input" in summary["error"]
+        # The other inputs exist, so the unset key is what stops the stage.
+        for key, name in (("items", "items.jsonl"), ("interactions", "interactions.tsv")):
+            (tmp_path / name).write_text("")
+            cfg["inputs"][key] = str(tmp_path / name)
+        cfg["inputs"]["embeddings"] = None
+        status, summary = run_pipeline(cfg)
+        assert status == 1
+        assert "inputs.embeddings" in summary["error"]
 
     def test_no_partial_files_left_behind(self, tmp_path):
         out = tmp_path / "out"

@@ -321,6 +321,19 @@ class TestValidate:
         with pytest.raises(RqError):
             validate_sid(model, (-1, 0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_encode_rejects_rows_whose_distances_overflow(self, rng):
+        model = random_model(rng, 3, [4, 4, 4], 16)
+        fine = rng.normal(size=(2, 16))
+        for row in (np.full(16, 1e200), np.full(16, -1e200), rng.normal(size=16) * 1e280):
+            with pytest.raises(RqError, match="row 2 is too large"):
+                encode_batch(model, np.vstack([fine, row]))
+            with pytest.raises(RqError, match="row 0 is too large"):
+                encode(model, row)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(RqError, match="non-finite"):
+                encode_batch(model, np.full((1, 16), bad))
+
 
 class TestFit:
     def test_trace_nonincreasing_and_better_than_random(self, rng):
