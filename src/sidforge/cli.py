@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -262,18 +263,36 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    cfg = pipeline.load_config(args.config)
-    if args.output_dir:
-        cfg["pipeline"]["output_dir"] = args.output_dir
-    if args.workers is not None:
-        cfg["pipeline"]["workers"] = args.workers
-    status, summary = pipeline.run_pipeline(cfg, force=args.force)
+    """Exit status: 0, the number of the stage that failed (1-5), EX_CONFIG
+    for a config that cannot be read or is rejected before any stage runs,
+    or EX_IOERR for a file error outside the stages."""
+    try:
+        cfg = pipeline.load_config(args.config)
+        if args.output_dir:
+            cfg["pipeline"]["output_dir"] = args.output_dir
+        if args.workers is not None:
+            cfg["pipeline"]["workers"] = args.workers
+        status, summary = pipeline.run_pipeline(cfg, force=args.force)
+    except (pipeline.ConfigError, rq.RqError, synthgen.SynthError) as exc:
+        log.error("%s", exc)
+        return os.EX_CONFIG
+    except OSError as exc:
+        log.error("%s", exc)
+        return os.EX_IOERR
     _emit(summary)
     return status
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with EX_USAGE on a usage error; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(os.EX_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sidforge",
         description="Semantic-ID codebooks, diagnostics, corpus export, and evaluation.",
     )

@@ -80,12 +80,6 @@ class TrainingExample:
     provenance: str  # item_id for item tasks, user_id for history tasks
 
 
-@dataclass(frozen=True)
-class ConversationalRecord:
-    task: TaskId
-    text: str
-
-
 def make_examples(
     task: TaskId,
     split: SplitDataset,
@@ -145,21 +139,17 @@ def make_examples(
     return examples, skipped
 
 
-def render_template(example: TrainingExample) -> ConversationalRecord:
-    """Render one example in the unified chat layout: three role blocks, each
-    opened by an <|im_start|> line and closed by an <|im_end|> line."""
-    return ConversationalRecord(
-        task=example.task,
-        text=CHAT_TEMPLATE.format(
-            system=example.system_instruction,
-            user=example.user_input,
-            assistant=example.target_output,
-        ),
+def render_chat(record: dict) -> str:
+    """Render one {"system", "user", "assistant"} record (as sample_corpus
+    returns it) in the unified chat layout: three role blocks, each opened by
+    an <|im_start|> line and closed by an <|im_end|> line."""
+    return CHAT_TEMPLATE.format(
+        system=record["system"], user=record["user"], assistant=record["assistant"]
     )
 
 
 def parse_conversational(text: str) -> dict[str, str]:
-    """Inverse of render_template for well-formed records."""
+    """Inverse of render_chat for well-formed records."""
     match = _CHAT_RE.match(text)
     if match is None:
         raise CorpusError("text does not match the conversational template")
@@ -236,13 +226,7 @@ def write_chat_corpus(records: list[dict], path) -> None:
         for i, record in enumerate(records):
             if i:
                 fh.write("\n\n")
-            fh.write(
-                CHAT_TEMPLATE.format(
-                    system=record["system"],
-                    user=record["user"],
-                    assistant=record["assistant"],
-                )
-            )
+            fh.write(render_chat(record))
         fh.write("\n")
 
 

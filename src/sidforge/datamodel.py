@@ -197,13 +197,6 @@ class ItemCatalog:
         except KeyError:
             raise CatalogError(f"unknown item_id {item_id!r}") from None
 
-    def position(self, item_id: str) -> int:
-        return self._index[item_id]
-
-    @property
-    def item_ids(self) -> tuple[str, ...]:
-        return tuple(rec.item_id for rec in self.items)
-
 
 def load_items(path) -> ItemCatalog:
     """Read a line-delimited JSON item file.
@@ -402,12 +395,6 @@ class InteractionLog:
     def n_events(self) -> int:
         return len(self.events)
 
-    def user_ids(self) -> tuple[str, ...]:
-        return tuple(sorted({u for u, _, _ in self.events}))
-
-    def item_ids(self) -> tuple[str, ...]:
-        return tuple(sorted({i for _, i, _ in self.events}))
-
     def by_user(self) -> dict[str, list[Event]]:
         """Per-user events in chronological order; timestamp ties break on item_id."""
         grouped: dict[str, list[Event]] = defaultdict(list)
@@ -472,9 +459,6 @@ class UserSplit:
     validation: str
     test: str
 
-    def full_sequence(self) -> tuple[str, ...]:
-        return self.train + (self.validation, self.test)
-
 
 @dataclass(frozen=True)
 class SplitDataset:
@@ -483,10 +467,6 @@ class SplitDataset:
 
     users: dict[str, UserSplit]
     n_dropped_users: int
-
-    @property
-    def user_ids(self) -> tuple[str, ...]:
-        return tuple(self.users)
 
 
 def leave_last_out_split(log: InteractionLog) -> SplitDataset:

@@ -7,7 +7,8 @@ config and input hashes match the manifest and its outputs exist. If a cached
 upstream artifact was edited on disk behind the manifest's back, the consuming
 stage refuses to run rather than silently building on it; --force recomputes
 every enabled stage. A stage that fails or refuses exits with its number, and
-the manifest still records the stages that finished before it. Every writer
+the manifest still records the stages that finished before it; it is written
+after each stage that runs, so an interrupted run keeps them too. Every writer
 replaces its file atomically (datamodel.atomic_open), so a stage that fails
 leaves no partial file.
 
@@ -51,7 +52,8 @@ ENV_PREFIX = "SIDFORGE_"
 
 
 class ConfigError(ValueError):
-    """An unreadable config, or a section key unknown or of the wrong type."""
+    """An unreadable config, a section key unknown or of the wrong type, or a
+    `pipeline` value out of range."""
 
 
 # One record per config section; its fields hold the defaults. The `rq` and
@@ -62,6 +64,14 @@ class PipelineSection:
     output_dir: str = "sidforge_out"
     workers: int = 1
     kcore: int = 0
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("synth", "ingest"):
+            raise ConfigError(f"pipeline.mode must be 'synth' or 'ingest', not {self.mode!r}")
+        if self.workers < 1:
+            raise ConfigError(f"pipeline.workers must be >= 1, not {self.workers}")
+        if self.kcore < 0:
+            raise ConfigError(f"pipeline.kcore must be >= 0, not {self.kcore}")
 
 
 @dataclass(frozen=True)
@@ -230,11 +240,11 @@ def apply_env_overrides(cfg: dict, env=None) -> dict:
 def load_config(path=None, env=None) -> dict:
     cfg = {k: (dict(v) if isinstance(v, dict) else v) for k, v in DEFAULT_CONFIG.items()}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ConfigError(f"unreadable pipeline config {path}: {exc}") from exc
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"unreadable pipeline config {path}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"pipeline config {path} is a {type(file_cfg).__name__}, not an object")
         cfg = _merge(cfg, file_cfg)
@@ -446,7 +456,8 @@ def evaluate_baseline(
 def run_pipeline(cfg: dict, force: bool = False):
     """Execute the enabled stages; returns (exit_status, summary). A nonzero
     status is the number of the stage that failed or refused. A section with
-    an unknown key or a mistyped value raises before any stage runs."""
+    an unknown key, a mistyped value, or a `pipeline` value out of range
+    raises before any stage runs."""
     if set(cfg) != set(DEFAULT_CONFIG):
         odd = sorted(set(cfg) ^ set(DEFAULT_CONFIG))
         raise ConfigError(f"unknown or missing config sections: {odd}")
@@ -467,13 +478,11 @@ def run_pipeline(cfg: dict, force: bool = False):
             if scfg is None:
                 raise ValueError("pipeline.mode is 'synth' but the synth section is empty")
             sources = synthesize_sources(scfg)
-        elif pipe.mode == "ingest":
+        else:
             unset = [f"inputs.{key}" for key, path in asdict(inputs).items() if not path]
             if unset:
                 raise ValueError(f"pipeline.mode is 'ingest' but {', '.join(unset)} is not set")
             sources = load_sources(inputs.items, inputs.embeddings, inputs.interactions)
-        else:
-            raise ValueError(f"unknown pipeline.mode {pipe.mode!r}")
         write_sources(paths, *sources, kcore=pipe.kcore)
 
     def diagnose_stage():
@@ -545,11 +554,15 @@ def run_pipeline(cfg: dict, force: bool = False):
         (5, "eval", {"eval": cfg["eval"]}, [paths.model, paths.assignment, paths.interactions],
          [paths.ngram, paths.metrics_json, paths.metrics_csv], eval_stage),
     )
+    manifest = {"format": MANIFEST_FORMAT, "stages": runner.new_stages}
     status = 0
     try:
         for number, name, stage_cfg, stage_inputs, outputs, compute in stages:
             if getattr(enabled, name):
                 runner.run(number, name, config_hash(stage_cfg), stage_inputs, outputs, compute)
+                # An interrupted run keeps the stages it finished.
+                if runner.summary[name] == "ran":
+                    write_json(manifest, paths.manifest)
     except StageFailure as stop:
         log.error("%s", stop)
         summary["error"] = str(stop)
@@ -557,5 +570,5 @@ def run_pipeline(cfg: dict, force: bool = False):
         # The failed stage may have replaced some of its outputs; the stages
         # that finished keep their entries.
         runner.new_stages.pop(stop.name, None)
-    write_json({"format": MANIFEST_FORMAT, "stages": runner.new_stages}, paths.manifest)
+    write_json(manifest, paths.manifest)
     return status, summary

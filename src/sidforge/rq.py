@@ -25,7 +25,7 @@ import json
 import re
 import string
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -241,8 +241,13 @@ def _nearest(
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarray:
-    """Greedy D^2-weighted seeding; returns float32 centroids (possibly < k rows
-    if the remaining distance mass hits zero).
+    """Greedy D^2-weighted seeding; returns float32 centroids, fewer than k
+    rows when the remaining distance mass hits zero. That stop is how a level
+    with fewer distinct points than k shrinks: a duplicate of a chosen centre
+    always has its distance recomputed to exactly 0 (its screened value minus
+    the margin lies below 0), every draw takes a row with positive distance,
+    so the chosen rows are distinct, and the mass is zero once every distinct
+    row is chosen. The stop draws nothing from `gen`.
 
     After each new centre c, a row's distance is recomputed directly only
     where its screened value S minus the `_nearest` margin falls below its
@@ -303,8 +308,7 @@ def _update_centroids(points: np.ndarray, idx: np.ndarray, k: int, old: np.ndarr
 
 
 def _fit_level(points, k_conf, gen, max_iters, rel_tol, workers):
-    distinct = np.unique(points, axis=0).shape[0]
-    cents = _kmeanspp_init(points, min(k_conf, distinct), gen)
+    cents = _kmeanspp_init(points, k_conf, gen)
     idx, sq, cents = _assign_with_repair(points, cents, workers)
     mse = float(sq.mean())
     trace = [mse]
@@ -334,7 +338,8 @@ def _prepare(points: np.ndarray, cfg: RqConfig) -> np.ndarray:
 def fit_codebooks(emb: EmbeddingSet, cfg: RqConfig, workers: int = 1) -> RqModel:
     """Fit one k-means codebook per level on the residuals of the previous
     levels. A level whose residuals have fewer distinct values than its
-    configured size shrinks to that count (recorded in fit_stats)."""
+    configured size shrinks to that count (recorded in fit_stats): the
+    k-means++ seeding stops when every residual equals a chosen centre."""
     if emb.count == 0:
         raise RqError("cannot fit codebooks on an empty embedding set")
     residual = _prepare(emb.rows.astype(np.float64), cfg)
@@ -570,25 +575,12 @@ def build_trie(assign: SidAssignment) -> SidTrie:
 def save_model(model: RqModel, path) -> None:
     """One-line JSON header followed by one binary centroid block per level."""
     header = {
+        **asdict(model.config),
         "format": MODEL_FORMAT,
-        "levels": model.levels,
         "dim": model.dim,
-        "codebook_sizes": list(model.config.codebook_sizes),
         "effective_sizes": list(model.effective_sizes),
-        "kmeans_max_iters": model.config.kmeans_max_iters,
-        "kmeans_rel_tol": model.config.kmeans_rel_tol,
-        "seed": model.config.seed,
-        "normalize_inputs": model.config.normalize_inputs,
         "model_hash": model.model_hash(),
-        "fit_stats": [
-            {
-                "level": st.level,
-                "configured_size": st.configured_size,
-                "effective_size": st.effective_size,
-                "mse_trace": list(st.mse_trace),
-            }
-            for st in model.fit_stats
-        ],
+        "fit_stats": [asdict(st) for st in model.fit_stats],
     }
     with atomic_open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))

@@ -12,7 +12,7 @@ transition into the next category.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,11 +89,6 @@ class SynthConfig:
     def from_dict(cls, obj: dict) -> "SynthConfig":
         """Config from a JSON object; raises SynthError."""
         return from_json(cls, obj, SynthError)
-
-    def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["events_per_user"] = list(self.events_per_user)
-        return out
 
 
 def load_synth_config(path) -> SynthConfig:

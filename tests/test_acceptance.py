@@ -15,9 +15,8 @@ import sidforge
 from conftest import assignment_from_sids, random_model
 from sidforge.corpus import (
     TaskId,
-    TrainingExample,
     _USER_TEMPLATES,
-    render_template,
+    render_chat,
     sample_corpus,
     system_instruction,
 )
@@ -333,14 +332,12 @@ def test_criterion_10_corpus_fidelity():
             assert len(tokens) == 2
             checked_sid_targets += 1
     assert checked_sid_targets > 10_000
-    example = TrainingExample(
-        task=TaskId.T1,
-        system_instruction=system_instruction(TaskId.T1),
-        user_input=_USER_TEMPLATES[TaskId.T1].format(title="Final Fantasy VIII"),
-        target_output="<a_195><b_133>",
-        provenance="example",
-    )
-    assert render_template(example).text == (
+    record = {
+        "system": system_instruction(TaskId.T1),
+        "user": _USER_TEMPLATES[TaskId.T1].format(title="Final Fantasy VIII"),
+        "assistant": "<a_195><b_133>",
+    }
+    assert render_chat(record) == (
         "<|im_start|>system\n"
         "You are a semantic ID encoder. Given a product title, generate its "
         "corresponding Semantic ID (SID) sequence.\n"

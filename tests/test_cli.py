@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -320,10 +321,34 @@ def test_pipeline_config_typo_fails_before_any_stage(tmp_path, capsys, caplog):
     cfg_path = tmp_path / "pipe.json"
     cfg_path.write_text(json.dumps({"pipeline": {"output_dir": str(out)}, "eval": {"beamsize": 5}}))
     status = main(["pipeline", "--config", str(cfg_path)])
-    assert status == 1
+    assert status == os.EX_CONFIG == 78
     assert "eval" in caplog.text and "beamsize" in caplog.text
     assert "Traceback" not in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+def test_pipeline_unreadable_or_rejected_config_exits_ex_config(tmp_path, capsys, caplog):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "pipe.json"
+    cfg_path.write_text(json.dumps({"pipeline": {"output_dir": str(out), "workers": 0}}))
+    for argv, named in (
+        (["--config", tmp_path / "missing.json"], "missing.json"),
+        (["--config", cfg_path], "pipeline.workers"),
+        (["--output-dir", out, "--workers", -3], "pipeline.workers"),
+    ):
+        caplog.clear()
+        status, _ = run(capsys, "pipeline", *argv)
+        assert status == 78
+        assert named in caplog.text
+        assert not out.exists()
+
+
+def test_pipeline_output_dir_under_a_file_exits_ex_ioerr(tmp_path, capsys, caplog):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    status, summary = run(capsys, "pipeline", "--output-dir", blocker / "out")
+    assert status == os.EX_IOERR == 74
+    assert summary is None
 
 
 def test_missing_file_errors_return_one(tmp_path, capsys):
@@ -346,5 +371,8 @@ def test_synth_config_missing_fields_fails_cleanly(tmp_path, capsys, caplog):
 
 
 def test_unknown_flag_rejected(capsys):
-    with pytest.raises(SystemExit):
-        main(["synth", "--bogus", "x"])
+    # The second is rejected by the subcommand's own parser.
+    for argv in (["synth", "--bogus", "x"], ["pipeline", "--workers", "two"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == os.EX_USAGE == 64

@@ -7,14 +7,12 @@ import pytest
 
 from conftest import assignment_from_sids, random_model
 from sidforge.corpus import (
-    CHAT_TEMPLATE,
     HISTORY_SEPARATOR,
     CorpusError,
     TaskId,
-    TrainingExample,
     make_examples,
     parse_conversational,
-    render_template,
+    render_chat,
     sample_corpus,
     system_instruction,
     write_chat_corpus,
@@ -70,30 +68,22 @@ class TestInstructions:
 
 class TestChatTemplate:
     def test_render_layout(self):
-        example = TrainingExample(TaskId.T1, "SYS", "USR", "TGT", "item")
-        record = render_template(example)
-        assert record.text == (
+        record = {"system": "SYS", "user": "USR", "assistant": "TGT"}
+        assert render_chat(record) == (
             "<|im_start|>system\nSYS\n<|im_end|>\n"
             "<|im_start|>user\nUSR\n<|im_end|>\n"
             "<|im_start|>assistant\nTGT\n<|im_end|>"
         )
 
     def test_parse_inverse(self):
-        example = TrainingExample(
-            TaskId.T2, "line one\nline two", "user text", "answer", "x"
-        )
-        parts = parse_conversational(render_template(example).text)
-        assert parts == {
-            "system": "line one\nline two",
-            "user": "user text",
-            "assistant": "answer",
-        }
+        record = {"system": "line one\nline two", "user": "user text", "assistant": "answer"}
+        assert parse_conversational(render_chat(record)) == record
 
     def test_parse_rejects_malformed(self):
         with pytest.raises(CorpusError):
             parse_conversational("<|im_start|>system\nx\n<|im_end|>")
         with pytest.raises(CorpusError):
-            parse_conversational(CHAT_TEMPLATE.format(system="s", user="u", assistant="a") + "x")
+            parse_conversational(render_chat({"system": "s", "user": "u", "assistant": "a"}) + "x")
 
 
 class TestMakeExamples:

