@@ -80,6 +80,15 @@ class TrainingExample:
     provenance: str  # item_id for item tasks, user_id for history tasks
 
 
+def check_settings(*, n: int = 1, max_history: int = 1) -> None:
+    """Raise CorpusError, naming the setting, when the corpus size `n` or the
+    history length `max_history` is below 1. The pipeline's `corpus` config
+    section runs the same checks."""
+    for name, value in (("n", n), ("max_history", max_history)):
+        if value < 1:
+            raise CorpusError(f"{name} must be >= 1, not {value}")
+
+
 def make_examples(
     task: TaskId,
     split: SplitDataset,
@@ -94,8 +103,7 @@ def make_examples(
     recent max_history train items, oldest first, and the target is the
     validation item, so test targets never enter a training corpus.
     """
-    if max_history < 1:
-        raise CorpusError("max_history must be >= 1")
+    check_settings(max_history=max_history)
     source, input_view, output_view = task.value
     system = system_instruction(task)
     template = _USER_TEMPLATES[task]
@@ -171,8 +179,7 @@ def sample_corpus(
     """n records sampled task-uniformly (then uniformly within the task, with
     replacement). Tasks with no examples are excluded and sampling is
     renormalized over the rest, with a warning. Returns (records, stats)."""
-    if n < 1:
-        raise CorpusError("n must be >= 1")
+    check_settings(n=n)
     pools: dict[TaskId, list[TrainingExample]] = {}
     skipped: dict[str, int] = {}
     for task in TaskId:

@@ -52,8 +52,9 @@ ENV_PREFIX = "SIDFORGE_"
 
 
 class ConfigError(ValueError):
-    """An unreadable config, a section key unknown or of the wrong type, or a
-    `pipeline` value out of range."""
+    """An unreadable config, a section key unknown or of the wrong type, a
+    `pipeline`, `corpus` or `eval` value out of range, or a source setting
+    that stage 1 needs left unset."""
 
 
 # One record per config section; its fields hold the defaults. The `rq` and
@@ -81,11 +82,23 @@ class InputsSection:
     interactions: str | None = None
 
 
+def _check_section(section: str, check, **settings) -> None:
+    """Run a library range check on a section's settings, as a ConfigError
+    that names the section and the key."""
+    try:
+        check(**settings)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from None
+
+
 @dataclass(frozen=True)
 class CorpusSection:
     n: int = 1000
     max_history: int = 20
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check_section("corpus", corpus_mod.check_settings, n=self.n, max_history=self.max_history)
 
 
 @dataclass(frozen=True)
@@ -96,6 +109,12 @@ class EvalSection:
     alpha: float = 0.1
     include_validation: bool = True
     ngram_include_validation: bool = False
+
+    def __post_init__(self) -> None:
+        _check_section(
+            "eval", recommender.check_settings,
+            ks=self.ks, beam_size=self.beam_size, order=self.order, alpha=self.alpha,
+        )
 
 
 @dataclass(frozen=True)
@@ -456,8 +475,9 @@ def evaluate_baseline(
 def run_pipeline(cfg: dict, force: bool = False):
     """Execute the enabled stages; returns (exit_status, summary). A nonzero
     status is the number of the stage that failed or refused. A section with
-    an unknown key, a mistyped value, or a `pipeline` value out of range
-    raises before any stage runs."""
+    an unknown key, a mistyped value, or a value out of range raises
+    ConfigError before any stage runs, as does an enabled source stage whose
+    mode lacks its `synth` section or an `inputs` path."""
     if set(cfg) != set(DEFAULT_CONFIG):
         odd = sorted(set(cfg) ^ set(DEFAULT_CONFIG))
         raise ConfigError(f"unknown or missing config sections: {odd}")
@@ -469,19 +489,22 @@ def run_pipeline(cfg: dict, force: bool = False):
 
     out_dir = Path(pipe.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Checked after the directory is made, so that a directory that cannot be
+    # made is a file error whatever the config.
+    if enabled.source:
+        unset = [f"inputs.{key}" for key, path in asdict(inputs).items() if not path]
+        if pipe.mode == "synth" and scfg is None:
+            raise ConfigError("pipeline.mode is 'synth' but the synth section is empty")
+        if pipe.mode == "ingest" and unset:
+            raise ConfigError(f"pipeline.mode is 'ingest' but {', '.join(unset)} is not set")
     paths = ArtifactPaths.in_dir(out_dir)
     runner = _Runner(_read_manifest(paths.manifest), force)
     summary: dict = {"output_dir": str(out_dir), "stages": runner.summary}
 
     def source_stage():
         if pipe.mode == "synth":
-            if scfg is None:
-                raise ValueError("pipeline.mode is 'synth' but the synth section is empty")
             sources = synthesize_sources(scfg)
         else:
-            unset = [f"inputs.{key}" for key, path in asdict(inputs).items() if not path]
-            if unset:
-                raise ValueError(f"pipeline.mode is 'ingest' but {', '.join(unset)} is not set")
             sources = load_sources(inputs.items, inputs.embeddings, inputs.interactions)
         write_sources(paths, *sources, kcore=pipe.kcore)
 

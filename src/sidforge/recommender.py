@@ -19,6 +19,11 @@ Speed without changing a bit of the results:
   score from its hypothesis's row, adds it to the hypothesis score with the
   same float64 addition as a token-by-token walk, and ranks the candidates
   with one lexsort on (-score, tokens).
+- `evaluate` searches once per n-gram state, the last order - 1 tokens of
+  a user's context, and gives that ranking to every user with the state.
+  It is exact: the state of the context extended by a beam's tokens is the
+  state of the state extended by them, so every row, score and tie-break
+  of the search is the same.
 """
 
 from __future__ import annotations
@@ -46,6 +51,20 @@ class RecommenderError(ValueError):
 # A count key in ngram.json: a token id in canonical decimal, short enough to
 # convert without the interpreter's digit limit.
 _TOKEN_KEY = re.compile(r"0|[1-9][0-9]{0,17}")
+
+
+def check_settings(*, ks=(1,), beam_size: int = 1, order: int = 1, alpha: float = 1.0) -> None:
+    """Raise RecommenderError, naming the setting, when the evaluation's
+    cutoffs `ks` or `beam_size`, or the n-gram's `order` or `alpha`, is out of
+    range. The pipeline's `eval` config section runs the same checks."""
+    if not ks or min(ks) < 1:
+        raise RecommenderError(f"ks must be a non-empty list of cutoffs >= 1, not {list(ks)}")
+    if beam_size < 1:
+        raise RecommenderError(f"beam_size must be >= 1, not {beam_size}")
+    if order < 1:
+        raise RecommenderError(f"order must be >= 1, not {order}")
+    if not 0.0 < alpha <= sys.float_info.max:
+        raise RecommenderError(f"alpha must be a finite number > 0, not {alpha}")
 
 
 def level_offsets(sizes) -> tuple[int, ...]:
@@ -109,11 +128,17 @@ class NGramModel:
     def vocab_size(self) -> int:
         return sum(self.sizes)
 
+    def state(self, context) -> tuple[int, ...]:
+        """The last order - 1 tokens of a context (a sequence), all of it that
+        `score_next` reads. A context extended by any tokens has the state of
+        its state extended by them."""
+        # context[-0:] would be the whole context
+        return tuple(context[-(self.order - 1):]) if self.order > 1 else ()
+
     def score_next(self, context) -> np.ndarray:
         """Read-only log-probability vector over the global vocabulary; sums
-        to one after exponentiation. A pure function of the last order - 1
-        tokens of the context (a sequence)."""
-        ctx = tuple(context[-(self.order - 1):]) if self.order > 1 else ()
+        to one after exponentiation. A pure function of the context's state."""
+        ctx = self.state(context)
         while ctx not in self.totals:
             if not ctx:
                 raise RecommenderError("model has no unigram table; was it trained?")
@@ -149,10 +174,7 @@ def train_ngram(
 
     For each context length, the (context, token) windows that lie inside one
     user's sequence are sorted, and each run of equal windows is one count."""
-    if order < 1:
-        raise RecommenderError("order must be >= 1")
-    if not alpha > 0.0:
-        raise RecommenderError("alpha must be > 0")
+    check_settings(order=order, alpha=alpha)
     sizes = tuple(int(k) for k in sizes)
     vocab_size = sum(sizes)
     flat = flat_sids(assign, level_offsets(sizes))
@@ -399,18 +421,27 @@ def evaluate(
     keep_ranks: bool = False,
     unconstrained: bool = False,
 ) -> MetricsReport:
-    """Per-user generation and macro-averaged HR/NDCG.
+    """Next-SID generation for every user with a test SID, and macro-averaged
+    HR/NDCG.
 
     The context is the user's flattened train (plus validation, by default)
     token sequence; the target is the test item's SID. A generated SID counts
     as a hit whenever the target item maps to it, collisions included. NDCG
     uses binary relevance with gain 1/log2(rank + 1) and ideal DCG 1.
+
+    Every row the search scores depends only on the context's n-gram state,
+    so users who share a state share a ranking: each state is searched once,
+    with the state as the context. The n-gram's level sizes must be `sizes`.
     """
-    ks = sorted(int(k) for k in ks)
-    if not ks or ks[0] < 1:
-        raise RecommenderError("every K must be >= 1")
+    check_settings(ks=ks, beam_size=beam_size)
+    sizes = tuple(int(k) for k in sizes)
+    if model.sizes != sizes:
+        raise RecommenderError(
+            f"the n-gram's level sizes {list(model.sizes)} are not the SID levels' {list(sizes)}"
+        )
     top_k = min(beam_size, max(ks))
     flat = flat_sids(assign, level_offsets(sizes))
+    rankings: dict[tuple[int, ...], list[SidSequence]] = {}
     ranks: dict[str, int] = {}
     excluded = 0
     shortfalls = 0
@@ -419,23 +450,17 @@ def evaluate(
         if user.test not in assign:
             excluded += 1
             continue
-        target = assign[user.test]
-        ctx = user_context(user.train, user.validation, flat, include_validation)
-        ranked = beam_search(
-            model, ctx, trie, beam_size, top_k, sizes, unconstrained=unconstrained
-        )
+        state = model.state(user_context(user.train, user.validation, flat, include_validation))
+        ranked = rankings.get(state)
+        if ranked is None:
+            found = beam_search(model, state, trie, beam_size, top_k, sizes, unconstrained=unconstrained)
+            ranked = rankings[state] = [tokens for tokens, _ in found]
+            if not unconstrained and any(tokens not in trie for tokens in ranked):
+                raise RecommenderError("constrained search produced a non-catalog SID")
         if len(ranked) < top_k:
             shortfalls += 1
-        if not unconstrained:
-            for tokens, _ in ranked:
-                if tokens not in trie:
-                    raise RecommenderError("constrained search produced a non-catalog SID")
-        rank = 0
-        for position, (tokens, _) in enumerate(ranked, start=1):
-            if tokens == target:
-                rank = position
-                break
-        ranks[user_id] = rank
+        target = assign[user.test]
+        ranks[user_id] = ranked.index(target) + 1 if target in ranked else 0
     return _metrics_from_ranks(ranks, ks, excluded, shortfalls, keep_ranks)
 
 
@@ -465,9 +490,7 @@ def evaluate_static_ranking(
 ) -> MetricsReport:
     """HR/NDCG for a fixed SID ranking shared by all users, with the same hit
     semantics as evaluate()."""
-    ks = sorted(int(k) for k in ks)
-    if not ks or ks[0] < 1:
-        raise RecommenderError("every K must be >= 1")
+    check_settings(ks=ks)
     position_of = {sid: i + 1 for i, sid in enumerate(ranked)}
     ranks: dict[str, int] = {}
     excluded = 0

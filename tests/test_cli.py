@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from sidforge.cli import main
 from sidforge.datamodel import load_embeddings
 from sidforge.pipeline import ArtifactPaths
+from sidforge.recommender import NGramModel, save_ngram
 
 
 @pytest.fixture
@@ -325,6 +327,54 @@ def test_pipeline_config_typo_fails_before_any_stage(tmp_path, capsys, caplog):
     assert "eval" in caplog.text and "beamsize" in caplog.text
     assert "Traceback" not in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+def test_pipeline_out_of_range_or_missing_settings_exit_ex_config(tmp_path, capsys, caplog):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "pipe.json"
+    for cfg, named in (
+        ({"eval": {"beam_size": 0}}, "eval.beam_size"),
+        ({"eval": {"ks": []}}, "eval.ks"),
+        ({"corpus": {"n": 0}}, "corpus.n"),
+        ({"corpus": {"max_history": 0}}, "corpus.max_history"),
+        ({}, "synth section is empty"),
+        ({"pipeline": {"mode": "ingest"}}, "inputs.items, inputs.embeddings, inputs.interactions"),
+    ):
+        pipe = {"output_dir": str(out), **cfg.get("pipeline", {})}
+        cfg_path.write_text(json.dumps({**cfg, "pipeline": pipe}))
+        caplog.clear()
+        status, summary = run(capsys, "pipeline", "--config", cfg_path)
+        assert status == os.EX_CONFIG and summary is None
+        assert named in caplog.text
+        assert not (out / "manifest.json").exists()
+
+
+def test_eval_rejects_an_ngram_of_other_level_sizes(tmp_path, synth_config, capsys, caplog):
+    out = tmp_path / "out"
+    cfg = {
+        "pipeline": {"output_dir": str(out)},
+        "synth": json.loads(synth_config.read_text()),
+        "rq": {"levels": 2, "codebook_sizes": [8, 4]},
+        "corpus": {"n": 40, "seed": 0},
+    }
+    cfg_path = tmp_path / "pipe.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(capsys, "pipeline", "--config", cfg_path)[0] == 0
+    other = tmp_path / "other.json"
+    ngram = NGramModel(order=2, alpha=0.1, sizes=(2, 2), counts={(): Counter({1: 3})}, totals={(): 3})
+    save_ngram(ngram, other)
+    paths = ArtifactPaths.in_dir(out)
+    status, metrics = run(
+        capsys,
+        "eval",
+        "--model", paths.model,
+        "--assignment", paths.assignment,
+        "--interactions", paths.interactions,
+        "--ngram", other,
+    )
+    assert status == 1 and metrics is None
+    assert "level sizes [2, 2] are not the SID levels' [8, 4]" in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_pipeline_unreadable_or_rejected_config_exits_ex_config(tmp_path, capsys, caplog):

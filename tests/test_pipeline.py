@@ -217,12 +217,19 @@ class TestRun:
         assert paths.model.exists()
 
     def test_stage_one_failure_exit_code(self, tmp_path):
+        # An empty synth section is a config error; an unreadable source is
+        # what fails stage 1 (test_ingest_missing_input_fails_stage_one).
+        out = tmp_path / "out"
         cfg = load_config()
-        cfg["pipeline"]["output_dir"] = str(tmp_path / "out")
+        cfg["pipeline"]["output_dir"] = str(out)
         cfg["synth"] = None
+        with pytest.raises(ConfigError, match="synth section is empty"):
+            run_pipeline(cfg)
+        assert not ArtifactPaths.in_dir(out).manifest.exists()
+        # Only an enabled source stage needs it.
+        cfg["stages"] = {name: name == "eval" for name in cfg["stages"]}
         status, summary = run_pipeline(cfg)
-        assert status == 1
-        assert "synth" in summary["error"]
+        assert status == 5 and "missing input" in summary["error"]
 
     def test_eval_failure_exit_code(self, tmp_path):
         out = tmp_path / "out"
@@ -237,15 +244,19 @@ class TestRun:
         manifest = json.loads(ArtifactPaths.in_dir(out).manifest.read_text())
         assert set(manifest["stages"]) == {"source", "tokenize", "diagnose", "corpus"}
 
-    def test_failed_stage_keeps_finished_stages_cached(self, tmp_path):
+    def test_failed_stage_keeps_finished_stages_cached(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         cfg = base_cfg(out)
-        cfg["eval"] = {**cfg["eval"], "order": 0}
-        status, summary = run_pipeline(cfg)
+
+        def fail(*args, **kwargs):
+            raise pipeline.recommender.RecommenderError("no training tokens")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline.recommender, "train_ngram", fail)
+            status, summary = run_pipeline(cfg)
         assert status == 5
         manifest = json.loads(ArtifactPaths.in_dir(out).manifest.read_text())
         assert set(manifest["stages"]) == {"source", "tokenize", "diagnose", "corpus"}
-        cfg["eval"]["order"] = 3
         status, summary = run_pipeline(cfg)
         assert status == 0
         assert summary["stages"] == {
@@ -299,6 +310,17 @@ class TestRun:
             cfg = base_cfg(out)
             cfg["pipeline"][key] = value
             with pytest.raises(ConfigError, match=f"pipeline.{key} must be"):
+                run_pipeline(cfg)
+            assert not out.exists()
+
+    def test_bad_corpus_and_eval_values_rejected_before_any_stage(self, tmp_path):
+        out = tmp_path / "out"
+        for section, key, value in (("eval", "beam_size", 0), ("eval", "ks", []), ("eval", "ks", [5, 0]),
+                                    ("eval", "order", 0), ("eval", "alpha", 0.0),
+                                    ("corpus", "n", 0), ("corpus", "max_history", 0)):
+            cfg = base_cfg(out)
+            cfg[section][key] = value
+            with pytest.raises(ConfigError, match=f"{section}.{key} must be"):
                 run_pipeline(cfg)
             assert not out.exists()
 
@@ -393,9 +415,10 @@ class TestRun:
             (tmp_path / name).write_text("")
             cfg["inputs"][key] = str(tmp_path / name)
         cfg["inputs"]["embeddings"] = None
-        status, summary = run_pipeline(cfg)
-        assert status == 1
-        assert "inputs.embeddings" in summary["error"]
+        (tmp_path / "out" / "manifest.json").unlink()
+        with pytest.raises(ConfigError, match="inputs.embeddings is not set"):
+            run_pipeline(cfg)
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_no_partial_files_left_behind(self, tmp_path):
         out = tmp_path / "out"

@@ -3,17 +3,20 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import assignment_from_sids
+from sidforge import recommender
 from sidforge.datamodel import SplitDataset, UserSplit
 from sidforge.recommender import (
     MetricsReport,
     NGramModel,
     RecommenderError,
+    _metrics_from_ranks,
     beam_search,
     evaluate,
     evaluate_static_ranking,
@@ -419,6 +422,67 @@ def random_case(gen):
     return sizes, assignment_from_sids(sids), split_of(users)
 
 
+def reference_evaluate(
+    model,
+    split,
+    assign,
+    trie,
+    sizes,
+    ks=(5, 10),
+    beam_size=20,
+    include_validation=True,
+    keep_ranks=False,
+    unconstrained=False,
+):
+    """evaluate before it searched once per n-gram state, verbatim: one
+    beam search per user, over the user's whole context."""
+    ks = sorted(int(k) for k in ks)
+    if not ks or ks[0] < 1:
+        raise RecommenderError("every K must be >= 1")
+    top_k = min(beam_size, max(ks))
+    flat = flat_sids(assign, level_offsets(sizes))
+    ranks: dict[str, int] = {}
+    excluded = 0
+    shortfalls = 0
+    for user_id in sorted(split.users):
+        user = split.users[user_id]
+        if user.test not in assign:
+            excluded += 1
+            continue
+        target = assign[user.test]
+        ctx = user_context(user.train, user.validation, flat, include_validation)
+        ranked = beam_search(
+            model, ctx, trie, beam_size, top_k, sizes, unconstrained=unconstrained
+        )
+        if len(ranked) < top_k:
+            shortfalls += 1
+        if not unconstrained:
+            for tokens, _ in ranked:
+                if tokens not in trie:
+                    raise RecommenderError("constrained search produced a non-catalog SID")
+        rank = 0
+        for position, (tokens, _) in enumerate(ranked, start=1):
+            if tokens == target:
+                rank = position
+                break
+        ranks[user_id] = rank
+    return _metrics_from_ranks(ranks, ks, excluded, shortfalls, keep_ranks)
+
+
+def evaluation_case(gen):
+    """random_case plus users whose contexts are empty or shorter than
+    order - 1 tokens but whose test item has a SID."""
+    sizes, assign, split = random_case(gen)
+    items = sorted(assign.sids)
+    extra = split_of({
+        "empty_ctx": ["x0", "x1", "x0", items[0]],
+        "short_ctx": ["x1", items[-1], "x0", items[0]],
+        "one_sid": [items[0], "x0", items[-1]],
+    })
+    users = {**split.users, **extra.users}
+    return sizes, assign, SplitDataset(users=users, n_dropped_users=0)
+
+
 class TestFastPathsMatchLoops:
     def test_counts_equal_the_counter_loop(self):
         for trial in range(80):
@@ -476,6 +540,48 @@ class TestFastPathsMatchLoops:
                         got = beam_search(model, ctx, trie, beam_size, top_k, sizes, unconstrained)
                         assert got == want, f"trial {trial} beam {beam_size} ctx {ctx}"
                         assert all(type(t) is int for tokens, _ in got for t in tokens)
+
+    def test_evaluate_equals_the_per_user_search(self):
+        for trial in range(40):
+            gen = np.random.default_rng(2000 + trial)
+            sizes, assign, split = evaluation_case(gen)
+            trie = build_trie(assign)
+            for order in (1, 2, 3, 4):
+                model = train_ngram(split, assign, sizes, order, float(gen.uniform(0.05, 2.0)))
+                for unconstrained in (False, True):
+                    beam_size = int(gen.integers(1, trie.n_sids + 4))
+                    ks = sorted({int(k) for k in gen.integers(1, 8, size=2)})
+                    include_validation = bool(gen.integers(2))
+                    args = (model, split, assign, trie, sizes, ks, beam_size, include_validation, True,
+                            unconstrained)
+                    want = reference_evaluate(*args)
+                    assert evaluate(*args) == want, f"trial {trial} order {order}"
+                    assert want.n_excluded >= 1 and want.n_users >= 3
+
+    def test_one_search_per_ngram_state(self, monkeypatch):
+        gen = np.random.default_rng(5)
+        sizes, assign, split = evaluation_case(gen)
+        trie = build_trie(assign)
+        flat = flat_sids(assign, level_offsets(sizes))
+        searched = []
+
+        def counting_beam_search(model, context, *args, **kwargs):
+            searched.append(context)
+            return beam_search(model, context, *args, **kwargs)
+
+        monkeypatch.setattr(recommender, "beam_search", counting_beam_search)
+        for order in (1, 2, 3, 4):
+            searched.clear()
+            model = train_ngram(split, assign, sizes, order, 0.3)
+            evaluate(model, split, assign, trie, sizes, ks=(3,), beam_size=4)
+            contexts = [
+                user_context(user.train, user.validation, flat, True)
+                for user in split.users.values() if user.test in assign
+            ]
+            states = {ctx[max(len(ctx) - order + 1, 0):] for ctx in contexts}
+            assert sorted(searched) == sorted(states), f"order {order}"
+        assert model.state((1, 2, 3, 4)) == (2, 3, 4) and model.state([1]) == (1,)
+        assert train_ngram(split, assign, sizes, 1, 0.3).state((1, 2, 3)) == ()
 
     def test_rows_read_only_repeatable_and_bounded(self, tmp_path):
         gen = np.random.default_rng(3)
@@ -552,6 +658,28 @@ class TestMetrics:
             evaluate(model, split, assign, trie, (1,), ks=())
         with pytest.raises(RecommenderError):
             evaluate(model, split, assign, trie, (1,), ks=(0,))
+
+    def test_beam_size_validated_with_no_user_to_search(self):
+        assign = assignment_from_sids({"a": (0,)})
+        trie = build_trie(assign)
+        model = train_ngram(split_of({"u": ["a", "a", "a"]}), assign, (1,), order=1, alpha=0.1)
+        nobody = split_of({"v": ["a", "a", "x"]})
+        assert evaluate(model, nobody, assign, trie, (1,), ks=(1,), beam_size=1).n_excluded == 1
+        with pytest.raises(RecommenderError, match="beam_size must be >= 1, not 0"):
+            evaluate(model, nobody, assign, trie, (1,), ks=(1,), beam_size=0)
+
+    def test_ngram_level_sizes_must_be_the_models(self):
+        assign = assignment_from_sids({"a": (0, 1), "b": (1, 0), "c": (3, 5)})
+        trie = build_trie(assign)
+        split = split_of({"u": ["a", "b", "a", "c"], "v": ["b", "b", "a", "a"]})
+        # Too small a vocabulary once indexed past its end; too large a one
+        # read the second level's scores at the wrong offsets.
+        for ngram_sizes in ((2, 2), (4, 8, 2), (5, 8)):
+            model = NGramModel(order=2, alpha=0.1, sizes=ngram_sizes, counts={(): Counter({1: 3})},
+                               totals={(): 3})
+            named = re.escape(f"level sizes {list(ngram_sizes)} are not the SID levels' [4, 8]")
+            with pytest.raises(RecommenderError, match=named):
+                evaluate(model, split, assign, trie, (4, 8), ks=(1,), beam_size=2)
 
 
 class TestPopularity:
