@@ -3,10 +3,11 @@ chat-template rendering, and uniform task sampling to line-delimited JSON."""
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
+import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -89,62 +90,80 @@ def check_settings(*, n: int = 1, max_history: int = 1) -> None:
             raise CorpusError(f"{name} must be >= 1, not {value}")
 
 
+class ExamplePool(Sequence):
+    """One task's examples as a read-only sequence over its eligible sources:
+    `pool[i]` renders example i when it is read, so a sampler that reads k
+    examples renders k, however large the pool."""
+
+    def __init__(self, sources: list, render):
+        self._sources = sources
+        self._render = render
+
+    def __len__(self) -> int:
+        return len(self._sources)
+
+    def __getitem__(self, index: int) -> TrainingExample:
+        return self._render(self._sources[operator.index(index)])  # no slices
+
+
 def make_examples(
     task: TaskId,
     split: SplitDataset,
     catalog: ItemCatalog,
     assign: SidAssignment,
     max_history: int = 20,
-) -> tuple[list[TrainingExample], int]:
-    """Examples for one task plus the count of skipped sources.
+) -> tuple[ExamplePool, int]:
+    """One task's examples as a lazy pool, plus the count of skipped sources.
 
     Item tasks iterate the catalog (a visual input skips items without a
     visual description). History tasks iterate users: the input is the most
     recent max_history train items, oldest first, and the target is the
-    validation item, so test targets never enter a training corpus.
+    validation item, so test targets never enter a training corpus. Only
+    the eligible sources are found here; the pool renders an example when
+    it is read.
     """
     check_settings(max_history=max_history)
     source, input_view, output_view = task.value
     system = system_instruction(task)
     template = _USER_TEMPLATES[task]
-    examples: list[TrainingExample] = []
-    skipped = 0
-
-    # History tasks show the same items to many users: render each SID once
-    # per call. Catalog fields are read directly, which is cheaper than a cache.
-    sid_text = functools.cache(lambda item_id: render_sid(assign[item_id]))
 
     def show(view: str, item_id: str) -> str:
         if view == "sid":
-            return sid_text(item_id)
+            return render_sid(assign[item_id])
         return getattr(catalog.get(item_id), view)
 
     if source == "history":
+        shown_items = {item_id for item_id in assign.sids if item_id in catalog}
+        users = []  # (user_id, shown history, validation item)
         for user_id in sorted(split.users):
             user = split.users[user_id]
-            history = [i for i in user.train[-max_history:] if i in catalog and i in assign]
-            target = user.validation
-            if not history or target not in catalog or target not in assign:
-                skipped += 1
-                continue
+            history = [i for i in user.train[-max_history:] if i in shown_items]
+            if history and user.validation in shown_items:
+                users.append((user_id, history, user.validation))
+
+        def render_user(source: tuple) -> TrainingExample:
+            user_id, history, target = source
             shown = HISTORY_SEPARATOR.join(show(input_view, i) for i in history)
             user_input = template.format_map({f"{input_view}_history": shown})
-            examples.append(
-                TrainingExample(task, system, user_input, show(output_view, target), user_id)
-            )
-        return examples, skipped
+            return TrainingExample(task, system, user_input, show(output_view, target), user_id)
 
-    for record in catalog:
-        # An empty title is still shown; an empty visual description is not.
-        if record.item_id not in assign or (
-            input_view == "visual_description" and not record.visual_description
-        ):
-            skipped += 1
-            continue
-        user_input = template.format_map({input_view: show(input_view, record.item_id)})
-        target_output = show(output_view, record.item_id)
-        examples.append(TrainingExample(task, system, user_input, target_output, record.item_id))
-    return examples, skipped
+        return ExamplePool(users, render_user), len(split.users) - len(users)
+
+    # An empty title is still shown; an empty visual description is not. The
+    # sources are the item id strings themselves: a container per item would
+    # add thousands of objects for the garbage collector to track.
+    items = [
+        record.item_id
+        for record in catalog
+        if record.item_id in assign.sids
+        and (input_view != "visual_description" or record.visual_description)
+    ]
+
+    def render_item(item_id: str) -> TrainingExample:
+        user_input = template.format_map({input_view: show(input_view, item_id)})
+        return TrainingExample(task, system, user_input, show(output_view, item_id), item_id)
+
+    return ExamplePool(items, render_item), len(catalog) - len(items)
 
 
 def render_chat(record: dict) -> str:
@@ -178,14 +197,13 @@ def sample_corpus(
 ) -> tuple[list[dict], dict]:
     """n records sampled task-uniformly (then uniformly within the task, with
     replacement). Tasks with no examples are excluded and sampling is
-    renormalized over the rest, with a warning. Returns (records, stats)."""
+    renormalized over the rest, with a warning. Only the drawn examples are
+    rendered, each once. Returns (records, stats)."""
     check_settings(n=n)
-    pools: dict[TaskId, list[TrainingExample]] = {}
+    pools: dict[TaskId, ExamplePool] = {}
     skipped: dict[str, int] = {}
     for task in TaskId:
-        examples, n_skipped = make_examples(task, split, catalog, assign, max_history)
-        pools[task] = examples
-        skipped[task.name] = n_skipped
+        pools[task], skipped[task.name] = make_examples(task, split, catalog, assign, max_history)
     available = [t for t in TaskId if pools[t]]
     excluded = [t.name for t in TaskId if not pools[t]]
     if not available:
@@ -199,19 +217,25 @@ def sample_corpus(
     gen = rng.stream(seed, rng.CORPUS_SAMPLING)
     records = []
     sampled: dict[str, int] = {t.name: 0 for t in TaskId}
+    # Each drawn example is rendered into a record once; a draw of it again
+    # copies that record. The loop keys on task names: an Enum member hashes
+    # in Python, a str hash is cached.
+    drawn: dict[tuple[str, int], dict] = {}
+    choices = [(t.name, pools[t]) for t in available]
     for _ in range(n):
-        task = available[int(gen.integers(len(available)))]
-        pool = pools[task]
-        example = pool[int(gen.integers(len(pool)))]
-        sampled[task.name] += 1
-        records.append(
-            {
-                "task": task.name,
+        name, pool = choices[int(gen.integers(len(choices)))]
+        key = name, int(gen.integers(len(pool)))
+        record = drawn.get(key)
+        if record is None:
+            example = pool[key[1]]
+            record = drawn[key] = {
+                "task": name,
                 "system": example.system_instruction,
                 "user": example.user_input,
                 "assistant": example.target_output,
             }
-        )
+        sampled[name] += 1
+        records.append(record.copy())
     stats = {
         "sampled_per_task": sampled,
         "skipped_per_task": skipped,

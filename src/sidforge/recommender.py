@@ -29,6 +29,7 @@ Speed without changing a bit of the results:
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -101,6 +102,19 @@ def user_context(
     return tuple(tokens)
 
 
+def user_state(model, user_train, validation, flat, include_validation: bool) -> tuple[int, ...]:
+    """`model.state(user_context(user_train, validation, flat,
+    include_validation))`, read from the newest item back until the state's
+    order - 1 tokens are found rather than from the whole history."""
+    newest_first = itertools.chain((validation,) if include_validation else (), reversed(user_train))
+    tail: list[int] = []
+    for sid in filter(None, map(flat.get, newest_first)):
+        if len(tail) >= model.order - 1:
+            break
+        tail[:0] = sid
+    return model.state(tail)
+
+
 @dataclass(frozen=True)
 class NGramModel:
     """Back-off n-gram with additive smoothing over the global SID vocabulary.
@@ -124,8 +138,10 @@ class NGramModel:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    @property
+    @functools.cached_property
     def vocab_size(self) -> int:
+        """Summed on first read and kept; not a field, so not in equality,
+        repr or the saved file."""
         return sum(self.sizes)
 
     def state(self, context) -> tuple[int, ...]:
@@ -450,7 +466,7 @@ def evaluate(
         if user.test not in assign:
             excluded += 1
             continue
-        state = model.state(user_context(user.train, user.validation, flat, include_validation))
+        state = user_state(model, user.train, user.validation, flat, include_validation)
         ranked = rankings.get(state)
         if ranked is None:
             found = beam_search(model, state, trie, beam_size, top_k, sizes, unconstrained=unconstrained)

@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import functools
 import json
 import logging
 
+import numpy as np
 import pytest
 
 from conftest import assignment_from_sids, random_model
+from sidforge import corpus, rng
 from sidforge.corpus import (
+    _USER_TEMPLATES,
     HISTORY_SEPARATOR,
     CorpusError,
     TaskId,
+    TrainingExample,
+    check_settings,
     make_examples,
     parse_conversational,
     render_chat,
@@ -20,6 +26,7 @@ from sidforge.corpus import (
     write_sid_vocabulary,
 )
 from sidforge.datamodel import ItemCatalog, ItemRecord, SplitDataset, UserSplit
+from sidforge.rq import render_sid
 
 T1_INSTRUCTION = (
     "You are a semantic ID encoder. Given a product title, generate its "
@@ -216,6 +223,197 @@ class TestSampleCorpus:
         split = SplitDataset(users={}, n_dropped_users=0)
         with pytest.raises(CorpusError, match="no task"):
             sample_corpus(split, catalog, assign, n=5, seed=0)
+
+
+def reference_make_examples(task, split, catalog, assign, max_history=20):
+    """make_examples before its pools were lazy, verbatim: every example of
+    the task rendered into a list."""
+    check_settings(max_history=max_history)
+    source, input_view, output_view = task.value
+    system = system_instruction(task)
+    template = _USER_TEMPLATES[task]
+    examples: list[TrainingExample] = []
+    skipped = 0
+
+    # History tasks show the same items to many users: render each SID once
+    # per call. Catalog fields are read directly, which is cheaper than a cache.
+    sid_text = functools.cache(lambda item_id: render_sid(assign[item_id]))
+
+    def show(view: str, item_id: str) -> str:
+        if view == "sid":
+            return sid_text(item_id)
+        return getattr(catalog.get(item_id), view)
+
+    if source == "history":
+        for user_id in sorted(split.users):
+            user = split.users[user_id]
+            history = [i for i in user.train[-max_history:] if i in catalog and i in assign]
+            target = user.validation
+            if not history or target not in catalog or target not in assign:
+                skipped += 1
+                continue
+            shown = HISTORY_SEPARATOR.join(show(input_view, i) for i in history)
+            user_input = template.format_map({f"{input_view}_history": shown})
+            examples.append(
+                TrainingExample(task, system, user_input, show(output_view, target), user_id)
+            )
+        return examples, skipped
+
+    for record in catalog:
+        # An empty title is still shown; an empty visual description is not.
+        if record.item_id not in assign or (
+            input_view == "visual_description" and not record.visual_description
+        ):
+            skipped += 1
+            continue
+        user_input = template.format_map({input_view: show(input_view, record.item_id)})
+        target_output = show(output_view, record.item_id)
+        examples.append(TrainingExample(task, system, user_input, target_output, record.item_id))
+    return examples, skipped
+
+
+def reference_sample_corpus(split, catalog, assign, n, seed, max_history=20):
+    """sample_corpus before it rendered by draw: the same generator calls
+    over the reference's eager pools."""
+    pools = {}
+    skipped = {}
+    for task in TaskId:
+        pools[task], skipped[task.name] = reference_make_examples(
+            task, split, catalog, assign, max_history
+        )
+    available = [t for t in TaskId if pools[t]]
+    gen = rng.stream(seed, rng.CORPUS_SAMPLING)
+    records = []
+    sampled = {t.name: 0 for t in TaskId}
+    for _ in range(n):
+        task = available[int(gen.integers(len(available)))]
+        pool = pools[task]
+        example = pool[int(gen.integers(len(pool)))]
+        sampled[task.name] += 1
+        records.append(
+            {
+                "task": task.name,
+                "system": example.system_instruction,
+                "user": example.user_input,
+                "assistant": example.target_output,
+            }
+        )
+    stats = {
+        "sampled_per_task": sampled,
+        "skipped_per_task": skipped,
+        "excluded_tasks": [t.name for t in TaskId if not pools[t]],
+        "pool_sizes": {t.name: len(pools[t]) for t in TaskId},
+    }
+    return records, stats
+
+
+def random_world(seed: int, visuals: bool = True):
+    """A catalog, assignment and split with every kind of skipped source:
+    items without a SID, SIDs without a catalog record, empty and missing
+    visual descriptions (all missing when `visuals` is false), an empty
+    title, and users whose history or validation item has no SID."""
+    gen = np.random.default_rng(seed)
+    records = []
+    for j in range(60):
+        visual = [None, "", f"Visual {j}."][int(gen.integers(3))] if visuals else None
+        title = "" if j == 7 else f"Title {j}"
+        records.append(ItemRecord(f"i{j}", title, f"d{j}", "cat", visual_description=visual))
+    catalog = ItemCatalog.from_records(records)
+    ids = [f"i{j}" for j in range(60)] + ["ghost0", "ghost1", "nowhere"]
+    sids = {
+        item_id: (int(gen.integers(5)), int(gen.integers(4)))
+        for item_id in ids
+        if item_id != "nowhere" and gen.random() < 0.8
+    }
+    users = {}
+    for u in range(45):
+        seq = [ids[int(gen.integers(len(ids)))] for _ in range(int(gen.integers(1, 12)))]
+        users[f"u{u:02d}"] = UserSplit(
+            train=tuple(seq), validation=ids[int(gen.integers(len(ids)))], test="i0"
+        )
+    users["no_history"] = UserSplit(train=("nowhere", "ghost0"), validation="i1", test="i2")
+    split = SplitDataset(users=users, n_dropped_users=0)
+    return catalog, assignment_from_sids(sids), split
+
+
+def oracle_worlds():
+    catalog, assign, split = tiny_world()
+    yield "tiny", (catalog, assign, split)
+    only_skipped = SplitDataset(users={"u2": split.users["u2"]}, n_dropped_users=0)
+    yield "no user kept", (catalog, assign, only_skipped)
+    for seed in range(6):
+        catalog, assign, split = random_world(seed, visuals=seed != 5)
+        yield f"random {seed}", (catalog, assign, split)
+
+
+class TestLazyPoolsMatchTheEagerOracle:
+    def test_pools_and_skips(self):
+        for name, (catalog, assign, split) in oracle_worlds():
+            for max_history in (1, 3, 20):
+                for task in TaskId:
+                    pool, skipped = make_examples(task, split, catalog, assign, max_history)
+                    want, want_skipped = reference_make_examples(
+                        task, split, catalog, assign, max_history
+                    )
+                    where = f"{name} {task.name} max_history {max_history}"
+                    assert len(pool) == len(want), where
+                    assert list(pool) == want, where
+                    assert skipped == want_skipped, where
+                    if want:
+                        assert pool[-1] == want[-1]
+                        with pytest.raises(IndexError):
+                            pool[len(want)]
+                        with pytest.raises(TypeError):
+                            pool[0:1]
+
+    def test_fixtures_skip_every_kind_of_source(self):
+        catalog, assign, split = random_world(0)
+        _, stats = reference_sample_corpus(split, catalog, assign, n=1, seed=0)
+        assert all(stats["skipped_per_task"][t.name] for t in TaskId)
+        assert stats["pool_sizes"]["T7"] < stats["pool_sizes"]["T1"]
+        catalog, assign, split = random_world(5, visuals=False)
+        _, stats = reference_sample_corpus(split, catalog, assign, n=1, seed=0)
+        assert stats["excluded_tasks"] == ["T7", "T8"]
+
+    def test_sample_corpus(self):
+        for name, (catalog, assign, split) in oracle_worlds():
+            for n, seed, max_history in ((1, 0, 20), (37, 3, 2), (3000, 11, 20)):
+                got = sample_corpus(split, catalog, assign, n, seed, max_history)
+                want = reference_sample_corpus(split, catalog, assign, n, seed, max_history)
+                assert got == want, f"{name} n {n}"
+
+
+class TestRenderCount:
+    @staticmethod
+    def count_renders(monkeypatch):
+        """Patch the example type that every render builds: returns the
+        list of (task, source) pairs rendered so far."""
+        rendered = []
+
+        def counting_example(task, *fields):
+            rendered.append((task, fields[-1]))
+            return TrainingExample(task, *fields)
+
+        monkeypatch.setattr(corpus, "TrainingExample", counting_example)
+        return rendered
+
+    def test_renders_no_more_than_it_draws(self, monkeypatch):
+        catalog, assign, split = random_world(1)
+        _, stats = sample_corpus(split, catalog, assign, n=1, seed=0)
+        assert sum(stats["pool_sizes"].values()) > 100
+        rendered = self.count_renders(monkeypatch)
+        records, _ = sample_corpus(split, catalog, assign, n=5, seed=2)
+        assert len(records) == 5
+        assert 0 < len(rendered) <= 5
+
+    def test_renders_each_drawn_example_once(self, monkeypatch):
+        catalog, assign, split = random_world(2)
+        _, stats = sample_corpus(split, catalog, assign, n=1, seed=0)
+        total = sum(stats["pool_sizes"].values())
+        rendered = self.count_renders(monkeypatch)
+        sample_corpus(split, catalog, assign, n=50 * total, seed=3)
+        assert len(rendered) == len(set(rendered))
+        assert len(rendered) == total  # 50 draws per source on average reach them all
 
 
 class TestWriters:

@@ -28,6 +28,7 @@ from sidforge.recommender import (
     save_ngram,
     train_ngram,
     user_context,
+    user_state,
     write_metrics_csv,
 )
 from sidforge.rq import build_trie
@@ -582,6 +583,34 @@ class TestFastPathsMatchLoops:
             assert sorted(searched) == sorted(states), f"order {order}"
         assert model.state((1, 2, 3, 4)) == (2, 3, 4) and model.state([1]) == (1,)
         assert train_ngram(split, assign, sizes, 1, 0.3).state((1, 2, 3)) == ()
+
+    def test_user_state_is_the_state_of_the_whole_context(self):
+        for trial in range(30):
+            gen = np.random.default_rng(3000 + trial)
+            sizes, assign, split = evaluation_case(gen)
+            flat = flat_sids(assign, level_offsets(sizes))
+            for order in (1, 2, 3):
+                model = NGramModel(order=order, alpha=1.0, sizes=sizes, counts={(): Counter()},
+                                   totals={(): 0})
+                for include_validation in (True, False):
+                    for user_id, user in split.users.items():
+                        whole = user_context(user.train, user.validation, flat, include_validation)
+                        got = user_state(model, user.train, user.validation, flat, include_validation)
+                        assert got == model.state(whole), f"trial {trial} order {order} {user_id}"
+
+    def test_vocab_size_cached_outside_equality_repr_and_file(self, tmp_path):
+        assign = assignment_from_sids({f"i{j}": (j % 4, j % 3) for j in range(12)})
+        split = split_of({f"u{u}": [f"i{(u * 5 + k) % 12}" for k in range(7)] for u in range(5)})
+        model = train_ngram(split, assign, (4, 3), order=3, alpha=0.2)
+        before, path = repr(model), tmp_path / "before.json"
+        save_ngram(model, path)
+        assert "vocab_size" not in vars(model)
+        assert model.vocab_size == 7
+        assert vars(model)["vocab_size"] == 7  # kept after the first read
+        assert repr(model) == before and "vocab_size" not in before
+        assert model == load_ngram(path)
+        save_ngram(model, tmp_path / "after.json")
+        assert (tmp_path / "after.json").read_bytes() == path.read_bytes()
 
     def test_rows_read_only_repeatable_and_bounded(self, tmp_path):
         gen = np.random.default_rng(3)
