@@ -265,7 +265,8 @@ def _cmd_report(args) -> int:
 def _cmd_pipeline(args) -> int:
     """Exit status: 0, the number of the stage that failed (1-5), EX_CONFIG
     for a config that cannot be read or is rejected before any stage runs,
-    or EX_IOERR for a file error outside the stages."""
+    EX_IOERR for a file error outside the stages, or EX_TEMPFAIL when
+    another run holds the output directory's lock."""
     try:
         cfg = pipeline.load_config(args.config)
         if args.output_dir:
@@ -276,6 +277,9 @@ def _cmd_pipeline(args) -> int:
     except (pipeline.ConfigError, rq.RqError, synthgen.SynthError) as exc:
         log.error("%s", exc)
         return os.EX_CONFIG
+    except pipeline.RunLocked as exc:
+        log.error("%s", exc)
+        return os.EX_TEMPFAIL
     except OSError as exc:
         log.error("%s", exc)
         return os.EX_IOERR

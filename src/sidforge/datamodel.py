@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import os
 import struct
 import typing
@@ -401,7 +402,7 @@ class InteractionLog:
         for ev in self.events:
             grouped[ev[0]].append(ev)
         for events in grouped.values():
-            events.sort(key=lambda ev: (ev[2], ev[1]))
+            events.sort(key=operator.itemgetter(2, 1))
         return dict(grouped)
 
 

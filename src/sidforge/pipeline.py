@@ -10,7 +10,8 @@ every enabled stage. A stage that fails or refuses exits with its number, and
 the manifest still records the stages that finished before it; it is written
 after each stage that runs, so an interrupted run keeps them too. Every writer
 replaces its file atomically (datamodel.atomic_open), so a stage that fails
-leaves no partial file.
+leaves no partial file. A run holds `run_lock` on its output directory, so a
+second run on the same directory fails at once.
 
 Each stage's load, check, compute and write sequence is a public function
 here; run_pipeline and the `sidforge` subcommands both call them.
@@ -21,10 +22,12 @@ Worker counts are excluded from the keys and never change artifact bytes.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -158,6 +161,35 @@ class StageFailure(RuntimeError):
         super().__init__(f"stage {stage} ({name}): {message}")
         self.stage = stage
         self.name = name
+
+
+class RunLocked(RuntimeError):
+    """Another run holds the lock on the output directory."""
+
+
+@contextmanager
+def run_lock(out_dir: Path):
+    """Hold an exclusive `flock` on a lockfile in `out_dir`, or raise
+    RunLocked at once rather than wait. The lockfile is no artifact: it is
+    removed, still locked, when the run ends. A run that locked a file that
+    is no longer the one at the path lost the race to the run that removed
+    it, and gives up too."""
+    path = out_dir / ".sidforge.lock"
+    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            current = os.path.samestat(os.fstat(fd), os.stat(path))
+        except (BlockingIOError, FileNotFoundError):
+            current = False
+        if not current:
+            raise RunLocked(f"another run holds the lock {path}")
+        try:
+            yield
+        finally:
+            os.unlink(path)
+    finally:
+        os.close(fd)
 
 
 @dataclass(frozen=True)
@@ -477,7 +509,9 @@ def run_pipeline(cfg: dict, force: bool = False):
     status is the number of the stage that failed or refused. A section with
     an unknown key, a mistyped value, or a value out of range raises
     ConfigError before any stage runs, as does an enabled source stage whose
-    mode lacks its `synth` section or an `inputs` path."""
+    mode lacks its `synth` section or an `inputs` path. The run holds
+    `run_lock` on the output directory, and raises RunLocked if another run
+    holds it."""
     if set(cfg) != set(DEFAULT_CONFIG):
         odd = sorted(set(cfg) ^ set(DEFAULT_CONFIG))
         raise ConfigError(f"unknown or missing config sections: {odd}")
@@ -498,8 +532,6 @@ def run_pipeline(cfg: dict, force: bool = False):
         if pipe.mode == "ingest" and unset:
             raise ConfigError(f"pipeline.mode is 'ingest' but {', '.join(unset)} is not set")
     paths = ArtifactPaths.in_dir(out_dir)
-    runner = _Runner(_read_manifest(paths.manifest), force)
-    summary: dict = {"output_dir": str(out_dir), "stages": runner.summary}
 
     def source_stage():
         if pipe.mode == "synth":
@@ -577,21 +609,24 @@ def run_pipeline(cfg: dict, force: bool = False):
         (5, "eval", {"eval": cfg["eval"]}, [paths.model, paths.assignment, paths.interactions],
          [paths.ngram, paths.metrics_json, paths.metrics_csv], eval_stage),
     )
-    manifest = {"format": MANIFEST_FORMAT, "stages": runner.new_stages}
-    status = 0
-    try:
-        for number, name, stage_cfg, stage_inputs, outputs, compute in stages:
-            if getattr(enabled, name):
-                runner.run(number, name, config_hash(stage_cfg), stage_inputs, outputs, compute)
-                # An interrupted run keeps the stages it finished.
-                if runner.summary[name] == "ran":
-                    write_json(manifest, paths.manifest)
-    except StageFailure as stop:
-        log.error("%s", stop)
-        summary["error"] = str(stop)
-        status = stop.stage
-        # The failed stage may have replaced some of its outputs; the stages
-        # that finished keep their entries.
-        runner.new_stages.pop(stop.name, None)
-    write_json(manifest, paths.manifest)
+    with run_lock(out_dir):
+        runner = _Runner(_read_manifest(paths.manifest), force)
+        summary: dict = {"output_dir": str(out_dir), "stages": runner.summary}
+        manifest = {"format": MANIFEST_FORMAT, "stages": runner.new_stages}
+        status = 0
+        try:
+            for number, name, stage_cfg, stage_inputs, outputs, compute in stages:
+                if getattr(enabled, name):
+                    runner.run(number, name, config_hash(stage_cfg), stage_inputs, outputs, compute)
+                    # An interrupted run keeps the stages it finished.
+                    if runner.summary[name] == "ran":
+                        write_json(manifest, paths.manifest)
+        except StageFailure as stop:
+            log.error("%s", stop)
+            summary["error"] = str(stop)
+            status = stop.stage
+            # The failed stage may have replaced some of its outputs; the stages
+            # that finished keep their entries.
+            runner.new_stages.pop(stop.name, None)
+        write_json(manifest, paths.manifest)
     return status, summary

@@ -11,14 +11,16 @@ Speed without changing a bit of the results:
 - Training counts each context length's (context, token) windows by sorting
   them and measuring the runs of equal windows, per user, in numpy.
 - A score row depends only on the back-off context that the last order - 1
-  tokens resolve to, so `NGramModel.score_next` computes each such row once
-  and keeps it on the model in sparse form (its minimum plus the entries
-  that differ from it), at most one per trained context.
+  tokens resolve to. The model compiles once into a fill value per trained
+  context, for every token it never counted, and CSR arrays of its counted
+  tokens' log-probabilities, each bit-equal to a dense row's entry, and
+  `NGramModel.score_next` scores a batch of contexts in one call.
 - `rq.build_trie` compiles the trie into per-level CSR arrays, and
-  `beam_search` expands a whole level at once: it gathers every child's
-  score from its hypothesis's row, adds it to the hypothesis score with the
-  same float64 addition as a token-by-token walk, and ranks the candidates
-  with one lexsort on (-score, tokens).
+  `beam_search` expands a whole level at once: it scores every hypothesis
+  with one `score_next` call, gathers every child's score from its
+  hypothesis's row, adds it to the hypothesis score with the same float64
+  addition as a token-by-token walk, and ranks the candidates with one
+  lexsort on (-score, node), the trie's nodes being in token order.
 - `evaluate` searches once per n-gram state, the last order - 1 tokens of
   a user's context, and gives that ranking to every user with the state.
   It is exact: the state of the context extended by a beam's tokens is the
@@ -36,7 +38,7 @@ import math
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -121,9 +123,8 @@ class NGramModel:
 
     Scoring uses the longest trained context that matches a suffix of the
     query context, falling back level by level down to the unigram table.
-    Each back-off context's log-probability row is computed once and kept
-    on the model in sparse form, and the model is frozen so the rows cannot
-    go stale.
+    The model compiles into arrays on first use, and is frozen so that they
+    cannot go stale.
     """
 
     order: int
@@ -131,18 +132,29 @@ class NGramModel:
     sizes: tuple[int, ...]
     counts: dict[tuple[int, ...], Counter]
     totals: dict[tuple[int, ...], int]
-    # Each resolved back-off context's row as (fill, positions, values): the
-    # row's minimum, which every token without a count holds, and the entries
-    # that differ from it. Full rows would hold vocab_size floats apiece.
-    _rows: dict[tuple[int, ...], tuple[float, np.ndarray, np.ndarray]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @functools.cached_property
     def vocab_size(self) -> int:
         """Summed on first read and kept; not a field, so not in equality,
         repr or the saved file."""
         return sum(self.sizes)
+
+    @functools.cached_property
+    def _compiled(self) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(context ids, indptr, tokens, logp, fill), kept like vocab_size.
+        Context i's counted tokens are tokens[indptr[i]:indptr[i + 1]], each
+        with logp log((alpha + count) / d); every other token has fill[i] =
+        log(alpha / d), where d = total + alpha * vocab_size: the float64
+        operations of a dense row."""
+        contexts = list(self.totals)
+        counters = [self.counts[ctx] for ctx in contexts]
+        indptr = np.cumsum([0, *map(len, counters)])
+        tokens = np.array([t for c in counters for t in c], dtype=np.int64)
+        counts = np.array([n for c in counters for n in c.values()], dtype=np.float64)
+        denominators = np.array([self.totals[ctx] + self.alpha * self.vocab_size for ctx in contexts])
+        logp = np.log((self.alpha + counts) / np.repeat(denominators, np.diff(indptr)))
+        fill = np.log(self.alpha / denominators)
+        return {ctx: i for i, ctx in enumerate(contexts)}, indptr, tokens, logp, fill
 
     def state(self, context) -> tuple[int, ...]:
         """The last order - 1 tokens of a context (a sequence), all of it that
@@ -151,30 +163,28 @@ class NGramModel:
         # context[-0:] would be the whole context
         return tuple(context[-(self.order - 1):]) if self.order > 1 else ()
 
-    def score_next(self, context) -> np.ndarray:
-        """Read-only log-probability vector over the global vocabulary; sums
-        to one after exponentiation. A pure function of the context's state."""
-        ctx = self.state(context)
-        while ctx not in self.totals:
-            if not ctx:
-                raise RecommenderError("model has no unigram table; was it trained?")
-            ctx = ctx[1:]
-        sparse = self._rows.get(ctx)
-        if sparse is None:
-            probs = np.full(self.vocab_size, self.alpha, dtype=np.float64)
-            for token, count in self.counts[ctx].items():
-                probs[token] += count
-            probs /= self.totals[ctx] + self.alpha * self.vocab_size
-            logp = np.log(probs)
-            fill = logp.min()
-            positions = np.flatnonzero(logp != fill)
-            sparse = self._rows[ctx] = (fill, positions, logp[positions])
-        fill, positions, values = sparse
-        row = np.empty(self.vocab_size, dtype=np.float64)
-        row.fill(fill)
-        row[positions] = values
-        row.setflags(write=False)
-        return row
+    def score_next(self, contexts) -> np.ndarray:
+        """Read-only (len(contexts), vocab_size) log-probabilities over the
+        global vocabulary, one row per context (a sequence); each row sums to
+        one after exponentiation and is a pure function of the context's
+        state. A single row is `score_next([context])[0]`."""
+        index, indptr, tokens, logp, fill = self._compiled
+        ids = []
+        for context in contexts:
+            ctx = self.state(context)
+            while (i := index.get(ctx)) is None:
+                if not ctx:
+                    raise RecommenderError("model has no unigram table; was it trained?")
+                ctx = ctx[1:]
+            ids.append(i)
+        ids = np.array(ids, dtype=np.int64)
+        starts = indptr[ids]
+        n_counted = indptr[ids + 1] - starts
+        rows = fill[ids].repeat(self.vocab_size).reshape(ids.size, self.vocab_size)
+        entry = np.arange(n_counted.sum()) + (starts - n_counted.cumsum() + n_counted).repeat(n_counted)
+        rows[np.arange(ids.size).repeat(n_counted), tokens[entry]] = logp[entry]
+        rows.setflags(write=False)
+        return rows
 
 
 def train_ngram(
@@ -331,10 +341,11 @@ def beam_search(
     unconstrained). Ties break lexicographically on the token sequence. May
     return fewer than top_k results if the trie has fewer SIDs.
 
-    Each level is expanded for all hypotheses at once: one `score_next` row
-    per hypothesis, every child's score as the row entry added to the
+    Each level is expanded for all hypotheses at once: one `score_next` call
+    for all their rows, every child's score as its row entry added to the
     hypothesis score (the same float64 sums as a token-by-token walk), and a
-    lexsort on (-score, tokens), a total order, picks the next beam.
+    lexsort on (-score, tokens), a total order, picks the next beam; under
+    the trie, whose nodes are numbered in prefix order, on (-score, node).
     """
     if top_k < 1 or beam_size < top_k:
         raise RecommenderError("need beam_size >= top_k >= 1")
@@ -350,22 +361,23 @@ def beam_search(
     scores = np.zeros(1, dtype=np.float64)
     tokens = np.zeros((1, 0), dtype=np.int64)
     for level in range(trie.depth):
-        rows = np.array([model.score_next(ctx + tuple(g)) for g in (tokens + offsets[:level]).tolist()])
+        rows = model.score_next([ctx + tuple(g) for g in (tokens + offsets[:level]).tolist()])
         if unconstrained:
             first, n_children = 0, np.full(nodes.size, sizes[level])
         else:
             indptr, children = trie.levels[level]
             first = indptr[nodes]
             n_children = indptr[nodes + 1] - first
-        parent = np.repeat(np.arange(nodes.size), n_children)
+        parent = np.arange(nodes.size).repeat(n_children)
         # child[j]: position of candidate j in its level's token array (the
         # token itself when unconstrained), i.e. its node at the next depth
-        child = np.arange(parent.size) + (first - np.cumsum(n_children) + n_children)[parent]
+        child = np.arange(parent.size) + (first - n_children.cumsum() + n_children)[parent]
         child_tokens = child if unconstrained else children[child]
         candidates = scores[parent] + rows[parent, offsets[level] + child_tokens]
-        candidate_tokens = np.concatenate((tokens[parent], child_tokens[:, None]), axis=1)
-        best = np.lexsort((*candidate_tokens.T[::-1], -candidates))[:beam_size]
-        nodes, scores, tokens = child[best], candidates[best], candidate_tokens[best]
+        ties = np.column_stack((tokens[parent], child)).T[::-1] if unconstrained else (child,)
+        best = np.lexsort((*ties, -candidates))[:beam_size]
+        nodes, scores = child[best], candidates[best]
+        tokens = np.concatenate((tokens[parent[best]], child_tokens[best, None]), axis=1)
     return [(tuple(t), s) for t, s in zip(tokens[:top_k].tolist(), scores[:top_k].tolist())]
 
 
@@ -485,15 +497,12 @@ def popularity_ranking(
 ) -> list[SidSequence]:
     """Catalog SIDs ranked by train-sequence frequency (ties lexicographic).
     A static list: every user sees the same ranking."""
-    counts: Counter = Counter()
-    for user_id in sorted(split.users):
-        user = split.users[user_id]
-        items = list(user.train) + ([user.validation] if include_validation else [])
-        for item in items:
-            if item in assign:
-                counts[assign[item]] += 1
-    for sid in assign.distinct_sids():
-        counts.setdefault(sid, 0)
+    sids = assign.sids
+    counts = dict.fromkeys(sids.values(), 0)
+    for user in split.users.values():
+        items = itertools.chain(user.train, (user.validation,) if include_validation else ())
+        for sid in filter(None, map(sids.get, items)):
+            counts[sid] += 1
     return sorted(counts, key=lambda s: (-counts[s], s))
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from sidforge.cli import main
 from sidforge.datamodel import load_embeddings
-from sidforge.pipeline import ArtifactPaths
+from sidforge.pipeline import ArtifactPaths, run_lock
 from sidforge.recommender import NGramModel, save_ngram
 
 
@@ -316,6 +316,20 @@ def test_pipeline_subcommand_exit_codes(tmp_path, synth_config, capsys):
     assert status == 3
     status, summary = run(capsys, "pipeline", "--config", cfg_path, "--force")
     assert status == 0
+
+
+def test_pipeline_exits_ex_tempfail_while_another_run_holds_the_lock(tmp_path, synth_config, capsys, caplog):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "pipe.json"
+    cfg_path.write_text(json.dumps({"pipeline": {"output_dir": str(out)},
+                                    "synth": json.loads(synth_config.read_text())}))
+    out.mkdir()
+    with run_lock(out):
+        status, summary = run(capsys, "pipeline", "--config", cfg_path)
+    assert status == os.EX_TEMPFAIL == 75 and summary is None
+    assert "another run holds the lock" in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_pipeline_config_typo_fails_before_any_stage(tmp_path, capsys, caplog):

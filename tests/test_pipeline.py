@@ -347,6 +347,40 @@ class TestRun:
             "eval": "ran",
         }
 
+    def test_run_lock_refuses_a_second_run_at_once(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_cfg(out)
+        out.mkdir()
+        # Two open()s of one file conflict under flock, even in one process.
+        with pipeline.run_lock(out):
+            with pytest.raises(pipeline.RunLocked, match="another run holds the lock"):
+                run_pipeline(cfg)
+            assert [p.name for p in out.iterdir()] == [".sidforge.lock"]
+        assert list(out.iterdir()) == []
+        assert run_pipeline(cfg)[0] == 0
+        names = {p.name for p in out.iterdir()}
+        assert ".sidforge.lock" not in names
+        assert names == {p.name for p in vars(ArtifactPaths.in_dir(out)).values()}
+
+    def test_run_lock_gives_up_on_a_lockfile_removed_before_it_locked(self, tmp_path, monkeypatch):
+        """A run that opened the lockfile just before the run holding it
+        removed it must not go on, and must not remove a newer lockfile."""
+        real_flock = pipeline.fcntl.flock
+        lock = tmp_path / ".sidforge.lock"
+        for replaced in (False, True):
+            def flock_after_the_holder_ended(fd, operation):
+                lock.unlink()
+                if replaced:
+                    lock.write_text("")  # a third run's lockfile
+                real_flock(fd, operation)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(pipeline.fcntl, "flock", flock_after_the_holder_ended)
+                with pytest.raises(pipeline.RunLocked):
+                    with pipeline.run_lock(tmp_path):
+                        pass
+            assert lock.exists() == replaced
+
     def test_stage_toggles(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_cfg(out)

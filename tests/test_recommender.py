@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -71,18 +72,17 @@ class TestNGram:
         assert model.counts[(0,)] == {1: 1}
         assert model.counts[(1,)] == {0: 1}
         # unigram: p = (count + alpha) / (total + alpha * V)
-        probs = np.exp(model.score_next(()))
+        probs = np.exp(model.score_next([()])[0])
         assert probs == pytest.approx([(2 + 0.5) / 4, (1 + 0.5) / 4])
         # bigram after token 0
-        probs = np.exp(model.score_next((0,)))
+        probs = np.exp(model.score_next([(0,)])[0])
         assert probs == pytest.approx([0.5 / 2, 1.5 / 2])
 
     def test_backoff_to_unigram_on_unseen_context(self):
         assign = assignment_from_sids({"a": (0,), "b": (1,)})
         split = split_of({"u": ["a", "a", "a", "a", "a"]})
         model = train_ngram(split, assign, sizes=(2,), order=3, alpha=1.0)
-        unseen = np.exp(model.score_next((1, 1)))
-        unigram = np.exp(model.score_next(()))
+        unseen, unigram = np.exp(model.score_next([(1, 1), ()]))
         assert unseen == pytest.approx(unigram)
 
     def test_include_validation_extends_counts(self):
@@ -99,7 +99,7 @@ class TestNGram:
         split = split_of({"u": ["a", "b", "a", "b"]})
         model = train_ngram(split, assign, (2, 2), order=4, alpha=0.3)
         for ctx in ((), (0,), (3, 2), (1, 1, 1)):
-            assert float(np.exp(model.score_next(ctx)).sum()) == pytest.approx(1.0)
+            assert float(np.exp(model.score_next([ctx])[0]).sum()) == pytest.approx(1.0)
 
     def test_empty_training_rejected(self):
         assign = assignment_from_sids({"z": (0,)})
@@ -250,7 +250,7 @@ def exhaustive_rank(model, context, trie, sizes, top_k):
         score = 0.0
         gtokens = tuple(int(t) for t in context)
         for level, token in enumerate(tokens):
-            logp = model.score_next(gtokens)
+            logp = model.score_next([gtokens])[0]
             gid = offsets[level] + token
             score = score + float(logp[gid])
             gtokens = gtokens + (gid,)
@@ -334,7 +334,7 @@ class TestBeamSearch:
 
 def reference_score_next(model, context) -> np.ndarray:
     """NGramModel.score_next before rows were memoised, verbatim: the oracle
-    for the memoised rows."""
+    for the compiled rows."""
     ctx = tuple(int(t) for t in context)
     longest = min(model.order - 1, len(ctx))
     for length in range(longest, -1, -1):
@@ -387,6 +387,77 @@ def reference_beam_search(model, context, trie, beam_size, top_k, sizes, unconst
         candidates.sort(key=lambda c: (-c[0], c[1]))
         beams = candidates[:beam_size]
     return [(tokens, score) for score, tokens, _ in beams[:top_k]]
+
+
+class MemoisedModel:
+    """An NGramModel's fields with NGramModel.score_next as it was before the
+    model was compiled, verbatim: one sparse row per resolved back-off
+    context, kept in a memo, and one dense row built per call."""
+
+    def __init__(self, model):
+        self.order, self.alpha, self.counts, self.totals = model.order, model.alpha, model.counts, model.totals
+        self.vocab_size = model.vocab_size
+        self.state = model.state
+        self._rows = {}
+
+    def score_next(self, context) -> np.ndarray:
+        ctx = self.state(context)
+        while ctx not in self.totals:
+            if not ctx:
+                raise RecommenderError("model has no unigram table; was it trained?")
+            ctx = ctx[1:]
+        sparse = self._rows.get(ctx)
+        if sparse is None:
+            probs = np.full(self.vocab_size, self.alpha, dtype=np.float64)
+            for token, count in self.counts[ctx].items():
+                probs[token] += count
+            probs /= self.totals[ctx] + self.alpha * self.vocab_size
+            logp = np.log(probs)
+            fill = logp.min()
+            positions = np.flatnonzero(logp != fill)
+            sparse = self._rows[ctx] = (fill, positions, logp[positions])
+        fill, positions, values = sparse
+        row = np.empty(self.vocab_size, dtype=np.float64)
+        row.fill(fill)
+        row[positions] = values
+        row.setflags(write=False)
+        return row
+
+
+def memoised_beam_search(model, context, trie, beam_size, top_k, sizes, unconstrained=False):
+    """beam_search before it scored a level in one call, verbatim: one
+    `score_next` row per hypothesis and a lexsort on the token columns."""
+    if top_k < 1 or beam_size < top_k:
+        raise RecommenderError("need beam_size >= top_k >= 1")
+    if trie.n_sids == 0 or not trie.next_tokens(()):
+        raise RecommenderError("empty trie")
+    sizes = tuple(int(k) for k in sizes)
+    if len(sizes) != trie.depth:
+        raise RecommenderError(f"{len(sizes)} level sizes for trie depth {trie.depth}")
+    offsets = np.array(level_offsets(sizes), dtype=np.int64)
+    ctx = tuple(context)
+    # The beam, best first: trie node at the current depth, score, level tokens.
+    nodes = np.zeros(1, dtype=np.int64)
+    scores = np.zeros(1, dtype=np.float64)
+    tokens = np.zeros((1, 0), dtype=np.int64)
+    for level in range(trie.depth):
+        rows = np.array([model.score_next(ctx + tuple(g)) for g in (tokens + offsets[:level]).tolist()])
+        if unconstrained:
+            first, n_children = 0, np.full(nodes.size, sizes[level])
+        else:
+            indptr, children = trie.levels[level]
+            first = indptr[nodes]
+            n_children = indptr[nodes + 1] - first
+        parent = np.repeat(np.arange(nodes.size), n_children)
+        # child[j]: position of candidate j in its level's token array (the
+        # token itself when unconstrained), i.e. its node at the next depth
+        child = np.arange(parent.size) + (first - np.cumsum(n_children) + n_children)[parent]
+        child_tokens = child if unconstrained else children[child]
+        candidates = scores[parent] + rows[parent, offsets[level] + child_tokens]
+        candidate_tokens = np.concatenate((tokens[parent], child_tokens[:, None]), axis=1)
+        best = np.lexsort((*candidate_tokens.T[::-1], -candidates))[:beam_size]
+        nodes, scores, tokens = child[best], candidates[best], candidate_tokens[best]
+    return [(tuple(t), s) for t, s in zip(tokens[:top_k].tolist(), scores[:top_k].tolist())]
 
 
 def reference_counts(split, assign, sizes, order, include_validation):
@@ -617,19 +688,76 @@ class TestFastPathsMatchLoops:
         assign = assignment_from_sids({f"i{j}": (j % 4, j % 3) for j in range(12)})
         split = split_of({f"u{u}": [f"i{int(gen.integers(12))}" for _ in range(9)] for u in range(6)})
         model = train_ngram(split, assign, (4, 3), order=3, alpha=0.2)
-        for _ in range(200):
-            ctx = tuple(int(t) for t in gen.integers(7, size=int(gen.integers(0, 6))))
-            row = model.score_next(ctx)
+        before, path = repr(model), tmp_path / "before.json"
+        save_ngram(model, path)
+        contexts = [tuple(int(t) for t in gen.integers(7, size=int(gen.integers(0, 6)))) for _ in range(200)]
+        batch = model.score_next(contexts)
+        assert batch.shape == (200, 7) and not batch.flags.writeable
+        for ctx, in_batch in zip(contexts, batch):
+            row = model.score_next([ctx])[0]
             assert not row.flags.writeable
             with pytest.raises(ValueError):
                 row[0] = 0.0
             assert np.array_equal(row, reference_score_next(model, ctx))
-            assert np.array_equal(model.score_next(list(ctx)), row)
-        assert 0 < len(model._rows) <= len(model.counts)
-        path = tmp_path / "ng.json"
-        save_ngram(model, path)
+            assert np.array_equal(model.score_next([list(ctx)])[0], row)
+            assert row.tobytes() == in_batch.tobytes()
+        assert model.score_next([]).shape == (0, 7)
+        # The compiled arrays hold the counted entries and one fill per
+        # context, not a row per context.
+        _, indptr, tokens, logp, fill = model._compiled
+        assert len(fill) == len(model.totals) and len(indptr) == len(fill) + 1
+        assert len(tokens) == len(logp) == sum(map(len, model.counts.values()))
+        assert repr(model) == before and "_compiled" not in before
         assert load_ngram(path) == model
-        assert "_rows" not in repr(model)
+        save_ngram(model, tmp_path / "after.json")
+        assert (tmp_path / "after.json").read_bytes() == path.read_bytes()
+
+    def test_no_unigram_table_raises(self):
+        model = NGramModel(order=3, alpha=0.5, sizes=(2, 2), counts={(1,): Counter({2: 1})},
+                           totals={(1,): 1})
+        assert model.score_next([(0, 1), (1,)]).shape == (2, 4)
+        for contexts in ([(0,)], [(1,), ()], [(3, 2)]):
+            with pytest.raises(RecommenderError, match="no unigram table"):
+                model.score_next(contexts)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered in log:RuntimeWarning")
+    def test_compiled_model_equals_the_memoised_rows(self):
+        """Rows and searches bit for bit against the model as it was before
+        it was compiled, over orders 1-4, tiny and huge alpha, short contexts
+        and contexts with untrained tokens, beams below and above n_sids,
+        constrained and unconstrained."""
+        alphas = (1e-300, 1e-3, 0.5, 7.0, 1e300, sys.float_info.max)
+        for trial in range(60):
+            gen = np.random.default_rng(4000 + trial)
+            sizes, assign, split = random_case(gen)
+            trie = build_trie(assign)
+            vocab = sum(sizes)
+            for order in (1, 2, 3, 4):
+                try:
+                    model = train_ngram(split, assign, sizes, order, alphas[(trial + order) % len(alphas)])
+                except RecommenderError:
+                    continue  # nothing to train on
+                memoised = MemoisedModel(model)
+                unseen = [t for t in range(vocab) if (t,) not in model.totals]
+                contexts = [
+                    (),
+                    tuple(int(t) for t in gen.integers(vocab, size=max(order - 2, 0))),
+                    tuple(int(t) for t in gen.integers(vocab, size=order + 3)),
+                    tuple(int(t) for t in gen.integers(vocab, size=2)) + tuple(unseen[-1:]),
+                    *model.counts,
+                ]
+                rows = model.score_next(contexts)
+                for ctx, row in zip(contexts, rows):
+                    assert row.tobytes() == memoised.score_next(ctx).tobytes(), f"trial {trial} {ctx}"
+                for unconstrained in (False, True):
+                    for beam_size in sorted({1, max(trie.n_sids - 1, 1), trie.n_sids + 3}):
+                        top_k = int(gen.integers(1, beam_size + 1))
+                        for ctx in contexts[:4]:
+                            args = (ctx, trie, beam_size, top_k, sizes, unconstrained)
+                            want = memoised_beam_search(memoised, *args)
+                            got = beam_search(model, *args)
+                            assert [(t, s.hex()) for t, s in got] == [(t, s.hex()) for t, s in want], (
+                                f"trial {trial} order {order} beam {beam_size} ctx {ctx}")
 
 
 class TestMetrics:
