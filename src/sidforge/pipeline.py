@@ -409,11 +409,11 @@ def write_sources(paths: ArtifactPaths, catalog, emb, interactions, kcore: int =
 
 
 def tokenize(paths: ArtifactPaths, cfg: rq.RqConfig, workers: int = 1) -> None:
-    """Stage 2: fit codebooks on the embeddings, assign every item its SID,
-    and write the model and the assignment."""
+    """Stage 2: fit codebooks on the embeddings and write the model and the
+    assignment the fit made (each item's SID, as encoding would give it)."""
     emb = load_embeddings(paths.embeddings)
     model = rq.fit_codebooks(emb, cfg, workers=workers)
-    assign = rq.assign_all(model, emb, workers=workers)
+    assign = rq.SidAssignment.from_tokens(emb.item_ids, model.fit_tokens, model.model_hash())
     rq.save_model(model, paths.model)
     rq.save_assignment(assign, paths.assignment)
 

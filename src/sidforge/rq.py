@@ -15,11 +15,16 @@ block) and re-scores only the centroids within a proven rounding margin of
 the row's best by direct squared differences, so its results are those of a
 direct scan over all centroids. Threads, when asked for, take whole blocks.
 Each row's result depends only on that row, so outputs do not depend on the
-block size or the worker count. k-means++ seeding uses the same screen.
+block size or the worker count. k-means++ seeding uses the same screen, with
+one margin per pick (that of the largest row norm, which bounds every row's).
+The Lloyd update sums each cluster's rows with one weighted bincount, in row
+order from 0.0 as a scatter-add would. The fit keeps each level's final
+assignment (`RqModel.fit_tokens`): the tokens that encoding the rows gives.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -112,6 +117,9 @@ class RqModel:
     codebooks: tuple[Codebook, ...]
     dim: int
     fit_stats: tuple[LevelFitStats, ...]
+    # The fitted rows' tokens (n x levels int64, read-only), equal to
+    # encode_batch on those rows; None on a loaded model. Not saved.
+    fit_tokens: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def levels(self) -> int:
@@ -147,6 +155,13 @@ class SidAssignment:
 
     def distinct_sids(self) -> set[SidSequence]:
         return set(self.sids.values())
+
+    @classmethod
+    def from_tokens(cls, item_ids, tokens: np.ndarray, model_hash: str) -> "SidAssignment":
+        """Assignment from a token matrix whose rows follow item_ids."""
+        if len(item_ids) != len(tokens):
+            raise RqError(f"{len(item_ids)} item ids for {len(tokens)} token rows")
+        return cls(sids=dict(zip(item_ids, map(tuple, tokens.tolist()))), model_hash=model_hash)
 
 
 def _frozen_f32(matrix: np.ndarray) -> np.ndarray:
@@ -250,12 +265,14 @@ def _kmeanspp_init(points: np.ndarray, k: int, gen: np.random.Generator) -> np.n
     row is chosen. The stop draws nothing from `gen`.
 
     After each new centre c, a row's distance is recomputed directly only
-    where its screened value S minus the `_nearest` margin falls below its
-    current distance; elsewhere the direct value cannot be smaller (by the
-    bound in `_nearest`), so the update would leave it as it is."""
+    where its screened value S minus the `_nearest` margin for the largest
+    row norm and |c| falls below its current distance; elsewhere the direct
+    value cannot be smaller (by the bound in `_nearest`, that margin being at
+    least the row's own), so the update would leave it as it is."""
     n, d = points.shape
     xx = np.einsum("ij,ij->i", points, points)
     norms = np.sqrt(xx)
+    reach = norms.max()
     chosen = [int(gen.integers(n))]
     d2 = np.square(points - points[chosen[0]]).sum(axis=1)
     while len(chosen) < k:
@@ -274,7 +291,7 @@ def _kmeanspp_init(points: np.ndarray, k: int, gen: np.random.Generator) -> np.n
         screened *= -2.0
         screened += xx
         screened += xx[j]
-        screened -= _margin(norms, norms[j], d)
+        screened -= _margin(reach, norms[j], d)
         rows = np.flatnonzero(~(screened >= d2))  # a NaN keeps the row
         d2[rows] = np.minimum(d2[rows], np.square(points[rows] - points[j]).sum(axis=1))
     return points[np.array(chosen, dtype=np.int64)].astype(np.float32)
@@ -298,8 +315,11 @@ def _assign_with_repair(points: np.ndarray, centroids: np.ndarray, workers: int)
 
 
 def _update_centroids(points: np.ndarray, idx: np.ndarray, k: int, old: np.ndarray) -> np.ndarray:
-    sums = np.zeros((k, points.shape[1]), dtype=np.float64)
-    np.add.at(sums, idx, points)
+    d = points.shape[1]
+    # Entry (i, j) goes to flat bin idx[i] * d + j; bincount adds each bin's
+    # entries in row order, starting from 0.0.
+    bins = np.add.outer(idx * d, np.arange(d)).ravel()
+    sums = np.bincount(bins, weights=points.ravel(), minlength=k * d).reshape(k, d)
     counts = np.bincount(idx, minlength=k).astype(np.float64)
     new = old.astype(np.float64)
     filled = counts > 0
@@ -345,6 +365,7 @@ def fit_codebooks(emb: EmbeddingSet, cfg: RqConfig, workers: int = 1) -> RqModel
     residual = _prepare(emb.rows.astype(np.float64), cfg)
     codebooks = []
     stats = []
+    tokens = np.empty((emb.count, cfg.levels), dtype=np.int64)
     for level in range(1, cfg.levels + 1):
         gen = rng.stream(cfg.seed, rng.CODEBOOK_LEVEL, level)
         k_conf = cfg.codebook_sizes[level - 1]
@@ -360,8 +381,11 @@ def fit_codebooks(emb: EmbeddingSet, cfg: RqConfig, workers: int = 1) -> RqModel
                 mse_trace=tuple(trace),
             )
         )
+        tokens[:, level - 1] = idx
         residual = residual - cents.astype(np.float64)[idx]
-    return RqModel(config=cfg, codebooks=tuple(codebooks), dim=emb.dim, fit_stats=tuple(stats))
+    tokens.setflags(write=False)
+    return RqModel(config=cfg, codebooks=tuple(codebooks), dim=emb.dim,
+                   fit_stats=tuple(stats), fit_tokens=tokens)
 
 
 def encode_batch(model: RqModel, rows, workers: int = 1) -> np.ndarray:
@@ -448,12 +472,18 @@ def level_letter(level: int) -> str:
 _TOKEN_RE = re.compile(r"<([a-z])_(0|[1-9][0-9]*)>")
 
 
+@functools.cache
+def _sid_template(depth: int) -> str:
+    """"<a_%d><b_%d>..." with `depth` groups."""
+    if depth == 0:
+        raise RqError("cannot render an empty SID")
+    return "".join(f"<{level_letter(h)}_%d>" for h in range(1, depth + 1))
+
+
 def render_sid(s: SidSequence) -> str:
     """Token string like "<a_239><b_112><c_7>": one <letter_index> group per
     level, concatenated without separators."""
-    if not s:
-        raise RqError("cannot render an empty SID")
-    return "".join(f"<{level_letter(h + 1)}_{int(t)}>" for h, t in enumerate(s))
+    return _sid_template(len(s)) % tuple(s)
 
 
 def parse_sid(text: str, model: RqModel | None = None) -> SidSequence:
@@ -485,11 +515,7 @@ def assign_all(model: RqModel, emb: EmbeddingSet, workers: int = 1) -> SidAssign
     if emb.dim != model.dim:
         raise RqError(f"model dim {model.dim} != embedding dim {emb.dim}")
     tokens = encode_batch(model, emb.rows, workers=workers)
-    sids = {
-        item_id: tuple(int(t) for t in row)
-        for item_id, row in zip(emb.item_ids, tokens)
-    }
-    return SidAssignment(sids=sids, model_hash=model.model_hash())
+    return SidAssignment.from_tokens(emb.item_ids, tokens, model.model_hash())
 
 
 @dataclass(frozen=True)
@@ -627,18 +653,15 @@ def load_model(path) -> RqModel:
 
 
 def save_assignment(assign: SidAssignment, path) -> None:
-    """One-line JSON meta record, then one JSON line per item."""
+    """One-line JSON meta record, then one JSON line per item, keys sorted:
+    {"item_id": ..., "sid": ..., "tokens": [...]}."""
     with atomic_open(path, encoding="utf-8", newline="\n") as fh:
         meta = {"format": ASSIGNMENT_FORMAT, "model_hash": assign.model_hash, "count": len(assign.sids)}
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
         for item_id, s in assign.sids.items():
-            fh.write(
-                json.dumps(
-                    {"item_id": item_id, "sid": render_sid(s), "tokens": list(s)},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            # The SID text needs no JSON escaping, and the tokens are ints.
+            fh.write('{"item_id": %s, "sid": "%s", "tokens": [%s]}\n'
+                     % (json.dumps(item_id), render_sid(s), ", ".join(map(str, s))))
 
 
 def load_assignment(path) -> SidAssignment:
@@ -671,7 +694,11 @@ def load_assignment(path) -> SidAssignment:
         tokens = tuple(tokens)
         if item_id in sids:
             raise RqError(f"line {lineno}: duplicate item_id {item_id!r}")
-        if render_sid(tokens) != sid:
+        try:
+            rendered = render_sid(tokens)
+        except RqError as exc:
+            raise RqError(f"line {lineno}: {exc}") from exc
+        if rendered != sid:
             raise RqError(f"line {lineno}: sid text does not match tokens")
         sids[item_id] = tokens
     count = meta.get("count", len(sids))

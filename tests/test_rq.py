@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -9,11 +10,13 @@ import pytest
 
 from conftest import assignment_from_sids, random_model
 from sidforge import rq
-from sidforge.datamodel import EmbeddingSet
+from sidforge.datamodel import EmbeddingSet, atomic_open
 from sidforge.rq import (
     _BLOCK_ELEMENTS,
+    ASSIGNMENT_FORMAT,
     RqConfig,
     RqError,
+    SidAssignment,
     assign_all,
     build_trie,
     decode,
@@ -159,6 +162,40 @@ def parent_kmeanspp_init(points, k, gen):
     return points[np.array(chosen, dtype=np.int64)].astype(np.float32)
 
 
+def parent_update_centroids(points, idx, k, old):
+    """rq._update_centroids before the bincount sums, verbatim."""
+    sums = np.zeros((k, points.shape[1]), dtype=np.float64)
+    np.add.at(sums, idx, points)
+    counts = np.bincount(idx, minlength=k).astype(np.float64)
+    new = old.astype(np.float64)
+    filled = counts > 0
+    new[filled] = sums[filled] / counts[filled, None]
+    return new.astype(np.float32)
+
+
+def parent_render_sid(s):
+    """rq.render_sid before the per-depth template, verbatim."""
+    if not s:
+        raise RqError("cannot render an empty SID")
+    return "".join(f"<{level_letter(h + 1)}_{int(t)}>" for h, t in enumerate(s))
+
+
+def parent_save_assignment(assign, path):
+    """rq.save_assignment before the per-line text template, verbatim but
+    for rendering through parent_render_sid."""
+    with atomic_open(path, encoding="utf-8", newline="\n") as fh:
+        meta = {"format": ASSIGNMENT_FORMAT, "model_hash": assign.model_hash, "count": len(assign.sids)}
+        fh.write(json.dumps(meta, sort_keys=True) + "\n")
+        for item_id, s in assign.sids.items():
+            fh.write(
+                json.dumps(
+                    {"item_id": item_id, "sid": parent_render_sid(s), "tokens": list(s)},
+                    sort_keys=True,
+                )
+                + "\n"
+            )
+
+
 def assert_same_nearest(points, centroids, workers=1):
     with np.errstate(over="ignore", invalid="ignore"):
         got = rq._nearest(points, centroids, workers)
@@ -244,12 +281,35 @@ class TestKernelOracle:
             points = np.concatenate([exact, moved, moved])[rng.permutation(36)]
             cases.append((points, 36))
         cases += [(rng.normal(size=(35, d)) * 1e-161, 35) for d in (2, 5, 14)]
+        # Row norms from 1e-3 to 1e3: the one margin per pick, that of the
+        # largest row, is loosest for the smallest rows.
+        for d in (3, 16):
+            wide = rng.normal(size=(300, d))
+            wide *= 10.0 ** rng.uniform(-3, 3, size=(300, 1)) / np.linalg.norm(wide, axis=1)[:, None]
+            cases.append((wide, 60))
         for seed, (points, k) in enumerate(cases):
             got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
             got = rq._kmeanspp_init(points, k, got_gen)
             want = parent_kmeanspp_init(points, k, want_gen)
             assert got.tobytes() == want.tobytes()
             assert got_gen.random() == want_gen.random()
+
+    def test_update_centroids_matches_parent(self, rng):
+        for _ in range(60):
+            n, d, k = (int(v) for v in rng.integers((3, 1, 1), (200, 12, 30)))
+            points = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+            points[rng.random(size=(n, d)) < 0.2] = -0.0
+            points[: n // 4] = -0.0  # rows of -0.0 only
+            points = points[rng.integers(n, size=n)]  # repeated rows
+            # Clusters drawn from a subset of the k: the others stay empty.
+            idx = rng.choice(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False), size=n)
+            # Rows that cancel, so that the sum depends on the order it is taken in.
+            points[:3] = np.array([1e17, -1e17, 1.0])[:, None]
+            idx[:3] = idx[0]
+            old = rng.normal(size=(k, d)).astype(np.float32)
+            got = rq._update_centroids(points, idx, k, old)
+            assert got.tobytes() == parent_update_centroids(points, idx, k, old).tobytes()
+        assert np.bincount(idx, minlength=k).min() == 0
 
     def test_seeding_stop_matches_the_distinct_count_cap(self, rng):
         """Uncapped seeding against seeding capped at the distinct row count,
@@ -419,6 +479,77 @@ class TestFit:
         b = fit_codebooks(emb, cfg, workers=4)
         assert a.model_hash() == b.model_hash()
 
+    @staticmethod
+    def assert_fit_tokens_are_the_encoding(rows, cfg, workers=1):
+        emb = EmbeddingSet([f"i{k}" for k in range(rows.shape[0])], rows)
+        model = fit_codebooks(emb, cfg, workers=workers)
+        want = encode_batch(model, rows, workers=workers)
+        assert model.fit_tokens.shape == want.shape
+        assert model.fit_tokens.dtype == want.dtype
+        assert model.fit_tokens.tobytes() == want.tobytes()
+        return model
+
+    def test_fit_tokens_equal_encode_batch(self, rng, monkeypatch):
+        normal = np.asarray(rng.normal(size=(300, 6)), dtype=np.float32)
+        few = np.tile(np.asarray(rng.normal(size=(6, 6)), dtype=np.float32), (20, 1))
+        model = self.assert_fit_tokens_are_the_encoding(few, RqConfig(levels=2, codebook_sizes=(4, 8)))
+        assert model.effective_sizes[1] < 8  # a level that shrank
+        self.assert_fit_tokens_are_the_encoding(
+            normal * 100.0, RqConfig(levels=3, codebook_sizes=(16, 8, 4), normalize_inputs=True))
+        self.assert_fit_tokens_are_the_encoding(
+            normal, RqConfig(levels=2, codebook_sizes=(16, 8), kmeans_max_iters=0))
+        # Rows that span several kernel blocks, on one thread and on three.
+        with monkeypatch.context() as patch:
+            patch.setattr(rq, "_BLOCK_ELEMENTS", 64)
+            for workers in (1, 3):
+                self.assert_fit_tokens_are_the_encoding(
+                    normal, RqConfig(levels=2, codebook_sizes=(16, 8), seed=3), workers)
+
+    def test_fit_tokens_after_an_empty_cluster_repair(self, rng, monkeypatch):
+        rows = np.asarray(rng.normal(size=(60, 4)), dtype=np.float32)
+        init = rows[:5].copy()
+        init[[1, 3]] = 1e3  # far from every row: both start empty
+        assert set(parent_nearest(rows.astype(np.float64), init)[0].tolist()).isdisjoint({1, 3})
+        monkeypatch.setattr(rq, "_kmeanspp_init", lambda points, k, gen: init.copy())
+        for iters in (0, 10):
+            cfg = RqConfig(levels=1, codebook_sizes=(5,), kmeans_max_iters=iters)
+            model = self.assert_fit_tokens_are_the_encoding(rows, cfg)
+            assert not np.any(model.codebooks[0].centroids == np.float32(1e3))
+
+    def test_fit_tokens_after_an_mse_rise(self, rng, monkeypatch):
+        rows = np.asarray(rng.normal(size=(200, 6)), dtype=np.float32)
+        cfg = RqConfig(levels=2, codebook_sizes=(8, 4), kmeans_max_iters=20, kmeans_rel_tol=0.0)
+        calls = []
+
+        def shifted_second_update(points, idx, k, old):
+            calls.append(k)
+            new = parent_update_centroids(points, idx, k, old)
+            return new + np.float32(10.0) if len(calls) == 2 else new
+
+        monkeypatch.setattr(rq, "_update_centroids", shifted_second_update)
+        model = self.assert_fit_tokens_are_the_encoding(rows, cfg)
+        # Level 1 stopped on the rise, keeping the first update's state.
+        assert len(model.fit_stats[0].mse_trace) == 2
+        monkeypatch.undo()
+        emb = EmbeddingSet([f"i{k}" for k in range(200)], rows)
+        assert len(fit_codebooks(emb, cfg).fit_stats[0].mse_trace) > 2
+
+    def test_fit_tokens_stay_out_of_the_file_repr_and_equality(self, tmp_path, rng):
+        rows = np.asarray(rng.normal(size=(100, 5)), dtype=np.float32)
+        emb = EmbeddingSet([f"i{k}" for k in range(100)], rows)
+        model = fit_codebooks(emb, RqConfig(levels=2, codebook_sizes=(8, 4)))
+        assert not model.fit_tokens.flags.writeable
+        with pytest.raises(ValueError):
+            model.fit_tokens[0, 0] = 1
+        assert "fit_tokens" not in repr(model)
+        bare = dataclasses.replace(model, fit_tokens=None)
+        assert bare == model
+        a, b = tmp_path / "a.rq", tmp_path / "b.rq"
+        save_model(model, a)
+        save_model(bare, b)
+        assert a.read_bytes() == b.read_bytes()
+        assert load_model(a).fit_tokens is None
+
     def test_normalize_inputs(self, rng):
         points = np.asarray(rng.normal(size=(100, 4)), dtype=np.float32) * 100.0
         emb = EmbeddingSet([f"i{k}" for k in range(100)], points)
@@ -488,6 +619,17 @@ class TestRendering:
         with pytest.raises(RqError):
             parse_sid("<a_0>", model)
 
+    def test_render_matches_parent(self, rng):
+        for depth in range(1, 27):
+            tokens = rng.integers(0, 10 ** int(rng.integers(1, 10)), size=depth)
+            tokens[rng.random(size=depth) < 0.2] = 0
+            for s in (tuple(tokens.tolist()), tuple(tokens), tuple(tokens.astype(np.int32)), list(tokens)):
+                assert render_sid(s) == parent_render_sid(s)
+        for s, match in (((), "empty SID"), ((0,) * 27, "at most 26 levels")):
+            for render in (render_sid, parent_render_sid):
+                with pytest.raises(RqError, match=match):
+                    render(s)
+
     def test_letters(self):
         assert level_letter(1) == "a"
         assert level_letter(26) == "z"
@@ -503,6 +645,9 @@ class TestAssignment:
         assign = assign_all(model, emb)
         assert len(assign) == 50
         assert assign.model_hash == model.model_hash()
+        assert {type(t) for s in assign.sids.values() for t in s} == {int}
+        with pytest.raises(RqError, match="50 item ids for 49 token rows"):
+            SidAssignment.from_tokens(emb.item_ids, encode_batch(model, rows[:49]), "h")
         path = tmp_path / "s.jsonl"
         save_assignment(assign, path)
         back = load_assignment(path)
@@ -532,6 +677,10 @@ class TestAssignment:
                  "line 2: tokens")
                 for tokens in ([True, 0, 0], [1.9, 0, 0], ["1", 0, 0])
             ),
+            (lines[0], json.dumps({"item_id": "a", "sid": "", "tokens": []}),
+             "line 2: cannot render an empty SID"),
+            (lines[0], json.dumps({"item_id": "a", "sid": "<a_0>", "tokens": [0] * 27}),
+             "line 2: token rendering supports at most 26 levels"),
         ):
             path.write_text(meta_line + "\n" + rec + "\n", errors="surrogateescape")
             with pytest.raises(RqError, match=match):
@@ -551,6 +700,20 @@ class TestAssignment:
                 load_model_and_assignment(model_path, path)
         path.write_text("\n".join(lines[:2]) + "\n")
         assert load_model_and_assignment(model_path, path)[1].sids == assign.sids
+
+
+    def test_save_matches_parent(self, tmp_path, rng):
+        ids = ['q"uote', "back\\slash", "ctl\x00\x01\x1f\x7f", "tab\tnl\nret\r", "na\u00efve",
+               "\u65e5\u672c", "emoji\U0001f600", "line\u2028sep", "</script>", "", "lone\udcff",
+               "\\u0041", "plain-42"]
+        for depth in (1, 3, 26):
+            tokens = rng.integers(0, 10 ** 6, size=(len(ids), depth)).tolist()
+            assign = SidAssignment(dict(zip(ids, map(tuple, tokens))), model_hash='h"\\')
+            got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+            save_assignment(assign, got)
+            parent_save_assignment(assign, want)
+            assert got.read_bytes() == want.read_bytes()
+            assert load_assignment(got) == assign
 
 
 class TestModelFile:
