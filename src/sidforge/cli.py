@@ -240,16 +240,11 @@ def _cmd_eval(args) -> int:
 def _cmd_report(args) -> int:
     payload: dict = {}
     if args.diagnostics:
-        with open(args.diagnostics, "r", encoding="utf-8") as fh:
-            payload["diagnostics"] = json.load(fh)
+        payload["diagnostics"] = diagnostics.load_report(args.diagnostics)
         print(diagnostics.render_table(payload["diagnostics"]), file=sys.stderr)
     if args.metrics:
-        with open(args.metrics, "r", encoding="utf-8") as fh:
-            metrics = json.load(fh)
-        payload["metrics"] = metrics
+        payload["metrics"] = metrics = recommender.load_metrics(args.metrics)
         for model_name, values in sorted(metrics.items()):
-            if not isinstance(values, dict):
-                continue
             cells = "  ".join(
                 f"{key} {values[key]:.4f}"
                 for key in sorted(values)

@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import logging
 import operator
-import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -24,13 +23,6 @@ CHAT_TEMPLATE = (
     "<|im_start|>system\n{system}\n<|im_end|>\n"
     "<|im_start|>user\n{user}\n<|im_end|>\n"
     "<|im_start|>assistant\n{assistant}\n<|im_end|>"
-)
-
-_CHAT_RE = re.compile(
-    r"\A<\|im_start\|>system\n(.*?)\n<\|im_end\|>\n"
-    r"<\|im_start\|>user\n(.*?)\n<\|im_end\|>\n"
-    r"<\|im_start\|>assistant\n(.*?)\n<\|im_end\|>\Z",
-    re.DOTALL,
 )
 
 
@@ -173,18 +165,6 @@ def render_chat(record: dict) -> str:
     return CHAT_TEMPLATE.format(
         system=record["system"], user=record["user"], assistant=record["assistant"]
     )
-
-
-def parse_conversational(text: str) -> dict[str, str]:
-    """Inverse of render_chat for well-formed records."""
-    match = _CHAT_RE.match(text)
-    if match is None:
-        raise CorpusError("text does not match the conversational template")
-    return {
-        "system": match.group(1),
-        "user": match.group(2),
-        "assistant": match.group(3),
-    }
 
 
 def sample_corpus(

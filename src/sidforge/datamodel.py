@@ -55,6 +55,11 @@ def is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_json_number(value) -> bool:
+    """A JSON number: an int or float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 # A dataclass's field annotations as types, evaluated once per class.
 _field_types = functools.cache(typing.get_type_hints)
 
@@ -122,6 +127,19 @@ class InteractionError(ValueError):
     """Raised when an interaction file cannot be parsed."""
 
 
+def read_json_object(path, error: type[ValueError], what: str) -> dict:
+    """The JSON object in a UTF-8 file. Raises `error`, naming `what` and the
+    file, when the file is not UTF-8 JSON or holds no object."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise error(f"unreadable {what} {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise error(f"{what} {path} is not a JSON object")
+    return payload
+
+
 def read_lines(path, error: type[ValueError]):
     """Yield (line number, line) over a UTF-8 text file. A byte sequence that
     is not UTF-8 raises `error` citing its line and byte offset."""
@@ -154,18 +172,6 @@ class ItemRecord:
     def __post_init__(self) -> None:
         if not self.item_id:
             raise CatalogError("item_id must be non-empty")
-
-    @property
-    def unified_text(self) -> str:
-        """Labeled concatenation of the text fields: title, interest tags,
-        description, then visual description; absent optional fields are dropped."""
-        parts = [f"Title: {self.title}"]
-        if self.interests:
-            parts.append("[INTERESTS] " + "; ".join(self.interests))
-        parts.append(f"Description: {self.description}")
-        if self.visual_description:
-            parts.append(f"Visual: {self.visual_description}")
-        return " ".join(parts)
 
 
 @dataclass(frozen=True)

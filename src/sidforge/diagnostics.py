@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .datamodel import EmbeddingSet
+from .datamodel import EmbeddingSet, is_json_number, read_json_object
 from .rq import RqModel, SidAssignment, decode_batch
 
 
@@ -275,16 +275,27 @@ def report_to_dict(report: DiagnosticsReport) -> dict:
     return out
 
 
+# render_table's columns: header, report key and format.
+_COLUMNS = (("Collision", "collision_rate", "{:.2%}"), ("Unique", "unique_ratio", "{:.2%}"),
+            ("Util.", "utilization", "{:.2%}"), ("Entropy", "prefix_entropy", "{:.4f}"))
+
+
+def load_report(path) -> dict:
+    """A saved report_to_dict payload. Raises DiagnosticsError, naming the
+    file and the key, unless every value render_table reads is a number."""
+    payload = read_json_object(path, DiagnosticsError, "diagnostics report")
+    for _, key, _ in _COLUMNS:
+        if not is_json_number(payload.get(key)):
+            shown = repr(payload[key]) if key in payload else "missing"
+            raise DiagnosticsError(f"diagnostics report {path}: {key} is {shown}, not a number")
+    return payload
+
+
 def render_table(payload: dict) -> str:
     """Aligned-column table of a report_to_dict payload, in the Collision /
     Unique / Util. / Entropy order."""
-    headers = ["Collision", "Unique", "Util.", "Entropy"]
-    values = [
-        f"{payload['collision_rate'] * 100.0:.2f}%",
-        f"{payload['unique_ratio'] * 100.0:.2f}%",
-        f"{payload['utilization'] * 100.0:.2f}%",
-        f"{payload['prefix_entropy']:.4f}",
-    ]
+    headers = [header for header, _, _ in _COLUMNS]
+    values = [form.format(payload[key]) for _, key, form in _COLUMNS]
     widths = [max(len(h), len(v)) for h, v in zip(headers, values)]
     head = "  ".join(h.rjust(w) for h, w in zip(headers, widths))
     body = "  ".join(v.rjust(w) for v, w in zip(values, widths))

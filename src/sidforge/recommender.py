@@ -9,7 +9,10 @@ SIDs can be generated.
 
 Speed without changing a bit of the results:
 - Training counts each context length's (context, token) windows by sorting
-  them and measuring the runs of equal windows, per user, in numpy.
+  them and measuring the runs of equal windows, per user, in numpy. The
+  counts keep that form to the file and back, with no separate totals: a
+  read-only (k, 2) int64 array of (token, count) rows per context, tokens
+  ascending. Loading rejects a count or a context total of 2**63 or more.
 - A score row depends only on the back-off context that the last order - 1
   tokens resolve to. The model compiles once into a fill value per trained
   context, for every token it never counted, and CSR arrays of its counted
@@ -37,13 +40,12 @@ import json
 import math
 import re
 import sys
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .datamodel import SplitDataset, atomic_open, is_json_int
+from .datamodel import SplitDataset, atomic_open, is_json_int, is_json_number, read_json_object
 from .rq import SidAssignment, SidSequence, SidTrie
 
 
@@ -117,26 +119,27 @@ def user_state(model, user_train, validation, flat, include_validation: bool) ->
     return model.state(tail)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NGramModel:
     """Back-off n-gram with additive smoothing over the global SID vocabulary.
 
+    `counts` maps each trained context to a read-only (k, 2) int64 array of
+    (token, count) rows, tokens ascending; a context's total is their sum.
     Scoring uses the longest trained context that matches a suffix of the
     query context, falling back level by level down to the unigram table.
     The model compiles into arrays on first use, and is frozen so that they
-    cannot go stale.
+    cannot go stale. Models compare by identity (`eq=False`), arrays having
+    no dataclass equality.
     """
 
     order: int
     alpha: float
     sizes: tuple[int, ...]
-    counts: dict[tuple[int, ...], Counter]
-    totals: dict[tuple[int, ...], int]
+    counts: dict[tuple[int, ...], np.ndarray]
 
     @functools.cached_property
     def vocab_size(self) -> int:
-        """Summed on first read and kept; not a field, so not in equality,
-        repr or the saved file."""
+        """Summed on first read and kept; not a field, so not in the repr or file."""
         return sum(self.sizes)
 
     @functools.cached_property
@@ -146,15 +149,16 @@ class NGramModel:
         with logp log((alpha + count) / d); every other token has fill[i] =
         log(alpha / d), where d = total + alpha * vocab_size: the float64
         operations of a dense row."""
-        contexts = list(self.totals)
-        counters = [self.counts[ctx] for ctx in contexts]
-        indptr = np.cumsum([0, *map(len, counters)])
-        tokens = np.array([t for c in counters for t in c], dtype=np.int64)
-        counts = np.array([n for c in counters for n in c.values()], dtype=np.float64)
-        denominators = np.array([self.totals[ctx] + self.alpha * self.vocab_size for ctx in contexts])
+        rows = list(self.counts.values())
+        indptr = np.cumsum([0, *map(len, rows)])
+        tokens, counts = np.concatenate([np.empty((0, 2), np.int64), *rows]).T
+        # Each total is below 2**63, so the difference of the int64 running
+        # sums is exact even where the running sum wraps.
+        summed = np.concatenate(([0], counts.cumsum()))
+        denominators = (summed[indptr[1:]] - summed[indptr[:-1]]) + self.alpha * self.vocab_size
         logp = np.log((self.alpha + counts) / np.repeat(denominators, np.diff(indptr)))
         fill = np.log(self.alpha / denominators)
-        return {ctx: i for i, ctx in enumerate(contexts)}, indptr, tokens, logp, fill
+        return {ctx: i for i, ctx in enumerate(self.counts)}, indptr, tokens, logp, fill
 
     def state(self, context) -> tuple[int, ...]:
         """The last order - 1 tokens of a context (a sequence), all of it that
@@ -224,19 +228,19 @@ def train_ngram(
     user_start[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
     # inside[s]: the window of the current length starting at s lies in one user
     inside = np.ones(tokens.size, dtype=bool)
-    counts: dict[tuple[int, ...], Counter] = {}
-    totals: dict[tuple[int, ...], int] = {}
+    counts: dict[tuple[int, ...], np.ndarray] = {}
     for length in range(min(order, int(lengths.max()))):
         if length:
             inside = inside[:-1] & ~user_start[length:]
         runs, n_runs = _distinct_rows(sliding_window_view(tokens, length + 1)[inside])
         ctx_starts = _row_changes(runs[:, :length])
+        rows = np.empty((len(runs), 2), dtype=np.int64)
+        rows[:, 0], rows[:, 1] = runs[:, length], n_runs
+        rows.setflags(write=False)
         bounds = [*ctx_starts.tolist(), len(runs)]
         for ctx, a, b in zip(runs[ctx_starts, :length].tolist(), bounds, bounds[1:]):
-            counter = Counter(dict(zip(runs[a:b, length].tolist(), n_runs[a:b].tolist())))
-            counts[tuple(ctx)] = counter
-            totals[tuple(ctx)] = sum(counter.values())
-    return NGramModel(order=order, alpha=float(alpha), sizes=sizes, counts=counts, totals=totals)
+            counts[tuple(ctx)] = rows[a:b]
+    return NGramModel(order=order, alpha=float(alpha), sizes=sizes, counts=counts)
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,15 +261,14 @@ def _row_changes(rows: np.ndarray) -> np.ndarray:
 def save_ngram(model: NGramModel, path) -> None:
     """The bytes of `json.dump(payload, fh, sort_keys=True)` over the format,
     order, alpha, sizes and one {"counts", "ctx"} record per sorted context,
-    written one context at a time through the C encoder."""
+    written one context at a time. A count renders as `"<token>": <count>`;
+    the quote sorts below every digit, so a plain string sort of the cells is
+    json's key order."""
     with atomic_open(path, encoding="utf-8", newline="\n") as fh:
         fh.write(f'{{"alpha": {json.dumps(model.alpha)}, "contexts": [')
         for i, ctx in enumerate(sorted(model.counts)):
-            record = {
-                "counts": {str(tok): int(c) for tok, c in model.counts[ctx].items()},
-                "ctx": list(ctx),
-            }
-            fh.write((", " if i else "") + json.dumps(record, sort_keys=True))
+            cells = ", ".join(sorted('"%d": %d' % (t, c) for t, c in model.counts[ctx].tolist()))
+            fh.write('%s{"counts": {%s}, "ctx": %s}' % (", " if i else "", cells, list(map(int, ctx))))
         fh.write(
             f'], "format": "sidforge-ngram-v1", "order": {json.dumps(model.order)}, '
             f'"sizes": {json.dumps(list(model.sizes))}}}\n'
@@ -273,13 +276,7 @@ def save_ngram(model: NGramModel, path) -> None:
 
 
 def load_ngram(path) -> NGramModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:
-            raise RecommenderError(f"unreadable n-gram file: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise RecommenderError("n-gram file is not a JSON object")
+    payload = read_json_object(path, RecommenderError, "n-gram file")
     if payload.get("format") != "sidforge-ngram-v1":
         raise RecommenderError(f"unsupported n-gram format {payload.get('format')!r}")
     missing = [key for key in ("order", "alpha", "sizes", "contexts") if key not in payload]
@@ -288,16 +285,14 @@ def load_ngram(path) -> NGramModel:
     order, alpha, sizes = payload["order"], payload["alpha"], payload["sizes"]
     if not is_json_int(order) or order < 1:
         raise RecommenderError(f"n-gram order {order!r} is not an integer >= 1")
-    if (isinstance(alpha, bool) or not isinstance(alpha, (int, float))
-            or not 0.0 < alpha <= sys.float_info.max):
+    if not is_json_number(alpha) or not 0.0 < alpha <= sys.float_info.max:
         raise RecommenderError(f"n-gram alpha {alpha!r} is not a finite number > 0")
     if not isinstance(sizes, list) or not sizes or not all(is_json_int(k) and k >= 1 for k in sizes):
         raise RecommenderError(f"n-gram sizes {sizes!r} are not a list of integers >= 1")
     if not isinstance(payload["contexts"], list):
         raise RecommenderError("n-gram contexts are not a list")
     vocab_size = sum(sizes)
-    counts: dict[tuple[int, ...], Counter] = {}
-    totals: dict[tuple[int, ...], int] = {}
+    counts: dict[tuple[int, ...], np.ndarray] = {}
     for i, entry in enumerate(payload["contexts"]):
         where = f"n-gram context #{i}"
         if not (isinstance(entry, dict) and isinstance(entry.get("ctx"), list)
@@ -310,19 +305,24 @@ def load_ngram(path) -> NGramModel:
             )
         if tuple(ctx) in counts:
             raise RecommenderError(f"{where}: context {ctx} appears twice")
-        counter = Counter()
+        rows, total = [], 0
         for key, count in entry["counts"].items():
             if not _TOKEN_KEY.fullmatch(key) or int(key) >= vocab_size:
                 raise RecommenderError(
                     f"{where}: token {key} is not a canonical decimal integer"
                     f" in the vocabulary [0, {vocab_size})"
                 )
-            if not is_json_int(count) or count < 1:
-                raise RecommenderError(f"{where}: token {key} has count {count!r}, not an integer >= 1")
-            counter[int(key)] = count
-        counts[tuple(ctx)] = counter
-        totals[tuple(ctx)] = sum(counter.values())
-    return NGramModel(order=order, alpha=float(alpha), sizes=tuple(sizes), counts=counts, totals=totals)
+            if not is_json_int(count) or not 1 <= count < 2**63:
+                raise RecommenderError(
+                    f"{where}: token {key} has count {count!r}, not an integer in [1, 2**63)"
+                )
+            total += count
+            if total >= 2**63:
+                raise RecommenderError(f"{where}: the counts up to token {key} sum to 2**63 or more")
+            rows.append((int(key), count))
+        counts[tuple(ctx)] = np.array(sorted(rows), dtype=np.int64).reshape(-1, 2)
+        counts[tuple(ctx)].setflags(write=False)
+    return NGramModel(order=order, alpha=float(alpha), sizes=tuple(sizes), counts=counts)
 
 
 def beam_search(
@@ -526,6 +526,20 @@ def evaluate_static_ranking(
             continue
         ranks[user_id] = position_of.get(assign[user.test], 0)
     return _metrics_from_ranks(ranks, ks, excluded, 0, keep_ranks)
+
+
+def load_metrics(path) -> dict:
+    """A saved metrics.json, {model: {metric: value}}; RecommenderError names
+    the file and key of an entry that is not an object or an HR/NDCG value
+    that is not a number."""
+    payload = read_json_object(path, RecommenderError, "metrics file")
+    for model, values in payload.items():
+        if not isinstance(values, dict):
+            raise RecommenderError(f"metrics file {path}: {model!r} is not an object")
+        for key, value in values.items():
+            if key.startswith(("HR@", "NDCG@")) and not is_json_number(value):
+                raise RecommenderError(f"metrics file {path}: {model}.{key} is {value!r}, not a number")
+    return payload
 
 
 def write_metrics_csv(report: MetricsReport, path) -> None:

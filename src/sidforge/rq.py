@@ -521,16 +521,14 @@ def assign_all(model: RqModel, emb: EmbeddingSet, workers: int = 1) -> SidAssign
 @dataclass(frozen=True)
 class SidTrie:
     """Prefix tree over the catalog's SIDs, compiled into one CSR pair of
-    read-only arrays per level, and each full SID (in lexicographic order)
-    mapped to the sorted item_ids sharing it.
+    read-only arrays per level, plus the set of full SIDs.
 
     The nodes at depth h are the distinct length-h prefixes in lexicographic
     order. `levels[h]` is `(indptr, tokens)`: node n's next tokens are
     `tokens[indptr[n]:indptr[n + 1]]`, ascending, and the child reached
     through position p of `tokens` is node p at depth h + 1."""
 
-    leaves: dict[SidSequence, tuple[str, ...]]
-    n_items: int
+    leaves: frozenset[SidSequence]
     levels: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False, compare=False)
 
     @property
@@ -559,14 +557,6 @@ class SidTrie:
     def __contains__(self, tokens) -> bool:
         return tuple(tokens) in self.leaves
 
-    def items_for(self, tokens) -> tuple[str, ...]:
-        return self.leaves.get(tuple(tokens), ())
-
-    def iter_sids(self):
-        """Yield (tokens, item_ids) over all distinct SIDs in lexicographic
-        token order."""
-        yield from self.leaves.items()
-
 
 def _frozen_i64(values) -> np.ndarray:
     out = np.array(values, dtype=np.int64)
@@ -577,14 +567,11 @@ def _frozen_i64(values) -> np.ndarray:
 def build_trie(assign: SidAssignment) -> SidTrie:
     if len(assign.sids) == 0:
         raise RqError("cannot build a trie from an empty assignment")
-    depth = len(next(iter(assign.sids.values())))
-    items: dict[SidSequence, list[str]] = {}
-    for item_id, s in assign.sids.items():
-        if len(s) != depth:
-            raise RqError("assignment mixes SID lengths")
-        items.setdefault(tuple(int(t) for t in s), []).append(item_id)
-    leaves = {s: tuple(sorted(items[s])) for s in sorted(items)}
-    sids = np.array(list(leaves), dtype=np.int64).reshape(len(leaves), depth)
+    leaves = frozenset(tuple(map(int, s)) for s in assign.sids.values())
+    depth = len(next(iter(leaves)))
+    if any(len(s) != depth for s in leaves):
+        raise RqError("assignment mixes SID lengths")
+    sids = np.array(sorted(leaves), dtype=np.int64).reshape(len(leaves), depth)
     # starts[r]: row r of the sorted SIDs begins a new prefix of the current length.
     starts = np.zeros(len(sids), dtype=bool)
     starts[0] = True
@@ -595,7 +582,7 @@ def build_trie(assign: SidAssignment) -> SidTrie:
         n_children = np.bincount(parent[starts], minlength=int(parent[-1]) + 1)
         levels.append((_frozen_i64(np.concatenate(([0], np.cumsum(n_children)))),
                        _frozen_i64(sids[starts, h])))
-    return SidTrie(leaves=leaves, n_items=len(assign.sids), levels=tuple(levels))
+    return SidTrie(leaves=leaves, levels=tuple(levels))
 
 
 def save_model(model: RqModel, path) -> None:

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from sidforge.recommender import NGramModel
 from sidforge.rq import Codebook, LevelFitStats, RqConfig, RqModel, SidAssignment
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)_(\w+)")
@@ -47,6 +48,31 @@ def random_model(rng: np.random.Generator, levels: int, sizes, dim: int) -> RqMo
 
 def assignment_from_sids(sids: dict, model_hash: str = "test") -> SidAssignment:
     return SidAssignment(sids={k: tuple(v) for k, v in sids.items()}, model_hash=model_hash)
+
+
+def ngram_model(order: int, alpha: float, sizes, counts: dict) -> NGramModel:
+    """A hand-built NGramModel from {ctx: {token: count}}, in the model's
+    layout: one read-only (k, 2) int64 array of (token, count) rows per
+    context, tokens ascending."""
+    arrays = {}
+    for ctx, row in counts.items():
+        arrays[tuple(ctx)] = np.array(sorted(row.items()), dtype=np.int64).reshape(-1, 2)
+        arrays[tuple(ctx)].setflags(write=False)
+    return NGramModel(order=order, alpha=alpha, sizes=tuple(sizes), counts=arrays)
+
+
+def ngram_dicts(model: NGramModel) -> tuple[dict, dict]:
+    """({ctx: {token: count}}, {ctx: total}) rebuilt from a model's count
+    arrays with Python ints, after checking the arrays' layout."""
+    counts, totals = {}, {}
+    for ctx, rows in model.counts.items():
+        assert type(ctx) is tuple and all(type(t) is int for t in ctx), ctx
+        assert rows.dtype == np.int64 and rows.ndim == 2 and rows.shape[1] == 2, ctx
+        assert not rows.flags.writeable, ctx
+        assert (np.diff(rows[:, 0]) > 0).all(), f"tokens of {ctx} not ascending"
+        counts[ctx] = dict(rows.tolist())
+        totals[ctx] = sum(counts[ctx].values())
+    return counts, totals
 
 
 @pytest.fixture

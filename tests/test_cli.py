@@ -3,15 +3,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import ngram_model
 from sidforge.cli import main
 from sidforge.datamodel import load_embeddings
 from sidforge.pipeline import ArtifactPaths, run_lock
-from sidforge.recommender import NGramModel, save_ngram
+from sidforge.recommender import save_ngram
 
 
 @pytest.fixture
@@ -387,7 +387,7 @@ def test_eval_rejects_an_ngram_of_other_level_sizes(tmp_path, synth_config, caps
     cfg_path.write_text(json.dumps(cfg))
     assert run(capsys, "pipeline", "--config", cfg_path)[0] == 0
     other = tmp_path / "other.json"
-    ngram = NGramModel(order=2, alpha=0.1, sizes=(2, 2), counts={(): Counter({1: 3})}, totals={(): 3})
+    ngram = ngram_model(2, 0.1, (2, 2), {(): {1: 3}})
     save_ngram(ngram, other)
     paths = ArtifactPaths.in_dir(out)
     status, metrics = run(
@@ -400,6 +400,28 @@ def test_eval_rejects_an_ngram_of_other_level_sizes(tmp_path, synth_config, caps
     )
     assert status == 1 and metrics is None
     assert "level sizes [2, 2] are not the SID levels' [8, 4]" in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, content, named",
+    [
+        ("--diagnostics", {"collision_rate": 0.1}, "unique_ratio is missing, not a number"),
+        ("--diagnostics", {"collision_rate": 0.1, "unique_ratio": 0.9, "utilization": "1",
+                           "prefix_entropy": 2.0}, "utilization is '1', not a number"),
+        ("--diagnostics", [], "is not a JSON object"),
+        ("--metrics", [1, 2], "is not a JSON object"),
+        ("--metrics", {"ngram": [1]}, "'ngram' is not an object"),
+        ("--metrics", {"ngram": {"HR@5": "x"}}, "ngram.HR@5 is 'x', not a number"),
+        ("--metrics", {"ngram": {"NDCG@5": True}}, "ngram.NDCG@5 is True, not a number"),
+    ],
+)
+def test_report_names_the_file_and_key_of_a_malformed_report(tmp_path, capsys, caplog, flag, content, named):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(content))
+    status, payload = run(capsys, "report", flag, path)
+    assert status == 1 and payload is None
+    assert named in caplog.text and str(path) in caplog.text
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -17,7 +17,6 @@ from sidforge.corpus import (
     TrainingExample,
     check_settings,
     make_examples,
-    parse_conversational,
     render_chat,
     sample_corpus,
     system_instruction,
@@ -81,16 +80,6 @@ class TestChatTemplate:
             "<|im_start|>user\nUSR\n<|im_end|>\n"
             "<|im_start|>assistant\nTGT\n<|im_end|>"
         )
-
-    def test_parse_inverse(self):
-        record = {"system": "line one\nline two", "user": "user text", "assistant": "answer"}
-        assert parse_conversational(render_chat(record)) == record
-
-    def test_parse_rejects_malformed(self):
-        with pytest.raises(CorpusError):
-            parse_conversational("<|im_start|>system\nx\n<|im_end|>")
-        with pytest.raises(CorpusError):
-            parse_conversational(render_chat({"system": "s", "user": "u", "assistant": "a"}) + "x")
 
 
 class TestMakeExamples:
@@ -426,18 +415,14 @@ class TestWriters:
         assert len(lines) == 10
         assert [json.loads(line) for line in lines] == records
 
-    def test_write_chat_corpus_parses_back(self, tmp_path):
+    def test_write_chat_corpus_bytes(self, tmp_path):
         catalog, assign, split = tiny_world()
         records, _ = sample_corpus(split, catalog, assign, n=4, seed=0)
         path = tmp_path / "c.txt"
         write_chat_corpus(records, path)
-        text = path.read_text(encoding="utf-8")
-        blocks = text.rstrip("\n").split("\n\n")
-        assert len(blocks) == 4
-        for block, record in zip(blocks, records):
-            parts = parse_conversational(block)
-            assert parts["system"] == record["system"]
-            assert parts["assistant"] == record["assistant"]
+        want = "\n\n".join(render_chat(record) for record in records) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+        assert len(records) == 4 and len({r["user"] for r in records}) > 1
 
     def test_vocabulary_file(self, tmp_path, rng):
         model = random_model(rng, 2, [3, 2], 4)

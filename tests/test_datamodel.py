@@ -42,24 +42,6 @@ def make_record(i, **kw):
 
 
 class TestItemRecord:
-    def test_unified_text_full(self):
-        rec = ItemRecord(
-            item_id="a",
-            title="Lamp",
-            description="A lamp.",
-            category="home",
-            visual_description="Black metal shade.",
-            interests=("lighting", "decor"),
-        )
-        assert rec.unified_text == (
-            "Title: Lamp [INTERESTS] lighting; decor "
-            "Description: A lamp. Visual: Black metal shade."
-        )
-
-    def test_unified_text_minimal(self):
-        rec = make_record(1)
-        assert rec.unified_text == "Title: Title 1 Description: Desc 1"
-
     def test_empty_id_rejected(self):
         with pytest.raises(CatalogError):
             make_record(1, item_id="")

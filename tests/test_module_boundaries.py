@@ -1,7 +1,8 @@
 """Source guards over the sidforge package: no module reads a private
 (underscore) name of a sibling module, since what modules share is public;
-only datamodel.atomic_open opens a file for writing; and no module keeps an
-unused import."""
+only datamodel.atomic_open opens a file for writing; no module keeps an
+unused import; and every function, class and method is read by the package
+or the benchmark, not by tests alone."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from pathlib import Path
 import sidforge
 
 PACKAGE_DIR = Path(sidforge.__file__).resolve().parent
+PERFBENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _is_private(name: str) -> bool:
@@ -147,3 +149,82 @@ def test_no_unused_imports():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _reads(tree: ast.AST) -> list[tuple[str, frozenset[int]]]:
+    """(name, ids of the enclosing definitions) of every read in a module: a
+    loaded name or attribute, an imported name, or each part of a string
+    constant that is a dotted name."""
+    found = []
+
+    def visit(node, enclosing):
+        if isinstance(node, _DEFINITIONS):
+            enclosing = enclosing | {id(node)}
+        names = ()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names = (node.id,)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names = (node.attr,)
+        elif isinstance(node, ast.alias):
+            names = (node.name.rsplit(".", 1)[-1],)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _DOTTED_NAME.fullmatch(node.value):
+                names = node.value.split(".")
+        found.extend((name, enclosing) for name in names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return found
+
+
+def unread_definitions(defined: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """`module:name` of each function, class and method (dunders aside) in
+    the `defined` sources that no read in `defined` or `readers` names from
+    outside the definition itself."""
+    trees = {name: ast.parse(source) for name, source in {**readers, **defined}.items()}
+    reads: dict[str, list[frozenset[int]]] = {}
+    for tree in trees.values():
+        for name, enclosing in _reads(tree):
+            reads.setdefault(name, []).append(enclosing)
+    return sorted(
+        f"{module}:{node.name}"
+        for module in defined
+        for node in ast.walk(trees[module])
+        if isinstance(node, _DEFINITIONS) and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not any(id(node) not in enclosing for enclosing in reads.get(node.name, ()))
+    )
+
+
+def test_unread_detector_sees_each_kind_of_read():
+    defined = {"m.py": (
+        "def used(): pass\n"
+        "def recursive(): return recursive()\n"
+        "def by_string(): pass\n"
+        "class C:\n    def method(self): return self.method()\n    def __len__(self): return 0\n"
+        "    def called(self): pass\n"
+        "def shadowed(): pass\n"
+        "x = used\n"
+        "C().called()\n"
+        "shadowed = 1\n"
+    )}
+    readers = {"b.py": "from m import C\nwrap('m.by_string')\n"}
+    assert unread_definitions(defined, readers) == ["m.py:method", "m.py:recursive", "m.py:shadowed"]
+    assert unread_definitions(defined, {}) == [
+        "m.py:by_string", "m.py:method", "m.py:recursive", "m.py:shadowed"]
+
+
+def test_every_definition_is_read_outside_the_tests():
+    """A member that only tests read is dead code: delete it with its tests.
+    perfbench/ counts as a reader, since it wraps and reads members by name."""
+    defined = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    readers = {
+        f"perfbench/{path.name}": path.read_text(encoding="utf-8")
+        for path in sorted(PERFBENCH_DIR.glob("*.py"))
+        if not path.name.startswith("test_")
+    }
+    assert unread_definitions(defined, readers) == []

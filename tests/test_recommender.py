@@ -10,12 +10,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import assignment_from_sids
+from conftest import assignment_from_sids, ngram_dicts, ngram_model
 from sidforge import recommender
 from sidforge.datamodel import SplitDataset, UserSplit
 from sidforge.recommender import (
     MetricsReport,
-    NGramModel,
     RecommenderError,
     _metrics_from_ranks,
     beam_search,
@@ -33,6 +32,11 @@ from sidforge.recommender import (
     write_metrics_csv,
 )
 from sidforge.rq import build_trie
+
+
+def same_model(a, b) -> bool:
+    """Equal order, alpha, sizes, counts and totals."""
+    return (a.order, a.alpha, a.sizes, ngram_dicts(a)) == (b.order, b.alpha, b.sizes, ngram_dicts(b))
 
 
 def split_of(user_seqs: dict) -> SplitDataset:
@@ -67,10 +71,11 @@ class TestNGram:
         split = split_of({"u": ["a", "b", "a", "b", "a"]})
         model = train_ngram(split, assign, sizes=(2,), order=2, alpha=0.5)
         # train sequence is a b a -> tokens 0 1 0
-        assert model.totals[()] == 3
-        assert model.counts[()] == {0: 2, 1: 1}
-        assert model.counts[(0,)] == {1: 1}
-        assert model.counts[(1,)] == {0: 1}
+        counts, totals = ngram_dicts(model)
+        assert totals[()] == 3
+        assert counts[()] == {0: 2, 1: 1}
+        assert counts[(0,)] == {1: 1}
+        assert counts[(1,)] == {0: 1}
         # unigram: p = (count + alpha) / (total + alpha * V)
         probs = np.exp(model.score_next([()])[0])
         assert probs == pytest.approx([(2 + 0.5) / 4, (1 + 0.5) / 4])
@@ -90,9 +95,9 @@ class TestNGram:
         split = split_of({"u": ["a", "a", "b", "b"]})
         without = train_ngram(split, assign, (2,), order=1, alpha=0.1)
         with_val = train_ngram(split, assign, (2,), order=1, alpha=0.1, include_validation=True)
-        assert without.totals[()] == 2
-        assert with_val.totals[()] == 3
-        assert with_val.counts[()][1] == 1
+        assert ngram_dicts(without)[1][()] == 2
+        assert ngram_dicts(with_val)[1][()] == 3
+        assert ngram_dicts(with_val)[0][()][1] == 1
 
     def test_distribution_sums_to_one(self):
         assign = assignment_from_sids({"a": (0, 1), "b": (1, 0)})
@@ -117,8 +122,12 @@ class TestNGram:
         assert back.order == model.order
         assert back.alpha == model.alpha
         assert back.sizes == model.sizes
-        assert back.counts == model.counts
-        assert back.totals == model.totals
+        assert ngram_dicts(back) == ngram_dicts(model)
+        # Contexts with no counts, and a file with no contexts.
+        for counts in ({(): {}, (1,): {3: 2, 0: 1}, (2,): {}}, {}):
+            model = ngram_model(2, 0.5, (4,), counts)
+            save_ngram(model, path)
+            assert same_model(load_ngram(path), model)
 
     def test_save_bytes_match_json_dump(self, tmp_path):
         """save_ngram writes exactly what one json.dump of the whole payload
@@ -130,6 +139,7 @@ class TestNGram:
             users = {f"u{u}": [f"i{k}" for k in gen.integers(36, size=gen.integers(3, 12))]
                      for u in range(20)}
             model = train_ngram(split_of(users), assign, (12, 3), order=order, alpha=alpha)
+            counts = ngram_dicts(model)[0]
             payload = {
                 "format": "sidforge-ngram-v1",
                 "order": model.order,
@@ -138,9 +148,9 @@ class TestNGram:
                 "contexts": [
                     {
                         "ctx": list(ctx),
-                        "counts": {str(t): int(c) for t, c in sorted(model.counts[ctx].items())},
+                        "counts": {str(t): int(c) for t, c in sorted(counts[ctx].items())},
                     }
-                    for ctx in sorted(model.counts)
+                    for ctx in sorted(counts)
                 ],
             }
             want = tmp_path / "want.json"
@@ -150,6 +160,8 @@ class TestNGram:
             got = tmp_path / "got.json"
             save_ngram(model, got)
             assert got.read_bytes() == want.read_bytes()
+            # "10" precedes "2" in the file; loading sorts the tokens again.
+            assert same_model(load_ngram(got), model)
             assert (order == 1) == (list(model.counts) == [()])
             assert any({"10", "2"} <= set(row["counts"]) for row in payload["contexts"])
 
@@ -210,6 +222,11 @@ class TestNGram:
             ({"contexts": [{"ctx": [], "counts": {"0": 1.5}}]}, "count 1.5"),
             ({"contexts": [{"ctx": [], "counts": {"0": True}}]}, "count True"),
             ({"contexts": [{"ctx": [], "counts": {"0": "1"}}]}, "count '1'"),
+            ({"contexts": [{"ctx": [], "counts": {"0": 2**63}}]}, f"#0: token 0 has count {2**63}"),
+            ({"contexts": [{"ctx": [], "counts": {"1": 10**400}}]}, "#0: token 1 has count 1000"),
+            ({"contexts": [{"ctx": [], "counts": {"0": 1}},
+                           {"ctx": [0], "counts": {"0": 2**62, "1": 2**62}}]},
+             r"#1: the counts up to token 1 sum to 2\*\*63 or more"),
         ],
     )
     def test_load_rejects_mistyped_values(self, tmp_path, edit, match):
@@ -220,6 +237,28 @@ class TestNGram:
         path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
         with pytest.raises(RecommenderError, match=match):
             load_ngram(path)
+
+    def test_int64_totals_round_like_python_ints(self, tmp_path):
+        """Counts near the int64 limit: the compiled rows, whose totals are
+        int64 sums, equal rows built from Python-int totals bit for bit. The
+        exact sum of three 2**53 + 1 counts rounds to another float than the
+        float64 sum of the three, so a float total would show."""
+        big = 2**53 + 1
+        path = tmp_path / "ng.json"
+        path.write_text(json.dumps({
+            "format": "sidforge-ngram-v1", "order": 2, "alpha": 0.5, "sizes": [3],
+            "contexts": [
+                {"ctx": [], "counts": {"0": big, "2": 2**62}},
+                {"ctx": [1], "counts": {"0": big, "1": big, "2": big}},
+                {"ctx": [2], "counts": {"1": 2**62, "2": 2**62 - 1}},
+            ],
+        }))
+        model = load_ngram(path)
+        assert ngram_dicts(model)[1] == {(): big + 2**62, (1,): 3 * big, (2,): 2**63 - 1}
+        assert float(3 * big) != float(big) + float(big) + float(big)
+        contexts = [(), (0,), (1,), (2,), (0, 1)]
+        for ctx, row in zip(contexts, model.score_next(contexts)):
+            assert row.tobytes() == reference_score_next(model, ctx).tobytes(), ctx
 
     def test_load_names_a_missing_field(self, tmp_path):
         path = tmp_path / "ng.json"
@@ -246,7 +285,7 @@ def exhaustive_rank(model, context, trie, sizes, top_k):
     sort by (-score, tokens)."""
     offsets = level_offsets(sizes)
     scored = []
-    for tokens, _items in trie.iter_sids():
+    for tokens in trie.leaves:
         score = 0.0
         gtokens = tuple(int(t) for t in context)
         for level, token in enumerate(tokens):
@@ -321,13 +360,7 @@ class TestBeamSearch:
         assign = assignment_from_sids({"a": (1, 1), "b": (0, 1), "c": (0, 0), "d": (1, 0)})
         trie = build_trie(assign)
         split = split_of({"u": ["a", "b", "c", "d", "a"]})
-        model = NGramModel(
-            order=1,
-            alpha=1.0,
-            sizes=(2, 2),
-            counts={(): {0: 1, 1: 1, 2: 1, 3: 1}},
-            totals={(): 4},
-        )
+        model = ngram_model(1, 1.0, (2, 2), {(): {0: 1, 1: 1, 2: 1, 3: 1}})
         results = beam_search(model, (), trie, beam_size=4, top_k=4, sizes=(2, 2))
         assert [tokens for tokens, _ in results] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -335,15 +368,16 @@ class TestBeamSearch:
 def reference_score_next(model, context) -> np.ndarray:
     """NGramModel.score_next before rows were memoised, verbatim: the oracle
     for the compiled rows."""
+    counts, totals = ngram_dicts(model)
     ctx = tuple(int(t) for t in context)
     longest = min(model.order - 1, len(ctx))
     for length in range(longest, -1, -1):
         suffix = ctx[len(ctx) - length:] if length else ()
-        total = model.totals.get(suffix)
+        total = totals.get(suffix)
         if total is None:
             continue
         probs = np.full(model.vocab_size, model.alpha, dtype=np.float64)
-        for token, count in model.counts[suffix].items():
+        for token, count in counts[suffix].items():
             probs[token] += count
         probs /= total + model.alpha * model.vocab_size
         return np.log(probs)
@@ -395,7 +429,7 @@ class MemoisedModel:
     context, kept in a memo, and one dense row built per call."""
 
     def __init__(self, model):
-        self.order, self.alpha, self.counts, self.totals = model.order, model.alpha, model.counts, model.totals
+        self.order, self.alpha, (self.counts, self.totals) = model.order, model.alpha, ngram_dicts(model)
         self.vocab_size = model.vocab_size
         self.state = model.state
         self._rows = {}
@@ -568,9 +602,10 @@ class TestFastPathsMatchLoops:
                     train_ngram(split, assign, sizes, order, 0.5, include_validation)
                 continue
             model = train_ngram(split, assign, sizes, order, 0.5, include_validation)
-            assert model.counts == counts and model.totals == totals, f"trial {trial}"
-            assert all(type(c) is Counter for c in model.counts.values())
-            assert all(type(t) is int for ctx in model.counts for t in ctx)
+            # ngram_dicts also checks the layout: int tuples, read-only
+            # (k, 2) int64 arrays, tokens ascending
+            assert ngram_dicts(model) == (counts, totals), f"trial {trial}"
+            assert len(model.counts) == len(counts)
 
     def test_counts_exact_for_wide_vocabularies(self):
         # global ids above 255 and above 65535 need wider window types
@@ -579,7 +614,7 @@ class TestFastPathsMatchLoops:
         split = split_of({"u": ["a", "b", "c", "a", "b", "c", "a"], "v": ["c", "c", "b", "a", "a"]})
         for order in (1, 2, 3, 4):
             model = train_ngram(split, assign, sizes, order, 0.5)
-            assert (model.counts, model.totals) == reference_counts(split, assign, sizes, order, False)
+            assert ngram_dicts(model) == reference_counts(split, assign, sizes, order, False)
 
     def test_beam_equals_the_list_beam(self):
         for trial in range(60):
@@ -594,8 +629,8 @@ class TestFastPathsMatchLoops:
                 model = train_ngram(split, assign, sizes, order, float(gen.uniform(0.05, 2.0)))
             except RecommenderError:
                 # every row uniform, so every score ties and tokens decide
-                model = NGramModel(order=order, alpha=1.0, sizes=sizes, counts={(): Counter()}, totals={(): 0})
-            unseen = [t for t in range(vocab) if (t,) not in model.totals]
+                model = ngram_model(order, 1.0, sizes, {(): {}})
+            unseen = [t for t in range(vocab) if (t,) not in model.counts]
             contexts = [
                 (),
                 tuple(int(t) for t in gen.integers(vocab, size=max(order - 2, 0))),
@@ -661,8 +696,7 @@ class TestFastPathsMatchLoops:
             sizes, assign, split = evaluation_case(gen)
             flat = flat_sids(assign, level_offsets(sizes))
             for order in (1, 2, 3):
-                model = NGramModel(order=order, alpha=1.0, sizes=sizes, counts={(): Counter()},
-                                   totals={(): 0})
+                model = ngram_model(order, 1.0, sizes, {(): {}})
                 for include_validation in (True, False):
                     for user_id, user in split.users.items():
                         whole = user_context(user.train, user.validation, flat, include_validation)
@@ -679,7 +713,7 @@ class TestFastPathsMatchLoops:
         assert model.vocab_size == 7
         assert vars(model)["vocab_size"] == 7  # kept after the first read
         assert repr(model) == before and "vocab_size" not in before
-        assert model == load_ngram(path)
+        assert same_model(model, load_ngram(path))
         save_ngram(model, tmp_path / "after.json")
         assert (tmp_path / "after.json").read_bytes() == path.read_bytes()
 
@@ -705,16 +739,15 @@ class TestFastPathsMatchLoops:
         # The compiled arrays hold the counted entries and one fill per
         # context, not a row per context.
         _, indptr, tokens, logp, fill = model._compiled
-        assert len(fill) == len(model.totals) and len(indptr) == len(fill) + 1
+        assert len(fill) == len(model.counts) and len(indptr) == len(fill) + 1
         assert len(tokens) == len(logp) == sum(map(len, model.counts.values()))
         assert repr(model) == before and "_compiled" not in before
-        assert load_ngram(path) == model
+        assert same_model(load_ngram(path), model)
         save_ngram(model, tmp_path / "after.json")
         assert (tmp_path / "after.json").read_bytes() == path.read_bytes()
 
     def test_no_unigram_table_raises(self):
-        model = NGramModel(order=3, alpha=0.5, sizes=(2, 2), counts={(1,): Counter({2: 1})},
-                           totals={(1,): 1})
+        model = ngram_model(3, 0.5, (2, 2), {(1,): {2: 1}})
         assert model.score_next([(0, 1), (1,)]).shape == (2, 4)
         for contexts in ([(0,)], [(1,), ()], [(3, 2)]):
             with pytest.raises(RecommenderError, match="no unigram table"):
@@ -738,7 +771,7 @@ class TestFastPathsMatchLoops:
                 except RecommenderError:
                     continue  # nothing to train on
                 memoised = MemoisedModel(model)
-                unseen = [t for t in range(vocab) if (t,) not in model.totals]
+                unseen = [t for t in range(vocab) if (t,) not in model.counts]
                 contexts = [
                     (),
                     tuple(int(t) for t in gen.integers(vocab, size=max(order - 2, 0))),
@@ -832,8 +865,7 @@ class TestMetrics:
         # Too small a vocabulary once indexed past its end; too large a one
         # read the second level's scores at the wrong offsets.
         for ngram_sizes in ((2, 2), (4, 8, 2), (5, 8)):
-            model = NGramModel(order=2, alpha=0.1, sizes=ngram_sizes, counts={(): Counter({1: 3})},
-                               totals={(): 3})
+            model = ngram_model(2, 0.1, ngram_sizes, {(): {1: 3}})
             named = re.escape(f"level sizes {list(ngram_sizes)} are not the SID levels' [4, 8]")
             with pytest.raises(RecommenderError, match=named):
                 evaluate(model, split, assign, trie, (4, 8), ks=(1,), beam_size=2)

@@ -782,15 +782,9 @@ class TestTrie:
         trie = build_trie(assign)
         assert trie.depth == 2
         assert trie.n_sids == 3
-        assert trie.n_items == 4
-        assert (0, 1) in trie
+        assert (0, 1) in trie and [0, 1] in trie
         assert (0, 3) not in trie
-        assert trie.items_for((0, 1)) == ("x", "z")
-        assert list(trie.iter_sids()) == [
-            ((0, 1), ("x", "z")),
-            ((0, 2), ("y",)),
-            ((3, 0), ("w",)),
-        ]
+        assert trie.leaves == {(0, 1), (0, 2), (3, 0)}
         sids = set(assign.sids.values())
         for s in sids:
             for h in range(trie.depth):
