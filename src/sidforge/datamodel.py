@@ -129,14 +129,15 @@ class InteractionError(ValueError):
 
 def read_json_object(path, error: type[ValueError], what: str) -> dict:
     """The JSON object in a UTF-8 file. Raises `error`, naming `what` and the
-    file, when the file is not UTF-8 JSON or holds no object."""
+    file, when the file is not UTF-8 JSON or holds a value of another type,
+    which it names."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except ValueError as exc:
             raise error(f"unreadable {what} {path}: {exc}") from exc
     if not isinstance(payload, dict):
-        raise error(f"{what} {path} is not a JSON object")
+        raise error(f"{what} {path} is a {type(payload).__name__}, not a JSON object")
     return payload
 
 

@@ -141,6 +141,65 @@ def reconstruction_curve(
     )
 
 
+def _row_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 of a C-order (c, n) array with the bits of numpy's
+    pairwise sum over each contiguous run of c values, i.e. of
+    `np.ascontiguousarray(rows.T).sum(axis=1)`: in sequence below 8 values;
+    up to 128, 8 accumulators over 8-wide blocks, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail in sequence; above
+    128, the sums of two halves split at a multiple of 8."""
+    c = rows.shape[0]
+    if c > 128:
+        half = c // 2 - c // 2 % 8
+        return _row_sum(rows[:half]) + _row_sum(rows[half:])
+    if c < 8:
+        out, stop = rows[0].copy(), 1
+    else:
+        acc = rows[:8].copy()
+        stop = c - c % 8
+        for i in range(8, stop, 8):
+            acc += rows[i:i + 8]
+        acc[0::2] += acc[1::2]
+        acc[0::4] += acc[2::4]
+        out = acc[0] + acc[4]
+    for k in range(stop, c):
+        out += rows[k]
+    return out
+
+
+def _fit_probe(
+    x_train: np.ndarray, y_train: np.ndarray, n_cat: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (d, c) and bias (c,) of the probe: 500 full-batch steps of
+    softmax regression, step size 0.1, L2 penalty 1e-4 on the weights.
+
+    Both products are the plain loop's: `x_train @ weights`, and
+    `x_train.T @ grad` on a C-order (n, c) `grad`. The softmax and gradient
+    between them run in place on a C-order (c, n) buffer and keep the plain
+    loop's bits: a max is exact in any order, `_row_sum` copies numpy's
+    pairwise order, subtracting the one-hot's zeros changes nothing, and the
+    bias gradient sums the rows of the (n, c) `grad` in sequence."""
+    n, d = x_train.shape
+    onehot_t = np.zeros((n_cat, n))
+    onehot_t[y_train, np.arange(n)] = 1.0
+    weights = np.zeros((d, n_cat))
+    bias = np.zeros(n_cat)
+    buf = np.empty((n_cat, n))
+    grad = np.empty((n, n_cat))
+    step_size, l2 = 0.1, 1e-4
+    for _ in range(500):
+        np.copyto(buf, (x_train @ weights).T)
+        buf += bias[:, None]
+        buf -= buf.max(axis=0)
+        np.exp(buf, out=buf)
+        buf /= _row_sum(buf)
+        buf -= onehot_t
+        np.divide(buf.T, n, out=grad)
+        weights -= step_size * (x_train.T @ grad + l2 * weights)
+        bias -= step_size * grad.sum(axis=0)
+    return weights, bias
+
+
 def semantic_probe(
     assign: SidAssignment,
     model: RqModel,
@@ -150,8 +209,8 @@ def semantic_probe(
     """Held-out accuracy of a multinomial logistic-regression probe that
     predicts the category label from the full-depth reconstruction vector.
 
-    80/20 stratified split; full-batch gradient descent, 500 steps, step size
-    0.1, L2 penalty 1e-4 on the weights.
+    80/20 stratified split, seeded by `split_seed`; `_fit_probe` fits the
+    weights. Its result is bit-identical to the plain (n, c) softmax loop.
     """
     item_ids = sorted(assign.sids)
     if not item_ids:
@@ -187,21 +246,7 @@ def semantic_probe(
 
     x_train, y_train = features[train_idx], y[train_idx]
     x_test, y_test = features[test_idx], y[test_idx]
-    n, d = x_train.shape
-    n_cat = len(categories)
-    onehot = np.zeros((n, n_cat))
-    onehot[np.arange(n), y_train] = 1.0
-    weights = np.zeros((d, n_cat))
-    bias = np.zeros(n_cat)
-    step_size, l2 = 0.1, 1e-4
-    for _ in range(500):
-        logits = x_train @ weights + bias
-        logits -= logits.max(axis=1, keepdims=True)
-        expv = np.exp(logits)
-        probs = expv / expv.sum(axis=1, keepdims=True)
-        grad = (probs - onehot) / n
-        weights -= step_size * (x_train.T @ grad + l2 * weights)
-        bias -= step_size * grad.sum(axis=0)
+    weights, bias = _fit_probe(x_train, y_train, len(categories))
     predictions = (x_test @ weights + bias).argmax(axis=1)
     return float((predictions == y_test).mean())
 

@@ -43,6 +43,7 @@ from .datamodel import (
     load_embeddings,
     load_interactions,
     load_items,
+    read_json_object,
     save_interactions,
     save_items,
     write_embeddings,
@@ -292,12 +293,9 @@ def load_config(path=None, env=None) -> dict:
     cfg = {k: (dict(v) if isinstance(v, dict) else v) for k, v in DEFAULT_CONFIG.items()}
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            file_cfg = read_json_object(path, ConfigError, "pipeline config")
+        except OSError as exc:
             raise ConfigError(f"unreadable pipeline config {path}: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise ConfigError(f"pipeline config {path} is a {type(file_cfg).__name__}, not an object")
         cfg = _merge(cfg, file_cfg)
     return apply_env_overrides(cfg, env)
 

@@ -11,13 +11,12 @@ transition into the next category.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .datamodel import EmbeddingSet, InteractionLog, ItemCatalog, ItemRecord, from_json
+from .datamodel import EmbeddingSet, InteractionLog, ItemCatalog, ItemRecord, from_json, read_json_object
 
 _CATEGORY_NOUNS = (
     "Soccer Gear",
@@ -92,12 +91,7 @@ class SynthConfig:
 
 
 def load_synth_config(path) -> SynthConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SynthError(f"unreadable synth config {path}: {exc}") from exc
-    return SynthConfig.from_dict(obj)
+    return SynthConfig.from_dict(read_json_object(path, SynthError, "synth config"))
 
 
 def category_name(index: int) -> str:

@@ -3,6 +3,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +38,15 @@ def run(capsys, *argv):
     status = main([str(a) for a in argv])
     out = capsys.readouterr().out
     return status, (json.loads(out) if out.strip() else None)
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "sidforge", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: sidforge")
 
 
 def test_full_command_chain(tmp_path, synth_config, capsys):
@@ -409,8 +421,8 @@ def test_eval_rejects_an_ngram_of_other_level_sizes(tmp_path, synth_config, caps
         ("--diagnostics", {"collision_rate": 0.1}, "unique_ratio is missing, not a number"),
         ("--diagnostics", {"collision_rate": 0.1, "unique_ratio": 0.9, "utilization": "1",
                            "prefix_entropy": 2.0}, "utilization is '1', not a number"),
-        ("--diagnostics", [], "is not a JSON object"),
-        ("--metrics", [1, 2], "is not a JSON object"),
+        ("--diagnostics", [], "is a list, not a JSON object"),
+        ("--metrics", [1, 2], "is a list, not a JSON object"),
         ("--metrics", {"ngram": [1]}, "'ngram' is not an object"),
         ("--metrics", {"ngram": {"HR@5": "x"}}, "ngram.HR@5 is 'x', not a number"),
         ("--metrics", {"ngram": {"NDCG@5": True}}, "ngram.NDCG@5 is True, not a number"),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import assignment_from_sids, random_model
+from sidforge import diagnostics
 from sidforge.datamodel import EmbeddingSet
 from sidforge.diagnostics import (
     DiagnosticsError,
@@ -180,6 +181,72 @@ class TestReconstructionCurve:
         emb = EmbeddingSet([f"i{k}" for k in range(300)], rows)
         curve = reconstruction_curve(model, emb, assign_all(model, emb))
         assert len(curve.sims) == 3
+
+
+def reference_fit_probe(x_train, y_train, n_cat):
+    """semantic_probe's loop before the (c, n) layout, verbatim: the oracle
+    diagnostics._fit_probe must equal bit for bit."""
+    n, d = x_train.shape
+    onehot = np.zeros((n, n_cat))
+    onehot[np.arange(n), y_train] = 1.0
+    weights = np.zeros((d, n_cat))
+    bias = np.zeros(n_cat)
+    step_size, l2 = 0.1, 1e-4
+    for _ in range(500):
+        logits = x_train @ weights + bias
+        logits -= logits.max(axis=1, keepdims=True)
+        expv = np.exp(logits)
+        probs = expv / expv.sum(axis=1, keepdims=True)
+        grad = (probs - onehot) / n
+        weights -= step_size * (x_train.T @ grad + l2 * weights)
+        bias -= step_size * grad.sum(axis=0)
+    return weights, bias
+
+
+def probe_case(rng, n, d, n_cat, scale):
+    """Features around one mean per category, as float32 values like the
+    decoded reconstructions; every category has a train row."""
+    y = np.concatenate([np.arange(n_cat), rng.integers(0, n_cat, n - n_cat)])
+    rng.shuffle(y)
+    means = rng.normal(size=(n_cat, d))
+    x = (means[y] + rng.normal(size=(n, d))) * scale
+    return x.astype(np.float32).astype(np.float64), y
+
+
+def assert_same_fit(x, y, n_cat):
+    got = diagnostics._fit_probe(x, y, n_cat)
+    want = reference_fit_probe(x, y, n_cat)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+class TestFitProbe:
+    def test_row_sum_matches_numpy_pairwise_order(self, rng):
+        for c in range(1, 301):
+            rows = rng.normal(size=(c, 5)) * 10.0 ** rng.uniform(-3, 3, size=(c, 5))
+            want = np.ascontiguousarray(rows.T).sum(axis=1)
+            assert np.array_equal(diagnostics._row_sum(rows).view(np.int64), want.view(np.int64)), c
+
+    def test_matches_reference_on_the_catalog_shape(self, rng):
+        assert_same_fit(*probe_case(rng, 1636, 64, 16, 1.0), 16)
+
+    @pytest.mark.parametrize("n_cat", [2, 7, 8, 9, 17, 128, 129, 300])
+    def test_matches_reference_across_category_counts(self, rng, n_cat):
+        scale = 10.0 ** rng.uniform(-3, 3)
+        assert_same_fit(*probe_case(rng, n_cat + 40, 6, n_cat, scale), n_cat)
+
+    def test_matches_reference_on_rows_of_zeros(self, rng):
+        x, y = probe_case(rng, 200, 12, 9, 1.0)
+        x[::3] = 0.0
+        assert_same_fit(x, y, 9)
+        assert_same_fit(np.zeros_like(x), y, 9)
+
+    def test_matches_reference_with_a_single_row_category(self, rng):
+        x, y = probe_case(rng, 150, 12, 5, 30.0)
+        y[y == 4] = 3
+        y[17] = 4
+        assert_same_fit(x, y, 5)
 
 
 class TestSemanticProbe:

@@ -104,7 +104,8 @@ class TestConfig:
 
     def test_unreadable_config_file_named(self, tmp_path):
         path = tmp_path / "cfg.json"
-        for data, match in ((b"{", "unreadable"), (b'{"a": "\xff"}', "unreadable"), (b"[]", "list")):
+        for data, match in ((b"{", "unreadable"), (b'{"a": "\xff"}', "unreadable"),
+                            (b"[]", "is a list, not a JSON object")):
             path.write_bytes(data)
             with pytest.raises(ConfigError, match=match) as info:
                 load_config(path, env={})

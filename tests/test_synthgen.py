@@ -52,10 +52,12 @@ class TestConfig:
 
     def test_config_file_must_hold_an_object(self, tmp_path):
         path = tmp_path / "synth.json"
-        for text, match in (("5", "JSON object, not int"), ("[]", "not list"), ("{", "unreadable")):
+        for text, match in (("5", "is a int, not a JSON object"), ("[]", "is a list, not a JSON object"),
+                            ("{", "unreadable")):
             path.write_text(text)
-            with pytest.raises(SynthError, match=match):
+            with pytest.raises(SynthError, match=match) as info:
                 load_synth_config(path)
+            assert str(path) in str(info.value)
 
     def test_validation(self):
         with pytest.raises(SynthError):
