@@ -30,11 +30,11 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _parse_ints(text: str, what: str) -> tuple[int, ...]:
-    """Comma-separated integers; `what` names the list in the error."""
+def integer_list(text: str) -> tuple[int, ...]:
+    """argparse type: comma-separated integers, at least one."""
     values = tuple(int(part) for part in text.split(",") if part.strip())
     if not values:
-        raise ValueError(f"no {what} in {text!r}")
+        raise ValueError(text)
     return values
 
 
@@ -85,7 +85,7 @@ def _cmd_fit(args) -> int:
     emb = load_embeddings(args.embeddings)
     cfg = rq.RqConfig(
         levels=args.levels,
-        codebook_sizes=_parse_ints(args.sizes, "codebook sizes"),
+        codebook_sizes=args.sizes,
         kmeans_max_iters=args.max_iters,
         kmeans_rel_tol=args.tol,
         seed=args.seed,
@@ -112,10 +112,11 @@ def _cmd_encode(args) -> int:
     emb = load_embeddings(args.embeddings)
     assign = rq.assign_all(model, emb, workers=args.workers)
     rq.save_assignment(assign, args.out)
+    _, starts = rq.sorted_prefixes(assign.tokens)
     _emit(
         {
             "items": len(assign),
-            "distinct_sids": len(assign.distinct_sids()),
+            "distinct_sids": len(starts[-1]),
             "model_hash": assign.model_hash,
             "path": str(args.out),
         }
@@ -221,7 +222,7 @@ def _cmd_eval(args) -> int:
         model,
         assign,
         split,
-        ks=_parse_ints(args.k, "cutoffs"),
+        ks=args.k,
         beam_size=args.beam,
         include_validation=not args.exclude_validation,
         keep_ranks=args.ranks_out is not None,
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit residual-quantization codebooks")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--sizes", required=True, help="comma-separated codebook sizes")
+    p.add_argument("--sizes", type=integer_list, required=True, help="comma-separated codebook sizes")
     p.add_argument("--max-iters", type=int, default=rq.RqConfig.kmeans_max_iters)
     p.add_argument("--tol", type=float, default=rq.RqConfig.kmeans_rel_tol)
     p.add_argument("--seed", type=int, required=True)
@@ -386,8 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interactions", required=True)
     p.add_argument("--ngram", required=True)
     p.add_argument("--beam", type=int, default=pipeline.EvalSection.beam_size)
-    p.add_argument("--k", default=",".join(map(str, pipeline.EvalSection.ks)),
-                   help="comma-separated cutoffs")
+    p.add_argument("--k", type=integer_list, default=pipeline.EvalSection.ks, help="comma-separated cutoffs")
     p.add_argument("--exclude-validation", action="store_true")
     p.add_argument("--unconstrained", action="store_true")
     p.add_argument("--ranks-out", default=None, help="per-user rank dump (JSON)")

@@ -125,7 +125,7 @@ def make_examples(
         return getattr(catalog.get(item_id), view)
 
     if source == "history":
-        shown_items = {item_id for item_id in assign.sids if item_id in catalog}
+        shown_items = {item_id for item_id in assign.item_ids if item_id in catalog}
         users = []  # (user_id, shown history, validation item)
         for user_id in sorted(split.users):
             user = split.users[user_id]

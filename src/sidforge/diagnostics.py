@@ -5,14 +5,13 @@ probe over reconstruction vectors."""
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
 from .datamodel import EmbeddingSet, is_json_number, read_json_object
-from .rq import RqModel, SidAssignment, decode_batch
+from .rq import RqModel, SidAssignment, decode_batch, sorted_prefixes
 
 
 class DiagnosticsError(ValueError):
@@ -21,11 +20,11 @@ class DiagnosticsError(ValueError):
 
 def collision_rate(assign: SidAssignment) -> float:
     """Fraction of items whose full SID is shared with at least one other."""
-    if len(assign.sids) == 0:
+    if len(assign) == 0:
         raise DiagnosticsError("collision_rate needs a nonempty assignment")
-    counts = Counter(assign.sids.values())
-    shared = sum(c for c in counts.values() if c > 1)
-    return shared / len(assign.sids)
+    _, starts = sorted_prefixes(assign.tokens)
+    counts = np.diff(starts[-1], append=len(assign))
+    return int(counts[counts > 1].sum()) / len(assign)
 
 
 def unique_ratio(assign: SidAssignment) -> float:
@@ -35,17 +34,15 @@ def unique_ratio(assign: SidAssignment) -> float:
 
 
 def active_codes_per_level(assign: SidAssignment, model: RqModel) -> tuple[int, ...]:
-    used: list[set[int]] = [set() for _ in range(model.levels)]
-    for s in assign.sids.values():
-        if len(s) != model.levels:
-            raise DiagnosticsError("assignment SID length does not match the model")
-        for level, token in enumerate(s):
-            if not 0 <= int(token) < model.codebooks[level].size:
-                raise DiagnosticsError(
-                    f"token {token} out of range at level {level + 1}"
-                )
-            used[level].add(int(token))
-    return tuple(len(u) for u in used)
+    """Distinct tokens in each level's column of the assignment."""
+    if len(assign) and assign.tokens.shape[1] != model.levels:
+        raise DiagnosticsError("assignment SID length does not match the model")
+    tokens = assign.tokens.reshape(len(assign), model.levels)
+    bad = (tokens < 0) | (tokens >= np.array(model.effective_sizes))
+    if bad.any():
+        row, level = np.argwhere(bad)[0]
+        raise DiagnosticsError(f"token {tokens[row, level]} out of range at level {level + 1}")
+    return tuple(int(np.count_nonzero(np.bincount(column))) for column in tokens.T)
 
 
 def codebook_utilization(assign: SidAssignment, model: RqModel) -> float:
@@ -54,7 +51,7 @@ def codebook_utilization(assign: SidAssignment, model: RqModel) -> float:
     The denominator is the configured size, so capacity a fit could not use
     (for example a level shrunk to the distinct-residual count) reads as
     unused."""
-    if len(assign.sids) == 0:
+    if len(assign) == 0:
         raise DiagnosticsError("codebook_utilization needs a nonempty assignment")
     return _utilization(active_codes_per_level(assign, model), model)
 
@@ -66,17 +63,16 @@ def _utilization(active: tuple[int, ...], model: RqModel) -> float:
 
 def prefix_entropy_profile(assign: SidAssignment) -> tuple[float, ...]:
     """Base-2 Shannon entropy of the length-p prefix distribution over items,
-    for every prefix length p."""
-    if len(assign.sids) == 0:
+    for every prefix length p. The terms are subtracted one by one in
+    lexicographic prefix order, the order `sorted_prefixes` gives."""
+    n = len(assign)
+    if n == 0:
         raise DiagnosticsError("prefix_entropy needs a nonempty assignment")
-    depth = len(next(iter(assign.sids.values())))
-    n = len(assign.sids)
+    _, starts = sorted_prefixes(assign.tokens)
     profile = []
-    for p in range(1, depth + 1):
-        counts = Counter(s[:p] for s in assign.sids.values())
+    for firsts in starts[1:]:
         entropy = 0.0
-        for key in sorted(counts):
-            q = counts[key] / n
+        for q in (np.diff(firsts, append=n) / n).tolist():
             entropy -= q * math.log2(q)
         profile.append(entropy)
     return tuple(profile)
@@ -110,12 +106,13 @@ def reconstruction_curve(
         raise DiagnosticsError(f"h_max {h_max} out of range [1, {model.levels}]")
     if emb.count == 0:
         raise DiagnosticsError("reconstruction_curve needs a nonempty embedding set")
-    missing = [i for i in emb.item_ids if i not in assign]
+    row_of = dict(zip(assign.item_ids, range(len(assign))))
+    missing = [i for i in emb.item_ids if i not in row_of]
     if missing:
         raise DiagnosticsError(
             f"{len(missing)} embedding ids have no SID in the assignment, e.g. {missing[0]!r}"
         )
-    tokens = np.array([assign[i] for i in emb.item_ids], dtype=np.int64)
+    tokens = assign.tokens[[row_of[i] for i in emb.item_ids]]
     points = emb.rows.astype(np.float64)
     x_norms = np.sqrt(np.square(points).sum(axis=1))
     included = x_norms > 0.0
@@ -212,7 +209,8 @@ def semantic_probe(
     80/20 stratified split, seeded by `split_seed`; `_fit_probe` fits the
     weights. Its result is bit-identical to the plain (n, c) softmax loop.
     """
-    item_ids = sorted(assign.sids)
+    order = sorted(range(len(assign)), key=assign.item_ids.__getitem__)
+    item_ids = [assign.item_ids[r] for r in order]
     if not item_ids:
         raise DiagnosticsError("semantic_probe needs a nonempty assignment")
     missing = [i for i in item_ids if i not in labels]
@@ -227,8 +225,7 @@ def semantic_probe(
         if int((y == k).sum()) < 10:
             raise DiagnosticsError(f"category {c!r} has fewer than 10 items")
 
-    tokens = np.array([assign.sids[i] for i in item_ids], dtype=np.int64)
-    features = decode_batch(model, tokens)
+    features = decode_batch(model, assign.tokens[order])
 
     gen = rng.stream(split_seed, rng.PROBE_SPLIT)
     train_parts = []
@@ -278,6 +275,7 @@ def build_report(
     if labels is not None and probe_seed is None:
         raise DiagnosticsError("probe_seed is required when labels are given")
     rate = collision_rate(assign)
+    _, starts = sorted_prefixes(assign.tokens)
     profile = prefix_entropy_profile(assign)
     active = active_codes_per_level(assign, model)
     sim = None
@@ -287,8 +285,8 @@ def build_report(
     if labels is not None:
         probe = semantic_probe(assign, model, labels, probe_seed)
     return DiagnosticsReport(
-        n_items=len(assign.sids),
-        n_distinct_sids=len(assign.distinct_sids()),
+        n_items=len(assign),
+        n_distinct_sids=len(starts[-1]),
         collision_rate=rate,
         unique_ratio=1.0 - rate,
         utilization=_utilization(active, model),

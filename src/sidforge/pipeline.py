@@ -73,10 +73,8 @@ class PipelineSection:
     def __post_init__(self) -> None:
         if self.mode not in ("synth", "ingest"):
             raise ConfigError(f"pipeline.mode must be 'synth' or 'ingest', not {self.mode!r}")
-        if self.workers < 1:
-            raise ConfigError(f"pipeline.workers must be >= 1, not {self.workers}")
-        if self.kcore < 0:
-            raise ConfigError(f"pipeline.kcore must be >= 0, not {self.kcore}")
+        _check_section("pipeline", rq.check_settings, workers=self.workers)
+        _check_section("pipeline", check_settings, kcore=self.kcore)
 
 
 @dataclass(frozen=True)
@@ -84,6 +82,13 @@ class InputsSection:
     items: str | None = None
     embeddings: str | None = None
     interactions: str | None = None
+
+
+def check_settings(*, kcore: int = 0) -> None:
+    """Raise ConfigError, naming the setting, when the k-core filter's `kcore`
+    is below 0 (0 is off). The `pipeline` config section runs the same check."""
+    if kcore < 0:
+        raise ConfigError(f"kcore must be >= 0, not {kcore}")
 
 
 def _check_section(section: str, check, **settings) -> None:
@@ -397,6 +402,7 @@ def load_sources(items, embeddings, interactions):
 def write_sources(paths: ArtifactPaths, catalog, emb, interactions, kcore: int = 0):
     """Stage 1 output: apply the k-core filter when kcore >= 1, then write the
     catalog, embeddings and interactions. Returns the kept interactions."""
+    check_settings(kcore=kcore)
     if kcore >= 1:
         interactions = k_core_filter(interactions, kcore)
     paths.items.parent.mkdir(parents=True, exist_ok=True)
@@ -411,7 +417,7 @@ def tokenize(paths: ArtifactPaths, cfg: rq.RqConfig, workers: int = 1) -> None:
     assignment the fit made (each item's SID, as encoding would give it)."""
     emb = load_embeddings(paths.embeddings)
     model = rq.fit_codebooks(emb, cfg, workers=workers)
-    assign = rq.SidAssignment.from_tokens(emb.item_ids, model.fit_tokens, model.model_hash())
+    assign = rq.SidAssignment(emb.item_ids, model.fit_tokens, model.model_hash())
     rq.save_model(model, paths.model)
     rq.save_assignment(assign, paths.assignment)
 

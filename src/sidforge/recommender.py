@@ -8,8 +8,10 @@ search expands level by level, restricted to trie children, so only catalog
 SIDs can be generated.
 
 Speed without changing a bit of the results:
-- Training counts each context length's (context, token) windows by sorting
-  them and measuring the runs of equal windows, per user, in numpy. The
+- Training gathers the users' token streams from the assignment's token
+  matrix in one step, and counts each context length's (context, token)
+  windows with one `rq.sorted_prefixes` pass, a run of equal windows being
+  one count. The
   counts keep that form to the file and back, with no separate totals: a
   read-only (k, 2) int64 array of (token, count) rows per context, tokens
   ascending. Loading rejects a count or a context total of 2**63 or more.
@@ -46,7 +48,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .datamodel import SplitDataset, atomic_open, is_json_int, is_json_number, read_json_object
-from .rq import SidAssignment, SidSequence, SidTrie
+from .rq import SidAssignment, SidSequence, SidTrie, sorted_prefixes
 
 
 class RecommenderError(ValueError):
@@ -80,36 +82,23 @@ def level_offsets(sizes) -> tuple[int, ...]:
     return tuple(offsets)
 
 
-def flatten_sid(sid: SidSequence, offsets) -> tuple[int, ...]:
-    return tuple(offsets[h] + int(t) for h, t in enumerate(sid))
+def _global_tokens(assign: SidAssignment, offsets) -> np.ndarray:
+    """The (items, levels) matrix of global token ids: the assignment's token
+    matrix plus each level's offset."""
+    if len(assign) and assign.tokens.shape[1] != len(offsets):
+        raise RecommenderError(f"the SIDs have {assign.tokens.shape[1]} levels, not {len(offsets)}")
+    return assign.tokens.reshape(len(assign), len(offsets)) + np.array(offsets, dtype=np.int64)
 
 
 def flat_sids(assign: SidAssignment, offsets) -> dict[str, tuple[int, ...]]:
-    """Each assigned item's SID as global tokens, flattened once."""
-    return {item: flatten_sid(sid, offsets) for item, sid in assign.sids.items()}
-
-
-def user_context(
-    user_train,
-    validation,
-    flat: dict[str, tuple[int, ...]],
-    include_validation: bool,
-) -> tuple[int, ...]:
-    """Flattened global-token context for one user, oldest item first, from
-    the `flat_sids` mapping. Items without a SID are skipped."""
-    items = list(user_train) + ([validation] if include_validation else [])
-    tokens: list[int] = []
-    for item in items:
-        sid = flat.get(item)
-        if sid is not None:
-            tokens.extend(sid)
-    return tuple(tokens)
+    """Each assigned item's SID as a tuple of global tokens."""
+    return dict(zip(assign.item_ids, zip(*_global_tokens(assign, offsets).T.tolist())))
 
 
 def user_state(model, user_train, validation, flat, include_validation: bool) -> tuple[int, ...]:
-    """`model.state(user_context(user_train, validation, flat,
-    include_validation))`, read from the newest item back until the state's
-    order - 1 tokens are found rather than from the whole history."""
+    """The n-gram state of a user's `flat_sids` tokens (train items, then the
+    validation item when included; items without a SID skipped), read from
+    the newest item back until the state's order - 1 tokens are found."""
     newest_first = itertools.chain((validation,) if include_validation else (), reversed(user_train))
     tail: list[int] = []
     for sid in filter(None, map(flat.get, newest_first)):
@@ -207,23 +196,21 @@ def train_ngram(
     check_settings(order=order, alpha=alpha)
     sizes = tuple(int(k) for k in sizes)
     vocab_size = sum(sizes)
-    flat = flat_sids(assign, level_offsets(sizes))
-    if not all(0 <= t < vocab_size for sid in flat.values() for t in sid):
+    flat = _global_tokens(assign, level_offsets(sizes))
+    if flat.size and not (flat.min() >= 0 and flat.max() < vocab_size):
         raise RecommenderError(f"a SID token lies outside the level sizes {list(sizes)}")
-    streams = [
-        user_context(user.train, user.validation, flat, include_validation)
-        for user in (split.users[user_id] for user_id in sorted(split.users))
-    ]
-    lengths = np.array([len(s) for s in streams], dtype=np.int64)
+    row_of = dict(zip(assign.item_ids, range(len(assign))))
+    user_rows = []
+    for user_id in sorted(split.users):
+        user = split.users[user_id]
+        items = itertools.chain(user.train, (user.validation,) if include_validation else ())
+        user_rows.append([r for r in map(row_of.get, items) if r is not None])
+    lengths = np.array(list(map(len, user_rows)), dtype=np.int64) * flat.shape[1]
     if not lengths.any():
         raise RecommenderError("no training tokens; empty split or assignment")
+    item_rows = np.fromiter(itertools.chain.from_iterable(user_rows), dtype=np.int64)
     # The narrowest type that holds every token keeps the window copies small.
-    tokens = np.fromiter(
-        itertools.chain.from_iterable(streams),
-        dtype=np.min_scalar_type(vocab_size - 1),
-        count=int(lengths.sum()),
-    )
-    del streams  # free the per-user tuples before the window copies
+    tokens = flat.astype(np.min_scalar_type(vocab_size - 1))[item_rows].ravel()
     user_start = np.zeros(tokens.size, dtype=bool)
     user_start[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
     # inside[s]: the window of the current length starting at s lies in one user
@@ -232,30 +219,16 @@ def train_ngram(
     for length in range(min(order, int(lengths.max()))):
         if length:
             inside = inside[:-1] & ~user_start[length:]
-        runs, n_runs = _distinct_rows(sliding_window_view(tokens, length + 1)[inside])
-        ctx_starts = _row_changes(runs[:, :length])
+        ordered, starts = sorted_prefixes(sliding_window_view(tokens, length + 1)[inside])
+        # One row per distinct window, and the first of each context's rows.
+        runs, ctx_starts = ordered[starts[-1]], np.searchsorted(starts[-1], starts[-2])
         rows = np.empty((len(runs), 2), dtype=np.int64)
-        rows[:, 0], rows[:, 1] = runs[:, length], n_runs
+        rows[:, 0], rows[:, 1] = runs[:, length], np.diff(starts[-1], append=len(ordered))
         rows.setflags(write=False)
         bounds = [*ctx_starts.tolist(), len(runs)]
         for ctx, a, b in zip(runs[ctx_starts, :length].tolist(), bounds, bounds[1:]):
             counts[tuple(ctx)] = rows[a:b]
     return NGramModel(order=order, alpha=float(alpha), sizes=sizes, counts=counts)
-
-
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a matrix in lexicographic order, and how often
-    each occurs."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    starts = _row_changes(rows)
-    return rows[starts], np.diff(starts, append=len(rows))
-
-
-def _row_changes(rows: np.ndarray) -> np.ndarray:
-    """Indices of the rows of a sorted matrix that differ from the row before."""
-    changed = np.ones(len(rows), dtype=bool)
-    changed[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return np.flatnonzero(changed)
 
 
 def save_ngram(model: NGramModel, path) -> None:
@@ -409,24 +382,17 @@ class MetricsReport:
 def _metrics_from_ranks(
     ranks: dict[str, int], ks, n_excluded: int, shortfalls: int, keep_ranks: bool
 ) -> MetricsReport:
-    ks = sorted(int(k) for k in ks)
-    n = len(ranks)
+    ordered = [ranks[user_id] for user_id in sorted(ranks)]
+    n = len(ordered)
     hr: dict[int, float] = {}
     ndcg: dict[int, float] = {}
-    for k in ks:
-        if n == 0:
-            hr[k] = 0.0
-            ndcg[k] = 0.0
-            continue
-        hits = 0
-        gain = 0.0
-        for user_id in sorted(ranks):
-            rank = ranks[user_id]
-            if 0 < rank <= k:
-                hits += 1
-                gain += _ndcg_gain(rank)
-        hr[k] = hits / n
-        ndcg[k] = gain / n
+    for k in sorted(int(k) for k in ks):
+        hits = [rank for rank in ordered if 0 < rank <= k]
+        gain = 0.0  # one gain at a time, in user-id order
+        for rank in hits:
+            gain += _ndcg_gain(rank)
+        hr[k] = len(hits) / n if n else 0.0
+        ndcg[k] = gain / n if n else 0.0
     return MetricsReport(
         hr=hr,
         ndcg=ndcg,
@@ -511,21 +477,14 @@ def evaluate_static_ranking(
     split: SplitDataset,
     assign: SidAssignment,
     ks=(5, 10),
-    keep_ranks: bool = False,
 ) -> MetricsReport:
     """HR/NDCG for a fixed SID ranking shared by all users, with the same hit
     semantics as evaluate()."""
     check_settings(ks=ks)
     position_of = {sid: i + 1 for i, sid in enumerate(ranked)}
-    ranks: dict[str, int] = {}
-    excluded = 0
-    for user_id in sorted(split.users):
-        user = split.users[user_id]
-        if user.test not in assign:
-            excluded += 1
-            continue
-        ranks[user_id] = position_of.get(assign[user.test], 0)
-    return _metrics_from_ranks(ranks, ks, excluded, 0, keep_ranks)
+    ranks = {user_id: position_of.get(assign[user.test], 0)
+             for user_id, user in split.users.items() if user.test in assign}
+    return _metrics_from_ranks(ranks, ks, len(split.users) - len(ranks), 0, False)
 
 
 def load_metrics(path) -> dict:

@@ -20,6 +20,8 @@ one margin per pick (that of the largest row norm, which bounds every row's).
 The Lloyd update sums each cluster's rows with one weighted bincount, in row
 order from 0.0 as a scatter-add would. The fit keeps each level's final
 assignment (`RqModel.fit_tokens`): the tokens that encoding the rows gives.
+An assignment holds such an (items, levels) token matrix; `sorted_prefixes`
+makes the one sorted pass that every count of distinct prefixes reads.
 """
 
 from __future__ import annotations
@@ -136,16 +138,39 @@ class RqModel:
         return digest.hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SidAssignment:
-    """Per-item SID sequences, keyed by item_id in embedding order, tagged with
-    the hash of the model that produced them."""
+    """Row r of the read-only int64 (items, levels) matrix `tokens` is the SID
+    of `item_ids[r]` (distinct ids, in embedding order), made by the model
+    with hash `model_hash`. A writeable matrix is copied; one that is not
+    2-D, is ragged or has not one row per id raises RqError. Lookups read
+    `sids`, an {item_id: tuple} view built on first read. Compared by
+    identity, as arrays have no dataclass equality."""
 
-    sids: dict[str, SidSequence]
+    item_ids: tuple[str, ...]
+    tokens: np.ndarray = field(repr=False)
     model_hash: str
 
+    def __post_init__(self) -> None:
+        try:
+            tokens = np.asarray(self.tokens, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise RqError(f"SID tokens are not an integer matrix: {exc}") from None
+        if tokens.ndim != 2 or len(tokens) != len(self.item_ids) or tokens.size == 0 < len(tokens):
+            raise RqError(f"{len(self.item_ids)} item ids for a token matrix of shape {tokens.shape}")
+        if tokens.flags.writeable:
+            tokens = tokens.copy()
+            tokens.setflags(write=False)
+        object.__setattr__(self, "item_ids", tuple(self.item_ids))
+        object.__setattr__(self, "tokens", tokens)
+
+    @functools.cached_property
+    def sids(self) -> dict[str, SidSequence]:
+        # Zipping the columns makes each SID's tuple with no list per row.
+        return dict(zip(self.item_ids, zip(*self.tokens.T.tolist())))
+
     def __len__(self) -> int:
-        return len(self.sids)
+        return len(self.item_ids)
 
     def __getitem__(self, item_id: str) -> SidSequence:
         return self.sids[item_id]
@@ -153,15 +178,23 @@ class SidAssignment:
     def __contains__(self, item_id: str) -> bool:
         return item_id in self.sids
 
-    def distinct_sids(self) -> set[SidSequence]:
-        return set(self.sids.values())
 
-    @classmethod
-    def from_tokens(cls, item_ids, tokens: np.ndarray, model_hash: str) -> "SidAssignment":
-        """Assignment from a token matrix whose rows follow item_ids."""
-        if len(item_ids) != len(tokens):
-            raise RqError(f"{len(item_ids)} item ids for {len(tokens)} token rows")
-        return cls(sids=dict(zip(item_ids, map(tuple, tokens.tolist()))), model_hash=model_hash)
+def sorted_prefixes(tokens: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """`(rows, starts)` for an (n, levels) integer matrix: its rows in
+    lexicographic order (one `np.lexsort`), and for p = 0..levels the
+    positions `starts[p]` in `rows` where a new length-p prefix begins. So
+    the distinct length-p prefixes are `rows[starts[p], :p]`, in order, each
+    shared by `np.diff(starts[p], append=n)` rows; `starts[p]` holds
+    `starts[p - 1]`, and `np.searchsorted(starts[p], starts[p - 1])` finds
+    each prefix's first extension."""
+    rows = tokens[np.lexsort(tokens.T[::-1])]
+    new = np.zeros(len(tokens), dtype=bool)
+    new[:1] = True
+    starts = [np.flatnonzero(new)]
+    for column in rows.T:
+        new[1:] |= column[1:] != column[:-1]
+        starts.append(np.flatnonzero(new))
+    return rows, starts
 
 
 def _frozen_f32(matrix: np.ndarray) -> np.ndarray:
@@ -355,11 +388,19 @@ def _prepare(points: np.ndarray, cfg: RqConfig) -> np.ndarray:
     return points / norms
 
 
+def check_settings(*, workers: int = 1) -> None:
+    """Raise RqError, naming the setting, when the thread count `workers` is
+    below 1. The pipeline's `pipeline` config section runs the same check."""
+    if workers < 1:
+        raise RqError(f"workers must be >= 1, not {workers}")
+
+
 def fit_codebooks(emb: EmbeddingSet, cfg: RqConfig, workers: int = 1) -> RqModel:
     """Fit one k-means codebook per level on the residuals of the previous
     levels. A level whose residuals have fewer distinct values than its
     configured size shrinks to that count (recorded in fit_stats): the
     k-means++ seeding stops when every residual equals a chosen centre."""
+    check_settings(workers=workers)
     if emb.count == 0:
         raise RqError("cannot fit codebooks on an empty embedding set")
     residual = _prepare(emb.rows.astype(np.float64), cfg)
@@ -514,8 +555,10 @@ def assign_all(model: RqModel, emb: EmbeddingSet, workers: int = 1) -> SidAssign
     """Encode every row of an embedding set; output order follows the set."""
     if emb.dim != model.dim:
         raise RqError(f"model dim {model.dim} != embedding dim {emb.dim}")
+    check_settings(workers=workers)
     tokens = encode_batch(model, emb.rows, workers=workers)
-    return SidAssignment.from_tokens(emb.item_ids, tokens, model.model_hash())
+    tokens.setflags(write=False)
+    return SidAssignment(emb.item_ids, tokens, model.model_hash())
 
 
 @dataclass(frozen=True)
@@ -558,30 +601,18 @@ class SidTrie:
         return tuple(tokens) in self.leaves
 
 
-def _frozen_i64(values) -> np.ndarray:
-    out = np.array(values, dtype=np.int64)
-    out.setflags(write=False)
-    return out
-
-
 def build_trie(assign: SidAssignment) -> SidTrie:
-    if len(assign.sids) == 0:
+    """The trie of an assignment's SIDs from one `sorted_prefixes` pass: a
+    node's children start at its first extension among the next depth's."""
+    if len(assign) == 0:
         raise RqError("cannot build a trie from an empty assignment")
-    leaves = frozenset(tuple(map(int, s)) for s in assign.sids.values())
-    depth = len(next(iter(leaves)))
-    if any(len(s) != depth for s in leaves):
-        raise RqError("assignment mixes SID lengths")
-    sids = np.array(sorted(leaves), dtype=np.int64).reshape(len(leaves), depth)
-    # starts[r]: row r of the sorted SIDs begins a new prefix of the current length.
-    starts = np.zeros(len(sids), dtype=bool)
-    starts[0] = True
+    rows, starts = sorted_prefixes(assign.tokens)
     levels = []
-    for h in range(depth):
-        parent = np.cumsum(starts) - 1
-        starts[1:] |= sids[1:, h] != sids[:-1, h]
-        n_children = np.bincount(parent[starts], minlength=int(parent[-1]) + 1)
-        levels.append((_frozen_i64(np.concatenate(([0], np.cumsum(n_children)))),
-                       _frozen_i64(sids[starts, h])))
+    for h, (parents, children) in enumerate(zip(starts, starts[1:])):
+        levels.append((np.append(np.searchsorted(children, parents), len(children)), rows[children, h]))
+        for array in levels[-1]:
+            array.setflags(write=False)
+    leaves = frozenset(map(tuple, rows[starts[-1]].tolist()))
     return SidTrie(leaves=leaves, levels=tuple(levels))
 
 
@@ -643,16 +674,23 @@ def save_assignment(assign: SidAssignment, path) -> None:
     """One-line JSON meta record, then one JSON line per item, keys sorted:
     {"item_id": ..., "sid": ..., "tokens": [...]}."""
     with atomic_open(path, encoding="utf-8", newline="\n") as fh:
-        meta = {"format": ASSIGNMENT_FORMAT, "model_hash": assign.model_hash, "count": len(assign.sids)}
+        meta = {"format": ASSIGNMENT_FORMAT, "model_hash": assign.model_hash, "count": len(assign)}
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
-        for item_id, s in assign.sids.items():
+        for item_id, s in zip(assign.item_ids, assign.tokens.tolist()):
             # The SID text needs no JSON escaping, and the tokens are ints.
             fh.write('{"item_id": %s, "sid": "%s", "tokens": [%s]}\n'
                      % (json.dumps(item_id), render_sid(s), ", ".join(map(str, s))))
 
 
+def _is_token(value) -> bool:
+    return type(value) is int and -2**63 <= value < 2**63  # a JSON integer, bools excluded
+
+
 def load_assignment(path) -> SidAssignment:
-    sids: dict[str, SidSequence] = {}
+    """RqError names the line of a malformed record, of one whose token count
+    differs from the first record's, and of a token outside int64."""
+    sids: dict[str, list[int]] = {}
+    width = 0  # the token count of every record so far
     lines = read_lines(path, RqError)
     _, first = next(lines, (1, ""))
     try:
@@ -676,9 +714,10 @@ def load_assignment(path) -> SidAssignment:
             raise RqError(f"line {lineno}: malformed record ({exc!r})") from exc
         if not isinstance(item_id, str):
             raise RqError(f"line {lineno}: item_id {item_id!r} is not a string")
-        if not isinstance(tokens, list) or not all(map(is_json_int, tokens)):
-            raise RqError(f"line {lineno}: tokens {tokens!r} are not a list of integers")
-        tokens = tuple(tokens)
+        if not isinstance(tokens, list) or not all(map(_is_token, tokens)):
+            raise RqError(f"line {lineno}: tokens {tokens!r} are not a list of 64-bit integers")
+        if sids and len(tokens) != width:
+            raise RqError(f"line {lineno}: {len(tokens)} tokens, where the first record has {width}")
         if item_id in sids:
             raise RqError(f"line {lineno}: duplicate item_id {item_id!r}")
         try:
@@ -688,6 +727,7 @@ def load_assignment(path) -> SidAssignment:
         if rendered != sid:
             raise RqError(f"line {lineno}: sid text does not match tokens")
         sids[item_id] = tokens
+        width = len(tokens)
     count = meta.get("count", len(sids))
     if not is_json_int(count):
         raise RqError(f"assignment count {count!r} is not an integer")
@@ -695,7 +735,8 @@ def load_assignment(path) -> SidAssignment:
         raise RqError("assignment count does not match the meta line")
     if "model_hash" not in meta:
         raise RqError("assignment meta line lacks model_hash")
-    return SidAssignment(sids=sids, model_hash=str(meta["model_hash"]))
+    tokens = np.array(list(sids.values()), dtype=np.int64).reshape(len(sids), width)
+    return SidAssignment(list(sids), tokens, str(meta["model_hash"]))
 
 
 def load_model_and_assignment(model_path, assignment_path) -> tuple[RqModel, SidAssignment]:
@@ -705,14 +746,16 @@ def load_model_and_assignment(model_path, assignment_path) -> tuple[RqModel, Sid
     assign = load_assignment(assignment_path)
     if assign.model_hash != model.model_hash():
         raise RqError("assignment was produced by a different model")
-    sids = assign.sids.values()
-    if sids and set(map(len, sids)) != {model.levels}:
-        raise RqError(f"assignment SIDs do not all have {model.levels} tokens")
-    for level, (column, size) in enumerate(zip(zip(*sids), model.effective_sizes), start=1):
-        if min(column) < 0 or max(column) >= size:
-            item_id = next(i for i, s in assign.sids.items() if not 0 <= s[level - 1] < size)
-            raise RqError(
-                f"item {item_id!r}: token {assign[item_id][level - 1]} out of range "
-                f"[0, {size}) at level {level}"
-            )
+    if not len(assign):
+        return model, assign
+    tokens, sizes = assign.tokens, np.array(model.effective_sizes)
+    if tokens.shape[1] != model.levels:
+        raise RqError(f"assignment SIDs have {tokens.shape[1]} tokens, not the model's {model.levels}")
+    bad = (tokens < 0) | (tokens >= sizes)
+    if bad.any():
+        level, row = np.argwhere(bad.T)[0]
+        raise RqError(
+            f"item {assign.item_ids[row]!r}: token {tokens[row, level]} out of range "
+            f"[0, {sizes[level]}) at level {level + 1}"
+        )
     return model, assign

@@ -215,22 +215,13 @@ def default_transition(cfg: SynthConfig) -> np.ndarray:
 
 
 def generate_interactions(
-    catalog: ItemCatalog,
-    labels: dict[str, str],
-    cfg: SynthConfig,
-    transition: np.ndarray | None = None,
+    catalog: ItemCatalog, labels: dict[str, str], cfg: SynthConfig
 ) -> InteractionLog:
-    """Per-user category Markov walks with uniform item choice within the
-    category and strictly increasing timestamps. Chain states are restricted
-    to categories that actually contain items."""
-    if transition is None:
-        transition = default_transition(cfg)
-    matrix = np.asarray(transition, dtype=np.float64)
+    """Per-user category Markov walks over `default_transition` with uniform
+    item choice within the category and strictly increasing timestamps.
+    Chain states are restricted to categories that actually contain items."""
+    matrix = default_transition(cfg)
     c = cfg.num_categories
-    if matrix.shape != (c, c):
-        raise SynthError(f"transition must be {c}x{c}, got {matrix.shape}")
-    if np.any(matrix < 0.0) or not np.allclose(matrix.sum(axis=1), 1.0, atol=1e-9):
-        raise SynthError("transition rows must be nonnegative and sum to 1")
 
     by_category: dict[int, list[str]] = {i: [] for i in range(c)}
     name_to_index = {category_name(i): i for i in range(c)}

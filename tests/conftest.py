@@ -47,7 +47,21 @@ def random_model(rng: np.random.Generator, levels: int, sizes, dim: int) -> RqMo
 
 
 def assignment_from_sids(sids: dict, model_hash: str = "test") -> SidAssignment:
-    return SidAssignment(sids={k: tuple(v) for k, v in sids.items()}, model_hash=model_hash)
+    """The assignment of a {item_id: SID} dict; an empty one has one level."""
+    tokens = [tuple(s) for s in sids.values()] or np.empty((0, 1), dtype=np.int64)
+    return SidAssignment(tuple(sids), tokens, model_hash)
+
+
+def random_assignments(seed: int):
+    """Assignments for the prefix-count oracles: depths 1 to 4 and 1 to 300
+    items, with token ranges that give heavy collisions (2 or 3 values per
+    level), some, and none (10**6 values)."""
+    gen = np.random.default_rng(seed)
+    for depth in (1, 2, 3, 4):
+        for n in (1, 2, 7, 64, 300):
+            for high in (2, 3, 17, 10**6):
+                tokens = gen.integers(0, high, size=(n, depth)).tolist()
+                yield assignment_from_sids({f"i{j}": row for j, row in enumerate(tokens)})
 
 
 def ngram_model(order: int, alpha: float, sizes, counts: dict) -> NGramModel:

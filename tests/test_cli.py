@@ -83,6 +83,8 @@ def test_full_command_chain(tmp_path, synth_config, capsys):
     assert status == 0
     assert encoded["items"] == 100
     assert encoded["model_hash"] == fitted["model_hash"]
+    sids = [json.loads(line)["sid"] for line in sids_path.read_text().splitlines()[1:]]
+    assert encoded["distinct_sids"] == len(set(sids))
 
     first_sid = json.loads(sids_path.read_text().splitlines()[1])["sid"]
     status, decoded = run(capsys, "decode", "--model", model_path, "--sid", first_sid)
@@ -478,6 +480,41 @@ def test_synth_config_missing_fields_fails_cleanly(tmp_path, capsys, caplog):
     status, _ = run(capsys, "synth", "--config", cfg_path, "--out-dir", tmp_path / "data")
     assert status == 1
     assert "missing SynthConfig fields" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["fit", "encode", "synth", "ingest"])
+def test_workers_and_kcore_out_of_range_exit_one(tmp_path, synth_config, capsys, caplog, command):
+    data = tmp_path / "data"
+    run(capsys, "synth", "--config", synth_config, "--out-dir", data)
+    emb, model_path, out = data / "embeddings.emb", tmp_path / "model.rq", tmp_path / "out"
+    run(capsys, "fit", "--embeddings", emb, "--levels", 1, "--sizes", "4", "--seed", 0, "--out", model_path)
+    argv, named = {
+        "fit": (["--embeddings", emb, "--levels", 1, "--sizes", "4", "--seed", 0, "--workers", 0,
+                 "--out", out], "workers must be >= 1, not 0"),
+        "encode": (["--model", model_path, "--embeddings", emb, "--workers", 0, "--out", out],
+                   "workers must be >= 1, not 0"),
+        "synth": (["--config", synth_config, "--kcore", -3, "--out-dir", out], "kcore must be >= 0, not -3"),
+        "ingest": (["--items", data / "items.jsonl", "--embeddings", emb,
+                    "--interactions", data / "interactions.tsv", "--kcore", -1, "--out-dir", out],
+                   "kcore must be >= 0, not -1"),
+    }[command]
+    caplog.clear()
+    status, payload = run(capsys, command, *argv)
+    assert status == 1 and payload is None
+    assert named in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["eval", "--model", "m", "--assignment", "a", "--interactions", "i", "--ngram", "n", "--k", "x"], "--k"),
+    (["eval", "--model", "m", "--assignment", "a", "--interactions", "i", "--ngram", "n", "--k", ","], "--k"),
+    (["fit", "--embeddings", "e", "--levels", "2", "--sizes", "8,x", "--seed", "0", "--out", "m"], "--sizes"),
+])
+def test_integer_list_flags_are_usage_errors(capsys, argv, option):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == os.EX_USAGE == 64
+    assert f"argument {option}: invalid integer_list value" in capsys.readouterr().err
 
 
 def test_unknown_flag_rejected(capsys):

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import assignment_from_sids, random_model
+from conftest import assignment_from_sids, random_assignments, random_model
 from sidforge import diagnostics
 from sidforge.datamodel import EmbeddingSet
 from sidforge.diagnostics import (
@@ -55,6 +56,93 @@ def two_level_model(coarse, fine):
             for i, k in enumerate(sizes)
         ),
     )
+
+
+def reference_collision_rate(assign):
+    """diagnostics.collision_rate before the sorted prefix pass, verbatim."""
+    if len(assign.sids) == 0:
+        raise DiagnosticsError("collision_rate needs a nonempty assignment")
+    counts = Counter(assign.sids.values())
+    shared = sum(c for c in counts.values() if c > 1)
+    return shared / len(assign.sids)
+
+
+def reference_prefix_entropy_profile(assign):
+    """diagnostics.prefix_entropy_profile before the sorted prefix pass,
+    verbatim."""
+    if len(assign.sids) == 0:
+        raise DiagnosticsError("prefix_entropy needs a nonempty assignment")
+    depth = len(next(iter(assign.sids.values())))
+    n = len(assign.sids)
+    profile = []
+    for p in range(1, depth + 1):
+        counts = Counter(s[:p] for s in assign.sids.values())
+        entropy = 0.0
+        for key in sorted(counts):
+            q = counts[key] / n
+            entropy -= q * math.log2(q)
+        profile.append(entropy)
+    return tuple(profile)
+
+
+def reference_active_codes_per_level(assign, model):
+    """diagnostics.active_codes_per_level before the token matrix, verbatim."""
+    used: list[set[int]] = [set() for _ in range(model.levels)]
+    for s in assign.sids.values():
+        if len(s) != model.levels:
+            raise DiagnosticsError("assignment SID length does not match the model")
+        for level, token in enumerate(s):
+            if not 0 <= int(token) < model.codebooks[level].size:
+                raise DiagnosticsError(
+                    f"token {token} out of range at level {level + 1}"
+                )
+            used[level].add(int(token))
+    return tuple(len(u) for u in used)
+
+
+def sized_model(sizes) -> RqModel:
+    """A model with the given level sizes whose centroids take no memory:
+    broadcast zeros, enough for the metrics that read only the sizes."""
+    zero = np.zeros((1, 1), dtype=np.float32)
+    return RqModel(
+        config=RqConfig(levels=len(sizes), codebook_sizes=tuple(sizes)),
+        codebooks=tuple(Codebook(level=h + 1, centroids=np.broadcast_to(zero, (k, 1)))
+                        for h, k in enumerate(sizes)),
+        dim=1,
+        fit_stats=tuple(LevelFitStats(level=h + 1, configured_size=k, effective_size=k, mse_trace=(0.0,))
+                        for h, k in enumerate(sizes)),
+    )
+
+
+class TestPrefixCountsMatchReference:
+    """The sorted-prefix pass against the Counter and set loops, bit for bit."""
+
+    def test_collision_rate(self):
+        for assign in random_assignments(11):
+            assert collision_rate(assign) == reference_collision_rate(assign)
+
+    def test_prefix_entropy_profile(self):
+        for assign in random_assignments(12):
+            got, want = prefix_entropy_profile(assign), reference_prefix_entropy_profile(assign)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_active_codes_and_distinct_count(self):
+        for assign in random_assignments(13):
+            model = sized_model((assign.tokens.max(axis=0) + 1).tolist())
+            got = active_codes_per_level(assign, model)
+            assert got == reference_active_codes_per_level(assign, model)
+            assert all(type(count) is int for count in got)
+            report = build_report(assign, model)
+            assert report.n_distinct_sids == len(set(assign.sids.values()))
+            assert report.n_items == len(assign)
+
+    def test_active_codes_name_the_bad_token(self):
+        model = sized_model((4, 3))
+        for sids, match in (({"a": (0, 1), "b": (4, 0)}, "token 4 out of range at level 1"),
+                            ({"a": (0, -1), "b": (5, 0)}, "token -1 out of range at level 2"),
+                            ({"a": (0, 1, 0)}, "SID length does not match")):
+            with pytest.raises(DiagnosticsError, match=match):
+                active_codes_per_level(assignment_from_sids(sids), model)
 
 
 class TestCollision:

@@ -21,13 +21,11 @@ from sidforge.recommender import (
     evaluate,
     evaluate_static_ranking,
     flat_sids,
-    flatten_sid,
     level_offsets,
     load_ngram,
     popularity_ranking,
     save_ngram,
     train_ngram,
-    user_context,
     user_state,
     write_metrics_csv,
 )
@@ -37,6 +35,25 @@ from sidforge.rq import build_trie
 def same_model(a, b) -> bool:
     """Equal order, alpha, sizes, counts and totals."""
     return (a.order, a.alpha, a.sizes, ngram_dicts(a)) == (b.order, b.alpha, b.sizes, ngram_dicts(b))
+
+
+def flatten_sid(sid, offsets) -> tuple[int, ...]:
+    """recommender.flatten_sid before the token matrix, verbatim."""
+    return tuple(offsets[h] + int(t) for h, t in enumerate(sid))
+
+
+def user_context(user_train, validation, flat, include_validation: bool) -> tuple[int, ...]:
+    """recommender.user_context before train_ngram gathered its streams from
+    the token matrix, verbatim: a user's flattened global-token context,
+    oldest item first, from the `flat_sids` mapping. Items without a SID are
+    skipped."""
+    items = list(user_train) + ([validation] if include_validation else [])
+    tokens: list[int] = []
+    for item in items:
+        sid = flat.get(item)
+        if sid is not None:
+            tokens.extend(sid)
+    return tuple(tokens)
 
 
 def split_of(user_seqs: dict) -> SplitDataset:
@@ -607,6 +624,23 @@ class TestFastPathsMatchLoops:
             assert ngram_dicts(model) == (counts, totals), f"trial {trial}"
             assert len(model.counts) == len(counts)
 
+    def test_flat_sids_equal_the_per_sid_flatten(self):
+        for trial in range(20):
+            sizes, assign, _ = random_case(np.random.default_rng(4000 + trial))
+            offsets = level_offsets(sizes)
+            want = {item: flatten_sid(sid, offsets) for item, sid in assign.sids.items()}
+            assert flat_sids(assign, offsets) == want
+
+    def test_sid_width_and_range_checked(self):
+        assign = assignment_from_sids({"a": (0, 1), "b": (1, 0)})
+        split = split_of({"u": ["a", "b", "a", "b"]})
+        with pytest.raises(RecommenderError, match="the SIDs have 2 levels, not 1"):
+            train_ngram(split, assign, (4,), order=2, alpha=0.5)
+        with pytest.raises(RecommenderError, match="the SIDs have 2 levels, not 3"):
+            flat_sids(assign, (0, 2, 4))
+        with pytest.raises(RecommenderError, match=re.escape("outside the level sizes [2, 1]")):
+            train_ngram(split, assign, (2, 1), order=2, alpha=0.5)
+
     def test_counts_exact_for_wide_vocabularies(self):
         # global ids above 255 and above 65535 need wider window types
         sizes = (300, 70000)
@@ -897,8 +931,7 @@ class TestPopularity:
         assign = assignment_from_sids({"a": (0,), "b": (1,), "c": (2,)})
         split = split_of({"u1": ["a", "a", "a", "a", "b"], "u2": ["a", "a", "a", "a", "c"]})
         ranked = [(0,), (1,), (2,)]
-        report = evaluate_static_ranking(ranked, split, assign, ks=(1, 2), keep_ranks=True)
-        assert report.per_user_ranks == {"u1": 2, "u2": 3}
+        report = evaluate_static_ranking(ranked, split, assign, ks=(1, 2))
         assert report.hr[1] == 0.0
         assert report.hr[2] == 0.5
 

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import struct
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from conftest import assignment_from_sids, random_model
+from conftest import assignment_from_sids, random_assignments, random_model
 from sidforge import rq
 from sidforge.datamodel import EmbeddingSet, atomic_open
 from sidforge.rq import (
@@ -32,6 +33,7 @@ from sidforge.rq import (
     render_sid,
     save_assignment,
     save_model,
+    sorted_prefixes,
     validate_sid,
 )
 
@@ -194,6 +196,35 @@ def parent_save_assignment(assign, path):
                 )
                 + "\n"
             )
+
+
+def reference_build_trie(assign):
+    """rq.build_trie before the token matrix, verbatim but for reading the
+    assignment's tuple view."""
+
+    def frozen_i64(values):
+        out = np.array(values, dtype=np.int64)
+        out.setflags(write=False)
+        return out
+
+    if len(assign.sids) == 0:
+        raise RqError("cannot build a trie from an empty assignment")
+    leaves = frozenset(tuple(map(int, s)) for s in assign.sids.values())
+    depth = len(next(iter(leaves)))
+    if any(len(s) != depth for s in leaves):
+        raise RqError("assignment mixes SID lengths")
+    sids = np.array(sorted(leaves), dtype=np.int64).reshape(len(leaves), depth)
+    # starts[r]: row r of the sorted SIDs begins a new prefix of the current length.
+    starts = np.zeros(len(sids), dtype=bool)
+    starts[0] = True
+    levels = []
+    for h in range(depth):
+        parent = np.cumsum(starts) - 1
+        starts[1:] |= sids[1:, h] != sids[:-1, h]
+        n_children = np.bincount(parent[starts], minlength=int(parent[-1]) + 1)
+        levels.append((frozen_i64(np.concatenate(([0], np.cumsum(n_children)))),
+                       frozen_i64(sids[starts, h])))
+    return rq.SidTrie(leaves=leaves, levels=tuple(levels))
 
 
 def assert_same_nearest(points, centroids, workers=1):
@@ -646,8 +677,9 @@ class TestAssignment:
         assert len(assign) == 50
         assert assign.model_hash == model.model_hash()
         assert {type(t) for s in assign.sids.values() for t in s} == {int}
-        with pytest.raises(RqError, match="50 item ids for 49 token rows"):
-            SidAssignment.from_tokens(emb.item_ids, encode_batch(model, rows[:49]), "h")
+        assert not assign.tokens.flags.writeable and assign.tokens.dtype == np.int64
+        with pytest.raises(RqError, match=r"50 item ids for a token matrix of shape \(49, 3\)"):
+            SidAssignment(emb.item_ids, encode_batch(model, rows[:49]), "h")
         path = tmp_path / "s.jsonl"
         save_assignment(assign, path)
         back = load_assignment(path)
@@ -692,7 +724,7 @@ class TestAssignment:
         for tokens, match in (
             ([5], "item 'a': token 5 out of range"),
             ([-1], "item 'a': token -1 out of range"),
-            ([1, 2], "do not all have 1 tokens"),
+            ([1, 2], "SIDs have 2 tokens, not the model's 1"),
         ):
             rec = {"item_id": "a", "sid": render_sid(tokens), "tokens": tokens}
             path.write_text(lines[0] + "\n" + json.dumps(rec) + "\n")
@@ -708,12 +740,87 @@ class TestAssignment:
                "\\u0041", "plain-42"]
         for depth in (1, 3, 26):
             tokens = rng.integers(0, 10 ** 6, size=(len(ids), depth)).tolist()
-            assign = SidAssignment(dict(zip(ids, map(tuple, tokens))), model_hash='h"\\')
+            assign = SidAssignment(ids, tokens, model_hash='h"\\')
             got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
             save_assignment(assign, got)
             parent_save_assignment(assign, want)
             assert got.read_bytes() == want.read_bytes()
-            assert load_assignment(got) == assign
+            back = load_assignment(got)
+            assert back.item_ids == assign.item_ids and back.model_hash == assign.model_hash
+            assert np.array_equal(back.tokens, assign.tokens)
+
+
+class TestSidAssignment:
+    def test_sorted_prefixes_match_a_python_sort(self, rng):
+        for depth in (1, 2, 4):
+            for n in (1, 2, 50):
+                for dtype in (np.int64, np.uint8):
+                    tokens = rng.integers(0, 3, size=(n, depth)).astype(dtype)
+                    rows, starts = sorted_prefixes(tokens)
+                    want = sorted(map(tuple, tokens.tolist()))
+                    assert rows.tolist() == [list(s) for s in want] and rows.dtype == dtype
+                    assert len(starts) == depth + 1
+                    for p, firsts in enumerate(starts):
+                        expect = [i for i in range(n) if i == 0 or want[i][:p] != want[i - 1][:p]]
+                        assert firsts.tolist() == expect
+
+    def test_matrix_checks(self):
+        ids = ("a", "b")
+        for tokens in ([[0, 1], [0]], [0, 1], np.zeros((2, 2, 1)), np.zeros((3, 2)),
+                       np.zeros((2, 0)), [["x", 1], [0, 1]], [[2**64, 0], [0, 0]]):
+            with pytest.raises(RqError, match="2 item ids for a token matrix|not an integer matrix"):
+                SidAssignment(ids, tokens, "h")
+        assert SidAssignment((), np.empty((0, 0), dtype=np.int64), "h").tokens.shape == (0, 0)
+
+    def test_tokens_read_only_and_copied_only_when_writeable(self, rng):
+        tokens = np.array([[3, 1], [0, 2]])
+        assign = SidAssignment(["a", "b"], tokens, "h")
+        tokens[0, 0] = 9
+        assert assign.tokens.tolist() == [[3, 1], [0, 2]] and not assign.tokens.flags.writeable
+        assert assign.item_ids == ("a", "b")
+        with pytest.raises(ValueError):
+            assign.tokens[0, 0] = 9
+        assert SidAssignment(("a", "b"), assign.tokens, "h").tokens is assign.tokens
+        points = np.asarray(rng.normal(size=(40, 3)), dtype=np.float32)
+        model = fit_codebooks(EmbeddingSet([f"i{k}" for k in range(40)], points),
+                              RqConfig(levels=2, codebook_sizes=(4, 4)))
+        assert SidAssignment(range(40), model.fit_tokens, "h").tokens is model.fit_tokens
+
+    def test_tuple_view_built_on_first_lookup(self):
+        assign = assignment_from_sids({"a": (3, 1), "b": (0, 2)})
+        assert "sids" not in vars(assign)
+        assert len(assign) == 2 and "sids" not in vars(assign)
+        assert assign["b"] == (0, 2) and "a" in assign and "c" not in assign
+        assert vars(assign)["sids"] == {"a": (3, 1), "b": (0, 2)}
+        assert all(type(t) is int for s in assign.sids.values() for t in s)
+
+    def test_load_names_the_line_of_a_ragged_record_or_a_wide_token(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        meta = json.dumps({"format": ASSIGNMENT_FORMAT, "model_hash": "h", "count": 2})
+
+        def record(item_id, tokens):
+            return json.dumps({"item_id": item_id, "sid": render_sid(tokens), "tokens": tokens})
+
+        for second, match in (
+            (record("b", [1]), "line 3: 1 tokens, where the first record has 2"),
+            (record("b", [1, 2, 3]), "line 3: 3 tokens, where the first record has 2"),
+            (record("b", [2**63, 0]), r"line 3: tokens \[9223372036854775808, 0\] are not a list of 64-bit integers"),
+            (record("b", [0, -2**63 - 1]), "line 3: tokens .* are not a list of 64-bit integers"),
+        ):
+            path.write_text("\n".join((meta, record("a", [0, 1]), second)) + "\n")
+            with pytest.raises(RqError, match=match):
+                load_assignment(path)
+        path.write_text("\n".join((meta, record("a", [0, 1]), record("b", [2**63 - 1, -2**63]))) + "\n")
+        assert load_assignment(path).tokens.tolist() == [[0, 1], [2**63 - 1, -2**63]]
+
+
+    def test_first_bad_token_named_in_level_order(self, tmp_path, rng):
+        model = random_model(rng, 2, [4, 3], 2)
+        model_path, path = tmp_path / "m.rq", tmp_path / "s.jsonl"
+        save_model(model, model_path)
+        save_assignment(SidAssignment(["a", "b", "c"], [[0, 7], [9, 0], [-2, 5]], model.model_hash()), path)
+        with pytest.raises(RqError, match=re.escape("item 'b': token 9 out of range [0, 4) at level 1")):
+            load_model_and_assignment(model_path, path)
 
 
 class TestModelFile:
@@ -794,10 +901,20 @@ class TestTrie:
         for not_prefix in [(1,), (0, 3), (0, 1), (0, 1, 0)]:
             assert trie.next_tokens(not_prefix) == ()
 
+    def test_matches_reference_build_trie(self):
+        for assign in random_assignments(7):
+            got, want = build_trie(assign), reference_build_trie(assign)
+            assert got.leaves == want.leaves
+            assert all(type(t) is int for s in got.leaves for t in s)
+            assert got.depth == want.depth == assign.tokens.shape[1]
+            for (indptr, tokens), (want_indptr, want_tokens) in zip(got.levels, want.levels):
+                for array, expect in ((indptr, want_indptr), (tokens, want_tokens)):
+                    assert array.dtype == np.int64 and not array.flags.writeable
+                    assert np.array_equal(array, expect)
+
     def test_mixed_depth_rejected(self):
-        assign = assignment_from_sids({"x": (0, 1), "y": (0,)})
-        with pytest.raises(RqError):
-            build_trie(assign)
+        with pytest.raises(RqError, match="not an integer matrix"):
+            assignment_from_sids({"x": (0, 1), "y": (0,)})
 
     def test_empty_rejected(self):
         with pytest.raises(RqError):

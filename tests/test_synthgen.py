@@ -182,24 +182,6 @@ class TestInteractions:
                 forward += b == (a + 1) % cfg.num_categories
         assert abs(forward / total - 0.8) < 0.03
 
-    def test_transition_override_validated(self):
-        cfg = small_cfg()
-        catalog, _, labels = generate_catalog(cfg)
-        with pytest.raises(SynthError, match="4x4"):
-            generate_interactions(catalog, labels, cfg, transition=np.ones((2, 2)))
-        bad = np.full((4, 4), 0.25)
-        bad[0, 0] = 0.5
-        with pytest.raises(SynthError, match="sum to 1"):
-            generate_interactions(catalog, labels, cfg, transition=bad)
-
-    def test_identity_transition_pins_users_to_one_category(self):
-        cfg = small_cfg()
-        catalog, _, labels = generate_catalog(cfg)
-        log = generate_interactions(catalog, labels, cfg, transition=np.eye(4))
-        for events in log.by_user().values():
-            cats = {labels[item] for _, item, _ in events}
-            assert len(cats) == 1
-
     def test_default_transition_rows(self):
         matrix = default_transition(small_cfg(num_categories=5, dominant_transition=0.8))
         assert matrix.shape == (5, 5)
