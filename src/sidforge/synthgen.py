@@ -6,7 +6,14 @@ separation, de-noises the informative block, and pushes apart look-alike twin
 pairs (items sharing one noise draw, told apart only by an enrichment-scaled
 offset), so SID collision and utilization trends can be studied directly.
 Interactions follow a per-user category-level Markov chain with a dominant
-transition into the next category.
+transition into the next category. User u draws from its own stream
+`rng.stream(seed, USER_EVENTS, u)`, in this order: the event count
+`integers(lo, hi + 1)`, the start state `integers(len(live))`, then per step a
+`random()` for the transition (not at step 0), the item `integers(len(pool))`
+and the gap `integers(1, 3601)`. The walk steps all users at once: it reads
+each stream's raw Philox words and applies numpy's integer and float rules to
+them (`StreamDraws`), so its bytes equal those of calling each user's
+Generator draw by draw.
 """
 
 from __future__ import annotations
@@ -39,6 +46,11 @@ _CATEGORY_NOUNS = (
 
 _BASE_TIMESTAMP = 1_600_000_000
 
+_LOW32 = np.uint64(0xFFFFFFFF)
+_TWO32 = np.uint64(2**32)
+_RAW_BLOCK_WORDS = 1 << 18  # raw Philox words held for one block of users (2 MiB)
+_TOP_UP_WORDS = 4  # words added to every row when one runs out
+
 
 class SynthError(ValueError):
     """Raised for invalid generator configurations."""
@@ -64,6 +76,9 @@ class SynthConfig:
         object.__setattr__(self, "events_per_user", tuple(self.events_per_user))
         if self.num_items < 1 or self.num_users < 1 or self.num_categories < 1:
             raise SynthError("num_items, num_users, and num_categories must be positive")
+        for name in ("num_items", "num_users"):
+            if getattr(self, name) > 2**32:
+                raise SynthError(f"{name} must be <= 2**32, the number of RNG stream indices")
         if self.num_categories > self.num_items:
             raise SynthError("num_categories cannot exceed num_items")
         if self.dim < 2:
@@ -75,6 +90,8 @@ class SynthConfig:
         lo, hi = self.events_per_user
         if lo < 1 or hi < lo:
             raise SynthError("events_per_user must be a range with 1 <= lo <= hi")
+        if hi >= 2**32:
+            raise SynthError("events_per_user upper bound must be < 2**32: the event count is a 32-bit draw")
         if not 0.0 < self.informative_fraction <= 1.0:
             raise SynthError("informative_fraction must lie in (0, 1]")
         if not 0.0 <= self.twin_fraction <= 1.0:
@@ -111,13 +128,11 @@ def _twin_pairs(cfg: SynthConfig) -> int:
 def _category_layout(cfg: SynthConfig) -> np.ndarray:
     """Item index -> category index. Twin pairs occupy the first 2*P slots and
     share a category; everything after is assigned round-robin."""
-    cat = np.empty(cfg.num_items, dtype=np.int64)
     pairs = _twin_pairs(cfg)
-    for j in range(pairs):
-        cat[2 * j] = cat[2 * j + 1] = j % cfg.num_categories
-    for i in range(2 * pairs, cfg.num_items):
-        cat[i] = i % cfg.num_categories
-    return cat
+    return np.concatenate([
+        np.repeat(np.arange(pairs) % cfg.num_categories, 2),
+        np.arange(2 * pairs, cfg.num_items) % cfg.num_categories,
+    ])
 
 
 def generate_catalog(cfg: SynthConfig):
@@ -209,9 +224,71 @@ def default_transition(cfg: SynthConfig) -> np.ndarray:
     if c == 1:
         return np.ones((1, 1))
     matrix = np.full((c, c), (1.0 - cfg.dominant_transition) / (c - 1))
-    for src in range(c):
-        matrix[src, (src + 1) % c] = cfg.dominant_transition
+    src = np.arange(c)
+    matrix[src, (src + 1) % c] = cfg.dominant_transition
     return matrix
+
+
+class StreamDraws:
+    """numpy's `Generator.integers(span)` and `Generator.random()` for many
+    Philox streams at once, one row per stream, computed from each stream's
+    raw 64-bit words (`random_raw`) in the order numpy reads them.
+
+    The rules are numpy's own (the tests hold them to `Generator`): a 32-bit
+    draw takes the low half of a fresh word and holds the high half for the
+    next 32-bit draw. `integers` with a span k <= 2**32 draws nothing when
+    k == 1; otherwise it multiplies a 32-bit word w by k, draws again while
+    (w * k) mod 2**32 < (2**32 - k) mod k (Lemire's rejection rule) and
+    returns (w * k) >> 32. `random()` takes a fresh word x, leaves the held
+    half alone and returns (x >> 11) * 2**-53. A row whose words run out is
+    topped up from its own stream.
+    """
+
+    def __init__(self, bit_generators, width: int):
+        self._streams = list(bit_generators)
+        self._words = np.stack([bits.random_raw(width) for bits in self._streams])
+        self._next = np.zeros(len(self._streams), dtype=np.int64)
+        self._held = np.zeros(len(self._streams), dtype=np.uint64)
+        self._has_held = np.zeros(len(self._streams), dtype=bool)
+
+    def _fresh(self, rows: np.ndarray) -> np.ndarray:
+        """The next unread 64-bit word of each of `rows` (distinct indices)."""
+        at = self._next[rows]
+        while np.any(at == self._words.shape[1]):
+            more = np.stack([bits.random_raw(_TOP_UP_WORDS) for bits in self._streams])
+            self._words = np.hstack([self._words, more])
+        self._next[rows] = at + 1
+        return self._words[rows, at]
+
+    def _next32(self, rows: np.ndarray) -> np.ndarray:
+        """The next 32-bit word of each of `rows`: the held high half if the
+        row has one, else the low half of a fresh word, whose high half is held."""
+        held = self._has_held[rows]
+        out = np.empty(rows.shape, dtype=np.uint64)
+        out[held] = self._held[rows[held]]
+        fresh = rows[~held]
+        words = self._fresh(fresh)
+        out[~held] = words & _LOW32
+        self._held[fresh] = words >> 32
+        self._has_held[rows] = ~held
+        return out
+
+    def integers(self, rows: np.ndarray, span) -> np.ndarray:
+        """`integers(span)` on each of `rows` (distinct indices), for one span
+        or one per row, 1 <= span <= 2**32."""
+        span = np.broadcast_to(np.asarray(span, dtype=np.uint64), rows.shape)
+        out = np.zeros(rows.shape, dtype=np.int64)
+        todo = np.flatnonzero(span > 1)
+        while todo.size:
+            k = span[todo]
+            product = self._next32(rows[todo]) * k
+            out[todo] = product >> 32
+            todo = todo[(product & _LOW32) < (_TWO32 - k) % k]
+        return out
+
+    def random(self, rows: np.ndarray) -> np.ndarray:
+        """`random()` on each of `rows` (distinct indices)."""
+        return (self._fresh(rows) >> 11) * 2.0**-53
 
 
 def generate_interactions(
@@ -219,7 +296,9 @@ def generate_interactions(
 ) -> InteractionLog:
     """Per-user category Markov walks over `default_transition` with uniform
     item choice within the category and strictly increasing timestamps.
-    Chain states are restricted to categories that actually contain items."""
+    Chain states are restricted to categories that actually contain items.
+    Users step together in blocks, one draw at a time in the order the module
+    docstring gives."""
     matrix = default_transition(cfg)
     c = cfg.num_categories
 
@@ -232,7 +311,6 @@ def generate_interactions(
     live = [i for i in range(c) if by_category[i]]
     if not live:
         raise SynthError("no catalog item belongs to any configured category")
-    live_pos = {ci: p for p, ci in enumerate(live)}
     reduced = matrix[np.ix_(live, live)]
     row_sums = reduced.sum(axis=1)
     if np.any(row_sums <= 0.0):
@@ -240,22 +318,36 @@ def generate_interactions(
     reduced = reduced / row_sums[:, None]
     cumulative = np.cumsum(reduced, axis=1)
 
-    events = []
+    pool_ids = [item_id for ci in live for item_id in by_category[ci]]
+    pool_size = np.array([len(by_category[ci]) for ci in live])
+    pool_start = np.cumsum(pool_size) - pool_size
     lo, hi = cfg.events_per_user
-    for u in range(cfg.num_users):
-        gen = rng.stream(cfg.seed, rng.USER_EVENTS, u)
-        user_id = f"u{u:05d}"
-        count = int(gen.integers(lo, hi + 1))
-        state = int(gen.integers(len(live)))
-        ts = _BASE_TIMESTAMP
-        for step in range(count):
+    width = 2 * hi + 2  # raw words per user: enough for a walk with no rejected draw
+    block = max(1, _RAW_BLOCK_WORDS // width)
+    events: list = []
+    for first in range(0, cfg.num_users, block):
+        users = range(first, min(first + block, cfg.num_users))
+        draws = StreamDraws((rng.stream(cfg.seed, rng.USER_EVENTS, u).bit_generator for u in users), width)
+        every = np.arange(len(users))
+        counts = lo + draws.integers(every, hi - lo + 1)
+        state = draws.integers(every, len(live))
+        ts = np.full(len(users), _BASE_TIMESTAMP, dtype=np.int64)
+        picked = np.zeros((len(users), hi), dtype=np.int64)
+        stamps = np.zeros((len(users), hi), dtype=np.int64)
+        for step in range(int(counts.max())):
+            rows = np.flatnonzero(counts > step)
             if step > 0:
-                draw = gen.random()
-                state = int(np.searchsorted(cumulative[state], draw, side="right"))
-                if state >= len(live):
-                    state = len(live) - 1
-            items = by_category[live[state]]
-            item_id = items[int(gen.integers(len(items)))]
-            ts += int(gen.integers(1, 3601))
-            events.append((user_id, item_id, ts))
+                # np.searchsorted(row, draw, side="right") on each non-decreasing row
+                draw = draws.random(rows)
+                moved = np.count_nonzero(cumulative[state[rows]] <= draw[:, None], axis=1)
+                state[rows] = np.minimum(moved, len(live) - 1)
+            pools = state[rows]
+            picked[rows, step] = pool_start[pools] + draws.integers(rows, pool_size[pools])
+            ts[rows] += 1 + draws.integers(rows, 3600)
+            stamps[rows, step] = ts[rows]
+        taken = np.arange(hi) < counts[:, None]
+        user_ids: list[str] = []
+        for u, n in zip(users, counts.tolist()):
+            user_ids += [f"u{u:05d}"] * n
+        events.extend(zip(user_ids, [pool_ids[i] for i in picked[taken].tolist()], stamps[taken].tolist()))
     return InteractionLog(events=tuple(events))

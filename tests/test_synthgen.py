@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import json
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from sidforge import rng, synthgen
+from sidforge.cli import main
+from sidforge.datamodel import InteractionLog
 from sidforge.synthgen import (
+    StreamDraws,
     SynthConfig,
     SynthError,
+    _category_layout,
     category_name,
     default_transition,
     generate_catalog,
@@ -188,3 +194,258 @@ class TestInteractions:
         assert np.allclose(matrix.sum(axis=1), 1.0)
         assert matrix[4, 0] == 0.8
         assert np.isclose(matrix[0, 2], 0.05)
+
+
+# ---------------------------------------------------------------------------
+# The stepped walk against the per-user loop it replaced, and its draw helper
+# against numpy's Generator.
+
+def reference_generate_interactions(catalog, labels, cfg):
+    """The per-event loop: one Generator per user, called draw by draw."""
+    matrix = default_transition(cfg)
+    c = cfg.num_categories
+
+    by_category: dict[int, list[str]] = {i: [] for i in range(c)}
+    name_to_index = {category_name(i): i for i in range(c)}
+    for rec in catalog:
+        idx = name_to_index.get(labels[rec.item_id])
+        if idx is not None:
+            by_category[idx].append(rec.item_id)
+    live = [i for i in range(c) if by_category[i]]
+    if not live:
+        raise SynthError("no catalog item belongs to any configured category")
+    reduced = matrix[np.ix_(live, live)]
+    row_sums = reduced.sum(axis=1)
+    if np.any(row_sums <= 0.0):
+        raise SynthError("a transition row has no mass on categories with items")
+    reduced = reduced / row_sums[:, None]
+    cumulative = np.cumsum(reduced, axis=1)
+
+    events = []
+    lo, hi = cfg.events_per_user
+    for u in range(cfg.num_users):
+        gen = rng.stream(cfg.seed, rng.USER_EVENTS, u)
+        user_id = f"u{u:05d}"
+        count = int(gen.integers(lo, hi + 1))
+        state = int(gen.integers(len(live)))
+        ts = 1_600_000_000
+        for step in range(count):
+            if step > 0:
+                draw = gen.random()
+                state = int(np.searchsorted(cumulative[state], draw, side="right"))
+                if state >= len(live):
+                    state = len(live) - 1
+            items = by_category[live[state]]
+            item_id = items[int(gen.integers(len(items)))]
+            ts += int(gen.integers(1, 3601))
+            events.append((user_id, item_id, ts))
+    return InteractionLog(events=tuple(events))
+
+
+def reference_category_layout(cfg):
+    cat = np.empty(cfg.num_items, dtype=np.int64)
+    pairs = int(cfg.twin_fraction * cfg.num_items) // 2
+    for j in range(pairs):
+        cat[2 * j] = cat[2 * j + 1] = j % cfg.num_categories
+    for i in range(2 * pairs, cfg.num_items):
+        cat[i] = i % cfg.num_categories
+    return cat
+
+
+def reference_default_transition(cfg):
+    c = cfg.num_categories
+    if c == 1:
+        return np.ones((1, 1))
+    matrix = np.full((c, c), (1.0 - cfg.dominant_transition) / (c - 1))
+    for src in range(c):
+        matrix[src, (src + 1) % c] = cfg.dominant_transition
+    return matrix
+
+
+# The benchmark's two workload shapes (perfbench/workloads.py).
+_WORKLOAD_SHAPES = {
+    "catalog_fit": dict(num_items=2048, num_users=150, dim=64, events_per_user=(4, 6)),
+    "user_eval": dict(num_items=1000, num_users=1000, dim=32, events_per_user=(20, 40)),
+}
+
+
+def assert_walk_matches_reference(cfg, labels_of=None):
+    catalog, _, labels = generate_catalog(cfg)
+    if labels_of is not None:
+        labels = labels_of(labels)
+    fast = generate_interactions(catalog, labels, cfg)
+    assert fast == reference_generate_interactions(catalog, labels, cfg)
+    assert all(type(ts) is int for _, _, ts in fast.events)
+    return fast
+
+
+class TestSteppedWalkMatchesLoop:
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("shape", sorted(_WORKLOAD_SHAPES))
+    def test_workload_shapes(self, shape, seed):
+        cfg = small_cfg(**_WORKLOAD_SHAPES[shape], num_categories=16, intra_category_noise=0.6, seed=seed)
+        assert assert_walk_matches_reference(cfg).n_events > 0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(events_per_user=(5, 5)),  # no count draw
+            dict(num_categories=1),  # no start-state draw, one-row transition
+            dict(num_items=16, num_categories=16, twin_fraction=0.0),  # one-item pools: no pick draw
+            dict(num_items=20, num_categories=16),  # one- and three-item pools
+            dict(dominant_transition=1.0),  # cumulative rows of exact 0 and 1 steps
+            dict(num_users=1),
+            dict(events_per_user=(1, 1), num_categories=1, num_items=1, dim=4),  # gap draws only
+        ],
+        ids=["lo==hi", "one-category", "one-item-pools", "mixed-pools", "dominant-1.0", "one-user",
+             "gap-only"],
+    )
+    def test_edge_configs(self, overrides):
+        assert_walk_matches_reference(small_cfg(**overrides))
+
+    def test_labels_leaving_a_category_unused(self):
+        unused = category_name(1)
+
+        def relabel(labels):
+            return {item: category_name(0) if name == unused else name for item, name in labels.items()}
+
+        log = assert_walk_matches_reference(small_cfg(), relabel)
+        assert log.n_events > 0
+
+    def test_rejected_draws(self, monkeypatch):
+        """Every user's stream starts a few words before a word that
+        `integers(3600)` (the gap) rejects, so both walks retry draws. Most
+        pools hold one item, so the gap reads low and high halves alike."""
+        cfg = small_cfg(num_items=20, num_categories=16, num_users=28, events_per_user=(3, 6))
+        catalog, _, labels = generate_catalog(cfg)
+        key_bits = rng.stream(cfg.seed, rng.USER_EVENTS, 0).bit_generator
+        span, threshold = 3600, (2**32 - 3600) % 3600
+        rejecting, read = [], 0
+        while len(rejecting) < 2:
+            words = key_bits.random_raw(1 << 20)
+            halves = np.stack([words & 0xFFFFFFFF, words >> 32]) * np.uint64(span)
+            rejecting += (read + np.flatnonzero(((halves & 0xFFFFFFFF) < threshold).any(axis=0))).tolist()
+            read += words.size
+        real_stream = rng.stream
+        rejected = []
+
+        class CountingGenerator:
+            """A Generator that records the 32-bit words each `integers`
+            call reads beyond its first."""
+
+            def __init__(self, bits):
+                self.bit_generator = bits
+                self._gen = np.random.Generator(bits)
+
+            def _halves_read(self):
+                state = self.bit_generator.state
+                words = 4 * int(state["state"]["counter"][0]) + state["buffer_pos"] - 4
+                return 2 * words - state["has_uint32"]
+
+            def random(self):
+                return self._gen.random()
+
+            def integers(self, *args):
+                before = self._halves_read()
+                value = self._gen.integers(*args)
+                rejected.append(max(0, self._halves_read() - before - 1))
+                return value
+
+        def shifted_stream(seed, purpose, index=0):
+            if purpose != rng.USER_EVENTS:
+                return real_stream(seed, purpose, index)
+            start = rejecting[index % 2] - index // 2
+            bits = real_stream(seed, purpose, 0).bit_generator
+            bits.advance(start // 4)
+            bits.random_raw(start % 4)
+            return CountingGenerator(bits)
+
+        monkeypatch.setattr(rng, "stream", shifted_stream)
+        fast = generate_interactions(catalog, labels, cfg)
+        assert fast == reference_generate_interactions(catalog, labels, cfg)
+        assert sum(rejected) >= 1
+
+
+class TestStreamDraws:
+    SPANS = (1, 2, 3, 3600, 2**31 + 1, 2**32)
+
+    def test_matches_generator_interleaved(self):
+        """`StreamDraws` reproduces numpy's Generator.integers / random() on
+        each stream. A numpy release that changes its bounded-integer or
+        float rules fails here first."""
+        seeds = range(5)
+        gens = [rng.stream(3, rng.USER_EVENTS, r) for r in seeds]
+        draws = StreamDraws([rng.stream(3, rng.USER_EVENTS, r).bit_generator for r in seeds], width=4)
+        subsets = [np.arange(5), np.array([0, 2, 4]), np.array([3]), np.array([1, 2, 3, 4])]
+        for step in range(240):
+            rows = subsets[step % len(subsets)]
+            span = self.SPANS[step % len(self.SPANS)]
+            if step % 7 == 3:
+                got = draws.random(rows)
+                want = [gens[r].random() for r in rows]
+                what = "StreamDraws.random() no longer matches Generator.random()"
+            else:
+                # Every other call gives each row a span of its own.
+                spans = span if step % 2 else np.array([self.SPANS[(step + r) % len(self.SPANS)] for r in rows])
+                got = draws.integers(rows, spans)
+                want = [gens[r].integers(int(np.broadcast_to(spans, rows.shape)[i])) for i, r in enumerate(rows)]
+                what = f"StreamDraws.integers({spans}) no longer matches Generator.integers"
+            assert got.tolist() == want, f"{what} on numpy {np.__version__}"
+
+    def test_rejections_and_top_up(self):
+        """2**31 + 1 rejects about half its words, so a 4-word row runs out
+        and is topped up from its own stream many times."""
+        gen = rng.stream(9, rng.USER_EVENTS, 1)
+        draws = StreamDraws([rng.stream(9, rng.USER_EVENTS, 1).bit_generator], width=4)
+        row = np.array([0])
+        got = [int(draws.integers(row, 2**31 + 1)[0]) for _ in range(200)]
+        assert got == [int(gen.integers(2**31 + 1)) for _ in range(200)], (
+            f"StreamDraws.integers(2**31 + 1) no longer matches Generator.integers on numpy {np.__version__}")
+        assert gen.bit_generator.state["state"]["counter"][0] * 4 > 200  # more words than draws
+
+
+class TestLayoutMatchesLoops:
+    @pytest.mark.parametrize(
+        "num_items, num_categories, twin_fraction",
+        [(80, 4, 0.2), (80, 4, 0.0), (80, 4, 1.0), (81, 5, 1.0), (17, 16, 0.3), (1, 1, 1.0), (50, 1, 0.5)],
+    )
+    def test_category_layout(self, num_items, num_categories, twin_fraction):
+        cfg = small_cfg(num_items=num_items, num_categories=num_categories, twin_fraction=twin_fraction)
+        got = _category_layout(cfg)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_category_layout(cfg))
+
+    @pytest.mark.parametrize("num_categories", [1, 2, 5, 16])
+    @pytest.mark.parametrize("dominant", [0.3, 0.8, 1.0])
+    def test_default_transition(self, num_categories, dominant):
+        cfg = small_cfg(num_categories=num_categories, dominant_transition=dominant)
+        assert np.array_equal(default_transition(cfg), reference_default_transition(cfg))
+
+
+class TestStreamLimits:
+    """Configs whose users, items or event counts no RNG stream can serve."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_users", 2**32 + 1), ("num_items", 2**32 + 1), ("events_per_user", [1, 2**32]),
+         ("events_per_user", [2**32, 2**33])],
+    )
+    def test_rejected(self, field, value):
+        with pytest.raises(SynthError, match=field):
+            SynthConfig.from_dict({**asdict(small_cfg()), field: value})
+
+    def test_limits_themselves_accepted(self):
+        cfg = SynthConfig.from_dict({**asdict(small_cfg()), "num_users": 2**32, "num_items": 2**32,
+                                     "events_per_user": [1, 2**32 - 1]})
+        assert cfg.num_users == cfg.num_items == 2**32
+
+    def test_pipeline_exits_ex_config(self, tmp_path, caplog, monkeypatch):
+        # Were the config accepted, generating 2**32 users would run for hours.
+        monkeypatch.setattr(synthgen, "generate_catalog", lambda cfg: pytest.fail("generation started"))
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "pipe.json"
+        cfg_path.write_text(json.dumps({"pipeline": {"output_dir": str(out)},
+                                        "synth": {**asdict(small_cfg()), "num_users": 2**32 + 1}}))
+        assert main(["pipeline", "--config", str(cfg_path)]) == 78
+        assert "num_users" in caplog.text
+        assert not out.exists()
