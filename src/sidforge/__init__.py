@@ -1,97 +1,9 @@
 """Semantic-ID engineering toolkit: residual-quantization codebooks, SID
 assignment and rendering, quality diagnostics, conversational corpus export,
-and trie-constrained next-item evaluation."""
+and trie-constrained next-item evaluation.
 
-from __future__ import annotations
-
-from .datamodel import (
-    CatalogError,
-    EmbeddingIOError,
-    EmbeddingSet,
-    Event,
-    InteractionError,
-    InteractionLog,
-    ItemCatalog,
-    ItemRecord,
-    SplitDataset,
-    UserSplit,
-    k_core_filter,
-    leave_last_out_split,
-    load_embeddings,
-    load_interactions,
-    load_items,
-    save_interactions,
-    save_items,
-    write_embeddings,
-)
-from .rq import (
-    Codebook,
-    RqConfig,
-    RqError,
-    RqModel,
-    SidAssignment,
-    SidTrie,
-    assign_all,
-    build_trie,
-    decode,
-    decode_batch,
-    encode,
-    encode_batch,
-    fit_codebooks,
-    load_assignment,
-    load_model,
-    parse_sid,
-    render_sid,
-    save_assignment,
-    save_model,
-    validate_sid,
-)
-from .synthgen import SynthConfig, SynthError, generate_catalog, generate_interactions
+The package namespace holds only `__version__`; import from the submodules
+(`sidforge.rq`, `sidforge.synthgen`, ...), so loading one does not load the
+rest."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CatalogError",
-    "Codebook",
-    "EmbeddingIOError",
-    "EmbeddingSet",
-    "Event",
-    "InteractionError",
-    "InteractionLog",
-    "ItemCatalog",
-    "ItemRecord",
-    "RqConfig",
-    "RqError",
-    "RqModel",
-    "SidAssignment",
-    "SidTrie",
-    "SplitDataset",
-    "SynthConfig",
-    "SynthError",
-    "UserSplit",
-    "assign_all",
-    "build_trie",
-    "decode",
-    "decode_batch",
-    "encode",
-    "encode_batch",
-    "fit_codebooks",
-    "generate_catalog",
-    "generate_interactions",
-    "k_core_filter",
-    "leave_last_out_split",
-    "load_assignment",
-    "load_embeddings",
-    "load_interactions",
-    "load_items",
-    "load_model",
-    "parse_sid",
-    "render_sid",
-    "save_assignment",
-    "save_interactions",
-    "save_items",
-    "save_model",
-    "validate_sid",
-    "write_embeddings",
-    "__version__",
-]

@@ -254,6 +254,9 @@ def _record_from_obj(obj: dict) -> ItemRecord:
     )
 
 
+_ITEM_ENCODER = json.JSONEncoder(ensure_ascii=False)  # json.dumps(obj, ensure_ascii=False), built once
+
+
 def save_items(catalog: ItemCatalog, path) -> None:
     with atomic_open(path, encoding="utf-8", newline="\n") as fh:
         for rec in catalog:
@@ -267,7 +270,7 @@ def save_items(catalog: ItemCatalog, path) -> None:
                 obj["visual_description"] = rec.visual_description
             if rec.interests is not None:
                 obj["interests"] = list(rec.interests)
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            fh.write(_ITEM_ENCODER.encode(obj) + "\n")
 
 
 class EmbeddingSet:

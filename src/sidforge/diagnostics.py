@@ -11,7 +11,7 @@ import numpy as np
 
 from . import rng
 from .datamodel import EmbeddingSet, is_json_number, read_json_object
-from .rq import RqModel, SidAssignment, decode_batch, sorted_prefixes
+from .rq import RqModel, SidAssignment, check_token_range, decode_batch, sorted_prefixes
 
 
 class DiagnosticsError(ValueError):
@@ -27,21 +27,12 @@ def collision_rate(assign: SidAssignment) -> float:
     return int(counts[counts > 1].sum()) / len(assign)
 
 
-def unique_ratio(assign: SidAssignment) -> float:
-    """Complement of collision_rate. Defined as 1.0 - collision_rate so the
-    two always sum to exactly 1.0 in floating point."""
-    return 1.0 - collision_rate(assign)
-
-
 def active_codes_per_level(assign: SidAssignment, model: RqModel) -> tuple[int, ...]:
     """Distinct tokens in each level's column of the assignment."""
     if len(assign) and assign.tokens.shape[1] != model.levels:
         raise DiagnosticsError("assignment SID length does not match the model")
     tokens = assign.tokens.reshape(len(assign), model.levels)
-    bad = (tokens < 0) | (tokens >= np.array(model.effective_sizes))
-    if bad.any():
-        row, level = np.argwhere(bad)[0]
-        raise DiagnosticsError(f"token {tokens[row, level]} out of range at level {level + 1}")
+    check_token_range(model, tokens, assign.item_ids, DiagnosticsError)
     return tuple(int(np.count_nonzero(np.bincount(column))) for column in tokens.T)
 
 
@@ -76,15 +67,6 @@ def prefix_entropy_profile(assign: SidAssignment) -> tuple[float, ...]:
             entropy -= q * math.log2(q)
         profile.append(entropy)
     return tuple(profile)
-
-
-def prefix_entropy(assign: SidAssignment) -> float:
-    """Mean of the per-prefix-length entropies."""
-    return _mean(prefix_entropy_profile(assign))
-
-
-def _mean(profile: tuple[float, ...]) -> float:
-    return sum(profile) / len(profile)
 
 
 @dataclass(frozen=True)
@@ -253,9 +235,9 @@ class DiagnosticsReport:
     n_items: int
     n_distinct_sids: int
     collision_rate: float
-    unique_ratio: float
+    unique_ratio: float  # 1.0 - collision_rate: the two sum to exactly 1.0
     utilization: float
-    prefix_entropy: float
+    prefix_entropy: float  # mean of prefix_entropy_profile
     prefix_entropy_profile: tuple[float, ...]
     active_codes_per_level: tuple[int, ...]
     configured_sizes: tuple[int, ...]
@@ -290,7 +272,7 @@ def build_report(
         collision_rate=rate,
         unique_ratio=1.0 - rate,
         utilization=_utilization(active, model),
-        prefix_entropy=_mean(profile),
+        prefix_entropy=sum(profile) / len(profile),
         prefix_entropy_profile=profile,
         active_codes_per_level=active,
         configured_sizes=model.config.codebook_sizes,

@@ -458,22 +458,24 @@ def encode_batch(model: RqModel, rows, workers: int = 1) -> np.ndarray:
     return out
 
 
-def encode(model: RqModel, x) -> SidSequence:
-    """SID of one vector: per level, the nearest centroid to the running
-    residual, smallest index winning ties."""
-    vec = np.asarray(x, dtype=np.float64).reshape(-1)
-    if vec.shape[0] != model.dim:
-        raise RqError(f"expected a {model.dim}-dimensional vector, got {vec.shape[0]}")
-    return tuple(int(t) for t in encode_batch(model, vec[None, :])[0])
+def check_token_range(model: RqModel, tokens, item_ids=None, error: type[ValueError] = RqError) -> None:
+    """Raise `error` unless every token of the matrix (n x h, h <= levels)
+    indexes its level's codebook. The message names the first bad token in
+    level order, its range, level and row, and its item where ids are given."""
+    tokens = np.asarray(tokens)
+    sizes = np.array(model.effective_sizes[:tokens.shape[1]])
+    bad = (tokens < 0) | (tokens >= sizes)
+    if bad.any():
+        level, row = np.argwhere(bad.T)[0]
+        item = "" if item_ids is None else f"item {item_ids[row]!r}: "
+        raise error(f"{item}token {tokens[row, level]} out of range [0, {sizes[level]}) "
+                    f"at level {level + 1} (row {row})")
 
 
 def validate_sid(model: RqModel, s: SidSequence) -> None:
     if len(s) != model.levels:
         raise RqError(f"SID has {len(s)} tokens for a {model.levels}-level model")
-    for level, token in enumerate(s):
-        size = model.codebooks[level].size
-        if not 0 <= int(token) < size:
-            raise RqError(f"token {token} out of range [0, {size}) at level {level + 1}")
+    check_token_range(model, np.array([s], dtype=object))  # object: exact for any int
 
 
 def decode(model: RqModel, s: SidSequence, depth: int | None = None) -> np.ndarray:
@@ -493,13 +495,10 @@ def decode_batch(model: RqModel, tokens, depth: int | None = None) -> np.ndarray
         depth = model.levels
     if not 0 <= depth <= model.levels:
         raise RqError(f"depth {depth} out of range [0, {model.levels}]")
+    check_token_range(model, toks[:, :depth])
     out = np.zeros((toks.shape[0], model.dim), dtype=np.float64)
     for level in range(depth):
-        cb = model.codebooks[level]
-        col = toks[:, level]
-        if col.size and (col.min() < 0 or col.max() >= cb.size):
-            raise RqError(f"token out of range at level {level + 1}")
-        out += cb.centroids.astype(np.float64)[col]
+        out += model.codebooks[level].centroids.astype(np.float64)[toks[:, level]]
     return out
 
 
@@ -748,14 +747,7 @@ def load_model_and_assignment(model_path, assignment_path) -> tuple[RqModel, Sid
         raise RqError("assignment was produced by a different model")
     if not len(assign):
         return model, assign
-    tokens, sizes = assign.tokens, np.array(model.effective_sizes)
-    if tokens.shape[1] != model.levels:
-        raise RqError(f"assignment SIDs have {tokens.shape[1]} tokens, not the model's {model.levels}")
-    bad = (tokens < 0) | (tokens >= sizes)
-    if bad.any():
-        level, row = np.argwhere(bad.T)[0]
-        raise RqError(
-            f"item {assign.item_ids[row]!r}: token {tokens[row, level]} out of range "
-            f"[0, {sizes[level]}) at level {level + 1}"
-        )
+    if assign.tokens.shape[1] != model.levels:
+        raise RqError(f"assignment SIDs have {assign.tokens.shape[1]} tokens, not the model's {model.levels}")
+    check_token_range(model, assign.tokens, assign.item_ids)
     return model, assign

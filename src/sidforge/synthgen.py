@@ -5,15 +5,20 @@ Items come from Gaussian category clusters whose signal lives in an
 separation, de-noises the informative block, and pushes apart look-alike twin
 pairs (items sharing one noise draw, told apart only by an enrichment-scaled
 offset), so SID collision and utilization trends can be studied directly.
+Twin pair j draws `standard_normal(dim + d_info)` from stream
+`(seed, TWIN_PAIRS, j)`: its shared noise, then its offset direction. Every
+other item i draws `standard_normal(dim)` from `(seed, ITEM_NOISE, i)`; the
+scaling, centers and offsets then apply to the whole matrix at once.
 Interactions follow a per-user category-level Markov chain with a dominant
 transition into the next category. User u draws from its own stream
-`rng.stream(seed, USER_EVENTS, u)`, in this order: the event count
+`(seed, USER_EVENTS, u)`, in this order: the event count
 `integers(lo, hi + 1)`, the start state `integers(len(live))`, then per step a
 `random()` for the transition (not at step 0), the item `integers(len(pool))`
 and the gap `integers(1, 3601)`. The walk steps all users at once: it reads
 each stream's raw Philox words and applies numpy's integer and float rules to
 them (`StreamDraws`), so its bytes equal those of calling each user's
-Generator draw by draw.
+Generator draw by draw. Every per-index stream comes from `rng.streams`, one
+Philox re-keyed per index, bit for bit `rng.stream`.
 """
 
 from __future__ import annotations
@@ -160,27 +165,29 @@ def generate_catalog(cfg: SynthConfig):
     info_std = cfg.intra_category_noise * (1.5 - e)
     ambient_std = cfg.intra_category_noise * 1.5
 
+    # Per twin pair, one draw of dim + d_info normals: shared noise, then the
+    # offset direction. Per other item, one row of dim normals.
+    pair_draws = np.empty((pairs, cfg.dim + d_info))
+    for draw, gen in zip(pair_draws, rng.streams(cfg.seed, rng.TWIN_PAIRS, range(pairs))):
+        gen.standard_normal(out=draw)
     rows = np.empty((cfg.num_items, cfg.dim))
-    for j in range(pairs):
-        pair_gen = rng.stream(cfg.seed, rng.TWIN_PAIRS, j)
-        shared = pair_gen.standard_normal(cfg.dim)
-        shared[:d_info] *= info_std
-        shared[d_info:] *= ambient_std
-        direction = pair_gen.standard_normal(d_info)
-        norm = float(np.sqrt(np.square(direction).sum()))
-        if norm > 0.0:
-            direction /= norm
-        offset = np.zeros(cfg.dim)
-        offset[:d_info] = direction * (e * cfg.twin_separation * cfg.intra_category_noise)
-        base = centers[cat[2 * j]] + shared
-        rows[2 * j] = base + offset
-        rows[2 * j + 1] = base - offset
-    for i in range(2 * pairs, cfg.num_items):
-        item_gen = rng.stream(cfg.seed, rng.ITEM_NOISE, i)
-        noise = item_gen.standard_normal(cfg.dim)
-        noise[:d_info] *= info_std
-        noise[d_info:] *= ambient_std
-        rows[i] = centers[cat[i]] + noise
+    singles = rows[2 * pairs:]
+    for row, gen in zip(singles, rng.streams(cfg.seed, rng.ITEM_NOISE, range(2 * pairs, cfg.num_items))):
+        gen.standard_normal(out=row)
+
+    shared = pair_draws[:, :cfg.dim]
+    for noise in (shared, singles):
+        noise[:, :d_info] *= info_std
+        noise[:, d_info:] *= ambient_std
+    singles += centers[cat[2 * pairs:]]
+    direction = pair_draws[:, cfg.dim:]
+    norm = np.sqrt(np.square(direction).sum(axis=1))[:, None]
+    np.divide(direction, norm, out=direction, where=norm > 0.0)
+    offset = np.zeros((pairs, cfg.dim))
+    offset[:, :d_info] = direction * (e * cfg.twin_separation * cfg.intra_category_noise)
+    base = centers[cat[:2 * pairs:2]] + shared
+    rows[:2 * pairs:2] = base + offset
+    rows[1:2 * pairs:2] = base - offset
 
     records = []
     labels: dict[str, str] = {}
@@ -240,23 +247,31 @@ class StreamDraws:
     k == 1; otherwise it multiplies a 32-bit word w by k, draws again while
     (w * k) mod 2**32 < (2**32 - k) mod k (Lemire's rejection rule) and
     returns (w * k) >> 32. `random()` takes a fresh word x, leaves the held
-    half alone and returns (x >> 11) * 2**-53. A row whose words run out is
-    topped up from its own stream.
+    half alone and returns (x >> 11) * 2**-53. Row r holds the words of
+    `rng.stream(seed, purpose, indices[r])`, read through `rng.streams`; when
+    a row runs out, every row is topped up by re-keying its stream and
+    reading past the words already taken.
     """
 
-    def __init__(self, bit_generators, width: int):
-        self._streams = list(bit_generators)
-        self._words = np.stack([bits.random_raw(width) for bits in self._streams])
-        self._next = np.zeros(len(self._streams), dtype=np.int64)
-        self._held = np.zeros(len(self._streams), dtype=np.uint64)
-        self._has_held = np.zeros(len(self._streams), dtype=bool)
+    def __init__(self, seed: int, purpose: int, indices, width: int):
+        self._seed, self._purpose, self._indices = seed, purpose, list(indices)
+        self._words = self._read(0, width)
+        self._next = np.zeros(len(self._indices), dtype=np.int64)
+        self._held = np.zeros(len(self._indices), dtype=np.uint64)
+        self._has_held = np.zeros(len(self._indices), dtype=bool)
+
+    def _read(self, skip: int, count: int) -> np.ndarray:
+        """Words skip .. skip + count - 1 of every row's stream."""
+        words = np.empty((len(self._indices), count), dtype=np.uint64)
+        for row, gen in zip(words, rng.streams(self._seed, self._purpose, self._indices)):
+            row[:] = gen.bit_generator.random_raw(skip + count)[skip:]
+        return words
 
     def _fresh(self, rows: np.ndarray) -> np.ndarray:
         """The next unread 64-bit word of each of `rows` (distinct indices)."""
         at = self._next[rows]
         while np.any(at == self._words.shape[1]):
-            more = np.stack([bits.random_raw(_TOP_UP_WORDS) for bits in self._streams])
-            self._words = np.hstack([self._words, more])
+            self._words = np.hstack([self._words, self._read(self._words.shape[1], _TOP_UP_WORDS)])
         self._next[rows] = at + 1
         return self._words[rows, at]
 
@@ -327,7 +342,7 @@ def generate_interactions(
     events: list = []
     for first in range(0, cfg.num_users, block):
         users = range(first, min(first + block, cfg.num_users))
-        draws = StreamDraws((rng.stream(cfg.seed, rng.USER_EVENTS, u).bit_generator for u in users), width)
+        draws = StreamDraws(cfg.seed, rng.USER_EVENTS, users, width)
         every = np.arange(len(users))
         counts = lo + draws.integers(every, hi - lo + 1)
         state = draws.integers(every, len(live))

@@ -5,8 +5,9 @@ import re
 import numpy as np
 import pytest
 
+from sidforge.diagnostics import DiagnosticsReport, build_report
 from sidforge.recommender import NGramModel
-from sidforge.rq import Codebook, LevelFitStats, RqConfig, RqModel, SidAssignment
+from sidforge.rq import Codebook, LevelFitStats, RqConfig, RqModel, SidAssignment, encode_batch
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)_(\w+)")
 
@@ -44,6 +45,30 @@ def random_model(rng: np.random.Generator, levels: int, sizes, dim: int) -> RqMo
         )
     cfg = RqConfig(levels=levels, codebook_sizes=sizes)
     return RqModel(config=cfg, codebooks=tuple(codebooks), dim=dim, fit_stats=tuple(stats))
+
+
+def sized_model(sizes) -> RqModel:
+    """A model with the given level sizes whose centroids take no memory:
+    broadcast zeros, enough for the metrics that read only the sizes."""
+    zero = np.zeros((1, 1), dtype=np.float32)
+    return RqModel(
+        config=RqConfig(levels=len(sizes), codebook_sizes=tuple(sizes)),
+        codebooks=tuple(Codebook(level=h + 1, centroids=np.broadcast_to(zero, (k, 1)))
+                        for h, k in enumerate(sizes)),
+        dim=1,
+        fit_stats=tuple(LevelFitStats(level=h + 1, configured_size=k, effective_size=k, mse_trace=(0.0,))
+                        for h, k in enumerate(sizes)),
+    )
+
+
+def encode(model: RqModel, x) -> tuple[int, ...]:
+    """The SID of one vector, through encode_batch."""
+    return tuple(encode_batch(model, np.reshape(np.asarray(x, dtype=np.float64), (1, -1)))[0].tolist())
+
+
+def report_of(assign: SidAssignment) -> DiagnosticsReport:
+    """build_report on a model sized to the assignment's largest tokens."""
+    return build_report(assign, sized_model((assign.tokens.max(axis=0) + 1).tolist()))
 
 
 def assignment_from_sids(sids: dict, model_hash: str = "test") -> SidAssignment:

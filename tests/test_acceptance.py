@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sidforge
-from conftest import assignment_from_sids, random_model
+from conftest import assignment_from_sids, random_model, report_of
 from sidforge.corpus import (
     TaskId,
     _USER_TEMPLATES,
@@ -22,12 +22,11 @@ from sidforge.corpus import (
 )
 from sidforge.datamodel import EmbeddingSet, SplitDataset, UserSplit, leave_last_out_split
 from sidforge.diagnostics import (
+    build_report,
     codebook_utilization,
     collision_rate,
-    prefix_entropy,
     reconstruction_curve,
     semantic_probe,
-    unique_ratio,
 )
 from sidforge.pipeline import ArtifactPaths, load_config, run_pipeline
 from sidforge.recommender import (
@@ -131,13 +130,13 @@ def test_criterion_04_collision_unique_identity():
             for j in range(n)
         }
         assign = assignment_from_sids(sids)
-        assert collision_rate(assign) + unique_ratio(assign) == 1.0
+        assert collision_rate(assign) + report_of(assign).unique_ratio == 1.0
     identical = assignment_from_sids({f"i{j}": (1, 2) for j in range(9)})
     assert collision_rate(identical) == 1.0
-    assert unique_ratio(identical) == 0.0
+    assert report_of(identical).unique_ratio == 0.0
     distinct = assignment_from_sids({f"i{j}": (j,) for j in range(9)})
     assert collision_rate(distinct) == 0.0
-    assert unique_ratio(distinct) == 1.0
+    assert report_of(distinct).unique_ratio == 1.0
 
 
 def test_criterion_05_enrichment_improves_sid_quality():
@@ -167,7 +166,7 @@ def test_criterion_05_enrichment_improves_sid_quality():
                 (
                     collision_rate(assign),
                     codebook_utilization(assign, model),
-                    prefix_entropy(assign),
+                    build_report(assign, model).prefix_entropy,
                 )
             )
         means[level] = np.asarray(rows).mean(axis=0)

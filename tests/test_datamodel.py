@@ -71,6 +71,19 @@ class TestCatalog:
         back = load_items(path)
         assert back.items == cat.items
 
+    def test_saved_bytes_are_one_json_dumps_per_record(self, tmp_path):
+        """Non-ASCII text is written as UTF-8, not as \\u escapes; quotes and
+        control characters are escaped as json.dumps escapes them."""
+        rec = make_record(0, title='Café "Ü" \t\u2028 \U0001f600', interests=("naïve",))
+        path = tmp_path / "items.jsonl"
+        save_items(ItemCatalog.from_records([rec, make_record(1)]), path)
+        want = [
+            {"item_id": "it0", "title": rec.title, "description": rec.description, "category": rec.category,
+             "interests": ["naïve"]},
+            {"item_id": "it1", "title": "Title 1", "description": "Desc 1", "category": "cat"},
+        ]
+        assert path.read_bytes() == "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in want).encode("utf-8")
+
     def test_unknown_keys_ignored(self, tmp_path):
         path = tmp_path / "items.jsonl"
         obj = {

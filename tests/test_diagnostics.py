@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import assignment_from_sids, random_assignments, random_model
+from conftest import assignment_from_sids, random_assignments, random_model, report_of, sized_model
 from sidforge import diagnostics
 from sidforge.datamodel import EmbeddingSet
 from sidforge.diagnostics import (
@@ -15,13 +16,11 @@ from sidforge.diagnostics import (
     build_report,
     codebook_utilization,
     collision_rate,
-    prefix_entropy,
     prefix_entropy_profile,
     reconstruction_curve,
     render_table,
     report_to_dict,
     semantic_probe,
-    unique_ratio,
 )
 from sidforge.rq import Codebook, LevelFitStats, RqConfig, RqModel, assign_all
 
@@ -100,20 +99,6 @@ def reference_active_codes_per_level(assign, model):
     return tuple(len(u) for u in used)
 
 
-def sized_model(sizes) -> RqModel:
-    """A model with the given level sizes whose centroids take no memory:
-    broadcast zeros, enough for the metrics that read only the sizes."""
-    zero = np.zeros((1, 1), dtype=np.float32)
-    return RqModel(
-        config=RqConfig(levels=len(sizes), codebook_sizes=tuple(sizes)),
-        codebooks=tuple(Codebook(level=h + 1, centroids=np.broadcast_to(zero, (k, 1)))
-                        for h, k in enumerate(sizes)),
-        dim=1,
-        fit_stats=tuple(LevelFitStats(level=h + 1, configured_size=k, effective_size=k, mse_trace=(0.0,))
-                        for h, k in enumerate(sizes)),
-    )
-
-
 class TestPrefixCountsMatchReference:
     """The sorted-prefix pass against the Counter and set loops, bit for bit."""
 
@@ -138,10 +123,12 @@ class TestPrefixCountsMatchReference:
 
     def test_active_codes_name_the_bad_token(self):
         model = sized_model((4, 3))
-        for sids, match in (({"a": (0, 1), "b": (4, 0)}, "token 4 out of range at level 1"),
-                            ({"a": (0, -1), "b": (5, 0)}, "token -1 out of range at level 2"),
+        for sids, match in (({"a": (0, 1), "b": (4, 0)}, "item 'b': token 4 out of range [0, 4) at level 1 (row 1)"),
+                            # level order: b's level-1 token comes before a's level-2 token
+                            ({"a": (0, -1), "b": (5, 0)}, "item 'b': token 5 out of range [0, 4) at level 1 (row 1)"),
+                            ({"a": (0, -1), "b": (3, 0)}, "item 'a': token -1 out of range [0, 3) at level 2 (row 0)"),
                             ({"a": (0, 1, 0)}, "SID length does not match")):
-            with pytest.raises(DiagnosticsError, match=match):
+            with pytest.raises(DiagnosticsError, match=re.escape(match)):
                 active_codes_per_level(assignment_from_sids(sids), model)
 
 
@@ -149,25 +136,25 @@ class TestCollision:
     def test_all_distinct(self):
         assign = assignment_from_sids({"a": (0,), "b": (1,), "c": (2,)})
         assert collision_rate(assign) == 0.0
-        assert unique_ratio(assign) == 1.0
+        assert report_of(assign).unique_ratio == 1.0
 
     def test_all_identical(self):
         assign = assignment_from_sids({"a": (7,), "b": (7,), "c": (7,)})
         assert collision_rate(assign) == 1.0
-        assert unique_ratio(assign) == 0.0
+        assert report_of(assign).unique_ratio == 0.0
 
     def test_hand_case(self):
         # two of four items share a SID -> half the items collide
         assign = assignment_from_sids({"a": (0, 1), "b": (0, 1), "c": (2, 0), "d": (3, 3)})
         assert collision_rate(assign) == 0.5
-        assert unique_ratio(assign) == 0.5
+        assert report_of(assign).unique_ratio == 0.5
 
     def test_sum_is_exactly_one(self, rng):
         for _ in range(30):
             n = int(rng.integers(1, 40))
             sids = {f"i{k}": (int(rng.integers(0, 6)),) for k in range(n)}
             assign = assignment_from_sids(sids)
-            assert collision_rate(assign) + unique_ratio(assign) == 1.0
+            assert collision_rate(assign) + report_of(assign).unique_ratio == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(DiagnosticsError):
@@ -209,17 +196,17 @@ class TestPrefixEntropy:
         )
         profile = prefix_entropy_profile(assign)
         assert profile == pytest.approx((1.0, 2.0))
-        assert prefix_entropy(assign) == pytest.approx(1.5)
+        assert report_of(assign).prefix_entropy == pytest.approx(1.5)
 
     def test_degenerate_assignment(self):
         assign = assignment_from_sids({"a": (0, 0), "b": (0, 0)})
-        assert prefix_entropy(assign) == 0.0
+        assert report_of(assign).prefix_entropy == 0.0
 
     def test_skewed_distribution(self):
         # 3 items at prefix (0,), 1 at (1,): H = -(0.75 log 0.75 + 0.25 log 0.25)
         assign = assignment_from_sids({"a": (0,), "b": (0,), "c": (0,), "d": (1,)})
         want = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
-        assert prefix_entropy(assign) == pytest.approx(want)
+        assert report_of(assign).prefix_entropy == pytest.approx(want)
 
 
 class TestReconstructionCurve:

@@ -1,13 +1,17 @@
 """Source guards over the sidforge package: no module reads a private
 (underscore) name of a sibling module, since what modules share is public;
 only datamodel.atomic_open opens a file for writing; no module keeps an
-unused import; and every function, class and method is read by the package
-or the benchmark, not by tests alone."""
+unused import; every function, class and method is read by the package
+or the benchmark, not by tests alone; and generating inputs loads none of
+the fitting or pipeline code."""
 
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import sidforge
@@ -228,3 +232,14 @@ def test_every_definition_is_read_outside_the_tests():
         if not path.name.startswith("test_")
     }
     assert unread_definitions(defined, readers) == []
+
+
+def test_generating_inputs_loads_no_fit_or_pipeline_code():
+    """Making a synthetic catalog and log (the benchmark's set-up) imports
+    datamodel and synthgen only: neither may pull in rq, the pipeline, or the
+    thread-pool and hashing modules those load."""
+    heavy = ("sidforge.rq", "sidforge.pipeline", "concurrent.futures", "hashlib")
+    code = f"import sidforge.datamodel, sidforge.synthgen, sys; print(*[m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []

@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import assignment_from_sids, random_assignments, random_model
+from conftest import assignment_from_sids, encode, random_assignments, random_model
 from sidforge import rq
 from sidforge.datamodel import EmbeddingSet, atomic_open
 from sidforge.rq import (
@@ -22,7 +22,6 @@ from sidforge.rq import (
     build_trie,
     decode,
     decode_batch,
-    encode,
     encode_batch,
     fit_codebooks,
     level_letter,
@@ -645,10 +644,13 @@ class TestRendering:
     def test_parse_range_checked_against_model(self, rng):
         model = random_model(rng, 2, [4, 4], 3)
         assert parse_sid("<a_3><b_0>", model) == (3, 0)
-        with pytest.raises(RqError):
+        with pytest.raises(RqError, match=re.escape("token 4 out of range [0, 4) at level 1 (row 0)")):
             parse_sid("<a_4><b_0>", model)
         with pytest.raises(RqError):
             parse_sid("<a_0>", model)
+        # A token past 64 bits is compared exactly and named as written.
+        with pytest.raises(RqError, match=re.escape(f"token {2**70} out of range [0, 4) at level 2")):
+            parse_sid(f"<a_0><b_{2**70}>", model)
 
     def test_render_matches_parent(self, rng):
         for depth in range(1, 27):

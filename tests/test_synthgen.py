@@ -8,12 +8,14 @@ import pytest
 
 from sidforge import rng, synthgen
 from sidforge.cli import main
-from sidforge.datamodel import InteractionLog
+from sidforge.datamodel import EmbeddingSet, InteractionLog, ItemCatalog, ItemRecord
 from sidforge.synthgen import (
     StreamDraws,
     SynthConfig,
     SynthError,
     _category_layout,
+    _informative_dims,
+    _twin_pairs,
     category_name,
     default_transition,
     generate_catalog,
@@ -160,6 +162,125 @@ class TestCatalog:
         assert abs(amb1 - amb0) / amb0 < 0.25
 
 
+# The benchmark's two workload shapes (perfbench/workloads.py).
+_WORKLOAD_SHAPES = {
+    "catalog_fit": dict(num_items=2048, num_users=150, dim=64, events_per_user=(4, 6)),
+    "user_eval": dict(num_items=1000, num_users=1000, dim=32, events_per_user=(20, 40)),
+}
+
+
+# ---------------------------------------------------------------------------
+# The whole-matrix catalog against the per-item loop it replaced.
+
+def reference_generate_catalog(cfg: SynthConfig):
+    """`generate_catalog` as a per-item loop, kept verbatim: a fresh
+    `rng.stream` per twin pair and per item, two draws per pair (shared
+    noise, then direction) and one row written at a time."""
+    e = cfg.enrichment_level
+    d_info = _informative_dims(cfg)
+    pairs = _twin_pairs(cfg)
+    cat = _category_layout(cfg)
+
+    centers_gen = rng.stream(cfg.seed, rng.CATEGORY_CENTERS)
+    centers = np.zeros((cfg.num_categories, cfg.dim))
+    centers[:, :d_info] = (
+        centers_gen.standard_normal((cfg.num_categories, d_info))
+        * cfg.center_scale
+        * (1.0 + 2.0 * e)
+    )
+    info_std = cfg.intra_category_noise * (1.5 - e)
+    ambient_std = cfg.intra_category_noise * 1.5
+
+    rows = np.empty((cfg.num_items, cfg.dim))
+    for j in range(pairs):
+        pair_gen = rng.stream(cfg.seed, rng.TWIN_PAIRS, j)
+        shared = pair_gen.standard_normal(cfg.dim)
+        shared[:d_info] *= info_std
+        shared[d_info:] *= ambient_std
+        direction = pair_gen.standard_normal(d_info)
+        norm = float(np.sqrt(np.square(direction).sum()))
+        if norm > 0.0:
+            direction /= norm
+        offset = np.zeros(cfg.dim)
+        offset[:d_info] = direction * (e * cfg.twin_separation * cfg.intra_category_noise)
+        base = centers[cat[2 * j]] + shared
+        rows[2 * j] = base + offset
+        rows[2 * j + 1] = base - offset
+    for i in range(2 * pairs, cfg.num_items):
+        item_gen = rng.stream(cfg.seed, rng.ITEM_NOISE, i)
+        noise = item_gen.standard_normal(cfg.dim)
+        noise[:d_info] *= info_std
+        noise[d_info:] *= ambient_std
+        rows[i] = centers[cat[i]] + noise
+
+    records = []
+    labels: dict[str, str] = {}
+    for i in range(cfg.num_items):
+        item_id = f"it{i:06d}"
+        cname = category_name(int(cat[i]))
+        if i < 2 * pairs:
+            pair, member = divmod(i, 2)
+            style = "style A" if member == 0 else "style B"
+            finish = "matte black" if member == 0 else "glossy red"
+            title = f"{cname} Model {pair:04d} ({style})"
+            description = f"Dependable {cname.lower()} model {pair:04d} for everyday use."
+            visual = f"Studio photo of a {cname.lower()} product in a {finish} finish."
+        else:
+            title = f"{cname} Item {i:05d}"
+            description = f"A dependable {cname.lower()} product, catalog entry {i}."
+            visual = (
+                f"Product photo of a {cname.lower()} item on a white background, "
+                f"angle {i % 9}."
+            )
+        records.append(
+            ItemRecord(
+                item_id=item_id,
+                title=title,
+                description=description,
+                category=cname,
+                visual_description=visual,
+                interests=(f"{cname.lower()} enthusiasts & hobby collectors",),
+            )
+        )
+        labels[item_id] = cname
+    catalog = ItemCatalog.from_records(records)
+    emb = EmbeddingSet([r.item_id for r in records], rows.astype(np.float32))
+    return catalog, emb, labels
+
+
+def assert_catalog_matches_reference(cfg):
+    catalog, emb, labels = generate_catalog(cfg)
+    want_catalog, want_emb, want_labels = reference_generate_catalog(cfg)
+    assert emb.rows.dtype == want_emb.rows.dtype == np.float32
+    assert np.array_equal(emb.rows.view(np.int32), want_emb.rows.view(np.int32))  # bits, so -0.0 != 0.0
+    assert emb.item_ids == want_emb.item_ids
+    assert catalog.items == want_catalog.items
+    assert labels == want_labels
+
+
+class TestCatalogMatchesLoop:
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("shape", ["catalog_fit", "user_eval"])
+    def test_workload_shapes(self, shape, seed):
+        assert_catalog_matches_reference(
+            small_cfg(**_WORKLOAD_SHAPES[shape], num_categories=16, intra_category_noise=0.6, seed=seed))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(twin_fraction=0.0),
+            dict(twin_fraction=1.0),
+            dict(enrichment_level=0.0),  # twins bit-identical
+            dict(dim=2, num_categories=3),
+            dict(num_items=81, twin_fraction=0.5),  # odd item count: one item after the pairs
+            dict(informative_fraction=1.0),  # no ambient block
+        ],
+        ids=["no-twins", "all-twins", "enrichment-0", "dim-2", "odd-items", "all-informative"],
+    )
+    def test_edge_configs(self, overrides):
+        assert_catalog_matches_reference(small_cfg(**overrides))
+
+
 class TestInteractions:
     def test_deterministic_and_within_bounds(self):
         cfg = small_cfg()
@@ -262,13 +383,6 @@ def reference_default_transition(cfg):
     return matrix
 
 
-# The benchmark's two workload shapes (perfbench/workloads.py).
-_WORKLOAD_SHAPES = {
-    "catalog_fit": dict(num_items=2048, num_users=150, dim=64, events_per_user=(4, 6)),
-    "user_eval": dict(num_items=1000, num_users=1000, dim=32, events_per_user=(20, 40)),
-}
-
-
 def assert_walk_matches_reference(cfg, labels_of=None):
     catalog, _, labels = generate_catalog(cfg)
     if labels_of is not None:
@@ -351,16 +465,26 @@ class TestSteppedWalkMatchesLoop:
                 rejected.append(max(0, self._halves_read() - before - 1))
                 return value
 
+        def shifted_bits(seed, index):
+            start = rejecting[index % 2] - index // 2
+            bits = real_stream(seed, rng.USER_EVENTS, 0).bit_generator
+            bits.advance(start // 4)
+            bits.random_raw(start % 4)
+            return bits
+
         def shifted_stream(seed, purpose, index=0):
             if purpose != rng.USER_EVENTS:
                 return real_stream(seed, purpose, index)
-            start = rejecting[index % 2] - index // 2
-            bits = real_stream(seed, purpose, 0).bit_generator
-            bits.advance(start // 4)
-            bits.random_raw(start % 4)
-            return CountingGenerator(bits)
+            return CountingGenerator(shifted_bits(seed, index))
 
+        def shifted_streams(seed, purpose, indices):
+            assert purpose == rng.USER_EVENTS
+            for index in indices:
+                yield np.random.Generator(shifted_bits(seed, index))
+
+        # The reference reads `rng.stream`, the stepped walk `rng.streams`.
         monkeypatch.setattr(rng, "stream", shifted_stream)
+        monkeypatch.setattr(rng, "streams", shifted_streams)
         fast = generate_interactions(catalog, labels, cfg)
         assert fast == reference_generate_interactions(catalog, labels, cfg)
         assert sum(rejected) >= 1
@@ -375,7 +499,7 @@ class TestStreamDraws:
         float rules fails here first."""
         seeds = range(5)
         gens = [rng.stream(3, rng.USER_EVENTS, r) for r in seeds]
-        draws = StreamDraws([rng.stream(3, rng.USER_EVENTS, r).bit_generator for r in seeds], width=4)
+        draws = StreamDraws(3, rng.USER_EVENTS, seeds, width=4)
         subsets = [np.arange(5), np.array([0, 2, 4]), np.array([3]), np.array([1, 2, 3, 4])]
         for step in range(240):
             rows = subsets[step % len(subsets)]
@@ -396,7 +520,7 @@ class TestStreamDraws:
         """2**31 + 1 rejects about half its words, so a 4-word row runs out
         and is topped up from its own stream many times."""
         gen = rng.stream(9, rng.USER_EVENTS, 1)
-        draws = StreamDraws([rng.stream(9, rng.USER_EVENTS, 1).bit_generator], width=4)
+        draws = StreamDraws(9, rng.USER_EVENTS, [1], width=4)
         row = np.array([0])
         got = [int(draws.integers(row, 2**31 + 1)[0]) for _ in range(200)]
         assert got == [int(gen.integers(2**31 + 1)) for _ in range(200)], (
