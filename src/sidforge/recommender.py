@@ -26,11 +26,14 @@ Speed without changing a bit of the results:
   hypothesis's row, adds it to the hypothesis score with the same float64
   addition as a token-by-token walk, and ranks the candidates with one
   lexsort on (-score, node), the trie's nodes being in token order.
+- `split_rows`, the one place a split becomes assignment rows, gives each
+  user's history as a CSR of rows; every stage-5 function reads it.
 - `evaluate` searches once per n-gram state, the last order - 1 tokens of
-  a user's context, and gives that ranking to every user with the state.
-  It is exact: the state of the context extended by a beam's tokens is the
-  state of the state extended by them, so every row, score and tie-break
-  of the search is the same.
+  a user's context, `stream[max(start, end - (order - 1)):end]` of the
+  histories' token stream, and gives that ranking to every user with the
+  state. It is exact: the state of the context extended by a beam's tokens
+  is the state of the state extended by them, so every row, score and
+  tie-break of the search is the same.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -90,22 +94,28 @@ def _global_tokens(assign: SidAssignment, offsets) -> np.ndarray:
     return assign.tokens.reshape(len(assign), len(offsets)) + np.array(offsets, dtype=np.int64)
 
 
-def flat_sids(assign: SidAssignment, offsets) -> dict[str, tuple[int, ...]]:
-    """Each assigned item's SID as a tuple of global tokens."""
-    return dict(zip(assign.item_ids, zip(*_global_tokens(assign, offsets).T.tolist())))
+def split_rows(split: SplitDataset, assign: SidAssignment, include_validation: bool):
+    """`(user_ids, rows, ends, test)`, the one map from a split to assignment
+    rows: the users in sorted order; user i's history, its train items then
+    its validation item when included, less the items with no SID, is
+    `rows[ends[i - 1]:ends[i]]` (from 0 for i = 0); `test[i]` is its test
+    item's row, or -1 when that has no SID."""
+    user_ids = sorted(split.users)
+    users = list(map(split.users.__getitem__, user_ids))
+    row_of = dict(zip(assign.item_ids, range(len(assign))))
 
+    def rows_of(items, count):  # one C-level pass of dict lookups
+        return np.fromiter(map(row_of.get, items, itertools.repeat(-1)), np.int64, count)
 
-def user_state(model, user_train, validation, flat, include_validation: bool) -> tuple[int, ...]:
-    """The n-gram state of a user's `flat_sids` tokens (train items, then the
-    validation item when included; items without a SID skipped), read from
-    the newest item back until the state's order - 1 tokens are found."""
-    newest_first = itertools.chain((validation,) if include_validation else (), reversed(user_train))
-    tail: list[int] = []
-    for sid in filter(None, map(flat.get, newest_first)):
-        if len(tail) >= model.order - 1:
-            break
-        tail[:0] = sid
-    return model.state(tail)
+    lengths = np.fromiter(map(len, map(attrgetter("train"), users)), np.int64, len(users))
+    rows = rows_of(itertools.chain.from_iterable(map(attrgetter("train"), users)), int(lengths.sum()))
+    if include_validation:  # each validation row goes at its user's end
+        validation = rows_of(map(attrgetter("validation"), users), len(users))
+        rows = np.insert(rows, lengths.cumsum(), validation)
+    kept = rows >= 0
+    owner = np.arange(len(users)).repeat(lengths + bool(include_validation))
+    ends = np.bincount(owner[kept], minlength=len(users)).cumsum()
+    return user_ids, rows[kept], ends, rows_of(map(attrgetter("test"), users), len(users))
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,16 +209,10 @@ def train_ngram(
     flat = _global_tokens(assign, level_offsets(sizes))
     if flat.size and not (flat.min() >= 0 and flat.max() < vocab_size):
         raise RecommenderError(f"a SID token lies outside the level sizes {list(sizes)}")
-    row_of = dict(zip(assign.item_ids, range(len(assign))))
-    user_rows = []
-    for user_id in sorted(split.users):
-        user = split.users[user_id]
-        items = itertools.chain(user.train, (user.validation,) if include_validation else ())
-        user_rows.append([r for r in map(row_of.get, items) if r is not None])
-    lengths = np.array(list(map(len, user_rows)), dtype=np.int64) * flat.shape[1]
+    _, item_rows, ends, _ = split_rows(split, assign, include_validation)
+    lengths = np.diff(ends, prepend=0) * flat.shape[1]
     if not lengths.any():
         raise RecommenderError("no training tokens; empty split or assignment")
-    item_rows = np.fromiter(itertools.chain.from_iterable(user_rows), dtype=np.int64)
     # The narrowest type that holds every token keeps the window copies small.
     tokens = flat.astype(np.min_scalar_type(vocab_size - 1))[item_rows].ravel()
     user_start = np.zeros(tokens.size, dtype=bool)
@@ -322,7 +326,7 @@ def beam_search(
     """
     if top_k < 1 or beam_size < top_k:
         raise RecommenderError("need beam_size >= top_k >= 1")
-    if trie.n_sids == 0 or not trie.next_tokens(()):
+    if trie.n_sids == 0:
         raise RecommenderError("empty trie")
     sizes = tuple(int(k) for k in sizes)
     if len(sizes) != trie.depth:
@@ -434,17 +438,21 @@ def evaluate(
             f"the n-gram's level sizes {list(model.sizes)} are not the SID levels' {list(sizes)}"
         )
     top_k = min(beam_size, max(ks))
-    flat = flat_sids(assign, level_offsets(sizes))
+    flat = _global_tokens(assign, level_offsets(sizes))
+    user_ids, rows, ends, test = split_rows(split, assign, include_validation)
+    stream = flat[rows].ravel().tolist()
+    sids = assign.tokens.tolist()
     rankings: dict[tuple[int, ...], list[SidSequence]] = {}
     ranks: dict[str, int] = {}
     excluded = 0
     shortfalls = 0
-    for user_id in sorted(split.users):
-        user = split.users[user_id]
-        if user.test not in assign:
+    # A user's tokens are stream[start:end]; its state is their last order - 1.
+    bounds = (ends * len(sizes)).tolist()
+    for user_id, start, end, test_row in zip(user_ids, [0, *bounds], bounds, test.tolist()):
+        if test_row < 0:
             excluded += 1
             continue
-        state = user_state(model, user.train, user.validation, flat, include_validation)
+        state = tuple(stream[max(start, end - (model.order - 1)):end])
         ranked = rankings.get(state)
         if ranked is None:
             found = beam_search(model, state, trie, beam_size, top_k, sizes, unconstrained=unconstrained)
@@ -453,7 +461,7 @@ def evaluate(
                 raise RecommenderError("constrained search produced a non-catalog SID")
         if len(ranked) < top_k:
             shortfalls += 1
-        target = assign[user.test]
+        target = tuple(sids[test_row])
         ranks[user_id] = ranked.index(target) + 1 if target in ranked else 0
     return _metrics_from_ranks(ranks, ks, excluded, shortfalls, keep_ranks)
 
@@ -462,14 +470,13 @@ def popularity_ranking(
     split: SplitDataset, assign: SidAssignment, include_validation: bool = True
 ) -> list[SidSequence]:
     """Catalog SIDs ranked by train-sequence frequency (ties lexicographic).
-    A static list: every user sees the same ranking."""
-    sids = assign.sids
-    counts = dict.fromkeys(sids.values(), 0)
-    for user in split.users.values():
-        items = itertools.chain(user.train, (user.validation,) if include_validation else ())
-        for sid in filter(None, map(sids.get, items)):
-            counts[sid] += 1
-    return sorted(counts, key=lambda s: (-counts[s], s))
+    A static list: every user sees the same ranking. np.unique sorts the
+    distinct SIDs, so a stable sort on the negated counts keeps ties in order."""
+    distinct, index = np.unique(assign.tokens, axis=0, return_inverse=True)
+    _, rows, _, _ = split_rows(split, assign, include_validation)
+    # The inverse's shape changed between numpy 2.0 releases; flatten it.
+    counts = np.bincount(index.reshape(-1)[rows], minlength=len(distinct))
+    return list(map(tuple, distinct[np.argsort(-counts, kind="stable")].tolist()))
 
 
 def evaluate_static_ranking(
@@ -482,9 +489,11 @@ def evaluate_static_ranking(
     semantics as evaluate()."""
     check_settings(ks=ks)
     position_of = {sid: i + 1 for i, sid in enumerate(ranked)}
-    ranks = {user_id: position_of.get(assign[user.test], 0)
-             for user_id, user in split.users.items() if user.test in assign}
-    return _metrics_from_ranks(ranks, ks, len(split.users) - len(ranks), 0, False)
+    user_ids, _, _, test = split_rows(split, assign, False)
+    sids = assign.tokens.tolist()
+    ranks = {user_id: position_of.get(tuple(sids[row]), 0)
+             for user_id, row in zip(user_ids, test.tolist()) if row >= 0}
+    return _metrics_from_ranks(ranks, ks, len(user_ids) - len(ranks), 0, False)
 
 
 def load_metrics(path) -> dict:

@@ -175,9 +175,6 @@ class SidAssignment:
     def __getitem__(self, item_id: str) -> SidSequence:
         return self.sids[item_id]
 
-    def __contains__(self, item_id: str) -> bool:
-        return item_id in self.sids
-
 
 def sorted_prefixes(tokens: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """`(rows, starts)` for an (n, levels) integer matrix: its rows in
@@ -580,21 +577,6 @@ class SidTrie:
     @property
     def n_sids(self) -> int:
         return len(self.leaves)
-
-    def next_tokens(self, prefix) -> tuple[int, ...]:
-        """Sorted tokens that extend `prefix` towards a catalog SID; () when
-        `prefix` is a full SID or not a prefix of any."""
-        prefix = tuple(prefix)
-        if len(prefix) >= self.depth:
-            return ()
-        node = 0
-        for (indptr, tokens), token in zip(self.levels, prefix):
-            lo, hi = indptr[node], indptr[node + 1]
-            node = lo + int(np.searchsorted(tokens[lo:hi], token))
-            if node == hi or tokens[node] != token:
-                return ()
-        indptr, tokens = self.levels[len(prefix)]
-        return tuple(tokens[indptr[node]:indptr[node + 1]].tolist())
 
     def __contains__(self, tokens) -> bool:
         return tuple(tokens) in self.leaves

@@ -189,23 +189,24 @@ def generate_catalog(cfg: SynthConfig):
     rows[:2 * pairs:2] = base + offset
     rows[1:2 * pairs:2] = base - offset
 
+    names = [(name, name.lower()) for name in map(category_name, range(cfg.num_categories))]
     records = []
     labels: dict[str, str] = {}
-    for i in range(cfg.num_items):
+    for i, c in enumerate(cat.tolist()):
         item_id = f"it{i:06d}"
-        cname = category_name(int(cat[i]))
+        cname, lower = names[c]
         if i < 2 * pairs:
             pair, member = divmod(i, 2)
             style = "style A" if member == 0 else "style B"
             finish = "matte black" if member == 0 else "glossy red"
             title = f"{cname} Model {pair:04d} ({style})"
-            description = f"Dependable {cname.lower()} model {pair:04d} for everyday use."
-            visual = f"Studio photo of a {cname.lower()} product in a {finish} finish."
+            description = f"Dependable {lower} model {pair:04d} for everyday use."
+            visual = f"Studio photo of a {lower} product in a {finish} finish."
         else:
             title = f"{cname} Item {i:05d}"
-            description = f"A dependable {cname.lower()} product, catalog entry {i}."
+            description = f"A dependable {lower} product, catalog entry {i}."
             visual = (
-                f"Product photo of a {cname.lower()} item on a white background, "
+                f"Product photo of a {lower} item on a white background, "
                 f"angle {i % 9}."
             )
         records.append(
@@ -215,7 +216,7 @@ def generate_catalog(cfg: SynthConfig):
                 description=description,
                 category=cname,
                 visual_description=visual,
-                interests=(f"{cname.lower()} enthusiasts & hobby collectors",),
+                interests=(f"{lower} enthusiasts & hobby collectors",),
             )
         )
         labels[item_id] = cname

@@ -146,7 +146,7 @@ class TestMakeExamples:
             for example in make_examples(task, split, catalog, assign)[0]:
                 user = split.users[example.provenance]
                 assert example.target_output == render_sid(assign[user.validation])
-                if user.test in assign:
+                if user.test in assign.sids:
                     assert example.target_output != render_sid(assign[user.test])
 
     def test_history_truncated_to_max(self):
@@ -236,9 +236,9 @@ def reference_make_examples(task, split, catalog, assign, max_history=20):
     if source == "history":
         for user_id in sorted(split.users):
             user = split.users[user_id]
-            history = [i for i in user.train[-max_history:] if i in catalog and i in assign]
+            history = [i for i in user.train[-max_history:] if i in catalog and i in assign.sids]
             target = user.validation
-            if not history or target not in catalog or target not in assign:
+            if not history or target not in catalog or target not in assign.sids:
                 skipped += 1
                 continue
             shown = HISTORY_SEPARATOR.join(show(input_view, i) for i in history)
@@ -250,7 +250,7 @@ def reference_make_examples(task, split, catalog, assign, max_history=20):
 
     for record in catalog:
         # An empty title is still shown; an empty visual description is not.
-        if record.item_id not in assign or (
+        if record.item_id not in assign.sids or (
             input_view == "visual_description" and not record.visual_description
         ):
             skipped += 1

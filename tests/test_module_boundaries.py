@@ -234,6 +234,32 @@ def test_every_definition_is_read_outside_the_tests():
     assert unread_definitions(defined, readers) == []
 
 
+def attribute_readers(source: str, attr: str) -> list[str]:
+    """Names of the functions in a module's source that read `<anything>.attr`,
+    each read counted toward its innermost enclosing function."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+            if isinstance(child, ast.Attribute) and child.attr == attr and isinstance(child.ctx, ast.Load):
+                found.append(scope)
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(set(found))
+
+
+def test_only_split_rows_reads_a_splits_users():
+    """Which items make a user's history, and which users are evaluated, is
+    decided in one place: recommender.split_rows turns a split into
+    assignment rows, and every other stage-5 function reads those."""
+    source = "def f(s):\n    def g():\n        return s.users\n    return g, s.users_x\nx = y.users\n"
+    assert attribute_readers(source, "users") == ["<module>", "g"]
+    source = (PACKAGE_DIR / "recommender.py").read_text(encoding="utf-8")
+    assert attribute_readers(source, "users") == ["split_rows"]
+
+
 def test_generating_inputs_loads_no_fit_or_pipeline_code():
     """Making a synthetic catalog and log (the benchmark's set-up) imports
     datamodel and synthgen only: neither may pull in rq, the pipeline, or the

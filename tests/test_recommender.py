@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import re
@@ -20,13 +21,12 @@ from sidforge.recommender import (
     beam_search,
     evaluate,
     evaluate_static_ranking,
-    flat_sids,
     level_offsets,
     load_ngram,
     popularity_ranking,
     save_ngram,
+    split_rows,
     train_ngram,
-    user_state,
     write_metrics_csv,
 )
 from sidforge.rq import build_trie
@@ -411,12 +411,19 @@ class ReferenceModel:
         return reference_score_next(self.model, context)
 
 
+def trie_children(trie, prefix) -> tuple[int, ...]:
+    """The sorted tokens that extend `prefix` towards a catalog SID, read from
+    the trie's full SIDs, not from its CSR arrays; () past the last level."""
+    n = len(prefix)
+    return tuple(sorted({leaf[n] for leaf in trie.leaves if len(leaf) > n and leaf[:n] == tuple(prefix)}))
+
+
 def reference_beam_search(model, context, trie, beam_size, top_k, sizes, unconstrained=False):
     """beam_search before it was vectorised, verbatim: one Python tuple per
     candidate and one list sort per level."""
     if top_k < 1 or beam_size < top_k:
         raise RecommenderError("need beam_size >= top_k >= 1")
-    if trie.n_sids == 0 or not trie.next_tokens(()):
+    if trie.n_sids == 0 or not trie_children(trie, ()):
         raise RecommenderError("empty trie")
     sizes = tuple(int(k) for k in sizes)
     if len(sizes) != trie.depth:
@@ -429,7 +436,7 @@ def reference_beam_search(model, context, trie, beam_size, top_k, sizes, unconst
         candidates = []
         for score, tokens, gtokens in beams:
             logp = model.score_next(ctx + gtokens)
-            children = range(sizes[level]) if unconstrained else trie.next_tokens(tokens)
+            children = range(sizes[level]) if unconstrained else trie_children(trie, tokens)
             for token in children:
                 gid = offsets[level] + token
                 candidates.append((score + float(logp[gid]), tokens + (token,), gtokens + (gid,)))
@@ -480,7 +487,7 @@ def memoised_beam_search(model, context, trie, beam_size, top_k, sizes, unconstr
     `score_next` row per hypothesis and a lexsort on the token columns."""
     if top_k < 1 or beam_size < top_k:
         raise RecommenderError("need beam_size >= top_k >= 1")
-    if trie.n_sids == 0 or not trie.next_tokens(()):
+    if trie.n_sids == 0 or not trie_children(trie, ()):
         raise RecommenderError("empty trie")
     sizes = tuple(int(k) for k in sizes)
     if len(sizes) != trie.depth:
@@ -511,6 +518,41 @@ def memoised_beam_search(model, context, trie, beam_size, top_k, sizes, unconstr
     return [(tuple(t), s) for t, s in zip(tokens[:top_k].tolist(), scores[:top_k].tolist())]
 
 
+def flat_sids(assign, offsets) -> dict[str, tuple[int, ...]]:
+    """recommender.flat_sids before split_rows, verbatim: each assigned item's
+    SID as a tuple of global tokens."""
+    return dict(zip(assign.item_ids, zip(*recommender._global_tokens(assign, offsets).T.tolist())))
+
+
+def user_state(model, user_train, validation, flat, include_validation: bool) -> tuple[int, ...]:
+    """recommender.user_state before split_rows, verbatim: the n-gram state of
+    a user's `flat_sids` tokens (train items, then the validation item when
+    included; items without a SID skipped), read from the newest item back
+    until the state's order - 1 tokens are found."""
+    newest_first = itertools.chain((validation,) if include_validation else (), reversed(user_train))
+    tail: list[int] = []
+    for sid in filter(None, map(flat.get, newest_first)):
+        if len(tail) >= model.order - 1:
+            break
+        tail[:0] = sid
+    return model.state(tail)
+
+
+def reference_split_rows(split, assign, include_validation):
+    """split_rows as a per-user loop: each user's train items (then its
+    validation item) that have a SID, as assignment rows."""
+    row_of = {item: row for row, item in enumerate(assign.item_ids)}
+    user_ids, rows, ends, test = [], [], [], []
+    for user_id in sorted(split.users):
+        user = split.users[user_id]
+        items = list(user.train) + ([user.validation] if include_validation else [])
+        rows.extend(row_of[item] for item in items if item in row_of)
+        user_ids.append(user_id)
+        ends.append(len(rows))
+        test.append(row_of.get(user.test, -1))
+    return user_ids, rows, ends, test
+
+
 def reference_counts(split, assign, sizes, order, include_validation):
     """train_ngram's counting before it sorted windows: the Counter loop."""
     offsets = level_offsets(sizes)
@@ -519,7 +561,7 @@ def reference_counts(split, assign, sizes, order, include_validation):
     for user_id in sorted(split.users):
         user = split.users[user_id]
         items = list(user.train) + ([user.validation] if include_validation else [])
-        tokens = tuple(t for item in items if item in assign for t in flatten_sid(assign[item], offsets))
+        tokens = tuple(t for item in items if item in assign.sids for t in flatten_sid(assign[item], offsets))
         for i, token in enumerate(tokens):
             for length in range(min(order - 1, i) + 1):
                 ctx = tokens[i - length:i]
@@ -569,7 +611,7 @@ def reference_evaluate(
     shortfalls = 0
     for user_id in sorted(split.users):
         user = split.users[user_id]
-        if user.test not in assign:
+        if user.test not in assign.sids:
             excluded += 1
             continue
         target = assign[user.test]
@@ -636,8 +678,9 @@ class TestFastPathsMatchLoops:
         split = split_of({"u": ["a", "b", "a", "b"]})
         with pytest.raises(RecommenderError, match="the SIDs have 2 levels, not 1"):
             train_ngram(split, assign, (4,), order=2, alpha=0.5)
+        model = ngram_model(2, 0.5, (2, 2, 2), {(): {}})
         with pytest.raises(RecommenderError, match="the SIDs have 2 levels, not 3"):
-            flat_sids(assign, (0, 2, 4))
+            evaluate(model, split, assign, build_trie(assign), (2, 2, 2), ks=(1,))
         with pytest.raises(RecommenderError, match=re.escape("outside the level sizes [2, 1]")):
             train_ngram(split, assign, (2, 1), order=2, alpha=0.5)
 
@@ -717,7 +760,7 @@ class TestFastPathsMatchLoops:
             evaluate(model, split, assign, trie, sizes, ks=(3,), beam_size=4)
             contexts = [
                 user_context(user.train, user.validation, flat, True)
-                for user in split.users.values() if user.test in assign
+                for user in split.users.values() if user.test in assign.sids
             ]
             states = {ctx[max(len(ctx) - order + 1, 0):] for ctx in contexts}
             assert sorted(searched) == sorted(states), f"order {order}"
@@ -725,17 +768,27 @@ class TestFastPathsMatchLoops:
         assert train_ngram(split, assign, sizes, 1, 0.3).state((1, 2, 3)) == ()
 
     def test_user_state_is_the_state_of_the_whole_context(self):
+        """A user's slice of the split_rows token stream is its whole context,
+        and evaluate's state, the slice's last order - 1 tokens, is the
+        user_state oracle's."""
         for trial in range(30):
             gen = np.random.default_rng(3000 + trial)
             sizes, assign, split = evaluation_case(gen)
-            flat = flat_sids(assign, level_offsets(sizes))
-            for order in (1, 2, 3):
-                model = ngram_model(order, 1.0, sizes, {(): {}})
-                for include_validation in (True, False):
-                    for user_id, user in split.users.items():
-                        whole = user_context(user.train, user.validation, flat, include_validation)
-                        got = user_state(model, user.train, user.validation, flat, include_validation)
-                        assert got == model.state(whole), f"trial {trial} order {order} {user_id}"
+            offsets = level_offsets(sizes)
+            flat = flat_sids(assign, offsets)
+            for include_validation in (True, False):
+                user_ids, rows, ends, _ = split_rows(split, assign, include_validation)
+                stream = recommender._global_tokens(assign, offsets)[rows].ravel().tolist()
+                bounds = (ends * len(sizes)).tolist()
+                for user_id, start, end in zip(user_ids, [0, *bounds], bounds):
+                    user = split.users[user_id]
+                    whole = user_context(user.train, user.validation, flat, include_validation)
+                    assert tuple(stream[start:end]) == whole, f"trial {trial} {user_id}"
+                    for order in (1, 2, 3):
+                        model = ngram_model(order, 1.0, sizes, {(): {}})
+                        got = tuple(stream[max(start, end - (order - 1)):end])
+                        want = user_state(model, user.train, user.validation, flat, include_validation)
+                        assert got == want == model.state(whole), f"trial {trial} order {order} {user_id}"
 
     def test_vocab_size_cached_outside_equality_repr_and_file(self, tmp_path):
         assign = assignment_from_sids({f"i{j}": (j % 4, j % 3) for j in range(12)})
@@ -825,6 +878,45 @@ class TestFastPathsMatchLoops:
                             got = beam_search(model, *args)
                             assert [(t, s.hex()) for t, s in got] == [(t, s.hex()) for t, s in want], (
                                 f"trial {trial} order {order} beam {beam_size} ctx {ctx}")
+
+
+class TestSplitRows:
+    def test_equals_the_per_user_loop(self):
+        for trial in range(40):
+            gen = np.random.default_rng(6000 + trial)
+            for case in (random_case, evaluation_case):
+                _, assign, split = case(gen)
+                for include_validation in (True, False):
+                    user_ids, rows, ends, test = split_rows(split, assign, include_validation)
+                    assert all(a.dtype == np.int64 for a in (rows, ends, test))
+                    want = reference_split_rows(split, assign, include_validation)
+                    assert (user_ids, rows.tolist(), ends.tolist(), test.tolist()) == want, f"trial {trial}"
+
+    def test_hand_case(self):
+        """A user with no item that has a SID, one with no train items, and one
+        whose test item has no SID; users given out of order."""
+        assign = assignment_from_sids({"a": (0, 1), "b": (1, 0), "c": (1, 1)})
+        split = SplitDataset(users={
+            "plain": UserSplit(train=("c", "b"), validation="a", test="b"),
+            "no_sids": UserSplit(train=("x", "y"), validation="z", test="a"),
+            "no_train": UserSplit(train=(), validation="b", test="c"),
+            "no_test_sid": UserSplit(train=("a", "x", "c"), validation="x", test="q"),
+        }, n_dropped_users=0)
+        users = ["no_sids", "no_test_sid", "no_train", "plain"]
+        for include_validation, rows, ends in (
+            (True, [0, 2, 1, 2, 1, 0], [0, 2, 3, 6]),
+            (False, [0, 2, 2, 1], [0, 2, 2, 4]),
+        ):
+            got = split_rows(split, assign, include_validation)
+            assert (got[0], got[1].tolist(), got[2].tolist(), got[3].tolist()) == (
+                users, rows, ends, [0, -1, 2, 1])
+            assert reference_split_rows(split, assign, include_validation) == (users, rows, ends, [0, -1, 2, 1])
+            model = train_ngram(split, assign, (2, 2), 3, 0.5, include_validation)
+            assert ngram_dicts(model) == reference_counts(split, assign, (2, 2), 3, include_validation)
+            args = (model, split, assign, build_trie(assign), (2, 2), (1, 3), 3, include_validation, True)
+            assert evaluate(*args) == reference_evaluate(*args)
+        empty = split_rows(SplitDataset(users={}, n_dropped_users=0), assign, True)
+        assert (empty[0], *(a.tolist() for a in empty[1:])) == ([], [], [], [])
 
 
 class TestMetrics:
@@ -927,6 +1019,31 @@ class TestPopularity:
         ranked = popularity_ranking(split, assign)
         assert ranked == [(2,), (0,), (1,)]
 
+    def test_ranking_equals_the_counting_loop(self):
+        """Heavy collisions (2 or 3 values per level), items without a SID, and
+        an empty assignment."""
+        for trial in range(40):
+            gen = np.random.default_rng(7000 + trial)
+            levels = int(gen.integers(1, 4))
+            n_items = int(gen.integers(0, 30)) if trial else 0
+            sids = {f"i{j}": tuple(int(gen.integers(int(gen.integers(2, 4)))) for _ in range(levels))
+                    for j in range(n_items)}
+            assign = assignment_from_sids(sids)
+            pool = [*sids, "x0", "x1"]
+            split = split_of({
+                f"u{u}": [pool[int(gen.integers(len(pool)))] for _ in range(int(gen.integers(3, 10)))]
+                for u in range(int(gen.integers(1, 8)))
+            })
+            for include_validation in (True, False):
+                want = reference_popularity_ranking(split, assign, include_validation)
+                got = popularity_ranking(split, assign, include_validation)
+                assert got == want, f"trial {trial}"
+                assert all(type(t) is int for sid in got for t in sid)
+                for ks in ((1,), (2, 5)):
+                    assert evaluate_static_ranking(got, split, assign, ks) == (
+                        reference_evaluate_static_ranking(want, split, assign, ks)), f"trial {trial}"
+        assert popularity_ranking(split_of({"u": ["a", "b", "c"]}), assignment_from_sids({})) == []
+
     def test_static_evaluation(self):
         assign = assignment_from_sids({"a": (0,), "b": (1,), "c": (2,)})
         split = split_of({"u1": ["a", "a", "a", "a", "b"], "u2": ["a", "a", "a", "a", "c"]})
@@ -934,6 +1051,27 @@ class TestPopularity:
         report = evaluate_static_ranking(ranked, split, assign, ks=(1, 2))
         assert report.hr[1] == 0.0
         assert report.hr[2] == 0.5
+
+
+def reference_popularity_ranking(split, assign, include_validation=True):
+    """popularity_ranking before it counted assignment rows, verbatim: one
+    count per SID tuple, from the {item_id: SID} view."""
+    sids = assign.sids
+    counts = dict.fromkeys(sids.values(), 0)
+    for user in split.users.values():
+        items = itertools.chain(user.train, (user.validation,) if include_validation else ())
+        for sid in filter(None, map(sids.get, items)):
+            counts[sid] += 1
+    return sorted(counts, key=lambda s: (-counts[s], s))
+
+
+def reference_evaluate_static_ranking(ranked, split, assign, ks=(5, 10)):
+    """evaluate_static_ranking before split_rows, verbatim but for reading
+    membership from the `sids` view."""
+    position_of = {sid: i + 1 for i, sid in enumerate(ranked)}
+    ranks = {user_id: position_of.get(assign[user.test], 0)
+             for user_id, user in split.users.items() if user.test in assign.sids}
+    return _metrics_from_ranks(ranks, ks, len(split.users) - len(ranks), 0, False)
 
 
 class TestCsv:

@@ -792,7 +792,7 @@ class TestSidAssignment:
         assign = assignment_from_sids({"a": (3, 1), "b": (0, 2)})
         assert "sids" not in vars(assign)
         assert len(assign) == 2 and "sids" not in vars(assign)
-        assert assign["b"] == (0, 2) and "a" in assign and "c" not in assign
+        assert assign["b"] == (0, 2) and "a" in assign.sids and "c" not in assign.sids
         assert vars(assign)["sids"] == {"a": (3, 1), "b": (0, 2)}
         assert all(type(t) is int for s in assign.sids.values() for t in s)
 
@@ -894,14 +894,9 @@ class TestTrie:
         assert (0, 1) in trie and [0, 1] in trie
         assert (0, 3) not in trie
         assert trie.leaves == {(0, 1), (0, 2), (3, 0)}
-        sids = set(assign.sids.values())
-        for s in sids:
-            for h in range(trie.depth):
-                prefix = s[:h]
-                want = sorted({t[h] for t in sids if t[:h] == prefix})
-                assert trie.next_tokens(prefix) == tuple(want)
-        for not_prefix in [(1,), (0, 3), (0, 1), (0, 1, 0)]:
-            assert trie.next_tokens(not_prefix) == ()
+        # The root's next tokens are 0 and 3; node (0,) has 1 and 2, node (3,) has 0.
+        assert [[a.tolist() for a in level] for level in trie.levels] == [
+            [[0, 2], [0, 3]], [[0, 2, 3], [1, 2, 0]]]
 
     def test_matches_reference_build_trie(self):
         for assign in random_assignments(7):
