@@ -48,7 +48,7 @@ def _cmd_synth(args) -> int:
     _emit(
         {
             "items": len(catalog),
-            "users": len(interactions.by_user()),
+            "users": len({user for user, _, _ in interactions.events}),
             "events": len(interactions.events),
             "dim": emb.dim,
             "categories": cfg.num_categories,
@@ -74,7 +74,7 @@ def _cmd_ingest(args) -> int:
             "embeddings": emb.count,
             "events_in": len(interactions.events),
             "events_kept": len(kept.events),
-            "users_kept": len(kept.by_user()),
+            "users_kept": len({user for user, _, _ in kept.events}),
             "kcore": args.kcore,
         }
     )

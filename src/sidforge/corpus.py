@@ -18,6 +18,7 @@ from .rq import RqModel, SidAssignment, level_letter, render_sid
 log = logging.getLogger("sidforge.corpus")
 
 HISTORY_SEPARATOR = ", "
+_RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False)  # json.dumps(record, ensure_ascii=False), built once
 
 CHAT_TEMPLATE = (
     "<|im_start|>system\n{system}\n<|im_end|>\n"
@@ -228,7 +229,7 @@ def sample_corpus(
 def write_corpus(records: list[dict], path) -> None:
     with atomic_open(path, encoding="utf-8", newline="\n") as fh:
         for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write(_RECORD_ENCODER.encode(record) + "\n")
 
 
 def write_chat_corpus(records: list[dict], path) -> None:

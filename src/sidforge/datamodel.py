@@ -417,8 +417,11 @@ class InteractionLog:
 
 
 def load_interactions(path) -> InteractionLog:
-    """Read tab-separated interactions: user_id, item_id, timestamp (no header)."""
+    """Read tab-separated interactions: user_id, item_id, timestamp (no header).
+    Each event holds the first `str` read for each of its ids, so a log keeps one
+    object per distinct id, not two per event, and its k-core and split share them."""
     events: list[Event] = []
+    ids: dict[str, str] = {}
     for lineno, line in read_lines(path, InteractionError):
         line = line.rstrip("\n")
         if not line:
@@ -430,7 +433,7 @@ def load_interactions(path) -> InteractionLog:
             ts = int(cols[2])
         except ValueError:
             raise InteractionError(f"line {lineno}: timestamp {cols[2]!r} is not an integer") from None
-        events.append((cols[0], cols[1], ts))
+        events.append((ids.setdefault(cols[0], cols[0]), ids.setdefault(cols[1], cols[1]), ts))
     return InteractionLog(events=tuple(events))
 
 

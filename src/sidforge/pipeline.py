@@ -491,20 +491,20 @@ def evaluate_baseline(
     """Stage 5: (n-gram report, metrics) from trie-constrained beam search and
     the static popularity ranking. metrics is the {"ngram", "popularity"}
     payload that metrics.json stores."""
+    user_rows = recommender.split_rows(split, assign, include_validation)
     report = recommender.evaluate(
         ngram,
-        split,
+        user_rows,
         assign,
         rq.build_trie(assign),
         model.effective_sizes,
         ks=ks,
         beam_size=beam_size,
-        include_validation=include_validation,
         keep_ranks=keep_ranks,
         unconstrained=unconstrained,
     )
-    popular = recommender.popularity_ranking(split, assign, include_validation=include_validation)
-    pop_report = recommender.evaluate_static_ranking(popular, split, assign, ks=ks)
+    popular = recommender.popularity_ranking(user_rows, assign)
+    pop_report = recommender.evaluate_static_ranking(popular, user_rows, assign, ks=ks)
     return report, {"ngram": report.to_dict(), "popularity": pop_report.to_dict()}
 
 

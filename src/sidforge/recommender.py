@@ -27,7 +27,8 @@ Speed without changing a bit of the results:
   addition as a token-by-token walk, and ranks the candidates with one
   lexsort on (-score, node), the trie's nodes being in token order.
 - `split_rows`, the one place a split becomes assignment rows, gives each
-  user's history as a CSR of rows; every stage-5 function reads it.
+  user's history as a CSR of rows, one map per evaluation that every
+  stage-5 function reads.
 - `evaluate` searches once per n-gram state, the last order - 1 tokens of
   a user's context, `stream[max(start, end - (order - 1)):end]` of the
   histories' token stream, and gives that ranking to every user with the
@@ -409,23 +410,23 @@ def _metrics_from_ranks(
 
 def evaluate(
     model,
-    split: SplitDataset,
+    user_rows,
     assign: SidAssignment,
     trie: SidTrie,
     sizes,
     ks=(5, 10),
     beam_size: int = 20,
-    include_validation: bool = True,
     keep_ranks: bool = False,
     unconstrained: bool = False,
 ) -> MetricsReport:
     """Next-SID generation for every user with a test SID, and macro-averaged
     HR/NDCG.
 
-    The context is the user's flattened train (plus validation, by default)
-    token sequence; the target is the test item's SID. A generated SID counts
-    as a hit whenever the target item maps to it, collisions included. NDCG
-    uses binary relevance with gain 1/log2(rank + 1) and ideal DCG 1.
+    `user_rows` is `split_rows(split, assign, include_validation)`. The
+    context is the user's flattened history token sequence; the target is the
+    test item's SID. A generated SID counts as a hit whenever the target item
+    maps to it, collisions included. NDCG uses binary relevance with gain
+    1/log2(rank + 1) and ideal DCG 1.
 
     Every row the search scores depends only on the context's n-gram state,
     so users who share a state share a ranking: each state is searched once,
@@ -439,7 +440,7 @@ def evaluate(
         )
     top_k = min(beam_size, max(ks))
     flat = _global_tokens(assign, level_offsets(sizes))
-    user_ids, rows, ends, test = split_rows(split, assign, include_validation)
+    user_ids, rows, ends, test = user_rows
     stream = flat[rows].ravel().tolist()
     sids = assign.tokens.tolist()
     rankings: dict[tuple[int, ...], list[SidSequence]] = {}
@@ -466,30 +467,26 @@ def evaluate(
     return _metrics_from_ranks(ranks, ks, excluded, shortfalls, keep_ranks)
 
 
-def popularity_ranking(
-    split: SplitDataset, assign: SidAssignment, include_validation: bool = True
-) -> list[SidSequence]:
-    """Catalog SIDs ranked by train-sequence frequency (ties lexicographic).
+def popularity_ranking(user_rows, assign: SidAssignment) -> list[SidSequence]:
+    """Catalog SIDs ranked by their frequency in the histories of `user_rows`,
+    `split_rows`'s map (ties lexicographic).
     A static list: every user sees the same ranking. np.unique sorts the
     distinct SIDs, so a stable sort on the negated counts keeps ties in order."""
     distinct, index = np.unique(assign.tokens, axis=0, return_inverse=True)
-    _, rows, _, _ = split_rows(split, assign, include_validation)
+    _, rows, _, _ = user_rows
     # The inverse's shape changed between numpy 2.0 releases; flatten it.
     counts = np.bincount(index.reshape(-1)[rows], minlength=len(distinct))
     return list(map(tuple, distinct[np.argsort(-counts, kind="stable")].tolist()))
 
 
 def evaluate_static_ranking(
-    ranked: list[SidSequence],
-    split: SplitDataset,
-    assign: SidAssignment,
-    ks=(5, 10),
+    ranked: list[SidSequence], user_rows, assign: SidAssignment, ks=(5, 10)
 ) -> MetricsReport:
-    """HR/NDCG for a fixed SID ranking shared by all users, with the same hit
-    semantics as evaluate()."""
+    """HR/NDCG for a fixed SID ranking shared by all users of `split_rows`'s
+    map, with the same hit semantics as evaluate()."""
     check_settings(ks=ks)
     position_of = {sid: i + 1 for i, sid in enumerate(ranked)}
-    user_ids, _, _, test = split_rows(split, assign, False)
+    user_ids, _, _, test = user_rows
     sids = assign.tokens.tolist()
     ranks = {user_id: position_of.get(tuple(sids[row]), 0)
              for user_id, row in zip(user_ids, test.tolist()) if row >= 0}

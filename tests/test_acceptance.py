@@ -34,6 +34,7 @@ from sidforge.recommender import (
     evaluate,
     evaluate_static_ranking,
     popularity_ranking,
+    split_rows,
     train_ngram,
 )
 from sidforge.rq import (
@@ -240,7 +241,7 @@ def _rank_case(position: int):
         n_dropped_users=0,
     )
     ranking = [(j,) for j in range(10)]
-    return evaluate_static_ranking(ranking, split, assign, ks=(5, 10))
+    return evaluate_static_ranking(ranking, split_rows(split, assign, False), assign, ks=(5, 10))
 
 
 def test_criterion_08_metric_hand_values():
@@ -264,7 +265,7 @@ def test_criterion_08_metric_hand_values():
         }
         ranking = sorted(set(assign.sids.values()))
         gen.shuffle(ranking)
-        report = evaluate_static_ranking(ranking, split_of(seqs), assign, ks=(5, 10))
+        report = evaluate_static_ranking(ranking, split_rows(split_of(seqs), assign, False), assign, ks=(5, 10))
         assert report.hr[5] <= report.hr[10]
 
 
@@ -290,10 +291,9 @@ def test_criterion_09_ngram_beats_popularity_on_planted_patterns():
         trie = build_trie(assign)
         sizes = model.effective_sizes
         ngram = train_ngram(split, assign, sizes, order=3, alpha=0.1)
-        sequential = evaluate(ngram, split, assign, trie, sizes, ks=(10,), beam_size=20)
-        static = evaluate_static_ranking(
-            popularity_ranking(split, assign), split, assign, ks=(10,)
-        )
+        user_rows = split_rows(split, assign, True)
+        sequential = evaluate(ngram, user_rows, assign, trie, sizes, ks=(10,), beam_size=20)
+        static = evaluate_static_ranking(popularity_ranking(user_rows, assign), user_rows, assign, ks=(10,))
         wins += sequential.hr[10] > static.hr[10]
     assert wins >= 4, f"{wins}/5 seeds"
 

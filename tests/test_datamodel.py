@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import stat
 import struct
 
@@ -23,6 +24,7 @@ from sidforge.datamodel import (
     load_embeddings,
     load_interactions,
     load_items,
+    read_lines,
     save_interactions,
     save_items,
     write_embeddings,
@@ -226,7 +228,67 @@ class TestEmbeddingFile:
         )
 
 
+def reference_load_interactions(path) -> InteractionLog:
+    """load_interactions before it kept one str per distinct id, verbatim."""
+    events: list = []
+    for lineno, line in read_lines(path, InteractionError):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        cols = line.split("\t")
+        if len(cols) != 3:
+            raise InteractionError(f"line {lineno}: expected 3 tab-separated columns")
+        try:
+            ts = int(cols[2])
+        except ValueError:
+            raise InteractionError(f"line {lineno}: timestamp {cols[2]!r} is not an integer") from None
+        events.append((cols[0], cols[1], ts))
+    return InteractionLog(events=tuple(events))
+
+
+def random_log_text(gen) -> str:
+    """Tab-separated events over a small id pool shared by users and items,
+    so ids repeat and a user id can equal an item id; blank lines and LF,
+    CRLF and lone-CR line ends mixed."""
+    pool = ["u0", "u1", "a", "b", "é", "x y", "7", "ü-β"]
+    text = []
+    for _ in range(int(gen.integers(0, 60))):
+        if gen.random() < 0.15:
+            text.append("")
+        else:
+            user, item = (pool[int(i)] for i in gen.integers(len(pool), size=2))
+            text.append(f"{user}\t{item}\t{int(gen.integers(-5, 10**6))}")
+        text.append(("\n", "\r\n", "\r")[int(gen.integers(3))])
+    return "".join(text)
+
+
 class TestInteractions:
+    def test_equals_the_reference_loop(self, tmp_path):
+        path = tmp_path / "log.tsv"
+        for trial in range(40):
+            path.write_bytes(random_log_text(np.random.default_rng(2300 + trial)).encode())
+            assert load_interactions(path) == reference_load_interactions(path), f"trial {trial}"
+        for bad in ("u\ta\t1\n\r\nu\tb\n", "u\ta\t1\rv\tb\tnoon\n", "u\ta\t1\tx\n"):
+            path.write_bytes(bad.encode())
+            with pytest.raises(InteractionError) as want:
+                reference_load_interactions(path)
+            with pytest.raises(InteractionError, match=f"^{re.escape(str(want.value))}$"):
+                load_interactions(path)
+
+    def test_one_object_per_distinct_id(self, tmp_path):
+        path = tmp_path / "log.tsv"
+        for trial in range(20):
+            path.write_bytes(random_log_text(np.random.default_rng(2400 + trial)).encode())
+            log = load_interactions(path)
+            for ids in ([u for u, _, _ in log.events], [i for _, i, _ in log.events],
+                        [x for u, i, _ in log.events for x in (u, i)]):
+                assert len(set(map(id, ids))) == len(set(ids)), f"trial {trial}"
+            # The split's train, validation and test items are the log's objects.
+            canonical = {i: i for _, i, _ in log.events}
+            for user_id, user in leave_last_out_split(log).users.items():
+                for item in (*user.train, user.validation, user.test):
+                    assert item is canonical[item], f"trial {trial} {user_id}"
+
     def test_roundtrip_and_order(self, tmp_path):
         log = InteractionLog(
             events=(("u1", "a", 5), ("u1", "b", 2), ("u2", "c", 9), ("u1", "z", 2))

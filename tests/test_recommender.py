@@ -680,7 +680,7 @@ class TestFastPathsMatchLoops:
             train_ngram(split, assign, (4,), order=2, alpha=0.5)
         model = ngram_model(2, 0.5, (2, 2, 2), {(): {}})
         with pytest.raises(RecommenderError, match="the SIDs have 2 levels, not 3"):
-            evaluate(model, split, assign, build_trie(assign), (2, 2, 2), ks=(1,))
+            evaluate(model, split_rows(split, assign, True), assign, build_trie(assign), (2, 2, 2), ks=(1,))
         with pytest.raises(RecommenderError, match=re.escape("outside the level sizes [2, 1]")):
             train_ngram(split, assign, (2, 1), order=2, alpha=0.5)
 
@@ -736,10 +736,11 @@ class TestFastPathsMatchLoops:
                     beam_size = int(gen.integers(1, trie.n_sids + 4))
                     ks = sorted({int(k) for k in gen.integers(1, 8, size=2)})
                     include_validation = bool(gen.integers(2))
-                    args = (model, split, assign, trie, sizes, ks, beam_size, include_validation, True,
-                            unconstrained)
-                    want = reference_evaluate(*args)
-                    assert evaluate(*args) == want, f"trial {trial} order {order}"
+                    want = reference_evaluate(model, split, assign, trie, sizes, ks, beam_size,
+                                              include_validation, True, unconstrained)
+                    user_rows = split_rows(split, assign, include_validation)
+                    got = evaluate(model, user_rows, assign, trie, sizes, ks, beam_size, True, unconstrained)
+                    assert got == want, f"trial {trial} order {order}"
                     assert want.n_excluded >= 1 and want.n_users >= 3
 
     def test_one_search_per_ngram_state(self, monkeypatch):
@@ -757,7 +758,7 @@ class TestFastPathsMatchLoops:
         for order in (1, 2, 3, 4):
             searched.clear()
             model = train_ngram(split, assign, sizes, order, 0.3)
-            evaluate(model, split, assign, trie, sizes, ks=(3,), beam_size=4)
+            evaluate(model, split_rows(split, assign, True), assign, trie, sizes, ks=(3,), beam_size=4)
             contexts = [
                 user_context(user.train, user.validation, flat, True)
                 for user in split.users.values() if user.test in assign.sids
@@ -913,8 +914,9 @@ class TestSplitRows:
             assert reference_split_rows(split, assign, include_validation) == (users, rows, ends, [0, -1, 2, 1])
             model = train_ngram(split, assign, (2, 2), 3, 0.5, include_validation)
             assert ngram_dicts(model) == reference_counts(split, assign, (2, 2), 3, include_validation)
-            args = (model, split, assign, build_trie(assign), (2, 2), (1, 3), 3, include_validation, True)
-            assert evaluate(*args) == reference_evaluate(*args)
+            trie = build_trie(assign)
+            assert evaluate(model, got, assign, trie, (2, 2), (1, 3), 3, True) == reference_evaluate(
+                model, split, assign, trie, (2, 2), (1, 3), 3, include_validation, True)
         empty = split_rows(SplitDataset(users={}, n_dropped_users=0), assign, True)
         assert (empty[0], *(a.tolist() for a in empty[1:])) == ([], [], [], [])
 
@@ -938,7 +940,7 @@ class TestMetrics:
         )
         model = train_ngram(split, assign, (2, 2), order=1, alpha=0.01)
         report = evaluate(
-            model, split, assign, trie, (2, 2), ks=(1, 5), beam_size=3, keep_ranks=True
+            model, split_rows(split, assign, True), assign, trie, (2, 2), ks=(1, 5), beam_size=3, keep_ranks=True
         )
         # unigram heavily favors item a's tokens; a ranks first for both users
         assert report.per_user_ranks == {"u1": 1, "u2": 2}
@@ -952,7 +954,7 @@ class TestMetrics:
         trie = build_trie(assign)
         split = split_of({"u1": ["a", "b", "a"], "u2": ["a", "b", "zzz"]})
         model = train_ngram(split, assign, (2,), order=1, alpha=0.1)
-        report = evaluate(model, split, assign, trie, (2,), ks=(1,), beam_size=2)
+        report = evaluate(model, split_rows(split, assign, True), assign, trie, (2,), ks=(1,), beam_size=2)
         assert report.n_users == 1
         assert report.n_excluded == 1
 
@@ -962,7 +964,7 @@ class TestMetrics:
         trie = build_trie(assign)
         split = split_of({"u": ["b", "b", "b", "b", "t"]})
         model = train_ngram(split, assign, (2,), order=1, alpha=0.01)
-        report = evaluate(model, split, assign, trie, (2,), ks=(1,), beam_size=2)
+        report = evaluate(model, split_rows(split, assign, True), assign, trie, (2,), ks=(1,), beam_size=2)
         assert report.hr[1] == 1.0
 
     def test_ks_validated(self):
@@ -971,15 +973,15 @@ class TestMetrics:
         split = split_of({"u": ["a", "a", "a"]})
         model = train_ngram(split, assign, (1,), order=1, alpha=0.1)
         with pytest.raises(RecommenderError):
-            evaluate(model, split, assign, trie, (1,), ks=())
+            evaluate(model, split_rows(split, assign, True), assign, trie, (1,), ks=())
         with pytest.raises(RecommenderError):
-            evaluate(model, split, assign, trie, (1,), ks=(0,))
+            evaluate(model, split_rows(split, assign, True), assign, trie, (1,), ks=(0,))
 
     def test_beam_size_validated_with_no_user_to_search(self):
         assign = assignment_from_sids({"a": (0,)})
         trie = build_trie(assign)
         model = train_ngram(split_of({"u": ["a", "a", "a"]}), assign, (1,), order=1, alpha=0.1)
-        nobody = split_of({"v": ["a", "a", "x"]})
+        nobody = split_rows(split_of({"v": ["a", "a", "x"]}), assign, True)
         assert evaluate(model, nobody, assign, trie, (1,), ks=(1,), beam_size=1).n_excluded == 1
         with pytest.raises(RecommenderError, match="beam_size must be >= 1, not 0"):
             evaluate(model, nobody, assign, trie, (1,), ks=(1,), beam_size=0)
@@ -994,7 +996,7 @@ class TestMetrics:
             model = ngram_model(2, 0.1, ngram_sizes, {(): {1: 3}})
             named = re.escape(f"level sizes {list(ngram_sizes)} are not the SID levels' [4, 8]")
             with pytest.raises(RecommenderError, match=named):
-                evaluate(model, split, assign, trie, (4, 8), ks=(1,), beam_size=2)
+                evaluate(model, split_rows(split, assign, True), assign, trie, (4, 8), ks=(1,), beam_size=2)
 
 
 class TestPopularity:
@@ -1007,16 +1009,16 @@ class TestPopularity:
             }
         )
         # counts with validation: b=3+0, a=2+2 -> a=4, b=3; c,d unseen -> count 0
-        ranked = popularity_ranking(split, assign, include_validation=True)
+        ranked = popularity_ranking(split_rows(split, assign, True), assign)
         assert ranked == [(0,), (1,), (2,), (3,)]
-        without = popularity_ranking(split, assign, include_validation=False)
+        without = popularity_ranking(split_rows(split, assign, False), assign)
         # counts: b=3, a=2
         assert without == [(1,), (0,), (2,), (3,)]
 
     def test_unseen_sids_tie_lexicographically(self):
         assign = assignment_from_sids({"a": (2,), "b": (0,), "c": (1,)})
         split = split_of({"u": ["a", "a", "a", "a", "a"]})
-        ranked = popularity_ranking(split, assign)
+        ranked = popularity_ranking(split_rows(split, assign, True), assign)
         assert ranked == [(2,), (0,), (1,)]
 
     def test_ranking_equals_the_counting_loop(self):
@@ -1036,19 +1038,21 @@ class TestPopularity:
             })
             for include_validation in (True, False):
                 want = reference_popularity_ranking(split, assign, include_validation)
-                got = popularity_ranking(split, assign, include_validation)
+                user_rows = split_rows(split, assign, include_validation)
+                got = popularity_ranking(user_rows, assign)
                 assert got == want, f"trial {trial}"
                 assert all(type(t) is int for sid in got for t in sid)
                 for ks in ((1,), (2, 5)):
-                    assert evaluate_static_ranking(got, split, assign, ks) == (
+                    assert evaluate_static_ranking(got, user_rows, assign, ks) == (
                         reference_evaluate_static_ranking(want, split, assign, ks)), f"trial {trial}"
-        assert popularity_ranking(split_of({"u": ["a", "b", "c"]}), assignment_from_sids({})) == []
+        empty = assignment_from_sids({})
+        assert popularity_ranking(split_rows(split_of({"u": ["a", "b", "c"]}), empty, True), empty) == []
 
     def test_static_evaluation(self):
         assign = assignment_from_sids({"a": (0,), "b": (1,), "c": (2,)})
         split = split_of({"u1": ["a", "a", "a", "a", "b"], "u2": ["a", "a", "a", "a", "c"]})
         ranked = [(0,), (1,), (2,)]
-        report = evaluate_static_ranking(ranked, split, assign, ks=(1, 2))
+        report = evaluate_static_ranking(ranked, split_rows(split, assign, False), assign, ks=(1, 2))
         assert report.hr[1] == 0.0
         assert report.hr[2] == 0.5
 
