@@ -6,12 +6,13 @@ export, (5) baseline training plus evaluation. Each stage is skipped when its
 config and input hashes match the manifest and its outputs exist. If a cached
 upstream artifact was edited on disk behind the manifest's back, the consuming
 stage refuses to run rather than silently building on it; --force recomputes
-every enabled stage. A stage that fails or refuses exits with its number, and
-the manifest still records the stages that finished before it; it is written
-after each stage that runs, so an interrupted run keeps them too. Every writer
-replaces its file atomically (datamodel.atomic_open), so a stage that fails
-leaves no partial file. A run holds `run_lock` on its output directory, so a
-second run on the same directory fails at once.
+every enabled stage. A stage that fails or refuses, an input or output it
+cannot read included, exits with its number, and the manifest still records
+the stages that finished before it; it is written after each stage that runs,
+so an interrupted run keeps them too. Every writer replaces its file
+atomically (datamodel.atomic_open), so a stage that fails leaves no partial
+file. A run holds `run_lock` on its output directory, so a second run on the
+same directory fails at once.
 
 Each stage's load, check, compute and write sequence is a public function
 here; run_pipeline and the `sidforge` subcommands both call them.
@@ -22,6 +23,7 @@ Worker counts are excluded from the keys and never change artifact bytes.
 
 from __future__ import annotations
 
+import copy
 import fcntl
 import hashlib
 import json
@@ -271,7 +273,7 @@ def apply_env_overrides(cfg: dict, env=None) -> dict:
     names no section, or no key, raises ConfigError."""
     if env is None:
         env = os.environ
-    out = {k: (dict(v) if isinstance(v, dict) else v) for k, v in cfg.items()}
+    out = copy.deepcopy(cfg)
     for name in sorted(env):
         if not name.startswith(ENV_PREFIX):
             continue
@@ -295,7 +297,7 @@ def apply_env_overrides(cfg: dict, env=None) -> dict:
 
 
 def load_config(path=None, env=None) -> dict:
-    cfg = {k: (dict(v) if isinstance(v, dict) else v) for k, v in DEFAULT_CONFIG.items()}
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
             file_cfg = read_json_object(path, ConfigError, "pipeline config")
@@ -325,62 +327,6 @@ def _read_manifest(path: Path) -> dict:
     return {}
 
 
-class _Runner:
-    def __init__(self, old_stages: dict, force: bool):
-        # Under force nothing hits, but the entries of stages this run skips
-        # are kept for the next run.
-        self.old_stages = dict(old_stages)
-        self.new_stages = dict(self.old_stages)
-        self.ledger: dict[str, str] = {}
-        self.summary: dict[str, str] = {}
-        self.force = force
-
-    def run(self, number: int, name: str, cfg_hash: str, input_paths, output_paths, compute):
-        input_hashes: dict[str, str] = {}
-        for path in input_paths:
-            key = str(path)
-            exists = Path(path).exists()
-            if key in self.ledger:
-                actual = sha256_file(path) if exists else None
-                if actual != self.ledger[key]:
-                    raise StageFailure(
-                        number,
-                        name,
-                        f"cached input {path} no longer matches its recorded hash; "
-                        f"use --force to rebuild",
-                    )
-                input_hashes[key] = self.ledger[key]
-            elif exists:
-                input_hashes[key] = sha256_file(path)
-            else:
-                raise StageFailure(number, name, f"missing input file {path}")
-        entry = self.old_stages.get(name)
-        hit = (
-            not self.force
-            and entry is not None
-            and entry.get("config_hash") == cfg_hash
-            and entry.get("input_files") == input_hashes
-            and all(Path(p).exists() for p in output_paths)
-        )
-        if hit:
-            output_hashes = dict(entry["output_files"])
-        else:
-            try:
-                compute()
-            except StageFailure:
-                raise
-            except Exception as exc:
-                raise StageFailure(number, name, str(exc)) from exc
-            output_hashes = {str(p): sha256_file(p) for p in output_paths}
-        self.ledger.update(output_hashes)
-        self.new_stages[name] = {
-            "config_hash": cfg_hash,
-            "input_files": input_hashes,
-            "output_files": output_hashes,
-        }
-        self.summary[name] = "cache-hit" if hit else "ran"
-
-
 def synthesize_sources(scfg: synthgen.SynthConfig):
     """(catalog, embeddings, interactions) generated from a synthetic config."""
     catalog, emb, labels = synthgen.generate_catalog(scfg)
@@ -395,7 +341,9 @@ def load_sources(items, embeddings, interactions):
     events = load_interactions(interactions)
     unknown = [i for i in emb.item_ids if i not in catalog]
     if unknown:
-        raise CatalogError(f"{len(unknown)} embedding ids missing from the item file")
+        raise CatalogError(
+            f"{len(unknown)} embedding ids missing from the item file {items}, e.g. {unknown[0]!r}"
+        )
     return catalog, emb, events
 
 
@@ -510,12 +458,13 @@ def evaluate_baseline(
 
 def run_pipeline(cfg: dict, force: bool = False):
     """Execute the enabled stages; returns (exit_status, summary). A nonzero
-    status is the number of the stage that failed or refused. A section with
-    an unknown key, a mistyped value, or a value out of range raises
-    ConfigError before any stage runs, as does an enabled source stage whose
-    mode lacks its `synth` section or an `inputs` path. The run holds
-    `run_lock` on the output directory, and raises RunLocked if another run
-    holds it."""
+    status is the number of the stage that failed or refused, whatever the
+    error raised while it hashed its inputs, computed, or hashed its outputs;
+    summary["error"] then names the stage. A section with an unknown key, a
+    mistyped value, or a value out of range raises ConfigError before any
+    stage runs, as does an enabled source stage whose mode lacks its `synth`
+    section or an `inputs` path. The run holds `run_lock` on the output
+    directory, and raises RunLocked if another run holds it."""
     if set(cfg) != set(DEFAULT_CONFIG):
         odd = sorted(set(cfg) ^ set(DEFAULT_CONFIG))
         raise ConfigError(f"unknown or missing config sections: {odd}")
@@ -614,23 +563,59 @@ def run_pipeline(cfg: dict, force: bool = False):
          [paths.ngram, paths.metrics_json, paths.metrics_csv], eval_stage),
     )
     with run_lock(out_dir):
-        runner = _Runner(_read_manifest(paths.manifest), force)
-        summary: dict = {"output_dir": str(out_dir), "stages": runner.summary}
-        manifest = {"format": MANIFEST_FORMAT, "stages": runner.new_stages}
+        old_stages = _read_manifest(paths.manifest)
+        # Under force nothing hits, but the entries of stages this run skips
+        # are kept for the next run.
+        manifest = {"format": MANIFEST_FORMAT, "stages": dict(old_stages)}
+        summary: dict = {"output_dir": str(out_dir), "stages": {}}
+        ledger: dict[str, str] = {}  # output path -> sha256, of the stages this run finished
         status = 0
-        try:
-            for number, name, stage_cfg, stage_inputs, outputs, compute in stages:
-                if getattr(enabled, name):
-                    runner.run(number, name, config_hash(stage_cfg), stage_inputs, outputs, compute)
-                    # An interrupted run keeps the stages it finished.
-                    if runner.summary[name] == "ran":
-                        write_json(manifest, paths.manifest)
-        except StageFailure as stop:
-            log.error("%s", stop)
-            summary["error"] = str(stop)
-            status = stop.stage
-            # The failed stage may have replaced some of its outputs; the stages
-            # that finished keep their entries.
-            runner.new_stages.pop(stop.name, None)
+        for number, name, stage_cfg, stage_inputs, outputs, compute in stages:
+            if not getattr(enabled, name):
+                continue
+            try:
+                cfg_hash = config_hash(stage_cfg)
+                input_hashes: dict[str, str] = {}
+                for path in stage_inputs:
+                    actual = sha256_file(path) if Path(path).exists() else None
+                    if str(path) in ledger and actual != ledger[str(path)]:
+                        raise StageFailure(number, name, f"cached input {path} no longer "
+                                           f"matches its recorded hash; use --force to rebuild")
+                    if actual is None:
+                        raise StageFailure(number, name, f"missing input file {path}")
+                    input_hashes[str(path)] = actual
+                entry = old_stages.get(name)
+                hit = (
+                    not force
+                    and entry is not None
+                    and entry.get("config_hash") == cfg_hash
+                    and entry.get("input_files") == input_hashes
+                    and all(Path(p).exists() for p in outputs)
+                )
+                if hit:
+                    output_hashes = dict(entry["output_files"])
+                else:
+                    compute()
+                    output_hashes = {str(p): sha256_file(p) for p in outputs}
+            except Exception as exc:
+                stop = exc if isinstance(exc, StageFailure) else StageFailure(number, name, str(exc))
+                log.error("%s", stop)
+                log.debug("stage %d (%s) traceback", number, name, exc_info=exc)
+                summary["error"] = str(stop)
+                status = number
+                # The failed stage may have replaced some of its outputs; the
+                # stages that finished keep their entries.
+                manifest["stages"].pop(name, None)
+                break
+            ledger.update(output_hashes)
+            manifest["stages"][name] = {
+                "config_hash": cfg_hash,
+                "input_files": input_hashes,
+                "output_files": output_hashes,
+            }
+            summary["stages"][name] = "cache-hit" if hit else "ran"
+            # An interrupted run keeps the stages it finished.
+            if not hit:
+                write_json(manifest, paths.manifest)
         write_json(manifest, paths.manifest)
     return status, summary

@@ -283,6 +283,24 @@ def test_ingest_roundtrip(tmp_path, synth_config, capsys):
     assert (tmp_path / "clean" / "items.jsonl").exists()
 
 
+def test_ingest_names_an_embedding_id_missing_from_the_items(tmp_path, synth_config, capsys, caplog):
+    data = tmp_path / "data"
+    run(capsys, "synth", "--config", synth_config, "--out-dir", data)
+    first, *rest = (data / "items.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    items = tmp_path / "fewer_items.jsonl"
+    items.write_text("".join(rest), encoding="utf-8")
+    status, summary = run(
+        capsys,
+        "ingest",
+        "--items", items,
+        "--embeddings", data / "embeddings.emb",
+        "--interactions", data / "interactions.tsv",
+        "--out-dir", tmp_path / "clean",
+    )
+    assert status == 1 and summary is None
+    assert f"from the item file {items}, e.g. {json.loads(first)['item_id']!r}" in caplog.text
+
+
 def test_decode_invalid_sid_fails(tmp_path, synth_config, capsys):
     data = tmp_path / "data"
     run(capsys, "synth", "--config", synth_config, "--out-dir", data)
@@ -461,6 +479,22 @@ def test_pipeline_output_dir_under_a_file_exits_ex_ioerr(tmp_path, capsys, caplo
     status, summary = run(capsys, "pipeline", "--output-dir", blocker / "out")
     assert status == os.EX_IOERR == 74
     assert summary is None
+
+
+def test_pipeline_unreadable_stage_input_exits_with_the_stage_number(tmp_path, synth_config, capsys, caplog):
+    data = tmp_path / "data"
+    run(capsys, "synth", "--config", synth_config, "--out-dir", data)
+    (tmp_path / "itemsdir").mkdir()
+    cfg_path = tmp_path / "pipe.json"
+    cfg_path.write_text(json.dumps({
+        "pipeline": {"output_dir": str(tmp_path / "out"), "mode": "ingest"},
+        "inputs": {"items": str(tmp_path / "itemsdir"), "embeddings": str(data / "embeddings.emb"),
+                   "interactions": str(data / "interactions.tsv")},
+    }))
+    status, summary = run(capsys, "pipeline", "--config", cfg_path)
+    assert status == 1
+    assert summary["error"].startswith("stage 1 (source): [Errno 21] Is a directory")
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_missing_file_errors_return_one(tmp_path, capsys):

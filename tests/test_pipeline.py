@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,9 @@ SYNTH = {
 }
 
 
+STAGES = ("source", "tokenize", "diagnose", "corpus", "eval")
+
+
 def base_cfg(out_dir, **synth_overrides):
     cfg = load_config()
     cfg["pipeline"]["output_dir"] = str(out_dir)
@@ -35,6 +39,15 @@ def base_cfg(out_dir, **synth_overrides):
     cfg["rq"] = {**cfg["rq"], "levels": 2, "codebook_sizes": [8, 4]}
     cfg["corpus"] = {**cfg["corpus"], "n": 60, "seed": 1}
     cfg["eval"] = {**cfg["eval"], "order": 3}
+    return cfg
+
+
+def ingest_cfg(seed_dir, out_dir):
+    """A config that ingests the stage-1 files of the run in seed_dir."""
+    seed = ArtifactPaths.in_dir(seed_dir)
+    cfg = base_cfg(out_dir)
+    cfg["pipeline"]["mode"] = "ingest"
+    cfg["inputs"] = {key: str(getattr(seed, key)) for key in ("items", "embeddings", "interactions")}
     return cfg
 
 
@@ -53,6 +66,17 @@ class TestConfig:
         cfg = load_config()
         cfg["rq"]["levels"] = 99
         assert DEFAULT_CONFIG["rq"]["levels"] == 3
+        assert load_config(env={})["eval"]["ks"] is not DEFAULT_CONFIG["eval"]["ks"]
+        cfg["rq"]["codebook_sizes"][0] = 8
+        assert load_config(env={})["rq"]["codebook_sizes"] == [64, 32, 16]
+
+    def test_env_overrides_leave_the_input_lists_alone(self):
+        cfg = load_config(env={})
+        out = apply_env_overrides(cfg, {"SIDFORGE_RQ_SEED": "7"})
+        out["eval"]["ks"].append(20)
+        out["rq"]["codebook_sizes"][0] = 8
+        assert cfg["eval"]["ks"] == [5, 10]
+        assert cfg["rq"]["codebook_sizes"] == [64, 32, 16]
 
     def test_file_merge(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -454,6 +478,59 @@ class TestRun:
         with pytest.raises(ConfigError, match="inputs.embeddings is not set"):
             run_pipeline(cfg)
         assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_ingest_embedding_id_missing_from_the_items_named(self, tmp_path):
+        assert run_pipeline(base_cfg(tmp_path / "seed"))[0] == 0
+        cfg = ingest_cfg(tmp_path / "seed", tmp_path / "out")
+        first, *rest = Path(cfg["inputs"]["items"]).read_text(encoding="utf-8").splitlines(keepends=True)
+        items = tmp_path / "fewer_items.jsonl"
+        items.write_text("".join(rest), encoding="utf-8")
+        cfg["inputs"]["items"] = str(items)
+        status, summary = run_pipeline(cfg)
+        assert status == 1
+        assert repr(json.loads(first)["item_id"]) in summary["error"]
+        assert str(items) in summary["error"]
+
+    @pytest.mark.parametrize("number, name, broken", [
+        (1, "source", "items"),  # the `inputs.items` path
+        (2, "tokenize", "embeddings"),
+        (3, "diagnose", "model"),
+        (4, "corpus", "items"),
+        (5, "eval", "interactions"),
+    ])
+    def test_unreadable_input_fails_its_own_stage(self, tmp_path, number, name, broken):
+        assert run_pipeline(base_cfg(tmp_path / "seed"))[0] == 0
+        out = tmp_path / "out"
+        cfg = ingest_cfg(tmp_path / "seed", out)
+        assert run_pipeline(cfg)[0] == 0
+        if number == 1:
+            target = Path(cfg["inputs"][broken])
+        else:
+            target = getattr(ArtifactPaths.in_dir(out), broken)
+        target.unlink()
+        target.mkdir()
+        cfg["stages"] = {stage: stage == name for stage in cfg["stages"]}
+        status, summary = run_pipeline(cfg)
+        assert status == number
+        assert summary["error"].startswith(f"stage {number} ({name}): ")
+        assert "Is a directory" in summary["error"]
+        manifest = json.loads(ArtifactPaths.in_dir(out).manifest.read_text())
+        assert set(manifest["stages"]) == set(STAGES) - {name}
+
+    def test_unhashable_output_fails_its_own_stage(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        paths = ArtifactPaths.in_dir(out)
+
+        def tokenize_into_a_directory(*args, **kwargs):
+            paths.model.mkdir()
+            paths.assignment.write_text("")
+
+        monkeypatch.setattr(pipeline, "tokenize", tokenize_into_a_directory)
+        status, summary = run_pipeline(base_cfg(out))
+        assert status == 2
+        assert summary["error"].startswith("stage 2 (tokenize): ")
+        assert summary["stages"] == {"source": "ran"}
+        assert set(json.loads(paths.manifest.read_text())["stages"]) == {"source"}
 
     def test_no_partial_files_left_behind(self, tmp_path):
         out = tmp_path / "out"
