@@ -6,10 +6,13 @@ export, (5) baseline training plus evaluation. Each stage is skipped when its
 config and input hashes match the manifest and its outputs exist. If a cached
 upstream artifact was edited on disk behind the manifest's back, the consuming
 stage refuses to run rather than silently building on it; --force recomputes
-every enabled stage. A stage that fails or refuses, an input or output it
-cannot read included, exits with its number, and the manifest still records
-the stages that finished before it; it is written after each stage that runs,
-so an interrupted run keeps them too. Every writer replaces its file
+every enabled stage. A run content-hashes each file at most once; a cache hit
+takes its output hashes from the manifest, so the first stage that reads such
+an output checks it on disk. A stage that fails or refuses, an input or
+output it cannot read included, exits with its number, and the manifest still
+records the stages that finished before it; it is rewritten after each stage
+that changes an entry, so an interrupted run keeps them too, and an all-hit
+run writes nothing. Every writer replaces its file
 atomically (datamodel.atomic_open), so a stage that fails leaves no partial
 file. A run holds `run_lock` on its output directory, so a second run on the
 same directory fails at once.
@@ -163,12 +166,8 @@ DEFAULT_CONFIG = json.loads(json.dumps({
 
 class StageFailure(RuntimeError):
     """A stage stopped: an input is missing or no longer matches its recorded
-    hash, or the stage could not produce its artifacts."""
-
-    def __init__(self, stage: int, name: str, message: str):
-        super().__init__(f"stage {stage} ({name}): {message}")
-        self.stage = stage
-        self.name = name
+    hash. run_pipeline reports it, like any error inside a stage, as
+    `stage N (name): message`."""
 
 
 class RunLocked(RuntimeError):
@@ -307,10 +306,11 @@ def load_config(path=None, env=None) -> dict:
     return apply_env_overrides(cfg, env)
 
 
-def _read_manifest(path: Path) -> dict:
-    """The manifest's stage entries; none, with a warning, if it is malformed."""
+def _read_manifest(path: Path) -> dict | None:
+    """The manifest's stage entries; None if it is missing or (with a warning)
+    malformed."""
     if not path.exists():
-        return {}
+        return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -324,7 +324,7 @@ def _read_manifest(path: Path) -> dict:
     ):
         return stages
     log.warning("unreadable manifest at %s; treating all stages as stale", path)
-    return {}
+    return None
 
 
 def synthesize_sources(scfg: synthgen.SynthConfig):
@@ -563,12 +563,14 @@ def run_pipeline(cfg: dict, force: bool = False):
          [paths.ngram, paths.metrics_json, paths.metrics_csv], eval_stage),
     )
     with run_lock(out_dir):
-        old_stages = _read_manifest(paths.manifest)
+        written = _read_manifest(paths.manifest)  # the entries manifest.json holds
+        old_stages = written or {}
         # Under force nothing hits, but the entries of stages this run skips
         # are kept for the next run.
         manifest = {"format": MANIFEST_FORMAT, "stages": dict(old_stages)}
         summary: dict = {"output_dir": str(out_dir), "stages": {}}
         ledger: dict[str, str] = {}  # output path -> sha256, of the stages this run finished
+        hashed: dict[str, str] = {}  # path -> sha256, of the files this run read from disk
         status = 0
         for number, name, stage_cfg, stage_inputs, outputs, compute in stages:
             if not getattr(enabled, name):
@@ -576,14 +578,17 @@ def run_pipeline(cfg: dict, force: bool = False):
             try:
                 cfg_hash = config_hash(stage_cfg)
                 input_hashes: dict[str, str] = {}
-                for path in stage_inputs:
-                    actual = sha256_file(path) if Path(path).exists() else None
-                    if str(path) in ledger and actual != ledger[str(path)]:
-                        raise StageFailure(number, name, f"cached input {path} no longer "
-                                           f"matches its recorded hash; use --force to rebuild")
+                for path in map(str, stage_inputs):
+                    exists = Path(path).exists()
+                    if exists and path not in hashed:
+                        hashed[path] = sha256_file(path)
+                    actual = hashed[path] if exists else None
+                    if path in ledger and actual != ledger[path]:
+                        raise StageFailure(f"cached input {path} no longer matches its "
+                                           f"recorded hash; use --force to rebuild")
                     if actual is None:
-                        raise StageFailure(number, name, f"missing input file {path}")
-                    input_hashes[str(path)] = actual
+                        raise StageFailure(f"missing input file {path}")
+                    input_hashes[path] = actual
                 entry = old_stages.get(name)
                 hit = (
                     not force
@@ -592,16 +597,16 @@ def run_pipeline(cfg: dict, force: bool = False):
                     and entry.get("input_files") == input_hashes
                     and all(Path(p).exists() for p in outputs)
                 )
-                if hit:
+                if hit:  # not in `hashed`: the first stage to read one checks it
                     output_hashes = dict(entry["output_files"])
                 else:
                     compute()
                     output_hashes = {str(p): sha256_file(p) for p in outputs}
+                    hashed.update(output_hashes)
             except Exception as exc:
-                stop = exc if isinstance(exc, StageFailure) else StageFailure(number, name, str(exc))
-                log.error("%s", stop)
+                summary["error"] = f"stage {number} ({name}): {exc}"
+                log.error("%s", summary["error"])
                 log.debug("stage %d (%s) traceback", number, name, exc_info=exc)
-                summary["error"] = str(stop)
                 status = number
                 # The failed stage may have replaced some of its outputs; the
                 # stages that finished keep their entries.
@@ -615,7 +620,9 @@ def run_pipeline(cfg: dict, force: bool = False):
             }
             summary["stages"][name] = "cache-hit" if hit else "ran"
             # An interrupted run keeps the stages it finished.
-            if not hit:
+            if manifest["stages"] != written:
                 write_json(manifest, paths.manifest)
-        write_json(manifest, paths.manifest)
+                written = dict(manifest["stages"])
+        if manifest["stages"] != written:
+            write_json(manifest, paths.manifest)
     return status, summary

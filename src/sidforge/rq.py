@@ -219,15 +219,15 @@ def _nearest(
     spread over a thread pool; the values are the same.
 
     Per row block the kernel screens every centroid with the norm expansion
-    S = |x|^2 - 2 x.c + |c|^2 (one matrix product), keeps the centroids whose
+    S = |x|^2 + x.(-2c) + |c|^2 (one matrix product), keeps the centroids whose
     S lies within a margin M(x) of the row's smallest S, and re-scores only
     those directly. Why no direct-scan winner is dropped, with u = 2^-53 and
     gamma_n = n u / (1 - n u), for the true squared distance D = |x - c|^2:
 
     - |S - D| <= gamma_{d+2} (|x| + |c|)^2 in any summation order (BLAS
-      blocking and fused multiply-adds included): the d products of x.c err
-      by at most gamma_d |x||c|, since sum |x_i c_i| <= |x||c|, each norm by
-      gamma_d times itself, and two additions follow.
+      blocking and fused multiply-adds included): -2c is exact, so x.(-2c)
+      errs by at most 2 gamma_d |x||c|, since sum |x_i c_i| <= |x||c|, each
+      norm by gamma_d times itself, and two additions follow.
     - The direct value E obeys |E - D| <= gamma_{d+2} D, and
       D <= (|x| + |c|)^2.
     - Let w be the direct-scan winner and j the screen's. Then
@@ -240,8 +240,9 @@ def _nearest(
     16 (d + 4) times the smallest subnormal for the absolute error of
     products that underflow. Squares of float32 values cannot overflow
     float64, so neither can S or M on float32 data; for larger inputs an
-    overflow makes the threshold infinite or NaN, which keeps every
-    centroid, and the row is scanned directly.
+    overflow makes the threshold infinite or NaN (-2c overflows only where
+    |c|^2 already has), which keeps every centroid, and the row is scanned
+    directly.
     """
     points = np.asarray(points, dtype=np.float64)
     cents = centroids.astype(np.float64)
@@ -250,19 +251,21 @@ def _nearest(
     idx = np.empty(n, dtype=np.int64)
     sq = np.empty(n, dtype=np.float64)
     cc = np.einsum("ij,ij->i", cents, cents)
+    minus_2c = -2.0 * cents
     reach = np.sqrt(cc.max())
     step = max(1, _BLOCK_ELEMENTS // k)
 
     def block(start: int) -> None:
         x = points[start:start + step]
         xx = np.einsum("ij,ij->i", x, x)
-        work = np.matmul(x, cents.T)
-        work *= -2.0
+        work = np.matmul(x, minus_2c.T)
         work += xx[:, None]
         work += cc
-        bound = work.min(axis=1) + _margin(np.sqrt(xx), reach, d)
+        # The row's minimum, or its first NaN: argmin stops at a NaN.
+        bound = work[np.arange(len(x)), work.argmin(axis=1)]
+        bound += _margin(np.sqrt(xx), reach, d)
         # Negated so that a NaN bound keeps the whole row.
-        rows, cols = np.nonzero(~(work > bound[:, None]))
+        rows, cols = np.divmod(np.flatnonzero(~(work > bound[:, None])), k)
         diff = x[rows]
         diff -= cents[cols]
         np.square(diff, out=diff)

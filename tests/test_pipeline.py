@@ -304,6 +304,86 @@ class TestRun:
         assert status == 0
         assert all(v == "cache-hit" for v in summary["stages"].values())
 
+    def test_all_hit_rerun_hashes_each_file_once_and_leaves_the_manifest(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = base_cfg(out)
+        assert run_pipeline(cfg)[0] == 0
+        paths = ArtifactPaths.in_dir(out)
+        before = paths.manifest.stat()
+        hashed = []
+        monkeypatch.setattr(pipeline, "sha256_file", lambda path: hashed.append(str(path)) or sha256_file(path))
+        status, summary = run_pipeline(cfg)
+        assert status == 0
+        assert all(v == "cache-hit" for v in summary["stages"].values())
+        consumed = {paths.embeddings, paths.embedding_ids, paths.model, paths.assignment,
+                    paths.items, paths.interactions}
+        assert sorted(hashed) == sorted(str(p) for p in consumed)
+        after = paths.manifest.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_forced_one_stage_run_writes_a_changed_manifest_once(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = base_cfg(out)
+        assert run_pipeline(cfg)[0] == 0
+        manifest = ArtifactPaths.in_dir(out).manifest
+        writes = []
+        real_write_json = pipeline.write_json
+        monkeypatch.setattr(pipeline, "write_json",
+                            lambda obj, path: writes.append(Path(path)) or real_write_json(obj, path))
+        corpus_only = {**cfg, "stages": {name: name == "corpus" for name in cfg["stages"]}}
+        # The same entries again: the manifest already holds them.
+        status, summary = run_pipeline(corpus_only, force=True)
+        assert status == 0 and summary["stages"] == {"corpus": "ran"}
+        assert writes.count(manifest) == 0
+        corpus_only["corpus"] = {**cfg["corpus"], "seed": 2}
+        status, summary = run_pipeline(corpus_only, force=True)
+        assert status == 0 and summary["stages"] == {"corpus": "ran"}
+        assert writes.count(manifest) == 1
+        assert json.loads(manifest.read_text())["stages"]["corpus"]["config_hash"] == config_hash(
+            {"corpus": corpus_only["corpus"]})
+
+    def test_ingest_of_the_runs_own_items_records_the_written_hash(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_pipeline(base_cfg(out))[0] == 0
+        paths = ArtifactPaths.in_dir(out)
+        # The same records, laid out as save_items does not write them.
+        records = [json.loads(line) for line in paths.items.read_text(encoding="utf-8").splitlines()]
+        paths.items.write_text("".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records),
+                               encoding="utf-8")
+        cfg = ingest_cfg(out, out)
+        assert cfg["inputs"]["items"] == str(paths.items)
+        status, summary = run_pipeline(cfg)
+        assert status == 0 and summary["stages"]["source"] == "ran"
+        source = json.loads(paths.manifest.read_text())["stages"]["source"]
+        written = sha256_file(paths.items)
+        assert source["output_files"][str(paths.items)] == written
+        assert source["input_files"][str(paths.items)] != written
+        # Stage 1 reads its own output, now in save_items' layout, once more.
+        status, summary = run_pipeline(cfg)
+        assert status == 0
+        assert summary["stages"] == {name: "ran" if name == "source" else "cache-hit" for name in STAGES}
+        before = paths.manifest.stat()
+        status, summary = run_pipeline(cfg)
+        assert status == 0
+        assert all(v == "cache-hit" for v in summary["stages"].values())
+        after = paths.manifest.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_assignment_edited_with_only_corpus_and_eval_enabled_fails_stage_four(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_cfg(out)
+        assert run_pipeline(cfg)[0] == 0
+        paths = ArtifactPaths.in_dir(out)
+        meta, *records = paths.assignment.read_text(encoding="utf-8").splitlines(keepends=True)
+        meta = json.loads(meta)
+        meta["model_hash"] = "0" * 64
+        paths.assignment.write_text(json.dumps(meta) + "\n" + "".join(records), encoding="utf-8")
+        cfg["stages"] = {name: name in ("corpus", "eval") for name in cfg["stages"]}
+        status, summary = run_pipeline(cfg)
+        assert status == 4
+        assert summary["error"].startswith("stage 4 (corpus): ")
+        assert summary["stages"] == {}
+
     def test_malformed_manifest_treated_as_stale(self, tmp_path, caplog):
         out = tmp_path / "out"
         cfg = base_cfg(out)
