@@ -36,7 +36,8 @@ def atomic_open(path, mode="w", **open_kwargs):
     see a partial file. On an exception the temp file is deleted and path is
     left as it was. The temp name (pid plus a per-process serial) belongs to
     this writer alone, and exclusive create gives the temp file the
-    permissions a plain open would give path."""
+    permissions a plain open would give path. An OSError on the temp file
+    names path."""
     if not mode.startswith("w"):
         raise ValueError(f"atomic_open writes a whole file; got mode {mode!r}")
     path = Path(path)
@@ -45,8 +46,10 @@ def atomic_open(path, mode="w", **open_kwargs):
         with open(tmp, "x" + mode[1:], **open_kwargs) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):  # OSError(errno, ...) builds its subclass
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 

@@ -4,6 +4,7 @@ probe over reconstruction vectors."""
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -12,6 +13,8 @@ import numpy as np
 from . import rng
 from .datamodel import EmbeddingSet, is_json_number, read_json_object
 from .rq import RqModel, SidAssignment, check_token_range, decode_batch, sorted_prefixes
+
+log = logging.getLogger("sidforge.diagnostics")
 
 
 class DiagnosticsError(ValueError):
@@ -184,9 +187,11 @@ def semantic_probe(
     model: RqModel,
     labels: dict[str, str],
     split_seed: int,
-) -> float:
+) -> float | None:
     """Held-out accuracy of a multinomial logistic-regression probe that
-    predicts the category label from the full-depth reconstruction vector.
+    predicts the category label from the full-depth reconstruction vector;
+    None, with a warning that names the reason, for a catalog the probe
+    cannot use: fewer than 2 categories, or one with fewer than 10 items.
 
     80/20 stratified split, seeded by `split_seed`; `_fit_probe` fits the
     weights. Its result is bit-identical to the plain (n, c) softmax loop.
@@ -199,13 +204,14 @@ def semantic_probe(
     if missing:
         raise DiagnosticsError(f"{len(missing)} items lack category labels")
     categories = sorted({labels[i] for i in item_ids})
-    if len(categories) < 2:
-        raise DiagnosticsError("semantic_probe needs at least 2 categories")
     cat_index = {c: k for k, c in enumerate(categories)}
     y = np.array([cat_index[labels[i]] for i in item_ids], dtype=np.int64)
-    for c, k in cat_index.items():
-        if int((y == k).sum()) < 10:
-            raise DiagnosticsError(f"category {c!r} has fewer than 10 items")
+    sizes = np.bincount(y)
+    if len(categories) < 2 or sizes.min() < 10:
+        log.warning("skipping the category probe, which needs 2 or more categories of 10 or more "
+                    "items; found %d, the smallest %r with %d items",
+                    len(categories), categories[int(sizes.argmin())], sizes.min())
+        return None
 
     features = decode_batch(model, assign.tokens[order])
 
@@ -220,8 +226,6 @@ def semantic_probe(
         test_parts.append(members[cut:])
     train_idx = np.sort(np.concatenate(train_parts))
     test_idx = np.sort(np.concatenate(test_parts))
-    if len(set(y[train_idx].tolist())) < len(categories):
-        raise DiagnosticsError("a category is absent from the probe train split")
 
     x_train, y_train = features[train_idx], y[train_idx]
     x_test, y_test = features[test_idx], y[test_idx]
@@ -260,12 +264,8 @@ def build_report(
     _, starts = sorted_prefixes(assign.tokens)
     profile = prefix_entropy_profile(assign)
     active = active_codes_per_level(assign, model)
-    sim = None
-    if emb is not None:
-        sim = reconstruction_curve(model, emb, assign).sims
-    probe = None
-    if labels is not None:
-        probe = semantic_probe(assign, model, labels, probe_seed)
+    sim = None if emb is None else reconstruction_curve(model, emb, assign).sims
+    probe = None if labels is None else semantic_probe(assign, model, labels, probe_seed)
     return DiagnosticsReport(
         n_items=len(assign),
         n_distinct_sids=len(starts[-1]),

@@ -134,8 +134,6 @@ class EvalSection:
 @dataclass(frozen=True)
 class DiagnosticsSection:
     probe_seed: int = 0
-    run_probe: bool = True
-    sim_curve: bool = True
 
 
 @dataclass(frozen=True)
@@ -269,7 +267,8 @@ def _merge(base: dict, override: dict) -> dict:
 def apply_env_overrides(cfg: dict, env=None) -> dict:
     """Overlay SIDFORGE_<SECTION>_<KEY> environment variables; values are
     parsed as JSON when possible, otherwise kept as strings. A variable that
-    names no section, or no key, raises ConfigError."""
+    names no section, no key, or a section that is not an object raises
+    ConfigError."""
     if env is None:
         env = os.environ
     out = copy.deepcopy(cfg)
@@ -284,8 +283,7 @@ def apply_env_overrides(cfg: dict, env=None) -> dict:
         if out[section] is None:
             out[section] = {}
         if not isinstance(out[section], dict):
-            log.warning("ignoring override %s for non-section key", name)
-            continue
+            raise ConfigError(f"override {name} sets a key of {section!r}, which is not an object")
         raw = env[name]
         try:
             value = json.loads(raw)
@@ -494,14 +492,9 @@ def run_pipeline(cfg: dict, force: bool = False):
         write_sources(paths, *sources, kcore=pipe.kcore)
 
     def diagnose_stage():
-        payload = diagnose(
-            paths.model,
-            paths.assignment,
-            embeddings=paths.embeddings if dcfg.sim_curve else None,
-            items=paths.items if dcfg.run_probe else None,
-            probe_seed=dcfg.probe_seed,
-            out=paths.diagnostics_json,
-        )
+        payload = diagnose(paths.model, paths.assignment, embeddings=paths.embeddings,
+                           items=paths.items, probe_seed=dcfg.probe_seed,
+                           out=paths.diagnostics_json)
         with atomic_open(paths.diagnostics_table, encoding="utf-8", newline="\n") as fh:
             fh.write(diagnostics.render_table(payload) + "\n")
 
@@ -547,6 +540,8 @@ def run_pipeline(cfg: dict, force: bool = False):
     if pipe.mode == "ingest":
         source_cfg["inputs"] = cfg["inputs"]
         source_inputs = [p for p in (inputs.items, inputs.embeddings, inputs.interactions) if p]
+        if inputs.embeddings:
+            source_inputs.append(ids_path_for(inputs.embeddings))
     # (exit status, name, config hashed into the cache key, inputs, outputs, compute)
     stages = (
         (1, "source", source_cfg, source_inputs,
@@ -554,7 +549,7 @@ def run_pipeline(cfg: dict, force: bool = False):
         (2, "tokenize", {"rq": cfg["rq"]}, [paths.embeddings, paths.embedding_ids],
          [paths.model, paths.assignment], lambda: tokenize(paths, rcfg, pipe.workers)),
         (3, "diagnose", {"diagnostics": cfg["diagnostics"]},
-         [paths.model, paths.assignment, paths.embeddings, paths.items],
+         [paths.model, paths.assignment, paths.embeddings, paths.embedding_ids, paths.items],
          [paths.diagnostics_json, paths.diagnostics_table], diagnose_stage),
         (4, "corpus", {"corpus": cfg["corpus"]},
          [paths.model, paths.assignment, paths.items, paths.interactions],

@@ -118,15 +118,18 @@ def test_full_command_chain(tmp_path, synth_config, capsys):
     assert "probe_accuracy" in diag and "sim_curve" in diag
     assert json.loads(diag_path.read_text()) == diag
 
+    curve_path = tmp_path / "curve.json"
     status, curve = run(
         capsys,
         "recon-curve",
         "--model", model_path,
         "--assignment", sids_path,
         "--embeddings", data / "embeddings.emb",
+        "--out", curve_path,
     )
     assert status == 0
     assert set(curve["sims"]) == {"1", "2"}
+    assert json.loads(curve_path.read_text()) == curve
 
     corpus_path = tmp_path / "corpus.jsonl"
     chat_path = tmp_path / "corpus.txt"
@@ -165,6 +168,7 @@ def test_full_command_chain(tmp_path, synth_config, capsys):
 
     metrics_path = tmp_path / "metrics.json"
     csv_path = tmp_path / "metrics.csv"
+    ranks_path = tmp_path / "ranks.json"
     status, metrics = run(
         capsys,
         "eval",
@@ -176,11 +180,16 @@ def test_full_command_chain(tmp_path, synth_config, capsys):
         "--k", "5,10",
         "--out", metrics_path,
         "--csv", csv_path,
+        "--ranks-out", ranks_path,
     )
     assert status == 0
     for key in ("HR@5", "HR@10", "NDCG@5", "NDCG@10"):
         assert key in metrics["ngram"]
         assert key in metrics["popularity"]
+    ranks = json.loads(ranks_path.read_text())
+    assert list(ranks) == sorted(ranks) and len(ranks) == metrics["ngram"]["n_users"]
+    hits = sum(1 <= rank <= 5 for rank in ranks.values())
+    assert hits / len(ranks) == metrics["ngram"]["HR@5"]
     assert csv_path.read_text().startswith("metric,K,value,n_users\n")
 
     status, combined = run(
@@ -495,6 +504,53 @@ def test_pipeline_unreadable_stage_input_exits_with_the_stage_number(tmp_path, s
     assert status == 1
     assert summary["error"].startswith("stage 1 (source): [Errno 21] Is a directory")
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_report_without_a_flag_exits_one(capsys, caplog):
+    status, payload = run(capsys, "report")
+    assert status == 1 and payload is None
+    assert "nothing to report; pass --diagnostics and/or --metrics" in caplog.text
+
+
+def test_write_into_a_missing_directory_names_the_target(tmp_path, synth_config, capsys, caplog):
+    data = tmp_path / "data"
+    run(capsys, "synth", "--config", synth_config, "--out-dir", data)
+    a = ArtifactPaths.in_dir(data)
+    run(capsys, "fit", "--embeddings", a.embeddings, "--levels", 1, "--sizes", "4",
+        "--seed", 0, "--out", a.model)
+    run(capsys, "encode", "--model", a.model, "--embeddings", a.embeddings, "--out", a.assignment)
+    target = tmp_path / "absent" / "x.json"
+    status, _ = run(capsys, "train-baseline", "--model", a.model, "--assignment", a.assignment,
+                    "--interactions", a.interactions, "--out", target)
+    assert status == 1
+    assert f"No such file or directory: '{target}'" in caplog.text
+    assert ".tmp" not in caplog.text
+
+
+def test_small_catalog_skips_the_probe_and_runs_every_stage(tmp_path, capsys, caplog):
+    # 36 items in 4 categories: some category has fewer than the 10 items the
+    # probe needs, so the report leaves it out and the later stages still run.
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "pipe.json"
+    cfg_path.write_text(json.dumps({
+        "pipeline": {"output_dir": str(out)},
+        "synth": {"num_items": 36, "num_users": 30, "dim": 8, "num_categories": 4,
+                  "enrichment_level": 0.5, "intra_category_noise": 0.5,
+                  "events_per_user": [4, 6], "seed": 1},
+        "rq": {"levels": 3, "codebook_sizes": [8, 4, 4]},
+        "corpus": {"n": 40},
+    }))
+    status, summary = run(capsys, "pipeline", "--config", cfg_path)
+    assert status == 0
+    assert list(summary["stages"].values()) == ["ran"] * 5
+    assert "skipping the category probe" in caplog.text and "found 4, the smallest '" in caplog.text
+    a = ArtifactPaths.in_dir(out)
+    payload = json.loads(a.diagnostics_json.read_text())
+    assert "probe_accuracy" not in payload and "sim_curve" in payload
+    status, diag = run(capsys, "diagnose", "--model", a.model, "--assignment", a.assignment,
+                       "--embeddings", a.embeddings, "--items", a.items, "--probe-seed", 0)
+    assert status == 0
+    assert diag == payload
 
 
 def test_missing_file_errors_return_one(tmp_path, capsys):

@@ -348,19 +348,37 @@ class TestSemanticProbe:
         acc = semantic_probe(assign, model, labels, split_seed=1)
         assert acc <= 0.85
 
-    def test_needs_two_categories(self):
+    def test_needs_two_categories(self, caplog):
         model = one_level_model([[1.0, 0.0]])
         sids = {f"i{i}": (0,) for i in range(20)}
         labels = {item: "only" for item in sids}
-        with pytest.raises(DiagnosticsError):
-            semantic_probe(assignment_from_sids(sids), model, labels, split_seed=0)
+        assert semantic_probe(assignment_from_sids(sids), model, labels, split_seed=0) is None
+        assert "skipping the category probe" in caplog.text
+        assert "found 1, the smallest 'only' with 20 items" in caplog.text
 
-    def test_needs_ten_per_category(self):
+    def test_needs_ten_per_category(self, caplog):
         model = one_level_model([[1.0, 0.0], [-1.0, 0.0]])
-        sids = {f"i{i}": (i % 2,) for i in range(12)}
+        sids = {f"i{i:02d}": (0,) for i in range(12)}
+        sids.update({f"j{i}": (1,) for i in range(9)})
         labels = {item: ("A" if s == (0,) else "B") for item, s in sids.items()}
-        with pytest.raises(DiagnosticsError):
-            semantic_probe(assignment_from_sids(sids), model, labels, split_seed=0)
+        assign = assignment_from_sids(sids)
+        assert semantic_probe(assign, model, labels, split_seed=0) is None
+        assert "found 2, the smallest 'B' with 9 items" in caplog.text
+        payload = report_to_dict(build_report(assign, model, labels=labels, probe_seed=0))
+        assert "probe_accuracy" not in payload
+
+    def test_unusable_inputs_still_raise(self):
+        model = one_level_model([[1.0, 0.0], [-1.0, 0.0]])
+        sids = {f"i{i:02d}": (i % 2,) for i in range(20)}
+        labels = {item: ("A" if s == (0,) else "B") for item, s in sids.items()}
+        assign = assignment_from_sids(sids)
+        del labels["i00"]
+        with pytest.raises(DiagnosticsError, match="1 items lack category labels"):
+            semantic_probe(assign, model, labels, split_seed=0)
+        with pytest.raises(DiagnosticsError, match="nonempty assignment"):
+            semantic_probe(assignment_from_sids({}), model, labels, split_seed=0)
+        with pytest.raises(DiagnosticsError, match="probe_seed is required"):
+            build_report(assign, model, labels=labels)
 
     def test_split_seed_changes_split_not_contract(self):
         model = one_level_model([[10.0, 0.0], [-10.0, 0.0]])

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import builtins
+import io
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from sidforge import pipeline
+from sidforge.datamodel import ids_path_for
 from sidforge.pipeline import (
     ArtifactPaths,
     ConfigError,
@@ -106,6 +110,11 @@ class TestConfig:
             with pytest.raises(ConfigError, match=name):
                 apply_env_overrides(load_config(env={}), {name: "false"})
 
+    def test_env_override_of_a_section_that_is_no_object_rejected(self):
+        cfg = {**load_config(env={}), "synth": 3}
+        with pytest.raises(ConfigError, match="SIDFORGE_SYNTH_SEED sets a key of 'synth'"):
+            apply_env_overrides(cfg, {"SIDFORGE_SYNTH_SEED": "3"})
+
     def test_env_override_fills_empty_synth_section(self):
         cfg = apply_env_overrides(load_config(env={}), {"SIDFORGE_SYNTH_SEED": "3"})
         assert cfg["synth"] == {"seed": 3}
@@ -121,6 +130,13 @@ class TestConfig:
              r"unknown eval fields: \['beamsize'\]"),
             ({**load_config(path, env={}), "synth": SYNTH}, "eval field 'include_validation'"),
             ({**base_cfg(out), "stages": {"evl": False}}, r"unknown stages fields: \['evl'\]"),
+            # stage 3 has no switches
+            ({**base_cfg(out), "diagnostics": {"run_probe": False}},
+             r"unknown diagnostics fields: \['run_probe'\]"),
+            ({**base_cfg(out), "diagnostics": {"probe_seed": 0, "sim_curve": False}},
+             r"unknown diagnostics fields: \['sim_curve'\]"),
+            ({key: value for key, value in base_cfg(out).items() if key != "stages"} | {"extra": {}},
+             r"unknown or missing config sections: \['extra', 'stages'\]"),
         ):
             with pytest.raises(ConfigError, match=match):
                 run_pipeline(cfg)
@@ -536,6 +552,68 @@ class TestRun:
         status, summary = run_pipeline(cfg)
         assert status == 0
         assert summary["stages"]["source"] == "ran"
+
+    def test_ingest_input_id_sidecar_is_in_the_source_key(self, tmp_path):
+        assert run_pipeline(base_cfg(tmp_path / "seed"))[0] == 0
+        out = tmp_path / "out"
+        cfg = ingest_cfg(tmp_path / "seed", out)
+        assert run_pipeline(cfg)[0] == 0
+        ids = ids_path_for(cfg["inputs"]["embeddings"])
+        first, second, *rest = ids.read_text().splitlines(keepends=True)
+        ids.write_text("".join([second, first, *rest]))
+        status, summary = run_pipeline(cfg)
+        assert status == 0
+        assert summary["stages"]["source"] == "ran"
+        assert ArtifactPaths.in_dir(out).embedding_ids.read_bytes() == ids.read_bytes()
+
+    def test_diagnose_reruns_when_the_embedding_ids_change(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_cfg(out)
+        assert run_pipeline(cfg)[0] == 0
+        paths = ArtifactPaths.in_dir(out)
+        before = paths.diagnostics_json.read_bytes()
+        # Swap two ids of different SIDs, so that the curve changes.
+        rows = [json.loads(line) for line in paths.assignment.read_text().splitlines()[1:]]
+        sid_of = {row["item_id"]: row["sid"] for row in rows}
+        ids = paths.embedding_ids.read_text().splitlines(keepends=True)
+        other = next(k for k, line in enumerate(ids) if sid_of[line.strip()] != sid_of[ids[0].strip()])
+        ids[0], ids[other] = ids[other], ids[0]
+        paths.embedding_ids.write_text("".join(ids))
+        cfg["stages"] = {stage: stage == "diagnose" for stage in STAGES}
+        status, summary = run_pipeline(cfg)
+        assert (status, summary["stages"]) == (0, {"diagnose": "ran"})
+        assert paths.diagnostics_json.read_bytes() != before
+
+    @pytest.mark.parametrize("mode", ["synth", "ingest"])
+    def test_each_stage_reads_only_files_in_its_cache_key(self, tmp_path, monkeypatch, mode):
+        out = tmp_path / "out"
+        if mode == "synth":
+            cfg = base_cfg(out)
+        else:
+            assert run_pipeline(base_cfg(tmp_path / "seed"))[0] == 0
+            cfg = ingest_cfg(tmp_path / "seed", out)
+        assert run_pipeline(cfg)[0] == 0
+        root = tmp_path.resolve()
+        reads = set()
+        real_open = io.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+                path = Path(file).resolve()
+                if path.is_relative_to(root):  # package templates are not run files
+                    reads.add(path)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        monkeypatch.setattr(io, "open", recording_open)
+        manifest = ArtifactPaths.in_dir(out).manifest
+        for name in STAGES:
+            reads.clear()
+            cfg["stages"] = {stage: stage == name for stage in STAGES}
+            assert run_pipeline(cfg, force=True)[0] == 0, name
+            entry = json.loads(manifest.read_text())["stages"][name]
+            keyed = {*entry["input_files"], *entry["output_files"], manifest}
+            assert sorted(map(str, reads - {Path(p).resolve() for p in keyed})) == [], name
 
     def test_ingest_missing_input_fails_stage_one(self, tmp_path):
         cfg = load_config()
