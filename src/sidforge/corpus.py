@@ -1,8 +1,10 @@
-"""Eight-task conversational training corpus: per-task example construction,
+"""Eight-task conversational training corpus: the sources and rendered views
+all tasks share (built once per corpus), per-task lazy example pools over them,
 chat-template rendering, and uniform task sampling to line-delimited JSON."""
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import operator
@@ -58,9 +60,10 @@ _USER_TEMPLATES = {
 }
 
 
+@functools.cache
 def system_instruction(task: TaskId) -> str:
     """Verbatim system instruction for one task, read from the shipped asset
-    file."""
+    file once per process."""
     name = f"{task.name.lower()}.txt"
     return resources.files("sidforge.templates").joinpath(name).read_text("utf-8")
 
@@ -83,6 +86,51 @@ def check_settings(*, n: int = 1, max_history: int = 1) -> None:
             raise CorpusError(f"{name} must be >= 1, not {value}")
 
 
+class _Rendered(dict):
+    """item id -> one view's text, rendered on the first read of each id."""
+
+    def __init__(self, render):
+        self._render = render
+
+    def __missing__(self, item_id: str) -> str:
+        text = self[item_id] = self._render(item_id)
+        return text
+
+
+class TaskSources:
+    """What the eight tasks draw from, found once for all of them. `items`
+    are the catalog's items with a SID (T1/T2) and `visual_items` those with
+    a visual description too (T7/T8), in catalog order: an empty title is
+    still shown, an empty visual description is not. `users` holds, in id
+    order, (user_id, history, validation item) for T3-T6: the history is
+    those of the user's most recent max_history train items that have a SID
+    and a catalog record, oldest first. A user with no such item, or whose
+    validation item lacks either, is left out; test targets never enter a
+    training corpus. `text[view]` maps an item id to its `sid`, `title` or
+    `visual_description`, each rendered on first read."""
+
+    def __init__(self, split: SplitDataset, catalog: ItemCatalog, assign: SidAssignment,
+                 max_history: int = 20):
+        check_settings(max_history=max_history)
+        self.n_items, self.n_users = len(catalog), len(split.users)
+        # The item sources are the id strings themselves: a container per
+        # item would add thousands of objects for the garbage collector to track.
+        sids = assign.sids
+        self.items = [r.item_id for r in catalog if r.item_id in sids]
+        self.visual_items = [r.item_id for r in catalog
+                             if r.visual_description and r.item_id in sids]
+        shown_items = {item_id for item_id in assign.item_ids if item_id in catalog}
+        self.users = []
+        for user_id in sorted(split.users):
+            user = split.users[user_id]
+            history = [i for i in user.train[-max_history:] if i in shown_items]
+            if history and user.validation in shown_items:
+                self.users.append((user_id, history, user.validation))
+        self.text = {"sid": _Rendered(lambda item_id: render_sid(assign[item_id]))}
+        for view in ("title", "visual_description"):
+            self.text[view] = _Rendered(lambda i, view=view: getattr(catalog.get(i), view))
+
+
 class ExamplePool(Sequence):
     """One task's examples as a read-only sequence over its eligible sources:
     `pool[i]` renders example i when it is read, so a sampler that reads k
@@ -99,64 +147,33 @@ class ExamplePool(Sequence):
         return self._render(self._sources[operator.index(index)])  # no slices
 
 
-def make_examples(
-    task: TaskId,
-    split: SplitDataset,
-    catalog: ItemCatalog,
-    assign: SidAssignment,
-    max_history: int = 20,
-) -> tuple[ExamplePool, int]:
-    """One task's examples as a lazy pool, plus the count of skipped sources.
-
-    Item tasks iterate the catalog (a visual input skips items without a
-    visual description). History tasks iterate users: the input is the most
-    recent max_history train items, oldest first, and the target is the
-    validation item, so test targets never enter a training corpus. Only
-    the eligible sources are found here; the pool renders an example when
-    it is read.
-    """
-    check_settings(max_history=max_history)
+def make_examples(task: TaskId, sources: TaskSources) -> tuple[ExamplePool, int]:
+    """One task's examples as a lazy pool over its share of `sources`, plus
+    the count of skipped sources. An item task's input is one view of the
+    item; a history task's is that view of each history item, joined."""
     source, input_view, output_view = task.value
     system = system_instruction(task)
     template = _USER_TEMPLATES[task]
-
-    def show(view: str, item_id: str) -> str:
-        if view == "sid":
-            return render_sid(assign[item_id])
-        return getattr(catalog.get(item_id), view)
+    shown, target_text = sources.text[input_view], sources.text[output_view]
 
     if source == "history":
-        shown_items = {item_id for item_id in assign.item_ids if item_id in catalog}
-        users = []  # (user_id, shown history, validation item)
-        for user_id in sorted(split.users):
-            user = split.users[user_id]
-            history = [i for i in user.train[-max_history:] if i in shown_items]
-            if history and user.validation in shown_items:
-                users.append((user_id, history, user.validation))
+        key = f"{input_view}_history"
 
-        def render_user(source: tuple) -> TrainingExample:
-            user_id, history, target = source
-            shown = HISTORY_SEPARATOR.join(show(input_view, i) for i in history)
-            user_input = template.format_map({f"{input_view}_history": shown})
-            return TrainingExample(task, system, user_input, show(output_view, target), user_id)
+        def render_user(user: tuple) -> TrainingExample:
+            user_id, history, target = user
+            joined = HISTORY_SEPARATOR.join(map(shown.__getitem__, history))
+            user_input = template.format_map({key: joined})
+            return TrainingExample(task, system, user_input, target_text[target], user_id)
 
-        return ExamplePool(users, render_user), len(split.users) - len(users)
+        return ExamplePool(sources.users, render_user), sources.n_users - len(sources.users)
 
-    # An empty title is still shown; an empty visual description is not. The
-    # sources are the item id strings themselves: a container per item would
-    # add thousands of objects for the garbage collector to track.
-    items = [
-        record.item_id
-        for record in catalog
-        if record.item_id in assign.sids
-        and (input_view != "visual_description" or record.visual_description)
-    ]
+    items = sources.visual_items if input_view == "visual_description" else sources.items
 
     def render_item(item_id: str) -> TrainingExample:
-        user_input = template.format_map({input_view: show(input_view, item_id)})
-        return TrainingExample(task, system, user_input, show(output_view, item_id), item_id)
+        user_input = template.format_map({input_view: shown[item_id]})
+        return TrainingExample(task, system, user_input, target_text[item_id], item_id)
 
-    return ExamplePool(items, render_item), len(catalog) - len(items)
+    return ExamplePool(items, render_item), sources.n_items - len(items)
 
 
 def render_chat(record: dict) -> str:
@@ -181,10 +198,11 @@ def sample_corpus(
     renormalized over the rest, with a warning. Only the drawn examples are
     rendered, each once. Returns (records, stats)."""
     check_settings(n=n)
+    sources = TaskSources(split, catalog, assign, max_history)
     pools: dict[TaskId, ExamplePool] = {}
     skipped: dict[str, int] = {}
     for task in TaskId:
-        pools[task], skipped[task.name] = make_examples(task, split, catalog, assign, max_history)
+        pools[task], skipped[task.name] = make_examples(task, sources)
     available = [t for t in TaskId if pools[t]]
     excluded = [t.name for t in TaskId if not pools[t]]
     if not available:

@@ -163,8 +163,8 @@ DEFAULT_CONFIG = json.loads(json.dumps({
 
 
 class StageFailure(RuntimeError):
-    """A stage stopped: an input is missing or no longer matches its recorded
-    hash. run_pipeline reports it, like any error inside a stage, as
+    """A stage stopped: an input is missing or disagrees with the hash the
+    manifest records for it. run_pipeline reports it, like any error inside a stage, as
     `stage N (name): message`."""
 
 
@@ -579,8 +579,8 @@ def run_pipeline(cfg: dict, force: bool = False):
                         hashed[path] = sha256_file(path)
                     actual = hashed[path] if exists else None
                     if path in ledger and actual != ledger[path]:
-                        raise StageFailure(f"cached input {path} no longer matches its "
-                                           f"recorded hash; use --force to rebuild")
+                        raise StageFailure(f"cached input {path} and the hash {paths.manifest} "
+                                           f"records for it disagree; use --force to rebuild")
                     if actual is None:
                         raise StageFailure(f"missing input file {path}")
                     input_hashes[path] = actual

@@ -14,6 +14,7 @@ from sidforge.corpus import (
     HISTORY_SEPARATOR,
     CorpusError,
     TaskId,
+    TaskSources,
     TrainingExample,
     check_settings,
     make_examples,
@@ -85,7 +86,7 @@ class TestChatTemplate:
 class TestMakeExamples:
     def test_t1(self):
         catalog, assign, split = tiny_world()
-        examples, skipped = make_examples(TaskId.T1, split, catalog, assign)
+        examples, skipped = make_examples(TaskId.T1, TaskSources(split, catalog, assign))
         assert skipped == 1  # item d has no SID
         assert [e.provenance for e in examples] == ["a", "b", "c"]
         first = examples[0]
@@ -95,26 +96,26 @@ class TestMakeExamples:
 
     def test_t2_reverses_direction(self):
         catalog, assign, split = tiny_world()
-        examples, _ = make_examples(TaskId.T2, split, catalog, assign)
+        examples, _ = make_examples(TaskId.T2, TaskSources(split, catalog, assign))
         first = examples[0]
         assert first.user_input == "SID Sequence: <a_0><b_1>\nGenerate the product title:"
         assert first.target_output == "Alpha Lamp"
 
     def test_t7_t8_need_visuals(self):
         catalog, assign, split = tiny_world()
-        examples, skipped = make_examples(TaskId.T7, split, catalog, assign)
+        examples, skipped = make_examples(TaskId.T7, TaskSources(split, catalog, assign))
         assert [e.provenance for e in examples] == ["a", "b"]
         assert skipped == 2  # c lacks a visual description, d lacks a SID
         assert examples[0].user_input == (
             "Visual Description: Black lamp.\nGenerate the SID sequence:"
         )
         assert examples[0].target_output == "<a_0><b_1>"
-        t8, _ = make_examples(TaskId.T8, split, catalog, assign)
+        t8, _ = make_examples(TaskId.T8, TaskSources(split, catalog, assign))
         assert t8[0].target_output == "Alpha Lamp"
 
     def test_t3_history_and_validation_target(self):
         catalog, assign, split = tiny_world()
-        examples, skipped = make_examples(TaskId.T3, split, catalog, assign)
+        examples, skipped = make_examples(TaskId.T3, TaskSources(split, catalog, assign))
         assert skipped == 1  # u2's only train item has no SID
         only = examples[0]
         assert only.provenance == "u1"
@@ -126,15 +127,15 @@ class TestMakeExamples:
 
     def test_t4_t5_t6_variants(self):
         catalog, assign, split = tiny_world()
-        t4, _ = make_examples(TaskId.T4, split, catalog, assign)
+        t4, _ = make_examples(TaskId.T4, TaskSources(split, catalog, assign))
         assert t4[0].user_input == (
             "Interaction History (Titles): Alpha Lamp, Gamma Mat\n"
             "Predict the next item's SID:"
         )
         assert t4[0].target_output == "<a_1><b_0>"
-        t5, _ = make_examples(TaskId.T5, split, catalog, assign)
+        t5, _ = make_examples(TaskId.T5, TaskSources(split, catalog, assign))
         assert t5[0].target_output == "Beta Mug"
-        t6, _ = make_examples(TaskId.T6, split, catalog, assign)
+        t6, _ = make_examples(TaskId.T6, TaskSources(split, catalog, assign))
         assert "Titles" in t6[0].user_input
         assert t6[0].target_output == "Beta Mug"
 
@@ -143,7 +144,7 @@ class TestMakeExamples:
 
         catalog, assign, split = tiny_world()
         for task in (TaskId.T3, TaskId.T4):
-            for example in make_examples(task, split, catalog, assign)[0]:
+            for example in make_examples(task, TaskSources(split, catalog, assign))[0]:
                 user = split.users[example.provenance]
                 assert example.target_output == render_sid(assign[user.validation])
                 if user.test in assign.sids:
@@ -156,7 +157,7 @@ class TestMakeExamples:
             users={"u": UserSplit(train=train, validation="a", test="b")},
             n_dropped_users=0,
         )
-        examples, _ = make_examples(TaskId.T6, split, catalog, assign, max_history=20)
+        examples, _ = make_examples(TaskId.T6, TaskSources(split, catalog, assign, max_history=20))
         history = examples[0].user_input.split(": ", 1)[1].split("\n")[0]
         entries = history.split(HISTORY_SEPARATOR)
         assert len(entries) == 20
@@ -166,7 +167,7 @@ class TestMakeExamples:
     def test_max_history_validated(self):
         catalog, assign, split = tiny_world()
         with pytest.raises(CorpusError):
-            make_examples(TaskId.T3, split, catalog, assign, max_history=0)
+            TaskSources(split, catalog, assign, max_history=0)
 
 
 class TestSampleCorpus:
@@ -339,8 +340,9 @@ class TestLazyPoolsMatchTheEagerOracle:
     def test_pools_and_skips(self):
         for name, (catalog, assign, split) in oracle_worlds():
             for max_history in (1, 3, 20):
+                sources = TaskSources(split, catalog, assign, max_history)
                 for task in TaskId:
-                    pool, skipped = make_examples(task, split, catalog, assign, max_history)
+                    pool, skipped = make_examples(task, sources)
                     want, want_skipped = reference_make_examples(
                         task, split, catalog, assign, max_history
                     )
@@ -403,6 +405,36 @@ class TestRenderCount:
         sample_corpus(split, catalog, assign, n=50 * total, seed=3)
         assert len(rendered) == len(set(rendered))
         assert len(rendered) == total  # 50 draws per source on average reach them all
+
+    def test_renders_each_sid_once_per_call(self, monkeypatch):
+        catalog, assign, split = random_world(2)
+        _, stats = sample_corpus(split, catalog, assign, n=1, seed=0)
+        total = sum(stats["pool_sizes"].values())
+        rendered = []  # each item's SID tuple is one object, so its id names the item
+
+        def counting_render_sid(sid):
+            rendered.append(sid)
+            return render_sid(sid)
+
+        monkeypatch.setattr(corpus, "render_sid", counting_render_sid)
+        sample_corpus(split, catalog, assign, n=50 * total, seed=3)
+        shown = [item_id for item_id in assign.item_ids if item_id in catalog]
+        assert 0 < len(rendered) <= len(shown)
+        assert len({id(sid) for sid in rendered}) == len(rendered)
+
+    def test_one_make_examples_call_per_task_over_shared_sources(self, monkeypatch):
+        catalog, assign, split = random_world(2)
+        calls = []
+        original = corpus.make_examples
+
+        def recording_make_examples(task, sources):
+            calls.append((task, sources))
+            return original(task, sources)
+
+        monkeypatch.setattr(corpus, "make_examples", recording_make_examples)
+        sample_corpus(split, catalog, assign, n=10, seed=0)
+        assert [task for task, _ in calls] == list(TaskId)
+        assert len({id(sources) for _, sources in calls}) == 1
 
 
 class TestWriters:

@@ -1,15 +1,19 @@
-"""Deterministic fuzzing of every artifact loader.
+"""Deterministic fuzzing of every artifact, config and manifest reader.
 
-Each artifact of a tiny pipeline run is truncated at evenly spaced offsets
-and has single bits flipped at evenly spaced bit positions. Every variant
-must either load or raise its module's typed error; no other exception may
-escape. A file guarded by a checksum or a content hash (the embedding
-matrix, the model's centroids) must load identically when it loads at all.
+Each artifact of a tiny pipeline run, and the run's pipeline and synth
+configs, is truncated at evenly spaced offsets and has single bits flipped
+at evenly spaced bit positions. Every variant must either load or raise its
+module's typed error; no other exception may escape. A file guarded by a
+checksum or a content hash (the embedding matrix, the model's centroids)
+must load identically when it loads at all. A run over a fuzzed manifest
+must either rebuild the same bytes or fail one stage by its number.
 """
 
 from __future__ import annotations
 
+import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,16 +26,20 @@ from sidforge.datamodel import (
     load_interactions,
     load_items,
 )
-from sidforge.pipeline import ArtifactPaths, load_config, run_pipeline
-from sidforge.recommender import RecommenderError, load_ngram
+from sidforge.diagnostics import DiagnosticsError, load_report
+from sidforge.pipeline import ArtifactPaths, ConfigError, load_config, run_pipeline
+from sidforge.recommender import RecommenderError, load_metrics, load_ngram
 from sidforge.rq import RqError, load_assignment, load_model
+from sidforge.synthgen import SynthError, load_synth_config
 
 TRUNCATIONS = 100
 FLIPS = 500
 
 
 @pytest.fixture(scope="module")
-def artifacts(tmp_path_factory):
+def run_cfg(tmp_path_factory):
+    """The config of a tiny run of all five stages. Its three categories of
+    ten items are just enough for diagnose to fit the semantic probe."""
     out = tmp_path_factory.mktemp("fuzz_source")
     cfg = load_config(env={})
     cfg["pipeline"]["output_dir"] = str(out)
@@ -46,9 +54,20 @@ def artifacts(tmp_path_factory):
         "seed": 5,
     }
     cfg["rq"] = {**cfg["rq"], "levels": 2, "codebook_sizes": [4, 3]}
-    cfg["stages"] = {**cfg["stages"], "diagnose": False, "corpus": False}
     assert run_pipeline(cfg)[0] == 0
-    return ArtifactPaths.in_dir(out)
+    (out / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    (out / "synth_config.json").write_text(json.dumps(cfg["synth"]), encoding="utf-8")
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def artifacts(run_cfg):
+    return ArtifactPaths.in_dir(Path(run_cfg["pipeline"]["output_dir"]))
+
+
+def case_file(paths: ArtifactPaths, case: str) -> Path:
+    """An artifact's path, or that of a config written beside the artifacts."""
+    return getattr(paths, case, None) or paths.manifest.with_name(f"{case}.json")
 
 
 def same_embeddings(a, b):
@@ -63,8 +82,9 @@ def same_centroids(a, b):
     return a.model_hash() == b.model_hash()
 
 
-# ArtifactPaths field -> (loader taking the paths, typed error, check on a
-# variant that loads, or None when any successful load is acceptable)
+# ArtifactPaths field or config name -> (loader taking the paths, typed
+# error, check on a variant that loads, or None when any successful load is
+# acceptable)
 CASES = {
     "items": (lambda p: load_items(p.items), CatalogError, None),
     "interactions": (lambda p: load_interactions(p.interactions), InteractionError, None),
@@ -73,16 +93,20 @@ CASES = {
     "model": (lambda p: load_model(p.model), RqError, same_centroids),
     "assignment": (lambda p: load_assignment(p.assignment), RqError, None),
     "ngram": (lambda p: load_ngram(p.ngram), RecommenderError, None),
+    "diagnostics_json": (lambda p: load_report(p.diagnostics_json), DiagnosticsError, None),
+    "metrics_json": (lambda p: load_metrics(p.metrics_json), RecommenderError, None),
+    "config": (lambda p: load_config(case_file(p, "config"), env={}), ConfigError, None),
+    "synth_config": (lambda p: load_synth_config(case_file(p, "synth_config")), SynthError, None),
 }
 
 
-def variants(data: bytes):
+def variants(data: bytes, truncations: int = TRUNCATIONS, flips: int = FLIPS):
     """Evenly spaced truncations, then evenly spaced single-bit flips. The
     flip stride is odd, so the flipped bit moves through every bit position
     of a byte."""
-    for cut in range(0, len(data), max(1, len(data) // TRUNCATIONS)):
+    for cut in range(0, len(data), max(1, len(data) // truncations)):
         yield f"truncated to {cut} bytes", data[:cut]
-    for bit in range(0, 8 * len(data), max(1, 8 * len(data) // FLIPS) | 1):
+    for bit in range(0, 8 * len(data), max(1, 8 * len(data) // flips) | 1):
         flipped = bytearray(data)
         flipped[bit // 8] ^= 1 << (bit % 8)
         yield f"bit {bit} flipped", bytes(flipped)
@@ -93,9 +117,9 @@ def test_variant_loads_or_raises_typed_error(artifacts, tmp_path, case):
     load, error, same = CASES[case]
     paths = ArtifactPaths.in_dir(tmp_path)
     for name in CASES:
-        shutil.copyfile(getattr(artifacts, name), getattr(paths, name))
+        shutil.copyfile(case_file(artifacts, name), case_file(paths, name))
     original = load(paths)
-    target = getattr(paths, case)
+    target = case_file(paths, case)
     data = target.read_bytes()
     for label, variant in variants(data):
         target.write_bytes(variant)
@@ -107,3 +131,29 @@ def test_variant_loads_or_raises_typed_error(artifacts, tmp_path, case):
             pytest.fail(f"{case}, {label}: {type(exc).__name__}: {exc}")
         if same is not None:
             assert same(loaded, original), f"{case}, {label}: loaded a different value"
+
+
+def test_fuzzed_manifest_rebuilds_the_same_bytes_or_fails_one_stage(run_cfg, tmp_path, monkeypatch):
+    # A relative output directory keeps the manifest's bytes, and so the
+    # variants, independent of where the test runs.
+    monkeypatch.chdir(tmp_path)
+    cfg = json.loads(json.dumps(run_cfg))
+    cfg["pipeline"]["output_dir"] = "out"
+    assert run_pipeline(cfg)[0] == 0
+    paths = ArtifactPaths.in_dir(Path("out"))
+    names = [name for name in vars(paths) if name != "manifest"]
+    original = {name: getattr(paths, name).read_bytes() for name in names}
+    outcomes = set()
+    for label, variant in variants(paths.manifest.read_bytes(), truncations=20, flips=40):
+        for name in names:
+            getattr(paths, name).write_bytes(original[name])
+        paths.manifest.write_bytes(variant)
+        status, summary = run_pipeline(cfg)
+        outcomes.add(status)
+        if status == 0:
+            for name in names:
+                assert getattr(paths, name).read_bytes() == original[name], f"{label}: {name} changed"
+        else:
+            assert 1 <= status <= 5, f"{label}: exit status {status}"
+            assert summary["error"].startswith(f"stage {status} ("), label
+    assert 0 in outcomes and len(outcomes) > 1  # both kinds of variant were made

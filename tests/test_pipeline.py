@@ -233,6 +233,24 @@ class TestRun:
         status, summary = run_pipeline(cfg)
         assert status == 3
 
+    def test_edited_manifest_hash_is_blamed_on_the_manifest(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_cfg(out)
+        assert run_pipeline(cfg)[0] == 0
+        paths = ArtifactPaths.in_dir(out)
+        manifest = json.loads(paths.manifest.read_text())
+        outputs = manifest["stages"]["tokenize"]["output_files"]
+        recorded = outputs[str(paths.assignment)]
+        outputs[str(paths.assignment)] = "0123456789abcdef"[int(recorded[0], 16) ^ 1] + recorded[1:]
+        paths.manifest.write_text(json.dumps(manifest))
+        status, summary = run_pipeline(cfg)
+        assert status == 3
+        assert summary["error"] == (
+            f"stage 3 (diagnose): cached input {paths.assignment} and the hash "
+            f"{paths.manifest} records for it disagree; use --force to rebuild"
+        )
+        assert sha256_file(paths.assignment) == recorded
+
     def test_force_rebuilds_over_tamper(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_cfg(out)
