@@ -225,7 +225,6 @@ def _cmd_eval(args) -> int:
         ks=args.k,
         beam_size=args.beam,
         include_validation=not args.exclude_validation,
-        keep_ranks=args.ranks_out is not None,
         unconstrained=args.unconstrained,
     )
     if args.ranks_out:

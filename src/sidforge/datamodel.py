@@ -15,7 +15,7 @@ import typing
 import zlib
 from collections import Counter, defaultdict
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -67,8 +67,10 @@ def is_json_number(value) -> bool:
 _field_types = functools.cache(typing.get_type_hints)
 
 
-def _json_as(kind, value):
+def _json_as(kind, value, error):
     """value as the annotated type kind; TypeError if its JSON type differs."""
+    if is_dataclass(kind):
+        return from_json(kind, value, error)
     if kind is float:
         if is_json_int(value) or isinstance(value, float):
             return float(value)
@@ -82,11 +84,11 @@ def _json_as(kind, value):
         # tuple[int, ...] takes any length, tuple[int, int] exactly two.
         args = typing.get_args(kind)
         if isinstance(value, (list, tuple)) and (args[-1] is ... or len(value) == len(args)):
-            return tuple(_json_as(args[0], v) for v in value)
+            return tuple(_json_as(args[0], v, error) for v in value)
     else:  # a union such as str | None
         for arg in typing.get_args(kind):
             try:
-                return _json_as(arg, value)
+                return _json_as(arg, value, error)
             except TypeError:
                 pass
     raise TypeError(kind)
@@ -95,8 +97,9 @@ def _json_as(kind, value):
 def from_json(cls, obj, error: type[ValueError], name: str | None = None):
     """An instance of the dataclass cls from a JSON object: each key must name
     a field, each field without a default must be present, and each value must
-    have its field's JSON type (a bool is not an int; an int is a float). Else
-    raises `error`, naming `name` (by default the class name) and the field."""
+    have its field's JSON type (a bool is not an int; an int in range is a
+    float; a dataclass is an object, read in turn). Else raises `error`,
+    naming `name` (by default the class name) and the field."""
     name = name or cls.__name__
     if not isinstance(obj, dict):
         raise error(f"{name} must be a JSON object, not {type(obj).__name__}")
@@ -111,8 +114,8 @@ def from_json(cls, obj, error: type[ValueError], name: str | None = None):
     for key, value in obj.items():
         kind = hints[key]
         try:
-            kwargs[key] = _json_as(kind, value)
-        except TypeError:
+            kwargs[key] = _json_as(kind, value, error)
+        except (TypeError, OverflowError):  # OverflowError: an int too large for a float
             shown = kind.__name__ if type(kind) is type else str(kind)
             raise error(f"{name} field {key!r} must be {shown}, not {value!r}") from None
     return cls(**kwargs)

@@ -3,7 +3,8 @@
 Stages: (1) source the catalog, embeddings, and interactions (synthesize or
 ingest), (2) fit codebooks and assign SIDs, (3) diagnostics report, (4) corpus
 export, (5) baseline training plus evaluation. Each stage is skipped when its
-config and input hashes match the manifest and its outputs exist. If a cached
+config and input hashes match the manifest and its outputs exist at the paths
+the manifest records for them. If a cached
 upstream artifact was edited on disk behind the manifest's back, the consuming
 stage refuses to run rather than silently building on it; --force recomputes
 every enabled stage. A run content-hashes each file at most once; a cache hit
@@ -431,7 +432,6 @@ def evaluate_baseline(
     ks,
     beam_size: int,
     include_validation=True,
-    keep_ranks=False,
     unconstrained=False,
 ):
     """Stage 5: (n-gram report, metrics) from trie-constrained beam search and
@@ -446,7 +446,6 @@ def evaluate_baseline(
         model.effective_sizes,
         ks=ks,
         beam_size=beam_size,
-        keep_ranks=keep_ranks,
         unconstrained=unconstrained,
     )
     popular = recommender.popularity_ranking(user_rows, assign)
@@ -590,6 +589,7 @@ def run_pipeline(cfg: dict, force: bool = False):
                     and entry is not None
                     and entry.get("config_hash") == cfg_hash
                     and entry.get("input_files") == input_hashes
+                    and set(entry["output_files"]) == set(map(str, outputs))
                     and all(Path(p).exists() for p in outputs)
                 )
                 if hit:  # not in `hashed`: the first stage to read one checks it

@@ -14,7 +14,8 @@ Speed without changing a bit of the results:
   one count. The
   counts keep that form to the file and back, with no separate totals: a
   read-only (k, 2) int64 array of (token, count) rows per context, tokens
-  ascending. Loading rejects a count or a context total of 2**63 or more.
+  ascending. Loading reads the top level as an `NGramFile` and rejects a
+  count or a context total of 2**63 or more.
 - A score row depends only on the back-off context that the last order - 1
   tokens resolve to. The model compiles once into a fill value per trained
   context, for every token it never counted, and CSR arrays of its counted
@@ -52,7 +53,7 @@ from operator import attrgetter
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .datamodel import SplitDataset, atomic_open, is_json_int, is_json_number, read_json_object
+from .datamodel import SplitDataset, atomic_open, from_json, is_json_int, is_json_number, read_json_object
 from .rq import SidAssignment, SidSequence, SidTrie, sorted_prefixes
 
 
@@ -65,10 +66,10 @@ class RecommenderError(ValueError):
 _TOKEN_KEY = re.compile(r"0|[1-9][0-9]{0,17}")
 
 
-def check_settings(*, ks=(1,), beam_size: int = 1, order: int = 1, alpha: float = 1.0) -> None:
-    """Raise RecommenderError, naming the setting, when the evaluation's
-    cutoffs `ks` or `beam_size`, or the n-gram's `order` or `alpha`, is out of
-    range. The pipeline's `eval` config section runs the same checks."""
+def check_settings(*, ks=(1,), beam_size: int = 1, order: int = 1, alpha: float = 1.0, sizes=(1,)) -> None:
+    """Raise RecommenderError, naming the setting, when the evaluation's `ks`
+    or `beam_size`, or the n-gram's `order`, `alpha` or level `sizes`, is out
+    of range. The `eval` config section and load_ngram run the same checks."""
     if not ks or min(ks) < 1:
         raise RecommenderError(f"ks must be a non-empty list of cutoffs >= 1, not {list(ks)}")
     if beam_size < 1:
@@ -77,6 +78,8 @@ def check_settings(*, ks=(1,), beam_size: int = 1, order: int = 1, alpha: float 
         raise RecommenderError(f"order must be >= 1, not {order}")
     if not 0.0 < alpha <= sys.float_info.max:
         raise RecommenderError(f"alpha must be a finite number > 0, not {alpha}")
+    if not sizes or min(sizes) < 1:
+        raise RecommenderError(f"sizes must be a non-empty list of level sizes >= 1, not {list(sizes)}")
 
 
 def level_offsets(sizes) -> tuple[int, ...]:
@@ -236,6 +239,17 @@ def train_ngram(
     return NGramModel(order=order, alpha=float(alpha), sizes=sizes, counts=counts)
 
 
+@dataclass(frozen=True)
+class NGramFile:
+    """ngram.json's top level; load_ngram checks each {"ctx", "counts"} context."""
+
+    format: str
+    order: int
+    alpha: float
+    sizes: tuple[int, ...]
+    contexts: list
+
+
 def save_ngram(model: NGramModel, path) -> None:
     """The bytes of `json.dump(payload, fh, sort_keys=True)` over the format,
     order, alpha, sizes and one {"counts", "ctx"} record per sorted context,
@@ -257,29 +271,19 @@ def load_ngram(path) -> NGramModel:
     payload = read_json_object(path, RecommenderError, "n-gram file")
     if payload.get("format") != "sidforge-ngram-v1":
         raise RecommenderError(f"unsupported n-gram format {payload.get('format')!r}")
-    missing = [key for key in ("order", "alpha", "sizes", "contexts") if key not in payload]
-    if missing:
-        raise RecommenderError(f"n-gram file has no {missing} fields")
-    order, alpha, sizes = payload["order"], payload["alpha"], payload["sizes"]
-    if not is_json_int(order) or order < 1:
-        raise RecommenderError(f"n-gram order {order!r} is not an integer >= 1")
-    if not is_json_number(alpha) or not 0.0 < alpha <= sys.float_info.max:
-        raise RecommenderError(f"n-gram alpha {alpha!r} is not a finite number > 0")
-    if not isinstance(sizes, list) or not sizes or not all(is_json_int(k) and k >= 1 for k in sizes):
-        raise RecommenderError(f"n-gram sizes {sizes!r} are not a list of integers >= 1")
-    if not isinstance(payload["contexts"], list):
-        raise RecommenderError("n-gram contexts are not a list")
-    vocab_size = sum(sizes)
+    header = from_json(NGramFile, payload, RecommenderError, "n-gram file")
+    check_settings(order=header.order, alpha=header.alpha, sizes=header.sizes)
+    vocab_size = sum(header.sizes)
     counts: dict[tuple[int, ...], np.ndarray] = {}
-    for i, entry in enumerate(payload["contexts"]):
+    for i, entry in enumerate(header.contexts):
         where = f"n-gram context #{i}"
         if not (isinstance(entry, dict) and isinstance(entry.get("ctx"), list)
                 and isinstance(entry.get("counts"), dict)):
             raise RecommenderError(f"{where} is not an object with a 'ctx' list and a 'counts' object")
         ctx = entry["ctx"]
-        if len(ctx) >= order or not all(is_json_int(t) and 0 <= t < vocab_size for t in ctx):
+        if len(ctx) >= header.order or not all(is_json_int(t) and 0 <= t < vocab_size for t in ctx):
             raise RecommenderError(
-                f"{where}: {ctx!r} is not a list of at most {order - 1} tokens in [0, {vocab_size})"
+                f"{where}: {ctx!r} is not a list of at most {header.order - 1} tokens in [0, {vocab_size})"
             )
         if tuple(ctx) in counts:
             raise RecommenderError(f"{where}: context {ctx} appears twice")
@@ -300,7 +304,7 @@ def load_ngram(path) -> NGramModel:
             rows.append((int(key), count))
         counts[tuple(ctx)] = np.array(sorted(rows), dtype=np.int64).reshape(-1, 2)
         counts[tuple(ctx)].setflags(write=False)
-    return NGramModel(order=order, alpha=float(alpha), sizes=tuple(sizes), counts=counts)
+    return NGramModel(order=header.order, alpha=header.alpha, sizes=header.sizes, counts=counts)
 
 
 def beam_search(
@@ -370,7 +374,7 @@ class MetricsReport:
     n_users: int
     n_excluded: int
     beam_shortfalls: int
-    per_user_ranks: dict[str, int] | None = None  # 1-based rank, 0 for a miss
+    per_user_ranks: dict[str, int]  # 1-based rank, 0 for a miss
 
     def to_dict(self) -> dict:
         out: dict = {}
@@ -384,9 +388,7 @@ class MetricsReport:
         return out
 
 
-def _metrics_from_ranks(
-    ranks: dict[str, int], ks, n_excluded: int, shortfalls: int, keep_ranks: bool
-) -> MetricsReport:
+def _metrics_from_ranks(ranks: dict[str, int], ks, n_excluded: int, shortfalls: int) -> MetricsReport:
     ordered = [ranks[user_id] for user_id in sorted(ranks)]
     n = len(ordered)
     hr: dict[int, float] = {}
@@ -404,7 +406,7 @@ def _metrics_from_ranks(
         n_users=n,
         n_excluded=n_excluded,
         beam_shortfalls=shortfalls,
-        per_user_ranks=dict(ranks) if keep_ranks else None,
+        per_user_ranks=ranks,
     )
 
 
@@ -416,7 +418,6 @@ def evaluate(
     sizes,
     ks=(5, 10),
     beam_size: int = 20,
-    keep_ranks: bool = False,
     unconstrained: bool = False,
 ) -> MetricsReport:
     """Next-SID generation for every user with a test SID, and macro-averaged
@@ -464,7 +465,7 @@ def evaluate(
             shortfalls += 1
         target = tuple(sids[test_row])
         ranks[user_id] = ranked.index(target) + 1 if target in ranked else 0
-    return _metrics_from_ranks(ranks, ks, excluded, shortfalls, keep_ranks)
+    return _metrics_from_ranks(ranks, ks, excluded, shortfalls)
 
 
 def popularity_ranking(user_rows, assign: SidAssignment) -> list[SidSequence]:
@@ -490,7 +491,7 @@ def evaluate_static_ranking(
     sids = assign.tokens.tolist()
     ranks = {user_id: position_of.get(tuple(sids[row]), 0)
              for user_id, row in zip(user_ids, test.tolist()) if row >= 0}
-    return _metrics_from_ranks(ranks, ks, len(user_ids) - len(ranks), 0, False)
+    return _metrics_from_ranks(ranks, ks, len(user_ids) - len(ranks), 0)
 
 
 def load_metrics(path) -> dict:

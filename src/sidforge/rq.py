@@ -114,6 +114,17 @@ class LevelFitStats:
 
 
 @dataclass(frozen=True)
+class ModelHeader:
+    """The fields of a model file's JSON header line beside its RqConfig's."""
+
+    format: str
+    dim: int
+    effective_sizes: tuple[int, ...]
+    model_hash: str
+    fit_stats: tuple[LevelFitStats, ...]
+
+
+@dataclass(frozen=True)
 class RqModel:
     config: RqConfig
     codebooks: tuple[Codebook, ...]
@@ -136,6 +147,15 @@ class RqModel:
         for cb in self.codebooks:
             digest.update(np.ascontiguousarray(cb.centroids, dtype="<f4").tobytes(order="C"))
         return digest.hexdigest()
+
+
+@dataclass(frozen=True)
+class AssignmentMeta:
+    """An assignment file's first line; `count`, if present, is its record count."""
+
+    format: str
+    model_hash: str
+    count: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -601,15 +621,9 @@ def build_trie(assign: SidAssignment) -> SidTrie:
 
 
 def save_model(model: RqModel, path) -> None:
-    """One-line JSON header followed by one binary centroid block per level."""
-    header = {
-        **asdict(model.config),
-        "format": MODEL_FORMAT,
-        "dim": model.dim,
-        "effective_sizes": list(model.effective_sizes),
-        "model_hash": model.model_hash(),
-        "fit_stats": [asdict(st) for st in model.fit_stats],
-    }
+    """One JSON header line (RqConfig and ModelHeader fields), then one binary centroid block per level."""
+    meta = ModelHeader(MODEL_FORMAT, model.dim, model.effective_sizes, model.model_hash(), model.fit_stats)
+    header = {**asdict(model.config), **asdict(meta)}
     with atomic_open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
         for cb in model.codebooks:
@@ -627,7 +641,8 @@ def load_model(path) -> RqModel:
             raise RqError("model header is not a JSON object")
         if header.get("format") != MODEL_FORMAT:
             raise RqError(f"unsupported model format {header.get('format')!r}")
-        cfg = RqConfig.from_dict({f.name: header[f.name] for f in fields(RqConfig) if f.name in header})
+        cfg = RqConfig.from_dict({f.name: header.pop(f.name) for f in fields(RqConfig) if f.name in header})
+        meta = from_json(ModelHeader, header, RqError, "model header")
         codebooks = []
         for level in range(1, cfg.levels + 1):
             try:
@@ -637,37 +652,27 @@ def load_model(path) -> RqModel:
             codebooks.append(Codebook(level=level, centroids=_frozen_f32(matrix)))
         if fh.read(1):
             raise RqError("trailing bytes after the last codebook block")
-    try:
-        dim = int(header["dim"])
-        stats = tuple(from_json(LevelFitStats, st, RqError) for st in header["fit_stats"])
-        effective_sizes, stored_hash = list(header["effective_sizes"]), header["model_hash"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise RqError(f"malformed model header: {exc!r}") from exc
     dims = {cb.centroids.shape[1] for cb in codebooks}
-    if dims != {dim}:
-        raise RqError(f"codebook dims {sorted(dims)} do not match header dim {dim}")
-    model = RqModel(config=cfg, codebooks=tuple(codebooks), dim=dim, fit_stats=stats)
-    if list(model.effective_sizes) != effective_sizes:
+    if dims != {meta.dim}:
+        raise RqError(f"codebook dims {sorted(dims)} do not match header dim {meta.dim}")
+    model = RqModel(config=cfg, codebooks=tuple(codebooks), dim=meta.dim, fit_stats=meta.fit_stats)
+    if model.effective_sizes != meta.effective_sizes:
         raise RqError("codebook sizes do not match the header")
-    if model.model_hash() != stored_hash:
+    if model.model_hash() != meta.model_hash:
         raise RqError("model hash mismatch; file corrupted or edited")
     return model
 
 
 def save_assignment(assign: SidAssignment, path) -> None:
-    """One-line JSON meta record, then one JSON line per item, keys sorted:
-    {"item_id": ..., "sid": ..., "tokens": [...]}."""
+    """One-line JSON meta record (AssignmentMeta, keys sorted), then one JSON
+    line per item, keys sorted: {"item_id": ..., "sid": ..., "tokens": [...]}."""
+    meta = AssignmentMeta(ASSIGNMENT_FORMAT, assign.model_hash, len(assign))
     with atomic_open(path, encoding="utf-8", newline="\n") as fh:
-        meta = {"format": ASSIGNMENT_FORMAT, "model_hash": assign.model_hash, "count": len(assign)}
-        fh.write(json.dumps(meta, sort_keys=True) + "\n")
+        fh.write(json.dumps(asdict(meta), sort_keys=True) + "\n")
         for item_id, s in zip(assign.item_ids, assign.tokens.tolist()):
             # The SID text needs no JSON escaping, and the tokens are ints.
             fh.write('{"item_id": %s, "sid": "%s", "tokens": [%s]}\n'
                      % (json.dumps(item_id), render_sid(s), ", ".join(map(str, s))))
-
-
-def _is_token(value) -> bool:
-    return type(value) is int and -2**63 <= value < 2**63  # a JSON integer, bools excluded
 
 
 def load_assignment(path) -> SidAssignment:
@@ -681,10 +686,9 @@ def load_assignment(path) -> SidAssignment:
         meta = json.loads(first)
     except json.JSONDecodeError as exc:
         raise RqError(f"unreadable assignment meta line: {exc.msg}") from exc
-    if not isinstance(meta, dict):
-        raise RqError("assignment meta line is not a JSON object")
-    if meta.get("format") != ASSIGNMENT_FORMAT:
+    if isinstance(meta, dict) and meta.get("format") != ASSIGNMENT_FORMAT:
         raise RqError(f"unsupported assignment format {meta.get('format')!r}")
+    meta = from_json(AssignmentMeta, meta, RqError, "assignment meta line")
     for lineno, line in lines:
         if not line.strip():
             continue
@@ -698,7 +702,7 @@ def load_assignment(path) -> SidAssignment:
             raise RqError(f"line {lineno}: malformed record ({exc!r})") from exc
         if not isinstance(item_id, str):
             raise RqError(f"line {lineno}: item_id {item_id!r} is not a string")
-        if not isinstance(tokens, list) or not all(map(_is_token, tokens)):
+        if not isinstance(tokens, list) or not all(is_json_int(t) and -2**63 <= t < 2**63 for t in tokens):
             raise RqError(f"line {lineno}: tokens {tokens!r} are not a list of 64-bit integers")
         if sids and len(tokens) != width:
             raise RqError(f"line {lineno}: {len(tokens)} tokens, where the first record has {width}")
@@ -712,15 +716,10 @@ def load_assignment(path) -> SidAssignment:
             raise RqError(f"line {lineno}: sid text does not match tokens")
         sids[item_id] = tokens
         width = len(tokens)
-    count = meta.get("count", len(sids))
-    if not is_json_int(count):
-        raise RqError(f"assignment count {count!r} is not an integer")
-    if len(sids) != count:
+    if meta.count not in (None, len(sids)):
         raise RqError("assignment count does not match the meta line")
-    if "model_hash" not in meta:
-        raise RqError("assignment meta line lacks model_hash")
     tokens = np.array(list(sids.values()), dtype=np.int64).reshape(len(sids), width)
-    return SidAssignment(list(sids), tokens, str(meta["model_hash"]))
+    return SidAssignment(list(sids), tokens, meta.model_hash)
 
 
 def load_model_and_assignment(model_path, assignment_path) -> tuple[RqModel, SidAssignment]:

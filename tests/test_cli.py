@@ -470,15 +470,19 @@ def test_pipeline_unreadable_or_rejected_config_exits_ex_config(tmp_path, capsys
     out = tmp_path / "out"
     cfg_path = tmp_path / "pipe.json"
     cfg_path.write_text(json.dumps({"pipeline": {"output_dir": str(out), "workers": 0}}))
+    huge_path = tmp_path / "huge.json"  # an int past the float range
+    huge_path.write_text(json.dumps({"pipeline": {"output_dir": str(out)}, "eval": {"alpha": 10**400}}))
     for argv, named in (
         (["--config", tmp_path / "missing.json"], "missing.json"),
         (["--config", cfg_path], "pipeline.workers"),
         (["--output-dir", out, "--workers", -3], "pipeline.workers"),
+        (["--config", huge_path], "eval field 'alpha' must be float"),
     ):
         caplog.clear()
-        status, _ = run(capsys, "pipeline", *argv)
+        status = main(["pipeline", *map(str, argv)])
         assert status == 78
         assert named in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -6,7 +6,9 @@ at evenly spaced bit positions. Every variant must either load or raise its
 module's typed error; no other exception may escape. A file guarded by a
 checksum or a content hash (the embedding matrix, the model's centroids)
 must load identically when it loads at all. A run over a fuzzed manifest
-must either rebuild the same bytes or fail one stage by its number.
+must either rebuild the same bytes or fail one stage by its number. Each
+key of the model, assignment and n-gram headers, set to a value of each
+JSON type, must load as written or raise the typed error.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from sidforge.datamodel import (
 )
 from sidforge.diagnostics import DiagnosticsError, load_report
 from sidforge.pipeline import ArtifactPaths, ConfigError, load_config, run_pipeline
-from sidforge.recommender import RecommenderError, load_metrics, load_ngram
-from sidforge.rq import RqError, load_assignment, load_model
+from sidforge.recommender import RecommenderError, load_metrics, load_ngram, save_ngram
+from sidforge.rq import RqError, load_assignment, load_model, save_assignment, save_model
 from sidforge.synthgen import SynthError, load_synth_config
 
 TRUNCATIONS = 100
@@ -100,6 +102,17 @@ CASES = {
 }
 
 
+# ArtifactPaths field -> (loader, saver, typed error) of each file with a header
+HEADERS = {
+    "model": (load_model, save_model, RqError),
+    "assignment": (load_assignment, save_assignment, RqError),
+    "ngram": (load_ngram, save_ngram, RecommenderError),
+}
+
+# One value of each JSON type, a number too large for a float among them.
+HEADER_VALUES = ("8", 8.9, True, None, [], {}, 10**400)
+
+
 def variants(data: bytes, truncations: int = TRUNCATIONS, flips: int = FLIPS):
     """Evenly spaced truncations, then evenly spaced single-bit flips. The
     flip stride is odd, so the flipped bit moves through every bit position
@@ -157,3 +170,35 @@ def test_fuzzed_manifest_rebuilds_the_same_bytes_or_fails_one_stage(run_cfg, tmp
             assert 1 <= status <= 5, f"{label}: exit status {status}"
             assert summary["error"].startswith(f"stage {status} ("), label
     assert 0 in outcomes and len(outcomes) > 1  # both kinds of variant were made
+
+
+@pytest.mark.parametrize("case", sorted(HEADERS))
+def test_header_value_of_any_type_loads_as_written_or_raises_typed_error(artifacts, tmp_path, case):
+    """Each top-level header key set to each of HEADER_VALUES. A variant that
+    loads saves back to its own bytes, or to the original's when it loads as
+    the original (an optional key set to null): no value is cast to another
+    type. Values that a cast would take for valid ones are refused."""
+    load, save, error = HEADERS[case]
+    data = getattr(artifacts, case).read_bytes()
+    # The n-gram file is one JSON object; the others start with a header line.
+    head, sep, rest = (data[:-1], b"\n", b"") if case == "ngram" else data.partition(b"\n")
+    header = json.loads(head)
+    edits = [(key, value, False) for key in header for value in HEADER_VALUES]
+    if case == "model":
+        edits += [("dim", str(header["dim"]), True), ("dim", header["dim"] + 0.9, True)]
+    if case == "assignment":
+        edits += [("model_hash", ["x"], True)]
+    path, resaved = tmp_path / "variant", tmp_path / "resaved"
+    for key, value, refused in edits:
+        label = f"{case} {key} = {value!r}"
+        variant = json.dumps({**header, key: value}, sort_keys=True).encode() + sep + rest
+        path.write_bytes(variant)
+        try:
+            loaded = load(path)
+        except error:
+            continue
+        except Exception as exc:  # any other exception is the failure under test
+            pytest.fail(f"{label}: {type(exc).__name__}: {exc}")
+        assert not refused, f"{label} loaded"
+        save(loaded, resaved)
+        assert resaved.read_bytes() in (variant, data), f"{label}: loaded a different value"

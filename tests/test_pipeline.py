@@ -4,6 +4,7 @@ import builtins
 import io
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,7 @@ class TestConfig:
              r"unknown diagnostics fields: \['run_probe'\]"),
             ({**base_cfg(out), "diagnostics": {"probe_seed": 0, "sim_curve": False}},
              r"unknown diagnostics fields: \['sim_curve'\]"),
+            ({**base_cfg(out), "eval": {"alpha": 10**400}}, "eval field 'alpha' must be float"),
             ({key: value for key, value in base_cfg(out).items() if key != "stages"} | {"extra": {}},
              r"unknown or missing config sections: \['extra', 'stages'\]"),
         ):
@@ -274,6 +276,21 @@ class TestRun:
         assert summary["stages"]["tokenize"] == "ran"
         assert summary["stages"]["source"] == "cache-hit"
         assert paths.model.exists()
+
+    def test_copied_output_directory_reruns_every_stage(self, tmp_path):
+        # A synth source stage has no inputs: only its recorded output paths
+        # tell the copy's manifest entries from those of the original.
+        out = tmp_path / "out"
+        assert run_pipeline(base_cfg(out))[0] == 0
+        fresh = artifact_hashes(out)
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        items = ArtifactPaths.in_dir(copy).items
+        items.write_text("".join(items.read_text().splitlines(keepends=True)[:-1]))
+        status, summary = run_pipeline(base_cfg(copy))
+        assert status == 0, summary.get("error")
+        assert all(v == "ran" for v in summary["stages"].values())
+        assert artifact_hashes(copy) == fresh and len(fresh) == 13
 
     def test_stage_one_failure_exit_code(self, tmp_path):
         # An empty synth section is a config error; an unreadable source is

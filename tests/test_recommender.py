@@ -596,7 +596,6 @@ def reference_evaluate(
     ks=(5, 10),
     beam_size=20,
     include_validation=True,
-    keep_ranks=False,
     unconstrained=False,
 ):
     """evaluate before it searched once per n-gram state, verbatim: one
@@ -631,7 +630,7 @@ def reference_evaluate(
                 rank = position
                 break
         ranks[user_id] = rank
-    return _metrics_from_ranks(ranks, ks, excluded, shortfalls, keep_ranks)
+    return _metrics_from_ranks(ranks, ks, excluded, shortfalls)
 
 
 def evaluation_case(gen):
@@ -737,9 +736,9 @@ class TestFastPathsMatchLoops:
                     ks = sorted({int(k) for k in gen.integers(1, 8, size=2)})
                     include_validation = bool(gen.integers(2))
                     want = reference_evaluate(model, split, assign, trie, sizes, ks, beam_size,
-                                              include_validation, True, unconstrained)
+                                              include_validation, unconstrained)
                     user_rows = split_rows(split, assign, include_validation)
-                    got = evaluate(model, user_rows, assign, trie, sizes, ks, beam_size, True, unconstrained)
+                    got = evaluate(model, user_rows, assign, trie, sizes, ks, beam_size, unconstrained)
                     assert got == want, f"trial {trial} order {order}"
                     assert want.n_excluded >= 1 and want.n_users >= 3
 
@@ -915,8 +914,8 @@ class TestSplitRows:
             model = train_ngram(split, assign, (2, 2), 3, 0.5, include_validation)
             assert ngram_dicts(model) == reference_counts(split, assign, (2, 2), 3, include_validation)
             trie = build_trie(assign)
-            assert evaluate(model, got, assign, trie, (2, 2), (1, 3), 3, True) == reference_evaluate(
-                model, split, assign, trie, (2, 2), (1, 3), 3, include_validation, True)
+            assert evaluate(model, got, assign, trie, (2, 2), (1, 3), 3) == reference_evaluate(
+                model, split, assign, trie, (2, 2), (1, 3), 3, include_validation)
         empty = split_rows(SplitDataset(users={}, n_dropped_users=0), assign, True)
         assert (empty[0], *(a.tolist() for a in empty[1:])) == ([], [], [], [])
 
@@ -924,7 +923,8 @@ class TestSplitRows:
 class TestMetrics:
     def test_ndcg_rank_three(self):
         report = MetricsReport(
-            hr={5: 1.0}, ndcg={5: 1.0 / math.log2(4)}, n_users=1, n_excluded=0, beam_shortfalls=0
+            hr={5: 1.0}, ndcg={5: 1.0 / math.log2(4)}, n_users=1, n_excluded=0, beam_shortfalls=0,
+            per_user_ranks={"u": 3},
         )
         assert report.to_dict()["NDCG@5"] == 0.5
 
@@ -940,7 +940,7 @@ class TestMetrics:
         )
         model = train_ngram(split, assign, (2, 2), order=1, alpha=0.01)
         report = evaluate(
-            model, split_rows(split, assign, True), assign, trie, (2, 2), ks=(1, 5), beam_size=3, keep_ranks=True
+            model, split_rows(split, assign, True), assign, trie, (2, 2), ks=(1, 5), beam_size=3
         )
         # unigram heavily favors item a's tokens; a ranks first for both users
         assert report.per_user_ranks == {"u1": 1, "u2": 2}
@@ -1075,7 +1075,7 @@ def reference_evaluate_static_ranking(ranked, split, assign, ks=(5, 10)):
     position_of = {sid: i + 1 for i, sid in enumerate(ranked)}
     ranks = {user_id: position_of.get(assign[user.test], 0)
              for user_id, user in split.users.items() if user.test in assign.sids}
-    return _metrics_from_ranks(ranks, ks, len(split.users) - len(ranks), 0, False)
+    return _metrics_from_ranks(ranks, ks, len(split.users) - len(ranks), 0)
 
 
 class TestCsv:
@@ -1086,6 +1086,7 @@ class TestCsv:
             n_users=3,
             n_excluded=0,
             beam_shortfalls=0,
+            per_user_ranks={"u1": 1, "u2": 6, "u3": 0},
         )
         path = tmp_path / "m.csv"
         write_metrics_csv(report, path)

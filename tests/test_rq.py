@@ -702,9 +702,12 @@ class TestAssignment:
             (lines[0], lines[1].replace('"item_id"', '"item"'), "line 2"),
             ("[]", lines[1], "meta line"),
             (lines[0], lines[1].replace('"a"', "5"), "line 2: item_id 5"),
-            (json.dumps({**meta, "count": "x"}), lines[1], "count 'x'"),
-            (json.dumps({**meta, "count": True}), lines[1], "count True"),
-            (json.dumps({**meta, "count": 1.0}), lines[1], "count 1.0"),
+            (json.dumps({**meta, "count": "x"}), lines[1],
+             re.escape("field 'count' must be int | None, not 'x'")),
+            (json.dumps({**meta, "count": True}), lines[1],
+             re.escape("field 'count' must be int | None, not True")),
+            (json.dumps({**meta, "count": 1.0}), lines[1],
+             re.escape("field 'count' must be int | None, not 1.0")),
             (lines[0], "\udcff" + lines[1], "line 2: invalid UTF-8"),
             *(
                 (lines[0], json.dumps({"item_id": "a", "sid": "<a_1><b_0><c_0>", "tokens": tokens}),
