@@ -9,7 +9,6 @@ import json
 import logging
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
@@ -66,15 +65,6 @@ def system_instruction(task: TaskId) -> str:
     file once per process."""
     name = f"{task.name.lower()}.txt"
     return resources.files("sidforge.templates").joinpath(name).read_text("utf-8")
-
-
-@dataclass(frozen=True)
-class TrainingExample:
-    task: TaskId
-    system_instruction: str
-    user_input: str
-    target_output: str
-    provenance: str  # item_id for item tasks, user_id for history tasks
 
 
 def check_settings(*, n: int = 1, max_history: int = 1) -> None:
@@ -143,35 +133,36 @@ class ExamplePool(Sequence):
     def __len__(self) -> int:
         return len(self._sources)
 
-    def __getitem__(self, index: int) -> TrainingExample:
+    def __getitem__(self, index: int) -> dict:
+        """Example i as the JSONL record: {"task", "system", "user", "assistant"}."""
         return self._render(self._sources[operator.index(index)])  # no slices
 
 
 def make_examples(task: TaskId, sources: TaskSources) -> tuple[ExamplePool, int]:
-    """One task's examples as a lazy pool over its share of `sources`, plus
+    """One task's records as a lazy pool over its share of `sources`, plus
     the count of skipped sources. An item task's input is one view of the
     item; a history task's is that view of each history item, joined."""
     source, input_view, output_view = task.value
-    system = system_instruction(task)
+    name, system = task.name, system_instruction(task)
     template = _USER_TEMPLATES[task]
     shown, target_text = sources.text[input_view], sources.text[output_view]
 
     if source == "history":
         key = f"{input_view}_history"
 
-        def render_user(user: tuple) -> TrainingExample:
-            user_id, history, target = user
+        def render_user(user: tuple) -> dict:
+            _, history, target = user
             joined = HISTORY_SEPARATOR.join(map(shown.__getitem__, history))
-            user_input = template.format_map({key: joined})
-            return TrainingExample(task, system, user_input, target_text[target], user_id)
+            return {"task": name, "system": system, "user": template.format_map({key: joined}),
+                    "assistant": target_text[target]}
 
         return ExamplePool(sources.users, render_user), sources.n_users - len(sources.users)
 
     items = sources.visual_items if input_view == "visual_description" else sources.items
 
-    def render_item(item_id: str) -> TrainingExample:
-        user_input = template.format_map({input_view: shown[item_id]})
-        return TrainingExample(task, system, user_input, target_text[item_id], item_id)
+    def render_item(item_id: str) -> dict:
+        return {"task": name, "system": system, "user": template.format_map({input_view: shown[item_id]}),
+                "assistant": target_text[item_id]}
 
     return ExamplePool(items, render_item), sources.n_items - len(items)
 
@@ -226,13 +217,7 @@ def sample_corpus(
         key = name, int(gen.integers(len(pool)))
         record = drawn.get(key)
         if record is None:
-            example = pool[key[1]]
-            record = drawn[key] = {
-                "task": name,
-                "system": example.system_instruction,
-                "user": example.user_input,
-                "assistant": example.target_output,
-            }
+            record = drawn[key] = pool[key[1]]
         sampled[name] += 1
         records.append(record.copy())
     stats = {

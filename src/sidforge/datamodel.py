@@ -10,6 +10,7 @@ import itertools
 import json
 import operator
 import os
+import reprlib
 import struct
 import typing
 import zlib
@@ -99,7 +100,7 @@ def from_json(cls, obj, error: type[ValueError], name: str | None = None):
     a field, each field without a default must be present, and each value must
     have its field's JSON type (a bool is not an int; an int in range is a
     float; a dataclass is an object, read in turn). Else raises `error`,
-    naming `name` (by default the class name) and the field."""
+    naming `name` (by default the class name), the field and its value (by reprlib)."""
     name = name or cls.__name__
     if not isinstance(obj, dict):
         raise error(f"{name} must be a JSON object, not {type(obj).__name__}")
@@ -117,7 +118,7 @@ def from_json(cls, obj, error: type[ValueError], name: str | None = None):
             kwargs[key] = _json_as(kind, value, error)
         except (TypeError, OverflowError):  # OverflowError: an int too large for a float
             shown = kind.__name__ if type(kind) is type else str(kind)
-            raise error(f"{name} field {key!r} must be {shown}, not {value!r}") from None
+            raise error(f"{name} field {key!r} must be {shown}, not {reprlib.repr(value)}") from None
     return cls(**kwargs)
 
 
@@ -482,25 +483,21 @@ class UserSplit:
 
 @dataclass(frozen=True)
 class SplitDataset:
-    """Per-user leave-last-out split: last event is the test target, the one
-    before it the validation target, everything earlier the train sequence."""
+    """Leave-last-out split of each user with 3+ events: last event is the
+    test target, the one before it validation, the rest the train sequence."""
 
     users: dict[str, UserSplit]
-    n_dropped_users: int
 
 
 def leave_last_out_split(log: InteractionLog) -> SplitDataset:
     users: dict[str, UserSplit] = {}
-    dropped = 0
     grouped = log.by_user()
     for user in sorted(grouped):
         seq = [item for _, item, _ in grouped[user]]
-        if len(seq) < 3:
-            dropped += 1
-            continue
-        users[user] = UserSplit(
-            train=tuple(seq[:-2]),
-            validation=seq[-2],
-            test=seq[-1],
-        )
-    return SplitDataset(users=users, n_dropped_users=dropped)
+        if len(seq) >= 3:
+            users[user] = UserSplit(
+                train=tuple(seq[:-2]),
+                validation=seq[-2],
+                test=seq[-1],
+            )
+    return SplitDataset(users=users)

@@ -105,8 +105,7 @@ def reconstruction_curve(
     sims: dict[int, float] = {}
     zero_recon: dict[int, int] = {}
     for h in range(1, h_max + 1):
-        cb = model.codebooks[h - 1]
-        recon = recon + cb.centroids.astype(np.float64)[tokens[:, h - 1]]
+        recon = recon + model.codebooks[h - 1].astype(np.float64)[tokens[:, h - 1]]
         r_norms = np.sqrt(np.square(recon).sum(axis=1))
         cos = np.zeros(points.shape[0])
         ok = included & (r_norms > 0.0)

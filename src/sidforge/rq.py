@@ -96,16 +96,6 @@ class RqConfig:
 
 
 @dataclass(frozen=True)
-class Codebook:
-    level: int  # 1-based
-    centroids: np.ndarray  # size x dim float32, read-only
-
-    @property
-    def size(self) -> int:
-        return self.centroids.shape[0]
-
-
-@dataclass(frozen=True)
 class LevelFitStats:
     level: int
     configured_size: int
@@ -126,9 +116,11 @@ class ModelHeader:
 
 @dataclass(frozen=True)
 class RqModel:
+    """`codebooks[h]`: level h + 1's read-only float32 (size, dim) centroids;
+    `dim`, `levels` and `effective_sizes` read these matrices."""
+
     config: RqConfig
-    codebooks: tuple[Codebook, ...]
-    dim: int
+    codebooks: tuple[np.ndarray, ...]
     fit_stats: tuple[LevelFitStats, ...]
     # The fitted rows' tokens (n x levels int64, read-only), equal to
     # encode_batch on those rows; None on a loaded model. Not saved.
@@ -139,13 +131,17 @@ class RqModel:
         return len(self.codebooks)
 
     @property
+    def dim(self) -> int:
+        return self.codebooks[0].shape[1]
+
+    @property
     def effective_sizes(self) -> tuple[int, ...]:
-        return tuple(cb.size for cb in self.codebooks)
+        return tuple(map(len, self.codebooks))
 
     def model_hash(self) -> str:
         digest = hashlib.sha256()
         for cb in self.codebooks:
-            digest.update(np.ascontiguousarray(cb.centroids, dtype="<f4").tobytes(order="C"))
+            digest.update(np.ascontiguousarray(cb, dtype="<f4").tobytes(order="C"))
         return digest.hexdigest()
 
 
@@ -433,7 +429,7 @@ def fit_codebooks(emb: EmbeddingSet, cfg: RqConfig, workers: int = 1) -> RqModel
         cents, idx, trace = _fit_level(
             residual, k_conf, gen, cfg.kmeans_max_iters, cfg.kmeans_rel_tol, workers
         )
-        codebooks.append(Codebook(level=level, centroids=_frozen_f32(cents)))
+        codebooks.append(_frozen_f32(cents))
         stats.append(
             LevelFitStats(
                 level=level,
@@ -445,8 +441,7 @@ def fit_codebooks(emb: EmbeddingSet, cfg: RqConfig, workers: int = 1) -> RqModel
         tokens[:, level - 1] = idx
         residual = residual - cents.astype(np.float64)[idx]
     tokens.setflags(write=False)
-    return RqModel(config=cfg, codebooks=tuple(codebooks), dim=emb.dim,
-                   fit_stats=tuple(stats), fit_tokens=tokens)
+    return RqModel(config=cfg, codebooks=tuple(codebooks), fit_stats=tuple(stats), fit_tokens=tokens)
 
 
 def encode_batch(model: RqModel, rows, workers: int = 1) -> np.ndarray:
@@ -461,7 +456,7 @@ def encode_batch(model: RqModel, rows, workers: int = 1) -> np.ndarray:
     # of each level's largest centroid norm. A row where that overflows
     # would tie every centroid at inf and encode as token 0.
     reach = sum(
-        np.sqrt(np.square(cb.centroids, dtype=np.float64).sum(axis=1).max())
+        np.sqrt(np.square(cb, dtype=np.float64).sum(axis=1).max())
         for cb in model.codebooks
     )
     with np.errstate(over="ignore"):
@@ -472,9 +467,9 @@ def encode_batch(model: RqModel, rows, workers: int = 1) -> np.ndarray:
     residual = _prepare(points, model.config)
     out = np.empty((points.shape[0], model.levels), dtype=np.int64)
     for level, cb in enumerate(model.codebooks):
-        idx, _ = _nearest(residual, cb.centroids, workers)
+        idx, _ = _nearest(residual, cb, workers)
         out[:, level] = idx
-        residual = residual - cb.centroids.astype(np.float64)[idx]
+        residual = residual - cb.astype(np.float64)[idx]
     return out
 
 
@@ -518,7 +513,7 @@ def decode_batch(model: RqModel, tokens, depth: int | None = None) -> np.ndarray
     check_token_range(model, toks[:, :depth])
     out = np.zeros((toks.shape[0], model.dim), dtype=np.float64)
     for level in range(depth):
-        out += model.codebooks[level].centroids.astype(np.float64)[toks[:, level]]
+        out += model.codebooks[level].astype(np.float64)[toks[:, level]]
     return out
 
 
@@ -627,7 +622,7 @@ def save_model(model: RqModel, path) -> None:
     with atomic_open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
         for cb in model.codebooks:
-            write_matrix_block(fh, cb.centroids)
+            write_matrix_block(fh, cb)
 
 
 def load_model(path) -> RqModel:
@@ -649,15 +644,19 @@ def load_model(path) -> RqModel:
                 matrix = read_matrix_block(fh)
             except EmbeddingIOError as exc:
                 raise RqError(f"level {level} centroid block: {exc}") from exc
-            codebooks.append(Codebook(level=level, centroids=_frozen_f32(matrix)))
+            codebooks.append(_frozen_f32(matrix))
         if fh.read(1):
             raise RqError("trailing bytes after the last codebook block")
-    dims = {cb.centroids.shape[1] for cb in codebooks}
+    dims = {cb.shape[1] for cb in codebooks}
     if dims != {meta.dim}:
         raise RqError(f"codebook dims {sorted(dims)} do not match header dim {meta.dim}")
-    model = RqModel(config=cfg, codebooks=tuple(codebooks), dim=meta.dim, fit_stats=meta.fit_stats)
+    model = RqModel(config=cfg, codebooks=tuple(codebooks), fit_stats=meta.fit_stats)
     if model.effective_sizes != meta.effective_sizes:
         raise RqError("codebook sizes do not match the header")
+    stats = [(st.level, st.configured_size, st.effective_size) for st in meta.fit_stats if st.mse_trace]
+    if stats != list(zip(range(1, model.levels + 1), cfg.codebook_sizes, model.effective_sizes)):
+        raise RqError("fit_stats must hold, per level from 1, its number, configured size, "
+                      "codebook size and a nonempty mse_trace")
     if model.model_hash() != meta.model_hash:
         raise RqError("model hash mismatch; file corrupted or edited")
     return model

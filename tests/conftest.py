@@ -7,7 +7,7 @@ import pytest
 
 from sidforge.diagnostics import DiagnosticsReport, build_report
 from sidforge.recommender import NGramModel
-from sidforge.rq import Codebook, LevelFitStats, RqConfig, RqModel, SidAssignment, encode_batch
+from sidforge.rq import LevelFitStats, RqConfig, RqModel, SidAssignment, encode_batch
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)_(\w+)")
 
@@ -39,12 +39,12 @@ def random_model(rng: np.random.Generator, levels: int, sizes, dim: int) -> RqMo
         cents = np.asarray(rng.normal(size=(k, dim)), dtype=np.float32)
         cents = np.ascontiguousarray(cents)
         cents.setflags(write=False)
-        codebooks.append(Codebook(level=level, centroids=cents))
+        codebooks.append(cents)
         stats.append(
             LevelFitStats(level=level, configured_size=k, effective_size=k, mse_trace=(0.0,))
         )
     cfg = RqConfig(levels=levels, codebook_sizes=sizes)
-    return RqModel(config=cfg, codebooks=tuple(codebooks), dim=dim, fit_stats=tuple(stats))
+    return RqModel(config=cfg, codebooks=tuple(codebooks), fit_stats=tuple(stats))
 
 
 def sized_model(sizes) -> RqModel:
@@ -53,9 +53,7 @@ def sized_model(sizes) -> RqModel:
     zero = np.zeros((1, 1), dtype=np.float32)
     return RqModel(
         config=RqConfig(levels=len(sizes), codebook_sizes=tuple(sizes)),
-        codebooks=tuple(Codebook(level=h + 1, centroids=np.broadcast_to(zero, (k, 1)))
-                        for h, k in enumerate(sizes)),
-        dim=1,
+        codebooks=tuple(np.broadcast_to(zero, (k, 1)) for k in sizes),
         fit_stats=tuple(LevelFitStats(level=h + 1, configured_size=k, effective_size=k, mse_trace=(0.0,))
                         for h, k in enumerate(sizes)),
     )

@@ -67,7 +67,7 @@ def _small_instances():
         dim = int(gen.integers(2, 17))
         model = random_model(gen, levels, sizes, dim)
         rows = gen.normal(size=(1000, dim))
-        cents = [cb.centroids.astype(np.float64) for cb in model.codebooks]
+        cents = [cb.astype(np.float64) for cb in model.codebooks]
         tokens = np.empty((1000, levels), dtype=np.int64)
         residuals = np.empty((levels, 1000, dim))
         for i in range(1000):
@@ -234,12 +234,7 @@ def test_criterion_07_full_beam_reproduces_exhaustive_ranking():
 def _rank_case(position: int):
     sids = {f"t{j}": (j,) for j in range(10)}
     assign = assignment_from_sids(sids)
-    split = SplitDataset(
-        users={
-            "u": UserSplit(train=("t0",), validation="t1", test=f"t{position - 1}")
-        },
-        n_dropped_users=0,
-    )
+    split = SplitDataset(users={"u": UserSplit(train=("t0",), validation="t1", test=f"t{position - 1}")})
     ranking = [(j,) for j in range(10)]
     return evaluate_static_ranking(ranking, split_rows(split, assign, False), assign, ks=(5, 10))
 

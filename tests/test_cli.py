@@ -35,8 +35,11 @@ def synth_config(tmp_path):
 
 
 def run(capsys, *argv):
+    """main's exit status and the JSON it printed (None if nothing), after
+    checking that it wrote no traceback to stderr."""
     status = main([str(a) for a in argv])
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
     return status, (json.loads(out) if out.strip() else None)
 
 
@@ -381,7 +384,6 @@ def test_pipeline_exits_ex_tempfail_while_another_run_holds_the_lock(tmp_path, s
         status, summary = run(capsys, "pipeline", "--config", cfg_path)
     assert status == os.EX_TEMPFAIL == 75 and summary is None
     assert "another run holds the lock" in caplog.text
-    assert "Traceback" not in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -441,7 +443,6 @@ def test_eval_rejects_an_ngram_of_other_level_sizes(tmp_path, synth_config, caps
     )
     assert status == 1 and metrics is None
     assert "level sizes [2, 2] are not the SID levels' [8, 4]" in caplog.text
-    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -463,7 +464,6 @@ def test_report_names_the_file_and_key_of_a_malformed_report(tmp_path, capsys, c
     status, payload = run(capsys, "report", flag, path)
     assert status == 1 and payload is None
     assert named in caplog.text and str(path) in caplog.text
-    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_pipeline_unreadable_or_rejected_config_exits_ex_config(tmp_path, capsys, caplog):
@@ -507,7 +507,6 @@ def test_pipeline_unreadable_stage_input_exits_with_the_stage_number(tmp_path, s
     status, summary = run(capsys, "pipeline", "--config", cfg_path)
     assert status == 1
     assert summary["error"].startswith("stage 1 (source): [Errno 21] Is a directory")
-    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_report_without_a_flag_exits_one(capsys, caplog):

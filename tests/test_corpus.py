@@ -15,7 +15,6 @@ from sidforge.corpus import (
     CorpusError,
     TaskId,
     TaskSources,
-    TrainingExample,
     check_settings,
     make_examples,
     render_chat,
@@ -53,7 +52,6 @@ def tiny_world():
             "u1": UserSplit(train=("a", "c"), validation="b", test="d"),
             "u2": UserSplit(train=("d",), validation="a", test="b"),
         },
-        n_dropped_users=0,
     )
     return catalog, assign, split
 
@@ -86,79 +84,84 @@ class TestChatTemplate:
 class TestMakeExamples:
     def test_t1(self):
         catalog, assign, split = tiny_world()
-        examples, skipped = make_examples(TaskId.T1, TaskSources(split, catalog, assign))
+        sources = TaskSources(split, catalog, assign)
+        examples, skipped = make_examples(TaskId.T1, sources)
         assert skipped == 1  # item d has no SID
-        assert [e.provenance for e in examples] == ["a", "b", "c"]
-        first = examples[0]
-        assert first.user_input == "Product Title: Alpha Lamp\nGenerate the SID sequence:"
-        assert first.target_output == "<a_0><b_1>"
-        assert first.system_instruction == T1_INSTRUCTION
+        assert len(examples) == 3 and sources.items == ["a", "b", "c"]
+        assert examples[0] == {
+            "task": "T1",
+            "system": T1_INSTRUCTION,
+            "user": "Product Title: Alpha Lamp\nGenerate the SID sequence:",
+            "assistant": "<a_0><b_1>",
+        }
+        assert list(examples[0]) == ["task", "system", "user", "assistant"]
 
     def test_t2_reverses_direction(self):
         catalog, assign, split = tiny_world()
         examples, _ = make_examples(TaskId.T2, TaskSources(split, catalog, assign))
         first = examples[0]
-        assert first.user_input == "SID Sequence: <a_0><b_1>\nGenerate the product title:"
-        assert first.target_output == "Alpha Lamp"
+        assert first["user"] == "SID Sequence: <a_0><b_1>\nGenerate the product title:"
+        assert first["assistant"] == "Alpha Lamp"
 
     def test_t7_t8_need_visuals(self):
         catalog, assign, split = tiny_world()
-        examples, skipped = make_examples(TaskId.T7, TaskSources(split, catalog, assign))
-        assert [e.provenance for e in examples] == ["a", "b"]
+        sources = TaskSources(split, catalog, assign)
+        examples, skipped = make_examples(TaskId.T7, sources)
+        assert len(examples) == 2 and sources.visual_items == ["a", "b"]
         assert skipped == 2  # c lacks a visual description, d lacks a SID
-        assert examples[0].user_input == (
+        assert examples[0]["user"] == (
             "Visual Description: Black lamp.\nGenerate the SID sequence:"
         )
-        assert examples[0].target_output == "<a_0><b_1>"
-        t8, _ = make_examples(TaskId.T8, TaskSources(split, catalog, assign))
-        assert t8[0].target_output == "Alpha Lamp"
+        assert examples[0]["assistant"] == "<a_0><b_1>"
+        t8, _ = make_examples(TaskId.T8, sources)
+        assert t8[0]["assistant"] == "Alpha Lamp"
 
     def test_t3_history_and_validation_target(self):
         catalog, assign, split = tiny_world()
-        examples, skipped = make_examples(TaskId.T3, TaskSources(split, catalog, assign))
+        sources = TaskSources(split, catalog, assign)
+        examples, skipped = make_examples(TaskId.T3, sources)
         assert skipped == 1  # u2's only train item has no SID
         only = examples[0]
-        assert only.provenance == "u1"
-        assert only.user_input == (
+        assert len(examples) == 1 and sources.users[0][0] == "u1"
+        assert only["user"] == (
             "Interaction History (SIDs): <a_0><b_1>, <a_2><b_2>\n"
             "Predict the next item's SID:"
         )
-        assert only.target_output == "<a_1><b_0>"
+        assert only["assistant"] == "<a_1><b_0>"
 
     def test_t4_t5_t6_variants(self):
         catalog, assign, split = tiny_world()
         t4, _ = make_examples(TaskId.T4, TaskSources(split, catalog, assign))
-        assert t4[0].user_input == (
+        assert t4[0]["user"] == (
             "Interaction History (Titles): Alpha Lamp, Gamma Mat\n"
             "Predict the next item's SID:"
         )
-        assert t4[0].target_output == "<a_1><b_0>"
+        assert t4[0]["assistant"] == "<a_1><b_0>"
         t5, _ = make_examples(TaskId.T5, TaskSources(split, catalog, assign))
-        assert t5[0].target_output == "Beta Mug"
+        assert t5[0]["assistant"] == "Beta Mug"
         t6, _ = make_examples(TaskId.T6, TaskSources(split, catalog, assign))
-        assert "Titles" in t6[0].user_input
-        assert t6[0].target_output == "Beta Mug"
+        assert "Titles" in t6[0]["user"]
+        assert t6[0]["assistant"] == "Beta Mug"
 
     def test_targets_are_validation_not_test_events(self):
         from sidforge.rq import render_sid
 
         catalog, assign, split = tiny_world()
+        sources = TaskSources(split, catalog, assign)
         for task in (TaskId.T3, TaskId.T4):
-            for example in make_examples(task, TaskSources(split, catalog, assign))[0]:
-                user = split.users[example.provenance]
-                assert example.target_output == render_sid(assign[user.validation])
+            pool, _ = make_examples(task, sources)
+            for (user_id, _, _), example in zip(sources.users, pool, strict=True):
+                user = split.users[user_id]
+                assert example["assistant"] == render_sid(assign[user.validation])
                 if user.test in assign.sids:
-                    assert example.target_output != render_sid(assign[user.test])
+                    assert example["assistant"] != render_sid(assign[user.test])
 
     def test_history_truncated_to_max(self):
         catalog, assign, _ = tiny_world()
         train = tuple("a" if i % 2 else "b" for i in range(25))
-        split = SplitDataset(
-            users={"u": UserSplit(train=train, validation="a", test="b")},
-            n_dropped_users=0,
-        )
+        split = SplitDataset(users={"u": UserSplit(train=train, validation="a", test="b")})
         examples, _ = make_examples(TaskId.T6, TaskSources(split, catalog, assign, max_history=20))
-        history = examples[0].user_input.split(": ", 1)[1].split("\n")[0]
+        history = examples[0]["user"].split(": ", 1)[1].split("\n")[0]
         entries = history.split(HISTORY_SEPARATOR)
         assert len(entries) == 20
         want = ["Alpha Lamp" if i % 2 else "Beta Mug" for i in range(5, 25)]
@@ -191,7 +194,7 @@ class TestSampleCorpus:
 
     def test_empty_tasks_excluded_with_warning(self, caplog):
         catalog, assign, _ = tiny_world()
-        empty_split = SplitDataset(users={}, n_dropped_users=0)
+        empty_split = SplitDataset(users={})
         with caplog.at_level(logging.WARNING, logger="sidforge.corpus"):
             records, stats = sample_corpus(empty_split, catalog, assign, n=30, seed=1)
         assert stats["excluded_tasks"] == ["T3", "T4", "T5", "T6"]
@@ -210,20 +213,28 @@ class TestSampleCorpus:
             [ItemRecord("z", "Z", "d", "c", visual_description=None)]
         )
         assign = assignment_from_sids({"q": (0,)})
-        split = SplitDataset(users={}, n_dropped_users=0)
+        split = SplitDataset(users={})
         with pytest.raises(CorpusError, match="no task"):
             sample_corpus(split, catalog, assign, n=5, seed=0)
 
 
 def reference_make_examples(task, split, catalog, assign, max_history=20):
-    """make_examples before its pools were lazy, verbatim: every example of
-    the task rendered into a list."""
+    """make_examples before its pools were lazy, verbatim but for building
+    each example as its record: every example of the task rendered into a
+    list. Returns (records, skipped count, each record's source: its item
+    id, or its user id for a history task)."""
     check_settings(max_history=max_history)
     source, input_view, output_view = task.value
     system = system_instruction(task)
     template = _USER_TEMPLATES[task]
-    examples: list[TrainingExample] = []
+    examples: list[dict] = []
+    provenance: list[str] = []
     skipped = 0
+
+    def add(user_input: str, target_output: str, source_id: str) -> None:
+        examples.append({"task": task.name, "system": system, "user": user_input,
+                         "assistant": target_output})
+        provenance.append(source_id)
 
     # History tasks show the same items to many users: render each SID once
     # per call. Catalog fields are read directly, which is cheaper than a cache.
@@ -244,10 +255,8 @@ def reference_make_examples(task, split, catalog, assign, max_history=20):
                 continue
             shown = HISTORY_SEPARATOR.join(show(input_view, i) for i in history)
             user_input = template.format_map({f"{input_view}_history": shown})
-            examples.append(
-                TrainingExample(task, system, user_input, show(output_view, target), user_id)
-            )
-        return examples, skipped
+            add(user_input, show(output_view, target), user_id)
+        return examples, skipped, provenance
 
     for record in catalog:
         # An empty title is still shown; an empty visual description is not.
@@ -258,8 +267,8 @@ def reference_make_examples(task, split, catalog, assign, max_history=20):
             continue
         user_input = template.format_map({input_view: show(input_view, record.item_id)})
         target_output = show(output_view, record.item_id)
-        examples.append(TrainingExample(task, system, user_input, target_output, record.item_id))
-    return examples, skipped
+        add(user_input, target_output, record.item_id)
+    return examples, skipped, provenance
 
 
 def reference_sample_corpus(split, catalog, assign, n, seed, max_history=20):
@@ -268,7 +277,7 @@ def reference_sample_corpus(split, catalog, assign, n, seed, max_history=20):
     pools = {}
     skipped = {}
     for task in TaskId:
-        pools[task], skipped[task.name] = reference_make_examples(
+        pools[task], skipped[task.name], _ = reference_make_examples(
             task, split, catalog, assign, max_history
         )
     available = [t for t in TaskId if pools[t]]
@@ -278,16 +287,8 @@ def reference_sample_corpus(split, catalog, assign, n, seed, max_history=20):
     for _ in range(n):
         task = available[int(gen.integers(len(available)))]
         pool = pools[task]
-        example = pool[int(gen.integers(len(pool)))]
         sampled[task.name] += 1
-        records.append(
-            {
-                "task": task.name,
-                "system": example.system_instruction,
-                "user": example.user_input,
-                "assistant": example.target_output,
-            }
-        )
+        records.append(dict(pool[int(gen.integers(len(pool)))]))
     stats = {
         "sampled_per_task": sampled,
         "skipped_per_task": skipped,
@@ -322,18 +323,27 @@ def random_world(seed: int, visuals: bool = True):
             train=tuple(seq), validation=ids[int(gen.integers(len(ids)))], test="i0"
         )
     users["no_history"] = UserSplit(train=("nowhere", "ghost0"), validation="i1", test="i2")
-    split = SplitDataset(users=users, n_dropped_users=0)
+    split = SplitDataset(users=users)
     return catalog, assignment_from_sids(sids), split
 
 
 def oracle_worlds():
     catalog, assign, split = tiny_world()
     yield "tiny", (catalog, assign, split)
-    only_skipped = SplitDataset(users={"u2": split.users["u2"]}, n_dropped_users=0)
+    only_skipped = SplitDataset(users={"u2": split.users["u2"]})
     yield "no user kept", (catalog, assign, only_skipped)
     for seed in range(6):
         catalog, assign, split = random_world(seed, visuals=seed != 5)
         yield f"random {seed}", (catalog, assign, split)
+
+
+def pool_sources(task, sources):
+    """The source of each entry of a task's pool, in pool order: an item id,
+    or a user id for a history task."""
+    source, input_view, _ = task.value
+    if source == "history":
+        return [user_id for user_id, _, _ in sources.users]
+    return sources.visual_items if input_view == "visual_description" else sources.items
 
 
 class TestLazyPoolsMatchTheEagerOracle:
@@ -343,12 +353,13 @@ class TestLazyPoolsMatchTheEagerOracle:
                 sources = TaskSources(split, catalog, assign, max_history)
                 for task in TaskId:
                     pool, skipped = make_examples(task, sources)
-                    want, want_skipped = reference_make_examples(
+                    want, want_skipped, want_sources = reference_make_examples(
                         task, split, catalog, assign, max_history
                     )
                     where = f"{name} {task.name} max_history {max_history}"
                     assert len(pool) == len(want), where
                     assert list(pool) == want, where
+                    assert pool_sources(task, sources) == want_sources, where
                     assert skipped == want_skipped, where
                     if want:
                         assert pool[-1] == want[-1]
@@ -377,15 +388,17 @@ class TestLazyPoolsMatchTheEagerOracle:
 class TestRenderCount:
     @staticmethod
     def count_renders(monkeypatch):
-        """Patch the example type that every render builds: returns the
-        list of (task, source) pairs rendered so far."""
+        """Wrap the pool read that renders an example: returns the list of
+        (task, index) pairs rendered so far."""
         rendered = []
+        original = corpus.ExamplePool.__getitem__
 
-        def counting_example(task, *fields):
-            rendered.append((task, fields[-1]))
-            return TrainingExample(task, *fields)
+        def counting_getitem(pool, index):
+            record = original(pool, index)
+            rendered.append((record["task"], index))
+            return record
 
-        monkeypatch.setattr(corpus, "TrainingExample", counting_example)
+        monkeypatch.setattr(corpus.ExamplePool, "__getitem__", counting_getitem)
         return rendered
 
     def test_renders_no_more_than_it_draws(self, monkeypatch):

@@ -392,7 +392,7 @@ class TestSplit:
             )
         )
         split = leave_last_out_split(log)
-        assert split.n_dropped_users == 1
+        assert "u2" not in split.users
         u1 = split.users["u1"]
         assert u1.train == ("a", "b")
         assert u1.validation == "c"

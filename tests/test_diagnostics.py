@@ -22,17 +22,16 @@ from sidforge.diagnostics import (
     report_to_dict,
     semantic_probe,
 )
-from sidforge.rq import Codebook, LevelFitStats, RqConfig, RqModel, assign_all
+from sidforge.rq import LevelFitStats, RqConfig, RqModel, assign_all
 
 
 def one_level_model(centroids):
     cents = np.ascontiguousarray(np.asarray(centroids, dtype=np.float32))
     cents.setflags(write=False)
-    k, dim = cents.shape
+    k = len(cents)
     return RqModel(
         config=RqConfig(levels=1, codebook_sizes=(k,)),
-        codebooks=(Codebook(level=1, centroids=cents),),
-        dim=dim,
+        codebooks=(cents,),
         fit_stats=(
             LevelFitStats(level=1, configured_size=k, effective_size=k, mse_trace=(0.0,)),
         ),
@@ -48,8 +47,7 @@ def two_level_model(coarse, fine):
     sizes = (mats[0].shape[0], mats[1].shape[0])
     return RqModel(
         config=RqConfig(levels=2, codebook_sizes=sizes),
-        codebooks=tuple(Codebook(level=i + 1, centroids=m) for i, m in enumerate(mats)),
-        dim=mats[0].shape[1],
+        codebooks=tuple(mats),
         fit_stats=tuple(
             LevelFitStats(level=i + 1, configured_size=k, effective_size=k, mse_trace=(0.0,))
             for i, k in enumerate(sizes)
@@ -91,7 +89,7 @@ def reference_active_codes_per_level(assign, model):
         if len(s) != model.levels:
             raise DiagnosticsError("assignment SID length does not match the model")
         for level, token in enumerate(s):
-            if not 0 <= int(token) < model.codebooks[level].size:
+            if not 0 <= int(token) < len(model.codebooks[level]):
                 raise DiagnosticsError(
                     f"token {token} out of range at level {level + 1}"
                 )

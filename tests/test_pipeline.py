@@ -4,6 +4,7 @@ import builtins
 import io
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -136,12 +137,15 @@ class TestConfig:
              r"unknown diagnostics fields: \['run_probe'\]"),
             ({**base_cfg(out), "diagnostics": {"probe_seed": 0, "sim_curve": False}},
              r"unknown diagnostics fields: \['sim_curve'\]"),
-            ({**base_cfg(out), "eval": {"alpha": 10**400}}, "eval field 'alpha' must be float"),
+            ({**base_cfg(out), "eval": {"alpha": 10**400}}, "eval field 'alpha' must be float, not 1000"),
+            ({**base_cfg(out), "eval": {"alpha": list(range(5000))}},
+             re.escape("eval field 'alpha' must be float, not [0, 1, 2, 3, 4, 5, ...]")),
             ({key: value for key, value in base_cfg(out).items() if key != "stages"} | {"extra": {}},
              r"unknown or missing config sections: \['extra', 'stages'\]"),
         ):
-            with pytest.raises(ConfigError, match=match):
+            with pytest.raises(ConfigError, match=match) as info:
                 run_pipeline(cfg)
+            assert len(str(info.value)) < 100  # a mistyped value is shown shortened
             assert not out.exists()
 
     def test_unreadable_config_file_named(self, tmp_path):

@@ -61,7 +61,7 @@ def split_of(user_seqs: dict) -> SplitDataset:
         uid: UserSplit(train=tuple(seq[:-2]), validation=seq[-2], test=seq[-1])
         for uid, seq in user_seqs.items()
     }
-    return SplitDataset(users=users, n_dropped_users=0)
+    return SplitDataset(users=users)
 
 
 class TestTokenSpace:
@@ -644,7 +644,7 @@ def evaluation_case(gen):
         "one_sid": [items[0], "x0", items[-1]],
     })
     users = {**split.users, **extra.users}
-    return sizes, assign, SplitDataset(users=users, n_dropped_users=0)
+    return sizes, assign, SplitDataset(users=users)
 
 
 class TestFastPathsMatchLoops:
@@ -901,7 +901,7 @@ class TestSplitRows:
             "no_sids": UserSplit(train=("x", "y"), validation="z", test="a"),
             "no_train": UserSplit(train=(), validation="b", test="c"),
             "no_test_sid": UserSplit(train=("a", "x", "c"), validation="x", test="q"),
-        }, n_dropped_users=0)
+        })
         users = ["no_sids", "no_test_sid", "no_train", "plain"]
         for include_validation, rows, ends in (
             (True, [0, 2, 1, 2, 1, 0], [0, 2, 3, 6]),
@@ -916,7 +916,7 @@ class TestSplitRows:
             trie = build_trie(assign)
             assert evaluate(model, got, assign, trie, (2, 2), (1, 3), 3) == reference_evaluate(
                 model, split, assign, trie, (2, 2), (1, 3), 3, include_validation)
-        empty = split_rows(SplitDataset(users={}, n_dropped_users=0), assign, True)
+        empty = split_rows(SplitDataset(users={}), assign, True)
         assert (empty[0], *(a.tolist() for a in empty[1:])) == ([], [], [], [])
 
 

@@ -43,7 +43,7 @@ def oracle_encode(model, x):
     residual = np.asarray(x, dtype=np.float64).copy()
     tokens = []
     for cb in model.codebooks:
-        cents = cb.centroids.astype(np.float64)
+        cents = cb.astype(np.float64)
         best, best_d = 0, None
         for j in range(cents.shape[0]):
             diff = residual - cents[j]
@@ -70,10 +70,10 @@ class TestEncodeOracle:
 
     def test_tie_breaks_to_smallest_index(self, rng):
         model = random_model(rng, 1, [4], 3)
-        cents = np.array(model.codebooks[0].centroids, copy=True)
+        cents = np.array(model.codebooks[0], copy=True)
         cents[2] = cents[0]  # duplicate centroid further down the table
         cents.setflags(write=False)
-        object.__setattr__(model.codebooks[0], "centroids", cents)
+        model = dataclasses.replace(model, codebooks=(cents,))
         x = cents[0].astype(np.float64)
         assert encode(model, x) == (0,)
 
@@ -368,12 +368,12 @@ class TestKernelOracle:
         rows = np.tile(np.asarray(rng.normal(size=(6, 6)), dtype=np.float32), (20, 1))
         emb = EmbeddingSet([f"i{k}" for k in range(rows.shape[0])], rows)
         model = fit_codebooks(emb, RqConfig(levels=2, codebook_sizes=(4, 8), seed=7))
-        first = model.codebooks[0].centroids.astype(np.float64)
+        first = model.codebooks[0].astype(np.float64)
         residual = rows.astype(np.float64) - first[encode_batch(model, rows)[:, 0]]
         distinct = np.unique(residual, axis=0).shape[0]
         assert distinct < 8
         assert model.fit_stats[1].configured_size == 8
-        assert model.fit_stats[1].effective_size == model.codebooks[1].size == distinct
+        assert model.fit_stats[1].effective_size == len(model.codebooks[1]) == distinct
 
     def test_fit_matches_parent_kernels(self, rng, monkeypatch):
         normal = np.asarray(rng.normal(size=(300, 6)), dtype=np.float32)
@@ -414,9 +414,7 @@ class TestResidualTelescoping:
             tokens = encode(model, x)
             residual = np.asarray(x, dtype=np.float64)
             for h in range(1, model.levels + 1):
-                residual = residual - model.codebooks[h - 1].centroids[tokens[h - 1]].astype(
-                    np.float64
-                )
+                residual = residual - model.codebooks[h - 1][tokens[h - 1]].astype(np.float64)
                 recon = decode(model, tokens, depth=h)
                 assert np.allclose(x - recon, residual, atol=1e-9)
 
@@ -544,7 +542,7 @@ class TestFit:
         for iters in (0, 10):
             cfg = RqConfig(levels=1, codebook_sizes=(5,), kmeans_max_iters=iters)
             model = self.assert_fit_tokens_are_the_encoding(rows, cfg)
-            assert not np.any(model.codebooks[0].centroids == np.float32(1e3))
+            assert not np.any(model.codebooks[0] == np.float32(1e3))
 
     def test_fit_tokens_after_an_mse_rise(self, rng, monkeypatch):
         rows = np.asarray(rng.normal(size=(200, 6)), dtype=np.float32)
@@ -585,7 +583,7 @@ class TestFit:
         emb = EmbeddingSet([f"i{k}" for k in range(100)], points)
         cfg = RqConfig(levels=1, codebook_sizes=(4,), seed=0, normalize_inputs=True)
         model = fit_codebooks(emb, cfg)
-        norms = np.linalg.norm(model.codebooks[0].centroids.astype(np.float64), axis=1)
+        norms = np.linalg.norm(model.codebooks[0].astype(np.float64), axis=1)
         assert np.all(norms < 1.5)
 
     def test_config_validation(self):
@@ -840,7 +838,7 @@ class TestModelFile:
         assert back.effective_sizes == model.effective_sizes
         assert back.dim == model.dim
         for a, b in zip(back.codebooks, model.codebooks):
-            assert np.array_equal(a.centroids, b.centroids)
+            assert np.array_equal(a, b)
         for a, b in zip(back.fit_stats, model.fit_stats):
             assert a == b
         # reloaded model encodes identically
@@ -872,6 +870,23 @@ class TestModelFile:
         claim = struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)
         path.write_bytes(original[: header_end + 8] + claim + original[header_end + 16 :])
         with pytest.raises(RqError, match=f"byte offset {header_end + 16}: header claims"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda stats: stats.pop(),
+        lambda stats: stats[1].update(level=9),
+        lambda stats: stats[0].update(effective_size=99),
+        lambda stats: stats[1].update(configured_size=77),
+        lambda stats: stats[0].update(mse_trace=[]),
+    ], ids=["a level dropped", "level 9", "effective size 99", "configured size 77", "empty mse_trace"])
+    def test_rejects_fit_stats_that_do_not_match_the_codebooks(self, tmp_path, rng, edit):
+        path = tmp_path / "m.rq"
+        save_model(random_model(rng, 2, [4, 3], 2), path)
+        header, blocks = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        edit(header["fit_stats"])
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blocks)
+        with pytest.raises(RqError, match="fit_stats must hold, per level from 1"):
             load_model(path)
 
     def test_rejects_trailing_bytes(self, tmp_path, rng):
