@@ -10,6 +10,7 @@ import itertools
 import json
 import operator
 import os
+import re
 import reprlib
 import struct
 import typing
@@ -52,6 +53,24 @@ def atomic_open(path, mode="w", **open_kwargs):
         if isinstance(exc, OSError) and exc.filename == str(tmp):  # OSError(errno, ...) builds its subclass
             raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
+
+
+# atomic_open's temp names: the target's name, the pid, the serial, ".tmp".
+_TEMP_NAME = re.compile(r"(.+)\.[0-9]+\.[0-9]+\.tmp")
+
+
+def remove_temp_files(paths) -> None:
+    """Delete the temp files that atomic_open writers of these paths left
+    beside them when they were killed; every other file stays. Only for
+    paths that no writer is writing. One listing per directory."""
+    targets: dict[Path, set[str]] = {}
+    for path in map(Path, paths):
+        targets.setdefault(path.parent, set()).add(path.name)
+    for folder, names in targets.items():
+        for name in os.listdir(folder):
+            match = _TEMP_NAME.fullmatch(name)
+            if match and match[1] in names and (folder / name).is_file():
+                (folder / name).unlink()
 
 
 def is_json_int(value) -> bool:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import rng
 from .datamodel import EmbeddingSet, is_json_number, read_json_object
-from .rq import RqModel, SidAssignment, check_token_range, decode_batch, sorted_prefixes
+from .rq import BLOCK_ELEMENTS, RqModel, SidAssignment, check_token_range, decode_batch, sorted_prefixes
 
 log = logging.getLogger("sidforge.diagnostics")
 
@@ -84,36 +84,46 @@ def reconstruction_curve(
     model: RqModel, emb: EmbeddingSet, assign: SidAssignment, h_max: int | None = None
 ) -> ReconstructionCurve:
     """Mean cosine between each embedding and its depth-h reconstruction, for
-    h = 1..h_max. Each row's tokens are its item's SID in the assignment."""
+    h = 1..h_max. Each row's tokens are its item's SID in the assignment.
+
+    The rows are upcast to float64 and reconstructed one block at a time
+    (`BLOCK_ELEMENTS` values per block); each row's cosines are kept, and
+    every mean is taken over all of them, so the block size changes no bit."""
     if h_max is None:
         h_max = model.levels
     if not 1 <= h_max <= model.levels:
         raise DiagnosticsError(f"h_max {h_max} out of range [1, {model.levels}]")
     if emb.count == 0:
         raise DiagnosticsError("reconstruction_curve needs a nonempty embedding set")
+    if emb.dim != model.dim:
+        raise DiagnosticsError(f"embeddings of dim {emb.dim} for a model of dim {model.dim}")
     row_of = dict(zip(assign.item_ids, range(len(assign))))
     missing = [i for i in emb.item_ids if i not in row_of]
     if missing:
         raise DiagnosticsError(
             f"{len(missing)} embedding ids have no SID in the assignment, e.g. {missing[0]!r}"
         )
-    tokens = assign.tokens[[row_of[i] for i in emb.item_ids]]
-    points = emb.rows.astype(np.float64)
-    x_norms = np.sqrt(np.square(points).sum(axis=1))
-    included = x_norms > 0.0
-    recon = np.zeros_like(points)
-    sims: dict[int, float] = {}
-    zero_recon: dict[int, int] = {}
-    for h in range(1, h_max + 1):
-        recon = recon + model.codebooks[h - 1].astype(np.float64)[tokens[:, h - 1]]
-        r_norms = np.sqrt(np.square(recon).sum(axis=1))
-        cos = np.zeros(points.shape[0])
-        ok = included & (r_norms > 0.0)
-        cos[ok] = (points[ok] * recon[ok]).sum(axis=1) / (x_norms[ok] * r_norms[ok])
-        np.clip(cos, -1.0, 1.0, out=cos)
-        zero_recon[h] = int((included & (r_norms == 0.0)).sum())
-        values = cos[included]
-        sims[h] = float(values.mean()) if values.size else 0.0
+    rows = np.array([row_of[i] for i in emb.item_ids], dtype=np.int64)
+    included = np.empty(emb.count, dtype=bool)
+    cos = np.zeros((h_max, emb.count))
+    zero_recon = dict.fromkeys(range(1, h_max + 1), 0)
+    step = max(1, BLOCK_ELEMENTS // emb.dim)
+    for start in range(0, emb.count, step):
+        block = slice(start, start + step)
+        points = emb.rows[block].astype(np.float64)
+        tokens = assign.tokens[rows[block]]
+        x_norms = np.sqrt(np.square(points).sum(axis=1))
+        kept = included[block] = x_norms > 0.0
+        recon = np.zeros_like(points)
+        for h in range(1, h_max + 1):
+            recon += model.codebooks[h - 1][tokens[:, h - 1]]
+            r_norms = np.sqrt(np.square(recon).sum(axis=1))
+            ok = kept & (r_norms > 0.0)
+            cos[h - 1, block][ok] = (points[ok] * recon[ok]).sum(axis=1) / (x_norms[ok] * r_norms[ok])
+            zero_recon[h] += int((kept & (r_norms == 0.0)).sum())
+    np.clip(cos, -1.0, 1.0, out=cos)
+    sims = {h: float(values.mean()) if values.size else 0.0
+            for h, values in enumerate(cos[:, included], start=1)}
     return ReconstructionCurve(
         sims=sims,
         n_items=emb.count,
@@ -212,7 +222,7 @@ def semantic_probe(
                     len(categories), categories[int(sizes.argmin())], sizes.min())
         return None
 
-    features = decode_batch(model, assign.tokens[order])
+    tokens = assign.tokens[order]
 
     gen = rng.stream(split_seed, rng.PROBE_SPLIT)
     train_parts = []
@@ -226,8 +236,9 @@ def semantic_probe(
     train_idx = np.sort(np.concatenate(train_parts))
     test_idx = np.sort(np.concatenate(test_parts))
 
-    x_train, y_train = features[train_idx], y[train_idx]
-    x_test, y_test = features[test_idx], y[test_idx]
+    # Each split decodes its own rows; the checks cover the whole matrix.
+    x_train, y_train = decode_batch(model, tokens, rows=train_idx), y[train_idx]
+    x_test, y_test = decode_batch(model, tokens, rows=test_idx), y[test_idx]
     weights, bias = _fit_probe(x_train, y_train, len(categories))
     predictions = (x_test @ weights + bias).argmax(axis=1)
     return float((predictions == y_test).mean())

@@ -15,8 +15,12 @@ records the stages that finished before it; it is rewritten after each stage
 that changes an entry, so an interrupted run keeps them too, and an all-hit
 run writes nothing. Every writer replaces its file
 atomically (datamodel.atomic_open), so a stage that fails leaves no partial
-file. A run holds `run_lock` on its output directory, so a second run on the
-same directory fails at once.
+file. Before a stage recomputes, its manifest entry is removed (and the
+manifest rewritten) unless this run would record the same entry, so a run
+killed while it replaces outputs never leaves the manifest vouching for
+them. A run holds `run_lock` on its output directory, so a second run on the
+same directory fails at once; under the lock it deletes the temp files that
+a killed writer left beside the artifacts.
 
 Each stage's load, check, compute and write sequence is a public function
 here; run_pipeline and the `sidforge` subcommands both call them.
@@ -50,6 +54,7 @@ from .datamodel import (
     load_interactions,
     load_items,
     read_json_object,
+    remove_temp_files,
     save_interactions,
     save_items,
     write_embeddings,
@@ -557,6 +562,8 @@ def run_pipeline(cfg: dict, force: bool = False):
          [paths.ngram, paths.metrics_json, paths.metrics_csv], eval_stage),
     )
     with run_lock(out_dir):
+        # No other run writes here now, so a temp file is a killed writer's.
+        remove_temp_files(vars(paths).values())
         written = _read_manifest(paths.manifest)  # the entries manifest.json holds
         old_stages = written or {}
         # Under force nothing hits, but the entries of stages this run skips
@@ -584,17 +591,23 @@ def run_pipeline(cfg: dict, force: bool = False):
                         raise StageFailure(f"missing input file {path}")
                     input_hashes[path] = actual
                 entry = old_stages.get(name)
-                hit = (
-                    not force
-                    and entry is not None
+                matches = (
+                    entry is not None
                     and entry.get("config_hash") == cfg_hash
                     and entry.get("input_files") == input_hashes
                     and set(entry["output_files"]) == set(map(str, outputs))
                     and all(Path(p).exists() for p in outputs)
                 )
+                hit = matches and not force
                 if hit:  # not in `hashed`: the first stage to read one checks it
                     output_hashes = dict(entry["output_files"])
                 else:
+                    # Write-ahead: an entry that this run's outputs will not
+                    # match is dropped before they replace the files it vouches
+                    # for, so an interrupted compute leaves no stale hit.
+                    if not matches and manifest["stages"].pop(name, None) is not None:
+                        write_json(manifest, paths.manifest)
+                        written = dict(manifest["stages"])
                     compute()
                     output_hashes = {str(p): sha256_file(p) for p in outputs}
                     hashed.update(output_hashes)

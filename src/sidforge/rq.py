@@ -53,9 +53,10 @@ SidSequence = tuple[int, ...]
 MODEL_FORMAT = "sidforge-rq-v1"
 ASSIGNMENT_FORMAT = "sidforge-sids-v1"
 
-# Elements in one block's float64 work matrix (rows x centroids, 512 KiB): the
-# kernel's only temporary that grows with the codebook size.
-_BLOCK_ELEMENTS = 1 << 16
+# Elements in one row block's float64 work matrix (512 KiB): rows x centroids
+# in the nearest-centroid kernel, its only temporary that grows with the
+# codebook size, and rows x dims in diagnostics.reconstruction_curve.
+BLOCK_ELEMENTS = 1 << 16
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 _SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
@@ -114,17 +115,19 @@ class ModelHeader:
     fit_stats: tuple[LevelFitStats, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RqModel:
     """`codebooks[h]`: level h + 1's read-only float32 (size, dim) centroids;
-    `dim`, `levels` and `effective_sizes` read these matrices."""
+    `dim`, `levels` and `effective_sizes` read these matrices. Compared by
+    identity, as arrays have no dataclass equality; `model_hash` compares
+    the centroids."""
 
     config: RqConfig
     codebooks: tuple[np.ndarray, ...]
     fit_stats: tuple[LevelFitStats, ...]
     # The fitted rows' tokens (n x levels int64, read-only), equal to
     # encode_batch on those rows; None on a loaded model. Not saved.
-    fit_tokens: np.ndarray | None = field(default=None, repr=False, compare=False)
+    fit_tokens: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def levels(self) -> int:
@@ -269,7 +272,7 @@ def _nearest(
     cc = np.einsum("ij,ij->i", cents, cents)
     minus_2c = -2.0 * cents
     reach = np.sqrt(cc.max())
-    step = max(1, _BLOCK_ELEMENTS // k)
+    step = max(1, BLOCK_ELEMENTS // k)
 
     def block(start: int) -> None:
         x = points[start:start + step]
@@ -501,8 +504,10 @@ def decode(model: RqModel, s: SidSequence, depth: int | None = None) -> np.ndarr
     return decode_batch(model, [s], depth)[0]
 
 
-def decode_batch(model: RqModel, tokens, depth: int | None = None) -> np.ndarray:
-    """Reconstruction matrix for a token matrix (n x levels)."""
+def decode_batch(model: RqModel, tokens, depth: int | None = None, rows=None) -> np.ndarray:
+    """Reconstruction matrix for a token matrix (n x levels), or for its
+    `rows` only. The checks cover the whole matrix, so an error names a row
+    of it. Each float32 centroid is widened exactly as the sum adds it."""
     toks = np.asarray(tokens, dtype=np.int64)
     if toks.ndim != 2 or toks.shape[1] != model.levels:
         raise RqError(f"expected shape (n, {model.levels}), got {toks.shape}")
@@ -511,9 +516,11 @@ def decode_batch(model: RqModel, tokens, depth: int | None = None) -> np.ndarray
     if not 0 <= depth <= model.levels:
         raise RqError(f"depth {depth} out of range [0, {model.levels}]")
     check_token_range(model, toks[:, :depth])
+    if rows is not None:
+        toks = toks[rows]
     out = np.zeros((toks.shape[0], model.dim), dtype=np.float64)
     for level in range(depth):
-        out += model.codebooks[level].astype(np.float64)[toks[:, level]]
+        out += model.codebooks[level][toks[:, level]]
     return out
 
 

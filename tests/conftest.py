@@ -7,7 +7,7 @@ import pytest
 
 from sidforge.diagnostics import DiagnosticsReport, build_report
 from sidforge.recommender import NGramModel
-from sidforge.rq import LevelFitStats, RqConfig, RqModel, SidAssignment, encode_batch
+from sidforge.rq import LevelFitStats, RqConfig, RqError, RqModel, SidAssignment, check_token_range, encode_batch
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)_(\w+)")
 
@@ -45,6 +45,24 @@ def random_model(rng: np.random.Generator, levels: int, sizes, dim: int) -> RqMo
         )
     cfg = RqConfig(levels=levels, codebook_sizes=sizes)
     return RqModel(config=cfg, codebooks=tuple(codebooks), fit_stats=tuple(stats))
+
+
+def reference_decode_batch(model: RqModel, tokens, depth=None) -> np.ndarray:
+    """rq.decode_batch before it took `rows` and widened each centroid as it
+    added it, verbatim: the oracle of decode_batch and of the reference
+    semantic probe."""
+    toks = np.asarray(tokens, dtype=np.int64)
+    if toks.ndim != 2 or toks.shape[1] != model.levels:
+        raise RqError(f"expected shape (n, {model.levels}), got {toks.shape}")
+    if depth is None:
+        depth = model.levels
+    if not 0 <= depth <= model.levels:
+        raise RqError(f"depth {depth} out of range [0, {model.levels}]")
+    check_token_range(model, toks[:, :depth])
+    out = np.zeros((toks.shape[0], model.dim), dtype=np.float64)
+    for level in range(depth):
+        out += model.codebooks[level].astype(np.float64)[toks[:, level]]
+    return out
 
 
 def sized_model(sizes) -> RqModel:

@@ -1,17 +1,28 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import assignment_from_sids, random_assignments, random_model, report_of, sized_model
+from conftest import (
+    assignment_from_sids,
+    random_assignments,
+    random_model,
+    reference_decode_batch,
+    report_of,
+    sized_model,
+)
 from sidforge import diagnostics
+from sidforge import rng as sidforge_rng
 from sidforge.datamodel import EmbeddingSet
 from sidforge.diagnostics import (
     DiagnosticsError,
+    ReconstructionCurve,
     active_codes_per_level,
     build_report,
     codebook_utilization,
@@ -22,7 +33,7 @@ from sidforge.diagnostics import (
     report_to_dict,
     semantic_probe,
 )
-from sidforge.rq import LevelFitStats, RqConfig, RqModel, assign_all
+from sidforge.rq import LevelFitStats, RqConfig, RqError, RqModel, SidAssignment, assign_all
 
 
 def one_level_model(centroids):
@@ -256,6 +267,111 @@ class TestReconstructionCurve:
         assert len(curve.sims) == 3
 
 
+def reference_reconstruction_curve(model, emb, assign, h_max=None):
+    """diagnostics.reconstruction_curve before the row blocks, verbatim."""
+    if h_max is None:
+        h_max = model.levels
+    if not 1 <= h_max <= model.levels:
+        raise DiagnosticsError(f"h_max {h_max} out of range [1, {model.levels}]")
+    if emb.count == 0:
+        raise DiagnosticsError("reconstruction_curve needs a nonempty embedding set")
+    row_of = dict(zip(assign.item_ids, range(len(assign))))
+    missing = [i for i in emb.item_ids if i not in row_of]
+    if missing:
+        raise DiagnosticsError(
+            f"{len(missing)} embedding ids have no SID in the assignment, e.g. {missing[0]!r}"
+        )
+    tokens = assign.tokens[[row_of[i] for i in emb.item_ids]]
+    points = emb.rows.astype(np.float64)
+    x_norms = np.sqrt(np.square(points).sum(axis=1))
+    included = x_norms > 0.0
+    recon = np.zeros_like(points)
+    sims: dict[int, float] = {}
+    zero_recon: dict[int, int] = {}
+    for h in range(1, h_max + 1):
+        recon = recon + model.codebooks[h - 1].astype(np.float64)[tokens[:, h - 1]]
+        r_norms = np.sqrt(np.square(recon).sum(axis=1))
+        cos = np.zeros(points.shape[0])
+        ok = included & (r_norms > 0.0)
+        cos[ok] = (points[ok] * recon[ok]).sum(axis=1) / (x_norms[ok] * r_norms[ok])
+        np.clip(cos, -1.0, 1.0, out=cos)
+        zero_recon[h] = int((included & (r_norms == 0.0)).sum())
+        values = cos[included]
+        sims[h] = float(values.mean()) if values.size else 0.0
+    return ReconstructionCurve(
+        sims=sims,
+        n_items=emb.count,
+        n_zero_norm_originals=int((~included).sum()),
+        zero_recon_counts=zero_recon,
+    )
+
+
+def curve_case(rng, n, d, sizes):
+    """(model, embeddings, assignment) with zero rows and zero
+    reconstructions: centroid 0 of level 1 is zero, and centroid 0 of level 2
+    cancels centroid 1 of level 1 exactly. The assignment holds the ids in
+    another order, plus two that have no embedding."""
+    model = random_model(rng, len(sizes), sizes, d)
+    books = [cb.copy() for cb in model.codebooks]
+    books[0][0] = 0.0
+    if len(books) > 1:
+        books[1][0] = -books[0][1]
+    for cb in books:
+        cb.setflags(write=False)
+    model = dataclasses.replace(model, codebooks=tuple(books))
+    rows = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+    rows[rng.random(n) < 0.1] = 0.0
+    emb = EmbeddingSet([f"i{k}" for k in range(n)], rows.astype(np.float32))
+    tokens = rng.integers(0, sizes, size=(n + 2, len(sizes)))
+    tokens[rng.random(n + 2) < 0.2, 0] = 0
+    tokens[rng.random(n + 2) < 0.2, :2] = (1, 0)[:len(sizes)]
+    ids = [f"i{k}" for k in rng.permutation(n + 2)]
+    return model, emb, SidAssignment(ids, tokens, model.model_hash())
+
+
+def assert_same_curve(got, want):
+    assert [(h, v.hex()) for h, v in got.sims.items()] == [(h, v.hex()) for h, v in want.sims.items()]
+    assert (got.n_items, got.n_zero_norm_originals) == (want.n_items, want.n_zero_norm_originals)
+    assert got.zero_recon_counts == want.zero_recon_counts
+
+
+class TestReconstructionCurveMatchesReference:
+    """The row blocks against the whole-matrix curve, bit for bit."""
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 16, None])
+    def test_random_cases_across_block_sizes(self, rng, monkeypatch, block_rows):
+        zero_recons = zero_norms = 0
+        for trial in range(12):
+            levels = int(rng.integers(1, 5))
+            sizes = rng.integers(2, 9, size=levels)
+            d = int(rng.integers(1, 9))
+            # Below one block, an exact multiple of it, and neither.
+            n = int((1, 2, 15, 16, 32, 47)[trial % 6] if block_rows else rng.integers(1, 200))
+            if block_rows:
+                monkeypatch.setattr(diagnostics, "BLOCK_ELEMENTS", block_rows * d)
+            model, emb, assign = curve_case(rng, n, d, sizes)
+            for h_max in range(1, levels + 1):
+                got = reconstruction_curve(model, emb, assign, h_max=h_max)
+                assert_same_curve(got, reference_reconstruction_curve(model, emb, assign, h_max=h_max))
+                zero_recons += sum(got.zero_recon_counts.values())
+                zero_norms += got.n_zero_norm_originals
+        assert zero_recons > 0 and zero_norms > 0
+
+    def test_blocks_of_the_default_size(self, rng):
+        # 64 dims make blocks of 1,024 rows; 2,500 rows fill two and part of a third.
+        model, emb, assign = curve_case(rng, 2500, 64, [16, 8, 4])
+        for h_max in (2, 3):
+            assert_same_curve(reconstruction_curve(model, emb, assign, h_max=h_max),
+                              reference_reconstruction_curve(model, emb, assign, h_max=h_max))
+
+    def test_dim_mismatch_is_named(self, rng):
+        model = random_model(rng, 1, [4], 3)
+        emb = EmbeddingSet(["a"], np.ones((1, 5), dtype=np.float32))
+        assign = assignment_from_sids({"a": (0,)}, model_hash=model.model_hash())
+        with pytest.raises(DiagnosticsError, match="embeddings of dim 5 for a model of dim 3"):
+            reconstruction_curve(model, emb, assign)
+
+
 def reference_fit_probe(x_train, y_train, n_cat):
     """semantic_probe's loop before the (c, n) layout, verbatim: the oracle
     diagnostics._fit_probe must equal bit for bit."""
@@ -385,6 +501,119 @@ class TestSemanticProbe:
         assign = assignment_from_sids(sids, model_hash=model.model_hash())
         for seed in (0, 1, 2):
             assert semantic_probe(assign, model, labels, split_seed=seed) == 1.0
+
+
+def reference_semantic_probe(assign, model, labels, split_seed):
+    """diagnostics.semantic_probe before each split decoded its own rows,
+    verbatim but for the decoder, reference_decode_batch."""
+    order = sorted(range(len(assign)), key=assign.item_ids.__getitem__)
+    item_ids = [assign.item_ids[r] for r in order]
+    if not item_ids:
+        raise DiagnosticsError("semantic_probe needs a nonempty assignment")
+    missing = [i for i in item_ids if i not in labels]
+    if missing:
+        raise DiagnosticsError(f"{len(missing)} items lack category labels")
+    categories = sorted({labels[i] for i in item_ids})
+    cat_index = {c: k for k, c in enumerate(categories)}
+    y = np.array([cat_index[labels[i]] for i in item_ids], dtype=np.int64)
+    sizes = np.bincount(y)
+    if len(categories) < 2 or sizes.min() < 10:
+        return None
+
+    features = reference_decode_batch(model, assign.tokens[order])
+
+    gen = sidforge_rng.stream(split_seed, sidforge_rng.PROBE_SPLIT)
+    train_parts = []
+    test_parts = []
+    for k in range(len(categories)):
+        members = np.flatnonzero(y == k)
+        members = members[gen.permutation(members.size)]
+        cut = min(max(int(round(members.size * 0.8)), 1), members.size - 1)
+        train_parts.append(members[:cut])
+        test_parts.append(members[cut:])
+    train_idx = np.sort(np.concatenate(train_parts))
+    test_idx = np.sort(np.concatenate(test_parts))
+
+    x_train, y_train = features[train_idx], y[train_idx]
+    x_test, y_test = features[test_idx], y[test_idx]
+    weights, bias = diagnostics._fit_probe(x_train, y_train, len(categories))
+    predictions = (x_test @ weights + bias).argmax(axis=1)
+    return float((predictions == y_test).mean())
+
+
+def probe_inputs(rng, n, d, sizes, n_cat):
+    """A random model, an assignment of n items in shuffled id order, and
+    labels of n_cat categories of at least 10 items each, a category's items
+    leaning to one level-1 token."""
+    model = random_model(rng, len(sizes), sizes, d)
+    y = np.concatenate([np.repeat(np.arange(n_cat), 10), rng.integers(0, n_cat, n - 10 * n_cat)])
+    tokens = rng.integers(0, sizes, size=(n, len(sizes)))
+    lean = rng.random(n) < 0.7
+    tokens[lean, 0] = y[lean] % sizes[0]
+    ids = [f"i{k:04d}" for k in rng.permutation(n)]
+    labels = {item: f"c{cat}" for item, cat in zip(ids, y)}
+    return model, SidAssignment(ids, tokens, model.model_hash()), labels
+
+
+class TestSemanticProbeMatchesReference:
+    """Decoding each split from its own token rows against decoding the
+    whole catalog and copying the splits out of it, bit for bit."""
+
+    def test_random_cases(self, rng):
+        accuracies = set()
+        for trial in range(10):
+            levels = int(rng.integers(1, 4))
+            n_cat = int(rng.integers(2, 6))
+            model, assign, labels = probe_inputs(
+                rng, int(rng.integers(10 * n_cat, 160)), int(rng.integers(1, 9)),
+                rng.integers(2, 9, size=levels), n_cat)
+            for seed in (0, trial + 1):
+                got = semantic_probe(assign, model, labels, split_seed=seed)
+                assert got == reference_semantic_probe(assign, model, labels, split_seed=seed)
+                accuracies.add(got)
+        assert len(accuracies) > 3
+
+    def test_bad_tokens_raise_the_reference_error(self, rng):
+        model, assign, labels = probe_inputs(rng, 40, 3, [4, 3], 2)
+        for row, level, token in ((0, 0, 4), (17, 1, -1), (39, 1, 3)):
+            tokens = np.array(assign.tokens)
+            tokens[row, level] = token
+            bad = SidAssignment(assign.item_ids, tokens, assign.model_hash)
+            with pytest.raises(RqError) as want:
+                reference_semantic_probe(bad, model, labels, split_seed=0)
+            with pytest.raises(RqError, match=re.escape(str(want.value))):
+                semantic_probe(bad, model, labels, split_seed=0)
+        for width in (1, 3):
+            narrow = SidAssignment(assign.item_ids, np.zeros((40, width), dtype=np.int64), "x")
+            with pytest.raises(RqError, match=re.escape(f"expected shape (n, 2), got (40, {width})")):
+                semantic_probe(narrow, model, labels, split_seed=0)
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """The largest number of bytes tracemalloc saw allocated during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStageThreeMemory:
+    """Stage 3 keeps no whole-catalog float64 copies: peaks as multiples of
+    one (n, d) float64 matrix, n * d * 8 bytes."""
+
+    def test_reconstruction_curve_peaks_below_one_matrix(self, rng):
+        n, d = 20_000, 64
+        model = random_model(rng, 3, [256, 256, 256], d)
+        emb = EmbeddingSet([f"i{k}" for k in range(n)], rng.normal(size=(n, d)).astype(np.float32))
+        assign = SidAssignment(emb.item_ids, rng.integers(0, 256, size=(n, 3)), model.model_hash())
+        assert traced_peak(reconstruction_curve, model, emb, assign) < 1.0 * n * d * 8
+
+    def test_semantic_probe_peaks_below_two_matrices(self, rng):
+        n, d = 3_000, 256
+        model, assign, labels = probe_inputs(rng, n, d, [64, 32, 16], 4)
+        assert traced_peak(semantic_probe, assign, model, labels, 0) < 1.9 * n * d * 8
 
 
 class TestReport:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sidforge import pipeline
+from sidforge import corpus, pipeline
 from sidforge.datamodel import ids_path_for
 from sidforge.pipeline import (
     ArtifactPaths,
@@ -393,7 +393,8 @@ class TestRun:
         corpus_only["corpus"] = {**cfg["corpus"], "seed": 2}
         status, summary = run_pipeline(corpus_only, force=True)
         assert status == 0 and summary["stages"] == {"corpus": "ran"}
-        assert writes.count(manifest) == 1
+        # The old entry's removal before the corpus is replaced, then the new entry.
+        assert writes.count(manifest) == 2
         assert json.loads(manifest.read_text())["stages"]["corpus"]["config_hash"] == config_hash(
             {"corpus": corpus_only["corpus"]})
 
@@ -506,6 +507,87 @@ class TestRun:
             "corpus": "ran",
             "eval": "ran",
         }
+
+    def test_interrupted_recompute_leaves_no_stale_cache_hit(self, tmp_path, monkeypatch):
+        fresh = tmp_path / "fresh"
+        assert run_pipeline(base_cfg(fresh))[0] == 0
+        out = tmp_path / "out"
+        cfg = base_cfg(out)
+        assert run_pipeline(cfg)[0] == 0
+        changed = {**cfg, "corpus": {**cfg["corpus"], "seed": 2}}
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            # Stage 4 writes the vocabulary after it has replaced corpus.jsonl.
+            patch.setattr(corpus, "write_sid_vocabulary", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                run_pipeline(changed)
+        assert "corpus" not in json.loads(ArtifactPaths.in_dir(out).manifest.read_text())["stages"]
+        status, summary = run_pipeline(cfg)
+        assert status == 0
+        assert summary["stages"] == {name: "ran" if name == "corpus" else "cache-hit" for name in STAGES}
+        assert artifact_hashes(out) == artifact_hashes(fresh)
+
+    @pytest.mark.parametrize("section, key", [("rq", "seed"), ("corpus", "seed"), ("eval", "order")])
+    def test_a_run_interrupted_at_any_replace_is_recovered(self, tmp_path, monkeypatch, section, key):
+        """Interrupt a run with a changed config at each os.replace of its
+        atomic writers in turn (the last N lets it finish). A run with the
+        original config, then one with the changed config, must then give
+        fresh runs' bytes. The original goes first: a changed-config run
+        would recompute past an entry that still vouches for a replaced
+        output, and so hide it."""
+        def with_change(out_dir, bump):
+            cfg = base_cfg(out_dir)
+            cfg[section] = {**cfg[section], key: cfg[section][key] + bump}
+            return cfg
+
+        want = {}
+        for name, bump in (("original", 0), ("changed", 1)):
+            assert run_pipeline(with_change(tmp_path / name, bump))[0] == 0
+            want[name] = artifact_hashes(tmp_path / name)
+        assert want["original"] != want["changed"]
+        out, saved = tmp_path / "out", tmp_path / "saved"
+        runs = {"original": with_change(out, 0), "changed": with_change(out, 1)}
+        assert run_pipeline(runs["original"])[0] == 0
+        shutil.copytree(out, saved)
+        real_replace = os.replace
+        calls = []
+
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) == interrupt_at:
+                raise KeyboardInterrupt
+            real_replace(src, dst)
+
+        finished = False
+        interrupt_at = 0
+        while not finished:
+            interrupt_at += 1
+            shutil.rmtree(out)
+            shutil.copytree(saved, out)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "replace", replace)
+                try:
+                    finished = run_pipeline(runs["changed"])[0] == 0
+                except KeyboardInterrupt:
+                    pass
+            for name in ("original", "changed"):
+                assert run_pipeline(runs[name])[0] == 0, (interrupt_at, name)
+                assert artifact_hashes(out) == want[name], (interrupt_at, name)
+        # The run that finished wrote the manifest, its outputs, then the manifest again.
+        assert len(calls) == interrupt_at - 1 >= 3
+
+    def test_stray_temp_files_of_artifacts_are_removed(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "corpus.jsonl.4242.0.tmp").write_text("left by a killed writer")
+        (out / "notes.tmp").write_text("not an artifact's")
+        (out / "corpus.jsonl.x.0.tmp").write_text("not a writer's temp name")
+        assert run_pipeline(base_cfg(out))[0] == 0
+        assert sorted(p.name for p in out.glob("*.tmp")) == ["corpus.jsonl.x.0.tmp", "notes.tmp"]
 
     def test_run_lock_refuses_a_second_run_at_once(self, tmp_path):
         out = tmp_path / "out"

@@ -9,12 +9,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import assignment_from_sids, encode, random_assignments, random_model
+from conftest import assignment_from_sids, encode, random_assignments, random_model, reference_decode_batch
 from sidforge import rq
 from sidforge.datamodel import EmbeddingSet, atomic_open
 from sidforge.rq import (
-    _BLOCK_ELEMENTS,
     ASSIGNMENT_FORMAT,
+    BLOCK_ELEMENTS,
     RqConfig,
     RqError,
     SidAssignment,
@@ -92,8 +92,8 @@ class TestEncodeOracle:
 
     def test_one_row_blocks_match_exhaustive_scan(self, rng):
         # k exceeds the kernel's block budget, so every block is one row.
-        k, dim = _BLOCK_ELEMENTS + 1, 2
-        assert k > _BLOCK_ELEMENTS
+        k, dim = BLOCK_ELEMENTS + 1, 2
+        assert k > BLOCK_ELEMENTS
         model = random_model(rng, 1, [k], dim)
         xs = rng.normal(size=(6, dim))
         got = encode_batch(model, xs)
@@ -104,7 +104,7 @@ class TestEncodeOracle:
         model = random_model(rng, 2, [256, 2], 64)
         xs = rng.normal(size=(3841, 64))
         # Level 1 takes 256 rows a block, so the 3841 rows span 16 blocks.
-        assert xs.shape[0] > 15 * (_BLOCK_ELEMENTS // 256)
+        assert xs.shape[0] > 15 * (BLOCK_ELEMENTS // 256)
         got = encode_batch(model, xs, workers=4)
         assert np.array_equal(got, encode_batch(model, xs, workers=1))
         for i in range(xs.shape[0]):
@@ -282,7 +282,7 @@ class TestKernelOracle:
     @pytest.mark.parametrize("budget", [1, 7, 1 << 10, 1 << 16, 1 << 20])
     @pytest.mark.parametrize("workers", [1, 3])
     def test_nearest_matches_parent_over_shapes(self, rng, monkeypatch, budget, workers):
-        monkeypatch.setattr(rq, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(rq, "BLOCK_ELEMENTS", budget)
         shapes = [(1, 1, 1), (30, 1, 4), (30, 5, 1), (1, 9, 3)]
         shapes += [tuple(int(v) for v in rng.integers(1, (120, 40, 70))) for _ in range(12)]
         for n, k, d in shapes:
@@ -295,7 +295,7 @@ class TestKernelOracle:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_nearest_matches_parent_on_adversarial_inputs(self, rng, monkeypatch, workers):
-        monkeypatch.setattr(rq, "_BLOCK_ELEMENTS", 16)
+        monkeypatch.setattr(rq, "BLOCK_ELEMENTS", 16)
         for points, cents in adversarial_cases(rng):
             assert_same_nearest(points, cents, workers)
 
@@ -429,6 +429,26 @@ class TestResidualTelescoping:
         for row, toks in zip(batched, tokens):
             assert np.array_equal(row, decode(model, tuple(int(t) for t in toks)))
 
+    def test_decode_batch_matches_parent_on_all_rows_and_on_some(self, rng):
+        model = random_model(rng, 3, [5, 4, 3], 6)
+        tokens = rng.integers(0, (5, 4, 3), size=(40, 3))
+        rows = np.sort(rng.choice(40, size=15, replace=False))
+        for depth in (None, 0, 1, 3):
+            want = reference_decode_batch(model, tokens, depth)
+            for got, expected in ((decode_batch(model, tokens, depth), want),
+                                  (decode_batch(model, tokens, depth, rows=rows), want[rows])):
+                assert got.dtype == np.float64
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_decode_batch_of_some_rows_checks_every_row(self, rng):
+        model = random_model(rng, 2, [4, 3], 5)
+        tokens = np.zeros((6, 2), dtype=np.int64)
+        tokens[4, 1] = 3
+        with pytest.raises(RqError, match=re.escape("token 3 out of range [0, 3) at level 2 (row 4)")):
+            decode_batch(model, tokens, rows=[0, 1])
+        with pytest.raises(RqError, match=re.escape("expected shape (n, 2), got (6, 3)")):
+            decode_batch(model, np.zeros((6, 3), dtype=np.int64), rows=[0])
+
 
 class TestValidate:
     def test_range_and_arity(self, rng):
@@ -528,7 +548,7 @@ class TestFit:
             normal, RqConfig(levels=2, codebook_sizes=(16, 8), kmeans_max_iters=0))
         # Rows that span several kernel blocks, on one thread and on three.
         with monkeypatch.context() as patch:
-            patch.setattr(rq, "_BLOCK_ELEMENTS", 64)
+            patch.setattr(rq, "BLOCK_ELEMENTS", 64)
             for workers in (1, 3):
                 self.assert_fit_tokens_are_the_encoding(
                     normal, RqConfig(levels=2, codebook_sizes=(16, 8), seed=3), workers)
@@ -571,12 +591,23 @@ class TestFit:
             model.fit_tokens[0, 0] = 1
         assert "fit_tokens" not in repr(model)
         bare = dataclasses.replace(model, fit_tokens=None)
-        assert bare == model
+        assert bare.model_hash() == model.model_hash()
+        assert (bare.config, bare.fit_stats) == (model.config, model.fit_stats)
         a, b = tmp_path / "a.rq", tmp_path / "b.rq"
         save_model(model, a)
         save_model(bare, b)
         assert a.read_bytes() == b.read_bytes()
         assert load_model(a).fit_tokens is None
+
+    def test_models_compare_by_identity(self, rng):
+        rows = np.asarray(rng.normal(size=(100, 5)), dtype=np.float32)
+        model = fit_codebooks(EmbeddingSet([f"i{k}" for k in range(100)], rows),
+                              RqConfig(levels=2, codebook_sizes=(8, 4)))
+        twin = dataclasses.replace(model, codebooks=tuple(cb.copy() for cb in model.codebooks))
+        assert twin.model_hash() == model.model_hash()
+        assert twin != model and not twin == model
+        assert model == model
+        assert len({model, twin, model}) == 2
 
     def test_normalize_inputs(self, rng):
         points = np.asarray(rng.normal(size=(100, 4)), dtype=np.float32) * 100.0
