@@ -59,18 +59,14 @@ def atomic_open(path, mode="w", **open_kwargs):
 _TEMP_NAME = re.compile(r"(.+)\.[0-9]+\.[0-9]+\.tmp")
 
 
-def remove_temp_files(paths) -> None:
-    """Delete the temp files that atomic_open writers of these paths left
-    beside them when they were killed; every other file stays. Only for
-    paths that no writer is writing. One listing per directory."""
-    targets: dict[Path, set[str]] = {}
-    for path in map(Path, paths):
-        targets.setdefault(path.parent, set()).add(path.name)
-    for folder, names in targets.items():
-        for name in os.listdir(folder):
-            match = _TEMP_NAME.fullmatch(name)
-            if match and match[1] in names and (folder / name).is_file():
-                (folder / name).unlink()
+def remove_temp_files(directory: Path, names) -> None:
+    """Delete the temp files that killed atomic_open writers of the files
+    `names` in `directory` left behind; every other file stays. Only for
+    files that no writer is writing."""
+    for tmp in map(directory.joinpath, os.listdir(directory)):
+        match = _TEMP_NAME.fullmatch(tmp.name)
+        if match and match[1] in names and tmp.is_file():
+            tmp.unlink()
 
 
 def is_json_int(value) -> bool:

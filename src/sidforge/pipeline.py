@@ -563,7 +563,7 @@ def run_pipeline(cfg: dict, force: bool = False):
     )
     with run_lock(out_dir):
         # No other run writes here now, so a temp file is a killed writer's.
-        remove_temp_files(vars(paths).values())
+        remove_temp_files(out_dir, {path.name for path in vars(paths).values()})
         written = _read_manifest(paths.manifest)  # the entries manifest.json holds
         old_stages = written or {}
         # Under force nothing hits, but the entries of stages this run skips
