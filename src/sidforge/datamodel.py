@@ -63,10 +63,10 @@ def remove_temp_files(directory: Path, names) -> None:
     """Delete the temp files that killed atomic_open writers of the files
     `names` in `directory` left behind; every other file stays. Only for
     files that no writer is writing."""
-    for tmp in map(directory.joinpath, os.listdir(directory)):
-        match = _TEMP_NAME.fullmatch(tmp.name)
-        if match and match[1] in names and tmp.is_file():
-            tmp.unlink()
+    for name in os.listdir(directory):
+        match = _TEMP_NAME.fullmatch(name)
+        if match and match[1] in names and (directory / name).is_file():
+            (directory / name).unlink()
 
 
 def is_json_int(value) -> bool:
