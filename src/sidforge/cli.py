@@ -48,8 +48,8 @@ def _cmd_synth(args) -> int:
     _emit(
         {
             "items": len(catalog),
-            "users": len({user for user, _, _ in interactions.events}),
-            "events": len(interactions.events),
+            "users": len(interactions.user_ids),
+            "events": interactions.n_events,
             "dim": emb.dim,
             "categories": cfg.num_categories,
             "paths": {
@@ -72,9 +72,9 @@ def _cmd_ingest(args) -> int:
         {
             "items": len(catalog),
             "embeddings": emb.count,
-            "events_in": len(interactions.events),
-            "events_kept": len(kept.events),
-            "users_kept": len({user for user, _, _ in kept.events}),
+            "events_in": interactions.n_events,
+            "events_kept": kept.n_events,
+            "users_kept": len(kept.user_ids),
             "kcore": args.kcore,
         }
     )
@@ -192,12 +192,11 @@ def _cmd_train_baseline(args) -> int:
         args.model, args.assignment, args.interactions
     )
     ngram = recommender.train_ngram(
-        split,
+        recommender.split_rows(split, assign, args.include_validation),
         assign,
         model.effective_sizes,
         order=args.order,
         alpha=args.alpha,
-        include_validation=args.include_validation,
     )
     recommender.save_ngram(ngram, args.out)
     _emit(
@@ -221,10 +220,9 @@ def _cmd_eval(args) -> int:
         ngram,
         model,
         assign,
-        split,
+        recommender.split_rows(split, assign, not args.exclude_validation),
         ks=args.k,
         beam_size=args.beam,
-        include_validation=not args.exclude_validation,
         unconstrained=args.unconstrained,
     )
     if args.ranks_out:

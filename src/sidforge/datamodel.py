@@ -8,14 +8,13 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import operator
 import os
 import re
 import reprlib
 import struct
 import typing
 import zlib
-from collections import Counter, defaultdict
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -417,52 +416,121 @@ def load_embeddings(path) -> EmbeddingSet:
     return EmbeddingSet(ids, matrix)
 
 
-Event = tuple[str, str, int]  # (user_id, item_id, timestamp seconds)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteractionLog:
-    events: tuple[Event, ...]
+    """Events as columns, with no object per event: event j is
+    (user_ids[users[j]], item_ids[items[j]], timestamps[j]). The id tables
+    are the log's distinct ids, sorted, so codes compare as their ids do;
+    `users` and `items` are int32 codes and `timestamps` int64 seconds.
+    Compared by identity, as arrays have no dataclass equality."""
+
+    user_ids: tuple[str, ...]
+    item_ids: tuple[str, ...]
+    users: np.ndarray
+    items: np.ndarray
+    timestamps: np.ndarray
+
+    @classmethod
+    def from_codes(cls, user_ids, users, item_ids, items, timestamps) -> "InteractionLog":
+        """The log of events (user_ids[users[j]], item_ids[items[j]],
+        timestamps[j]) over distinct ids in any order, each used by some event:
+        the tables are sorted and the codes renumbered to match."""
+        tables, codes = [], []
+        for ids, column in ((user_ids, users), (item_ids, items)):
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            rank = np.empty(len(ids), dtype=np.int32)
+            rank[order] = np.arange(len(ids), dtype=np.int32)
+            tables.append(tuple(map(ids.__getitem__, order)))
+            codes.append(rank[column])
+        return cls(tables[0], tables[1], codes[0], codes[1], np.asarray(timestamps, dtype=np.int64))
 
     @property
     def n_events(self) -> int:
-        return len(self.events)
+        return len(self.timestamps)
 
-    def by_user(self) -> dict[str, list[Event]]:
-        """Per-user events in chronological order; timestamp ties break on item_id."""
-        grouped: dict[str, list[Event]] = defaultdict(list)
-        for ev in self.events:
-            grouped[ev[0]].append(ev)
-        for events in grouped.values():
-            events.sort(key=operator.itemgetter(2, 1))
-        return dict(grouped)
+
+class _Codes(dict):
+    """id -> code: each id not yet seen takes the next code, from 0."""
+
+    def __missing__(self, key):
+        self[key] = code = len(self)
+        return code
+
+
+_PARSE_LINES = 8192  # lines parsed into lists before they become arrays
 
 
 def load_interactions(path) -> InteractionLog:
     """Read tab-separated interactions: user_id, item_id, timestamp (no header).
-    Each event holds the first `str` read for each of its ids, so a log keeps one
-    object per distinct id, not two per event, and its k-core and split share them."""
-    events: list[Event] = []
-    ids: dict[str, str] = {}
-    for lineno, line in read_lines(path, InteractionError):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise InteractionError(f"line {lineno}: expected 3 tab-separated columns")
-        try:
-            ts = int(cols[2])
-        except ValueError:
-            raise InteractionError(f"line {lineno}: timestamp {cols[2]!r} is not an integer") from None
-        events.append((ids.setdefault(cols[0], cols[0]), ids.setdefault(cols[1], cols[1]), ts))
-    return InteractionLog(events=tuple(events))
+    Each id is kept as the first `str` read for it, so a log keeps one object
+    per distinct id, and its k-core and split share them. A timestamp must be
+    an integer in the int64 range. The lines are parsed in blocks, each block's
+    columns becoming arrays, so no Python int outlives its block."""
+    lines = read_lines(path, InteractionError)
+    user_code, item_code = _Codes(), _Codes()
+    blocks: list[tuple[np.ndarray, ...]] = []
+    events = 0  # in the blocks before this one
+    while True:
+        users, items, stamps = [], [], []
+        add_user, add_item, add_stamp = users.append, items.append, stamps.append
+        lineno = None
+        for lineno, line in itertools.islice(lines, _PARSE_LINES):
+            cols = line.split("\t")  # the timestamp keeps the line end, which int() skips
+            if len(cols) != 3:
+                if line == "\n":
+                    continue
+                _int64_column(stamps, events, path)  # an earlier line's fault first
+                raise InteractionError(f"line {lineno}: expected 3 tab-separated columns")
+            try:
+                add_stamp(int(cols[2]))
+            except ValueError:
+                _int64_column(stamps, events, path)
+                text = cols[2].rstrip("\n")
+                raise InteractionError(f"line {lineno}: timestamp {text!r} is not an integer") from None
+            add_user(user_code[cols[0]])
+            add_item(item_code[cols[1]])
+        if lineno is None:
+            break
+        blocks.append((np.array(users, np.int32), np.array(items, np.int32), _int64_column(stamps, events, path)))
+        events += len(stamps)
+    columns = [np.concatenate(column) for column in zip(*blocks)] or [np.empty(0, np.int32)] * 3
+    return InteractionLog.from_codes(list(user_code), columns[0], list(item_code), columns[1], columns[2])
+
+
+def _int64_column(stamps: list, events_before: int, path) -> np.ndarray:
+    """A block's timestamps as int64; InteractionError names the line of the
+    first that does not fit, found by reading the file again."""
+    try:
+        return np.array(stamps, dtype=np.int64)
+    except OverflowError:
+        bad = next(i for i, ts in enumerate(stamps) if not -2**63 <= ts < 2**63)
+        event_lines = (n for n, line in read_lines(path, InteractionError) if line != "\n")
+        lineno = next(itertools.islice(event_lines, events_before + bad, None))
+        raise InteractionError(f"line {lineno}: timestamp {stamps[bad]} is outside the int64 range") from None
+
+
+_SAVE_CHUNK = 4096  # events rendered per write
 
 
 def save_interactions(log: InteractionLog, path) -> None:
+    # Each id with its tab, in object arrays that a chunk's codes gather from.
+    users, items = (np.array([i + "\t" for i in ids], dtype=object) for ids in (log.user_ids, log.item_ids))
     with atomic_open(path, encoding="utf-8", newline="\n") as fh:
-        for user, item, ts in log.events:
-            fh.write(f"{user}\t{item}\t{ts}\n")
+        for start in range(0, log.n_events, _SAVE_CHUNK):
+            chunk = slice(start, start + _SAVE_CHUNK)
+            fh.write("".join([f"{u}{i}{ts}\n" for u, i, ts in zip(
+                users[log.users[chunk]].tolist(), items[log.items[chunk]].tolist(), log.timestamps[chunk].tolist()
+            )]))
+
+
+def _canonical_order(users, items, timestamps):
+    """Event positions in (user, timestamp, item) order: one lexsort, or a
+    slice of every event when they are in that order already, as a log that
+    was written in it is."""
+    (u0, u1), (t0, t1), (i0, i1) = ((x[:-1], x[1:]) for x in (users, timestamps, items))
+    if ((u0 < u1) | (u0 == u1) & ((t0 < t1) | (t0 == t1) & (i0 <= i1))).all():
+        return slice(None)
+    return np.lexsort((items, timestamps, users))
 
 
 def k_core_filter(log: InteractionLog, k: int) -> InteractionLog:
@@ -474,19 +542,21 @@ def k_core_filter(log: InteractionLog, k: int) -> InteractionLog:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    events = list(log.events)
+    users, items, timestamps = log.users, log.items, log.timestamps
     while True:
-        user_deg = Counter(u for u, _, _ in events)
-        item_deg = Counter(i for _, i, _ in events)
-        kept = [
-            ev for ev in events
-            if user_deg[ev[0]] >= k and item_deg[ev[1]] >= k
-        ]
-        if len(kept) == len(events):
+        kept = ((np.bincount(users, minlength=len(log.user_ids))[users] >= k)
+                & (np.bincount(items, minlength=len(log.item_ids))[items] >= k))
+        if kept.all():
             break
-        events = kept
-    events.sort(key=lambda ev: (ev[0], ev[2], ev[1]))
-    return InteractionLog(events=tuple(events))
+        users, items, timestamps = users[kept], items[kept], timestamps[kept]
+    order = _canonical_order(users, items, timestamps)
+    tables, codes = [], []
+    for ids, column in ((log.user_ids, users), (log.item_ids, items)):
+        # The ids still used keep their sorted order.
+        used, inverse = np.unique(column[order], return_inverse=True)
+        tables.append(tuple(map(ids.__getitem__, used.tolist())))
+        codes.append(inverse.astype(np.int32).reshape(-1))
+    return InteractionLog(tables[0], tables[1], codes[0], codes[1], timestamps[order])
 
 
 @dataclass(frozen=True)
@@ -505,14 +575,13 @@ class SplitDataset:
 
 
 def leave_last_out_split(log: InteractionLog) -> SplitDataset:
-    users: dict[str, UserSplit] = {}
-    grouped = log.by_user()
-    for user in sorted(grouped):
-        seq = [item for _, item, _ in grouped[user]]
-        if len(seq) >= 3:
-            users[user] = UserSplit(
-                train=tuple(seq[:-2]),
-                validation=seq[-2],
-                test=seq[-1],
-            )
-    return SplitDataset(users=users)
+    """Each user's events in (timestamp, item) order, users in sorted order."""
+    order = _canonical_order(log.users, log.items, log.timestamps)
+    users = log.users[order]
+    items = list(map(log.item_ids.__getitem__, log.items[order].tolist()))
+    starts = np.flatnonzero(np.diff(users, prepend=-1)).tolist()
+    split: dict[str, UserSplit] = {}
+    for user, a, b in zip(users[starts].tolist(), starts, [*starts[1:], len(items)]):
+        if b - a >= 3:
+            split[log.user_ids[user]] = UserSplit(train=tuple(items[a:b - 2]), validation=items[b - 2], test=items[b - 1])
+    return SplitDataset(users=split)

@@ -103,6 +103,7 @@ def reconstruction_curve(
         raise DiagnosticsError(
             f"{len(missing)} embedding ids have no SID in the assignment, e.g. {missing[0]!r}"
         )
+    check_token_range(model, assign.tokens[:, :h_max], assign.item_ids, DiagnosticsError)
     rows = np.array([row_of[i] for i in emb.item_ids], dtype=np.int64)
     included = np.empty(emb.count, dtype=bool)
     cos = np.zeros((h_max, emb.count))

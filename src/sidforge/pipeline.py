@@ -428,21 +428,11 @@ def export_corpus(
     return stats
 
 
-def evaluate_baseline(
-    ngram,
-    model,
-    assign,
-    split,
-    *,
-    ks,
-    beam_size: int,
-    include_validation=True,
-    unconstrained=False,
-):
+def evaluate_baseline(ngram, model, assign, user_rows, *, ks, beam_size: int, unconstrained=False):
     """Stage 5: (n-gram report, metrics) from trie-constrained beam search and
-    the static popularity ranking. metrics is the {"ngram", "popularity"}
-    payload that metrics.json stores."""
-    user_rows = recommender.split_rows(split, assign, include_validation)
+    the static popularity ranking over `user_rows`, `recommender.split_rows`'s
+    map. metrics is the {"ngram", "popularity"} payload that metrics.json
+    stores."""
     report = recommender.evaluate(
         ngram,
         user_rows,
@@ -517,22 +507,14 @@ def run_pipeline(cfg: dict, force: bool = False):
 
     def eval_stage():
         model, assign, split = load_tokens_and_split(paths.model, paths.assignment, paths.interactions)
+        user_rows = recommender.split_rows(split, assign, ecfg.ngram_include_validation)
         ngram = recommender.train_ngram(
-            split,
-            assign,
-            model.effective_sizes,
-            order=ecfg.order,
-            alpha=ecfg.alpha,
-            include_validation=ecfg.ngram_include_validation,
+            user_rows, assign, model.effective_sizes, order=ecfg.order, alpha=ecfg.alpha
         )
+        if ecfg.include_validation != ecfg.ngram_include_validation:
+            user_rows = recommender.split_rows(split, assign, ecfg.include_validation)
         report, metrics = evaluate_baseline(
-            ngram,
-            model,
-            assign,
-            split,
-            ks=ecfg.ks,
-            beam_size=ecfg.beam_size,
-            include_validation=ecfg.include_validation,
+            ngram, model, assign, user_rows, ks=ecfg.ks, beam_size=ecfg.beam_size
         )
         # Saved after the evaluation: saving first raises the peak RSS.
         recommender.save_ngram(ngram, paths.ngram)

@@ -10,8 +10,8 @@ SIDs can be generated.
 Speed without changing a bit of the results:
 - Training gathers the users' token streams from the assignment's token
   matrix in one step, and counts each context length's (context, token)
-  windows with one `rq.sorted_prefixes` pass, a run of equal windows being
-  one count. The
+  windows by sorting one packed integer key per window, a run of equal keys
+  being one count. The
   counts keep that form to the file and back, with no separate totals: a
   read-only (k, 2) int64 array of (token, count) rows per context, tokens
   ascending. Loading reads the top level as an `NGramFile` and rejects a
@@ -31,9 +31,8 @@ Speed without changing a bit of the results:
   user's history as a CSR of rows, one map per evaluation that every
   stage-5 function reads.
 - `evaluate` searches once per n-gram state, the last order - 1 tokens of
-  a user's context, `stream[max(start, end - (order - 1)):end]` of the
-  histories' token stream, and gives that ranking to every user with the
-  state. It is exact: the state of the context extended by a beam's tokens
+  a user's context, gathered from the histories' rows, and gives that
+  ranking to every user with the state. It is exact: the state of the context extended by a beam's tokens
   is the state of the state extended by them, so every row, score and
   tie-break of the search is the same.
 """
@@ -51,10 +50,9 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .datamodel import SplitDataset, atomic_open, from_json, is_json_int, is_json_number, read_json_object
-from .rq import SidAssignment, SidSequence, SidTrie, sorted_prefixes
+from .rq import SidAssignment, SidSequence, SidTrie
 
 
 class RecommenderError(ValueError):
@@ -194,48 +192,72 @@ class NGramModel:
         return rows
 
 
-def train_ngram(
-    split: SplitDataset,
-    assign: SidAssignment,
-    sizes,
-    order: int,
-    alpha: float,
-    include_validation: bool = False,
-) -> NGramModel:
-    """Accumulate context counts over every user's flattened train sequence
-    (optionally extended by the validation item). Test items never enter.
+def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct keys ascending, how often each occurs); sorts keys in place."""
+    keys.sort()
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.diff(starts, append=len(keys))
 
-    For each context length, the (context, token) windows that lie inside one
-    user's sequence are sorted, and each run of equal windows is one count."""
+
+def train_ngram(user_rows, assign: SidAssignment, sizes, order: int, alpha: float) -> NGramModel:
+    """Accumulate context counts over every user's flattened history in
+    `user_rows`, `split_rows`'s map: its train sequence, extended by the
+    validation item when the map includes it. Test items never enter.
+
+    Each window of tokens is one packed integer key, its first token the most
+    significant digit in base vocab_size, so key order is window order; each
+    context length extends the keys in place by one token. Keys that one more
+    token would take past their type's range are first replaced by their
+    dense ranks, which keep the order. For each length the keys of the
+    windows that lie inside one user's history are sorted, and each run of
+    equal keys is one count. A context is a window counted at the length
+    before, so its name is taken from there; the last length names none."""
     check_settings(order=order, alpha=alpha)
     sizes = tuple(int(k) for k in sizes)
     vocab_size = sum(sizes)
     flat = _global_tokens(assign, level_offsets(sizes))
     if flat.size and not (flat.min() >= 0 and flat.max() < vocab_size):
         raise RecommenderError(f"a SID token lies outside the level sizes {list(sizes)}")
-    _, item_rows, ends, _ = split_rows(split, assign, include_validation)
+    _, item_rows, ends, _ = user_rows
     lengths = np.diff(ends, prepend=0) * flat.shape[1]
     if not lengths.any():
         raise RecommenderError("no training tokens; empty split or assignment")
-    # The narrowest type that holds every token keeps the window copies small.
+    # The narrowest types that hold every token and every key keep the copies small.
     tokens = flat.astype(np.min_scalar_type(vocab_size - 1))[item_rows].ravel()
+    last = min(order, int(lengths.max())) - 1
+    keys = tokens.astype(np.uint32 if vocab_size ** (last + 1) <= 2**32 else np.uint64)
+    bound = vocab_size  # every key is below it
     user_start = np.zeros(tokens.size, dtype=bool)
     user_start[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
     # inside[s]: the window of the current length starting at s lies in one user
     inside = np.ones(tokens.size, dtype=bool)
+    # The distinct windows of the length before, as sorted keys and as names.
+    named, names = np.zeros(1, dtype=keys.dtype), [()]
     counts: dict[tuple[int, ...], np.ndarray] = {}
-    for length in range(min(order, int(lengths.max()))):
+    for length in range(last + 1):
         if length:
+            if bound * vocab_size > 2 ** (8 * keys.itemsize):
+                distinct, ranks = np.unique(keys, return_inverse=True)
+                keys, bound = ranks.reshape(-1).astype(keys.dtype), len(distinct)
+                named = np.searchsorted(distinct, named).astype(keys.dtype)
+            keys = keys[:-1]
+            keys *= vocab_size
+            keys += tokens[length:]
+            bound *= vocab_size
             inside = inside[:-1] & ~user_start[length:]
-        ordered, starts = sorted_prefixes(sliding_window_view(tokens, length + 1)[inside])
-        # One row per distinct window, and the first of each context's rows.
-        runs, ctx_starts = ordered[starts[-1]], np.searchsorted(starts[-1], starts[-2])
+        runs, run_counts = _sorted_runs(keys[inside])  # the copy of the keys is gone on return
         rows = np.empty((len(runs), 2), dtype=np.int64)
-        rows[:, 0], rows[:, 1] = runs[:, length], np.diff(starts[-1], append=len(ordered))
+        rows[:, 0], rows[:, 1] = runs % vocab_size, run_counts
         rows.setflags(write=False)
-        bounds = [*ctx_starts.tolist(), len(runs)]
-        for ctx, a, b in zip(runs[ctx_starts, :length].tolist(), bounds, bounds[1:]):
-            counts[tuple(ctx)] = rows[a:b]
+        # A context's runs start at its key with one more token 0 appended.
+        firsts = np.searchsorted(runs, named * vocab_size).tolist()
+        spans = [(name, a, b) for name, a, b in zip(names, firsts, [*firsts[1:], len(runs)]) if a < b]
+        for name, a, b in spans:
+            counts[name] = rows[a:b]
+        if length < last:
+            run_tokens = rows[:, 0].tolist()
+            names = [name + (t,) for name, a, b in spans for t in run_tokens[a:b]]
+            named = runs
     return NGramModel(order=order, alpha=float(alpha), sizes=sizes, counts=counts)
 
 
@@ -442,19 +464,24 @@ def evaluate(
     top_k = min(beam_size, max(ks))
     flat = _global_tokens(assign, level_offsets(sizes))
     user_ids, rows, ends, test = user_rows
-    stream = flat[rows].ravel().tolist()
+    # User i's tokens are positions [ends[i - 1], ends[i]) * levels of the
+    # histories' token stream; its state is their last order - 1, gathered
+    # with no list of the whole stream.
+    ends = ends * len(sizes)
+    width = np.minimum(np.diff(ends, prepend=0), model.order - 1)
+    at = np.arange(width.sum()) + (ends - width.cumsum()).repeat(width)
+    states = flat[rows[at // len(sizes)], at % len(sizes)].tolist()
     sids = assign.tokens.tolist()
     rankings: dict[tuple[int, ...], list[SidSequence]] = {}
     ranks: dict[str, int] = {}
     excluded = 0
     shortfalls = 0
-    # A user's tokens are stream[start:end]; its state is their last order - 1.
-    bounds = (ends * len(sizes)).tolist()
+    bounds = width.cumsum().tolist()
     for user_id, start, end, test_row in zip(user_ids, [0, *bounds], bounds, test.tolist()):
         if test_row < 0:
             excluded += 1
             continue
-        state = tuple(stream[max(start, end - (model.order - 1)):end])
+        state = tuple(states[start:end])
         ranked = rankings.get(state)
         if ranked is None:
             found = beam_search(model, state, trie, beam_size, top_k, sizes, unconstrained=unconstrained)

@@ -340,7 +340,7 @@ def generate_interactions(
     lo, hi = cfg.events_per_user
     width = 2 * hi + 2  # raw words per user: enough for a walk with no rejected draw
     block = max(1, _RAW_BLOCK_WORDS // width)
-    events: list = []
+    columns: list = []  # (user codes, pool indices, timestamps) per block
     for first in range(0, cfg.num_users, block):
         users = range(first, min(first + block, cfg.num_users))
         draws = StreamDraws(cfg.seed, rng.USER_EVENTS, users, width)
@@ -362,8 +362,10 @@ def generate_interactions(
             ts[rows] += 1 + draws.integers(rows, 3600)
             stamps[rows, step] = ts[rows]
         taken = np.arange(hi) < counts[:, None]
-        user_ids: list[str] = []
-        for u, n in zip(users, counts.tolist()):
-            user_ids += [f"u{u:05d}"] * n
-        events.extend(zip(user_ids, [pool_ids[i] for i in picked[taken].tolist()], stamps[taken].tolist()))
-    return InteractionLog(events=tuple(events))
+        columns.append((np.arange(first, users.stop).repeat(counts), picked[taken], stamps[taken]))
+    users, picked, stamps = map(np.concatenate, zip(*columns))
+    used, items = np.unique(picked, return_inverse=True)
+    return InteractionLog.from_codes(
+        [f"u{u:05d}" for u in range(cfg.num_users)], users,
+        list(map(pool_ids.__getitem__, used.tolist())), items.reshape(-1), stamps,
+    )

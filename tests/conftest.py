@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import operator
 import re
+from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from sidforge.datamodel import InteractionLog
 from sidforge.diagnostics import DiagnosticsReport, build_report
 from sidforge.recommender import NGramModel
 from sidforge.rq import LevelFitStats, RqConfig, RqError, RqModel, SidAssignment, check_token_range, encode_batch
@@ -128,6 +132,53 @@ def ngram_dicts(model: NGramModel) -> tuple[dict, dict]:
         counts[ctx] = dict(rows.tolist())
         totals[ctx] = sum(counts[ctx].values())
     return counts, totals
+
+
+Event = tuple[str, str, int]  # (user_id, item_id, timestamp seconds)
+
+
+@dataclass(frozen=True)
+class EventLog:
+    """datamodel.InteractionLog before it held columns, verbatim but for its
+    name: one tuple per event. The `reference_*` interaction oracles return it."""
+    events: tuple[Event, ...]
+
+    @property
+    def n_events(self) -> int:
+        return len(self.events)
+
+    def by_user(self) -> dict[str, list[Event]]:
+        """Per-user events in chronological order; timestamp ties break on item_id."""
+        grouped: dict[str, list[Event]] = defaultdict(list)
+        for ev in self.events:
+            grouped[ev[0]].append(ev)
+        for events in grouped.values():
+            events.sort(key=operator.itemgetter(2, 1))
+        return dict(grouped)
+
+
+def events_of(log: InteractionLog) -> tuple[Event, ...]:
+    """A log's events as (user_id, item_id, timestamp) tuples of Python
+    values, in the log's order, after checking the columns' layout."""
+    assert list(log.user_ids) == sorted(set(log.user_ids)) and list(log.item_ids) == sorted(set(log.item_ids))
+    assert (log.users.dtype, log.items.dtype, log.timestamps.dtype) == (np.int32, np.int32, np.int64)
+    assert len(log.users) == len(log.items) == len(log.timestamps) == log.n_events
+    # Every id in a table is some event's.
+    assert set(log.users.tolist()) == set(range(len(log.user_ids)))
+    assert set(log.items.tolist()) == set(range(len(log.item_ids)))
+    return tuple(zip(map(log.user_ids.__getitem__, log.users.tolist()),
+                     map(log.item_ids.__getitem__, log.items.tolist()), log.timestamps.tolist()))
+
+
+def log_of(events) -> InteractionLog:
+    """The InteractionLog of (user_id, item_id, timestamp) events, in order."""
+    events = list(events)
+    user_code, item_code = ({x: c for c, x in enumerate(dict.fromkeys(ev[k] for ev in events))} for k in (0, 1))
+    return InteractionLog.from_codes(
+        list(user_code), np.array([user_code[ev[0]] for ev in events], dtype=np.int64),
+        list(item_code), np.array([item_code[ev[1]] for ev in events], dtype=np.int64),
+        np.array([ev[2] for ev in events], dtype=np.int64),
+    )
 
 
 @pytest.fixture

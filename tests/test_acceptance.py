@@ -219,7 +219,7 @@ def test_criterion_07_full_beam_reproduces_exhaustive_ranking():
             f"u{u}": [f"i{int(gen.integers(n))}" for _ in range(7)] for u in range(8)
         }
         model = train_ngram(
-            split_of(seqs), assign, sizes, order=int(gen.integers(1, 4)), alpha=0.3
+            split_rows(split_of(seqs), assign, False), assign, sizes, order=int(gen.integers(1, 4)), alpha=0.3
         )
         top_k = min(10, trie.n_sids)
         contexts = ((), tuple(int(gen.integers(sum(sizes))) for _ in range(3)))
@@ -285,7 +285,7 @@ def test_criterion_09_ngram_beats_popularity_on_planted_patterns():
         assign = assign_all(model, emb)
         trie = build_trie(assign)
         sizes = model.effective_sizes
-        ngram = train_ngram(split, assign, sizes, order=3, alpha=0.1)
+        ngram = train_ngram(split_rows(split, assign, False), assign, sizes, order=3, alpha=0.1)
         user_rows = split_rows(split, assign, True)
         sequential = evaluate(ngram, user_rows, assign, trie, sizes, ks=(10,), beam_size=20)
         static = evaluate_static_ranking(popularity_ranking(user_rows, assign), user_rows, assign, ks=(10,))

@@ -5,18 +5,22 @@ import os
 import re
 import stat
 import struct
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import Event, EventLog, events_of, log_of
 from sidforge.datamodel import (
     CatalogError,
     EmbeddingIOError,
     EmbeddingSet,
     InteractionError,
-    InteractionLog,
     ItemCatalog,
     ItemRecord,
+    SplitDataset,
+    UserSplit,
     atomic_open,
     ids_path_for,
     k_core_filter,
@@ -228,9 +232,11 @@ class TestEmbeddingFile:
         )
 
 
-def reference_load_interactions(path) -> InteractionLog:
-    """load_interactions before it kept one str per distinct id, verbatim."""
-    events: list = []
+def reference_load_interactions(path) -> EventLog:
+    """load_interactions before it held columns, verbatim: one tuple per
+    event, each holding the first `str` read for each of its ids."""
+    events: list[Event] = []
+    ids: dict[str, str] = {}
     for lineno, line in read_lines(path, InteractionError):
         line = line.rstrip("\n")
         if not line:
@@ -242,63 +248,158 @@ def reference_load_interactions(path) -> InteractionLog:
             ts = int(cols[2])
         except ValueError:
             raise InteractionError(f"line {lineno}: timestamp {cols[2]!r} is not an integer") from None
-        events.append((cols[0], cols[1], ts))
-    return InteractionLog(events=tuple(events))
+        events.append((ids.setdefault(cols[0], cols[0]), ids.setdefault(cols[1], cols[1]), ts))
+    return EventLog(events=tuple(events))
 
 
-def random_log_text(gen) -> str:
-    """Tab-separated events over a small id pool shared by users and items,
-    so ids repeat and a user id can equal an item id; blank lines and LF,
-    CRLF and lone-CR line ends mixed."""
+def reference_k_core_filter(log: EventLog, k: int) -> EventLog:
+    """k_core_filter before the log held columns, verbatim: Counter passes
+    and a sort on (user, timestamp, item) tuples."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    events = list(log.events)
+    while True:
+        user_deg = Counter(u for u, _, _ in events)
+        item_deg = Counter(i for _, i, _ in events)
+        kept = [
+            ev for ev in events
+            if user_deg[ev[0]] >= k and item_deg[ev[1]] >= k
+        ]
+        if len(kept) == len(events):
+            break
+        events = kept
+    events.sort(key=lambda ev: (ev[0], ev[2], ev[1]))
+    return EventLog(events=tuple(events))
+
+
+def reference_leave_last_out_split(log: EventLog) -> SplitDataset:
+    """leave_last_out_split before the log held columns, verbatim."""
+    users: dict[str, UserSplit] = {}
+    grouped = log.by_user()
+    for user in sorted(grouped):
+        seq = [item for _, item, _ in grouped[user]]
+        if len(seq) >= 3:
+            users[user] = UserSplit(
+                train=tuple(seq[:-2]),
+                validation=seq[-2],
+                test=seq[-1],
+            )
+    return SplitDataset(users=users)
+
+
+# Timestamps at and just inside both ends of the int64 range.
+INT64_EDGES = (-2**63, -2**63 + 1, 2**63 - 2, 2**63 - 1)
+
+
+def random_events(gen) -> tuple[Event, ...]:
+    """Up to 50 events over a small id pool shared by users and items, so
+    ids repeat and a user id can equal an item id; few distinct timestamps,
+    so a user's events tie, and now and then one at an end of the int64
+    range."""
     pool = ["u0", "u1", "a", "b", "é", "x y", "7", "ü-β"]
+    events = []
+    for _ in range(int(gen.integers(0, 50))):
+        user, item = (pool[int(i)] for i in gen.integers(len(pool), size=2))
+        ts = INT64_EDGES[int(gen.integers(4))] if gen.random() < 0.1 else int(gen.integers(-5, 20))
+        events.append((user, item, ts))
+    return tuple(events)
+
+
+def random_log_text(gen, events) -> str:
+    """The tab-separated lines of events, with blank lines and LF, CRLF and
+    lone-CR line ends mixed."""
     text = []
-    for _ in range(int(gen.integers(0, 60))):
-        if gen.random() < 0.15:
-            text.append("")
-        else:
-            user, item = (pool[int(i)] for i in gen.integers(len(pool), size=2))
-            text.append(f"{user}\t{item}\t{int(gen.integers(-5, 10**6))}")
+    for user, item, ts in events:
+        while gen.random() < 0.15:
+            text.append(("\n", "\r\n", "\r")[int(gen.integers(3))])
+        text.append(f"{user}\t{item}\t{ts}")
         text.append(("\n", "\r\n", "\r")[int(gen.integers(3))])
     return "".join(text)
+
+
+def random_logs(seed: int, trials: int = 40):
+    """(log, the same events as an EventLog) pairs of random_events."""
+    gen = np.random.default_rng(seed)
+    for _ in range(trials):
+        events = random_events(gen)
+        yield log_of(events), EventLog(events=events)
 
 
 class TestInteractions:
     def test_equals_the_reference_loop(self, tmp_path):
         path = tmp_path / "log.tsv"
+        gen = np.random.default_rng(2300)
         for trial in range(40):
-            path.write_bytes(random_log_text(np.random.default_rng(2300 + trial)).encode())
-            assert load_interactions(path) == reference_load_interactions(path), f"trial {trial}"
-        for bad in ("u\ta\t1\n\r\nu\tb\n", "u\ta\t1\rv\tb\tnoon\n", "u\ta\t1\tx\n"):
+            events = random_events(gen)
+            path.write_bytes(random_log_text(gen, events).encode())
+            assert events_of(load_interactions(path)) == reference_load_interactions(path).events == events, trial
+        for bad in ("u\ta\t1\n\r\nu\tb\n", "u\ta\t1\rv\tb\tnoon\n", "u\ta\t1\tx\n", "u\ta\t\n"):
             path.write_bytes(bad.encode())
             with pytest.raises(InteractionError) as want:
                 reference_load_interactions(path)
             with pytest.raises(InteractionError, match=f"^{re.escape(str(want.value))}$"):
                 load_interactions(path)
 
+    @pytest.mark.parametrize("ts", [2**63, -2**63 - 1, 10**30])
+    @pytest.mark.parametrize("before", [0, 3, 9000])
+    def test_timestamp_outside_int64_names_its_line(self, tmp_path, ts, before):
+        """Also in a later block of lines, after blank lines, and before a
+        later line's fault."""
+        path = tmp_path / "log.tsv"
+        lines = ["u\ta\t1", ""] * before + [f"u\tb\t{ts}", "u\tc\tnoon"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InteractionError, match=f"^line {2 * before + 1}: timestamp {ts} is outside the int64 range$"):
+            load_interactions(path)
+
+    def test_keeps_under_40_bytes_per_event(self, tmp_path):
+        """30,000 events over 1,000 users and 1,000 items. The tuple per
+        event of the log before columns kept 108 bytes per event."""
+        gen = np.random.default_rng(2500)
+        items = gen.integers(1000, size=30_000).tolist()
+        path = tmp_path / "log.tsv"
+        path.write_text("".join(f"user{e // 30:04d}\titem{i:04d}\t{1_600_000_000 + e}\n" for e, i in enumerate(items)))
+        tracemalloc.start()
+        try:
+            log = load_interactions(path)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert log.n_events == 30_000 and len(log.user_ids) == 1000
+        assert kept / log.n_events < 40
+
     def test_one_object_per_distinct_id(self, tmp_path):
         path = tmp_path / "log.tsv"
+        gen = np.random.default_rng(2400)
         for trial in range(20):
-            path.write_bytes(random_log_text(np.random.default_rng(2400 + trial)).encode())
+            path.write_bytes(random_log_text(gen, random_events(gen)).encode())
             log = load_interactions(path)
-            for ids in ([u for u, _, _ in log.events], [i for _, i, _ in log.events],
-                        [x for u, i, _ in log.events for x in (u, i)]):
-                assert len(set(map(id, ids))) == len(set(ids)), f"trial {trial}"
+            for ids in (log.user_ids, log.item_ids):
+                assert len(set(map(id, ids))) == len(set(ids)) == len(ids), f"trial {trial}"
             # The split's train, validation and test items are the log's objects.
-            canonical = {i: i for _, i, _ in log.events}
+            canonical = {i: i for i in log.item_ids}
             for user_id, user in leave_last_out_split(log).users.items():
                 for item in (*user.train, user.validation, user.test):
                     assert item is canonical[item], f"trial {trial} {user_id}"
 
     def test_roundtrip_and_order(self, tmp_path):
-        log = InteractionLog(
-            events=(("u1", "a", 5), ("u1", "b", 2), ("u2", "c", 9), ("u1", "z", 2))
-        )
+        events = (("u1", "a", 5), ("u1", "b", 2), ("u2", "c", 9), ("u1", "z", 2))
         path = tmp_path / "log.tsv"
-        save_interactions(log, path)
+        save_interactions(log_of(events), path)
+        assert path.read_text() == "".join(f"{u}\t{i}\t{ts}\n" for u, i, ts in events)
         back = load_interactions(path)
-        assert back.events == log.events
-        by_user = back.by_user()
-        assert [i for _, i, _ in by_user["u1"]] == ["b", "z", "a"]
+        assert events_of(back) == events
+        assert leave_last_out_split(back).users["u1"] == UserSplit(train=("b",), validation="z", test="a")
+
+    def test_save_writes_the_reference_bytes(self, tmp_path):
+        """save_interactions before columns wrote one f-string per event;
+        the chunked writer gives the same bytes, past a chunk boundary too."""
+        path = tmp_path / "log.tsv"
+        for log, old in random_logs(2600, 20):
+            save_interactions(log, path)
+            assert path.read_text(encoding="utf-8") == "".join(f"{u}\t{i}\t{ts}\n" for u, i, ts in old.events)
+        events = [(f"u{e % 7}", f"i{e % 11}", e - 5000) for e in range(10_000)]
+        save_interactions(log_of(events), path)
+        assert events_of(load_interactions(path)) == tuple(events)
 
     def test_bad_column_count(self, tmp_path):
         path = tmp_path / "log.tsv"
@@ -345,8 +446,8 @@ class TestKCore:
     def test_hand_case(self):
         # u1 interacts with a,b,c; u2 with a,b; u3 with d only.
         # 2-core: d dies (degree 1), killing u3; then c dies (only u1 touched it).
-        log = InteractionLog(
-            events=(
+        log = log_of(
+            (
                 ("u1", "a", 1),
                 ("u1", "b", 2),
                 ("u1", "c", 3),
@@ -356,33 +457,40 @@ class TestKCore:
             )
         )
         out = k_core_filter(log, 2)
-        assert {u for u, _, _ in out.events} == {"u1", "u2"}
-        assert {i for _, i, _ in out.events} == {"a", "b"}
+        assert {u for u, _, _ in events_of(out)} == {"u1", "u2"}
+        assert {i for _, i, _ in events_of(out)} == {"a", "b"}
         assert out.n_events == 4
 
     def test_canonical_order_independent_of_input_order(self):
         events = [("u2", "b", 2), ("u1", "a", 1), ("u1", "b", 3), ("u2", "a", 1)]
-        a = k_core_filter(InteractionLog(events=tuple(events)), 2)
-        b = k_core_filter(InteractionLog(events=tuple(reversed(events))), 2)
-        assert a.events == b.events
+        a = k_core_filter(log_of(events), 2)
+        b = k_core_filter(log_of(reversed(events)), 2)
+        assert events_of(a) == events_of(b)
+
+    def test_equals_the_reference_on_random_logs(self):
+        """Ties on timestamp included; k up to past every degree."""
+        for trial, (log, old) in enumerate(random_logs(2700)):
+            for k in (1, 2, 3, 5, 60):
+                assert events_of(k_core_filter(log, k)) == reference_k_core_filter(old, k).events, (trial, k)
 
     def test_k1_keeps_everything(self):
-        log = InteractionLog(events=(("u", "a", 1),))
+        log = log_of((("u", "a", 1),))
         assert k_core_filter(log, 1).n_events == 1
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
-            k_core_filter(InteractionLog(events=()), 0)
+            k_core_filter(log_of(()), 0)
 
     def test_can_empty_out(self):
-        log = InteractionLog(events=(("u", "a", 1), ("u", "b", 2)))
-        assert k_core_filter(log, 3).n_events == 0
+        log = log_of((("u", "a", 1), ("u", "b", 2)))
+        out = k_core_filter(log, 3)
+        assert out.n_events == 0 and out.user_ids == out.item_ids == ()
 
 
 class TestSplit:
     def test_leave_last_out(self):
-        log = InteractionLog(
-            events=(
+        log = log_of(
+            (
                 ("u1", "a", 1),
                 ("u1", "b", 2),
                 ("u1", "c", 3),
@@ -400,15 +508,21 @@ class TestSplit:
         assert u1.train + (u1.validation, u1.test) == ("a", "b", "c", "d")
 
     def test_users_sorted(self):
-        log = InteractionLog(
-            events=tuple(
-                (u, it, t)
-                for u in ("zeta", "alpha")
-                for t, it in enumerate(["a", "b", "c"])
-            )
+        log = log_of(
+            (u, it, t)
+            for u in ("zeta", "alpha")
+            for t, it in enumerate(["a", "b", "c"])
         )
         split = leave_last_out_split(log)
         assert list(split.users) == ["alpha", "zeta"]
+
+    def test_equals_the_reference_on_random_logs(self):
+        """Ties on timestamp break on the item, in logs in any order and in
+        canonical order alike."""
+        for trial, (log, old) in enumerate(random_logs(2800)):
+            want = reference_leave_last_out_split(old)
+            for got in (leave_last_out_split(log), leave_last_out_split(k_core_filter(log, 1))):
+                assert list(got.users.items()) == list(want.users.items()), trial
 
 
 class TestAtomicOpen:

@@ -371,6 +371,18 @@ class TestReconstructionCurveMatchesReference:
         with pytest.raises(DiagnosticsError, match="embeddings of dim 5 for a model of dim 3"):
             reconstruction_curve(model, emb, assign)
 
+    @pytest.mark.parametrize("token, shown", [(-1, "-1 out of range [0, 3)"), (7, "7 out of range [0, 3)")])
+    def test_token_outside_its_codebook_is_named(self, rng, token, shown):
+        """A negative token would read a centroid from the codebook's end,
+        one past it a bare IndexError; both are refused, naming the item.
+        A level past h_max is not read, so it is not checked."""
+        model = random_model(rng, 2, [2, 3], 4)
+        emb = EmbeddingSet(["a", "b"], np.ones((2, 4), dtype=np.float32))
+        assign = SidAssignment(["a", "b"], [[0, token], [1, 1]], "x")
+        with pytest.raises(DiagnosticsError, match=re.escape(f"item 'a': token {shown} at level 2 (row 0)")):
+            reconstruction_curve(model, emb, assign)
+        assert reconstruction_curve(model, emb, assign, h_max=1).n_items == 2
+
 
 def reference_fit_probe(x_train, y_train, n_cat):
     """semantic_probe's loop before the (c, n) layout, verbatim: the oracle

@@ -6,6 +6,9 @@ import json
 import os
 import re
 import shutil
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,6 +68,29 @@ def artifact_hashes(out_dir):
         for p in sorted(out_dir.iterdir())
         if p not in skip and p.is_file()
     }
+
+
+# Run the config in the JSON file argv[1], killing the process with SIGKILL
+# at its argv[2]-th os.replace, before the rename.
+KILLED_RUN = """
+import json, os, signal, sys
+from sidforge.pipeline import run_pipeline
+
+config, kill_at = sys.argv[1], int(sys.argv[2])
+real_replace, calls = os.replace, []
+
+
+def replace(src, dst):
+    calls.append(dst)
+    if len(calls) == kill_at:
+        os.kill(os.getpid(), signal.SIGKILL)
+    real_replace(src, dst)
+
+
+os.replace = replace
+with open(config, encoding="utf-8") as fh:
+    run_pipeline(json.load(fh))
+"""
 
 
 class TestConfig:
@@ -579,6 +605,50 @@ class TestRun:
                 assert artifact_hashes(out) == want[name], (interrupt_at, name)
         # The run that finished wrote the manifest, its outputs, then the manifest again.
         assert len(calls) == interrupt_at - 1 >= 3
+
+    def test_a_run_killed_at_a_replace_is_recovered(self, tmp_path, monkeypatch):
+        """A child process runs a changed config and kills itself with SIGKILL
+        at its N-th os.replace, for the first, a middle and the last N. No
+        handler runs, so the manifest, the outputs and the killed writer's
+        temp file stay as they were. A run with the original config, then one
+        with the changed config, must exit 0 with fresh runs' bytes and leave
+        no temp file."""
+        def with_seed(out_dir, bump):
+            cfg = base_cfg(out_dir)
+            cfg["rq"] = {**cfg["rq"], "seed": cfg["rq"]["seed"] + bump}
+            return cfg
+
+        want = {}
+        for name, bump in (("original", 0), ("changed", 1)):
+            assert run_pipeline(with_seed(tmp_path / name, bump))[0] == 0
+            want[name] = artifact_hashes(tmp_path / name)
+        out, saved = tmp_path / "out", tmp_path / "saved"
+        runs = {"original": with_seed(out, 0), "changed": with_seed(out, 1)}
+        assert run_pipeline(runs["original"])[0] == 0
+        shutil.copytree(out, saved)
+        real_replace, calls = os.replace, []
+
+        def counted_replace(src, dst):
+            calls.append(dst)
+            real_replace(src, dst)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", counted_replace)
+            assert run_pipeline(runs["changed"])[0] == 0
+        config = tmp_path / "changed.json"
+        config.write_text(json.dumps(runs["changed"]))
+        env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).resolve().parents[1])}
+        for kill_at in (1, len(calls) // 2, len(calls)):
+            shutil.rmtree(out)
+            shutil.copytree(saved, out)
+            done = subprocess.run([sys.executable, "-c", KILLED_RUN, str(config), str(kill_at)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == -signal.SIGKILL, (kill_at, done.stderr)
+            assert list(out.glob("*.tmp")), kill_at  # the killed writer's
+            for name in ("original", "changed"):
+                assert run_pipeline(runs[name])[0] == 0, (kill_at, name)
+                assert artifact_hashes(out) == want[name], (kill_at, name)
+                assert not list(out.glob("*.tmp")), (kill_at, name)
 
     def test_stray_temp_files_of_artifacts_are_removed(self, tmp_path):
         out = tmp_path / "out"

@@ -6,19 +6,24 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import assignment_from_sids, ngram_dicts, ngram_model
 from sidforge import recommender
 from sidforge.datamodel import SplitDataset, UserSplit
 from sidforge.recommender import (
     MetricsReport,
+    NGramModel,
     RecommenderError,
+    _global_tokens,
     _metrics_from_ranks,
     beam_search,
+    check_settings,
     evaluate,
     evaluate_static_ranking,
     level_offsets,
@@ -29,7 +34,7 @@ from sidforge.recommender import (
     train_ngram,
     write_metrics_csv,
 )
-from sidforge.rq import build_trie
+from sidforge.rq import SidAssignment, SidTrie, build_trie, sorted_prefixes
 
 
 def same_model(a, b) -> bool:
@@ -86,7 +91,7 @@ class TestNGram:
         # one user, train items a b a -> token stream 0 1 0 over vocab size 2
         assign = assignment_from_sids({"a": (0,), "b": (1,)})
         split = split_of({"u": ["a", "b", "a", "b", "a"]})
-        model = train_ngram(split, assign, sizes=(2,), order=2, alpha=0.5)
+        model = train_ngram(split_rows(split, assign, False), assign, sizes=(2,), order=2, alpha=0.5)
         # train sequence is a b a -> tokens 0 1 0
         counts, totals = ngram_dicts(model)
         assert totals[()] == 3
@@ -103,15 +108,15 @@ class TestNGram:
     def test_backoff_to_unigram_on_unseen_context(self):
         assign = assignment_from_sids({"a": (0,), "b": (1,)})
         split = split_of({"u": ["a", "a", "a", "a", "a"]})
-        model = train_ngram(split, assign, sizes=(2,), order=3, alpha=1.0)
+        model = train_ngram(split_rows(split, assign, False), assign, sizes=(2,), order=3, alpha=1.0)
         unseen, unigram = np.exp(model.score_next([(1, 1), ()]))
         assert unseen == pytest.approx(unigram)
 
     def test_include_validation_extends_counts(self):
         assign = assignment_from_sids({"a": (0,), "b": (1,)})
         split = split_of({"u": ["a", "a", "b", "b"]})
-        without = train_ngram(split, assign, (2,), order=1, alpha=0.1)
-        with_val = train_ngram(split, assign, (2,), order=1, alpha=0.1, include_validation=True)
+        without = train_ngram(split_rows(split, assign, False), assign, (2,), order=1, alpha=0.1)
+        with_val = train_ngram(split_rows(split, assign, True), assign, (2,), order=1, alpha=0.1)
         assert ngram_dicts(without)[1][()] == 2
         assert ngram_dicts(with_val)[1][()] == 3
         assert ngram_dicts(with_val)[0][()][1] == 1
@@ -119,7 +124,7 @@ class TestNGram:
     def test_distribution_sums_to_one(self):
         assign = assignment_from_sids({"a": (0, 1), "b": (1, 0)})
         split = split_of({"u": ["a", "b", "a", "b"]})
-        model = train_ngram(split, assign, (2, 2), order=4, alpha=0.3)
+        model = train_ngram(split_rows(split, assign, False), assign, (2, 2), order=4, alpha=0.3)
         for ctx in ((), (0,), (3, 2), (1, 1, 1)):
             assert float(np.exp(model.score_next([ctx])[0]).sum()) == pytest.approx(1.0)
 
@@ -127,12 +132,12 @@ class TestNGram:
         assign = assignment_from_sids({"z": (0,)})
         split = split_of({"u": ["a", "b", "c"]})  # nothing assigned
         with pytest.raises(RecommenderError):
-            train_ngram(split, assign, (1,), order=2, alpha=0.1)
+            train_ngram(split_rows(split, assign, False), assign, (1,), order=2, alpha=0.1)
 
     def test_roundtrip(self, tmp_path):
         assign = assignment_from_sids({"a": (0, 1), "b": (1, 0), "c": (0, 0)})
         split = split_of({"u": ["a", "b", "c", "a", "b"], "v": ["c", "c", "a", "b", "c"]})
-        model = train_ngram(split, assign, (2, 2), order=3, alpha=0.25)
+        model = train_ngram(split_rows(split, assign, False), assign, (2, 2), order=3, alpha=0.25)
         path = tmp_path / "ng.json"
         save_ngram(model, path)
         back = load_ngram(path)
@@ -155,7 +160,7 @@ class TestNGram:
         for order, alpha in ((1, 0.1), (2, 1e-300), (3, 0.1), (4, 2.5)):
             users = {f"u{u}": [f"i{k}" for k in gen.integers(36, size=gen.integers(3, 12))]
                      for u in range(20)}
-            model = train_ngram(split_of(users), assign, (12, 3), order=order, alpha=alpha)
+            model = train_ngram(split_rows(split_of(users), assign, False), assign, (12, 3), order=order, alpha=alpha)
             counts = ngram_dicts(model)[0]
             payload = {
                 "format": "sidforge-ngram-v1",
@@ -184,7 +189,7 @@ class TestNGram:
 
     def test_load_rejects_token_outside_vocabulary(self, tmp_path):
         assign = assignment_from_sids({"a": (0,), "b": (1,)})
-        model = train_ngram(split_of({"u": ["a", "b", "a", "b"]}), assign, (2,), order=2, alpha=0.1)
+        model = train_ngram(split_rows(split_of({"u": ["a", "b", "a", "b"]}), assign, False), assign, (2,), order=2, alpha=0.1)
         path = tmp_path / "ng.json"
         save_ngram(model, path)
         good = json.loads(path.read_text())
@@ -248,7 +253,7 @@ class TestNGram:
     )
     def test_load_rejects_mistyped_values(self, tmp_path, edit, match):
         assign = assignment_from_sids({"a": (0,), "b": (1,)})
-        model = train_ngram(split_of({"u": ["a", "b", "a", "b"]}), assign, (2,), order=2, alpha=0.1)
+        model = train_ngram(split_rows(split_of({"u": ["a", "b", "a", "b"]}), assign, False), assign, (2,), order=2, alpha=0.1)
         path = tmp_path / "ng.json"
         save_ngram(model, path)
         path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
@@ -286,15 +291,15 @@ class TestNGram:
     def test_tokens_outside_the_level_sizes_rejected(self):
         assign = assignment_from_sids({"a": (0,), "b": (3,)})
         with pytest.raises(RecommenderError, match="level sizes"):
-            train_ngram(split_of({"u": ["a", "b", "a", "b"]}), assign, (2,), order=2, alpha=0.1)
+            train_ngram(split_rows(split_of({"u": ["a", "b", "a", "b"]}), assign, False), assign, (2,), order=2, alpha=0.1)
 
     def test_untrained_parameter_validation(self):
         assign = assignment_from_sids({"a": (0,)})
         split = split_of({"u": ["a", "a", "a"]})
         with pytest.raises(RecommenderError):
-            train_ngram(split, assign, (1,), order=0, alpha=0.1)
+            train_ngram(split_rows(split, assign, False), assign, (1,), order=0, alpha=0.1)
         with pytest.raises(RecommenderError):
-            train_ngram(split, assign, (1,), order=1, alpha=0.0)
+            train_ngram(split_rows(split, assign, False), assign, (1,), order=1, alpha=0.0)
 
 
 def exhaustive_rank(model, context, trie, sizes, top_k):
@@ -326,7 +331,7 @@ class TestBeamSearch:
         split = split_of({
             f"u{j}": [f"i{int(gen.integers(60))}" for _ in range(6)] for j in range(10)
         })
-        model = train_ngram(split, assign, (4, 3, 3), order=3, alpha=0.2)
+        model = train_ngram(split_rows(split, assign, False), assign, (4, 3, 3), order=3, alpha=0.2)
         for ctx in ((), (0, 5, 8), (1, 4)):
             want = exhaustive_rank(model, ctx, trie, (4, 3, 3), 10)
             got = beam_search(model, ctx, trie, beam_size=trie.n_sids, top_k=10, sizes=(4, 3, 3))
@@ -336,7 +341,7 @@ class TestBeamSearch:
         assign = assignment_from_sids({"a": (0, 0), "b": (0, 1), "c": (1, 1)})
         trie = build_trie(assign)
         split = split_of({"u": ["a", "b", "c", "a", "b"]})
-        model = train_ngram(split, assign, (2, 2), order=2, alpha=0.1)
+        model = train_ngram(split_rows(split, assign, False), assign, (2, 2), order=2, alpha=0.1)
         results = beam_search(model, (), trie, beam_size=3, top_k=3, sizes=(2, 2))
         assert {tokens for tokens, _ in results} == {(0, 0), (0, 1), (1, 1)}
 
@@ -344,7 +349,7 @@ class TestBeamSearch:
         assign = assignment_from_sids({"a": (0, 0)})
         trie = build_trie(assign)
         split = split_of({"u": ["a", "a", "a", "a"]})
-        model = train_ngram(split, assign, (2, 2), order=1, alpha=5.0)
+        model = train_ngram(split_rows(split, assign, False), assign, (2, 2), order=1, alpha=5.0)
         results = beam_search(
             model, (), trie, beam_size=4, top_k=4, sizes=(2, 2), unconstrained=True
         )
@@ -355,7 +360,7 @@ class TestBeamSearch:
         assign = assignment_from_sids({"a": (0, 0), "b": (1, 1)})
         trie = build_trie(assign)
         split = split_of({"u": ["a", "b", "a", "b"]})
-        model = train_ngram(split, assign, (2, 2), order=1, alpha=0.1)
+        model = train_ngram(split_rows(split, assign, False), assign, (2, 2), order=1, alpha=0.1)
         results = beam_search(model, (), trie, beam_size=5, top_k=5, sizes=(2, 2))
         assert len(results) == 2
 
@@ -363,7 +368,7 @@ class TestBeamSearch:
         assign = assignment_from_sids({"a": (0,)})
         trie = build_trie(assign)
         split = split_of({"u": ["a", "a", "a"]})
-        model = train_ngram(split, assign, (1,), order=1, alpha=0.1)
+        model = train_ngram(split_rows(split, assign, False), assign, (1,), order=1, alpha=0.1)
         with pytest.raises(RecommenderError):
             beam_search(model, (), trie, beam_size=0, top_k=1, sizes=(1,))
         with pytest.raises(RecommenderError):
@@ -573,6 +578,95 @@ def reference_counts(split, assign, sizes, order, include_validation):
     return counts, totals
 
 
+def reference_train_ngram(
+    split: SplitDataset,
+    assign: SidAssignment,
+    sizes,
+    order: int,
+    alpha: float,
+    include_validation: bool = False,
+) -> NGramModel:
+    """train_ngram before it packed each window into one key, verbatim: it
+    took the split and sorted the windows' token rows with sorted_prefixes."""
+    check_settings(order=order, alpha=alpha)
+    sizes = tuple(int(k) for k in sizes)
+    vocab_size = sum(sizes)
+    flat = _global_tokens(assign, level_offsets(sizes))
+    if flat.size and not (flat.min() >= 0 and flat.max() < vocab_size):
+        raise RecommenderError(f"a SID token lies outside the level sizes {list(sizes)}")
+    _, item_rows, ends, _ = split_rows(split, assign, include_validation)
+    lengths = np.diff(ends, prepend=0) * flat.shape[1]
+    if not lengths.any():
+        raise RecommenderError("no training tokens; empty split or assignment")
+    # The narrowest type that holds every token keeps the window copies small.
+    tokens = flat.astype(np.min_scalar_type(vocab_size - 1))[item_rows].ravel()
+    user_start = np.zeros(tokens.size, dtype=bool)
+    user_start[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
+    # inside[s]: the window of the current length starting at s lies in one user
+    inside = np.ones(tokens.size, dtype=bool)
+    counts: dict[tuple[int, ...], np.ndarray] = {}
+    for length in range(min(order, int(lengths.max()))):
+        if length:
+            inside = inside[:-1] & ~user_start[length:]
+        ordered, starts = sorted_prefixes(sliding_window_view(tokens, length + 1)[inside])
+        # One row per distinct window, and the first of each context's rows.
+        runs, ctx_starts = ordered[starts[-1]], np.searchsorted(starts[-1], starts[-2])
+        rows = np.empty((len(runs), 2), dtype=np.int64)
+        rows[:, 0], rows[:, 1] = runs[:, length], np.diff(starts[-1], append=len(ordered))
+        rows.setflags(write=False)
+        bounds = [*ctx_starts.tolist(), len(runs)]
+        for ctx, a, b in zip(runs[ctx_starts, :length].tolist(), bounds, bounds[1:]):
+            counts[tuple(ctx)] = rows[a:b]
+    return NGramModel(order=order, alpha=float(alpha), sizes=sizes, counts=counts)
+
+
+def reference_evaluate_stream(
+    model,
+    user_rows,
+    assign: SidAssignment,
+    trie: SidTrie,
+    sizes,
+    ks=(5, 10),
+    beam_size: int = 20,
+    unconstrained: bool = False,
+) -> MetricsReport:
+    """evaluate before it gathered only the users' states, verbatim: it
+    listed the histories' whole token stream and sliced each state from it."""
+    check_settings(ks=ks, beam_size=beam_size)
+    sizes = tuple(int(k) for k in sizes)
+    if model.sizes != sizes:
+        raise RecommenderError(
+            f"the n-gram's level sizes {list(model.sizes)} are not the SID levels' {list(sizes)}"
+        )
+    top_k = min(beam_size, max(ks))
+    flat = _global_tokens(assign, level_offsets(sizes))
+    user_ids, rows, ends, test = user_rows
+    stream = flat[rows].ravel().tolist()
+    sids = assign.tokens.tolist()
+    rankings: dict[tuple[int, ...], list[SidSequence]] = {}
+    ranks: dict[str, int] = {}
+    excluded = 0
+    shortfalls = 0
+    # A user's tokens are stream[start:end]; its state is their last order - 1.
+    bounds = (ends * len(sizes)).tolist()
+    for user_id, start, end, test_row in zip(user_ids, [0, *bounds], bounds, test.tolist()):
+        if test_row < 0:
+            excluded += 1
+            continue
+        state = tuple(stream[max(start, end - (model.order - 1)):end])
+        ranked = rankings.get(state)
+        if ranked is None:
+            found = beam_search(model, state, trie, beam_size, top_k, sizes, unconstrained=unconstrained)
+            ranked = rankings[state] = [tokens for tokens, _ in found]
+            if not unconstrained and any(tokens not in trie for tokens in ranked):
+                raise RecommenderError("constrained search produced a non-catalog SID")
+        if len(ranked) < top_k:
+            shortfalls += 1
+        target = tuple(sids[test_row])
+        ranks[user_id] = ranked.index(target) + 1 if target in ranked else 0
+    return _metrics_from_ranks(ranks, ks, excluded, shortfalls)
+
+
 def random_case(gen):
     """Random level sizes, assignment and split. Some items have no SID, and
     one user has none at all."""
@@ -657,13 +751,58 @@ class TestFastPathsMatchLoops:
             counts, totals = reference_counts(split, assign, sizes, order, include_validation)
             if not totals:
                 with pytest.raises(RecommenderError):
-                    train_ngram(split, assign, sizes, order, 0.5, include_validation)
+                    train_ngram(split_rows(split, assign, include_validation), assign, sizes, order, 0.5)
                 continue
-            model = train_ngram(split, assign, sizes, order, 0.5, include_validation)
+            model = train_ngram(split_rows(split, assign, include_validation), assign, sizes, order, 0.5)
             # ngram_dicts also checks the layout: int tuples, read-only
             # (k, 2) int64 arrays, tokens ascending
             assert ngram_dicts(model) == (counts, totals), f"trial {trial}"
             assert len(model.counts) == len(counts)
+
+    def test_counts_equal_the_sorted_prefix_version(self):
+        """The same contexts in the same order, each with the same rows. Every
+        fifth case has a vocabulary of 70,300 tokens, whose keys are ranked
+        before a fourth token."""
+        for trial in range(60):
+            gen = np.random.default_rng(3000 + trial)
+            sizes, assign, split = random_case(gen)
+            if trial % 5 == 0:
+                sizes = (300, 70000)
+                assign = assignment_from_sids({item: (int(gen.integers(300)), int(gen.integers(70000)))
+                                               for item in assign.item_ids})
+            order, include_validation = int(gen.integers(1, 6)), bool(trial % 2)
+            try:
+                want = reference_train_ngram(split, assign, sizes, order, 0.5, include_validation)
+            except RecommenderError:
+                continue
+            got = train_ngram(split_rows(split, assign, include_validation), assign, sizes, order, 0.5)
+            assert list(got.counts) == list(want.counts), f"trial {trial}"
+            for ctx, rows in want.counts.items():
+                assert np.array_equal(got.counts[ctx], rows) and not got.counts[ctx].flags.writeable, (trial, ctx)
+
+    def test_training_peaks_below_the_sorted_prefix_version(self):
+        """30,000 events of 3-level SIDs over 1,000 items, order 3, traced
+        from the split (the map included, which the older version built
+        inside). The packed keys copy one integer per window where the
+        sorted rows copied order tokens, an index and a sorted copy."""
+        gen = np.random.default_rng(3100)
+        sizes = (256, 256, 256)
+        sids = {f"i{j:04d}": tuple(int(t) for t in gen.integers(256, size=3)) for j in range(1000)}
+        assign = assignment_from_sids(sids)
+        split = split_of({f"u{u:04d}": [f"i{j:04d}" for j in gen.integers(1000, size=30)] for u in range(1000)})
+
+        def traced_peak(train):
+            tracemalloc.start()
+            try:
+                model = train()
+                return tracemalloc.get_traced_memory()[1], model
+            finally:
+                tracemalloc.stop()
+
+        old_peak, want = traced_peak(lambda: reference_train_ngram(split, assign, sizes, 3, 0.5))
+        new_peak, got = traced_peak(lambda: train_ngram(split_rows(split, assign, False), assign, sizes, 3, 0.5))
+        assert ngram_dicts(got) == ngram_dicts(want)
+        assert new_peak < old_peak
 
     def test_flat_sids_equal_the_per_sid_flatten(self):
         for trial in range(20):
@@ -676,12 +815,12 @@ class TestFastPathsMatchLoops:
         assign = assignment_from_sids({"a": (0, 1), "b": (1, 0)})
         split = split_of({"u": ["a", "b", "a", "b"]})
         with pytest.raises(RecommenderError, match="the SIDs have 2 levels, not 1"):
-            train_ngram(split, assign, (4,), order=2, alpha=0.5)
+            train_ngram(split_rows(split, assign, False), assign, (4,), order=2, alpha=0.5)
         model = ngram_model(2, 0.5, (2, 2, 2), {(): {}})
         with pytest.raises(RecommenderError, match="the SIDs have 2 levels, not 3"):
             evaluate(model, split_rows(split, assign, True), assign, build_trie(assign), (2, 2, 2), ks=(1,))
         with pytest.raises(RecommenderError, match=re.escape("outside the level sizes [2, 1]")):
-            train_ngram(split, assign, (2, 1), order=2, alpha=0.5)
+            train_ngram(split_rows(split, assign, False), assign, (2, 1), order=2, alpha=0.5)
 
     def test_counts_exact_for_wide_vocabularies(self):
         # global ids above 255 and above 65535 need wider window types
@@ -689,7 +828,7 @@ class TestFastPathsMatchLoops:
         assign = assignment_from_sids({"a": (299, 69999), "b": (1, 65536), "c": (256, 0)})
         split = split_of({"u": ["a", "b", "c", "a", "b", "c", "a"], "v": ["c", "c", "b", "a", "a"]})
         for order in (1, 2, 3, 4):
-            model = train_ngram(split, assign, sizes, order, 0.5)
+            model = train_ngram(split_rows(split, assign, False), assign, sizes, order, 0.5)
             assert ngram_dicts(model) == reference_counts(split, assign, sizes, order, False)
 
     def test_beam_equals_the_list_beam(self):
@@ -702,7 +841,7 @@ class TestFastPathsMatchLoops:
             try:
                 if trial % 4 == 0:
                     raise RecommenderError("use the alpha-only model")
-                model = train_ngram(split, assign, sizes, order, float(gen.uniform(0.05, 2.0)))
+                model = train_ngram(split_rows(split, assign, False), assign, sizes, order, float(gen.uniform(0.05, 2.0)))
             except RecommenderError:
                 # every row uniform, so every score ties and tokens decide
                 model = ngram_model(order, 1.0, sizes, {(): {}})
@@ -730,7 +869,7 @@ class TestFastPathsMatchLoops:
             sizes, assign, split = evaluation_case(gen)
             trie = build_trie(assign)
             for order in (1, 2, 3, 4):
-                model = train_ngram(split, assign, sizes, order, float(gen.uniform(0.05, 2.0)))
+                model = train_ngram(split_rows(split, assign, False), assign, sizes, order, float(gen.uniform(0.05, 2.0)))
                 for unconstrained in (False, True):
                     beam_size = int(gen.integers(1, trie.n_sids + 4))
                     ks = sorted({int(k) for k in gen.integers(1, 8, size=2)})
@@ -740,6 +879,8 @@ class TestFastPathsMatchLoops:
                     user_rows = split_rows(split, assign, include_validation)
                     got = evaluate(model, user_rows, assign, trie, sizes, ks, beam_size, unconstrained)
                     assert got == want, f"trial {trial} order {order}"
+                    assert got == reference_evaluate_stream(model, user_rows, assign, trie, sizes, ks, beam_size,
+                                                            unconstrained)
                     assert want.n_excluded >= 1 and want.n_users >= 3
 
     def test_one_search_per_ngram_state(self, monkeypatch):
@@ -756,7 +897,7 @@ class TestFastPathsMatchLoops:
         monkeypatch.setattr(recommender, "beam_search", counting_beam_search)
         for order in (1, 2, 3, 4):
             searched.clear()
-            model = train_ngram(split, assign, sizes, order, 0.3)
+            model = train_ngram(split_rows(split, assign, False), assign, sizes, order, 0.3)
             evaluate(model, split_rows(split, assign, True), assign, trie, sizes, ks=(3,), beam_size=4)
             contexts = [
                 user_context(user.train, user.validation, flat, True)
@@ -765,7 +906,7 @@ class TestFastPathsMatchLoops:
             states = {ctx[max(len(ctx) - order + 1, 0):] for ctx in contexts}
             assert sorted(searched) == sorted(states), f"order {order}"
         assert model.state((1, 2, 3, 4)) == (2, 3, 4) and model.state([1]) == (1,)
-        assert train_ngram(split, assign, sizes, 1, 0.3).state((1, 2, 3)) == ()
+        assert train_ngram(split_rows(split, assign, False), assign, sizes, 1, 0.3).state((1, 2, 3)) == ()
 
     def test_user_state_is_the_state_of_the_whole_context(self):
         """A user's slice of the split_rows token stream is its whole context,
@@ -793,7 +934,7 @@ class TestFastPathsMatchLoops:
     def test_vocab_size_cached_outside_equality_repr_and_file(self, tmp_path):
         assign = assignment_from_sids({f"i{j}": (j % 4, j % 3) for j in range(12)})
         split = split_of({f"u{u}": [f"i{(u * 5 + k) % 12}" for k in range(7)] for u in range(5)})
-        model = train_ngram(split, assign, (4, 3), order=3, alpha=0.2)
+        model = train_ngram(split_rows(split, assign, False), assign, (4, 3), order=3, alpha=0.2)
         before, path = repr(model), tmp_path / "before.json"
         save_ngram(model, path)
         assert "vocab_size" not in vars(model)
@@ -808,7 +949,7 @@ class TestFastPathsMatchLoops:
         gen = np.random.default_rng(3)
         assign = assignment_from_sids({f"i{j}": (j % 4, j % 3) for j in range(12)})
         split = split_of({f"u{u}": [f"i{int(gen.integers(12))}" for _ in range(9)] for u in range(6)})
-        model = train_ngram(split, assign, (4, 3), order=3, alpha=0.2)
+        model = train_ngram(split_rows(split, assign, False), assign, (4, 3), order=3, alpha=0.2)
         before, path = repr(model), tmp_path / "before.json"
         save_ngram(model, path)
         contexts = [tuple(int(t) for t in gen.integers(7, size=int(gen.integers(0, 6)))) for _ in range(200)]
@@ -854,7 +995,7 @@ class TestFastPathsMatchLoops:
             vocab = sum(sizes)
             for order in (1, 2, 3, 4):
                 try:
-                    model = train_ngram(split, assign, sizes, order, alphas[(trial + order) % len(alphas)])
+                    model = train_ngram(split_rows(split, assign, False), assign, sizes, order, alphas[(trial + order) % len(alphas)])
                 except RecommenderError:
                     continue  # nothing to train on
                 memoised = MemoisedModel(model)
@@ -911,7 +1052,7 @@ class TestSplitRows:
             assert (got[0], got[1].tolist(), got[2].tolist(), got[3].tolist()) == (
                 users, rows, ends, [0, -1, 2, 1])
             assert reference_split_rows(split, assign, include_validation) == (users, rows, ends, [0, -1, 2, 1])
-            model = train_ngram(split, assign, (2, 2), 3, 0.5, include_validation)
+            model = train_ngram(split_rows(split, assign, include_validation), assign, (2, 2), 3, 0.5)
             assert ngram_dicts(model) == reference_counts(split, assign, (2, 2), 3, include_validation)
             trie = build_trie(assign)
             assert evaluate(model, got, assign, trie, (2, 2), (1, 3), 3) == reference_evaluate(
@@ -938,7 +1079,7 @@ class TestMetrics:
                 "u2": ["a", "a", "a", "a", "b"],
             }
         )
-        model = train_ngram(split, assign, (2, 2), order=1, alpha=0.01)
+        model = train_ngram(split_rows(split, assign, False), assign, (2, 2), order=1, alpha=0.01)
         report = evaluate(
             model, split_rows(split, assign, True), assign, trie, (2, 2), ks=(1, 5), beam_size=3
         )
@@ -953,7 +1094,7 @@ class TestMetrics:
         assign = assignment_from_sids({"a": (0,), "b": (1,)})
         trie = build_trie(assign)
         split = split_of({"u1": ["a", "b", "a"], "u2": ["a", "b", "zzz"]})
-        model = train_ngram(split, assign, (2,), order=1, alpha=0.1)
+        model = train_ngram(split_rows(split, assign, False), assign, (2,), order=1, alpha=0.1)
         report = evaluate(model, split_rows(split, assign, True), assign, trie, (2,), ks=(1,), beam_size=2)
         assert report.n_users == 1
         assert report.n_excluded == 1
@@ -963,7 +1104,7 @@ class TestMetrics:
         assign = assignment_from_sids({"a": (0,), "b": (1,), "t": (1,)})
         trie = build_trie(assign)
         split = split_of({"u": ["b", "b", "b", "b", "t"]})
-        model = train_ngram(split, assign, (2,), order=1, alpha=0.01)
+        model = train_ngram(split_rows(split, assign, False), assign, (2,), order=1, alpha=0.01)
         report = evaluate(model, split_rows(split, assign, True), assign, trie, (2,), ks=(1,), beam_size=2)
         assert report.hr[1] == 1.0
 
@@ -971,7 +1112,7 @@ class TestMetrics:
         assign = assignment_from_sids({"a": (0,)})
         trie = build_trie(assign)
         split = split_of({"u": ["a", "a", "a"]})
-        model = train_ngram(split, assign, (1,), order=1, alpha=0.1)
+        model = train_ngram(split_rows(split, assign, False), assign, (1,), order=1, alpha=0.1)
         with pytest.raises(RecommenderError):
             evaluate(model, split_rows(split, assign, True), assign, trie, (1,), ks=())
         with pytest.raises(RecommenderError):
@@ -980,7 +1121,7 @@ class TestMetrics:
     def test_beam_size_validated_with_no_user_to_search(self):
         assign = assignment_from_sids({"a": (0,)})
         trie = build_trie(assign)
-        model = train_ngram(split_of({"u": ["a", "a", "a"]}), assign, (1,), order=1, alpha=0.1)
+        model = train_ngram(split_rows(split_of({"u": ["a", "a", "a"]}), assign, False), assign, (1,), order=1, alpha=0.1)
         nobody = split_rows(split_of({"v": ["a", "a", "x"]}), assign, True)
         assert evaluate(model, nobody, assign, trie, (1,), ks=(1,), beam_size=1).n_excluded == 1
         with pytest.raises(RecommenderError, match="beam_size must be >= 1, not 0"):
