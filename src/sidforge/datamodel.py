@@ -433,14 +433,15 @@ class InteractionLog:
     @classmethod
     def from_codes(cls, user_ids, users, item_ids, items, timestamps) -> "InteractionLog":
         """The log of events (user_ids[users[j]], item_ids[items[j]],
-        timestamps[j]) over distinct ids in any order, each used by some event:
-        the tables are sorted and the codes renumbered to match."""
+        timestamps[j]) over distinct ids in any order: the tables keep the
+        ids that some event uses, sorted, and the codes are renumbered."""
         tables, codes = [], []
         for ids, column in ((user_ids, users), (item_ids, items)):
-            order = sorted(range(len(ids)), key=ids.__getitem__)
-            rank = np.empty(len(ids), dtype=np.int32)
-            rank[order] = np.arange(len(ids), dtype=np.int32)
-            tables.append(tuple(map(ids.__getitem__, order)))
+            used = np.flatnonzero(np.bincount(column, minlength=len(ids))).tolist()
+            used.sort(key=ids.__getitem__)
+            rank = np.zeros(len(ids), dtype=np.int32)
+            rank[used] = np.arange(len(used), dtype=np.int32)
+            tables.append(tuple(map(ids.__getitem__, used)))
             codes.append(rank[column])
         return cls(tables[0], tables[1], codes[0], codes[1], np.asarray(timestamps, dtype=np.int64))
 
@@ -550,13 +551,7 @@ def k_core_filter(log: InteractionLog, k: int) -> InteractionLog:
             break
         users, items, timestamps = users[kept], items[kept], timestamps[kept]
     order = _canonical_order(users, items, timestamps)
-    tables, codes = [], []
-    for ids, column in ((log.user_ids, users), (log.item_ids, items)):
-        # The ids still used keep their sorted order.
-        used, inverse = np.unique(column[order], return_inverse=True)
-        tables.append(tuple(map(ids.__getitem__, used.tolist())))
-        codes.append(inverse.astype(np.int32).reshape(-1))
-    return InteractionLog(tables[0], tables[1], codes[0], codes[1], timestamps[order])
+    return InteractionLog.from_codes(log.user_ids, users[order], log.item_ids, items[order], timestamps[order])
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,9 @@ Speed without changing a bit of the results:
   stage-5 function reads.
 - `evaluate` searches once per n-gram state, the last order - 1 tokens of
   a user's context, gathered from the histories' rows, and gives that
-  ranking to every user with the state. It is exact: the state of the context extended by a beam's tokens
-  is the state of the state extended by them, so every row, score and
-  tie-break of the search is the same.
+  ranking to every user with the state. It is exact: the state of the
+  context extended by a beam's tokens is the state of the state extended by
+  them, so every row, score and tie-break of the search is the same.
 """
 
 from __future__ import annotations
@@ -465,8 +465,8 @@ def evaluate(
     flat = _global_tokens(assign, level_offsets(sizes))
     user_ids, rows, ends, test = user_rows
     # User i's tokens are positions [ends[i - 1], ends[i]) * levels of the
-    # histories' token stream; its state is their last order - 1, gathered
-    # with no list of the whole stream.
+    # histories' token stream; only its state, their last order - 1, is
+    # gathered.
     ends = ends * len(sizes)
     width = np.minimum(np.diff(ends, prepend=0), model.order - 1)
     at = np.arange(width.sum()) + (ends - width.cumsum()).repeat(width)

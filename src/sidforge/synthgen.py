@@ -364,8 +364,4 @@ def generate_interactions(
         taken = np.arange(hi) < counts[:, None]
         columns.append((np.arange(first, users.stop).repeat(counts), picked[taken], stamps[taken]))
     users, picked, stamps = map(np.concatenate, zip(*columns))
-    used, items = np.unique(picked, return_inverse=True)
-    return InteractionLog.from_codes(
-        [f"u{u:05d}" for u in range(cfg.num_users)], users,
-        list(map(pool_ids.__getitem__, used.tolist())), items.reshape(-1), stamps,
-    )
+    return InteractionLog.from_codes([f"u{u:05d}" for u in range(cfg.num_users)], users, pool_ids, picked, stamps)

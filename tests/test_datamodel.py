@@ -517,11 +517,14 @@ class TestSplit:
         assert list(split.users) == ["alpha", "zeta"]
 
     def test_equals_the_reference_on_random_logs(self):
-        """Ties on timestamp break on the item, in logs in any order and in
-        canonical order alike."""
+        """Ties on timestamp break on the item, in logs in any order, in
+        canonical order, and in (user, timestamp) order with tied items
+        descending alike."""
         for trial, (log, old) in enumerate(random_logs(2800)):
             want = reference_leave_last_out_split(old)
-            for got in (leave_last_out_split(log), leave_last_out_split(k_core_filter(log, 1))):
+            descending = sorted(sorted(old.events, key=lambda ev: ev[1], reverse=True), key=lambda ev: (ev[0], ev[2]))
+            for got in (leave_last_out_split(log), leave_last_out_split(k_core_filter(log, 1)),
+                        leave_last_out_split(log_of(descending))):
                 assert list(got.users.items()) == list(want.users.items()), trial
 
 

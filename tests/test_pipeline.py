@@ -350,6 +350,24 @@ class TestRun:
         manifest = json.loads(ArtifactPaths.in_dir(out).manifest.read_text())
         assert set(manifest["stages"]) == {"source", "tokenize", "diagnose", "corpus"}
 
+    @pytest.mark.parametrize("ngram_include_validation, maps", [(False, [False, True]), (True, [True])])
+    def test_eval_builds_one_split_map_per_setting(self, tmp_path, monkeypatch, ngram_include_validation, maps):
+        """The n-gram trains on the map of eval.ngram_include_validation and
+        is evaluated on that of eval.include_validation (True): one map when
+        the two agree."""
+        cfg = base_cfg(tmp_path / "out")
+        cfg["eval"] = {**cfg["eval"], "ngram_include_validation": ngram_include_validation}
+        built = []
+        real_split_rows = pipeline.recommender.split_rows
+
+        def split_rows(split, assign, include_validation):
+            built.append(include_validation)
+            return real_split_rows(split, assign, include_validation)
+
+        monkeypatch.setattr(pipeline.recommender, "split_rows", split_rows)
+        assert run_pipeline(cfg)[0] == 0
+        assert built == maps
+
     def test_failed_stage_keeps_finished_stages_cached(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         cfg = base_cfg(out)
