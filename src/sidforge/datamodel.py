@@ -421,8 +421,9 @@ class InteractionLog:
     """Events as columns, with no object per event: event j is
     (user_ids[users[j]], item_ids[items[j]], timestamps[j]). The id tables
     are the log's distinct ids, sorted, so codes compare as their ids do;
-    `users` and `items` are int32 codes and `timestamps` int64 seconds.
-    Compared by identity, as arrays have no dataclass equality."""
+    `users` and `items` are read-only int32 codes and `timestamps` read-only
+    int64 seconds. Compared by identity, as arrays have no dataclass
+    equality."""
 
     user_ids: tuple[str, ...]
     item_ids: tuple[str, ...]
@@ -443,7 +444,10 @@ class InteractionLog:
             rank[used] = np.arange(len(used), dtype=np.int32)
             tables.append(tuple(map(ids.__getitem__, used)))
             codes.append(rank[column])
-        return cls(tables[0], tables[1], codes[0], codes[1], np.asarray(timestamps, dtype=np.int64))
+        codes.append(np.asarray(timestamps, dtype=np.int64).view())
+        for column in codes:  # read-only, so that logs may share them
+            column.setflags(write=False)
+        return cls(tables[0], tables[1], *codes)
 
     @property
     def n_events(self) -> int:

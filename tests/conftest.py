@@ -163,6 +163,7 @@ def events_of(log: InteractionLog) -> tuple[Event, ...]:
     assert list(log.user_ids) == sorted(set(log.user_ids)) and list(log.item_ids) == sorted(set(log.item_ids))
     assert (log.users.dtype, log.items.dtype, log.timestamps.dtype) == (np.int32, np.int32, np.int64)
     assert len(log.users) == len(log.items) == len(log.timestamps) == log.n_events
+    assert not (log.users.flags.writeable or log.items.flags.writeable or log.timestamps.flags.writeable)
     # Every id in a table is some event's.
     assert set(log.users.tolist()) == set(range(len(log.user_ids)))
     assert set(log.items.tolist()) == set(range(len(log.item_ids)))
