@@ -496,7 +496,8 @@ def load_interactions(path) -> InteractionLog:
             add_item(item_code[cols[1]])
         if lineno is None:
             break
-        blocks.append((np.array(users, np.int32), np.array(items, np.int32), _int64_column(stamps, events, path)))
+        stamps = _int64_column(stamps, events, path)
+        blocks.append((np.array(users, np.int32), np.array(items, np.int32), stamps))
         events += len(stamps)
     columns = [np.concatenate(column) for column in zip(*blocks)] or [np.empty(0, np.int32)] * 3
     return InteractionLog.from_codes(list(user_code), columns[0], list(item_code), columns[1], columns[2])
@@ -523,9 +524,9 @@ def save_interactions(log: InteractionLog, path) -> None:
     with atomic_open(path, encoding="utf-8", newline="\n") as fh:
         for start in range(0, log.n_events, _SAVE_CHUNK):
             chunk = slice(start, start + _SAVE_CHUNK)
-            fh.write("".join([f"{u}{i}{ts}\n" for u, i, ts in zip(
-                users[log.users[chunk]].tolist(), items[log.items[chunk]].tolist(), log.timestamps[chunk].tolist()
-            )]))
+            lines = zip(users[log.users[chunk]].tolist(), items[log.items[chunk]].tolist(),
+                        log.timestamps[chunk].tolist())
+            fh.write("".join([f"{u}{i}{ts}\n" for u, i, ts in lines]))
 
 
 def _canonical_order(users, items, timestamps):
@@ -555,7 +556,9 @@ def k_core_filter(log: InteractionLog, k: int) -> InteractionLog:
             break
         users, items, timestamps = users[kept], items[kept], timestamps[kept]
     order = _canonical_order(users, items, timestamps)
-    return InteractionLog.from_codes(log.user_ids, users[order], log.item_ids, items[order], timestamps[order])
+    return InteractionLog.from_codes(
+        log.user_ids, users[order], log.item_ids, items[order], timestamps[order]
+    )
 
 
 @dataclass(frozen=True)
@@ -582,5 +585,7 @@ def leave_last_out_split(log: InteractionLog) -> SplitDataset:
     split: dict[str, UserSplit] = {}
     for user, a, b in zip(users[starts].tolist(), starts, [*starts[1:], len(items)]):
         if b - a >= 3:
-            split[log.user_ids[user]] = UserSplit(train=tuple(items[a:b - 2]), validation=items[b - 2], test=items[b - 1])
+            split[log.user_ids[user]] = UserSplit(
+                train=tuple(items[a:b - 2]), validation=items[b - 2], test=items[b - 1]
+            )
     return SplitDataset(users=split)

@@ -364,4 +364,5 @@ def generate_interactions(
         taken = np.arange(hi) < counts[:, None]
         columns.append((np.arange(first, users.stop).repeat(counts), picked[taken], stamps[taken]))
     users, picked, stamps = map(np.concatenate, zip(*columns))
-    return InteractionLog.from_codes([f"u{u:05d}" for u in range(cfg.num_users)], users, pool_ids, picked, stamps)
+    user_ids = [f"u{u:05d}" for u in range(cfg.num_users)]
+    return InteractionLog.from_codes(user_ids, users, pool_ids, picked, stamps)

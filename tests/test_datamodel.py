@@ -332,7 +332,8 @@ class TestInteractions:
         for trial in range(40):
             events = random_events(gen)
             path.write_bytes(random_log_text(gen, events).encode())
-            assert events_of(load_interactions(path)) == reference_load_interactions(path).events == events, trial
+            want = reference_load_interactions(path).events
+            assert events_of(load_interactions(path)) == want == events, trial
         for bad in ("u\ta\t1\n\r\nu\tb\n", "u\ta\t1\rv\tb\tnoon\n", "u\ta\t1\tx\n", "u\ta\t\n"):
             path.write_bytes(bad.encode())
             with pytest.raises(InteractionError) as want:
@@ -348,7 +349,8 @@ class TestInteractions:
         path = tmp_path / "log.tsv"
         lines = ["u\ta\t1", ""] * before + [f"u\tb\t{ts}", "u\tc\tnoon"]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(InteractionError, match=f"^line {2 * before + 1}: timestamp {ts} is outside the int64 range$"):
+        message = f"^line {2 * before + 1}: timestamp {ts} is outside the int64 range$"
+        with pytest.raises(InteractionError, match=message):
             load_interactions(path)
 
     def test_keeps_under_40_bytes_per_event(self, tmp_path):
@@ -357,7 +359,8 @@ class TestInteractions:
         gen = np.random.default_rng(2500)
         items = gen.integers(1000, size=30_000).tolist()
         path = tmp_path / "log.tsv"
-        path.write_text("".join(f"user{e // 30:04d}\titem{i:04d}\t{1_600_000_000 + e}\n" for e, i in enumerate(items)))
+        path.write_text("".join(f"user{e // 30:04d}\titem{i:04d}\t{1_600_000_000 + e}\n"
+                                for e, i in enumerate(items)))
         tracemalloc.start()
         try:
             log = load_interactions(path)
@@ -522,7 +525,8 @@ class TestSplit:
         descending alike."""
         for trial, (log, old) in enumerate(random_logs(2800)):
             want = reference_leave_last_out_split(old)
-            descending = sorted(sorted(old.events, key=lambda ev: ev[1], reverse=True), key=lambda ev: (ev[0], ev[2]))
+            by_item = sorted(old.events, key=lambda ev: ev[1], reverse=True)
+            descending = sorted(by_item, key=lambda ev: (ev[0], ev[2]))
             for got in (leave_last_out_split(log), leave_last_out_split(k_core_filter(log, 1)),
                         leave_last_out_split(log_of(descending))):
                 assert list(got.users.items()) == list(want.users.items()), trial

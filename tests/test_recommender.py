@@ -160,7 +160,8 @@ class TestNGram:
         for order, alpha in ((1, 0.1), (2, 1e-300), (3, 0.1), (4, 2.5)):
             users = {f"u{u}": [f"i{k}" for k in gen.integers(36, size=gen.integers(3, 12))]
                      for u in range(20)}
-            model = train_ngram(split_rows(split_of(users), assign, False), assign, (12, 3), order=order, alpha=alpha)
+            user_rows = split_rows(split_of(users), assign, False)
+            model = train_ngram(user_rows, assign, (12, 3), order=order, alpha=alpha)
             counts = ngram_dicts(model)[0]
             payload = {
                 "format": "sidforge-ngram-v1",
@@ -189,7 +190,8 @@ class TestNGram:
 
     def test_load_rejects_token_outside_vocabulary(self, tmp_path):
         assign = assignment_from_sids({"a": (0,), "b": (1,)})
-        model = train_ngram(split_rows(split_of({"u": ["a", "b", "a", "b"]}), assign, False), assign, (2,), order=2, alpha=0.1)
+        user_rows = split_rows(split_of({"u": ["a", "b", "a", "b"]}), assign, False)
+        model = train_ngram(user_rows, assign, (2,), order=2, alpha=0.1)
         path = tmp_path / "ng.json"
         save_ngram(model, path)
         good = json.loads(path.read_text())
@@ -253,7 +255,8 @@ class TestNGram:
     )
     def test_load_rejects_mistyped_values(self, tmp_path, edit, match):
         assign = assignment_from_sids({"a": (0,), "b": (1,)})
-        model = train_ngram(split_rows(split_of({"u": ["a", "b", "a", "b"]}), assign, False), assign, (2,), order=2, alpha=0.1)
+        user_rows = split_rows(split_of({"u": ["a", "b", "a", "b"]}), assign, False)
+        model = train_ngram(user_rows, assign, (2,), order=2, alpha=0.1)
         path = tmp_path / "ng.json"
         save_ngram(model, path)
         path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
@@ -291,7 +294,8 @@ class TestNGram:
     def test_tokens_outside_the_level_sizes_rejected(self):
         assign = assignment_from_sids({"a": (0,), "b": (3,)})
         with pytest.raises(RecommenderError, match="level sizes"):
-            train_ngram(split_rows(split_of({"u": ["a", "b", "a", "b"]}), assign, False), assign, (2,), order=2, alpha=0.1)
+            user_rows = split_rows(split_of({"u": ["a", "b", "a", "b"]}), assign, False)
+            train_ngram(user_rows, assign, (2,), order=2, alpha=0.1)
 
     def test_untrained_parameter_validation(self):
         assign = assignment_from_sids({"a": (0,)})
@@ -800,7 +804,9 @@ class TestFastPathsMatchLoops:
                 tracemalloc.stop()
 
         old_peak, want = traced_peak(lambda: reference_train_ngram(split, assign, sizes, 3, 0.5))
-        new_peak, got = traced_peak(lambda: train_ngram(split_rows(split, assign, False), assign, sizes, 3, 0.5))
+        new_peak, got = traced_peak(
+            lambda: train_ngram(split_rows(split, assign, False), assign, sizes, 3, 0.5)
+        )
         assert ngram_dicts(got) == ngram_dicts(want)
         assert new_peak < old_peak
 
@@ -841,7 +847,8 @@ class TestFastPathsMatchLoops:
             try:
                 if trial % 4 == 0:
                     raise RecommenderError("use the alpha-only model")
-                model = train_ngram(split_rows(split, assign, False), assign, sizes, order, float(gen.uniform(0.05, 2.0)))
+                user_rows = split_rows(split, assign, False)
+                model = train_ngram(user_rows, assign, sizes, order, float(gen.uniform(0.05, 2.0)))
             except RecommenderError:
                 # every row uniform, so every score ties and tokens decide
                 model = ngram_model(order, 1.0, sizes, {(): {}})
@@ -869,7 +876,8 @@ class TestFastPathsMatchLoops:
             sizes, assign, split = evaluation_case(gen)
             trie = build_trie(assign)
             for order in (1, 2, 3, 4):
-                model = train_ngram(split_rows(split, assign, False), assign, sizes, order, float(gen.uniform(0.05, 2.0)))
+                user_rows = split_rows(split, assign, False)
+                model = train_ngram(user_rows, assign, sizes, order, float(gen.uniform(0.05, 2.0)))
                 for unconstrained in (False, True):
                     beam_size = int(gen.integers(1, trie.n_sids + 4))
                     ks = sorted({int(k) for k in gen.integers(1, 8, size=2)})
@@ -995,7 +1003,8 @@ class TestFastPathsMatchLoops:
             vocab = sum(sizes)
             for order in (1, 2, 3, 4):
                 try:
-                    model = train_ngram(split_rows(split, assign, False), assign, sizes, order, alphas[(trial + order) % len(alphas)])
+                    user_rows = split_rows(split, assign, False)
+                    model = train_ngram(user_rows, assign, sizes, order, alphas[(trial + order) % len(alphas)])
                 except RecommenderError:
                     continue  # nothing to train on
                 memoised = MemoisedModel(model)
@@ -1121,7 +1130,8 @@ class TestMetrics:
     def test_beam_size_validated_with_no_user_to_search(self):
         assign = assignment_from_sids({"a": (0,)})
         trie = build_trie(assign)
-        model = train_ngram(split_rows(split_of({"u": ["a", "a", "a"]}), assign, False), assign, (1,), order=1, alpha=0.1)
+        user_rows = split_rows(split_of({"u": ["a", "a", "a"]}), assign, False)
+        model = train_ngram(user_rows, assign, (1,), order=1, alpha=0.1)
         nobody = split_rows(split_of({"v": ["a", "a", "x"]}), assign, True)
         assert evaluate(model, nobody, assign, trie, (1,), ks=(1,), beam_size=1).n_excluded == 1
         with pytest.raises(RecommenderError, match="beam_size must be >= 1, not 0"):
