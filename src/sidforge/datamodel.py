@@ -467,10 +467,11 @@ _PARSE_LINES = 8192  # lines parsed into lists before they become arrays
 
 def load_interactions(path) -> InteractionLog:
     """Read tab-separated interactions: user_id, item_id, timestamp (no header).
-    Each id is kept as the first `str` read for it, so a log keeps one object
-    per distinct id, and its k-core and split share them. A timestamp must be
-    an integer in the int64 range. The lines are parsed in blocks, each block's
-    columns becoming arrays, so no Python int outlives its block."""
+    Each id is kept as the first `str` read for it, users and items alike, so
+    a log keeps one object per distinct id, and its k-core and split share
+    them. A timestamp must be an integer in the int64 range. The lines are
+    parsed in blocks, each block's columns becoming arrays, so no Python int
+    outlives its block."""
     lines = read_lines(path, InteractionError)
     user_code, item_code = _Codes(), _Codes()
     blocks: list[tuple[np.ndarray, ...]] = []
@@ -500,7 +501,10 @@ def load_interactions(path) -> InteractionLog:
         blocks.append((np.array(users, np.int32), np.array(items, np.int32), stamps))
         events += len(stamps)
     columns = [np.concatenate(column) for column in zip(*blocks)] or [np.empty(0, np.int32)] * 3
-    return InteractionLog.from_codes(list(user_code), columns[0], list(item_code), columns[1], columns[2])
+    user_ids = list(user_code)
+    shared = dict(zip(user_ids, user_ids))  # an item id equal to a user id takes the user's object
+    item_ids = [shared.get(i, i) for i in item_code]
+    return InteractionLog.from_codes(user_ids, columns[0], item_ids, columns[1], columns[2])
 
 
 def _int64_column(stamps: list, events_before: int, path) -> np.ndarray:

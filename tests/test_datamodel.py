@@ -378,6 +378,9 @@ class TestInteractions:
             log = load_interactions(path)
             for ids in (log.user_ids, log.item_ids):
                 assert len(set(map(id, ids))) == len(set(ids)) == len(ids), f"trial {trial}"
+            # A user id and an equal item id are one object.
+            ids = log.user_ids + log.item_ids
+            assert len(set(map(id, ids))) == len(set(ids)), f"trial {trial}"
             # The split's train, validation and test items are the log's objects.
             canonical = {i: i for i in log.item_ids}
             for user_id, user in leave_last_out_split(log).users.items():
