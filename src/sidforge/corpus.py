@@ -12,6 +12,8 @@ from collections.abc import Sequence
 from enum import Enum
 from importlib import resources
 
+import numpy as np
+
 from . import rng
 from .datamodel import ItemCatalog, SplitDataset, atomic_open
 from .rq import RqModel, SidAssignment, level_letter, render_sid
@@ -102,20 +104,23 @@ class TaskSources:
     def __init__(self, split: SplitDataset, catalog: ItemCatalog, assign: SidAssignment,
                  max_history: int = 20):
         check_settings(max_history=max_history)
-        self.n_items, self.n_users = len(catalog), len(split.users)
+        self.n_items, self.n_users = len(catalog), len(split.user_ids)
         # The item sources are the id strings themselves: a container per
         # item would add thousands of objects for the garbage collector to track.
         sids = assign.sids
         self.items = [r.item_id for r in catalog if r.item_id in sids]
         self.visual_items = [r.item_id for r in catalog
                              if r.visual_description and r.item_id in sids]
-        shown_items = {item_id for item_id in assign.item_ids if item_id in catalog}
-        self.users = []
-        for user_id in sorted(split.users):
-            user = split.users[user_id]
-            history = [i for i in user.train[-max_history:] if i in shown_items]
-            if history and user.validation in shown_items:
-                self.users.append((user_id, history, user.validation))
+        item_ids, items, ends = split.item_ids, split.items, split.ends
+        shown = np.fromiter((i in sids and i in catalog for i in item_ids), bool, len(item_ids))
+        # Each event's place from its user's end: 1 the test item, 2 the validation.
+        from_end = ends.repeat(np.diff(ends, prepend=0)) - np.arange(len(items))
+        in_history = shown[items] & (from_end > 2) & (from_end <= max_history + 2)
+        history = np.array(item_ids, dtype=object)[items[in_history]].tolist()
+        bounds = [0, *in_history.cumsum()[ends - 1].tolist()]
+        validation = items[ends - 2].tolist()
+        self.users = [(user_id, history[a:b], item_ids[v]) for user_id, a, b, v
+                      in zip(split.user_ids, bounds, bounds[1:], validation) if a < b and shown[v]]
         self.text = {"sid": _Rendered(lambda item_id: render_sid(assign[item_id]))}
         for view in ("title", "visual_description"):
             self.text[view] = _Rendered(lambda i, view=view: getattr(catalog.get(i), view))

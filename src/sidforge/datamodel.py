@@ -565,31 +565,29 @@ def k_core_filter(log: InteractionLog, k: int) -> InteractionLog:
     )
 
 
-@dataclass(frozen=True)
-class UserSplit:
-    train: tuple[str, ...]
-    validation: str
-    test: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitDataset:
-    """Leave-last-out split of each user with 3+ events: last event is the
-    test target, the one before it validation, the rest the train sequence."""
+    """Leave-last-out split of each user with 3+ events, as columns. User i
+    of the sorted `user_ids` has the events `items[ends[i - 1]:ends[i]]`
+    (from 0 for i = 0), codes into `item_ids` in (timestamp, item) order:
+    the last is the test target, the one before it validation, the rest the
+    train sequence. `items` (int32) and `ends` (int64) are read-only.
+    Compared by identity, as arrays have no dataclass equality."""
 
-    users: dict[str, UserSplit]
+    user_ids: tuple[str, ...]
+    item_ids: tuple[str, ...]
+    items: np.ndarray
+    ends: np.ndarray
 
 
 def leave_last_out_split(log: InteractionLog) -> SplitDataset:
-    """Each user's events in (timestamp, item) order, users in sorted order."""
+    """The split of a log, sharing its item table: each user's events in
+    (timestamp, item) order, users in sorted order."""
     order = _canonical_order(log.users, log.items, log.timestamps)
     users = log.users[order]
-    items = list(map(log.item_ids.__getitem__, log.items[order].tolist()))
-    starts = np.flatnonzero(np.diff(users, prepend=-1)).tolist()
-    split: dict[str, UserSplit] = {}
-    for user, a, b in zip(users[starts].tolist(), starts, [*starts[1:], len(items)]):
-        if b - a >= 3:
-            split[log.user_ids[user]] = UserSplit(
-                train=tuple(items[a:b - 2]), validation=items[b - 2], test=items[b - 1]
-            )
-    return SplitDataset(users=split)
+    counts = np.bincount(users, minlength=len(log.user_ids))
+    kept = counts >= 3
+    items, ends = log.items[order][kept[users]], counts[kept].cumsum()
+    items.setflags(write=False)
+    ends.setflags(write=False)
+    return SplitDataset(tuple(itertools.compress(log.user_ids, kept.tolist())), log.item_ids, items, ends)

@@ -27,9 +27,10 @@ Speed without changing a bit of the results:
   hypothesis's row, adds it to the hypothesis score with the same float64
   addition as a token-by-token walk, and ranks the candidates with one
   lexsort on (-score, node), the trie's nodes being in token order.
-- `split_rows`, the one place a split becomes assignment rows, gives each
-  user's history as a CSR of rows, one map per evaluation that every
-  stage-5 function reads.
+- `split_rows`, the one place a split becomes assignment rows, looks up
+  each distinct item id's row once and gathers and masks the split's item
+  codes, giving each user's history as a CSR of rows: one map per
+  evaluation that every stage-5 function reads.
 - `evaluate` searches once per n-gram state, the last order - 1 tokens of
   a user's context, gathered from the histories' rows, and gives that
   ranking to every user with the state. It is exact: the state of the
@@ -47,7 +48,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -98,26 +98,18 @@ def _global_tokens(assign: SidAssignment, offsets) -> np.ndarray:
 
 def split_rows(split: SplitDataset, assign: SidAssignment, include_validation: bool):
     """`(user_ids, rows, ends, test)`, the one map from a split to assignment
-    rows: the users in sorted order; user i's history, its train items then
-    its validation item when included, less the items with no SID, is
-    `rows[ends[i - 1]:ends[i]]` (from 0 for i = 0); `test[i]` is its test
-    item's row, or -1 when that has no SID."""
-    user_ids = sorted(split.users)
-    users = list(map(split.users.__getitem__, user_ids))
+    rows: the split's users, in sorted order; user i's history, its train
+    items then its validation item when included, less the items with no
+    SID, is `rows[ends[i - 1]:ends[i]]` (from 0 for i = 0); `test[i]` is its
+    test item's row, or -1 when that has no SID."""
     row_of = dict(zip(assign.item_ids, range(len(assign))))
-
-    def rows_of(items, count):  # one C-level pass of dict lookups
-        return np.fromiter(map(row_of.get, items, itertools.repeat(-1)), np.int64, count)
-
-    lengths = np.fromiter(map(len, map(attrgetter("train"), users)), np.int64, len(users))
-    rows = rows_of(itertools.chain.from_iterable(map(attrgetter("train"), users)), int(lengths.sum()))
-    if include_validation:  # each validation row goes at its user's end
-        validation = rows_of(map(attrgetter("validation"), users), len(users))
-        rows = np.insert(rows, lengths.cumsum(), validation)
-    kept = rows >= 0
-    owner = np.arange(len(users)).repeat(lengths + bool(include_validation))
-    ends = np.bincount(owner[kept], minlength=len(users)).cumsum()
-    return user_ids, rows[kept], ends, rows_of(map(attrgetter("test"), users), len(users))
+    rows = np.fromiter(map(row_of.get, split.item_ids, itertools.repeat(-1)), np.int64)[split.items]
+    last = split.ends - 1  # each user's test item
+    history = rows >= 0
+    history[last] = False
+    if not include_validation:
+        history[last - 1] = False
+    return split.user_ids, rows[history], history.cumsum()[last], rows[last]
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,6 +31,7 @@ import hashlib
 import json
 import re
 import string
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -162,9 +163,9 @@ class SidAssignment:
     """Row r of the read-only int64 (items, levels) matrix `tokens` is the SID
     of `item_ids[r]` (distinct ids, in embedding order), made by the model
     with hash `model_hash`. A writeable matrix is copied; one that is not
-    2-D, is ragged or has not one row per id raises RqError. Lookups read
-    `sids`, an {item_id: tuple} view built on first read. Compared by
-    identity, as arrays have no dataclass equality."""
+    2-D, is ragged or has not one row per id raises RqError, as does a
+    repeated id. Lookups read `sids`, an {item_id: tuple} view built on
+    first read. Compared by identity, as arrays have no dataclass equality."""
 
     item_ids: tuple[str, ...]
     tokens: np.ndarray = field(repr=False)
@@ -177,6 +178,9 @@ class SidAssignment:
             raise RqError(f"SID tokens are not an integer matrix: {exc}") from None
         if tokens.ndim != 2 or len(tokens) != len(self.item_ids) or tokens.size == 0 < len(tokens):
             raise RqError(f"{len(self.item_ids)} item ids for a token matrix of shape {tokens.shape}")
+        if len(set(self.item_ids)) < len(self.item_ids):
+            repeated = next(i for i, n in Counter(self.item_ids).items() if n > 1)
+            raise RqError(f"duplicate item_id {repeated!r}")
         if tokens.flags.writeable:
             tokens = tokens.copy()
             tokens.setflags(write=False)

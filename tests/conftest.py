@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from sidforge.datamodel import InteractionLog
+from sidforge.datamodel import InteractionLog, SplitDataset
 from sidforge.diagnostics import DiagnosticsReport, build_report
 from sidforge.recommender import NGramModel
 from sidforge.rq import LevelFitStats, RqConfig, RqError, RqModel, SidAssignment, check_token_range, encode_batch
@@ -180,6 +180,42 @@ def log_of(events) -> InteractionLog:
         list(item_code), np.array([item_code[ev[1]] for ev in events], dtype=np.int64),
         np.array([ev[2] for ev in events], dtype=np.int64),
     )
+
+
+@dataclass(frozen=True)
+class UserSplit:
+    """datamodel.UserSplit before the split held columns, verbatim: one
+    user's leave-last-out split. The `reference_*` split oracles read it."""
+    train: tuple[str, ...]
+    validation: str
+    test: str
+
+
+def user_splits(split: SplitDataset) -> dict[str, UserSplit]:
+    """A split as the {user_id: UserSplit} dict it was before it held
+    columns, users in order, after checking the columns' layout."""
+    assert list(split.user_ids) == sorted(set(split.user_ids)) and len(set(split.item_ids)) == len(split.item_ids)
+    assert (split.items.dtype, split.ends.dtype) == (np.int32, np.int64)
+    assert not (split.items.flags.writeable or split.ends.flags.writeable)
+    lengths = np.diff(split.ends, prepend=0)
+    assert len(lengths) == len(split.user_ids) and lengths.sum() == len(split.items) and (lengths >= 2).all()
+    items = list(map(split.item_ids.__getitem__, split.items.tolist()))
+    bounds = [0, *split.ends.tolist()]
+    return {user_id: UserSplit(train=tuple(items[a:b - 2]), validation=items[b - 2], test=items[b - 1])
+            for user_id, a, b in zip(split.user_ids, bounds, bounds[1:])}
+
+
+def split_of(user_seqs: dict) -> SplitDataset:
+    """The split of {user_id: item ids}, users in any order: each user's
+    items are its train sequence, then its validation and test items."""
+    user_ids = tuple(sorted(user_seqs))
+    item_ids = tuple(sorted({item for seq in user_seqs.values() for item in seq}))
+    code = {item: c for c, item in enumerate(item_ids)}
+    items = np.array([code[item] for user_id in user_ids for item in user_seqs[user_id]], dtype=np.int32)
+    ends = np.cumsum([len(user_seqs[user_id]) for user_id in user_ids], dtype=np.int64)
+    for column in (items, ends):
+        column.setflags(write=False)
+    return SplitDataset(user_ids, item_ids, items, ends)
 
 
 @pytest.fixture

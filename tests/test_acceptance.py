@@ -9,10 +9,9 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import sidforge
-from conftest import assignment_from_sids, random_model, report_of
+from conftest import assignment_from_sids, random_model, report_of, split_of
 from sidforge.corpus import (
     TaskId,
     _USER_TEMPLATES,
@@ -20,7 +19,7 @@ from sidforge.corpus import (
     sample_corpus,
     system_instruction,
 )
-from sidforge.datamodel import EmbeddingSet, SplitDataset, UserSplit, leave_last_out_split
+from sidforge.datamodel import EmbeddingSet, leave_last_out_split
 from sidforge.diagnostics import (
     build_report,
     codebook_utilization,
@@ -47,7 +46,7 @@ from sidforge.rq import (
     parse_sid,
 )
 from sidforge.synthgen import SynthConfig, generate_catalog, generate_interactions
-from test_recommender import exhaustive_rank, split_of
+from test_recommender import exhaustive_rank
 
 _SMALL_CACHE: dict = {}
 
@@ -234,7 +233,7 @@ def test_criterion_07_full_beam_reproduces_exhaustive_ranking():
 def _rank_case(position: int):
     sids = {f"t{j}": (j,) for j in range(10)}
     assign = assignment_from_sids(sids)
-    split = SplitDataset(users={"u": UserSplit(train=("t0",), validation="t1", test=f"t{position - 1}")})
+    split = split_of({"u": ["t0", "t1", f"t{position - 1}"]})
     ranking = [(j,) for j in range(10)]
     return evaluate_static_ranking(ranking, split_rows(split, assign, False), assign, ks=(5, 10))
 

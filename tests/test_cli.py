@@ -7,7 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from conftest import ngram_model

@@ -7,7 +7,7 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import assignment_from_sids, random_model
+from conftest import assignment_from_sids, random_model, split_of, user_splits
 from sidforge import corpus, rng
 from sidforge.corpus import (
     _USER_TEMPLATES,
@@ -24,7 +24,7 @@ from sidforge.corpus import (
     write_corpus,
     write_sid_vocabulary,
 )
-from sidforge.datamodel import ItemCatalog, ItemRecord, SplitDataset, UserSplit
+from sidforge.datamodel import ItemCatalog, ItemRecord
 from sidforge.rq import render_sid
 
 T1_INSTRUCTION = (
@@ -47,12 +47,8 @@ def tiny_world():
     ]
     catalog = ItemCatalog.from_records(records)
     assign = assignment_from_sids({"a": (0, 1), "b": (1, 0), "c": (2, 2)})
-    split = SplitDataset(
-        users={
-            "u1": UserSplit(train=("a", "c"), validation="b", test="d"),
-            "u2": UserSplit(train=("d",), validation="a", test="b"),
-        },
-    )
+    # Each user's train items, then its validation and test items.
+    split = split_of({"u1": ["a", "c", "b", "d"], "u2": ["d", "a", "b"]})
     return catalog, assign, split
 
 
@@ -151,15 +147,15 @@ class TestMakeExamples:
         for task in (TaskId.T3, TaskId.T4):
             pool, _ = make_examples(task, sources)
             for (user_id, _, _), example in zip(sources.users, pool, strict=True):
-                user = split.users[user_id]
+                user = user_splits(split)[user_id]
                 assert example["assistant"] == render_sid(assign[user.validation])
                 if user.test in assign.sids:
                     assert example["assistant"] != render_sid(assign[user.test])
 
     def test_history_truncated_to_max(self):
         catalog, assign, _ = tiny_world()
-        train = tuple("a" if i % 2 else "b" for i in range(25))
-        split = SplitDataset(users={"u": UserSplit(train=train, validation="a", test="b")})
+        train = ["a" if i % 2 else "b" for i in range(25)]
+        split = split_of({"u": [*train, "a", "b"]})
         examples, _ = make_examples(TaskId.T6, TaskSources(split, catalog, assign, max_history=20))
         history = examples[0]["user"].split(": ", 1)[1].split("\n")[0]
         entries = history.split(HISTORY_SEPARATOR)
@@ -194,7 +190,7 @@ class TestSampleCorpus:
 
     def test_empty_tasks_excluded_with_warning(self, caplog):
         catalog, assign, _ = tiny_world()
-        empty_split = SplitDataset(users={})
+        empty_split = split_of({})
         with caplog.at_level(logging.WARNING, logger="sidforge.corpus"):
             records, stats = sample_corpus(empty_split, catalog, assign, n=30, seed=1)
         assert stats["excluded_tasks"] == ["T3", "T4", "T5", "T6"]
@@ -213,7 +209,7 @@ class TestSampleCorpus:
             [ItemRecord("z", "Z", "d", "c", visual_description=None)]
         )
         assign = assignment_from_sids({"q": (0,)})
-        split = SplitDataset(users={})
+        split = split_of({})
         with pytest.raises(CorpusError, match="no task"):
             sample_corpus(split, catalog, assign, n=5, seed=0)
 
@@ -246,8 +242,9 @@ def reference_make_examples(task, split, catalog, assign, max_history=20):
         return getattr(catalog.get(item_id), view)
 
     if source == "history":
-        for user_id in sorted(split.users):
-            user = split.users[user_id]
+        users = user_splits(split)
+        for user_id in sorted(users):
+            user = users[user_id]
             history = [i for i in user.train[-max_history:] if i in catalog and i in assign.sids]
             target = user.validation
             if not history or target not in catalog or target not in assign.sids:
@@ -319,18 +316,16 @@ def random_world(seed: int, visuals: bool = True):
     users = {}
     for u in range(45):
         seq = [ids[int(gen.integers(len(ids)))] for _ in range(int(gen.integers(1, 12)))]
-        users[f"u{u:02d}"] = UserSplit(
-            train=tuple(seq), validation=ids[int(gen.integers(len(ids)))], test="i0"
-        )
-    users["no_history"] = UserSplit(train=("nowhere", "ghost0"), validation="i1", test="i2")
-    split = SplitDataset(users=users)
+        users[f"u{u:02d}"] = [*seq, ids[int(gen.integers(len(ids)))], "i0"]
+    users["no_history"] = ["nowhere", "ghost0", "i1", "i2"]
+    split = split_of(users)
     return catalog, assignment_from_sids(sids), split
 
 
 def oracle_worlds():
     catalog, assign, split = tiny_world()
     yield "tiny", (catalog, assign, split)
-    only_skipped = SplitDataset(users={"u2": split.users["u2"]})
+    only_skipped = split_of({"u2": ["d", "a", "b"]})
     yield "no user kept", (catalog, assign, only_skipped)
     for seed in range(6):
         catalog, assign, split = random_world(seed, visuals=seed != 5)

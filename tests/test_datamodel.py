@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import Event, EventLog, events_of, log_of
+from conftest import Event, EventLog, UserSplit, events_of, log_of, user_splits
 from sidforge.datamodel import (
     CatalogError,
     EmbeddingIOError,
@@ -19,8 +19,6 @@ from sidforge.datamodel import (
     InteractionError,
     ItemCatalog,
     ItemRecord,
-    SplitDataset,
-    UserSplit,
     atomic_open,
     ids_path_for,
     k_core_filter,
@@ -272,8 +270,9 @@ def reference_k_core_filter(log: EventLog, k: int) -> EventLog:
     return EventLog(events=tuple(events))
 
 
-def reference_leave_last_out_split(log: EventLog) -> SplitDataset:
-    """leave_last_out_split before the log held columns, verbatim."""
+def reference_leave_last_out_split(log: EventLog) -> dict[str, UserSplit]:
+    """leave_last_out_split before the log held columns, verbatim but for
+    returning its users' dict, the split's field then."""
     users: dict[str, UserSplit] = {}
     grouped = log.by_user()
     for user in sorted(grouped):
@@ -284,7 +283,7 @@ def reference_leave_last_out_split(log: EventLog) -> SplitDataset:
                 validation=seq[-2],
                 test=seq[-1],
             )
-    return SplitDataset(users=users)
+    return users
 
 
 # Timestamps at and just inside both ends of the int64 range.
@@ -381,11 +380,10 @@ class TestInteractions:
             # A user id and an equal item id are one object.
             ids = log.user_ids + log.item_ids
             assert len(set(map(id, ids))) == len(set(ids)), f"trial {trial}"
-            # The split's train, validation and test items are the log's objects.
-            canonical = {i: i for i in log.item_ids}
-            for user_id, user in leave_last_out_split(log).users.items():
-                for item in (*user.train, user.validation, user.test):
-                    assert item is canonical[item], f"trial {trial} {user_id}"
+            # The split's ids are the log's objects: it shares the item table.
+            split = leave_last_out_split(log)
+            assert split.item_ids is log.item_ids, f"trial {trial}"
+            assert set(map(id, split.user_ids)) <= set(map(id, log.user_ids)), f"trial {trial}"
 
     def test_roundtrip_and_order(self, tmp_path):
         events = (("u1", "a", 5), ("u1", "b", 2), ("u2", "c", 9), ("u1", "z", 2))
@@ -394,7 +392,7 @@ class TestInteractions:
         assert path.read_text() == "".join(f"{u}\t{i}\t{ts}\n" for u, i, ts in events)
         back = load_interactions(path)
         assert events_of(back) == events
-        assert leave_last_out_split(back).users["u1"] == UserSplit(train=("b",), validation="z", test="a")
+        assert user_splits(leave_last_out_split(back))["u1"] == UserSplit(train=("b",), validation="z", test="a")
 
     def test_save_writes_the_reference_bytes(self, tmp_path):
         """save_interactions before columns wrote one f-string per event;
@@ -505,9 +503,9 @@ class TestSplit:
                 ("u2", "y", 2),
             )
         )
-        split = leave_last_out_split(log)
-        assert "u2" not in split.users
-        u1 = split.users["u1"]
+        split = user_splits(leave_last_out_split(log))
+        assert "u2" not in split
+        u1 = split["u1"]
         assert u1.train == ("a", "b")
         assert u1.validation == "c"
         assert u1.test == "d"
@@ -520,7 +518,7 @@ class TestSplit:
             for t, it in enumerate(["a", "b", "c"])
         )
         split = leave_last_out_split(log)
-        assert list(split.users) == ["alpha", "zeta"]
+        assert split.user_ids == ("alpha", "zeta")
 
     def test_equals_the_reference_on_random_logs(self):
         """Ties on timestamp break on the item, in logs in any order, in
@@ -532,7 +530,7 @@ class TestSplit:
             descending = sorted(by_item, key=lambda ev: (ev[0], ev[2]))
             for got in (leave_last_out_split(log), leave_last_out_split(k_core_filter(log, 1)),
                         leave_last_out_split(log_of(descending))):
-                assert list(got.users.items()) == list(want.users.items()), trial
+                assert list(user_splits(got).items()) == list(want.items()), trial
 
 
 class TestAtomicOpen:

@@ -17,7 +17,8 @@ from pathlib import Path
 import sidforge
 
 PACKAGE_DIR = Path(sidforge.__file__).resolve().parent
-PERFBENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+TESTS_DIR = Path(__file__).resolve().parent
+PERFBENCH_DIR = TESTS_DIR.parent / "perfbench"
 
 
 def _is_private(name: str) -> bool:
@@ -147,9 +148,11 @@ def test_only_atomic_open_opens_files_for_writing():
 
 
 def test_no_unused_imports():
+    """Neither the package's modules nor the tests import a name they never
+    read."""
     found = {
-        path.name: unused_imports(path.read_text(encoding="utf-8"))
-        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        f"{path.parent.name}/{path.name}": unused_imports(path.read_text(encoding="utf-8"))
+        for path in [*sorted(PACKAGE_DIR.glob("*.py")), *sorted(TESTS_DIR.glob("*.py"))]
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
@@ -253,11 +256,13 @@ def attribute_readers(source: str, attr: str) -> list[str]:
 def test_only_split_rows_reads_a_splits_users():
     """Which items make a user's history, and which users are evaluated, is
     decided in one place: recommender.split_rows turns a split into
-    assignment rows, and every other stage-5 function reads those."""
-    source = "def f(s):\n    def g():\n        return s.users\n    return g, s.users_x\nx = y.users\n"
-    assert attribute_readers(source, "users") == ["<module>", "g"]
+    assignment rows, and every other stage-5 function reads those. Reading
+    a split's columns means reading its `ends`, which no other object in the
+    module has."""
+    source = "def f(s):\n    def g():\n        return s.ends\n    return g, s.ends_x\nx = y.ends\n"
+    assert attribute_readers(source, "ends") == ["<module>", "g"]
     source = (PACKAGE_DIR / "recommender.py").read_text(encoding="utf-8")
-    assert attribute_readers(source, "users") == ["split_rows"]
+    assert attribute_readers(source, "ends") == ["split_rows"]
 
 
 def test_generating_inputs_loads_no_fit_or_pipeline_code():

@@ -574,16 +574,20 @@ class TestRun:
         assert summary["stages"] == {name: "ran" if name == "corpus" else "cache-hit" for name in STAGES}
         assert artifact_hashes(out) == artifact_hashes(fresh)
 
-    @pytest.mark.parametrize("section, key", [("rq", "seed"), ("corpus", "seed"), ("eval", "order")])
+    @pytest.mark.parametrize("section, key", [("rq", "seed"), ("corpus", "seed"), ("eval", "order"),
+                                              ("diagnostics", "probe_seed")])
     def test_a_run_interrupted_at_any_replace_is_recovered(self, tmp_path, monkeypatch, section, key):
         """Interrupt a run with a changed config at each os.replace of its
         atomic writers in turn (the last N lets it finish). A run with the
         original config, then one with the changed config, must then give
         fresh runs' bytes. The original goes first: a changed-config run
         would recompute past an entry that still vouches for a replaced
-        output, and so hide it."""
+        output, and so hide it. The probe seed's case runs on a noisy,
+        unenriched catalog, where the probe's split changes its score."""
+        synth = {"intra_category_noise": 1.5, "enrichment_level": 0.0} if key == "probe_seed" else {}
+
         def with_change(out_dir, bump):
-            cfg = base_cfg(out_dir)
+            cfg = base_cfg(out_dir, **synth)
             cfg[section] = {**cfg[section], key: cfg[section][key] + bump}
             return cfg
 

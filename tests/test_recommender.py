@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import assignment_from_sids, ngram_dicts, ngram_model
+from conftest import assignment_from_sids, ngram_dicts, ngram_model, split_of, user_splits
 from sidforge import recommender
-from sidforge.datamodel import SplitDataset, UserSplit
+from sidforge.datamodel import SplitDataset
 from sidforge.recommender import (
     MetricsReport,
     NGramModel,
@@ -59,14 +59,6 @@ def user_context(user_train, validation, flat, include_validation: bool) -> tupl
         if sid is not None:
             tokens.extend(sid)
     return tuple(tokens)
-
-
-def split_of(user_seqs: dict) -> SplitDataset:
-    users = {
-        uid: UserSplit(train=tuple(seq[:-2]), validation=seq[-2], test=seq[-1])
-        for uid, seq in user_seqs.items()
-    }
-    return SplitDataset(users=users)
 
 
 class TestTokenSpace:
@@ -552,8 +544,9 @@ def reference_split_rows(split, assign, include_validation):
     validation item) that have a SID, as assignment rows."""
     row_of = {item: row for row, item in enumerate(assign.item_ids)}
     user_ids, rows, ends, test = [], [], [], []
-    for user_id in sorted(split.users):
-        user = split.users[user_id]
+    users = user_splits(split)
+    for user_id in sorted(users):
+        user = users[user_id]
         items = list(user.train) + ([user.validation] if include_validation else [])
         rows.extend(row_of[item] for item in items if item in row_of)
         user_ids.append(user_id)
@@ -567,8 +560,9 @@ def reference_counts(split, assign, sizes, order, include_validation):
     offsets = level_offsets(sizes)
     counts: dict = {}
     totals: dict = {}
-    for user_id in sorted(split.users):
-        user = split.users[user_id]
+    users = user_splits(split)
+    for user_id in sorted(users):
+        user = users[user_id]
         items = list(user.train) + ([user.validation] if include_validation else [])
         tokens = tuple(t for item in items if item in assign.sids for t in flatten_sid(assign[item], offsets))
         for i, token in enumerate(tokens):
@@ -706,8 +700,9 @@ def reference_evaluate(
     ranks: dict[str, int] = {}
     excluded = 0
     shortfalls = 0
-    for user_id in sorted(split.users):
-        user = split.users[user_id]
+    users = user_splits(split)
+    for user_id in sorted(users):
+        user = users[user_id]
         if user.test not in assign.sids:
             excluded += 1
             continue
@@ -736,13 +731,13 @@ def evaluation_case(gen):
     order - 1 tokens but whose test item has a SID."""
     sizes, assign, split = random_case(gen)
     items = sorted(assign.sids)
-    extra = split_of({
+    extra = {
         "empty_ctx": ["x0", "x1", "x0", items[0]],
         "short_ctx": ["x1", items[-1], "x0", items[0]],
         "one_sid": [items[0], "x0", items[-1]],
-    })
-    users = {**split.users, **extra.users}
-    return sizes, assign, SplitDataset(users=users)
+    }
+    users = {user_id: [*user.train, user.validation, user.test] for user_id, user in user_splits(split).items()}
+    return sizes, assign, split_of({**users, **extra})
 
 
 class TestFastPathsMatchLoops:
@@ -909,7 +904,7 @@ class TestFastPathsMatchLoops:
             evaluate(model, split_rows(split, assign, True), assign, trie, sizes, ks=(3,), beam_size=4)
             contexts = [
                 user_context(user.train, user.validation, flat, True)
-                for user in split.users.values() if user.test in assign.sids
+                for user in user_splits(split).values() if user.test in assign.sids
             ]
             states = {ctx[max(len(ctx) - order + 1, 0):] for ctx in contexts}
             assert sorted(searched) == sorted(states), f"order {order}"
@@ -929,8 +924,9 @@ class TestFastPathsMatchLoops:
                 user_ids, rows, ends, _ = split_rows(split, assign, include_validation)
                 stream = recommender._global_tokens(assign, offsets)[rows].ravel().tolist()
                 bounds = (ends * len(sizes)).tolist()
+                users = user_splits(split)
                 for user_id, start, end in zip(user_ids, [0, *bounds], bounds):
-                    user = split.users[user_id]
+                    user = users[user_id]
                     whole = user_context(user.train, user.validation, flat, include_validation)
                     assert tuple(stream[start:end]) == whole, f"trial {trial} {user_id}"
                     for order in (1, 2, 3):
@@ -1040,17 +1036,17 @@ class TestSplitRows:
                     user_ids, rows, ends, test = split_rows(split, assign, include_validation)
                     assert all(a.dtype == np.int64 for a in (rows, ends, test))
                     want = reference_split_rows(split, assign, include_validation)
-                    assert (user_ids, rows.tolist(), ends.tolist(), test.tolist()) == want, f"trial {trial}"
+                    assert (list(user_ids), rows.tolist(), ends.tolist(), test.tolist()) == want, f"trial {trial}"
 
     def test_hand_case(self):
         """A user with no item that has a SID, one with no train items, and one
         whose test item has no SID; users given out of order."""
         assign = assignment_from_sids({"a": (0, 1), "b": (1, 0), "c": (1, 1)})
-        split = SplitDataset(users={
-            "plain": UserSplit(train=("c", "b"), validation="a", test="b"),
-            "no_sids": UserSplit(train=("x", "y"), validation="z", test="a"),
-            "no_train": UserSplit(train=(), validation="b", test="c"),
-            "no_test_sid": UserSplit(train=("a", "x", "c"), validation="x", test="q"),
+        split = split_of({
+            "plain": ["c", "b", "a", "b"],
+            "no_sids": ["x", "y", "z", "a"],
+            "no_train": ["b", "c"],
+            "no_test_sid": ["a", "x", "c", "x", "q"],
         })
         users = ["no_sids", "no_test_sid", "no_train", "plain"]
         for include_validation, rows, ends in (
@@ -1058,7 +1054,7 @@ class TestSplitRows:
             (False, [0, 2, 2, 1], [0, 2, 2, 4]),
         ):
             got = split_rows(split, assign, include_validation)
-            assert (got[0], got[1].tolist(), got[2].tolist(), got[3].tolist()) == (
+            assert (list(got[0]), got[1].tolist(), got[2].tolist(), got[3].tolist()) == (
                 users, rows, ends, [0, -1, 2, 1])
             assert reference_split_rows(split, assign, include_validation) == (users, rows, ends, [0, -1, 2, 1])
             model = train_ngram(split_rows(split, assign, include_validation), assign, (2, 2), 3, 0.5)
@@ -1066,8 +1062,8 @@ class TestSplitRows:
             trie = build_trie(assign)
             assert evaluate(model, got, assign, trie, (2, 2), (1, 3), 3) == reference_evaluate(
                 model, split, assign, trie, (2, 2), (1, 3), 3, include_validation)
-        empty = split_rows(SplitDataset(users={}), assign, True)
-        assert (empty[0], *(a.tolist() for a in empty[1:])) == ([], [], [], [])
+        empty = split_rows(split_of({}), assign, True)
+        assert (list(empty[0]), *(a.tolist() for a in empty[1:])) == ([], [], [], [])
 
 
 class TestMetrics:
@@ -1213,7 +1209,7 @@ def reference_popularity_ranking(split, assign, include_validation=True):
     count per SID tuple, from the {item_id: SID} view."""
     sids = assign.sids
     counts = dict.fromkeys(sids.values(), 0)
-    for user in split.users.values():
+    for user in user_splits(split).values():
         items = itertools.chain(user.train, (user.validation,) if include_validation else ())
         for sid in filter(None, map(sids.get, items)):
             counts[sid] += 1
@@ -1224,9 +1220,10 @@ def reference_evaluate_static_ranking(ranked, split, assign, ks=(5, 10)):
     """evaluate_static_ranking before split_rows, verbatim but for reading
     membership from the `sids` view."""
     position_of = {sid: i + 1 for i, sid in enumerate(ranked)}
+    users = user_splits(split)
     ranks = {user_id: position_of.get(assign[user.test], 0)
-             for user_id, user in split.users.items() if user.test in assign.sids}
-    return _metrics_from_ranks(ranks, ks, len(split.users) - len(ranks), 0)
+             for user_id, user in users.items() if user.test in assign.sids}
+    return _metrics_from_ranks(ranks, ks, len(users) - len(ranks), 0)
 
 
 class TestCsv:

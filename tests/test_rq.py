@@ -806,6 +806,12 @@ class TestSidAssignment:
                 SidAssignment(ids, tokens, "h")
         assert SidAssignment((), np.empty((0, 0), dtype=np.int64), "h").tokens.shape == (0, 0)
 
+    def test_repeated_id_names_the_first_repeat(self):
+        with pytest.raises(RqError, match="^duplicate item_id 'a'$"):
+            SidAssignment(["a", "a"], [[0], [1]], "h")
+        with pytest.raises(RqError, match="^duplicate item_id 'b'$"):
+            SidAssignment(["b", "c", "d", "c", "b"], np.zeros((5, 2)), "h")
+
     def test_tokens_read_only_and_copied_only_when_writeable(self, rng):
         tokens = np.array([[3, 1], [0, 2]])
         assign = SidAssignment(["a", "b"], tokens, "h")
