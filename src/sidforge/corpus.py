@@ -107,12 +107,12 @@ class TaskSources:
         self.n_items, self.n_users = len(catalog), len(split.user_ids)
         # The item sources are the id strings themselves: a container per
         # item would add thousands of objects for the garbage collector to track.
-        sids = assign.sids
-        self.items = [r.item_id for r in catalog if r.item_id in sids]
-        self.visual_items = [r.item_id for r in catalog
-                             if r.visual_description and r.item_id in sids]
+        sid_row, item_row = assign.row_of, catalog.row_of
+        self.items = [i for i in catalog.item_ids if i in sid_row]
+        self.visual_items = [i for i, visual in zip(catalog.item_ids, catalog.visual_descriptions)
+                             if visual and i in sid_row]
         item_ids, items, ends = split.item_ids, split.items, split.ends
-        shown = np.fromiter((i in sids and i in catalog for i in item_ids), bool, len(item_ids))
+        shown = np.fromiter((i in sid_row and i in item_row for i in item_ids), bool, len(item_ids))
         # Each event's place from its user's end: 1 the test item, 2 the validation.
         from_end = ends.repeat(np.diff(ends, prepend=0)) - np.arange(len(items))
         in_history = shown[items] & (from_end > 2) & (from_end <= max_history + 2)
@@ -121,9 +121,9 @@ class TaskSources:
         validation = items[ends - 2].tolist()
         self.users = [(user_id, history[a:b], item_ids[v]) for user_id, a, b, v
                       in zip(split.user_ids, bounds, bounds[1:], validation) if a < b and shown[v]]
-        self.text = {"sid": _Rendered(lambda item_id: render_sid(assign[item_id]))}
-        for view in ("title", "visual_description"):
-            self.text[view] = _Rendered(lambda i, view=view: getattr(catalog.get(i), view))
+        self.text = {"sid": _Rendered(lambda i: render_sid(assign.tokens[sid_row[i]].tolist()))}
+        for view, column in (("title", catalog.titles), ("visual_description", catalog.visual_descriptions)):
+            self.text[view] = _Rendered(lambda i, column=column: column[item_row[i]])
 
 
 class ExamplePool(Sequence):

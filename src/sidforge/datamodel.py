@@ -1,7 +1,7 @@
 """Core domain types and file ingestion: item catalogs, embedding matrices,
-interaction logs, k-core filtering, and the leave-last-out split. Every
-sidforge writer opens its file through atomic_open; every config is read by
-from_json."""
+interaction logs, k-core filtering and the leave-last-out split. Writers open
+their files through atomic_open, configs are read by from_json, and each
+loader's errors name its file through names_file."""
 
 from __future__ import annotations
 
@@ -162,6 +162,19 @@ def read_json_object(path, error: type[ValueError], what: str) -> dict:
     return payload
 
 
+@contextmanager
+def names_file(path, error: type[ValueError]):
+    """Put `<path>: ` in front of the message of an `error` raised in the
+    block that does not name path already. The exception itself goes on, so
+    its type, cause and traceback stay; any other exception is left alone."""
+    try:
+        yield
+    except error as exc:
+        if str(path) not in str(exc):
+            exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def read_lines(path, error: type[ValueError]):
     """Yield (line number, line) over a UTF-8 text file. A byte sequence that
     is not UTF-8 raises `error` citing its line and byte offset."""
@@ -182,115 +195,102 @@ def read_lines(path, error: type[ValueError]):
             raise
 
 
-@dataclass(frozen=True)
-class ItemRecord:
-    item_id: str
-    title: str
-    description: str
-    category: str
-    visual_description: str | None = None
-    interests: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if not self.item_id:
-            raise CatalogError("item_id must be non-empty")
+_ITEM_KEYS = ("item_id", "title", "description", "category", "visual_description", "interests")
 
 
 @dataclass(frozen=True)
 class ItemCatalog:
-    items: tuple[ItemRecord, ...]
-    _index: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
+    """The item file's records as columns in file order, with no object per
+    item: item r is `item_ids[r]` with `titles[r]`, `descriptions[r]`,
+    `categories[r]`, `visual_descriptions[r]` (str or None) and `interests[r]`
+    (a tuple of str, or None). `row_of`, each id's row, is built once and left
+    out of equality, which is by column. An empty or repeated id, or columns
+    of unequal lengths, raise CatalogError."""
 
-    @classmethod
-    def from_records(cls, records) -> "ItemCatalog":
-        items = tuple(records)
-        index: dict[str, int] = {}
-        for pos, rec in enumerate(items):
-            if rec.item_id in index:
-                raise CatalogError(f"duplicate item_id {rec.item_id!r}")
-            index[rec.item_id] = pos
-        return cls(items=items, _index=index)
+    item_ids: tuple[str, ...]
+    titles: tuple[str, ...]
+    descriptions: tuple[str, ...]
+    categories: tuple[str, ...]
+    visual_descriptions: tuple[str | None, ...]
+    interests: tuple[tuple[str, ...] | None, ...]
+    row_of: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if any(len(column) != len(self.item_ids) for column in self.columns()):
+            raise CatalogError(f"catalog columns of unequal lengths {[len(c) for c in self.columns()]}")
+        row_of = dict(zip(self.item_ids, range(len(self.item_ids))))
+        if len(row_of) < len(self.item_ids):
+            seen: set[str] = set()
+            repeated = next(i for i in self.item_ids if i in seen or seen.add(i))
+            raise CatalogError(f"duplicate item_id {repeated!r}")
+        if "" in row_of:
+            raise CatalogError("item_id must be non-empty")
+        object.__setattr__(self, "row_of", row_of)
+
+    def columns(self) -> tuple[tuple, ...]:
+        """The six columns, in the order of `_ITEM_KEYS`."""
+        return (self.item_ids, self.titles, self.descriptions, self.categories,
+                self.visual_descriptions, self.interests)
 
     def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
+        return len(self.item_ids)
 
     def __contains__(self, item_id: str) -> bool:
-        return item_id in self._index
-
-    def get(self, item_id: str) -> ItemRecord:
-        try:
-            return self.items[self._index[item_id]]
-        except KeyError:
-            raise CatalogError(f"unknown item_id {item_id!r}") from None
+        return item_id in self.row_of
 
 
 def load_items(path) -> ItemCatalog:
-    """Read a line-delimited JSON item file.
+    """Read a line-delimited JSON item file in one pass, each line's object
+    checked into a row: item_id, title, description and category (strings),
+    optional visual_description (a string) and interests (a list of strings);
+    unknown keys are ignored. CatalogError names the file and the bad line."""
+    rows = []
+    with names_file(path, CatalogError):
+        for lineno, line in read_lines(path, CatalogError):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CatalogError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict):
+                raise CatalogError(f"line {lineno}: expected a JSON object")
+            try:
+                rows.append(_item_row(obj))
+            except CatalogError as exc:
+                raise CatalogError(f"line {lineno}: {exc}") from exc
+        return ItemCatalog(*(tuple(zip(*rows)) or ((),) * len(_ITEM_KEYS)))
 
-    Each line holds one object with item_id, title, description, category and
-    optional visual_description / interests; unknown keys are ignored.
-    """
-    records = []
-    for lineno, line in read_lines(path, CatalogError):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CatalogError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(obj, dict):
-            raise CatalogError(f"line {lineno}: expected a JSON object")
-        try:
-            rec = _record_from_obj(obj)
-        except (KeyError, TypeError, CatalogError) as exc:
-            raise CatalogError(f"line {lineno}: {exc}") from exc
-        records.append(rec)
-    return ItemCatalog.from_records(records)
 
-
-def _record_from_obj(obj: dict) -> ItemRecord:
-    for key in ("item_id", "title", "description", "category"):
-        if key not in obj:
-            raise CatalogError(f"missing field {key!r}")
-        if not isinstance(obj[key], str):
-            raise CatalogError(f"field {key!r} must be a string")
-    visual = obj.get("visual_description")
+def _item_row(obj: dict) -> tuple:
+    """An item record's values in `_ITEM_KEYS` order; CatalogError names the first bad field."""
+    for key in _ITEM_KEYS[:4]:
+        if not isinstance(obj.get(key), str):
+            raise CatalogError(f"field {key!r} must be a string" if key in obj else f"missing field {key!r}")
+    visual, interests = obj.get("visual_description"), obj.get("interests")
     if visual is not None and not isinstance(visual, str):
         raise CatalogError("field 'visual_description' must be a string")
-    interests = obj.get("interests")
     if interests is not None:
-        if not isinstance(interests, list) or any(not isinstance(t, str) for t in interests):
+        if not isinstance(interests, list) or not all(map(isinstance, interests, itertools.repeat(str))):
             raise CatalogError("field 'interests' must be a list of strings")
         interests = tuple(interests)
-    return ItemRecord(
-        item_id=obj["item_id"],
-        title=obj["title"],
-        description=obj["description"],
-        category=obj["category"],
-        visual_description=visual,
-        interests=interests,
-    )
+    if not obj["item_id"]:
+        raise CatalogError("item_id must be non-empty")
+    return obj["item_id"], obj["title"], obj["description"], obj["category"], visual, interests
 
 
 _ITEM_ENCODER = json.JSONEncoder(ensure_ascii=False)  # json.dumps(obj, ensure_ascii=False), built once
 
 
 def save_items(catalog: ItemCatalog, path) -> None:
+    """One JSON object per item, keys in `_ITEM_KEYS` order; an optional field that is None is left out."""
     with atomic_open(path, encoding="utf-8", newline="\n") as fh:
-        for rec in catalog:
-            obj = {
-                "item_id": rec.item_id,
-                "title": rec.title,
-                "description": rec.description,
-                "category": rec.category,
-            }
-            if rec.visual_description is not None:
-                obj["visual_description"] = rec.visual_description
-            if rec.interests is not None:
-                obj["interests"] = list(rec.interests)
+        for item_id, title, description, category, visual, interests in zip(*catalog.columns()):
+            obj = {"item_id": item_id, "title": title, "description": description, "category": category}
+            if visual is not None:
+                obj["visual_description"] = visual
+            if interests is not None:
+                obj["interests"] = interests
             fh.write(_ITEM_ENCODER.encode(obj) + "\n")
 
 
@@ -400,20 +400,19 @@ def write_embeddings(emb: EmbeddingSet, path) -> None:
 
 
 def load_embeddings(path) -> EmbeddingSet:
-    with open(path, "rb") as fh:
+    """The matrix and its id sidecar; EmbeddingIOError names the file at fault."""
+    with names_file(path, EmbeddingIOError), open(path, "rb") as fh:
         matrix = read_matrix_block(fh)
         if fh.read(1):
             raise EmbeddingIOError("trailing bytes after checksum")
     idp = ids_path_for(path)
     if not idp.exists():
         raise EmbeddingIOError(f"missing sibling id file {idp}")
-    lines = read_lines(idp, EmbeddingIOError)
-    ids = [line.rstrip("\n") for _, line in lines if line.rstrip("\n")]
-    if len(ids) != matrix.shape[0]:
-        raise EmbeddingIOError(
-            f"id file lists {len(ids)} ids for {matrix.shape[0]} rows"
-        )
-    return EmbeddingSet(ids, matrix)
+    with names_file(idp, EmbeddingIOError):
+        ids = [line.rstrip("\n") for _, line in read_lines(idp, EmbeddingIOError) if line.rstrip("\n")]
+        if len(ids) != matrix.shape[0]:
+            raise EmbeddingIOError(f"id file lists {len(ids)} ids for {matrix.shape[0]} rows")
+        return EmbeddingSet(ids, matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -472,34 +471,35 @@ def load_interactions(path) -> InteractionLog:
     them. A timestamp must be an integer in the int64 range. The lines are
     parsed in blocks, each block's columns becoming arrays, so no Python int
     outlives its block."""
-    lines = read_lines(path, InteractionError)
-    user_code, item_code = _Codes(), _Codes()
-    blocks: list[tuple[np.ndarray, ...]] = []
-    events = 0  # in the blocks before this one
-    while True:
-        users, items, stamps = [], [], []
-        add_user, add_item, add_stamp = users.append, items.append, stamps.append
-        lineno = None
-        for lineno, line in itertools.islice(lines, _PARSE_LINES):
-            cols = line.split("\t")  # the timestamp keeps the line end, which int() skips
-            if len(cols) != 3:
-                if line == "\n":
-                    continue
-                _int64_column(stamps, events, path)  # an earlier line's fault first
-                raise InteractionError(f"line {lineno}: expected 3 tab-separated columns")
-            try:
-                add_stamp(int(cols[2]))
-            except ValueError:
-                _int64_column(stamps, events, path)
-                text = cols[2].rstrip("\n")
-                raise InteractionError(f"line {lineno}: timestamp {text!r} is not an integer") from None
-            add_user(user_code[cols[0]])
-            add_item(item_code[cols[1]])
-        if lineno is None:
-            break
-        stamps = _int64_column(stamps, events, path)
-        blocks.append((np.array(users, np.int32), np.array(items, np.int32), stamps))
-        events += len(stamps)
+    with names_file(path, InteractionError):
+        lines = read_lines(path, InteractionError)
+        user_code, item_code = _Codes(), _Codes()
+        blocks: list[tuple[np.ndarray, ...]] = []
+        events = 0  # in the blocks before this one
+        while True:
+            users, items, stamps = [], [], []
+            add_user, add_item, add_stamp = users.append, items.append, stamps.append
+            lineno = None
+            for lineno, line in itertools.islice(lines, _PARSE_LINES):
+                cols = line.split("\t")  # the timestamp keeps the line end, which int() skips
+                if len(cols) != 3:
+                    if line == "\n":
+                        continue
+                    _int64_column(stamps, events, path)  # an earlier line's fault first
+                    raise InteractionError(f"line {lineno}: expected 3 tab-separated columns")
+                try:
+                    add_stamp(int(cols[2]))
+                except ValueError:
+                    _int64_column(stamps, events, path)
+                    text = cols[2].rstrip("\n")
+                    raise InteractionError(f"line {lineno}: timestamp {text!r} is not an integer") from None
+                add_user(user_code[cols[0]])
+                add_item(item_code[cols[1]])
+            if lineno is None:
+                break
+            stamps = _int64_column(stamps, events, path)
+            blocks.append((np.array(users, np.int32), np.array(items, np.int32), stamps))
+            events += len(stamps)
     columns = [np.concatenate(column) for column in zip(*blocks)] or [np.empty(0, np.int32)] * 3
     user_ids = list(user_code)
     shared = dict(zip(user_ids, user_ids))  # an item id equal to a user id takes the user's object
@@ -551,7 +551,7 @@ def k_core_filter(log: InteractionLog, k: int) -> InteractionLog:
     order, so the result does not depend on input event order.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InteractionError(f"k must be >= 1, not {k}")
     users, items, timestamps = log.users, log.items, log.timestamps
     while True:
         kept = ((np.bincount(users, minlength=len(log.user_ids))[users] >= k)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .datamodel import EmbeddingSet, is_json_number, read_json_object
+from .datamodel import EmbeddingSet, is_json_number, names_file, read_json_object
 from .rq import BLOCK_ELEMENTS, RqModel, SidAssignment, check_token_range, decode_batch, sorted_prefixes
 
 log = logging.getLogger("sidforge.diagnostics")
@@ -97,14 +97,13 @@ def reconstruction_curve(
         raise DiagnosticsError("reconstruction_curve needs a nonempty embedding set")
     if emb.dim != model.dim:
         raise DiagnosticsError(f"embeddings of dim {emb.dim} for a model of dim {model.dim}")
-    row_of = dict(zip(assign.item_ids, range(len(assign))))
-    missing = [i for i in emb.item_ids if i not in row_of]
+    missing = [i for i in emb.item_ids if i not in assign.row_of]
     if missing:
         raise DiagnosticsError(
             f"{len(missing)} embedding ids have no SID in the assignment, e.g. {missing[0]!r}"
         )
     check_token_range(model, assign.tokens[:, :h_max], assign.item_ids, DiagnosticsError)
-    rows = np.array([row_of[i] for i in emb.item_ids], dtype=np.int64)
+    rows = np.array([assign.row_of[i] for i in emb.item_ids], dtype=np.int64)
     included = np.empty(emb.count, dtype=bool)
     cos = np.zeros((h_max, emb.count))
     zero_recon = dict.fromkeys(range(1, h_max + 1), 0)
@@ -319,11 +318,12 @@ _COLUMNS = (("Collision", "collision_rate", "{:.2%}"), ("Unique", "unique_ratio"
 def load_report(path) -> dict:
     """A saved report_to_dict payload. Raises DiagnosticsError, naming the
     file and the key, unless every value render_table reads is a number."""
-    payload = read_json_object(path, DiagnosticsError, "diagnostics report")
-    for _, key, _ in _COLUMNS:
-        if not is_json_number(payload.get(key)):
-            shown = repr(payload[key]) if key in payload else "missing"
-            raise DiagnosticsError(f"diagnostics report {path}: {key} is {shown}, not a number")
+    with names_file(path, DiagnosticsError):
+        payload = read_json_object(path, DiagnosticsError, "diagnostics report")
+        for _, key, _ in _COLUMNS:
+            if not is_json_number(payload.get(key)):
+                shown = repr(payload[key]) if key in payload else "missing"
+                raise DiagnosticsError(f"{key} is {shown}, not a number")
     return payload
 
 

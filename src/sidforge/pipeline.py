@@ -384,7 +384,9 @@ def diagnose(
     emb = load_embeddings(embeddings) if embeddings else None
     labels = None
     if items:
-        labels = {rec.item_id: rec.category for rec in load_items(items)}
+        catalog = load_items(items)
+        labels = dict(zip(catalog.item_ids, catalog.categories))
+        del catalog  # the probe reads the labels only; the other columns go now
     report = diagnostics.build_report(assign, model, emb=emb, labels=labels, probe_seed=probe_seed)
     payload = diagnostics.report_to_dict(report)
     if out:

@@ -51,7 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import SplitDataset, atomic_open, from_json, is_json_int, is_json_number, read_json_object
+from .datamodel import (SplitDataset, atomic_open, from_json, is_json_int, is_json_number, names_file,
+                        read_json_object)
 from .rq import SidAssignment, SidSequence, SidTrie
 
 
@@ -102,8 +103,7 @@ def split_rows(split: SplitDataset, assign: SidAssignment, include_validation: b
     items then its validation item when included, less the items with no
     SID, is `rows[ends[i - 1]:ends[i]]` (from 0 for i = 0); `test[i]` is its
     test item's row, or -1 when that has no SID."""
-    row_of = dict(zip(assign.item_ids, range(len(assign))))
-    rows = np.fromiter(map(row_of.get, split.item_ids, itertools.repeat(-1)), np.int64)[split.items]
+    rows = np.fromiter(map(assign.row_of.get, split.item_ids, itertools.repeat(-1)), np.int64)[split.items]
     last = split.ends - 1  # each user's test item
     history = rows >= 0
     history[last] = False
@@ -282,43 +282,44 @@ def save_ngram(model: NGramModel, path) -> None:
 
 
 def load_ngram(path) -> NGramModel:
-    payload = read_json_object(path, RecommenderError, "n-gram file")
-    if payload.get("format") != "sidforge-ngram-v1":
-        raise RecommenderError(f"unsupported n-gram format {payload.get('format')!r}")
-    header = from_json(NGramFile, payload, RecommenderError, "n-gram file")
-    check_settings(order=header.order, alpha=header.alpha, sizes=header.sizes)
-    vocab_size = sum(header.sizes)
-    counts: dict[tuple[int, ...], np.ndarray] = {}
-    for i, entry in enumerate(header.contexts):
-        where = f"n-gram context #{i}"
-        if not (isinstance(entry, dict) and isinstance(entry.get("ctx"), list)
-                and isinstance(entry.get("counts"), dict)):
-            raise RecommenderError(f"{where} is not an object with a 'ctx' list and a 'counts' object")
-        ctx = entry["ctx"]
-        if len(ctx) >= header.order or not all(is_json_int(t) and 0 <= t < vocab_size for t in ctx):
-            raise RecommenderError(
-                f"{where}: {ctx!r} is not a list of at most {header.order - 1} tokens in [0, {vocab_size})"
-            )
-        if tuple(ctx) in counts:
-            raise RecommenderError(f"{where}: context {ctx} appears twice")
-        rows, total = [], 0
-        for key, count in entry["counts"].items():
-            if not _TOKEN_KEY.fullmatch(key) or int(key) >= vocab_size:
+    with names_file(path, RecommenderError):
+        payload = read_json_object(path, RecommenderError, "n-gram file")
+        if payload.get("format") != "sidforge-ngram-v1":
+            raise RecommenderError(f"unsupported n-gram format {payload.get('format')!r}")
+        header = from_json(NGramFile, payload, RecommenderError, "n-gram file")
+        check_settings(order=header.order, alpha=header.alpha, sizes=header.sizes)
+        vocab_size = sum(header.sizes)
+        counts: dict[tuple[int, ...], np.ndarray] = {}
+        for i, entry in enumerate(header.contexts):
+            where = f"n-gram context #{i}"
+            if not (isinstance(entry, dict) and isinstance(entry.get("ctx"), list)
+                    and isinstance(entry.get("counts"), dict)):
+                raise RecommenderError(f"{where} is not an object with a 'ctx' list and a 'counts' object")
+            ctx = entry["ctx"]
+            if len(ctx) >= header.order or not all(is_json_int(t) and 0 <= t < vocab_size for t in ctx):
                 raise RecommenderError(
-                    f"{where}: token {key} is not a canonical decimal integer"
-                    f" in the vocabulary [0, {vocab_size})"
+                    f"{where}: {ctx!r} is not a list of at most {header.order - 1} tokens in [0, {vocab_size})"
                 )
-            if not is_json_int(count) or not 1 <= count < 2**63:
-                raise RecommenderError(
-                    f"{where}: token {key} has count {count!r}, not an integer in [1, 2**63)"
-                )
-            total += count
-            if total >= 2**63:
-                raise RecommenderError(f"{where}: the counts up to token {key} sum to 2**63 or more")
-            rows.append((int(key), count))
-        counts[tuple(ctx)] = np.array(sorted(rows), dtype=np.int64).reshape(-1, 2)
-        counts[tuple(ctx)].setflags(write=False)
-    return NGramModel(order=header.order, alpha=header.alpha, sizes=header.sizes, counts=counts)
+            if tuple(ctx) in counts:
+                raise RecommenderError(f"{where}: context {ctx} appears twice")
+            rows, total = [], 0
+            for key, count in entry["counts"].items():
+                if not _TOKEN_KEY.fullmatch(key) or int(key) >= vocab_size:
+                    raise RecommenderError(
+                        f"{where}: token {key} is not a canonical decimal integer"
+                        f" in the vocabulary [0, {vocab_size})"
+                    )
+                if not is_json_int(count) or not 1 <= count < 2**63:
+                    raise RecommenderError(
+                        f"{where}: token {key} has count {count!r}, not an integer in [1, 2**63)"
+                    )
+                total += count
+                if total >= 2**63:
+                    raise RecommenderError(f"{where}: the counts up to token {key} sum to 2**63 or more")
+                rows.append((int(key), count))
+            counts[tuple(ctx)] = np.array(sorted(rows), dtype=np.int64).reshape(-1, 2)
+            counts[tuple(ctx)].setflags(write=False)
+        return NGramModel(order=header.order, alpha=header.alpha, sizes=header.sizes, counts=counts)
 
 
 def beam_search(
@@ -517,13 +518,14 @@ def load_metrics(path) -> dict:
     """A saved metrics.json, {model: {metric: value}}; RecommenderError names
     the file and key of an entry that is not an object or an HR/NDCG value
     that is not a number."""
-    payload = read_json_object(path, RecommenderError, "metrics file")
-    for model, values in payload.items():
-        if not isinstance(values, dict):
-            raise RecommenderError(f"metrics file {path}: {model!r} is not an object")
-        for key, value in values.items():
-            if key.startswith(("HR@", "NDCG@")) and not is_json_number(value):
-                raise RecommenderError(f"metrics file {path}: {model}.{key} is {value!r}, not a number")
+    with names_file(path, RecommenderError):
+        payload = read_json_object(path, RecommenderError, "metrics file")
+        for model, values in payload.items():
+            if not isinstance(values, dict):
+                raise RecommenderError(f"{model!r} is not an object")
+            for key, value in values.items():
+                if key.startswith(("HR@", "NDCG@")) and not is_json_number(value):
+                    raise RecommenderError(f"{model}.{key} is {value!r}, not a number")
     return payload
 
 

@@ -44,6 +44,7 @@ from .datamodel import (
     atomic_open,
     from_json,
     is_json_int,
+    names_file,
     read_lines,
     read_matrix_block,
     write_matrix_block,
@@ -143,6 +144,11 @@ class RqModel:
         return tuple(map(len, self.codebooks))
 
     def model_hash(self) -> str:
+        """The sha256 of the centroids as saved, hashed on the first call: they are read-only."""
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self) -> str:
         digest = hashlib.sha256()
         for cb in self.codebooks:
             digest.update(np.ascontiguousarray(cb, dtype="<f4").tobytes(order="C"))
@@ -164,8 +170,9 @@ class SidAssignment:
     of `item_ids[r]` (distinct ids, in embedding order), made by the model
     with hash `model_hash`. A writeable matrix is copied; one that is not
     2-D, is ragged or has not one row per id raises RqError, as does a
-    repeated id. Lookups read `sids`, an {item_id: tuple} view built on
-    first read. Compared by identity, as arrays have no dataclass equality."""
+    repeated id. An item's row is `row_of[item_id]`, one map built on first
+    read that every stage shares. Compared by identity, as arrays have no
+    dataclass equality."""
 
     item_ids: tuple[str, ...]
     tokens: np.ndarray = field(repr=False)
@@ -188,15 +195,12 @@ class SidAssignment:
         object.__setattr__(self, "tokens", tokens)
 
     @functools.cached_property
-    def sids(self) -> dict[str, SidSequence]:
-        # Zipping the columns makes each SID's tuple with no list per row.
-        return dict(zip(self.item_ids, zip(*self.tokens.T.tolist())))
+    def row_of(self) -> dict[str, int]:
+        """item id -> its row of `tokens`, built on first read and kept."""
+        return dict(zip(self.item_ids, range(len(self.item_ids))))
 
     def __len__(self) -> int:
         return len(self.item_ids)
-
-    def __getitem__(self, item_id: str) -> SidSequence:
-        return self.sids[item_id]
 
 
 def sorted_prefixes(tokens: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -637,7 +641,7 @@ def save_model(model: RqModel, path) -> None:
 
 
 def load_model(path) -> RqModel:
-    with open(path, "rb") as fh:
+    with names_file(path, RqError), open(path, "rb") as fh:
         header_line = fh.readline()
         try:
             header = json.loads(header_line.decode("utf-8"))
@@ -658,19 +662,19 @@ def load_model(path) -> RqModel:
             codebooks.append(_frozen_f32(matrix))
         if fh.read(1):
             raise RqError("trailing bytes after the last codebook block")
-    dims = {cb.shape[1] for cb in codebooks}
-    if dims != {meta.dim}:
-        raise RqError(f"codebook dims {sorted(dims)} do not match header dim {meta.dim}")
-    model = RqModel(config=cfg, codebooks=tuple(codebooks), fit_stats=meta.fit_stats)
-    if model.effective_sizes != meta.effective_sizes:
-        raise RqError("codebook sizes do not match the header")
-    stats = [(st.level, st.configured_size, st.effective_size) for st in meta.fit_stats if st.mse_trace]
-    if stats != list(zip(range(1, model.levels + 1), cfg.codebook_sizes, model.effective_sizes)):
-        raise RqError("fit_stats must hold, per level from 1, its number, configured size, "
-                      "codebook size and a nonempty mse_trace")
-    if model.model_hash() != meta.model_hash:
-        raise RqError("model hash mismatch; file corrupted or edited")
-    return model
+        dims = {cb.shape[1] for cb in codebooks}
+        if dims != {meta.dim}:
+            raise RqError(f"codebook dims {sorted(dims)} do not match header dim {meta.dim}")
+        model = RqModel(config=cfg, codebooks=tuple(codebooks), fit_stats=meta.fit_stats)
+        if model.effective_sizes != meta.effective_sizes:
+            raise RqError("codebook sizes do not match the header")
+        stats = [(st.level, st.configured_size, st.effective_size) for st in meta.fit_stats if st.mse_trace]
+        if stats != list(zip(range(1, model.levels + 1), cfg.codebook_sizes, model.effective_sizes)):
+            raise RqError("fit_stats must hold, per level from 1, its number, configured size, "
+                          "codebook size and a nonempty mse_trace")
+        if model.model_hash() != meta.model_hash:
+            raise RqError("model hash mismatch; file corrupted or edited")
+        return model
 
 
 def save_assignment(assign: SidAssignment, path) -> None:
@@ -688,60 +692,60 @@ def save_assignment(assign: SidAssignment, path) -> None:
 def load_assignment(path) -> SidAssignment:
     """RqError names the line of a malformed record, of one whose token count
     differs from the first record's, and of a token outside int64."""
-    sids: dict[str, list[int]] = {}
-    width = 0  # the token count of every record so far
-    lines = read_lines(path, RqError)
-    _, first = next(lines, (1, ""))
-    try:
-        meta = json.loads(first)
-    except json.JSONDecodeError as exc:
-        raise RqError(f"unreadable assignment meta line: {exc.msg}") from exc
-    if isinstance(meta, dict) and meta.get("format") != ASSIGNMENT_FORMAT:
-        raise RqError(f"unsupported assignment format {meta.get('format')!r}")
-    meta = from_json(AssignmentMeta, meta, RqError, "assignment meta line")
-    for lineno, line in lines:
-        if not line.strip():
-            continue
+    with names_file(path, RqError):
+        sids: dict[str, list[int]] = {}
+        width = 0  # the token count of every record so far
+        lines = read_lines(path, RqError)
+        _, first = next(lines, (1, ""))
         try:
-            obj = json.loads(line)
+            meta = json.loads(first)
         except json.JSONDecodeError as exc:
-            raise RqError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-        try:
-            item_id, sid, tokens = obj["item_id"], obj["sid"], obj["tokens"]
-        except (KeyError, TypeError) as exc:
-            raise RqError(f"line {lineno}: malformed record ({exc!r})") from exc
-        if not isinstance(item_id, str):
-            raise RqError(f"line {lineno}: item_id {item_id!r} is not a string")
-        if not isinstance(tokens, list) or not all(is_json_int(t) and -2**63 <= t < 2**63 for t in tokens):
-            raise RqError(f"line {lineno}: tokens {tokens!r} are not a list of 64-bit integers")
-        if sids and len(tokens) != width:
-            raise RqError(f"line {lineno}: {len(tokens)} tokens, where the first record has {width}")
-        if item_id in sids:
-            raise RqError(f"line {lineno}: duplicate item_id {item_id!r}")
-        try:
-            rendered = render_sid(tokens)
-        except RqError as exc:
-            raise RqError(f"line {lineno}: {exc}") from exc
-        if rendered != sid:
-            raise RqError(f"line {lineno}: sid text does not match tokens")
-        sids[item_id] = tokens
-        width = len(tokens)
-    if meta.count not in (None, len(sids)):
-        raise RqError("assignment count does not match the meta line")
-    tokens = np.array(list(sids.values()), dtype=np.int64).reshape(len(sids), width)
-    return SidAssignment(list(sids), tokens, meta.model_hash)
+            raise RqError(f"unreadable assignment meta line: {exc.msg}") from exc
+        if isinstance(meta, dict) and meta.get("format") != ASSIGNMENT_FORMAT:
+            raise RqError(f"unsupported assignment format {meta.get('format')!r}")
+        meta = from_json(AssignmentMeta, meta, RqError, "assignment meta line")
+        for lineno, line in lines:
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise RqError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            try:
+                item_id, sid, tokens = obj["item_id"], obj["sid"], obj["tokens"]
+            except (KeyError, TypeError) as exc:
+                raise RqError(f"line {lineno}: malformed record ({exc!r})") from exc
+            if not isinstance(item_id, str):
+                raise RqError(f"line {lineno}: item_id {item_id!r} is not a string")
+            if not isinstance(tokens, list) or not all(is_json_int(t) and -2**63 <= t < 2**63 for t in tokens):
+                raise RqError(f"line {lineno}: tokens {tokens!r} are not a list of 64-bit integers")
+            if sids and len(tokens) != width:
+                raise RqError(f"line {lineno}: {len(tokens)} tokens, where the first record has {width}")
+            if item_id in sids:
+                raise RqError(f"line {lineno}: duplicate item_id {item_id!r}")
+            try:
+                rendered = render_sid(tokens)
+            except RqError as exc:
+                raise RqError(f"line {lineno}: {exc}") from exc
+            if rendered != sid:
+                raise RqError(f"line {lineno}: sid text does not match tokens")
+            sids[item_id] = tokens
+            width = len(tokens)
+        if meta.count not in (None, len(sids)):
+            raise RqError("assignment count does not match the meta line")
+        tokens = np.array(list(sids.values()), dtype=np.int64).reshape(len(sids), width)
+        return SidAssignment(list(sids), tokens, meta.model_hash)
 
 
 def load_model_and_assignment(model_path, assignment_path) -> tuple[RqModel, SidAssignment]:
     """Load a model and an assignment, and check that the model produced it:
-    the model hashes match and every token indexes its level's codebook."""
+    the hashes match and every token indexes its level's codebook (an error names the assignment)."""
     model = load_model(model_path)
     assign = load_assignment(assignment_path)
-    if assign.model_hash != model.model_hash():
-        raise RqError("assignment was produced by a different model")
-    if not len(assign):
-        return model, assign
-    if assign.tokens.shape[1] != model.levels:
-        raise RqError(f"assignment SIDs have {assign.tokens.shape[1]} tokens, not the model's {model.levels}")
-    check_token_range(model, assign.tokens, assign.item_ids)
+    with names_file(assignment_path, RqError):
+        if assign.model_hash != model.model_hash():
+            raise RqError("assignment was produced by a different model")
+        if len(assign) and assign.tokens.shape[1] != model.levels:
+            raise RqError(f"assignment SIDs have {assign.tokens.shape[1]} tokens, not the model's {model.levels}")
+        check_token_range(model, assign.tokens, assign.item_ids)
     return model, assign

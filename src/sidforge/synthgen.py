@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .datamodel import EmbeddingSet, InteractionLog, ItemCatalog, ItemRecord, from_json, read_json_object
+from .datamodel import EmbeddingSet, InteractionLog, ItemCatalog, from_json, names_file, read_json_object
 
 _CATEGORY_NOUNS = (
     "Soccer Gear",
@@ -113,7 +113,8 @@ class SynthConfig:
 
 
 def load_synth_config(path) -> SynthConfig:
-    return SynthConfig.from_dict(read_json_object(path, SynthError, "synth config"))
+    with names_file(path, SynthError):
+        return SynthConfig.from_dict(read_json_object(path, SynthError, "synth config"))
 
 
 def category_name(index: int) -> str:
@@ -190,38 +191,28 @@ def generate_catalog(cfg: SynthConfig):
     rows[1:2 * pairs:2] = base - offset
 
     names = [(name, name.lower()) for name in map(category_name, range(cfg.num_categories))]
-    records = []
-    labels: dict[str, str] = {}
-    for i, c in enumerate(cat.tolist()):
-        item_id = f"it{i:06d}"
+    interests = [(f"{lower} enthusiasts & hobby collectors",) for _, lower in names]  # one per category
+    layout = cat.tolist()
+    item_ids = tuple(f"it{i:06d}" for i in range(cfg.num_items))
+    categories = tuple(names[c][0] for c in layout)
+    titles, descriptions, visuals = [], [], []
+    for i, c in enumerate(layout):
         cname, lower = names[c]
         if i < 2 * pairs:
             pair, member = divmod(i, 2)
             style = "style A" if member == 0 else "style B"
             finish = "matte black" if member == 0 else "glossy red"
-            title = f"{cname} Model {pair:04d} ({style})"
-            description = f"Dependable {lower} model {pair:04d} for everyday use."
-            visual = f"Studio photo of a {lower} product in a {finish} finish."
+            titles.append(f"{cname} Model {pair:04d} ({style})")
+            descriptions.append(f"Dependable {lower} model {pair:04d} for everyday use.")
+            visuals.append(f"Studio photo of a {lower} product in a {finish} finish.")
         else:
-            title = f"{cname} Item {i:05d}"
-            description = f"A dependable {lower} product, catalog entry {i}."
-            visual = (
-                f"Product photo of a {lower} item on a white background, "
-                f"angle {i % 9}."
-            )
-        records.append(
-            ItemRecord(
-                item_id=item_id,
-                title=title,
-                description=description,
-                category=cname,
-                visual_description=visual,
-                interests=(f"{lower} enthusiasts & hobby collectors",),
-            )
-        )
-        labels[item_id] = cname
-    catalog = ItemCatalog.from_records(records)
-    emb = EmbeddingSet([r.item_id for r in records], rows.astype(np.float32))
+            titles.append(f"{cname} Item {i:05d}")
+            descriptions.append(f"A dependable {lower} product, catalog entry {i}.")
+            visuals.append(f"Product photo of a {lower} item on a white background, angle {i % 9}.")
+    catalog = ItemCatalog(item_ids, tuple(titles), tuple(descriptions), categories, tuple(visuals),
+                          tuple(map(interests.__getitem__, layout)))
+    emb = EmbeddingSet(item_ids, rows.astype(np.float32))
+    labels = dict(zip(item_ids, categories))
     return catalog, emb, labels
 
 
@@ -320,10 +311,10 @@ def generate_interactions(
 
     by_category: dict[int, list[str]] = {i: [] for i in range(c)}
     name_to_index = {category_name(i): i for i in range(c)}
-    for rec in catalog:
-        idx = name_to_index.get(labels[rec.item_id])
+    for item_id in catalog.item_ids:
+        idx = name_to_index.get(labels[item_id])
         if idx is not None:
-            by_category[idx].append(rec.item_id)
+            by_category[idx].append(item_id)
     live = [i for i in range(c) if by_category[i]]
     if not live:
         raise SynthError("no catalog item belongs to any configured category")

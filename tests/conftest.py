@@ -1,14 +1,15 @@
 from __future__ import annotations
 
+import json
 import operator
 import re
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from sidforge.datamodel import InteractionLog, SplitDataset
+from sidforge.datamodel import CatalogError, InteractionLog, ItemCatalog, SplitDataset, read_lines
 from sidforge.diagnostics import DiagnosticsReport, build_report
 from sidforge.recommender import NGramModel
 from sidforge.rq import LevelFitStats, RqConfig, RqError, RqModel, SidAssignment, check_token_range, encode_batch
@@ -91,6 +92,12 @@ def report_of(assign: SidAssignment) -> DiagnosticsReport:
     return build_report(assign, sized_model((assign.tokens.max(axis=0) + 1).tolist()))
 
 
+def sid_map(assign: SidAssignment) -> dict:
+    """An assignment's {item_id: SID tuple of ints} view, the `sids` it kept
+    before its items' rows were one id-to-row map."""
+    return dict(zip(assign.item_ids, map(tuple, assign.tokens.tolist())))
+
+
 def assignment_from_sids(sids: dict, model_hash: str = "test") -> SidAssignment:
     """The assignment of a {item_id: SID} dict; an empty one has one level."""
     tokens = [tuple(s) for s in sids.values()] or np.empty((0, 1), dtype=np.int64)
@@ -132,6 +139,113 @@ def ngram_dicts(model: NGramModel) -> tuple[dict, dict]:
         counts[ctx] = dict(rows.tolist())
         totals[ctx] = sum(counts[ctx].values())
     return counts, totals
+
+
+@dataclass(frozen=True)
+class ItemRecord:
+    """datamodel.ItemRecord before the catalog held columns, verbatim: one
+    item. The `reference_*` catalog oracles read it."""
+    item_id: str
+    title: str
+    description: str
+    category: str
+    visual_description: str | None = None
+    interests: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if not self.item_id:
+            raise CatalogError("item_id must be non-empty")
+
+
+@dataclass(frozen=True)
+class RecordCatalog:
+    """datamodel.ItemCatalog before it held columns, verbatim but for its
+    name: one ItemRecord per item."""
+    items: tuple[ItemRecord, ...]
+    _index: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
+
+    @classmethod
+    def from_records(cls, records) -> "RecordCatalog":
+        items = tuple(records)
+        index: dict[str, int] = {}
+        for pos, rec in enumerate(items):
+            if rec.item_id in index:
+                raise CatalogError(f"duplicate item_id {rec.item_id!r}")
+            index[rec.item_id] = pos
+        return cls(items=items, _index=index)
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def __contains__(self, item_id: str) -> bool:
+        return item_id in self._index
+
+    def get(self, item_id: str) -> ItemRecord:
+        try:
+            return self.items[self._index[item_id]]
+        except KeyError:
+            raise CatalogError(f"unknown item_id {item_id!r}") from None
+
+
+def reference_load_items(path) -> RecordCatalog:
+    """datamodel.load_items before the catalog held columns, verbatim but for
+    its names: one ItemRecord per line, then the catalog's index."""
+    records = []
+    for lineno, line in read_lines(path, CatalogError):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CatalogError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise CatalogError(f"line {lineno}: expected a JSON object")
+        try:
+            rec = reference_record_from_obj(obj)
+        except (KeyError, TypeError, CatalogError) as exc:
+            raise CatalogError(f"line {lineno}: {exc}") from exc
+        records.append(rec)
+    return RecordCatalog.from_records(records)
+
+
+def reference_record_from_obj(obj: dict) -> ItemRecord:
+    """datamodel._record_from_obj, verbatim."""
+    for key in ("item_id", "title", "description", "category"):
+        if key not in obj:
+            raise CatalogError(f"missing field {key!r}")
+        if not isinstance(obj[key], str):
+            raise CatalogError(f"field {key!r} must be a string")
+    visual = obj.get("visual_description")
+    if visual is not None and not isinstance(visual, str):
+        raise CatalogError("field 'visual_description' must be a string")
+    interests = obj.get("interests")
+    if interests is not None:
+        if not isinstance(interests, list) or any(not isinstance(t, str) for t in interests):
+            raise CatalogError("field 'interests' must be a list of strings")
+        interests = tuple(interests)
+    return ItemRecord(
+        item_id=obj["item_id"],
+        title=obj["title"],
+        description=obj["description"],
+        category=obj["category"],
+        visual_description=visual,
+        interests=interests,
+    )
+
+
+def catalog_of(*rows) -> ItemCatalog:
+    """The ItemCatalog of rows (item_id, title, description, category[,
+    visual_description[, interests]]), in order; a field left off is None."""
+    full = [tuple(row) + (None,) * (6 - len(row)) for row in rows]
+    return ItemCatalog(*(tuple(zip(*full)) or ((),) * 6))
+
+
+def record_catalog(catalog: ItemCatalog) -> RecordCatalog:
+    """The oracle's catalog of the same items, one ItemRecord each."""
+    return RecordCatalog.from_records(ItemRecord(*row) for row in zip(*catalog.columns()))
 
 
 Event = tuple[str, str, int]  # (user_id, item_id, timestamp seconds)

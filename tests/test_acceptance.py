@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import sidforge
-from conftest import assignment_from_sids, random_model, report_of, split_of
+from conftest import assignment_from_sids, random_model, report_of, sid_map, split_of
 from sidforge.corpus import (
     TaskId,
     _USER_TEMPLATES,
@@ -257,7 +257,7 @@ def test_criterion_08_metric_hand_values():
             f"u{u}": [f"i{int(gen.integers(40))}" for _ in range(5)]
             for u in range(12)
         }
-        ranking = sorted(set(assign.sids.values()))
+        ranking = sorted(set(sid_map(assign).values()))
         gen.shuffle(ranking)
         report = evaluate_static_ranking(ranking, split_rows(split_of(seqs), assign, False), assign, ks=(5, 10))
         assert report.hr[5] <= report.hr[10]

@@ -7,7 +7,15 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import assignment_from_sids, random_model, split_of, user_splits
+from conftest import (
+    assignment_from_sids,
+    catalog_of,
+    random_model,
+    record_catalog,
+    sid_map,
+    split_of,
+    user_splits,
+)
 from sidforge import corpus, rng
 from sidforge.corpus import (
     _USER_TEMPLATES,
@@ -24,7 +32,6 @@ from sidforge.corpus import (
     write_corpus,
     write_sid_vocabulary,
 )
-from sidforge.datamodel import ItemCatalog, ItemRecord
 from sidforge.rq import render_sid
 
 T1_INSTRUCTION = (
@@ -39,13 +46,12 @@ T3_INSTRUCTION = (
 
 
 def tiny_world():
-    records = [
-        ItemRecord("a", "Alpha Lamp", "da", "cat", visual_description="Black lamp."),
-        ItemRecord("b", "Beta Mug", "db", "cat", visual_description="Red mug."),
-        ItemRecord("c", "Gamma Mat", "dc", "cat", visual_description=None),
-        ItemRecord("d", "Delta Kit", "dd", "cat", visual_description="Blue kit."),
-    ]
-    catalog = ItemCatalog.from_records(records)
+    catalog = catalog_of(
+        ("a", "Alpha Lamp", "da", "cat", "Black lamp."),
+        ("b", "Beta Mug", "db", "cat", "Red mug."),
+        ("c", "Gamma Mat", "dc", "cat", None),
+        ("d", "Delta Kit", "dd", "cat", "Blue kit."),
+    )
     assign = assignment_from_sids({"a": (0, 1), "b": (1, 0), "c": (2, 2)})
     # Each user's train items, then its validation and test items.
     split = split_of({"u1": ["a", "c", "b", "d"], "u2": ["d", "a", "b"]})
@@ -143,14 +149,14 @@ class TestMakeExamples:
         from sidforge.rq import render_sid
 
         catalog, assign, split = tiny_world()
-        sources = TaskSources(split, catalog, assign)
+        sources, sids = TaskSources(split, catalog, assign), sid_map(assign)
         for task in (TaskId.T3, TaskId.T4):
             pool, _ = make_examples(task, sources)
             for (user_id, _, _), example in zip(sources.users, pool, strict=True):
                 user = user_splits(split)[user_id]
-                assert example["assistant"] == render_sid(assign[user.validation])
-                if user.test in assign.sids:
-                    assert example["assistant"] != render_sid(assign[user.test])
+                assert example["assistant"] == render_sid(sids[user.validation])
+                if user.test in sids:
+                    assert example["assistant"] != render_sid(sids[user.test])
 
     def test_history_truncated_to_max(self):
         catalog, assign, _ = tiny_world()
@@ -205,9 +211,7 @@ class TestSampleCorpus:
             assert abs(share - 0.125) < 0.02
 
     def test_all_pools_empty_rejected(self):
-        catalog = ItemCatalog.from_records(
-            [ItemRecord("z", "Z", "d", "c", visual_description=None)]
-        )
+        catalog = catalog_of(("z", "Z", "d", "c"))
         assign = assignment_from_sids({"q": (0,)})
         split = split_of({})
         with pytest.raises(CorpusError, match="no task"):
@@ -217,8 +221,10 @@ class TestSampleCorpus:
 def reference_make_examples(task, split, catalog, assign, max_history=20):
     """make_examples before its pools were lazy, verbatim but for building
     each example as its record: every example of the task rendered into a
-    list. Returns (records, skipped count, each record's source: its item
-    id, or its user id for a history task)."""
+    list, and for reading the oracle's catalog and `sid_map`. Returns
+    (records, skipped count, each record's source: its item id, or its user
+    id for a history task)."""
+    catalog, sids = record_catalog(catalog), sid_map(assign)
     check_settings(max_history=max_history)
     source, input_view, output_view = task.value
     system = system_instruction(task)
@@ -234,7 +240,7 @@ def reference_make_examples(task, split, catalog, assign, max_history=20):
 
     # History tasks show the same items to many users: render each SID once
     # per call. Catalog fields are read directly, which is cheaper than a cache.
-    sid_text = functools.cache(lambda item_id: render_sid(assign[item_id]))
+    sid_text = functools.cache(lambda item_id: render_sid(sids[item_id]))
 
     def show(view: str, item_id: str) -> str:
         if view == "sid":
@@ -245,9 +251,9 @@ def reference_make_examples(task, split, catalog, assign, max_history=20):
         users = user_splits(split)
         for user_id in sorted(users):
             user = users[user_id]
-            history = [i for i in user.train[-max_history:] if i in catalog and i in assign.sids]
+            history = [i for i in user.train[-max_history:] if i in catalog and i in sids]
             target = user.validation
-            if not history or target not in catalog or target not in assign.sids:
+            if not history or target not in catalog or target not in sids:
                 skipped += 1
                 continue
             shown = HISTORY_SEPARATOR.join(show(input_view, i) for i in history)
@@ -257,7 +263,7 @@ def reference_make_examples(task, split, catalog, assign, max_history=20):
 
     for record in catalog:
         # An empty title is still shown; an empty visual description is not.
-        if record.item_id not in assign.sids or (
+        if record.item_id not in sids or (
             input_view == "visual_description" and not record.visual_description
         ):
             skipped += 1
@@ -301,12 +307,12 @@ def random_world(seed: int, visuals: bool = True):
     visual descriptions (all missing when `visuals` is false), an empty
     title, and users whose history or validation item has no SID."""
     gen = np.random.default_rng(seed)
-    records = []
+    rows = []
     for j in range(60):
         visual = [None, "", f"Visual {j}."][int(gen.integers(3))] if visuals else None
         title = "" if j == 7 else f"Title {j}"
-        records.append(ItemRecord(f"i{j}", title, f"d{j}", "cat", visual_description=visual))
-    catalog = ItemCatalog.from_records(records)
+        rows.append((f"i{j}", title, f"d{j}", "cat", visual))
+    catalog = catalog_of(*rows)
     ids = [f"i{j}" for j in range(60)] + ["ghost0", "ghost1", "nowhere"]
     sids = {
         item_id: (int(gen.integers(5)), int(gen.integers(4)))

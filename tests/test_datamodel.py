@@ -10,15 +10,26 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import Event, EventLog, UserSplit, events_of, log_of, user_splits
+from conftest import (
+    Event,
+    EventLog,
+    UserSplit,
+    catalog_of,
+    events_of,
+    log_of,
+    record_catalog,
+    reference_load_items,
+    user_splits,
+)
 from sidforge.datamodel import (
     CatalogError,
     EmbeddingIOError,
     EmbeddingSet,
     InteractionError,
     ItemCatalog,
-    ItemRecord,
     atomic_open,
     ids_path_for,
     k_core_filter,
@@ -34,55 +45,54 @@ from sidforge.datamodel import (
 )
 
 
-def make_record(i, **kw):
-    base = dict(
-        item_id=f"it{i}",
-        title=f"Title {i}",
-        description=f"Desc {i}",
-        category="cat",
-    )
-    base.update(kw)
-    return ItemRecord(**base)
-
-
-class TestItemRecord:
-    def test_empty_id_rejected(self):
-        with pytest.raises(CatalogError):
-            make_record(1, item_id="")
+def make_row(i, title=None, visual=None, interests=None):
+    """Item i's catalog row, for `catalog_of`."""
+    return f"it{i}", f"Title {i}" if title is None else title, f"Desc {i}", "cat", visual, interests
 
 
 class TestCatalog:
+    def test_empty_id_rejected(self):
+        with pytest.raises(CatalogError, match="^item_id must be non-empty$"):
+            catalog_of(make_row(1), ("", "t", "d", "c"))
+
     def test_duplicate_id_rejected(self):
-        with pytest.raises(CatalogError, match="duplicate"):
-            ItemCatalog.from_records([make_record(1), make_record(1)])
+        with pytest.raises(CatalogError, match="^duplicate item_id 'it1'$"):
+            catalog_of(make_row(1), make_row(1))
+        # The first id met again in file order, as the record loader named it.
+        with pytest.raises(CatalogError, match="^duplicate item_id 'c'$"):
+            catalog_of(*((i, "t", "d", "c") for i in "bccb"))
+
+    def test_columns_of_unequal_lengths_rejected(self):
+        with pytest.raises(CatalogError, match="unequal lengths"):
+            ItemCatalog(("a", "b"), ("t", "t"), ("d",), ("c", "c"), (None, None), (None, None))
 
     def test_lookup(self):
-        cat = ItemCatalog.from_records([make_record(i) for i in range(3)])
-        assert len(cat) == 3
-        assert cat.get("it1").title == "Title 1"
+        cat = catalog_of(*(make_row(i) for i in range(3)))
+        assert len(cat) == 3 and cat.row_of == {"it0": 0, "it1": 1, "it2": 2}
+        assert cat.titles[cat.row_of["it1"]] == "Title 1"
         assert "it0" in cat and "nope" not in cat
-        with pytest.raises(CatalogError, match="unknown"):
-            cat.get("nope")
+
+    def test_equality_by_column(self):
+        cat = catalog_of(make_row(0), make_row(1, visual="v"))
+        assert cat == catalog_of(make_row(0), make_row(1, visual="v"))
+        assert cat != catalog_of(make_row(0), make_row(1))
+        assert "row_of" not in repr(cat)
 
     def test_jsonl_roundtrip(self, tmp_path):
-        records = [
-            make_record(0, visual_description="Shiny.", interests=("a", "b")),
-            make_record(1),
-        ]
-        cat = ItemCatalog.from_records(records)
+        cat = catalog_of(make_row(0, visual="Shiny.", interests=("a", "b")), make_row(1))
         path = tmp_path / "items.jsonl"
         save_items(cat, path)
         back = load_items(path)
-        assert back.items == cat.items
+        assert back == cat and back.interests == (("a", "b"), None)
 
     def test_saved_bytes_are_one_json_dumps_per_record(self, tmp_path):
         """Non-ASCII text is written as UTF-8, not as \\u escapes; quotes and
         control characters are escaped as json.dumps escapes them."""
-        rec = make_record(0, title='Café "Ü" \t\u2028 \U0001f600', interests=("naïve",))
+        title = 'Café "Ü" \t\u2028 \U0001f600'
         path = tmp_path / "items.jsonl"
-        save_items(ItemCatalog.from_records([rec, make_record(1)]), path)
+        save_items(catalog_of(make_row(0, title=title, interests=("naïve",)), make_row(1)), path)
         want = [
-            {"item_id": "it0", "title": rec.title, "description": rec.description, "category": rec.category,
+            {"item_id": "it0", "title": title, "description": "Desc 0", "category": "cat",
              "interests": ["naïve"]},
             {"item_id": "it1", "title": "Title 1", "description": "Desc 1", "category": "cat"},
         ]
@@ -99,7 +109,7 @@ class TestCatalog:
         }
         path.write_text(json.dumps(obj) + "\n")
         cat = load_items(path)
-        assert cat.get("x").title == "t"
+        assert cat.titles[cat.row_of["x"]] == "t"
 
     def test_bad_line_cites_line_number(self, tmp_path):
         path = tmp_path / "items.jsonl"
@@ -126,6 +136,55 @@ class TestCatalog:
         path.write_text(json.dumps(obj) + "\n")
         with pytest.raises(CatalogError):
             load_items(path)
+
+
+# Item file lines: a record with any key left out or of a wrong type, one
+# that holds every required key (often well typed, so that files load and ids
+# repeat), a blank line, a line that is not JSON, or JSON that is not an object.
+_TEXT = st.text(max_size=3)
+_ID = st.sampled_from(["a", "b", "c", ""])
+_ANY_RECORD = st.fixed_dictionaries({}, optional={
+    "item_id": _ID | st.integers(0, 2) | st.none(),
+    "title": _TEXT | st.integers(0, 2) | st.none(),
+    "description": _TEXT | st.lists(_TEXT, max_size=1),
+    "category": _TEXT | st.booleans(),
+    "visual_description": _TEXT | st.none() | st.integers(0, 2),
+    "interests": st.lists(_TEXT | st.integers(0, 2) | st.none(), max_size=3) | _TEXT | st.none(),
+    "extra": st.integers(0, 2),
+})
+_FULL_RECORD = st.fixed_dictionaries(
+    {"item_id": _ID, "title": _TEXT, "description": _TEXT, "category": _TEXT},
+    optional={"visual_description": _TEXT | st.none(), "interests": st.lists(_TEXT | st.integers(0, 2), max_size=2)},
+)
+_ITEM_LINES = st.lists(
+    st.one_of(
+        (_ANY_RECORD | _FULL_RECORD).map(lambda obj: json.dumps(obj, ensure_ascii=False)),
+        st.sampled_from(["", "  ", "{", "[1]", '"x"', "null"]),
+    ),
+    max_size=6,
+)
+
+
+class TestItemFileOracle:
+    """load_items against the record loader it replaced, on drawn files:
+    the same columns, or the same error type and message once the file's
+    prefix is stripped."""
+
+    @settings(max_examples=200, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=_ITEM_LINES)
+    def test_columns_or_error_equal_the_record_loader(self, tmp_path, lines):
+        path = tmp_path / "items.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        try:
+            want = reference_load_items(path)
+        except CatalogError as exc:
+            with pytest.raises(CatalogError) as got:
+                load_items(path)
+            assert str(got.value) == f"{path}: {exc}"
+            assert type(got.value.__cause__) is type(exc.__cause__)
+            return
+        assert record_catalog(load_items(path)).items == want.items
 
 
 class TestEmbeddingSet:
@@ -337,7 +396,7 @@ class TestInteractions:
             path.write_bytes(bad.encode())
             with pytest.raises(InteractionError) as want:
                 reference_load_interactions(path)
-            with pytest.raises(InteractionError, match=f"^{re.escape(str(want.value))}$"):
+            with pytest.raises(InteractionError, match=f"^{re.escape(f'{path}: {want.value}')}$"):
                 load_interactions(path)
 
     @pytest.mark.parametrize("ts", [2**63, -2**63 - 1, 10**30])
@@ -348,7 +407,7 @@ class TestInteractions:
         path = tmp_path / "log.tsv"
         lines = ["u\ta\t1", ""] * before + [f"u\tb\t{ts}", "u\tc\tnoon"]
         path.write_text("\n".join(lines) + "\n")
-        message = f"^line {2 * before + 1}: timestamp {ts} is outside the int64 range$"
+        message = f"^{re.escape(str(path))}: line {2 * before + 1}: timestamp {ts} is outside the int64 range$"
         with pytest.raises(InteractionError, match=message):
             load_interactions(path)
 
@@ -482,8 +541,9 @@ class TestKCore:
         assert k_core_filter(log, 1).n_events == 1
 
     def test_k_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            k_core_filter(log_of(()), 0)
+        for k in (0, -1):
+            with pytest.raises(InteractionError, match=f"^k must be >= 1, not {k}$"):
+                k_core_filter(log_of(()), k)
 
     def test_can_empty_out(self):
         log = log_of((("u", "a", 1), ("u", "b", 2)))

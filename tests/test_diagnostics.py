@@ -15,6 +15,7 @@ from conftest import (
     random_model,
     reference_decode_batch,
     report_of,
+    sid_map,
     sized_model,
 )
 from sidforge import diagnostics
@@ -67,24 +68,27 @@ def two_level_model(coarse, fine):
 
 
 def reference_collision_rate(assign):
-    """diagnostics.collision_rate before the sorted prefix pass, verbatim."""
-    if len(assign.sids) == 0:
+    """diagnostics.collision_rate before the sorted prefix pass, verbatim but
+    for reading `sid_map`."""
+    sids = sid_map(assign)
+    if len(sids) == 0:
         raise DiagnosticsError("collision_rate needs a nonempty assignment")
-    counts = Counter(assign.sids.values())
+    counts = Counter(sids.values())
     shared = sum(c for c in counts.values() if c > 1)
-    return shared / len(assign.sids)
+    return shared / len(sids)
 
 
 def reference_prefix_entropy_profile(assign):
     """diagnostics.prefix_entropy_profile before the sorted prefix pass,
-    verbatim."""
-    if len(assign.sids) == 0:
+    verbatim but for reading `sid_map`."""
+    sids = sid_map(assign)
+    if len(sids) == 0:
         raise DiagnosticsError("prefix_entropy needs a nonempty assignment")
-    depth = len(next(iter(assign.sids.values())))
-    n = len(assign.sids)
+    depth = len(next(iter(sids.values())))
+    n = len(sids)
     profile = []
     for p in range(1, depth + 1):
-        counts = Counter(s[:p] for s in assign.sids.values())
+        counts = Counter(s[:p] for s in sids.values())
         entropy = 0.0
         for key in sorted(counts):
             q = counts[key] / n
@@ -94,9 +98,10 @@ def reference_prefix_entropy_profile(assign):
 
 
 def reference_active_codes_per_level(assign, model):
-    """diagnostics.active_codes_per_level before the token matrix, verbatim."""
+    """diagnostics.active_codes_per_level before the token matrix, verbatim
+    but for reading `sid_map`."""
     used: list[set[int]] = [set() for _ in range(model.levels)]
-    for s in assign.sids.values():
+    for s in sid_map(assign).values():
         if len(s) != model.levels:
             raise DiagnosticsError("assignment SID length does not match the model")
         for level, token in enumerate(s):
@@ -127,7 +132,7 @@ class TestPrefixCountsMatchReference:
             assert got == reference_active_codes_per_level(assign, model)
             assert all(type(count) is int for count in got)
             report = build_report(assign, model)
-            assert report.n_distinct_sids == len(set(assign.sids.values()))
+            assert report.n_distinct_sids == len(set(sid_map(assign).values()))
             assert report.n_items == len(assign)
 
     def test_active_codes_name_the_bad_token(self):

@@ -3,7 +3,7 @@
 Each artifact of a tiny pipeline run, and the run's pipeline and synth
 configs, is truncated at evenly spaced offsets and has single bits flipped
 at evenly spaced bit positions. Every variant must either load or raise its
-module's typed error; no other exception may escape. A file guarded by a
+module's typed error, naming the file; no other exception may escape. A file guarded by a
 checksum or a content hash (the embedding matrix, the model's centroids)
 must load identically when it loads at all. A run over a fuzzed manifest
 must either rebuild the same bytes or fail one stage by its number. Each
@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import record_catalog, reference_load_items
 from sidforge.datamodel import (
     CatalogError,
     EmbeddingIOError,
@@ -138,12 +139,29 @@ def test_variant_loads_or_raises_typed_error(artifacts, tmp_path, case):
         target.write_bytes(variant)
         try:
             loaded = load(paths)
-        except error:
+        except error as exc:
+            assert str(target) in str(exc), f"{case}, {label}: the error does not name its file: {exc}"
             continue
         except Exception as exc:  # any other exception is the failure under test
             pytest.fail(f"{case}, {label}: {type(exc).__name__}: {exc}")
         if same is not None:
             assert same(loaded, original), f"{case}, {label}: loaded a different value"
+
+
+def test_item_variants_load_as_the_record_loader_did(artifacts, tmp_path):
+    """Each items.jsonl variant gives the columns of the parent's record
+    loader, or its error type and message behind the file's name."""
+    path = tmp_path / "items.jsonl"
+    for label, variant in variants(artifacts.items.read_bytes()):
+        path.write_bytes(variant)
+        try:
+            want = reference_load_items(path)
+        except CatalogError as exc:
+            with pytest.raises(CatalogError) as got:
+                load_items(path)
+            assert str(got.value) == f"{path}: {exc}", label
+            continue
+        assert record_catalog(load_items(path)).items == want.items, label
 
 
 def test_fuzzed_manifest_rebuilds_the_same_bytes_or_fails_one_stage(run_cfg, tmp_path, monkeypatch):
@@ -195,7 +213,8 @@ def test_header_value_of_any_type_loads_as_written_or_raises_typed_error(artifac
         path.write_bytes(variant)
         try:
             loaded = load(path)
-        except error:
+        except error as exc:
+            assert str(path) in str(exc), f"{label}: the error does not name its file: {exc}"
             continue
         except Exception as exc:  # any other exception is the failure under test
             pytest.fail(f"{label}: {type(exc).__name__}: {exc}")

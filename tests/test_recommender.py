@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import assignment_from_sids, ngram_dicts, ngram_model, split_of, user_splits
+from conftest import assignment_from_sids, ngram_dicts, ngram_model, sid_map, split_of, user_splits
 from sidforge import recommender
 from sidforge.datamodel import SplitDataset
 from sidforge.recommender import (
@@ -558,13 +558,14 @@ def reference_split_rows(split, assign, include_validation):
 def reference_counts(split, assign, sizes, order, include_validation):
     """train_ngram's counting before it sorted windows: the Counter loop."""
     offsets = level_offsets(sizes)
+    sids = sid_map(assign)
     counts: dict = {}
     totals: dict = {}
     users = user_splits(split)
     for user_id in sorted(users):
         user = users[user_id]
         items = list(user.train) + ([user.validation] if include_validation else [])
-        tokens = tuple(t for item in items if item in assign.sids for t in flatten_sid(assign[item], offsets))
+        tokens = tuple(t for item in items if item in sids for t in flatten_sid(sids[item], offsets))
         for i, token in enumerate(tokens):
             for length in range(min(order - 1, i) + 1):
                 ctx = tokens[i - length:i]
@@ -697,16 +698,17 @@ def reference_evaluate(
         raise RecommenderError("every K must be >= 1")
     top_k = min(beam_size, max(ks))
     flat = flat_sids(assign, level_offsets(sizes))
+    sids = sid_map(assign)
     ranks: dict[str, int] = {}
     excluded = 0
     shortfalls = 0
     users = user_splits(split)
     for user_id in sorted(users):
         user = users[user_id]
-        if user.test not in assign.sids:
+        if user.test not in sids:
             excluded += 1
             continue
-        target = assign[user.test]
+        target = sids[user.test]
         ctx = user_context(user.train, user.validation, flat, include_validation)
         ranked = beam_search(
             model, ctx, trie, beam_size, top_k, sizes, unconstrained=unconstrained
@@ -730,7 +732,7 @@ def evaluation_case(gen):
     """random_case plus users whose contexts are empty or shorter than
     order - 1 tokens but whose test item has a SID."""
     sizes, assign, split = random_case(gen)
-    items = sorted(assign.sids)
+    items = sorted(assign.item_ids)
     extra = {
         "empty_ctx": ["x0", "x1", "x0", items[0]],
         "short_ctx": ["x1", items[-1], "x0", items[0]],
@@ -809,7 +811,7 @@ class TestFastPathsMatchLoops:
         for trial in range(20):
             sizes, assign, _ = random_case(np.random.default_rng(4000 + trial))
             offsets = level_offsets(sizes)
-            want = {item: flatten_sid(sid, offsets) for item, sid in assign.sids.items()}
+            want = {item: flatten_sid(sid, offsets) for item, sid in sid_map(assign).items()}
             assert flat_sids(assign, offsets) == want
 
     def test_sid_width_and_range_checked(self):
@@ -904,7 +906,7 @@ class TestFastPathsMatchLoops:
             evaluate(model, split_rows(split, assign, True), assign, trie, sizes, ks=(3,), beam_size=4)
             contexts = [
                 user_context(user.train, user.validation, flat, True)
-                for user in user_splits(split).values() if user.test in assign.sids
+                for user in user_splits(split).values() if user.test in assign.row_of
             ]
             states = {ctx[max(len(ctx) - order + 1, 0):] for ctx in contexts}
             assert sorted(searched) == sorted(states), f"order {order}"
@@ -1207,7 +1209,7 @@ class TestPopularity:
 def reference_popularity_ranking(split, assign, include_validation=True):
     """popularity_ranking before it counted assignment rows, verbatim: one
     count per SID tuple, from the {item_id: SID} view."""
-    sids = assign.sids
+    sids = sid_map(assign)
     counts = dict.fromkeys(sids.values(), 0)
     for user in user_splits(split).values():
         items = itertools.chain(user.train, (user.validation,) if include_validation else ())
@@ -1221,8 +1223,9 @@ def reference_evaluate_static_ranking(ranked, split, assign, ks=(5, 10)):
     membership from the `sids` view."""
     position_of = {sid: i + 1 for i, sid in enumerate(ranked)}
     users = user_splits(split)
-    ranks = {user_id: position_of.get(assign[user.test], 0)
-             for user_id, user in users.items() if user.test in assign.sids}
+    sids = sid_map(assign)
+    ranks = {user_id: position_of.get(sids[user.test], 0)
+             for user_id, user in users.items() if user.test in sids}
     return _metrics_from_ranks(ranks, ks, len(users) - len(ranks), 0)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import re
 import struct
@@ -9,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import assignment_from_sids, encode, random_assignments, random_model, reference_decode_batch
+from conftest import assignment_from_sids, encode, random_assignments, random_model, reference_decode_batch, sid_map
 from sidforge import rq
 from sidforge.datamodel import EmbeddingSet, atomic_open
 from sidforge.rq import (
@@ -183,11 +184,12 @@ def parent_render_sid(s):
 
 def parent_save_assignment(assign, path):
     """rq.save_assignment before the per-line text template, verbatim but
-    for rendering through parent_render_sid."""
+    for rendering through parent_render_sid and reading `sid_map`."""
+    sids = sid_map(assign)
     with atomic_open(path, encoding="utf-8", newline="\n") as fh:
-        meta = {"format": ASSIGNMENT_FORMAT, "model_hash": assign.model_hash, "count": len(assign.sids)}
+        meta = {"format": ASSIGNMENT_FORMAT, "model_hash": assign.model_hash, "count": len(sids)}
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
-        for item_id, s in assign.sids.items():
+        for item_id, s in sids.items():
             fh.write(
                 json.dumps(
                     {"item_id": item_id, "sid": parent_render_sid(s), "tokens": list(s)},
@@ -199,16 +201,16 @@ def parent_save_assignment(assign, path):
 
 def reference_build_trie(assign):
     """rq.build_trie before the token matrix, verbatim but for reading the
-    assignment's tuple view."""
+    assignment's tuple view, `sid_map`."""
 
     def frozen_i64(values):
         out = np.array(values, dtype=np.int64)
         out.setflags(write=False)
         return out
 
-    if len(assign.sids) == 0:
+    if len(sid_map(assign)) == 0:
         raise RqError("cannot build a trie from an empty assignment")
-    leaves = frozenset(tuple(map(int, s)) for s in assign.sids.values())
+    leaves = frozenset(tuple(map(int, s)) for s in sid_map(assign).values())
     depth = len(next(iter(leaves)))
     if any(len(s) != depth for s in leaves):
         raise RqError("assignment mixes SID lengths")
@@ -707,14 +709,14 @@ class TestAssignment:
         assign = assign_all(model, emb)
         assert len(assign) == 50
         assert assign.model_hash == model.model_hash()
-        assert {type(t) for s in assign.sids.values() for t in s} == {int}
+        assert assign.row_of == {f"i{k}": k for k in range(50)}
         assert not assign.tokens.flags.writeable and assign.tokens.dtype == np.int64
         with pytest.raises(RqError, match=r"50 item ids for a token matrix of shape \(49, 3\)"):
             SidAssignment(emb.item_ids, encode_batch(model, rows[:49]), "h")
         path = tmp_path / "s.jsonl"
         save_assignment(assign, path)
         back = load_assignment(path)
-        assert back.sids == assign.sids
+        assert sid_map(back) == sid_map(assign)
         assert back.model_hash == assign.model_hash
 
     def test_assignment_file_rejects_token_mismatch(self, tmp_path, rng):
@@ -765,7 +767,7 @@ class TestAssignment:
             with pytest.raises(RqError, match=match):
                 load_model_and_assignment(model_path, path)
         path.write_text("\n".join(lines[:2]) + "\n")
-        assert load_model_and_assignment(model_path, path)[1].sids == assign.sids
+        assert sid_map(load_model_and_assignment(model_path, path)[1]) == sid_map(assign)
 
 
     def test_save_matches_parent(self, tmp_path, rng):
@@ -826,13 +828,12 @@ class TestSidAssignment:
                               RqConfig(levels=2, codebook_sizes=(4, 4)))
         assert SidAssignment(range(40), model.fit_tokens, "h").tokens is model.fit_tokens
 
-    def test_tuple_view_built_on_first_lookup(self):
+    def test_row_map_built_on_first_lookup(self):
         assign = assignment_from_sids({"a": (3, 1), "b": (0, 2)})
-        assert "sids" not in vars(assign)
-        assert len(assign) == 2 and "sids" not in vars(assign)
-        assert assign["b"] == (0, 2) and "a" in assign.sids and "c" not in assign.sids
-        assert vars(assign)["sids"] == {"a": (3, 1), "b": (0, 2)}
-        assert all(type(t) is int for s in assign.sids.values() for t in s)
+        assert len(assign) == 2 and "row_of" not in vars(assign)
+        assert assign.tokens[assign.row_of["b"]].tolist() == [0, 2] and "c" not in assign.row_of
+        assert vars(assign)["row_of"] == {"a": 0, "b": 1}
+        assert assign.row_of is assign.row_of
 
     def test_load_names_the_line_of_a_ragged_record_or_a_wide_token(self, tmp_path):
         path = tmp_path / "s.jsonl"
@@ -881,6 +882,24 @@ class TestModelFile:
         # reloaded model encodes identically
         xs = rng.normal(size=(40, 9))
         assert np.array_equal(encode_batch(model, xs), encode_batch(back, xs))
+
+    def test_each_model_hashed_once(self, tmp_path, rng, monkeypatch):
+        """Encoding, saving and loading back hash the fitted model once and
+        the loaded one once: the digest is kept on the frozen model."""
+        model = random_model(rng, 2, [4, 3], 5)
+        emb = EmbeddingSet([f"i{k}" for k in range(20)], rng.normal(size=(20, 5)))
+        hashed = []
+        sha256 = rq.hashlib.sha256
+        monkeypatch.setattr(rq.hashlib, "sha256", lambda: hashed.append(1) or sha256())
+        assign = assign_all(model, emb)
+        save_model(model, tmp_path / "m.rq")
+        save_assignment(assign, tmp_path / "s.jsonl")
+        assert len(hashed) == 1 and model.model_hash() == assign.model_hash
+        back, _ = load_model_and_assignment(tmp_path / "m.rq", tmp_path / "s.jsonl")
+        assert len(hashed) == 2 and back.model_hash() == model.model_hash()
+        monkeypatch.undo()
+        digest = hashlib.sha256(b"".join(cb.astype("<f4").tobytes() for cb in model.codebooks))
+        assert model.model_hash() == digest.hexdigest()
 
     def test_rejects_tampered_centroids(self, tmp_path, rng):
         points = np.asarray(rng.normal(size=(60, 4)), dtype=np.float32)

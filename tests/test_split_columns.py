@@ -10,9 +10,9 @@ from operator import attrgetter
 
 import numpy as np
 
-from conftest import EventLog, UserSplit, assignment_from_sids, log_of, user_splits
+from conftest import EventLog, UserSplit, assignment_from_sids, catalog_of, log_of, user_splits
 from sidforge.corpus import TaskSources
-from sidforge.datamodel import ItemCatalog, ItemRecord, leave_last_out_split
+from sidforge.datamodel import leave_last_out_split
 from sidforge.recommender import split_rows
 from test_datamodel import reference_leave_last_out_split
 
@@ -56,7 +56,7 @@ def random_world(gen):
     items have no SID, some no catalog record; users have 1 to 4 events or
     many; timestamps tie often."""
     pool = [f"i{j}" for j in range(int(gen.integers(1, 30)))]
-    catalog = ItemCatalog.from_records(ItemRecord(i, f"Title {i}", "d", "c") for i in pool if gen.random() < 0.8)
+    catalog = catalog_of(*((i, f"Title {i}", "d", "c") for i in pool if gen.random() < 0.8))
     assign = assignment_from_sids({i: tuple(gen.integers(3, size=2).tolist()) for i in pool if gen.random() < 0.8})
     events = [
         (f"u{u}", pool[int(gen.integers(len(pool)))], int(gen.integers(6)))

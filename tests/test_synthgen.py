@@ -6,10 +6,10 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import EventLog, events_of
+from conftest import EventLog, catalog_of, events_of, record_catalog
 from sidforge import rng, synthgen
 from sidforge.cli import main
-from sidforge.datamodel import EmbeddingSet, ItemCatalog, ItemRecord
+from sidforge.datamodel import EmbeddingSet
 from sidforge.synthgen import (
     StreamDraws,
     SynthConfig,
@@ -94,7 +94,7 @@ class TestCatalog:
         cfg = small_cfg()
         cat_a, emb_a, lab_a = generate_catalog(cfg)
         cat_b, emb_b, lab_b = generate_catalog(cfg)
-        assert cat_a.items == cat_b.items
+        assert cat_a == cat_b
         assert np.array_equal(emb_a.rows, emb_b.rows)
         assert lab_a == lab_b
 
@@ -108,8 +108,8 @@ class TestCatalog:
         catalog, emb, labels = generate_catalog(cfg)
         assert len(catalog) == cfg.num_items
         assert emb.rows.shape == (cfg.num_items, cfg.dim)
-        assert set(labels) == {r.item_id for r in catalog}
-        for rec in catalog:
+        assert set(labels) == set(catalog.item_ids)
+        for rec in record_catalog(catalog):
             assert labels[rec.item_id] == rec.category
             assert rec.category in rec.title
             assert rec.visual_description
@@ -133,7 +133,7 @@ class TestCatalog:
 
     def test_twin_titles_share_base(self):
         catalog, _, _ = generate_catalog(small_cfg(twin_fraction=0.25))
-        a, b = catalog.items[0], catalog.items[1]
+        a, b = record_catalog(catalog).items[:2]
         assert a.title.endswith("(style A)")
         assert b.title.endswith("(style B)")
         assert a.title.rsplit("(", 1)[0] == b.title.rsplit("(", 1)[0]
@@ -174,9 +174,10 @@ _WORKLOAD_SHAPES = {
 # The whole-matrix catalog against the per-item loop it replaced.
 
 def reference_generate_catalog(cfg: SynthConfig):
-    """`generate_catalog` as a per-item loop, kept verbatim: a fresh
-    `rng.stream` per twin pair and per item, two draws per pair (shared
-    noise, then direction) and one row written at a time."""
+    """`generate_catalog` as a per-item loop, kept verbatim but for passing
+    each item's fields to `catalog_of` as one row: a fresh `rng.stream` per
+    twin pair and per item, two draws per pair (shared noise, then
+    direction) and one row written at a time."""
     e = cfg.enrichment_level
     d_info = _informative_dims(cfg)
     pairs = _twin_pairs(cfg)
@@ -233,19 +234,11 @@ def reference_generate_catalog(cfg: SynthConfig):
                 f"Product photo of a {cname.lower()} item on a white background, "
                 f"angle {i % 9}."
             )
-        records.append(
-            ItemRecord(
-                item_id=item_id,
-                title=title,
-                description=description,
-                category=cname,
-                visual_description=visual,
-                interests=(f"{cname.lower()} enthusiasts & hobby collectors",),
-            )
-        )
+        records.append((item_id, title, description, cname, visual,
+                        (f"{cname.lower()} enthusiasts & hobby collectors",)))
         labels[item_id] = cname
-    catalog = ItemCatalog.from_records(records)
-    emb = EmbeddingSet([r.item_id for r in records], rows.astype(np.float32))
+    catalog = catalog_of(*records)
+    emb = EmbeddingSet(catalog.item_ids, rows.astype(np.float32))
     return catalog, emb, labels
 
 
@@ -255,7 +248,7 @@ def assert_catalog_matches_reference(cfg):
     assert emb.rows.dtype == want_emb.rows.dtype == np.float32
     assert np.array_equal(emb.rows.view(np.int32), want_emb.rows.view(np.int32))  # bits, so -0.0 != 0.0
     assert emb.item_ids == want_emb.item_ids
-    assert catalog.items == want_catalog.items
+    assert catalog == want_catalog
     assert labels == want_labels
 
 
@@ -329,10 +322,10 @@ def reference_generate_interactions(catalog, labels, cfg):
 
     by_category: dict[int, list[str]] = {i: [] for i in range(c)}
     name_to_index = {category_name(i): i for i in range(c)}
-    for rec in catalog:
-        idx = name_to_index.get(labels[rec.item_id])
+    for item_id in catalog.item_ids:
+        idx = name_to_index.get(labels[item_id])
         if idx is not None:
-            by_category[idx].append(rec.item_id)
+            by_category[idx].append(item_id)
     live = [i for i in range(c) if by_category[i]]
     if not live:
         raise SynthError("no catalog item belongs to any configured category")
