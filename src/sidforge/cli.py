@@ -17,8 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, pipeline, recommender, rq, synthgen
-from .datamodel import EmbeddingSet, load_embeddings, write_embeddings
+from . import datamodel, diagnostics, pipeline, recommender, rq, synthgen
 
 log = logging.getLogger("sidforge.cli")
 
@@ -82,7 +81,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    emb = load_embeddings(args.embeddings)
+    emb = datamodel.load_embeddings(args.embeddings)
     cfg = rq.RqConfig(
         levels=args.levels,
         codebook_sizes=args.sizes,
@@ -109,7 +108,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_encode(args) -> int:
     model = rq.load_model(args.model)
-    emb = load_embeddings(args.embeddings)
+    emb = datamodel.load_embeddings(args.embeddings)
     assign = rq.assign_all(model, emb, workers=args.workers)
     rq.save_assignment(assign, args.out)
     _, starts = rq.sorted_prefixes(assign.tokens)
@@ -130,8 +129,8 @@ def _cmd_decode(args) -> int:
     vector = rq.decode(model, tokens, depth=args.depth)
     result = {"sid": rq.render_sid(tokens), "tokens": list(tokens), "dim": model.dim}
     if args.out:
-        out_emb = EmbeddingSet([result["sid"]], vector[None, :].astype(np.float32))
-        write_embeddings(out_emb, args.out)
+        out_emb = datamodel.EmbeddingSet([result["sid"]], vector[None, :].astype(np.float32))
+        datamodel.write_embeddings(out_emb, args.out)
         result["path"] = str(args.out)
     else:
         result["vector"] = [float(v) for v in vector]
@@ -141,10 +140,9 @@ def _cmd_decode(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     payload = pipeline.diagnose(
-        args.model,
-        args.assignment,
-        embeddings=args.embeddings,
-        items=args.items,
+        *rq.load_model_and_assignment(args.model, args.assignment),
+        emb=datamodel.load_embeddings(args.embeddings) if args.embeddings else None,
+        labels=pipeline.category_labels(datamodel.load_items(args.items)) if args.items else None,
         probe_seed=args.probe_seed,
         out=args.out,
     )
@@ -156,7 +154,7 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_recon_curve(args) -> int:
     model, assign = rq.load_model_and_assignment(args.model, args.assignment)
-    emb = load_embeddings(args.embeddings)
+    emb = datamodel.load_embeddings(args.embeddings)
     curve = diagnostics.reconstruction_curve(model, emb, assign, h_max=args.h_max)
     payload = {
         "sims": {str(h): curve.sims[h] for h in sorted(curve.sims)},
@@ -172,10 +170,9 @@ def _cmd_recon_curve(args) -> int:
 
 def _cmd_corpus(args) -> int:
     stats = pipeline.export_corpus(
-        args.items,
-        args.model,
-        args.assignment,
-        args.interactions,
+        *rq.load_model_and_assignment(args.model, args.assignment),
+        datamodel.leave_last_out_split(datamodel.load_interactions(args.interactions)),
+        datamodel.load_items(args.items),
         args.out,
         n=args.n,
         seed=args.seed,
@@ -188,9 +185,8 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_train_baseline(args) -> int:
-    model, assign, split = pipeline.load_tokens_and_split(
-        args.model, args.assignment, args.interactions
-    )
+    model, assign = rq.load_model_and_assignment(args.model, args.assignment)
+    split = datamodel.leave_last_out_split(datamodel.load_interactions(args.interactions))
     ngram = recommender.train_ngram(
         recommender.split_rows(split, assign, args.include_validation),
         assign,
@@ -212,9 +208,8 @@ def _cmd_train_baseline(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model, assign, split = pipeline.load_tokens_and_split(
-        args.model, args.assignment, args.interactions
-    )
+    model, assign = rq.load_model_and_assignment(args.model, args.assignment)
+    split = datamodel.leave_last_out_split(datamodel.load_interactions(args.interactions))
     ngram = recommender.load_ngram(args.ngram)
     report, metrics = pipeline.evaluate_baseline(
         ngram,

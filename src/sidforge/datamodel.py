@@ -252,7 +252,7 @@ def load_items(path) -> ItemCatalog:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CatalogError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+                raise CatalogError(f"line {lineno}: invalid JSON at column {exc.colno} ({exc.msg})") from exc
             if not isinstance(obj, dict):
                 raise CatalogError(f"line {lineno}: expected a JSON object")
             try:

@@ -211,7 +211,7 @@ def semantic_probe(
         raise DiagnosticsError("semantic_probe needs a nonempty assignment")
     missing = [i for i in item_ids if i not in labels]
     if missing:
-        raise DiagnosticsError(f"{len(missing)} items lack category labels")
+        raise DiagnosticsError(f"{len(missing)} items lack category labels, e.g. {missing[0]!r}")
     categories = sorted({labels[i] for i in item_ids})
     cat_index = {c: k for k, c in enumerate(categories)}
     y = np.array([cat_index[labels[i]] for i in item_ids], dtype=np.int64)

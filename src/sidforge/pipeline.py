@@ -22,8 +22,10 @@ them. A run holds `run_lock` on its output directory, so a second run on the
 same directory fails at once; under the lock it deletes the temp files that
 a killed writer left beside the artifacts.
 
-Each stage's load, check, compute and write sequence is a public function
-here; run_pipeline and the `sidforge` subcommands both call them.
+Each stage's compute and write step is a public function here over loaded
+objects, opening no file for reading; run_pipeline and the `sidforge`
+subcommands both call them and do their own loading, and one run_pipeline
+call loads each artifact at most once.
 
 Cache keys are content hashes of inputs plus the stage's config subsection.
 Worker counts are excluded from the keys and never change artifact bytes.
@@ -364,29 +366,27 @@ def write_sources(paths: ArtifactPaths, catalog, emb, interactions, kcore: int =
     return interactions
 
 
-def tokenize(paths: ArtifactPaths, cfg: rq.RqConfig, workers: int = 1) -> None:
+def tokenize(emb, cfg: rq.RqConfig, paths: ArtifactPaths, workers: int = 1):
     """Stage 2: fit codebooks on the embeddings and write the model and the
-    assignment the fit made (each item's SID, as encoding would give it)."""
-    emb = load_embeddings(paths.embeddings)
+    assignment the fit made (each item's SID, as encoding would give it).
+    Returns (model, assignment)."""
     model = rq.fit_codebooks(emb, cfg, workers=workers)
     assign = rq.SidAssignment(emb.item_ids, model.fit_tokens, model.model_hash())
     rq.save_model(model, paths.model)
     rq.save_assignment(assign, paths.assignment)
+    return model, assign
 
 
-def diagnose(
-    model_path, assignment_path, embeddings=None, items=None, probe_seed=None, out=None
-) -> dict:
-    """Stage 3: the diagnostics payload (report_to_dict) of an assignment.
-    Embeddings add the reconstruction curve, items the category probe (which
-    then needs probe_seed). Written as JSON to out when given."""
-    model, assign = rq.load_model_and_assignment(model_path, assignment_path)
-    emb = load_embeddings(embeddings) if embeddings else None
-    labels = None
-    if items:
-        catalog = load_items(items)
-        labels = dict(zip(catalog.item_ids, catalog.categories))
-        del catalog  # the probe reads the labels only; the other columns go now
+def category_labels(catalog) -> dict[str, str]:
+    """item id -> category: the labels that diagnose's probe reads."""
+    return dict(zip(catalog.item_ids, catalog.categories))
+
+
+def diagnose(model, assign, emb=None, labels=None, probe_seed=None, out=None) -> dict:
+    """Stage 3: the diagnostics payload (report_to_dict) of an assignment,
+    which the model must have produced. Embeddings add the reconstruction
+    curve, category labels the probe (which then needs probe_seed). Written
+    as JSON to out when given."""
     report = diagnostics.build_report(assign, model, emb=emb, labels=labels, probe_seed=probe_seed)
     payload = diagnostics.report_to_dict(report)
     if out:
@@ -394,33 +394,16 @@ def diagnose(
     return payload
 
 
-def load_tokens_and_split(model_path, assignment_path, interactions):
-    """Stages 4 and 5 input: (model, assignment, leave-last-out split). The
-    model must have produced the assignment. The interactions are used as
-    written: the k-core filter is applied once, at stage 1."""
-    model, assign = rq.load_model_and_assignment(model_path, assignment_path)
-    return model, assign, leave_last_out_split(load_interactions(interactions))
-
-
 def export_corpus(
-    items,
-    model_path,
-    assignment_path,
-    interactions,
-    out,
-    *,
-    n: int,
-    seed: int,
-    max_history: int,
-    chat_out=None,
-    vocab_out=None,
+    model, assign, split, catalog, out, *, n: int, seed: int, max_history: int,
+    chat_out=None, vocab_out=None,
 ) -> dict:
-    """Stage 4: sample the eight-task corpus and write it as JSONL, plus the
-    chat rendering and the SID vocabulary when asked. Returns the sampling
-    stats."""
-    model, assign, split = load_tokens_and_split(model_path, assignment_path, interactions)
+    """Stage 4: sample the eight-task corpus from a leave-last-out split of
+    the interactions as written (the k-core filter is applied once, at stage
+    1) and write it as JSONL, plus the chat rendering and the SID vocabulary
+    when asked. Returns the sampling stats."""
     records, stats = corpus_mod.sample_corpus(
-        split, load_items(items), assign, n=n, seed=seed, max_history=max_history
+        split, catalog, assign, n=n, seed=seed, max_history=max_history
     )
     corpus_mod.write_corpus(records, out)
     if chat_out:
@@ -480,35 +463,49 @@ def run_pipeline(cfg: dict, force: bool = False):
             raise ConfigError(f"pipeline.mode is 'ingest' but {', '.join(unset)} is not set")
     paths = ArtifactPaths.in_dir(out_dir)
 
+    # What a stage of this call wrote to a path, or the first consumer loaded
+    # from it, held while an enabled stage after the computing one reads the
+    # path. A stage that hits enters nothing, so its consumers load from disk.
+    held: dict[Path, object] = {}
+    read_later: set[Path] = set()
+
+    def load(path: Path, loader):
+        obj = held[path] if path in held else loader(path)
+        if path in read_later:
+            held[path] = obj
+        return obj
+
+    def tokens():  # held under the assignment's path: the two are loaded and written together
+        return load(paths.assignment, lambda path: rq.load_model_and_assignment(paths.model, path))
+
     def source_stage():
-        if pipe.mode == "synth":
-            sources = synthesize_sources(scfg)
-        else:
-            sources = load_sources(inputs.items, inputs.embeddings, inputs.interactions)
-        write_sources(paths, *sources, kcore=pipe.kcore)
+        catalog, emb, interactions = (synthesize_sources(scfg) if pipe.mode == "synth" else
+                                      load_sources(inputs.items, inputs.embeddings, inputs.interactions))
+        kept = write_sources(paths, catalog, emb, interactions, kcore=pipe.kcore)
+        return {paths.items: catalog, paths.embeddings: emb, paths.interactions: kept}
+
+    def tokenize_stage():
+        emb = load(paths.embeddings, load_embeddings)
+        return {paths.assignment: tokenize(emb, rcfg, paths, pipe.workers)}
 
     def diagnose_stage():
-        payload = diagnose(paths.model, paths.assignment, embeddings=paths.embeddings,
-                           items=paths.items, probe_seed=dcfg.probe_seed,
-                           out=paths.diagnostics_json)
+        # The probe reads the labels only: the catalog stays only if held.
+        payload = diagnose(*tokens(), emb=load(paths.embeddings, load_embeddings),
+                           labels=category_labels(load(paths.items, load_items)),
+                           probe_seed=dcfg.probe_seed, out=paths.diagnostics_json)
         with atomic_open(paths.diagnostics_table, encoding="utf-8", newline="\n") as fh:
             fh.write(diagnostics.render_table(payload) + "\n")
 
+    def user_split():
+        return leave_last_out_split(load(paths.interactions, load_interactions))
+
     def corpus_stage():
-        export_corpus(
-            paths.items,
-            paths.model,
-            paths.assignment,
-            paths.interactions,
-            paths.corpus,
-            n=ccfg.n,
-            seed=ccfg.seed,
-            max_history=ccfg.max_history,
-            vocab_out=paths.vocabulary,
-        )
+        export_corpus(*tokens(), user_split(), load(paths.items, load_items), paths.corpus, n=ccfg.n,
+                      seed=ccfg.seed, max_history=ccfg.max_history, vocab_out=paths.vocabulary)
 
     def eval_stage():
-        model, assign, split = load_tokens_and_split(paths.model, paths.assignment, paths.interactions)
+        model, assign = tokens()
+        split = user_split()
         user_rows = recommender.split_rows(split, assign, ecfg.ngram_include_validation)
         ngram = recommender.train_ngram(
             user_rows, assign, model.effective_sizes, order=ecfg.order, alpha=ecfg.alpha
@@ -535,7 +532,7 @@ def run_pipeline(cfg: dict, force: bool = False):
         (1, "source", source_cfg, source_inputs,
          [paths.items, paths.embeddings, paths.embedding_ids, paths.interactions], source_stage),
         (2, "tokenize", {"rq": cfg["rq"]}, [paths.embeddings, paths.embedding_ids],
-         [paths.model, paths.assignment], lambda: tokenize(paths, rcfg, pipe.workers)),
+         [paths.model, paths.assignment], tokenize_stage),
         (3, "diagnose", {"diagnostics": cfg["diagnostics"]},
          [paths.model, paths.assignment, paths.embeddings, paths.embedding_ids, paths.items],
          [paths.diagnostics_json, paths.diagnostics_table], diagnose_stage),
@@ -592,7 +589,11 @@ def run_pipeline(cfg: dict, force: bool = False):
                     if not matches and manifest["stages"].pop(name, None) is not None:
                         write_json(manifest, paths.manifest)
                         written = dict(manifest["stages"])
-                    compute()
+                    read_later = {path for _, later, _, later_inputs, _, _ in stages[number:]
+                                  if getattr(enabled, later) for path in later_inputs}
+                    # Only what a later stage reads stays; the rest goes before hashing.
+                    held.update(compute() or ())
+                    held = {path: obj for path, obj in held.items() if path in read_later}
                     output_hashes = {str(p): sha256_file(p) for p in outputs}
                     hashed.update(output_hashes)
             except Exception as exc:

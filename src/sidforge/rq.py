@@ -700,7 +700,7 @@ def load_assignment(path) -> SidAssignment:
         try:
             meta = json.loads(first)
         except json.JSONDecodeError as exc:
-            raise RqError(f"unreadable assignment meta line: {exc.msg}") from exc
+            raise RqError(f"unreadable assignment meta line at column {exc.colno} ({exc.msg})") from exc
         if isinstance(meta, dict) and meta.get("format") != ASSIGNMENT_FORMAT:
             raise RqError(f"unsupported assignment format {meta.get('format')!r}")
         meta = from_json(AssignmentMeta, meta, RqError, "assignment meta line")
@@ -710,7 +710,7 @@ def load_assignment(path) -> SidAssignment:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise RqError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+                raise RqError(f"line {lineno}: invalid JSON at column {exc.colno} ({exc.msg})") from exc
             try:
                 item_id, sid, tokens = obj["item_id"], obj["sid"], obj["tokens"]
             except (KeyError, TypeError) as exc:

@@ -192,7 +192,8 @@ class RecordCatalog:
 
 def reference_load_items(path) -> RecordCatalog:
     """datamodel.load_items before the catalog held columns, verbatim but for
-    its names: one ItemRecord per line, then the catalog's index."""
+    its names and the column in its JSON error: one ItemRecord per line, then
+    the catalog's index."""
     records = []
     for lineno, line in read_lines(path, CatalogError):
         if not line.strip():
@@ -200,7 +201,7 @@ def reference_load_items(path) -> RecordCatalog:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise CatalogError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            raise CatalogError(f"line {lineno}: invalid JSON at column {exc.colno} ({exc.msg})") from exc
         if not isinstance(obj, dict):
             raise CatalogError(f"line {lineno}: expected a JSON object")
         try:

@@ -118,6 +118,15 @@ class TestCatalog:
         with pytest.raises(CatalogError, match="line 2"):
             load_items(path)
 
+    def test_cut_line_cites_its_column(self, tmp_path):
+        path = tmp_path / "items.jsonl"
+        lines = [json.dumps({"item_id": f"x{i}", "title": "t", "description": "d", "category": "c"})
+                 for i in range(4)]
+        path.write_text("\n".join(lines[:3] + [lines[3][:20]]) + "\n")
+        message = f"{path}: line 4: invalid JSON at column 21 (Invalid control character at)"
+        with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
+            load_items(path)
+
     def test_missing_field_cites_line_number(self, tmp_path):
         path = tmp_path / "items.jsonl"
         path.write_text(json.dumps({"item_id": "x", "title": "t"}) + "\n")

@@ -504,7 +504,7 @@ class TestSemanticProbe:
         labels = {item: ("A" if s == (0,) else "B") for item, s in sids.items()}
         assign = assignment_from_sids(sids)
         del labels["i00"]
-        with pytest.raises(DiagnosticsError, match="1 items lack category labels"):
+        with pytest.raises(DiagnosticsError, match="^1 items lack category labels, e.g. 'i00'$"):
             semantic_probe(assign, model, labels, split_seed=0)
         with pytest.raises(DiagnosticsError, match="nonempty assignment"):
             semantic_probe(assignment_from_sids({}), model, labels, split_seed=0)

@@ -9,12 +9,20 @@ import shutil
 import signal
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sidforge import corpus, pipeline
-from sidforge.datamodel import ids_path_for
+from sidforge import corpus, pipeline, recommender, rq
+from sidforge.datamodel import (
+    ids_path_for,
+    leave_last_out_split,
+    load_embeddings,
+    load_interactions,
+    load_items,
+)
 from sidforge.pipeline import (
     ArtifactPaths,
     ConfigError,
@@ -908,3 +916,133 @@ class TestRun:
         run_pipeline(base_cfg(out))
         leftovers = [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
         assert leftovers == []
+
+
+def same_log(a, b) -> bool:
+    return (a.user_ids, a.item_ids) == (b.user_ids, b.item_ids) and all(
+        x.dtype == y.dtype and np.array_equal(x, y)
+        for x, y in ((a.users, b.users), (a.items, b.items), (a.timestamps, b.timestamps)))
+
+
+def same_split(a, b) -> bool:
+    return (a.user_ids, a.item_ids) == (b.user_ids, b.item_ids) and all(
+        x.dtype == y.dtype and np.array_equal(x, y) for x, y in ((a.items, b.items), (a.ends, b.ends)))
+
+
+class TestHandedObjects:
+    """run_pipeline hands the objects a stage wrote, or a consumer loaded, to
+    the later stages of the same call, in place of loading the files again."""
+
+    @pytest.mark.parametrize("mode", ["synth", "ingest"])
+    def test_what_a_stage_hands_on_equals_a_load_of_what_it_wrote(self, tmp_path, monkeypatch, mode):
+        out = tmp_path / "out"
+        if mode == "synth":
+            cfg = base_cfg(out)
+        else:
+            assert run_pipeline(base_cfg(tmp_path / "seed"))[0] == 0
+            cfg = ingest_cfg(tmp_path / "seed", out)
+            cfg["pipeline"]["kcore"] = 2
+        entered, received = {}, []
+
+        def record(name, real, keep):
+            def wrapper(*args, **kwargs):
+                result = real(*args, **kwargs)
+                keep(args, kwargs, result)
+                return result
+            monkeypatch.setattr(pipeline, name, wrapper)
+
+        def sources(args, kwargs, kept):
+            entered.update(catalog=args[1], emb=args[2], log_in=args[3], log=kept)
+
+        record("write_sources", pipeline.write_sources, sources)
+        record("tokenize", pipeline.tokenize,
+               lambda args, kwargs, result: entered.update(zip(("model", "assign"), result)))
+        for name in ("diagnose", "export_corpus", "evaluate_baseline"):
+            record(name, getattr(pipeline, name), lambda args, kwargs, _: received.append((args, kwargs)))
+        assert run_pipeline(cfg)[0] == 0
+        paths = ArtifactPaths.in_dir(out)
+
+        catalog, emb = load_items(paths.items), load_embeddings(paths.embeddings)
+        log = load_interactions(paths.interactions)
+        assert entered["catalog"] == catalog
+        assert entered["emb"].item_ids == emb.item_ids
+        assert entered["emb"].rows.dtype == emb.rows.dtype
+        assert entered["emb"].rows.tobytes() == emb.rows.tobytes()
+        assert same_log(entered["log"], log)
+        assert same_split(leave_last_out_split(entered["log"]), leave_last_out_split(log))
+        if mode == "ingest":  # the k-core filter dropped events, and the kept log is what is handed
+            assert entered["log"].n_events < entered["log_in"].n_events
+        model, assign = rq.load_model_and_assignment(paths.model, paths.assignment)
+        handed_model, handed_assign = entered["model"], entered["assign"]
+        assert [cb.tobytes() for cb in handed_model.codebooks] == [cb.tobytes() for cb in model.codebooks]
+        assert [cb.dtype for cb in handed_model.codebooks] == [cb.dtype for cb in model.codebooks]
+        assert (handed_model.fit_stats, handed_model.config) == (model.fit_stats, model.config)
+        assert handed_model.model_hash() == model.model_hash()
+        assert (handed_assign.item_ids, handed_assign.model_hash) == (assign.item_ids, assign.model_hash)
+        assert handed_assign.tokens.dtype == assign.tokens.dtype
+        assert np.array_equal(handed_assign.tokens, assign.tokens)
+
+        # Each consumer is given those very objects.
+        (diag_args, diag_kwargs), (corpus_args, _), (eval_args, _) = received
+        assert diag_args[:2] == (handed_model, handed_assign) and diag_kwargs["emb"] is entered["emb"]
+        assert diag_kwargs["labels"] == dict(zip(catalog.item_ids, catalog.categories))
+        assert corpus_args[:2] == (handed_model, handed_assign) and corpus_args[3] is entered["catalog"]
+        assert same_split(corpus_args[2], leave_last_out_split(log))
+        assert eval_args[1:3] == (handed_model, handed_assign)
+
+    def test_one_call_loads_each_artifact_at_most_once(self, tmp_path, monkeypatch):
+        loads = Counter()
+
+        def count(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args: loads.update([name]) or real(*args))
+
+        for name in ("load_items", "load_embeddings", "load_interactions"):
+            count(pipeline, name)
+        for name in ("load_model", "load_assignment"):
+            count(rq, name)
+        cfg = base_cfg(tmp_path / "out")
+        assert run_pipeline(cfg)[0] == 0
+        assert loads == {}
+        assert run_pipeline(ingest_cfg(tmp_path / "out", tmp_path / "ingested"))[0] == 0
+        assert loads == {"load_items": 1, "load_embeddings": 1, "load_interactions": 1}
+        loads.clear()
+        cfg["diagnostics"] = {"probe_seed": 1}
+        cfg["corpus"] = {**cfg["corpus"], "seed": 2}
+        cfg["eval"] = {**cfg["eval"], "alpha": 0.2}
+        status, summary = run_pipeline(cfg)
+        assert status == 0
+        assert summary["stages"] == {name: "cache-hit" if name in ("source", "tokenize") else "ran"
+                                     for name in STAGES}
+        assert loads == dict.fromkeys(("load_items", "load_embeddings", "load_interactions",
+                                       "load_model", "load_assignment"), 1)
+
+    def test_stage_functions_read_no_file(self, tmp_path, monkeypatch):
+        cfg = base_cfg(tmp_path / "seed")
+        assert run_pipeline(cfg)[0] == 0
+        seed, new = ArtifactPaths.in_dir(tmp_path / "seed"), ArtifactPaths.in_dir(tmp_path / "new")
+        new.model.parent.mkdir()
+        catalog, emb = load_items(seed.items), load_embeddings(seed.embeddings)
+        model, assign = rq.load_model_and_assignment(seed.model, seed.assignment)
+        split = leave_last_out_split(load_interactions(seed.interactions))
+        user_rows = recommender.split_rows(split, assign, False)
+        ngram = recommender.train_ngram(user_rows, assign, model.effective_sizes, order=2, alpha=0.1)
+        root, reads, real_open = tmp_path.resolve(), [], io.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+                if Path(file).resolve().is_relative_to(root):
+                    reads.append(file)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        monkeypatch.setattr(io, "open", recording_open)
+        pipeline.tokenize(emb, rq.RqConfig.from_dict(cfg["rq"]), new)
+        pipeline.diagnose(model, assign, emb=emb, labels=pipeline.category_labels(catalog),
+                          probe_seed=0, out=new.diagnostics_json)
+        pipeline.export_corpus(model, assign, split, catalog, new.corpus, n=20, seed=0, max_history=5,
+                               chat_out=tmp_path / "new" / "chat.txt", vocab_out=new.vocabulary)
+        pipeline.evaluate_baseline(ngram, model, assign, user_rows, ks=(5,), beam_size=5)
+        assert reads == []
+        assert all(path.exists() for path in (new.model, new.assignment, new.diagnostics_json,
+                                              new.corpus, new.vocabulary))

@@ -770,6 +770,20 @@ class TestAssignment:
         assert sid_map(load_model_and_assignment(model_path, path)[1]) == sid_map(assign)
 
 
+    def test_cut_lines_cite_their_column(self, tmp_path):
+        assign = SidAssignment(["a", "b", "c", "d"], [[0], [1], [2], [3]], model_hash="h")
+        path = tmp_path / "s.jsonl"
+        save_assignment(assign, path)
+        lines = path.read_text().splitlines()
+        for cut, message in (
+            (lines[:4] + [lines[4][:20]], "line 5: invalid JSON at column 21 (Invalid control character at)"),
+            ([lines[0][:20]] + lines[1:], "unreadable assignment meta line at column 21 "
+                                          "(Invalid control character at)"),
+        ):
+            path.write_text("\n".join(cut) + "\n")
+            with pytest.raises(RqError, match=f"^{re.escape(f'{path}: {message}')}$"):
+                load_assignment(path)
+
     def test_save_matches_parent(self, tmp_path, rng):
         ids = ['q"uote', "back\\slash", "ctl\x00\x01\x1f\x7f", "tab\tnl\nret\r", "na\u00efve",
                "\u65e5\u672c", "emoji\U0001f600", "line\u2028sep", "</script>", "", "lone\udcff",
