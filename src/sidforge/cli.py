@@ -111,11 +111,10 @@ def _cmd_encode(args) -> int:
     emb = datamodel.load_embeddings(args.embeddings)
     assign = rq.assign_all(model, emb, workers=args.workers)
     rq.save_assignment(assign, args.out)
-    _, starts = rq.sorted_prefixes(assign.tokens)
     _emit(
         {
             "items": len(assign),
-            "distinct_sids": len(starts[-1]),
+            "distinct_sids": len(assign.prefixes[1][-1]),
             "model_hash": assign.model_hash,
             "path": str(args.out),
         }
@@ -139,6 +138,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    diagnostics.check_probe_seed(args.items or None, args.probe_seed)
     payload = pipeline.diagnose(
         *rq.load_model_and_assignment(args.model, args.assignment),
         emb=datamodel.load_embeddings(args.embeddings) if args.embeddings else None,

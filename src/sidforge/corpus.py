@@ -191,8 +191,8 @@ def sample_corpus(
 ) -> tuple[list[dict], dict]:
     """n records sampled task-uniformly (then uniformly within the task, with
     replacement). Tasks with no examples are excluded and sampling is
-    renormalized over the rest, with a warning. Only the drawn examples are
-    rendered, each once. Returns (records, stats)."""
+    renormalized over the rest, with a warning. Each draw renders its
+    example into a record of its own. Returns (records, stats)."""
     check_settings(n=n)
     sources = TaskSources(split, catalog, assign, max_history)
     pools: dict[TaskId, ExamplePool] = {}
@@ -212,19 +212,13 @@ def sample_corpus(
     gen = rng.stream(seed, rng.CORPUS_SAMPLING)
     records = []
     sampled: dict[str, int] = {t.name: 0 for t in TaskId}
-    # Each drawn example is rendered into a record once; a draw of it again
-    # copies that record. The loop keys on task names: an Enum member hashes
-    # in Python, a str hash is cached.
-    drawn: dict[tuple[str, int], dict] = {}
+    # The loop keys on task names: an Enum member hashes in Python, a str
+    # hash is cached.
     choices = [(t.name, pools[t]) for t in available]
     for _ in range(n):
         name, pool = choices[int(gen.integers(len(choices)))]
-        key = name, int(gen.integers(len(pool)))
-        record = drawn.get(key)
-        if record is None:
-            record = drawn[key] = pool[key[1]]
+        records.append(pool[int(gen.integers(len(pool)))])
         sampled[name] += 1
-        records.append(record.copy())
     stats = {
         "sampled_per_task": sampled,
         "skipped_per_task": skipped,

@@ -14,7 +14,6 @@ import reprlib
 import struct
 import typing
 import zlib
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -195,6 +194,16 @@ def read_lines(path, error: type[ValueError]):
             raise
 
 
+def id_rows(item_ids: tuple[str, ...], error: type[ValueError]) -> dict[str, int]:
+    """item id -> its position; a repeated id raises `error` naming the first id met again."""
+    row_of = dict(zip(item_ids, range(len(item_ids))))
+    if len(row_of) < len(item_ids):
+        seen: set[str] = set()
+        repeated = next(i for i in item_ids if i in seen or seen.add(i))
+        raise error(f"duplicate item_id {repeated!r}")
+    return row_of
+
+
 _ITEM_KEYS = ("item_id", "title", "description", "category", "visual_description", "interests")
 
 
@@ -218,11 +227,7 @@ class ItemCatalog:
     def __post_init__(self) -> None:
         if any(len(column) != len(self.item_ids) for column in self.columns()):
             raise CatalogError(f"catalog columns of unequal lengths {[len(c) for c in self.columns()]}")
-        row_of = dict(zip(self.item_ids, range(len(self.item_ids))))
-        if len(row_of) < len(self.item_ids):
-            seen: set[str] = set()
-            repeated = next(i for i in self.item_ids if i in seen or seen.add(i))
-            raise CatalogError(f"duplicate item_id {repeated!r}")
+        row_of = id_rows(self.item_ids, CatalogError)
         if "" in row_of:
             raise CatalogError("item_id must be non-empty")
         object.__setattr__(self, "row_of", row_of)
@@ -314,9 +319,7 @@ class EmbeddingSet:
             raise EmbeddingIOError(
                 f"{len(ids)} item_ids for {rows.shape[0]} rows"
             )
-        if len(set(ids)) != len(ids):
-            dupes = [i for i, c in Counter(ids).items() if c > 1]
-            raise EmbeddingIOError(f"duplicate item_ids: {dupes[:3]}")
+        id_rows(ids, EmbeddingIOError)
         rows.setflags(write=False)
         self.item_ids = ids
         self.rows = rows

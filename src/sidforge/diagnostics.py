@@ -12,7 +12,7 @@ import numpy as np
 
 from . import rng
 from .datamodel import EmbeddingSet, is_json_number, names_file, read_json_object
-from .rq import BLOCK_ELEMENTS, RqModel, SidAssignment, check_token_range, decode_batch, sorted_prefixes
+from .rq import BLOCK_ELEMENTS, RqModel, SidAssignment, check_token_range, decode_batch
 
 log = logging.getLogger("sidforge.diagnostics")
 
@@ -25,15 +25,19 @@ def collision_rate(assign: SidAssignment) -> float:
     """Fraction of items whose full SID is shared with at least one other."""
     if len(assign) == 0:
         raise DiagnosticsError("collision_rate needs a nonempty assignment")
-    _, starts = sorted_prefixes(assign.tokens)
+    _, starts = assign.prefixes
     counts = np.diff(starts[-1], append=len(assign))
     return int(counts[counts > 1].sum()) / len(assign)
 
 
-def active_codes_per_level(assign: SidAssignment, model: RqModel) -> tuple[int, ...]:
-    """Distinct tokens in each level's column of the assignment."""
+def _check_width(assign: SidAssignment, model: RqModel) -> None:
     if len(assign) and assign.tokens.shape[1] != model.levels:
         raise DiagnosticsError("assignment SID length does not match the model")
+
+
+def active_codes_per_level(assign: SidAssignment, model: RqModel) -> tuple[int, ...]:
+    """Distinct tokens in each level's column of the assignment."""
+    _check_width(assign, model)
     tokens = assign.tokens.reshape(len(assign), model.levels)
     check_token_range(model, tokens, assign.item_ids, DiagnosticsError)
     return tuple(int(np.count_nonzero(np.bincount(column))) for column in tokens.T)
@@ -58,11 +62,11 @@ def _utilization(active: tuple[int, ...], model: RqModel) -> float:
 def prefix_entropy_profile(assign: SidAssignment) -> tuple[float, ...]:
     """Base-2 Shannon entropy of the length-p prefix distribution over items,
     for every prefix length p. The terms are subtracted one by one in
-    lexicographic prefix order, the order `sorted_prefixes` gives."""
+    lexicographic prefix order, the order of `assign.prefixes`."""
     n = len(assign)
     if n == 0:
         raise DiagnosticsError("prefix_entropy needs a nonempty assignment")
-    _, starts = sorted_prefixes(assign.tokens)
+    _, starts = assign.prefixes
     profile = []
     for firsts in starts[1:]:
         entropy = 0.0
@@ -102,6 +106,7 @@ def reconstruction_curve(
         raise DiagnosticsError(
             f"{len(missing)} embedding ids have no SID in the assignment, e.g. {missing[0]!r}"
         )
+    _check_width(assign, model)
     check_token_range(model, assign.tokens[:, :h_max], assign.item_ids, DiagnosticsError)
     rows = np.array([assign.row_of[i] for i in emb.item_ids], dtype=np.int64)
     included = np.empty(emb.count, dtype=bool)
@@ -244,6 +249,12 @@ def semantic_probe(
     return float((predictions == y_test).mean())
 
 
+def check_probe_seed(labels, probe_seed: int | None) -> None:
+    """build_report's first check, which a caller may run before loading: labels need a probe seed."""
+    if labels is not None and probe_seed is None:
+        raise DiagnosticsError("probe_seed is required when labels are given")
+
+
 @dataclass(frozen=True)
 class DiagnosticsReport:
     n_items: int
@@ -268,17 +279,15 @@ def build_report(
 ) -> DiagnosticsReport:
     """Assemble the full report; the similarity curve needs embeddings and the
     probe needs labels plus a split seed."""
-    if labels is not None and probe_seed is None:
-        raise DiagnosticsError("probe_seed is required when labels are given")
+    check_probe_seed(labels, probe_seed)
     rate = collision_rate(assign)
-    _, starts = sorted_prefixes(assign.tokens)
     profile = prefix_entropy_profile(assign)
     active = active_codes_per_level(assign, model)
     sim = None if emb is None else reconstruction_curve(model, emb, assign).sims
     probe = None if labels is None else semantic_probe(assign, model, labels, probe_seed)
     return DiagnosticsReport(
         n_items=len(assign),
-        n_distinct_sids=len(starts[-1]),
+        n_distinct_sids=len(assign.prefixes[1][-1]),
         collision_rate=rate,
         unique_ratio=1.0 - rate,
         utilization=_utilization(active, model),

@@ -463,9 +463,9 @@ def run_pipeline(cfg: dict, force: bool = False):
             raise ConfigError(f"pipeline.mode is 'ingest' but {', '.join(unset)} is not set")
     paths = ArtifactPaths.in_dir(out_dir)
 
-    # What a stage of this call wrote to a path, or the first consumer loaded
-    # from it, held while an enabled stage after the computing one reads the
-    # path. A stage that hits enters nothing, so its consumers load from disk.
+    # What a stage of this call wrote to a path (for the interactions, their
+    # split), or the first consumer loaded from it, held while a later enabled
+    # stage reads the path. A stage that hits enters nothing, so its consumers load from disk.
     held: dict[Path, object] = {}
     read_later: set[Path] = set()
 
@@ -478,11 +478,17 @@ def run_pipeline(cfg: dict, force: bool = False):
     def tokens():  # held under the assignment's path: the two are loaded and written together
         return load(paths.assignment, lambda path: rq.load_model_and_assignment(paths.model, path))
 
+    def split():  # held under the interactions' path: stages 4 and 5 read only the split
+        return load(paths.interactions, lambda path: leave_last_out_split(load_interactions(path)))
+
     def source_stage():
         catalog, emb, interactions = (synthesize_sources(scfg) if pipe.mode == "synth" else
                                       load_sources(inputs.items, inputs.embeddings, inputs.interactions))
         kept = write_sources(paths, catalog, emb, interactions, kcore=pipe.kcore)
-        return {paths.items: catalog, paths.embeddings: emb, paths.interactions: kept}
+        made = {paths.items: catalog, paths.embeddings: emb}
+        if paths.interactions in read_later:  # split only for a later stage that reads it
+            made[paths.interactions] = leave_last_out_split(kept)
+        return made
 
     def tokenize_stage():
         emb = load(paths.embeddings, load_embeddings)
@@ -496,22 +502,19 @@ def run_pipeline(cfg: dict, force: bool = False):
         with atomic_open(paths.diagnostics_table, encoding="utf-8", newline="\n") as fh:
             fh.write(diagnostics.render_table(payload) + "\n")
 
-    def user_split():
-        return leave_last_out_split(load(paths.interactions, load_interactions))
-
     def corpus_stage():
-        export_corpus(*tokens(), user_split(), load(paths.items, load_items), paths.corpus, n=ccfg.n,
+        export_corpus(*tokens(), split(), load(paths.items, load_items), paths.corpus, n=ccfg.n,
                       seed=ccfg.seed, max_history=ccfg.max_history, vocab_out=paths.vocabulary)
 
     def eval_stage():
         model, assign = tokens()
-        split = user_split()
-        user_rows = recommender.split_rows(split, assign, ecfg.ngram_include_validation)
+        user_split = split()
+        user_rows = recommender.split_rows(user_split, assign, ecfg.ngram_include_validation)
         ngram = recommender.train_ngram(
             user_rows, assign, model.effective_sizes, order=ecfg.order, alpha=ecfg.alpha
         )
         if ecfg.include_validation != ecfg.ngram_include_validation:
-            user_rows = recommender.split_rows(split, assign, ecfg.include_validation)
+            user_rows = recommender.split_rows(user_split, assign, ecfg.include_validation)
         report, metrics = evaluate_baseline(
             ngram, model, assign, user_rows, ks=ecfg.ks, beam_size=ecfg.beam_size
         )

@@ -20,8 +20,8 @@ one margin per pick (that of the largest row norm, which bounds every row's).
 The Lloyd update sums each cluster's rows with one weighted bincount, in row
 order from 0.0 as a scatter-add would. The fit keeps each level's final
 assignment (`RqModel.fit_tokens`): the tokens that encoding the rows gives.
-An assignment holds such an (items, levels) token matrix; `sorted_prefixes`
-makes the one sorted pass that every count of distinct prefixes reads.
+An assignment holds such an (items, levels) token matrix, and its `prefixes`,
+one `sorted_prefixes` pass, is what every count of distinct prefixes reads.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import hashlib
 import json
 import re
 import string
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -43,6 +42,7 @@ from .datamodel import (
     EmbeddingSet,
     atomic_open,
     from_json,
+    id_rows,
     is_json_int,
     names_file,
     read_lines,
@@ -170,34 +170,34 @@ class SidAssignment:
     of `item_ids[r]` (distinct ids, in embedding order), made by the model
     with hash `model_hash`. A writeable matrix is copied; one that is not
     2-D, is ragged or has not one row per id raises RqError, as does a
-    repeated id. An item's row is `row_of[item_id]`, one map built on first
-    read that every stage shares. Compared by identity, as arrays have no
-    dataclass equality."""
+    repeated id. Every stage shares `row_of` (item id -> row, built with the
+    assignment) and `prefixes` (its one sorted-prefix pass, made on first
+    read). Compared by identity, as arrays have no dataclass equality."""
 
     item_ids: tuple[str, ...]
     tokens: np.ndarray = field(repr=False)
     model_hash: str
+    row_of: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         try:
             tokens = np.asarray(self.tokens, dtype=np.int64)
         except (TypeError, ValueError, OverflowError) as exc:
             raise RqError(f"SID tokens are not an integer matrix: {exc}") from None
+        object.__setattr__(self, "item_ids", tuple(self.item_ids))
         if tokens.ndim != 2 or len(tokens) != len(self.item_ids) or tokens.size == 0 < len(tokens):
             raise RqError(f"{len(self.item_ids)} item ids for a token matrix of shape {tokens.shape}")
-        if len(set(self.item_ids)) < len(self.item_ids):
-            repeated = next(i for i, n in Counter(self.item_ids).items() if n > 1)
-            raise RqError(f"duplicate item_id {repeated!r}")
+        object.__setattr__(self, "row_of", id_rows(self.item_ids, RqError))
         if tokens.flags.writeable:
             tokens = tokens.copy()
             tokens.setflags(write=False)
-        object.__setattr__(self, "item_ids", tuple(self.item_ids))
         object.__setattr__(self, "tokens", tokens)
 
     @functools.cached_property
-    def row_of(self) -> dict[str, int]:
-        """item id -> its row of `tokens`, built on first read and kept."""
-        return dict(zip(self.item_ids, range(len(self.item_ids))))
+    def prefixes(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """`sorted_prefixes(tokens)`, made on the first read and kept: the
+        tokens are read-only, so it cannot go stale. Readers leave it as is."""
+        return sorted_prefixes(self.tokens)
 
     def __len__(self) -> int:
         return len(self.item_ids)
@@ -616,11 +616,11 @@ class SidTrie:
 
 
 def build_trie(assign: SidAssignment) -> SidTrie:
-    """The trie of an assignment's SIDs from one `sorted_prefixes` pass: a
+    """The trie of an assignment's SIDs from its one `prefixes` pass: a
     node's children start at its first extension among the next depth's."""
     if len(assign) == 0:
         raise RqError("cannot build a trie from an empty assignment")
-    rows, starts = sorted_prefixes(assign.tokens)
+    rows, starts = assign.prefixes
     levels = []
     for h, (parents, children) in enumerate(zip(starts, starts[1:])):
         levels.append((np.append(np.searchsorted(children, parents), len(children)), rows[children, h]))

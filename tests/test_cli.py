@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import ngram_model
+from sidforge import datamodel, rq
 from sidforge.cli import main
 from sidforge.datamodel import load_embeddings
 from sidforge.pipeline import ArtifactPaths, run_lock
@@ -350,6 +351,25 @@ def test_diagnose_requires_probe_seed_with_items(tmp_path, synth_config, capsys)
         "--items", data / "items.jsonl",
     )
     assert status == 1
+
+
+def test_diagnose_refuses_items_without_a_probe_seed_before_loading(tmp_path, capsys, caplog, monkeypatch):
+    def no_load(*args):
+        raise AssertionError(f"loaded {args}")
+
+    for module, name in ((rq, "load_model_and_assignment"), (datamodel, "load_embeddings"),
+                         (datamodel, "load_items")):
+        monkeypatch.setattr(module, name, no_load)
+    status, summary = run(
+        capsys,
+        "diagnose",
+        "--model", tmp_path / "model.rq",
+        "--assignment", tmp_path / "sids.jsonl",
+        "--embeddings", tmp_path / "embeddings.emb",
+        "--items", tmp_path / "items.jsonl",
+    )
+    assert status == 1 and summary is None
+    assert "probe_seed is required when labels are given" in caplog.text
 
 
 def test_pipeline_subcommand_exit_codes(tmp_path, synth_config, capsys):

@@ -411,14 +411,18 @@ class TestRenderCount:
         assert len(records) == 5
         assert 0 < len(rendered) <= 5
 
-    def test_renders_each_drawn_example_once(self, monkeypatch):
+    def test_renders_each_draw_into_a_record_of_its_own(self, monkeypatch):
         catalog, assign, split = random_world(2)
         _, stats = sample_corpus(split, catalog, assign, n=1, seed=0)
-        total = sum(stats["pool_sizes"].values())
+        n = 50 * sum(stats["pool_sizes"].values())  # every example is drawn many times
         rendered = self.count_renders(monkeypatch)
-        sample_corpus(split, catalog, assign, n=50 * total, seed=3)
-        assert len(rendered) == len(set(rendered))
-        assert len(rendered) == total  # 50 draws per source on average reach them all
+        records, _ = sample_corpus(split, catalog, assign, n=n, seed=3)
+        want, _ = reference_sample_corpus(split, catalog, assign, n, 3)
+        assert records == want
+        assert len(rendered) == len(records) == n
+        for record in records:
+            record["assistant"] += "!"
+        assert [record["assistant"] for record in records] == [record["assistant"] + "!" for record in want]
 
     def test_renders_each_sid_once_per_call(self, monkeypatch):
         catalog, assign, split = random_world(2)

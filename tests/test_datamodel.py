@@ -210,8 +210,11 @@ class TestEmbeddingSet:
             EmbeddingSet(["a", "b"], rows)
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(EmbeddingIOError, match="duplicate"):
+        with pytest.raises(EmbeddingIOError, match="^duplicate item_id 'a'$"):
             EmbeddingSet(["a", "a"], np.ones((2, 3)))
+        # The first id met again, as the catalog and the SID assignment name it.
+        with pytest.raises(EmbeddingIOError, match="^duplicate item_id 'c'$"):
+            EmbeddingSet(list("bcdcb"), np.ones((5, 3)))
 
     def test_id_count_mismatch(self):
         with pytest.raises(EmbeddingIOError):

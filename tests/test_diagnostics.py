@@ -18,7 +18,7 @@ from conftest import (
     sid_map,
     sized_model,
 )
-from sidforge import diagnostics
+from sidforge import diagnostics, rq
 from sidforge import rng as sidforge_rng
 from sidforge.datamodel import EmbeddingSet
 from sidforge.diagnostics import (
@@ -263,6 +263,15 @@ class TestReconstructionCurve:
         assign = assignment_from_sids({"a": (0,)}, model_hash=model.model_hash())
         with pytest.raises(DiagnosticsError, match="no SID"):
             reconstruction_curve(model, emb, assign)
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_assignment_of_another_width_rejected(self, rng, width):
+        model = random_model(rng, 3, [4, 4, 4], 3)
+        emb = EmbeddingSet(["a", "b"], np.ones((2, 3), dtype=np.float32))
+        assign = SidAssignment(["a", "b"], np.zeros((2, width), dtype=np.int64), model.model_hash())
+        for h_max in (None, 2):
+            with pytest.raises(DiagnosticsError, match="SID length does not match the model"):
+                reconstruction_curve(model, emb, assign, h_max=h_max)
 
     def test_monotone_on_fitted_like_data(self, rng):
         model = random_model(rng, 3, [8, 8, 8], 6)
@@ -649,6 +658,18 @@ class TestReport:
         table = render_table(payload)
         assert "Collision" in table and "Entropy" in table
         assert len(table.splitlines()) == 2
+
+    def test_sorts_the_prefixes_once(self, rng, monkeypatch):
+        model = random_model(rng, 2, [8, 8], 4)
+        emb = EmbeddingSet([f"i{k}" for k in range(40)], np.asarray(rng.normal(size=(40, 4)), dtype=np.float32))
+        assign = assign_all(model, emb)
+        sorts = []
+        real = rq.sorted_prefixes
+        monkeypatch.setattr(rq, "sorted_prefixes", lambda tokens: sorts.append(tokens) or real(tokens))
+        report = build_report(assign, model, emb=emb)
+        assert len(sorts) == 1 and sorts[0] is assign.tokens
+        assert report.n_distinct_sids == len({tuple(row) for row in assign.tokens.tolist()})
+        assert rq.build_trie(assign).n_sids == report.n_distinct_sids and len(sorts) == 1
 
     def test_probe_requires_seed(self, rng):
         model = random_model(rng, 1, [4], 3)

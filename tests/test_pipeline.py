@@ -942,14 +942,14 @@ class TestHandedObjects:
             assert run_pipeline(base_cfg(tmp_path / "seed"))[0] == 0
             cfg = ingest_cfg(tmp_path / "seed", out)
             cfg["pipeline"]["kcore"] = 2
-        entered, received = {}, []
+        entered, received, splits, eval_splits = {}, [], [], []
 
-        def record(name, real, keep):
+        def record(name, real, keep, module=pipeline):
             def wrapper(*args, **kwargs):
                 result = real(*args, **kwargs)
                 keep(args, kwargs, result)
                 return result
-            monkeypatch.setattr(pipeline, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
         def sources(args, kwargs, kept):
             entered.update(catalog=args[1], emb=args[2], log_in=args[3], log=kept)
@@ -959,6 +959,10 @@ class TestHandedObjects:
                lambda args, kwargs, result: entered.update(zip(("model", "assign"), result)))
         for name in ("diagnose", "export_corpus", "evaluate_baseline"):
             record(name, getattr(pipeline, name), lambda args, kwargs, _: received.append((args, kwargs)))
+        record("leave_last_out_split", pipeline.leave_last_out_split,
+               lambda args, kwargs, result: splits.append(result))
+        record("split_rows", recommender.split_rows,
+               lambda args, kwargs, _: eval_splits.append(args[0]), module=recommender)
         assert run_pipeline(cfg)[0] == 0
         paths = ArtifactPaths.in_dir(out)
 
@@ -987,8 +991,11 @@ class TestHandedObjects:
         assert diag_args[:2] == (handed_model, handed_assign) and diag_kwargs["emb"] is entered["emb"]
         assert diag_kwargs["labels"] == dict(zip(catalog.item_ids, catalog.categories))
         assert corpus_args[:2] == (handed_model, handed_assign) and corpus_args[3] is entered["catalog"]
-        assert same_split(corpus_args[2], leave_last_out_split(log))
         assert eval_args[1:3] == (handed_model, handed_assign)
+        # Stage 1 hands on the kept log's split alone, and stages 4 and 5 read that one object.
+        (handed_split,) = splits
+        assert same_split(handed_split, leave_last_out_split(log))
+        assert corpus_args[2] is handed_split and eval_splits and all(s is handed_split for s in eval_splits)
 
     def test_one_call_loads_each_artifact_at_most_once(self, tmp_path, monkeypatch):
         loads = Counter()
@@ -1016,6 +1023,44 @@ class TestHandedObjects:
                                      for name in STAGES}
         assert loads == dict.fromkeys(("load_items", "load_embeddings", "load_interactions",
                                        "load_model", "load_assignment"), 1)
+
+    def test_one_call_splits_the_log_and_sorts_the_prefixes_at_most_once(self, tmp_path, monkeypatch):
+        calls: dict[str, list] = {}
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.setdefault(name, []).append(args)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((pipeline, "leave_last_out_split"), (rq, "sorted_prefixes"),
+                             (pipeline, "export_corpus"), (recommender, "split_rows")):
+            spy(module, name)
+
+        def splits_and_sorts():
+            return len(calls.pop("leave_last_out_split", ())), len(calls.pop("sorted_prefixes", ()))
+
+        cfg = base_cfg(tmp_path / "out")
+        assert run_pipeline(cfg)[0] == 0
+        assert splits_and_sorts() == (1, 1)
+        # No later stage reads the interactions, so the source stage makes no split.
+        status, summary = run_pipeline({**cfg, "stages": {name: name == "source" for name in STAGES}}, force=True)
+        assert (status, summary["stages"]) == (0, {"source": "ran"})
+        assert splits_and_sorts() == (0, 0)
+
+        # Stages 1-3 hit and 4-5 run: the first reader splits the log, and both read that split.
+        calls.clear()
+        cfg["corpus"] = {**cfg["corpus"], "seed": 2}
+        cfg["eval"] = {**cfg["eval"], "alpha": 0.2}
+        status, summary = run_pipeline(cfg)
+        assert status == 0
+        assert summary["stages"] == {name: "ran" if name in ("corpus", "eval") else "cache-hit"
+                                     for name in STAGES}
+        assert splits_and_sorts() == (1, 1)
+        (corpus_args,) = calls["export_corpus"]
+        assert calls["split_rows"] and all(args[0] is corpus_args[2] for args in calls["split_rows"])
 
     def test_stage_functions_read_no_file(self, tmp_path, monkeypatch):
         cfg = base_cfg(tmp_path / "seed")

@@ -825,7 +825,8 @@ class TestSidAssignment:
     def test_repeated_id_names_the_first_repeat(self):
         with pytest.raises(RqError, match="^duplicate item_id 'a'$"):
             SidAssignment(["a", "a"], [[0], [1]], "h")
-        with pytest.raises(RqError, match="^duplicate item_id 'b'$"):
+        # The first id met again, as the loader and the other id tables name it.
+        with pytest.raises(RqError, match="^duplicate item_id 'c'$"):
             SidAssignment(["b", "c", "d", "c", "b"], np.zeros((5, 2)), "h")
 
     def test_tokens_read_only_and_copied_only_when_writeable(self, rng):
@@ -842,12 +843,22 @@ class TestSidAssignment:
                               RqConfig(levels=2, codebook_sizes=(4, 4)))
         assert SidAssignment(range(40), model.fit_tokens, "h").tokens is model.fit_tokens
 
-    def test_row_map_built_on_first_lookup(self):
+    def test_row_map_built_at_construction(self):
         assign = assignment_from_sids({"a": (3, 1), "b": (0, 2)})
-        assert len(assign) == 2 and "row_of" not in vars(assign)
+        assert len(assign) == 2 and vars(assign)["row_of"] == {"a": 0, "b": 1}
         assert assign.tokens[assign.row_of["b"]].tolist() == [0, 2] and "c" not in assign.row_of
-        assert vars(assign)["row_of"] == {"a": 0, "b": 1}
         assert assign.row_of is assign.row_of
+
+    def test_prefixes_sorted_on_first_read_and_kept(self, rng, monkeypatch):
+        sorts = []
+        monkeypatch.setattr(rq, "sorted_prefixes", lambda tokens: sorts.append(tokens) or sorted_prefixes(tokens))
+        assign = SidAssignment(range(30), rng.integers(0, 3, size=(30, 3)), "h")
+        assert "prefixes" not in vars(assign) and sorts == []
+        rows, starts = assign.prefixes
+        want_rows, want_starts = sorted_prefixes(assign.tokens)
+        assert np.array_equal(rows, want_rows) and len(starts) == len(want_starts)
+        assert all(np.array_equal(a, b) for a, b in zip(starts, want_starts))
+        assert assign.prefixes is assign.prefixes and len(sorts) == 1
 
     def test_load_names_the_line_of_a_ragged_record_or_a_wide_token(self, tmp_path):
         path = tmp_path / "s.jsonl"
